@@ -6,8 +6,11 @@
 //! role evidence from HTTP string matching, service-port bitmaps, URI
 //! observations, and the member port seen on each IP's side of the fabric.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use ixp_netmodel::{MemberId, Week};
 use ixp_obs::Obs;
@@ -15,7 +18,7 @@ use ixp_sflow::checkpoint::{self, Cur, StateError};
 use ixp_sflow::collector::{Collector, CollectorStats, Ingest};
 use ixp_sflow::{DecodeErrorCounts, TrafficEstimate};
 use ixp_wire::dissect::{Dissection, Network, Transport};
-use ixp_wire::{DissectMetrics, EthernetAddress};
+use ixp_wire::{ipv4, DissectMetrics, EthernetAddress};
 
 use crate::http::{self, HttpEvidence};
 
@@ -59,13 +62,14 @@ impl Category {
 /// Traffic totals per cascade category.
 #[derive(Debug, Clone, Default)]
 pub struct FilterReport {
-    totals: HashMap<Category, TrafficEstimate>,
+    /// Indexed by `Category as usize`, i.e. in [`Category::ALL`] order.
+    totals: [TrafficEstimate; Category::ALL.len()],
 }
 
 impl FilterReport {
     /// Estimate for one category.
     pub fn get(&self, cat: Category) -> TrafficEstimate {
-        self.totals.get(&cat).copied().unwrap_or_default()
+        self.totals[cat as usize]
     }
 
     /// Total across all categories.
@@ -84,7 +88,7 @@ impl FilterReport {
     }
 
     fn add(&mut self, cat: Category, rate: u32, frame_len: u32) {
-        self.totals.entry(cat).or_default().add_raw(rate, frame_len);
+        self.totals[cat as usize].add_raw(rate, frame_len);
     }
 }
 
@@ -143,11 +147,72 @@ pub struct IpStats {
 
 const MAX_URIS_PER_IP: usize = 8;
 
+/// Hasher state for the per-IP table: one folded 64×64→128-bit multiply of
+/// the address by a per-table secret, instead of SipHash-1-3 over four
+/// bytes twice per sample. The two secrets are drawn from [`RandomState`]
+/// once per table, so a sender cannot precompute addresses that collide;
+/// iteration order was unspecified under `RandomState` too, and every
+/// consumer of [`WeekScan::ips`] sorts or sums commutatively.
+#[derive(Debug, Clone, Copy)]
+pub struct IpHashBuilder {
+    seed: u64,
+    multiplier: u64,
+}
+
+impl Default for IpHashBuilder {
+    fn default() -> IpHashBuilder {
+        let random = RandomState::new();
+        IpHashBuilder { seed: random.hash_one(0u8), multiplier: random.hash_one(1u8) | 1 }
+    }
+}
+
+impl BuildHasher for IpHashBuilder {
+    type Hasher = IpHasher;
+
+    fn build_hasher(&self) -> IpHasher {
+        IpHasher { state: self.seed, multiplier: self.multiplier }
+    }
+}
+
+/// See [`IpHashBuilder`].
+#[derive(Debug, Clone, Copy)]
+pub struct IpHasher {
+    state: u64,
+    multiplier: u64,
+}
+
+impl IpHasher {
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(self.multiplier);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for IpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.mix(u64::from(*b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// The per-IP table: raw IPv4 address → accumulated statistics.
+pub type IpTable = HashMap<u32, IpStats, IpHashBuilder>;
+
 /// A tiny string interner for URI authorities.
 #[derive(Debug, Default)]
 pub struct DomainTable {
-    by_name: HashMap<String, u32>,
-    names: Vec<String>,
+    /// Each name is allocated once and shared with `names`.
+    by_name: HashMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
 }
 
 impl DomainTable {
@@ -157,8 +222,9 @@ impl DomainTable {
             return *id;
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.by_name.insert(name, id);
         id
     }
 
@@ -179,7 +245,7 @@ impl DomainTable {
 
     /// Iterate over all interned names.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(String::as_str)
+        self.names.iter().map(|name| &**name)
     }
 }
 
@@ -335,6 +401,16 @@ impl DissectTally {
     }
 }
 
+/// A member-to-member IPv4 TCP or UDP frame — everything the per-IP
+/// evidence needs, and what only [`WeekScan::categorize`] can construct.
+struct Peering<'a> {
+    repr: ipv4::Repr,
+    transport: Transport,
+    payload: &'a [u8],
+    src_member: MemberId,
+    dst_member: MemberId,
+}
+
 /// Serialization format version of [`WeekScan`] state.
 pub const WEEKSCAN_STATE_VERSION: u32 = 1;
 
@@ -346,7 +422,7 @@ pub struct WeekScan {
     /// Cascade totals.
     pub filter: FilterReport,
     /// Per-IP statistics (peering traffic endpoints only).
-    pub ips: HashMap<u32, IpStats>,
+    pub ips: IpTable,
     /// Interned URI authorities.
     pub domains: DomainTable,
     /// Samples that could not be dissected at all.
@@ -374,7 +450,7 @@ impl WeekScan {
         WeekScan {
             week,
             filter: FilterReport::default(),
-            ips: HashMap::new(),
+            ips: IpTable::default(),
             domains: DomainTable::default(),
             undissectable: 0,
             collector: Collector::new(),
@@ -401,14 +477,14 @@ impl WeekScan {
     /// loss, and decode failures are counted by kind — never silently
     /// dropped.
     pub fn ingest(&mut self, datagram_bytes: &[u8]) {
-        let dg = match self.collector.ingest(datagram_bytes) {
+        let dg = match self.collector.ingest_view(datagram_bytes) {
             Ingest::Accepted(dg) => dg,
             // Both outcomes are already counted in the collector's stats;
             // nothing vanishes.
             Ingest::Duplicate | Ingest::Rejected(_) => return,
         };
-        for sample in &dg.samples {
-            self.ingest_sample(sample.sampling_rate, sample.record.frame_length, &sample.record.header);
+        for sample in dg.flow_samples() {
+            self.ingest_sample(sample.sampling_rate, sample.record.frame_length, sample.record.header);
         }
     }
 
@@ -424,21 +500,15 @@ impl WeekScan {
                 return;
             }
         };
-        let category = self.categorize(&d);
+        let (category, peering) = self.categorize(&d);
         self.filter.add(category, rate, frame_len);
-        if !category.is_peering() {
+        let Some(Peering { repr, transport, payload, src_member, dst_member }) = peering else {
             return;
-        }
-        let (repr, transport, payload) = match &d.network {
-            Network::Ipv4 { repr, transport, payload } => (repr, transport, payload),
-            _ => unreachable!("peering implies IPv4"),
         };
         let bytes = u64::from(rate) * u64::from(frame_len);
-        let src_member = member_of(d.src_mac).expect("peering implies member MACs");
-        let dst_member = member_of(d.dst_mac).expect("peering implies member MACs");
 
         // Role evidence.
-        let mut host: Option<String> = None;
+        let mut host: Option<&str> = None;
         let mut server_is_src = false;
         let mut server_is_dst = false;
         if matches!(transport, Transport::Tcp { .. }) {
@@ -464,7 +534,7 @@ impl WeekScan {
             if server_is_src {
                 src_stats.evidence.set(Evidence::HTTP_SERVER);
                 if let Transport::Tcp { src_port, .. } = transport {
-                    set_port_bit(&mut src_stats.evidence, *src_port);
+                    set_port_bit(&mut src_stats.evidence, src_port);
                 }
             } else if server_is_dst {
                 // Classified flow with the server on the other side.
@@ -479,10 +549,10 @@ impl WeekScan {
             if server_is_dst {
                 dst_stats.evidence.set(Evidence::HTTP_SERVER);
                 if let Transport::Tcp { dst_port, .. } = transport {
-                    set_port_bit(&mut dst_stats.evidence, *dst_port);
+                    set_port_bit(&mut dst_stats.evidence, dst_port);
                 }
                 if let Some(h) = host {
-                    let id = self.domains.intern(&h);
+                    let id = self.domains.intern(h);
                     if dst_stats.uris.len() < MAX_URIS_PER_IP && !dst_stats.uris.contains(&id) {
                         dst_stats.uris.push(id);
                     }
@@ -506,28 +576,31 @@ impl WeekScan {
         }
     }
 
-    fn categorize(&self, d: &Dissection<'_>) -> Category {
-        match &d.network {
-            Network::Ipv6 => Category::Ipv6,
+    /// Place a frame in the cascade. The two peering categories come with
+    /// the [`Peering`] view that proves them.
+    fn categorize<'a>(&self, d: &Dissection<'a>) -> (Category, Option<Peering<'a>>) {
+        let (repr, transport, payload) = match &d.network {
+            Network::Ipv6 => return (Category::Ipv6, None),
             Network::Arp | Network::OtherEtherType(_) | Network::MalformedIpv4(_) => {
-                Category::OtherL3
+                return (Category::OtherL3, None)
             }
-            Network::Ipv4 { transport, .. } => {
-                let src_m = member_of(d.src_mac).filter(|m| m.0 < self.member_count);
-                let dst_m = member_of(d.dst_mac).filter(|m| m.0 < self.member_count);
-                match (src_m, dst_m) {
-                    (Some(a), Some(b)) if a != b => match transport {
-                        Transport::Icmp => Category::Icmp,
-                        Transport::Tcp { .. } => Category::PeeringTcp,
-                        Transport::Udp { .. } => Category::PeeringUdp,
-                        Transport::Other(_) | Transport::Truncated(_) => {
-                            Category::OtherTransport
-                        }
-                    },
-                    _ => Category::NonMemberOrLocal,
-                }
+            Network::Ipv4 { repr, transport, payload } => (*repr, *transport, *payload),
+        };
+        let src_m = member_of(d.src_mac).filter(|m| m.0 < self.member_count);
+        let dst_m = member_of(d.dst_mac).filter(|m| m.0 < self.member_count);
+        let (src_member, dst_member) = match (src_m, dst_m) {
+            (Some(a), Some(b)) if a != b => (a, b),
+            _ => return (Category::NonMemberOrLocal, None),
+        };
+        let category = match transport {
+            Transport::Icmp => return (Category::Icmp, None),
+            Transport::Other(_) | Transport::Truncated(_) => {
+                return (Category::OtherTransport, None)
             }
-        }
+            Transport::Tcp { .. } => Category::PeeringTcp,
+            Transport::Udp { .. } => Category::PeeringUdp,
+        };
+        (category, Some(Peering { repr, transport, payload, src_member, dst_member }))
     }
 
     /// Unique peering IPs seen.
@@ -584,7 +657,7 @@ impl WeekScan {
     /// Deterministic: hash maps are written in sorted key order, so equal
     /// states yield equal bytes.
     pub fn save_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.own_state_len());
         checkpoint::put_u32(&mut out, WEEKSCAN_STATE_VERSION);
         checkpoint::put_u8(&mut out, self.week.0);
         checkpoint::put_u32(&mut out, self.member_count);
@@ -601,7 +674,7 @@ impl WeekScan {
             checkpoint::put_str(&mut out, name);
         }
         let mut ips: Vec<(&u32, &IpStats)> = self.ips.iter().collect();
-        ips.sort_by_key(|(ip, _)| **ip);
+        ips.sort_unstable_by_key(|(ip, _)| **ip);
         checkpoint::put_u64(&mut out, ips.len() as u64);
         for (ip, s) in ips {
             checkpoint::put_u32(&mut out, *ip);
@@ -617,8 +690,22 @@ impl WeekScan {
         for f in self.tally.fields() {
             checkpoint::put_u64(&mut out, f);
         }
-        out.extend_from_slice(&self.collector.save_state());
+        let collector = self.collector.save_state();
+        out.reserve_exact(collector.len());
+        out.extend_from_slice(&collector);
         out
+    }
+
+    /// Exact size of everything [`WeekScan::save_state`] writes ahead of the
+    /// nested collector state: header and cascade totals, length-prefixed
+    /// names, per-IP entries, tally.
+    fn own_state_len(&self) -> usize {
+        25 + 24 * Category::ALL.len()
+            + 8
+            + self.domains.names.iter().map(|n| 8 + n.len()).sum::<usize>()
+            + 8
+            + self.ips.values().map(|s| 23 + 4 * s.uris.len().min(MAX_URIS_PER_IP)).sum::<usize>()
+            + 8 * self.tally.fields().len()
     }
 
     /// Restore a scan from [`WeekScan::save_state`] bytes. The blob is
@@ -638,16 +725,9 @@ impl WeekScan {
         let mut scan = WeekScan::new(week, member_count);
         scan.shed = cur.u64()?;
         scan.undissectable = cur.u64()?;
-        for cat in Category::ALL {
-            let samples = cur.u64()?;
-            let frames = cur.u64()?;
-            let bytes = cur.u64()?;
-            if samples > 0 || frames > 0 || bytes > 0 {
-                let e = scan.filter.totals.entry(cat).or_default();
-                e.samples = samples;
-                e.frames = frames;
-                e.bytes = bytes;
-            }
+        for total in &mut scan.filter.totals {
+            *total =
+                TrafficEstimate { samples: cur.u64()?, frames: cur.u64()?, bytes: cur.u64()? };
         }
         let n_domains = cur.count(8)?;
         for id in 0..n_domains {
@@ -659,6 +739,7 @@ impl WeekScan {
         let domain_count = scan.domains.len() as u32;
         // Per-IP entry: u32 key + u64 + 2×u32 + u16 + uri count byte.
         let n_ips = cur.count(19)?;
+        scan.ips.reserve(n_ips);
         let mut prev_ip: Option<u32> = None;
         for _ in 0..n_ips {
             let ip = cur.u32()?;
@@ -912,6 +993,13 @@ mod tests {
         let frame = tcp_frame(1, 2, b"GET / HTTP/1.1\r\nHost: a.example\r\n\r\n", 80);
         r.ingest_sample(16_384, frame.len() as u32, &frame);
         assert_eq!(r.domains.len(), scan.domains.len(), "known domain re-interned");
+    }
+
+    #[test]
+    fn save_state_sizes_its_buffer_exactly() {
+        let scan = messy_scan();
+        let nested = scan.collector().save_state().len();
+        assert_eq!(scan.own_state_len() + nested, scan.save_state().len());
     }
 
     #[test]

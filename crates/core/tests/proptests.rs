@@ -33,7 +33,7 @@ proptest! {
         let domain = format!("{label}.{tld}");
         let payload = format!("GET /x HTTP/1.1\r\nHost: {domain}\r\nAccept: */*\r\n\r\n");
         match classify(payload.as_bytes()) {
-            HttpEvidence::Request { host } => prop_assert_eq!(host.as_deref(), Some(domain.as_str())),
+            HttpEvidence::Request { host } => prop_assert_eq!(host, Some(domain.as_str())),
             other => prop_assert!(false, "unexpected {:?}", other),
         }
     }

@@ -35,7 +35,7 @@ use ixp_obs::{test_clock, Clock, Obs, Stopwatch};
 
 use crate::accounting::TrafficEstimate;
 use crate::checkpoint::{self, Cur, StateError, COLLECTOR_STATE_VERSION};
-use crate::datagram::{CounterSample, Datagram, DecodeError};
+use crate::datagram::{CounterSample, Datagram, DatagramView, DecodeError};
 use crate::metrics::CollectorMetrics;
 
 /// Sequence regressions up to this distance are treated as reordering; a
@@ -217,11 +217,13 @@ impl CollectorStats {
     }
 }
 
-/// What happened to one ingested buffer.
+/// What happened to one ingested buffer. `D` is the form the accepted
+/// datagram comes back in: an owned [`Datagram`] from [`Collector::ingest`],
+/// a borrowed [`DatagramView`] from [`Collector::ingest_view`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ingest {
+pub enum Ingest<D = Datagram> {
     /// New, decodable: process the samples.
-    Accepted(Datagram),
+    Accepted(D),
     /// Already delivered (head repeat or inside the replay window).
     Duplicate,
     /// Undecodable; the kind was counted.
@@ -309,9 +311,21 @@ impl Collector {
         &self.metrics
     }
 
-    /// Ingest one encoded datagram. Never panics, never silently drops:
-    /// the outcome is always counted.
+    /// Ingest one encoded datagram into an owned [`Datagram`]: the
+    /// allocating adapter over [`Collector::ingest_view`].
     pub fn ingest(&mut self, bytes: &[u8]) -> Ingest {
+        match self.ingest_view(bytes) {
+            Ingest::Accepted(view) => Ingest::Accepted(view.to_owned()),
+            Ingest::Duplicate => Ingest::Duplicate,
+            Ingest::Rejected(e) => Ingest::Rejected(e),
+        }
+    }
+
+    /// Ingest one encoded datagram. Never panics, never silently drops:
+    /// the outcome is always counted. The whole buffer is validated before
+    /// any sequence state moves; an accepted datagram comes back as a view
+    /// borrowing `bytes`, so the steady-state path allocates nothing.
+    pub fn ingest_view<'a>(&mut self, bytes: &'a [u8]) -> Ingest<DatagramView<'a>> {
         let sampled = self.datagrams.is_multiple_of(LATENCY_SAMPLE_EVERY);
         if sampled {
             self.latency_samples += 1;
@@ -325,9 +339,9 @@ impl Collector {
         outcome
     }
 
-    fn ingest_inner(&mut self, bytes: &[u8]) -> Ingest {
+    fn ingest_inner<'a>(&mut self, bytes: &'a [u8]) -> Ingest<DatagramView<'a>> {
         self.datagrams += 1;
-        let dg = match Datagram::decode(bytes) {
+        let dg = match DatagramView::decode(bytes) {
             Ok(dg) => dg,
             Err(e) => {
                 self.errors.count(e);
@@ -471,15 +485,12 @@ impl Collector {
     }
 
     /// Accumulate wrap-safe deltas for the datagram's counter samples.
-    fn track_counters(&mut self, dg: &Datagram) {
-        for c in &dg.counters {
+    fn track_counters(&mut self, dg: &DatagramView<'_>) {
+        for c in dg.counters() {
             let track = self
                 .counters
                 .entry((dg.agent_address, c.source_id))
-                .or_insert_with(|| CounterTrack {
-                    last: c.clone(),
-                    totals: CounterTotals { exports: 0, ..CounterTotals::default() },
-                });
+                .or_insert_with(|| CounterTrack { last: c, totals: CounterTotals::default() });
             if track.totals.exports > 0 {
                 // The deltas are wrap-corrected but still wire-controlled:
                 // a forged absolute counter can make a single delta huge, so
@@ -498,7 +509,7 @@ impl Collector {
                     .saturating_add(u64::from(c.if_out_ucast.wrapping_sub(track.last.if_out_ucast)));
             }
             track.totals.exports += 1;
-            track.last = c.clone();
+            track.last = c;
         }
     }
 
@@ -780,7 +791,7 @@ fn peek_u32(bytes: &[u8], off: usize) -> Option<u32> {
 }
 
 /// Restart bookkeeping: reset the window to the new head.
-fn restart(src: &mut SourceState, dg: &Datagram) {
+fn restart(src: &mut SourceState, dg: &DatagramView<'_>) {
     src.stats.restarts += 1;
     src.stats.received += 1;
     src.last_seq = dg.sequence;

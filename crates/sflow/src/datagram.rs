@@ -57,8 +57,11 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// A raw-packet-header flow record: the first bytes of a sampled frame.
+///
+/// `H` is the storage of the captured bytes: an owned `Vec<u8>` by default,
+/// a `&[u8]` into the datagram buffer in a [`FlowSampleView`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawPacketHeader {
+pub struct RawPacketHeader<H = Vec<u8>> {
     /// Header protocol (1 = Ethernet).
     pub protocol: u32,
     /// Original length of the sampled frame on the wire, in bytes.
@@ -66,12 +69,12 @@ pub struct RawPacketHeader {
     /// Bytes removed from the end of the frame before sampling (FCS etc.).
     pub stripped: u32,
     /// The captured header bytes (≤ the sampler's snippet length).
-    pub header: Vec<u8>,
+    pub header: H,
 }
 
-/// A `flow_sample` structure.
+/// A `flow_sample` structure (`H` as in [`RawPacketHeader`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowSample {
+pub struct FlowSample<H = Vec<u8>> {
     /// Sample sequence number (per source).
     pub sequence: u32,
     /// Source id (class 0, index = ifIndex of the sampled port).
@@ -89,14 +92,39 @@ pub struct FlowSample {
     /// The raw packet header record (sFlow allows several records per
     /// sample; the IXP's switches emit exactly one raw-header record, which
     /// is all the study uses).
-    pub record: RawPacketHeader,
+    pub record: RawPacketHeader<H>,
+}
+
+/// A flow sample whose header bytes borrow the datagram buffer: what
+/// [`DatagramView::flow_samples`] yields.
+pub type FlowSampleView<'a> = FlowSample<&'a [u8]>;
+
+impl FlowSampleView<'_> {
+    /// Copy the borrowed header bytes into an owned sample.
+    pub fn to_owned(&self) -> FlowSample {
+        FlowSample {
+            sequence: self.sequence,
+            source_id: self.source_id,
+            sampling_rate: self.sampling_rate,
+            sample_pool: self.sample_pool,
+            drops: self.drops,
+            input_if: self.input_if,
+            output_if: self.output_if,
+            record: RawPacketHeader {
+                protocol: self.record.protocol,
+                frame_length: self.record.frame_length,
+                stripped: self.record.stripped,
+                header: self.record.header.to_vec(),
+            },
+        }
+    }
 }
 
 /// A `counters_sample` with the standard `if_counters` block: the switch's
 /// own per-interface octet/packet counters, exported unsampled. Real
 /// deployments use these to verify the flow samples are unbiased — and so
 /// does this reproduction (see `ixp-core`'s sampling-bias check).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterSample {
     /// Sample sequence number (per source).
     pub sequence: u32,
@@ -153,9 +181,53 @@ impl Datagram {
         out
     }
 
-    /// Decode from the XDR wire format.
-    // ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
+    /// Decode from the XDR wire format into owned samples: the allocating
+    /// adapter over [`DatagramView::decode`].
     pub fn decode(data: &[u8]) -> Result<Datagram, DecodeError> {
+        DatagramView::decode(data).map(|view| view.to_owned())
+    }
+}
+
+/// One sample of a datagram, as [`DatagramView::samples`] yields it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SampleView<'a> {
+    /// A flow sample carrying a raw-packet-header record.
+    Flow(FlowSampleView<'a>),
+    /// A counters sample carrying a generic-interface-counters record.
+    Counters(CounterSample),
+    /// A sample type (or record mix) this collector does not use.
+    Unknown,
+}
+
+/// A validated sFlow v5 datagram borrowing the caller's buffer: the header
+/// fields by value and the samples decoded on demand, so the ingest path
+/// allocates nothing and copies no header bytes.
+///
+/// [`DatagramView::decode`] walks the *whole* buffer before returning, so a
+/// view only exists for a datagram every sample of which decodes; the
+/// sample iterators then re-run the same per-sample decoder over the
+/// already-validated bytes.
+#[derive(Debug, Clone)]
+pub struct DatagramView<'a> {
+    /// IPv4 address of the switch agent.
+    pub agent_address: Ipv4Addr,
+    /// Sub-agent id.
+    pub sub_agent_id: u32,
+    /// Datagram sequence number.
+    pub sequence: u32,
+    /// Switch uptime in milliseconds.
+    pub uptime_ms: u32,
+    n_samples: usize,
+    n_flows: usize,
+    n_counters: usize,
+    /// Positioned at the first sample.
+    body: Reader<'a>,
+}
+
+impl<'a> DatagramView<'a> {
+    /// Decode and validate from the XDR wire format.
+    // ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
+    pub fn decode(data: &'a [u8]) -> Result<DatagramView<'a>, DecodeError> {
         let mut r = Reader::new(data);
         let version = r.u32()?;
         if version != SFLOW_VERSION {
@@ -177,16 +249,74 @@ impl Datagram {
             // Cheap sanity bound: each sample needs well over 8 bytes.
             return Err(DecodeError::Inconsistent);
         }
-        let mut samples = Vec::with_capacity(n_samples.min(data.len() / 8));
-        let mut counters = Vec::new();
+        let body = r.clone();
+        let (mut n_flows, mut n_counters) = (0usize, 0usize);
         for _ in 0..n_samples {
             match decode_sample(&mut r)? {
-                DecodedSample::Flow(sample) => samples.push(sample),
-                DecodedSample::Counters(sample) => counters.push(sample),
-                DecodedSample::Unknown => {}
+                SampleView::Flow(_) => n_flows += 1,
+                SampleView::Counters(_) => n_counters += 1,
+                SampleView::Unknown => {}
             }
         }
-        Ok(Datagram { agent_address, sub_agent_id, sequence, uptime_ms, samples, counters })
+        Ok(DatagramView {
+            agent_address,
+            sub_agent_id,
+            sequence,
+            uptime_ms,
+            n_samples,
+            n_flows,
+            n_counters,
+            body,
+        })
+    }
+
+    /// Every sample, in wire order.
+    pub fn samples(&self) -> impl Iterator<Item = SampleView<'a>> + 'a {
+        self.walk(self.n_samples)
+    }
+
+    /// The flow samples, in wire order.
+    pub fn flow_samples(&self) -> impl Iterator<Item = FlowSampleView<'a>> + 'a {
+        self.samples().filter_map(|s| match s {
+            SampleView::Flow(sample) => Some(sample),
+            _ => None,
+        })
+    }
+
+    /// The counter samples, in wire order.
+    pub fn counters(&self) -> impl Iterator<Item = CounterSample> + 'a {
+        // Most datagrams carry no counters: skip the walk for those.
+        self.walk(if self.n_counters == 0 { 0 } else { self.n_samples }).filter_map(|s| match s {
+            SampleView::Counters(sample) => Some(sample),
+            _ => None,
+        })
+    }
+
+    /// Re-run the sample decoder over the first `n` validated samples.
+    fn walk(&self, n: usize) -> impl Iterator<Item = SampleView<'a>> + 'a {
+        let mut r = self.body.clone();
+        (0..n).map_while(move |_| decode_sample(&mut r).ok())
+    }
+
+    /// Copy into an owned [`Datagram`].
+    pub fn to_owned(&self) -> Datagram {
+        let mut samples = Vec::with_capacity(self.n_flows);
+        let mut counters = Vec::with_capacity(self.n_counters);
+        for sample in self.samples() {
+            match sample {
+                SampleView::Flow(sample) => samples.push(sample.to_owned()),
+                SampleView::Counters(sample) => counters.push(sample),
+                SampleView::Unknown => {}
+            }
+        }
+        Datagram {
+            agent_address: self.agent_address,
+            sub_agent_id: self.sub_agent_id,
+            sequence: self.sequence,
+            uptime_ms: self.uptime_ms,
+            samples,
+            counters,
+        }
     }
 }
 
@@ -220,12 +350,6 @@ fn encode_flow_sample(out: &mut Vec<u8>, sample: &FlowSample) {
     let body_len = (out.len() - body_start) as u32;
     // ixp-lint: allow(no-index) encoder backpatch; len_pos was reserved above
     out[len_pos..len_pos + 4].copy_from_slice(&body_len.to_be_bytes());
-}
-
-enum DecodedSample {
-    Flow(FlowSample),
-    Counters(CounterSample),
-    Unknown,
 }
 
 /// Encode a counters sample with one generic-interface-counters record.
@@ -269,7 +393,10 @@ fn encode_counter_sample(out: &mut Vec<u8>, c: &CounterSample) {
 }
 
 // ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
-fn decode_counter_sample(r: &mut Reader<'_>, sample_len: usize) -> Result<DecodedSample, DecodeError> {
+fn decode_counter_sample<'a>(
+    r: &mut Reader<'a>,
+    sample_len: usize,
+) -> Result<SampleView<'a>, DecodeError> {
     let end = r
         .position()
         .checked_add(sample_len)
@@ -311,15 +438,12 @@ fn decode_counter_sample(r: &mut Reader<'_>, sample_len: usize) -> Result<Decode
     if r.position() != end {
         return Err(DecodeError::Inconsistent);
     }
-    match out {
-        Some(c) => Ok(DecodedSample::Counters(c)),
-        None => Ok(DecodedSample::Unknown),
-    }
+    Ok(out.map_or(SampleView::Unknown, SampleView::Counters))
 }
 
 /// Decode one sample; unknown sample types are skipped.
 // ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
-fn decode_sample(r: &mut Reader<'_>) -> Result<DecodedSample, DecodeError> {
+fn decode_sample<'a>(r: &mut Reader<'a>) -> Result<SampleView<'a>, DecodeError> {
     let sample_type = r.u32()?;
     let sample_len = r.u32()? as usize;
     if sample_type == SAMPLE_TYPE_COUNTERS {
@@ -327,7 +451,7 @@ fn decode_sample(r: &mut Reader<'_>) -> Result<DecodedSample, DecodeError> {
     }
     if sample_type != SAMPLE_TYPE_FLOW {
         r.skip(xdr::pad4(sample_len))?;
-        return Ok(DecodedSample::Unknown);
+        return Ok(SampleView::Unknown);
     }
     let end = r
         .position()
@@ -362,7 +486,7 @@ fn decode_sample(r: &mut Reader<'_>) -> Result<DecodedSample, DecodeError> {
         if header_len > record_len {
             return Err(DecodeError::Inconsistent);
         }
-        let header = r.opaque(header_len)?.to_vec();
+        let header = r.opaque(header_len)?;
         if r.position() != record_end {
             return Err(DecodeError::Inconsistent);
         }
@@ -372,7 +496,7 @@ fn decode_sample(r: &mut Reader<'_>) -> Result<DecodedSample, DecodeError> {
         return Err(DecodeError::Inconsistent);
     }
     let record = record.ok_or(DecodeError::Inconsistent)?;
-    Ok(DecodedSample::Flow(FlowSample {
+    Ok(SampleView::Flow(FlowSample {
         sequence,
         source_id,
         sampling_rate,

@@ -17,6 +17,8 @@
 //! * [`Datagram`]/[`FlowSample`] — faithful encode/decode of the v5 wire
 //!   format (datagram header, flow-sample header, raw-packet-header record),
 //!   so the analysis side works on *bytes*, exactly like a real collector;
+//!   [`DatagramView`] is the same decode borrowing the caller's buffer,
+//!   which is what the ingest path uses;
 //! * [`Sampler`] — the per-port sampling process (geometric skip counts, the
 //!   textbook implementation of sFlow's random 1-in-N sampling) plus snippet
 //!   truncation; and
@@ -44,7 +46,10 @@ pub use accounting::TrafficEstimate;
 pub use checkpoint::StateError;
 pub use collector::{Collector, CollectorStats, CounterTotals, DecodeErrorCounts, Ingest, SourceKey, SourceStats};
 pub use metrics::CollectorMetrics;
-pub use datagram::{CounterSample, Datagram, DecodeError, FlowSample, RawPacketHeader, HEADER_PROTO_ETHERNET};
+pub use datagram::{
+    CounterSample, Datagram, DatagramView, DecodeError, FlowSample, FlowSampleView, RawPacketHeader,
+    SampleView, HEADER_PROTO_ETHERNET,
+};
 pub use sampler::{Sampler, SamplerConfig, SNIPPET_LEN};
 
 /// The sampling rate used by the studied IXP: 1 out of 16 384 frames.

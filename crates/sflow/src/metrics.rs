@@ -89,7 +89,7 @@ impl CollectorMetrics {
     }
 
     /// Count one ingest outcome (the per-datagram hot-path add).
-    pub fn record(&self, outcome: &Ingest) {
+    pub fn record<D>(&self, outcome: &Ingest<D>) {
         self.datagrams.inc();
         match outcome {
             Ingest::Accepted(_) => self.accepted.inc(),
@@ -112,9 +112,9 @@ mod tests {
     fn outcomes_route_to_the_right_counter() {
         let registry = Registry::new();
         let m = CollectorMetrics::register(&registry);
-        m.record(&Ingest::Duplicate);
-        m.record(&Ingest::Rejected(DecodeError::Truncated));
-        m.record(&Ingest::Rejected(DecodeError::BadVersion(4)));
+        m.record::<()>(&Ingest::Duplicate);
+        m.record::<()>(&Ingest::Rejected(DecodeError::Truncated));
+        m.record::<()>(&Ingest::Rejected(DecodeError::BadVersion(4)));
         assert_eq!(m.datagrams.get(), 3);
         assert_eq!(m.duplicates.get(), 1);
         assert_eq!(m.truncated.get(), 1);

@@ -5,7 +5,10 @@ use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
-use ixp_sflow::{Collector, Datagram, FlowSample, Ingest, RawPacketHeader, HEADER_PROTO_ETHERNET};
+use ixp_sflow::{
+    Collector, CounterSample, Datagram, DatagramView, FlowSample, Ingest, RawPacketHeader, SampleView,
+    HEADER_PROTO_ETHERNET,
+};
 
 fn arb_sample() -> impl Strategy<Value = FlowSample> {
     (
@@ -56,6 +59,100 @@ fn arb_datagram() -> impl Strategy<Value = Datagram> {
             samples,
             counters: vec![],
         })
+}
+
+fn arb_counter() -> impl Strategy<Value = CounterSample> {
+    (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>(), any::<u32>(), any::<u64>(), any::<u32>())
+        .prop_map(
+            |(sequence, source_id, if_speed, if_in_octets, if_in_ucast, if_out_octets, if_out_ucast)| {
+                CounterSample {
+                    sequence,
+                    source_id,
+                    if_index: source_id,
+                    if_speed,
+                    if_in_octets,
+                    if_in_ucast,
+                    if_out_octets,
+                    if_out_ucast,
+                }
+            },
+        )
+}
+
+fn arb_datagram_with_counters() -> impl Strategy<Value = Datagram> {
+    (arb_datagram(), proptest::collection::vec(arb_counter(), 0..4))
+        .prop_map(|(dg, counters)| Datagram { counters, ..dg })
+}
+
+/// The borrowed decoder and the owned one must tell the same story about
+/// `bytes`: the same error, or the same header, samples and counters.
+fn assert_view_matches_owned(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let view = match (DatagramView::decode(bytes), Datagram::decode(bytes)) {
+        (Err(a), Err(b)) => {
+            prop_assert_eq!(a, b);
+            return Ok(());
+        }
+        (Ok(view), Ok(owned)) => {
+            prop_assert_eq!(view.to_owned(), owned);
+            view
+        }
+        (view, owned) => {
+            prop_assert!(false, "view {:?} but owned {:?}", view.map(drop), owned.map(drop));
+            return Ok(());
+        }
+    };
+    let owned = view.to_owned();
+    prop_assert_eq!(view.agent_address, owned.agent_address);
+    prop_assert_eq!(view.sub_agent_id, owned.sub_agent_id);
+    prop_assert_eq!(view.sequence, owned.sequence);
+    prop_assert_eq!(view.uptime_ms, owned.uptime_ms);
+    let flows: Vec<FlowSample> = view.flow_samples().map(|s| s.to_owned()).collect();
+    prop_assert_eq!(&flows, &owned.samples);
+    let counters: Vec<CounterSample> = view.counters().collect();
+    prop_assert_eq!(&counters, &owned.counters);
+    // The mixed walk yields the same samples, interleaved in wire order.
+    let mut mixed_flows = Vec::new();
+    let mut mixed_counters = Vec::new();
+    for sample in view.samples() {
+        match sample {
+            SampleView::Flow(s) => mixed_flows.push(s.to_owned()),
+            SampleView::Counters(c) => mixed_counters.push(c),
+            SampleView::Unknown => {}
+        }
+    }
+    prop_assert_eq!(mixed_flows, flows);
+    prop_assert_eq!(mixed_counters, counters);
+    Ok(())
+}
+
+proptest! {
+    /// The view decoder round-trips what the encoder wrote, counters
+    /// included, and agrees with the owned decoder on it.
+    #[test]
+    fn view_round_trips_and_matches_owned(dg in arb_datagram_with_counters()) {
+        let bytes = dg.encode();
+        prop_assert_eq!(DatagramView::decode(&bytes).map(|v| v.to_owned()), Ok(dg));
+        assert_view_matches_owned(&bytes)?;
+    }
+
+    #[test]
+    fn view_matches_owned_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
+        assert_view_matches_owned(&bytes)?;
+    }
+
+    #[test]
+    fn view_matches_owned_on_truncated_and_bit_flipped_datagrams(
+        dg in arb_datagram_with_counters(),
+        cut in any::<proptest::sample::Index>(),
+        idx in any::<proptest::sample::Index>(),
+        bit in 0u32..8,
+    ) {
+        let mut bytes = dg.encode();
+        assert_view_matches_owned(&bytes[..cut.index(bytes.len() + 1)])?;
+        let i = idx.index(bytes.len());
+        bytes[i] ^= 1 << bit;
+        assert_view_matches_owned(&bytes)?;
+    }
 }
 
 proptest! {

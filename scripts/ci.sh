@@ -50,6 +50,25 @@ if [ "$tsoak_elapsed" -gt 120 ]; then
 fi
 echo "ci: transport soak took ${tsoak_elapsed}s (budget 120s)"
 
+echo "==> benchmark smoke (benchmark/ builds against this tree and its checks pass)"
+# benchmark/ is a package of its own with path dependencies on crates/*,
+# so nothing above compiles it. Every workload at tiny scale, both modes,
+# all output checks on: API drift fails here, not at the perf gate later.
+# The timings of a smoke run mean nothing. Budgeted like the soaks (the
+# cold build of the package is most of it).
+bench_started=$(date +%s)
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --seconds 1 --smoke > target/benchmark-smoke.log 2>&1 || {
+    echo "ci: benchmark smoke failed (see target/benchmark-smoke.log)" >&2
+    exit 1
+}
+bench_elapsed=$(( $(date +%s) - bench_started ))
+if [ "$bench_elapsed" -gt 180 ]; then
+    echo "ci: benchmark-smoke runtime budget exceeded: ${bench_elapsed}s > 180s" >&2
+    exit 1
+fi
+echo "ci: benchmark smoke took ${bench_elapsed}s (budget 180s)"
+
 echo "==> cargo run -p ixp-lint -- --format json > target/lint-report.json (cold)"
 # The JSON report is written unconditionally — even when the lint gate
 # below fails, target/lint-report.json holds the findings for triage.

@@ -1,0 +1,139 @@
+//! `WeekScan::ingest` allocates for what it learns — a new IP, a new
+//! domain, a new source — and for nothing else. An integration test is a
+//! binary of its own, so the counting allocator below is installed here
+//! and nowhere else.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ixp_vantage::core::WeekScan;
+use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
+use ixp_vantage::traffic::{MixConfig, WeekStream};
+
+/// The system allocator, counting the calling thread's allocations (the
+/// test harness runs other tests on other threads at the same time).
+struct CountingPerThread;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // Unreachable thread-local storage (a thread being torn down) is not
+    // a thread this test measures.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` that neither allocates nor touches allocator state.
+unsafe impl GlobalAlloc for CountingPerThread {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's layout is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's layout is passed through as given.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout (caller's
+        // contract), and this allocator only ever hands out `System` blocks.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `dealloc`, plus the caller guarantees `new_size`
+        // is valid for `layout.align()`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingPerThread = CountingPerThread;
+
+/// Allocations (and reallocations) this thread makes while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// The reference week at tiny scale, and its member count.
+fn tiny_week() -> (Vec<Vec<u8>>, u32) {
+    let model = InternetModel::generate(ScaleConfig::tiny(), 14);
+    let week = Week::REFERENCE;
+    let feed: Vec<Vec<u8>> = WeekStream::new(&model, MixConfig::default(), week, model.seed).collect();
+    assert!(feed.len() > 1_000, "a feed of {} datagrams proves little", feed.len());
+    (feed, model.registry.members_at(week).len() as u32)
+}
+
+#[test]
+fn ingest_of_known_sources_ips_and_domains_allocates_nothing() {
+    let (feed, members) = tiny_week();
+    let mut scan = WeekScan::new(Week::REFERENCE, members);
+    for datagram in &feed {
+        scan.ingest(datagram);
+    }
+    let warm = scan.ingest_health().collector;
+    assert_eq!(warm.accepted, feed.len() as u64);
+    let (ips, domains) = (scan.unique_ips(), scan.domains.len());
+    assert!(ips > 0 && domains > 0);
+
+    // The same week again: each source's sequence numbers start over, which
+    // the collector books as one restart and then accepts as before.
+    let second_pass = allocations(|| {
+        for datagram in &feed {
+            scan.ingest(datagram);
+        }
+    });
+    let again = scan.ingest_health().collector;
+    assert_eq!(again.accepted, 2 * warm.accepted, "the second pass was not accepted");
+    assert_eq!(again.restarts, warm.sources as u64);
+    assert_eq!((scan.unique_ips(), scan.domains.len()), (ips, domains));
+    assert_eq!(second_pass, 0, "allocations in a pass that learned nothing");
+
+    // The slow paths of a known source: exact duplicates, and truncated
+    // datagrams whose header still names the source.
+    let last = feed.last().expect("non-empty feed");
+    let cut = &last[..last.len() / 2];
+    let faulty = allocations(|| {
+        for _ in 0..100 {
+            scan.ingest(last);
+            scan.ingest(cut);
+        }
+    });
+    let after = scan.ingest_health().collector;
+    assert_eq!(after.duplicates, again.duplicates + 100);
+    assert_eq!(after.decode_errors.total(), again.decode_errors.total() + 100);
+    assert_eq!(after.unattributed_errors, 0);
+    assert_eq!(faulty, 0, "allocations on the duplicate or reject path");
+}
+
+#[test]
+fn a_fresh_scan_allocates_for_what_it_learns_not_per_datagram() {
+    let (feed, members) = tiny_week();
+    let mut scan = WeekScan::new(Week::REFERENCE, members);
+    let fresh = allocations(|| {
+        for datagram in &feed {
+            scan.ingest(datagram);
+        }
+    });
+    // One allocation per interned domain; at most two growth steps of the
+    // bounded URI list of each server that has one; and a logarithmic
+    // number of growth steps of the tables themselves.
+    let with_uris = scan.ips.values().filter(|s| !s.uris.is_empty()).count();
+    let bound = (scan.domains.len() + 2 * with_uris + 200) as u64;
+    assert!(fresh > 0 && fresh <= bound, "{fresh} allocations, bound {bound}");
+    assert!(
+        bound < feed.len() as u64,
+        "bound {bound} does not separate table growth from {} datagrams",
+        feed.len()
+    );
+}

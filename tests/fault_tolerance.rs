@@ -168,3 +168,58 @@ fn degraded_runs_replay_deterministically() {
     assert_eq!(ta.peering.ases, tb.peering.ases);
     assert_eq!(a.census.len(), b.census.len());
 }
+
+/// The allocation-free path and the owned one are the same scan: a week
+/// under every fault kind fed through `WeekScan::ingest` (borrowed views)
+/// checkpoints byte-identically to the same feed driven through the owned
+/// `Collector::ingest` and `WeekScan::ingest_sample` per decoded sample.
+#[test]
+fn borrowed_ingest_matches_owned_ingest_byte_for_byte() {
+    use ixp_vantage::core::WeekScan;
+    use ixp_vantage::sflow::{Collector, Ingest};
+
+    let cfg = FaultConfig {
+        seed: 14,
+        drop: 0.05,
+        duplicate: 0.02,
+        reorder: 0.02,
+        truncate: 0.01,
+        corrupt: 0.01,
+        restarts: vec![(0, 300)],
+        ..FaultConfig::default()
+    };
+    let mut plan = FaultPlan::new(analyzer().feed(Week::REFERENCE), cfg);
+    let feed: Vec<Vec<u8>> = plan.by_ref().collect();
+    let stats = plan.stats();
+    for (what, n) in [
+        ("drop", stats.dropped),
+        ("duplicate", stats.duplicated),
+        ("reorder", stats.reordered),
+        ("truncate", stats.truncated),
+        ("corrupt", stats.corrupted),
+        ("restart", stats.restarts_injected),
+    ] {
+        assert!(n > 0, "the plan injected no {what}");
+    }
+
+    let members = model().registry.members_at(Week::REFERENCE).len() as u32;
+    let mut borrowed = WeekScan::new(Week::REFERENCE, members);
+    let mut owned = WeekScan::new(Week::REFERENCE, members);
+    let mut collector = Collector::new();
+    for datagram in &feed {
+        borrowed.ingest(datagram);
+        if let Ingest::Accepted(dg) = collector.ingest(datagram) {
+            for s in &dg.samples {
+                owned.ingest_sample(s.sampling_rate, s.record.frame_length, &s.record.header);
+            }
+        }
+    }
+    assert!(borrowed.unique_ips() > 0 && !borrowed.domains.is_empty());
+
+    // A scan's state ends with its collector's; `owned` never used its
+    // own, so swap the stand-alone collector's state in for that tail.
+    let mut expected = owned.save_state();
+    expected.truncate(expected.len() - owned.collector().save_state().len());
+    expected.extend_from_slice(&collector.save_state());
+    assert!(borrowed.save_state() == expected, "borrowed and owned ingest diverged");
+}
