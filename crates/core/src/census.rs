@@ -159,8 +159,8 @@ impl ServerCensus {
                 Err(()) => SoaOutcome::Timeout,
             };
             // URI cleaning: drop syntactically invalid authorities.
-            let uris: Vec<String> = stats
-                .uris
+            let uris: Vec<String> = scan
+                .uris(stats)
                 .iter()
                 .map(|id| scan.domains.name(*id).to_string())
                 .filter(|d| ixp_cert::x509::domain_is_valid(d))

@@ -129,23 +129,52 @@ impl Evidence {
     }
 }
 
-/// Accumulated per-IP statistics.
+/// Accumulated per-IP statistics. Kept to 24 bytes so that a table entry
+/// is 32 and never straddles a cache line: every sample costs two lookups
+/// in a table far larger than the cache. The URI authorities seen with this
+/// IP as the server are in [`WeekScan::uris`].
 #[derive(Debug, Clone, Default)]
 pub struct IpStats {
     /// Estimated bytes this IP was an endpoint of (peering traffic only).
     pub bytes: u64,
     /// Samples this IP appeared in.
     pub samples: u32,
-    /// Role/port evidence.
-    pub evidence: Evidence,
-    /// Interned ids of URI authorities observed when this IP acted as the
-    /// server (bounded).
-    pub uris: Vec<u32>,
     /// The member port on this IP's side of the fabric (last seen).
     pub member: MemberId,
+    /// One more than the index of this IP's [`UriList`]; 0 while it has none.
+    uri_list: u32,
+    /// Role/port evidence.
+    pub evidence: Evidence,
 }
 
 const MAX_URIS_PER_IP: usize = 8;
+
+/// The interned ids of the URI authorities observed with one IP as the
+/// server: distinct, in order of first sight, at most [`MAX_URIS_PER_IP`].
+#[derive(Debug, Clone, Copy, Default)]
+struct UriList {
+    ids: [u32; MAX_URIS_PER_IP],
+    len: u8,
+}
+
+impl UriList {
+    fn as_slice(&self) -> &[u32] {
+        self.ids.get(..usize::from(self.len)).unwrap_or(&[])
+    }
+
+    /// Append `id` unless it is present or the list is full; `false` if it
+    /// was present.
+    fn insert(&mut self, id: u32) -> bool {
+        if self.as_slice().contains(&id) {
+            return false;
+        }
+        if let Some(slot) = self.ids.get_mut(usize::from(self.len)) {
+            *slot = id;
+            self.len += 1;
+        }
+        true
+    }
+}
 
 /// Hasher state for the per-IP table: one folded 64×64→128-bit multiply of
 /// the address by a per-table secret, instead of SipHash-1-3 over four
@@ -411,6 +440,37 @@ struct Peering<'a> {
     dst_member: MemberId,
 }
 
+/// One per-IP entry as [`WeekScan::save_state`] writes it: the fields of
+/// the state format, whose writer (and so its pinned schema digest) reads
+/// the same now that the URI ids live outside [`IpStats`].
+struct IpRow<'a> {
+    bytes: u64,
+    samples: u32,
+    evidence: Evidence,
+    member: MemberId,
+    uris: &'a [u32],
+}
+
+/// What one peering sample adds to the per-IP table, worked out before the
+/// table is touched (see [`WeekScan::ingest`]).
+#[derive(Clone, Copy, Default)]
+struct Update<'a> {
+    src: u32,
+    dst: u32,
+    /// Estimated bytes the sample stands for.
+    bytes: u64,
+    src_member: MemberId,
+    dst_member: MemberId,
+    src_evidence: Evidence,
+    dst_evidence: Evidence,
+    /// URI authority requested of `dst`.
+    host: Option<&'a str>,
+}
+
+/// Updates [`WeekScan::ingest`] holds back before applying them: more than
+/// the seven or so flow samples that fit a 1 500-byte export datagram.
+const APPLY_BATCH: usize = 16;
+
 /// Serialization format version of [`WeekScan`] state.
 pub const WEEKSCAN_STATE_VERSION: u32 = 1;
 
@@ -425,6 +485,8 @@ pub struct WeekScan {
     pub ips: IpTable,
     /// Interned URI authorities.
     pub domains: DomainTable,
+    /// Per-server URI lists, by `IpStats::uri_list`.
+    uri_lists: Vec<UriList>,
     /// Samples that could not be dissected at all.
     pub undissectable: u64,
     /// The fault-tolerant collector front-end: sequence accounting,
@@ -452,6 +514,7 @@ impl WeekScan {
             filter: FilterReport::default(),
             ips: IpTable::default(),
             domains: DomainTable::default(),
+            uri_lists: Vec::new(),
             undissectable: 0,
             collector: Collector::new(),
             dissect: DissectMetrics::detached(),
@@ -483,13 +546,43 @@ impl WeekScan {
             // nothing vanishes.
             Ingest::Duplicate | Ingest::Rejected(_) => return,
         };
+        // Evaluate first, then apply back to back: the table lookups of a
+        // batch are independent of each other, so their cache misses overlap
+        // instead of each one stalling the dissection of the next sample.
+        let mut pending = [Update::default(); APPLY_BATCH];
+        let mut n = 0;
         for sample in dg.flow_samples() {
-            self.ingest_sample(sample.sampling_rate, sample.record.frame_length, sample.record.header);
+            let record = sample.record;
+            let Some(update) =
+                self.evaluate_sample(sample.sampling_rate, record.frame_length, record.header)
+            else {
+                continue;
+            };
+            pending[n] = update;
+            n += 1;
+            if n == APPLY_BATCH {
+                pending.iter().for_each(|update| self.apply(update));
+                n = 0;
+            }
         }
+        pending[..n].iter().for_each(|update| self.apply(update));
     }
 
     /// Feed one raw sample (rate, claimed wire length, snippet).
     pub fn ingest_sample(&mut self, rate: u32, frame_len: u32, snippet: &[u8]) {
+        if let Some(update) = self.evaluate_sample(rate, frame_len, snippet) {
+            self.apply(&update);
+        }
+    }
+
+    /// Dissect one sample, count it in the cascade and match its payload:
+    /// everything but the per-IP table, which only peering samples reach.
+    fn evaluate_sample<'a>(
+        &mut self,
+        rate: u32,
+        frame_len: u32,
+        snippet: &'a [u8],
+    ) -> Option<Update<'a>> {
         let parsed = Dissection::parse(snippet);
         self.dissect.record(&parsed);
         self.tally.record(&parsed);
@@ -497,82 +590,73 @@ impl WeekScan {
             Ok(d) => d,
             Err(_) => {
                 self.undissectable += 1;
-                return;
+                return None;
             }
         };
         let (category, peering) = self.categorize(&d);
         self.filter.add(category, rate, frame_len);
-        let Some(Peering { repr, transport, payload, src_member, dst_member }) = peering else {
-            return;
-        };
-        let bytes = u64::from(rate) * u64::from(frame_len);
+        let Peering { repr, transport, payload, src_member, dst_member } = peering?;
+        let src = u32::from(repr.src_addr);
+        let dst = u32::from(repr.dst_addr);
 
-        // Role evidence.
-        let mut host: Option<&str> = None;
-        let mut server_is_src = false;
-        let mut server_is_dst = false;
-        if matches!(transport, Transport::Tcp { .. }) {
+        // Role evidence: the server side of a classified flow gets
+        // `HTTP_SERVER` and its port bit, the other side `CLIENT`.
+        let mut src_evidence = Evidence::default();
+        let mut dst_evidence = Evidence::default();
+        let mut host = None;
+        if let Transport::Tcp { src_port, dst_port, .. } = transport {
             match http::classify(payload) {
                 HttpEvidence::Request { host: h } | HttpEvidence::RequestHeaders { host: h } => {
-                    server_is_dst = true;
+                    dst_evidence.set(Evidence::HTTP_SERVER);
+                    set_port_bit(&mut dst_evidence, dst_port);
+                    src_evidence.set(Evidence::CLIENT);
                     host = h;
                 }
                 HttpEvidence::Response | HttpEvidence::ResponseHeaders => {
-                    server_is_src = true;
+                    src_evidence.set(Evidence::HTTP_SERVER);
+                    set_port_bit(&mut src_evidence, src_port);
+                    dst_evidence.set(Evidence::CLIENT);
                 }
                 HttpEvidence::None => {}
             }
-        }
-
-        let src = u32::from(repr.src_addr);
-        let dst = u32::from(repr.dst_addr);
-        {
-            let src_stats = self.ips.entry(src).or_default();
-            src_stats.bytes += bytes;
-            src_stats.samples += 1;
-            src_stats.member = src_member;
-            if server_is_src {
-                src_stats.evidence.set(Evidence::HTTP_SERVER);
-                if let Transport::Tcp { src_port, .. } = transport {
-                    set_port_bit(&mut src_stats.evidence, src_port);
-                }
-            } else if server_is_dst {
-                // Classified flow with the server on the other side.
-                src_stats.evidence.set(Evidence::CLIENT);
-            }
-        }
-        {
-            let dst_stats = self.ips.entry(dst).or_default();
-            dst_stats.bytes += bytes;
-            dst_stats.samples += 1;
-            dst_stats.member = dst_member;
-            if server_is_dst {
-                dst_stats.evidence.set(Evidence::HTTP_SERVER);
-                if let Transport::Tcp { dst_port, .. } = transport {
-                    set_port_bit(&mut dst_stats.evidence, dst_port);
-                }
-                if let Some(h) = host {
-                    let id = self.domains.intern(h);
-                    if dst_stats.uris.len() < MAX_URIS_PER_IP && !dst_stats.uris.contains(&id) {
-                        dst_stats.uris.push(id);
-                    }
-                }
-            } else if server_is_src {
-                dst_stats.evidence.set(Evidence::CLIENT);
-            }
             // HTTPS candidates: TLS-shaped bytes towards port 443.
-            if let Transport::Tcp { dst_port: 443, .. } = transport {
-                if matches!(payload.first(), Some(0x16) | Some(0x17)) {
-                    dst_stats.evidence.set(Evidence::TLS443);
-                    set_port_bit(&mut dst_stats.evidence, 443);
-                }
+            if dst_port == 443 && matches!(payload.first(), Some(0x16) | Some(0x17)) {
+                dst_evidence.set(Evidence::TLS443);
+                dst_evidence.set(Evidence::PORT_443);
             }
             // RTMP activity (port-level evidence; no string matching).
-            if let Transport::Tcp { dst_port: 1935, .. } = transport {
-                if !payload.is_empty() {
-                    set_port_bit(&mut dst_stats.evidence, 1935);
-                }
+            if dst_port == 1935 && !payload.is_empty() {
+                dst_evidence.set(Evidence::PORT_1935);
             }
+        }
+        Some(Update {
+            src,
+            dst,
+            bytes: u64::from(rate) * u64::from(frame_len),
+            src_member,
+            dst_member,
+            src_evidence,
+            dst_evidence,
+            host,
+        })
+    }
+
+    /// Add one peering sample's evidence to both of its endpoints.
+    fn apply(&mut self, update: &Update<'_>) {
+        let src = self.ips.entry(update.src).or_default();
+        src.bytes += update.bytes;
+        src.samples += 1;
+        src.member = update.src_member;
+        src.evidence.0 |= update.src_evidence.0;
+
+        let dst = self.ips.entry(update.dst).or_default();
+        dst.bytes += update.bytes;
+        dst.samples += 1;
+        dst.member = update.dst_member;
+        dst.evidence.0 |= update.dst_evidence.0;
+        if let Some(host) = update.host {
+            let id = self.domains.intern(host);
+            insert_uri(&mut self.uri_lists, dst, id);
         }
     }
 
@@ -611,6 +695,13 @@ impl WeekScan {
     /// Stats for one IP.
     pub fn stats(&self, ip: Ipv4Addr) -> Option<&IpStats> {
         self.ips.get(&u32::from(ip))
+    }
+
+    /// Interned ids of the URI authorities observed when the IP that `stats`
+    /// (an entry of this scan) belongs to acted as the server (bounded).
+    pub fn uris(&self, stats: &IpStats) -> &[u32] {
+        let list = (stats.uri_list as usize).checked_sub(1).and_then(|i| self.uri_lists.get(i));
+        list.map_or(&[], UriList::as_slice)
     }
 
     /// Datagram decode failures by kind (the once-silent error path).
@@ -677,6 +768,13 @@ impl WeekScan {
         ips.sort_unstable_by_key(|(ip, _)| **ip);
         checkpoint::put_u64(&mut out, ips.len() as u64);
         for (ip, s) in ips {
+            let s = IpRow {
+                bytes: s.bytes,
+                samples: s.samples,
+                evidence: s.evidence,
+                member: s.member,
+                uris: self.uris(s),
+            };
             checkpoint::put_u32(&mut out, *ip);
             checkpoint::put_u64(&mut out, s.bytes);
             checkpoint::put_u32(&mut out, s.samples);
@@ -704,7 +802,7 @@ impl WeekScan {
             + 8
             + self.domains.names.iter().map(|n| 8 + n.len()).sum::<usize>()
             + 8
-            + self.ips.values().map(|s| 23 + 4 * s.uris.len().min(MAX_URIS_PER_IP)).sum::<usize>()
+            + self.ips.values().map(|s| 23 + 4 * self.uris(s).len()).sum::<usize>()
             + 8 * self.tally.fields().len()
     }
 
@@ -751,8 +849,8 @@ impl WeekScan {
                 bytes: cur.u64()?,
                 samples: cur.u32()?,
                 evidence: Evidence(cur.u16()?),
-                uris: Vec::new(),
                 member: MemberId(cur.u32()?),
+                uri_list: 0,
             };
             let n_uris = usize::from(cur.u8()?);
             if n_uris > MAX_URIS_PER_IP {
@@ -763,10 +861,9 @@ impl WeekScan {
                 if id >= domain_count {
                     return Err(StateError::Invalid("uri id out of domain-table range"));
                 }
-                if s.uris.contains(&id) {
+                if !insert_uri(&mut scan.uri_lists, &mut s, id) {
                     return Err(StateError::Invalid("duplicate uri id for one ip"));
                 }
-                s.uris.push(id);
             }
             scan.ips.insert(ip, s);
         }
@@ -800,6 +897,20 @@ impl WeekScan {
     pub fn bind_journal(&mut self, journal: ixp_obs::journal::Journal) {
         self.collector.bind_journal(journal);
     }
+}
+
+/// Add `id` to the URI list of `stats`, creating the list on first use;
+/// `false` if it was there already.
+fn insert_uri(lists: &mut Vec<UriList>, stats: &mut IpStats, id: u32) -> bool {
+    let index = (stats.uri_list as usize).wrapping_sub(1);
+    if let Some(list) = lists.get_mut(index) {
+        return list.insert(id);
+    }
+    let mut list = UriList::default();
+    list.insert(id);
+    lists.push(list);
+    stats.uri_list = lists.len() as u32;
+    true
 }
 
 fn set_port_bit(e: &mut Evidence, port: u16) {
@@ -884,8 +995,8 @@ mod tests {
         let dst = scan.stats(Ipv4Addr::new(100, 0, 1, 1)).unwrap();
         assert!(dst.evidence.has(Evidence::HTTP_SERVER));
         assert!(dst.evidence.has(Evidence::PORT_80));
-        assert_eq!(dst.uris.len(), 1);
-        assert_eq!(scan.domains.name(dst.uris[0]), "www.x.example");
+        assert_eq!(scan.uris(dst).len(), 1);
+        assert_eq!(scan.domains.name(scan.uris(dst)[0]), "www.x.example");
         let src = scan.stats(Ipv4Addr::new(100, 0, 0, 1)).unwrap();
         assert!(src.evidence.has(Evidence::CLIENT));
         assert!(!src.evidence.has(Evidence::HTTP_SERVER));
@@ -1050,6 +1161,69 @@ mod tests {
         );
     }
 
+    /// A datagram with more flow samples than one batch holds — peering,
+    /// undissectable and non-member ones mixed, one server named by many
+    /// hosts — lands exactly as the same samples fed one at a time.
+    #[test]
+    fn batched_ingest_applies_every_sample_in_order() {
+        use ixp_sflow::datagram::{Datagram, FlowSample, RawPacketHeader};
+
+        let frames: Vec<Vec<u8>> = (0..3 * APPLY_BATCH as u32 + 5)
+            .map(|i| match i % 5 {
+                0 => vec![0u8; 9],
+                1 => tcp_frame(1, 1, b"GET / HTTP/1.1\r\nHost: local.example\r\n\r\n", 80),
+                2 => tcp_frame(2, 1, b"HTTP/1.1 200 OK\r\nServer: x\r\n\r\n", 8080),
+                _ => {
+                    let request = format!("GET / HTTP/1.1\r\nHost: h{}.x.example\r\n\r\n", i % 11);
+                    tcp_frame(1, 2, request.as_bytes(), 80)
+                }
+            })
+            .collect();
+        let datagram = Datagram {
+            agent_address: Ipv4Addr::new(10, 0, 0, 1),
+            sub_agent_id: 0,
+            sequence: 1,
+            uptime_ms: 1,
+            samples: frames
+                .iter()
+                .enumerate()
+                .map(|(i, frame)| FlowSample {
+                    sequence: i as u32,
+                    source_id: 1,
+                    sampling_rate: 16_384,
+                    sample_pool: 0,
+                    drops: 0,
+                    input_if: 1,
+                    output_if: 2,
+                    record: RawPacketHeader {
+                        protocol: 1,
+                        frame_length: 600 + i as u32,
+                        stripped: 4,
+                        header: frame.clone(),
+                    },
+                })
+                .collect(),
+            counters: Vec::new(),
+        };
+
+        let mut batched = WeekScan::new(Week::REFERENCE, 10);
+        batched.ingest(&datagram.encode());
+        let mut single = WeekScan::new(Week::REFERENCE, 10);
+        for (i, frame) in frames.iter().enumerate() {
+            single.ingest_sample(16_384, 600 + i as u32, frame);
+        }
+
+        let counted = batched.filter.total().samples + batched.undissectable;
+        assert_eq!(counted, frames.len() as u64);
+        assert!(batched.undissectable > 0 && batched.unique_ips() == 2);
+        let server = batched.stats(Ipv4Addr::new(100, 0, 1, 1)).unwrap();
+        assert_eq!(batched.uris(server).len(), MAX_URIS_PER_IP);
+        // Same scan state; the collector's part differs (only `batched` saw
+        // a datagram) and comes last.
+        let own = |scan: &WeekScan| scan.save_state()[..scan.own_state_len()].to_vec();
+        assert!(own(&batched) == own(&single));
+    }
+
     #[test]
     fn uris_are_deduplicated_and_bounded() {
         let mut scan = WeekScan::new(Week::REFERENCE, 10);
@@ -1060,10 +1234,12 @@ mod tests {
             scan.ingest_sample(16_384, frame.len() as u32, &frame);
         }
         let dst = scan.stats(Ipv4Addr::new(100, 0, 1, 1)).unwrap();
-        assert!(dst.uris.len() <= 8);
-        let mut dedup = dst.uris.clone();
+        let uris = scan.uris(dst);
+        assert_eq!(uris.len(), 8);
+        let mut dedup = uris.to_vec();
         dedup.sort_unstable();
         dedup.dedup();
-        assert_eq!(dedup.len(), dst.uris.len());
+        assert_eq!(dedup.len(), uris.len());
+        assert_eq!(std::mem::size_of::<(u32, IpStats)>(), 32);
     }
 }

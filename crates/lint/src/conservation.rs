@@ -69,8 +69,16 @@ const COUNT_CALLS: &[&str] =
 
 /// Method/function names that hand the datagram to another consuming
 /// function, transferring the accounting obligation.
-const TRANSFER_CALLS: &[&str] =
-    &["ingest", "ingest_inner", "ingest_sample", "ingest_view", "offer", "push", "push_back"];
+const TRANSFER_CALLS: &[&str] = &[
+    "ingest",
+    "ingest_inner",
+    "ingest_sample",
+    "ingest_view",
+    "evaluate_sample",
+    "offer",
+    "push",
+    "push_back",
+];
 
 /// Crates whose `src/` trees carry the conservation obligation.
 fn in_scope(path: &str) -> bool {
