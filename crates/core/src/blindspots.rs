@@ -201,9 +201,10 @@ pub fn resolver_campaign(
             continue;
         }
         // Classify the unseen IP with public data only.
-        let reason = match model.routing.resolve(ip) {
-            Some(entry) => {
-                let as_idx = model.registry.index_of(entry.origin).unwrap();
+        let reason = match model.routing.lookup(ip) {
+            Some(pidx) => {
+                let entry = model.routing.entry(pidx);
+                let as_idx = model.routing.origin_index(pidx);
                 let only_in_as = resolver_ases.len() == 1 && resolver_ases.contains(&as_idx);
                 let code = model.countries.code(entry.country);
                 let info = model.registry.by_index(as_idx);
@@ -307,10 +308,8 @@ pub fn validate_footprint_case_study(
             );
             for ip in out.answers {
                 active_ips.insert(u32::from(ip));
-                if let Some(entry) = model.routing.resolve(ip) {
-                    if let Some(as_idx) = model.registry.index_of(entry.origin) {
-                        active_ases.insert(as_idx);
-                    }
+                if let Some(pidx) = model.routing.lookup(ip) {
+                    active_ases.insert(model.routing.origin_index(pidx));
                 }
             }
         }

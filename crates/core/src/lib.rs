@@ -57,10 +57,13 @@ pub use snapshot::WeeklySnapshot;
 pub(crate) mod testutil {
     use std::sync::OnceLock;
 
+    use ixp_faults::{FaultConfig, FaultPlan};
     use ixp_netmodel::{InternetModel, Week};
 
     use crate::analyzer::{Analyzer, StudyReport, WeeklyReport};
+    use crate::census::ServerCensus;
     use crate::cluster::Clusters;
+    use crate::scan::WeekScan;
 
     /// The shared tiny model.
     pub(crate) fn model() -> &'static InternetModel {
@@ -83,6 +86,46 @@ pub(crate) mod testutil {
     /// The shared reference-week report.
     pub(crate) fn reference() -> &'static WeeklyReport {
         study().week(Week::REFERENCE)
+    }
+
+    /// The reference week scanned clean and through the hostile fault plan
+    /// of `tests/fault_tolerance.rs`, each with its census: the inputs the
+    /// report path's frozen references are compared on.
+    pub(crate) fn scanned_weeks() -> &'static [(WeekScan, ServerCensus)] {
+        static WEEKS: OnceLock<Vec<(WeekScan, ServerCensus)>> = OnceLock::new();
+        WEEKS.get_or_init(|| {
+            let a = analyzer();
+            let hostile = FaultConfig {
+                seed: 31,
+                drop: 0.05,
+                duplicate: 0.02,
+                reorder: 0.02,
+                truncate: 0.01,
+                corrupt: 0.01,
+                restarts: vec![(0, 300)],
+                counter_wrap: true,
+                ..FaultConfig::default()
+            };
+            let faulty = FaultPlan::new(a.feed(Week::REFERENCE), hostile);
+            [a.scan_week(Week::REFERENCE), a.scan_week_from(Week::REFERENCE, faulty)]
+                .into_iter()
+                .map(|scan| {
+                    let census = ServerCensus::identify(&scan, a.model, &a.dns, &a.crawl);
+                    (scan, census)
+                })
+                .collect()
+        })
+    }
+
+    /// Assert that two values render alike under their derived `Debug`
+    /// (every field, floats to the last digit), naming the first line of
+    /// the pretty form that differs.
+    pub(crate) fn assert_same_debug<T: std::fmt::Debug>(new: &T, old: &T) {
+        let (new, old) = (format!("{new:#?}"), format!("{old:#?}"));
+        for (n, (new, old)) in new.lines().zip(old.lines()).enumerate() {
+            assert_eq!(new, old, "line {n}");
+        }
+        assert_eq!(new.lines().count(), old.lines().count());
     }
 
     /// The shared reference-week clustering.

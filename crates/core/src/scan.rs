@@ -764,10 +764,10 @@ impl WeekScan {
         for name in &self.domains.names {
             checkpoint::put_str(&mut out, name);
         }
-        let mut ips: Vec<(&u32, &IpStats)> = self.ips.iter().collect();
-        ips.sort_unstable_by_key(|(ip, _)| **ip);
+        let mut ips: Vec<(u32, &IpStats)> = self.ips.iter().map(|(ip, s)| (*ip, s)).collect();
+        ips.sort_unstable_by_key(|(ip, _)| *ip);
         checkpoint::put_u64(&mut out, ips.len() as u64);
-        for (ip, s) in ips {
+        for (ip, s) in &ips {
             let s = IpRow {
                 bytes: s.bytes,
                 samples: s.samples,

@@ -53,17 +53,29 @@ pub struct Table2 {
     pub networks_by_server_traffic: Vec<RankedEntry>,
 }
 
-fn top_n(
-    values: impl Iterator<Item = (String, u64)>,
+/// The `n` largest non-zero `values`, ranked by value descending and label
+/// ascending among equals; `label(i)` names the `i`-th value and is asked
+/// for non-zero rows only. Shares are of the sum of all values.
+fn top_n<'a>(
+    values: impl Iterator<Item = u64>,
+    label: impl Fn(usize) -> &'a str,
     n: usize,
 ) -> Vec<RankedEntry> {
-    let mut all: Vec<(String, u64)> = values.filter(|(_, v)| *v > 0).collect();
-    let total: u64 = all.iter().map(|(_, v)| v).sum();
-    all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    all.truncate(n);
-    all.into_iter()
+    let mut rows: Vec<(&str, u64)> = values
+        .enumerate()
+        .filter(|(_, v)| *v > 0)
+        .map(|(i, v)| (label(i), v))
+        .collect();
+    let total: u64 = rows.iter().map(|(_, v)| v).sum();
+    let by_rank = |a: &(&str, u64), b: &(&str, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0));
+    if rows.len() > n {
+        rows.select_nth_unstable_by(n, by_rank);
+        rows.truncate(n);
+    }
+    rows.sort_unstable_by(by_rank);
+    rows.into_iter()
         .map(|(label, value)| RankedEntry {
-            label,
+            label: label.to_string(),
             value,
             share: if total == 0 { 0.0 } else { 100.0 * value as f64 / total as f64 },
         })
@@ -72,28 +84,17 @@ fn top_n(
 
 /// Produce Table 2 (top-10s) from a snapshot plus the public directories.
 pub fn table2(s: &WeeklySnapshot, model: &InternetModel, n: usize) -> Table2 {
-    let country = |view: &Vec<(u64, u64)>, pick_bytes: bool| {
+    let country = |view: &[(u64, u64)], pick_bytes: bool| {
         top_n(
-            view.iter().enumerate().map(|(i, (ips, bytes))| {
-                (
-                    model
-                        .countries
-                        .code(ixp_netmodel::CountryId(i as u16))
-                        .to_string(),
-                    if pick_bytes { *bytes } else { *ips },
-                )
-            }),
+            view.iter().map(|(ips, bytes)| if pick_bytes { *bytes } else { *ips }),
+            |i| model.countries.code(ixp_netmodel::CountryId(i as u16)),
             n,
         )
     };
-    let network = |view: &Vec<(u32, u64)>, pick_bytes: bool| {
+    let network = |view: &[(u32, u64)], pick_bytes: bool| {
         top_n(
-            view.iter().enumerate().map(|(i, (ips, bytes))| {
-                (
-                    model.registry.by_index(i as u32).name.clone(),
-                    if pick_bytes { *bytes } else { u64::from(*ips) },
-                )
-            }),
+            view.iter().map(|(ips, bytes)| if pick_bytes { *bytes } else { u64::from(*ips) }),
+            |i| model.registry.by_index(i as u32).name.as_str(),
             n,
         )
     };
@@ -203,6 +204,104 @@ mod tests {
 
     fn report() -> (&'static InternetModel, &'static WeeklyReport) {
         (testutil::model(), testutil::reference())
+    }
+
+    /// `top_n` as it stood when it cloned every label and sorted all rows.
+    /// Frozen; compared column by column.
+    fn top_n_reference(values: impl Iterator<Item = (String, u64)>, n: usize) -> Vec<RankedEntry> {
+        let mut all: Vec<(String, u64)> = values.filter(|(_, v)| *v > 0).collect();
+        let total: u64 = all.iter().map(|(_, v)| v).sum();
+        all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        all.truncate(n);
+        all.into_iter()
+            .map(|(label, value)| RankedEntry {
+                label,
+                value,
+                share: if total == 0 { 0.0 } else { 100.0 * value as f64 / total as f64 },
+            })
+            .collect()
+    }
+
+    /// `table2` over [`top_n_reference`].
+    fn table2_reference(s: &WeeklySnapshot, model: &InternetModel, n: usize) -> Table2 {
+        let country = |view: &Vec<(u64, u64)>, pick_bytes: bool| {
+            top_n_reference(
+                view.iter().enumerate().map(|(i, (ips, bytes))| {
+                    (
+                        model.countries.code(ixp_netmodel::CountryId(i as u16)).to_string(),
+                        if pick_bytes { *bytes } else { *ips },
+                    )
+                }),
+                n,
+            )
+        };
+        let network = |view: &Vec<(u32, u64)>, pick_bytes: bool| {
+            top_n_reference(
+                view.iter().enumerate().map(|(i, (ips, bytes))| {
+                    (
+                        model.registry.by_index(i as u32).name.clone(),
+                        if pick_bytes { *bytes } else { u64::from(*ips) },
+                    )
+                }),
+                n,
+            )
+        };
+        Table2 {
+            countries_by_ips: country(&s.country_peering, false),
+            countries_by_server_ips: country(&s.country_server, false),
+            countries_by_traffic: country(&s.country_peering, true),
+            countries_by_server_traffic: country(&s.country_server, true),
+            networks_by_ips: network(&s.as_peering, false),
+            networks_by_server_ips: network(&s.as_server, false),
+            networks_by_traffic: network(&s.as_peering, true),
+            networks_by_server_traffic: network(&s.as_server, true),
+        }
+    }
+
+    #[test]
+    fn table2_matches_the_frozen_reference_on_clean_and_faulty_weeks() {
+        let model = testutil::model();
+        for (scan, census) in testutil::scanned_weeks() {
+            let snapshot = WeeklySnapshot::build(scan, census, model);
+            // 10 is the paper's cut; 1 and 1000 put it at the top and past the end.
+            for n in [0, 1, 10, 1000] {
+                let new = table2(&snapshot, model, n);
+                assert!(n == 0 || !new.networks_by_server_traffic.is_empty());
+                testutil::assert_same_debug(&new, &table2_reference(&snapshot, model, n));
+            }
+        }
+    }
+
+    #[test]
+    fn ties_across_the_cut_are_broken_by_label() {
+        // Four rows tie on 7 around a cut at three; two zero rows must be
+        // neither ranked nor named.
+        let rows = [
+            ("delta", 7),
+            ("", 0),
+            ("alpha", 9),
+            ("charlie", 7),
+            ("echo", 7),
+            ("", 0),
+            ("bravo", 7),
+            ("foxtrot", 1),
+        ];
+        let label = |i: usize| {
+            assert!(rows[i].1 > 0, "asked for the label of zero row {i}");
+            rows[i].0
+        };
+        let ranked = top_n(rows.iter().map(|r| r.1), label, 3);
+        let got: Vec<(&str, u64)> = ranked.iter().map(|e| (e.label.as_str(), e.value)).collect();
+        assert_eq!(got, [("alpha", 9), ("bravo", 7), ("charlie", 7)]);
+
+        // Shares are of all 38, not of the kept rows; every cut agrees
+        // with the reference, shares included.
+        assert!((ranked[0].share - 100.0 * 9.0 / 38.0).abs() < 1e-12);
+        let pairs = rows.iter().map(|r| (r.0.to_string(), r.1));
+        for n in 0..=rows.len() {
+            let new = top_n(rows.iter().map(|r| r.1), label, n);
+            testutil::assert_same_debug(&new, &top_n_reference(pairs.clone(), n));
+        }
     }
 
     #[test]

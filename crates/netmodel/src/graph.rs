@@ -159,16 +159,20 @@ impl AsGraph {
 
     /// The distance class of an AS at a specific week.
     pub fn locality_at(&self, registry: &AsRegistry, asn: Asn, week: Week) -> Option<Locality> {
-        let info = registry.info(asn)?;
+        registry.index_of(asn).map(|i| self.locality_of_index(registry, i, week))
+    }
+
+    /// [`AsGraph::locality_at`] for the AS at a dense registry index.
+    pub fn locality_of_index(&self, registry: &AsRegistry, index: u32, week: Week) -> Locality {
+        let info = registry.by_index(index);
         if info.member.map(|m| m.joined.0 <= week.0).unwrap_or(false) {
-            return Some(Locality::Member);
+            return Locality::Member;
         }
-        let idx = registry.index_of(asn)? as usize;
-        Some(match self.distance[idx] {
+        match self.distance[index as usize] {
             0 => Locality::Member,
             1 => Locality::NearMember,
             _ => Locality::Global,
-        })
+        }
     }
 
     /// Distance in AS hops from the nearest member.

@@ -31,6 +31,11 @@ pub struct RouteEntry {
 #[derive(Debug, Clone)]
 pub struct RoutingSnapshot {
     entries: Vec<RouteEntry>,
+    /// Per entry: dense AS index of its origin.
+    origins: Vec<u32>,
+    /// First-level index over the top 16 address bits: `slots[h]` is the
+    /// number of entries with `base >> 16 < h` (65 537 counts).
+    slots: Vec<u32>,
     /// Per dense-AS-index: indices into `entries` owned by that AS.
     by_as: Vec<Vec<u32>>,
 }
@@ -98,12 +103,15 @@ impl RoutingSnapshot {
         for &i in &perm {
             sorted.push(entries[i as usize]);
         }
-        for list in by_as.iter_mut() {
+        let mut origins = vec![0u32; sorted.len()];
+        for (as_idx, list) in by_as.iter_mut().enumerate() {
             for idx in list.iter_mut() {
                 *idx = inverse[*idx as usize];
+                origins[*idx as usize] = as_idx as u32;
             }
         }
-        RoutingSnapshot { entries: sorted, by_as }
+        let slots = first_level(&sorted);
+        RoutingSnapshot { entries: sorted, origins, slots, by_as }
     }
 
     /// Number of routed prefixes.
@@ -126,9 +134,33 @@ impl RoutingSnapshot {
         &self.entries[index as usize]
     }
 
+    /// Dense AS index of the origin of the entry at a dense prefix index:
+    /// `registry.index_of(entry(index).origin)` without the hash probe.
+    pub fn origin_index(&self, index: u32) -> u32 {
+        self.origins[index as usize]
+    }
+
     /// Longest... well, *only* — allocation is non-overlapping — match for
     /// an address. Returns the dense prefix index.
+    ///
+    /// The candidate is the last entry with `base <= addr`. Every entry
+    /// below the address's /16 slot has such a base and every entry above
+    /// it has not, so the search runs inside the slot only; a prefix
+    /// shorter than /16 that starts in an earlier slot is the entry just
+    /// before it.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<u32> {
+        let raw = u32::from(addr);
+        let h = (raw >> 16) as usize;
+        let lo = *self.slots.get(h)? as usize;
+        let hi = *self.slots.get(h + 1)? as usize;
+        let within = self.entries.get(lo..hi)?.partition_point(|e| e.prefix.base <= raw);
+        let idx = (lo + within).checked_sub(1)?;
+        self.entries.get(idx)?.prefix.contains(addr).then_some(idx as u32)
+    }
+
+    /// The whole-table binary search [`RoutingSnapshot::lookup`] replaced.
+    #[cfg(test)]
+    fn lookup_reference(&self, addr: Ipv4Addr) -> Option<u32> {
         let raw = u32::from(addr);
         let idx = match self.entries.binary_search_by(|e| e.prefix.base.cmp(&raw)) {
             Ok(i) => i,
@@ -156,6 +188,19 @@ impl RoutingSnapshot {
     pub fn routed_as_count(&self) -> usize {
         self.by_as.iter().filter(|l| !l.is_empty()).count()
     }
+}
+
+/// The first-level index of [`RoutingSnapshot::lookup`] over entries sorted
+/// by base address.
+fn first_level(entries: &[RouteEntry]) -> Vec<u32> {
+    let mut slots = vec![0u32; (1 << 16) + 1];
+    for e in entries {
+        slots[(e.prefix.base >> 16) as usize + 1] += 1;
+    }
+    for h in 1..slots.len() {
+        slots[h] += slots[h - 1];
+    }
+    slots
 }
 
 fn mean_prefix_count(role: AsRole) -> f64 {
@@ -190,17 +235,19 @@ fn prefix_len(role: AsRole, _k: u32, rng: &mut SmallRng) -> u8 {
     rng.gen_range(lo..=hi)
 }
 
-/// Reserved ranges the allocator must not hand out. Returns a cursor at or
-/// after `cursor` whose `[cursor, cursor+size)` window avoids them all.
+/// Reserved ranges the allocator must not hand out, as `[from, until)`.
+const RESERVED: &[(u32, u32)] = &[
+    (0x0A00_0000, 0x0B00_0000), // 10.0.0.0/8
+    (0x7F00_0000, 0x8000_0000), // 127.0.0.0/8
+    (0xA9FE_0000, 0xA9FF_0000), // 169.254.0.0/16
+    (0xAC10_0000, 0xAC20_0000), // 172.16.0.0/12
+    (0xC0A8_0000, 0xC0A9_0000), // 192.168.0.0/16
+    (0xC000_0200, 0xC000_0300), // 192.0.2.0/24 (TEST-NET-1)
+];
+
+/// Returns a cursor at or after `cursor` whose `[cursor, cursor+size)`
+/// window avoids every [`RESERVED`] range.
 fn skip_reserved(mut cursor: u64, size: u64) -> u64 {
-    const RESERVED: &[(u32, u32)] = &[
-        (0x0A00_0000, 0x0B00_0000), // 10.0.0.0/8
-        (0x7F00_0000, 0x8000_0000), // 127.0.0.0/8
-        (0xA9FE_0000, 0xA9FF_0000), // 169.254.0.0/16
-        (0xAC10_0000, 0xAC20_0000), // 172.16.0.0/12
-        (0xC0A8_0000, 0xC0A9_0000), // 192.168.0.0/16
-        (0xC000_0200, 0xC000_0300), // 192.0.2.0/24 (TEST-NET-1)
-    ];
     loop {
         let mut moved = false;
         for &(lo, hi) in RESERVED {
@@ -218,15 +265,20 @@ fn skip_reserved(mut cursor: u64, size: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::country::CountryTable;
 
+    fn generated(scale: ScaleConfig, seed: u64) -> (AsRegistry, RoutingSnapshot) {
+        let registry = AsRegistry::generate(&scale, &CountryTable::build(), seed);
+        let routing = RoutingSnapshot::generate(&scale, &registry, seed);
+        (registry, routing)
+    }
+
     fn build() -> (AsRegistry, RoutingSnapshot, ScaleConfig) {
-        let countries = CountryTable::build();
-        let scale = ScaleConfig::tiny();
-        let registry = AsRegistry::generate(&scale, &countries, 9);
-        let routing = RoutingSnapshot::generate(&scale, &registry, 9);
-        (registry, routing, scale)
+        let (registry, routing) = generated(ScaleConfig::tiny(), 9);
+        (registry, routing, ScaleConfig::tiny())
     }
 
     #[test]
@@ -283,6 +335,120 @@ mod tests {
         assert_eq!(routing.lookup(Ipv4Addr::new(0, 0, 0, 1)), None);
         assert_eq!(routing.lookup(Ipv4Addr::new(10, 0, 0, 1)), None);
         assert_eq!(routing.lookup(Ipv4Addr::new(223, 255, 255, 254)), None);
+    }
+
+    /// A table over hand-picked prefixes (sorted by base, disjoint).
+    fn table_of(prefixes: &[(u32, u8)]) -> RoutingSnapshot {
+        let entries: Vec<RouteEntry> = prefixes
+            .iter()
+            .map(|&(base, len)| RouteEntry {
+                prefix: Prefix { base, len },
+                origin: Asn(64_500),
+                country: CountryId(0),
+            })
+            .collect();
+        RoutingSnapshot {
+            slots: first_level(&entries),
+            origins: vec![0; entries.len()],
+            entries,
+            by_as: vec![Vec::new()],
+        }
+    }
+
+    /// Addresses at which a slot-local search could part from the
+    /// whole-table one: around each entry's first and last address and at
+    /// both ends of the /16 slots those fall in, plus the ends of the
+    /// address space and of the reserved gaps.
+    fn boundary_probes(routing: &RoutingSnapshot) -> Vec<u32> {
+        let mut probes = vec![0, 1, u32::MAX - 1, u32::MAX];
+        for &(from, until) in RESERVED {
+            probes.extend([from - 1, from, until - 1, until]);
+        }
+        for e in routing.iter() {
+            let first = e.prefix.base;
+            let last = first + (e.prefix.size() - 1) as u32;
+            for edge in [first, last] {
+                probes.extend([edge.wrapping_sub(1), edge, edge.wrapping_add(1)]);
+                probes.extend([edge & 0xFFFF_0000, edge | 0xFFFF]);
+            }
+        }
+        probes
+    }
+
+    fn assert_lookup_matches_reference(routing: &RoutingSnapshot) {
+        for raw in boundary_probes(routing) {
+            let addr = Ipv4Addr::from(raw);
+            assert_eq!(routing.lookup(addr), routing.lookup_reference(addr), "at {addr}");
+        }
+    }
+
+    #[test]
+    fn two_level_lookup_matches_whole_table_search_at_every_boundary() {
+        let (_, tiny, _) = build();
+        let (_, small) = generated(ScaleConfig::small(), 2012);
+        assert!(small.len() > tiny.len());
+        assert_lookup_matches_reference(&tiny);
+        assert_lookup_matches_reference(&small);
+    }
+
+    #[test]
+    fn prefixes_shorter_than_a_slot_are_found_from_later_slots() {
+        // A /8 spans 256 slots and a /14 four; the /24s sit in slots of
+        // their own right after them, and 223.255.255.0/24 in the last
+        // slot any allocation reaches.
+        let routing = table_of(&[
+            (0x0100_0000, 8),
+            (0x0200_0000, 24),
+            (0x0204_0000, 14),
+            (0x0208_0000, 24),
+            (0xDFFF_FF00, 24),
+        ]);
+        assert_lookup_matches_reference(&routing);
+        assert_eq!(routing.lookup(Ipv4Addr::new(1, 200, 3, 4)), Some(0));
+        assert_eq!(routing.lookup(Ipv4Addr::new(2, 0, 0, 255)), Some(1));
+        assert_eq!(routing.lookup(Ipv4Addr::new(2, 0, 1, 0)), None);
+        assert_eq!(routing.lookup(Ipv4Addr::new(2, 7, 255, 255)), Some(2));
+        assert_eq!(routing.lookup(Ipv4Addr::new(2, 8, 0, 0)), Some(3));
+        assert_eq!(routing.lookup(Ipv4Addr::new(223, 255, 255, 7)), Some(4));
+        assert_eq!(routing.lookup(Ipv4Addr::new(255, 255, 255, 255)), None);
+    }
+
+    #[test]
+    fn empty_table_resolves_nothing() {
+        let routing = table_of(&[]);
+        assert!(routing.is_empty());
+        for raw in [0, 1, 0x0100_0000, 0x7FFF_FFFF, u32::MAX] {
+            assert_eq!(routing.lookup(Ipv4Addr::from(raw)), None);
+        }
+        assert_lookup_matches_reference(&routing);
+    }
+
+    proptest! {
+        #[test]
+        fn two_level_lookup_matches_whole_table_search_on_arbitrary_addresses(
+            raw in any::<u32>(),
+        ) {
+            let (_, routing, _) = build();
+            // Most of the address space lies beyond the last allocation of
+            // a tiny model; fold every draw into the allocated span too.
+            let span = routing.iter().last().map_or(1, |e| e.prefix.base + 0x0002_0000);
+            for raw in [raw, raw % span] {
+                let addr = Ipv4Addr::from(raw);
+                prop_assert_eq!(routing.lookup(addr), routing.lookup_reference(addr));
+            }
+        }
+    }
+
+    #[test]
+    fn origin_index_is_the_registry_index_of_the_origin() {
+        for (registry, routing) in
+            [generated(ScaleConfig::tiny(), 9), generated(ScaleConfig::small(), 2012)]
+        {
+            for i in 0..routing.len() as u32 {
+                let origin = routing.entry(i).origin;
+                assert_eq!(Some(routing.origin_index(i)), registry.index_of(origin));
+            }
+        }
     }
 
     #[test]
