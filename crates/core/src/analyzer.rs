@@ -8,6 +8,8 @@
 //! ground truth is used exclusively by the `validate` APIs, which are
 //! clearly named as such.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use ixp_cert::CrawlSim;
 use ixp_dns::{DnsDb, ResolverPool};
 use ixp_netmodel::{InternetModel, Week};
@@ -145,39 +147,31 @@ impl<'m> Analyzer<'m> {
     }
 
     /// Run all 17 weeks, processing up to `parallelism` weeks concurrently.
+    /// The week list is fixed up front, so workers claim the next index
+    /// from a shared counter and return their `(index, report)` pairs
+    /// through their join handles; a worker panic is re-raised here.
     pub fn run_study(&self, parallelism: usize) -> StudyReport {
         let weeks: Vec<Week> = Week::all().collect();
-        let parallelism = parallelism.max(1);
-        let mut reports: Vec<Option<WeeklyReport>> = Vec::new();
-        reports.resize_with(weeks.len(), || None);
-
-        crossbeam::thread::scope(|scope| {
-            let (tx, rx) = crossbeam::channel::unbounded::<(usize, WeeklyReport)>();
-            let work = crossbeam::channel::unbounded::<usize>();
-            for (i, _) in weeks.iter().enumerate() {
-                work.0.send(i).unwrap();
-            }
-            drop(work.0);
-            for _ in 0..parallelism.min(weeks.len()) {
-                let tx = tx.clone();
-                let work_rx = work.1.clone();
-                let weeks = &weeks;
-                let this = &self;
-                scope.spawn(move |_| {
-                    while let Ok(i) = work_rx.recv() {
-                        let report = this.run_week(weeks[i]);
-                        tx.send((i, report)).unwrap();
-                    }
-                });
-            }
-            drop(tx);
-            while let Ok((i, report)) = rx.recv() {
-                reports[i] = Some(report);
-            }
-        })
-        .expect("study threads");
-
-        StudyReport { weeks: reports.into_iter().map(Option::unwrap).collect() }
+        let next = AtomicUsize::new(0);
+        let mut reports: Vec<(usize, WeeklyReport)> = std::thread::scope(|scope| {
+            let pool: Vec<_> = (0..parallelism.max(1).min(weeks.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(week) = weeks.get(i) else { break mine };
+                            mine.push((i, self.run_week(*week)));
+                        }
+                    })
+                })
+                .collect();
+            pool.into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        reports.sort_by_key(|(i, _)| *i);
+        StudyReport { weeks: reports.into_iter().map(|(_, report)| report).collect() }
     }
 }
 

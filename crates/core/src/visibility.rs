@@ -152,7 +152,7 @@ pub fn fig2(report: &WeeklyReport) -> Fig2 {
         .iter()
         .map(|r| if total == 0 { 0.0 } else { 100.0 * r.bytes as f64 / total as f64 })
         .collect();
-    shares.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    shares.sort_by(|a, b| b.total_cmp(a));
     let top34_share = shares.iter().take(34).sum();
     let above_half_percent = shares.iter().take_while(|s| **s > 0.5).count();
     Fig2 { shares, top34_share, above_half_percent }
@@ -193,7 +193,7 @@ pub fn fig3(s: &WeeklySnapshot, model: &InternetModel) -> Fig3 {
             shares.push((code, 100.0 * *ips as f64 / total as f64));
         }
     }
-    shares.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    shares.sort_by(|a, b| b.1.total_cmp(&a.1));
     Fig3 { shares, unseen }
 }
 

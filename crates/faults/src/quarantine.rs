@@ -7,8 +7,7 @@
 //! parallel study weeks can share one instance.
 
 use std::collections::BTreeMap;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Streak {
@@ -29,10 +28,17 @@ impl<K: Ord + Clone> Quarantine<K> {
         Quarantine { threshold: threshold.max(1), table: Mutex::new(BTreeMap::new()) }
     }
 
+    /// Lock the table. A poisoned lock is recovered rather than propagated:
+    /// every update below is a single field write on one entry, so the
+    /// table is valid at every step even if a holder panicked.
+    fn table(&self) -> MutexGuard<'_, BTreeMap<K, Streak>> {
+        self.table.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// Record a failure; returns true when this failure crossed the
     /// threshold (the key is newly quarantined).
     pub fn record_failure(&self, key: K) -> bool {
-        let mut table = self.table.lock();
+        let mut table = self.table();
         let entry = table.entry(key).or_default();
         if entry.quarantined {
             return false;
@@ -48,7 +54,7 @@ impl<K: Ord + Clone> Quarantine<K> {
     /// Record a success: the failure streak resets, and a quarantined key
     /// is released (targets do come back).
     pub fn record_success(&self, key: &K) {
-        let mut table = self.table.lock();
+        let mut table = self.table();
         if let Some(entry) = table.get_mut(key) {
             entry.consecutive = 0;
             entry.quarantined = false;
@@ -57,17 +63,17 @@ impl<K: Ord + Clone> Quarantine<K> {
 
     /// Is this key currently quarantined?
     pub fn is_quarantined(&self, key: &K) -> bool {
-        self.table.lock().get(key).map(|e| e.quarantined).unwrap_or(false)
+        self.table().get(key).map(|e| e.quarantined).unwrap_or(false)
     }
 
     /// Number of currently quarantined keys.
     pub fn quarantined_count(&self) -> usize {
-        self.table.lock().values().filter(|e| e.quarantined).count()
+        self.table().values().filter(|e| e.quarantined).count()
     }
 
     /// Number of keys with any recorded history.
     pub fn tracked_count(&self) -> usize {
-        self.table.lock().len()
+        self.table().len()
     }
 }
 
@@ -119,25 +125,16 @@ mod tests {
 
     #[test]
     fn shared_across_threads() {
-        let q = std::sync::Arc::new(Quarantine::new(8));
-        crossbeam_free_scope(&q);
-        assert!(q.is_quarantined(&0u32));
-    }
-
-    /// Hammer the quarantine from plain std threads (crossbeam not needed).
-    fn crossbeam_free_scope(q: &std::sync::Arc<Quarantine<u32>>) {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let q = q.clone();
-                std::thread::spawn(move || {
+        let q = Quarantine::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
                     for _ in 0..4 {
-                        q.record_failure(0);
+                        q.record_failure(0u32);
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
+        assert!(q.is_quarantined(&0));
     }
 }

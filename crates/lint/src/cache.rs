@@ -26,6 +26,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
+use ixp_codec::fnv64;
+
 use crate::codec_sym;
 use crate::rules;
 use crate::Finding;
@@ -42,16 +44,6 @@ pub struct CacheStats {
     pub file_misses: usize,
     /// Whole-workspace result loaded; no analysis ran at all.
     pub fixpoint_hit: bool,
-}
-
-/// FNV-1a-64 (same constants as the checkpoint envelope's checksum).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Digest of everything that defines the linter's behavior: the rule

@@ -29,9 +29,7 @@
 //! over-approximation of NLL for the straight-line code this workspace
 //! writes.
 //!
-//! Scope: every crate `src/` tree (the L4 scope) plus the vendored
-//! `vendor/*/src/` stand-ins, whose channel internals are exactly the kind
-//! of code L8 exists to police. Test items are exempt.
+//! Scope: every crate `src/` tree (the L4 scope). Test items are exempt.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -47,12 +45,6 @@ const BLOCKING: &[&str] = &["send", "recv", "wait", "wait_timeout", "join", "par
 /// Interior-mutability constructors whose un-`Arc`ed values must not cross
 /// a spawn boundary.
 const INTERIOR_MUT: &[&str] = &["RefCell", "Cell", "UnsafeCell"];
-
-/// L8 scope: the L4 scope (every crate `src/` tree) plus the vendored
-/// dependency stand-ins.
-fn l8_applies(path: &str) -> bool {
-    rules::l4_applies(path) || (path.starts_with("vendor/") && path.contains("/src/"))
-}
 
 /// The `.`-separated identifier chain ending just before the method name
 /// at token `tok` (`a.b.lock()` at `lock` → `["a", "b"]`). Empty when the
@@ -300,7 +292,7 @@ pub fn check(
 
     let mut edges: BTreeMap<(String, String), Edge> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
-        if !l8_applies(&file.path) {
+        if !rules::l4_applies(&file.path) {
             continue;
         }
         for (xi, f) in file.fns.iter().enumerate() {
@@ -555,7 +547,7 @@ fn guard_across_blocking(
 fn collect_static_muts(files: &[ParsedFile], lexed: &[Lexed]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for (fi, file) in files.iter().enumerate() {
-        if !l8_applies(&file.path) {
+        if !rules::l4_applies(&file.path) {
             continue;
         }
         let toks = &lexed[fi].tokens;
@@ -671,7 +663,7 @@ fn atomic_ordering(
     let mut parent: HashMap<FnRef, Option<FnRef>> = HashMap::new();
     let mut queue: VecDeque<FnRef> = VecDeque::new();
     for (fi, file) in files.iter().enumerate() {
-        if !l8_applies(&file.path) {
+        if !rules::l4_applies(&file.path) {
             continue;
         }
         for (xi, f) in file.fns.iter().enumerate() {
@@ -697,7 +689,7 @@ fn atomic_ordering(
     reachable.sort_unstable();
     for (fi, xi) in reachable {
         let file = &files[fi];
-        if !l8_applies(&file.path) {
+        if !rules::l4_applies(&file.path) {
             continue;
         }
         let f = &file.fns[xi];
@@ -1057,15 +1049,5 @@ mod tests {
         let test_src = "#[cfg(test)]\nmod tests {\n    pub fn snapshot(c: &AtomicU64) -> u64 { c.load(Ordering::Relaxed) }\n}\n";
         let got = run(&[("crates/a/src/lib.rs", test_src)]);
         assert!(got.is_empty(), "{got:?}");
-    }
-
-    #[test]
-    fn vendor_src_is_in_scope() {
-        let got = run(&[(
-            "vendor/x/src/lib.rs",
-            "pub fn snapshot(c: &AtomicU64) -> u64 {\n    c.load(Ordering::Relaxed)\n}\n",
-        )]);
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].rule, "atomic-ordering");
     }
 }

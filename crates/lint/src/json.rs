@@ -1,9 +1,8 @@
 //! Machine-readable diagnostics: the `--format json` report.
 //!
-//! The emitter is hand-rolled (the linter is dependency-free and the
-//! vendored `serde_json` stand-in is intentionally empty); a minimal
-//! parser rides along so tests — and the CI smoke check — can validate
-//! that emitted reports round-trip.
+//! The emitter is hand-rolled; `ixp-codec`'s reader is re-exported beside
+//! it so tests — and the CI smoke check — can validate that emitted
+//! reports round-trip.
 //!
 //! # Schema (version 3)
 //!
@@ -47,27 +46,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+pub use ixp_codec::json::{escape, parse, Value};
+
 use crate::rules;
 use crate::Finding;
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render the full diagnostics report.
 pub fn report(findings: &[Finding], notes: &[String]) -> String {
@@ -135,225 +117,9 @@ pub fn report(findings: &[Finding], notes: &[String]) -> String {
     out
 }
 
-/// A parsed JSON value (the subset the report uses).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as f64).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, key-ordered.
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as u64, if this is a non-negative number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a byte offset.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let v = parse_value(&bytes, &mut pos)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[char], pos: &mut usize) {
-    while b.get(*pos).is_some_and(|c| c.is_whitespace()) {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{c}` at offset {pos}"))
-    }
-}
-
-fn parse_value(b: &[char], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Ok(Value::Obj(map));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ':')?;
-                let val = parse_value(b, pos)?;
-                map.insert(key, val);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(map));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-                }
-            }
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Ok(Value::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(arr));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-                }
-            }
-        }
-        Some('"') => Ok(Value::Str(parse_string(b, pos)?)),
-        Some('t') if matches(b, *pos, "true") => {
-            *pos += 4;
-            Ok(Value::Bool(true))
-        }
-        Some('f') if matches(b, *pos, "false") => {
-            *pos += 5;
-            Ok(Value::Bool(false))
-        }
-        Some('n') if matches(b, *pos, "null") => {
-            *pos += 4;
-            Ok(Value::Null)
-        }
-        Some(c) if *c == '-' || c.is_ascii_digit() => parse_number(b, pos),
-        _ => Err(format!("unexpected character at offset {pos}")),
-    }
-}
-
-fn matches(b: &[char], pos: usize, word: &str) -> bool {
-    word.chars().enumerate().all(|(i, c)| b.get(pos + i) == Some(&c))
-}
-
-fn parse_string(b: &[char], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, '"')?;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(out),
-            '\\' => {
-                let esc = b.get(*pos).copied();
-                *pos += 1;
-                match esc {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = b
-                                .get(*pos)
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or_else(|| format!("bad \\u escape at offset {pos}"))?;
-                            code = code * 16 + d;
-                            *pos += 1;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}")),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[char], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&'-') {
-        *pos += 1;
-    }
-    while b
-        .get(*pos)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
-    {
-        *pos += 1;
-    }
-    let text: String = b
-        .get(start..*pos)
-        .map(|cs| cs.iter().collect())
-        .unwrap_or_default();
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("bad number at offset {start}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_covers_quotes_and_control() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn report_round_trips_through_the_parser() {
@@ -396,14 +162,5 @@ mod tests {
         let v = parse(&report(&[], &[])).unwrap();
         assert_eq!(v.get("summary").and_then(|s| s.get("total")).and_then(Value::as_u64), Some(0));
         assert_eq!(v.get("findings").and_then(Value::as_arr).map(<[Value]>::len), Some(0));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{\"a\" 1}").is_err());
-        assert!(parse("tru").is_err());
-        assert!(parse("{} extra").is_err());
     }
 }

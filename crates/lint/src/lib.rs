@@ -1,8 +1,9 @@
 //! ixp-lint — the workspace invariant linter.
 //!
-//! A dependency-free static analysis pass over every `.rs` file in the
-//! workspace, enforcing the project's no-panic decoder contract and a few
-//! numeric-hygiene rules (see [`rules`] for the table). Run it as
+//! A static analysis pass over every `.rs` file in the workspace (`std`
+//! plus the leaf `ixp-codec`, nothing else), enforcing the project's
+//! no-panic decoder contract and a few numeric-hygiene rules (see
+//! [`rules`] for the table). Run it as
 //! `cargo run -p ixp-lint`; it exits 0 on a clean tree, 1 with
 //! `file:line: rule: message` output when violations exceed the committed
 //! ratchet baseline (`lint-baseline.toml`), and 2 on usage or I/O errors.
@@ -28,9 +29,8 @@
 //! the call graph ([`callgraph`], L5), wire-taint overflow analysis
 //! ([`taint`], L6), determinism checks ([`determinism`], L7), and
 //! concurrency-safety analysis ([`concurrency`], L8). The per-file
-//! lex/parse stage fans out over the vendored thread stand-ins; the
-//! semantic passes stay sequential, so output is byte-identical to a
-//! single-threaded run.
+//! lex/parse stage fans out over scoped threads; the semantic passes stay
+//! sequential, so output is byte-identical to a single-threaded run.
 
 pub mod baseline;
 pub mod cache;
@@ -51,6 +51,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lexer::Lexed;
 
@@ -252,8 +253,8 @@ fn analyze_file(path: String, src: &str, token_rules: bool) -> PerFile {
 /// Below this many files the thread fan-out costs more than it saves.
 const PARALLEL_THRESHOLD: usize = 4;
 
-/// Fan the per-file stage out over a scoped worker pool. Results land in
-/// index-keyed slots, so the returned order — and therefore every
+/// Fan the per-file stage out over a scoped worker pool. Results are
+/// put back in index order, so the returned order — and therefore every
 /// downstream pass — is identical to the sequential path.
 fn analyze_parallel(files: Vec<(String, String, bool)>) -> Vec<PerFile> {
     let workers = std::thread::available_parallelism()
@@ -264,31 +265,29 @@ fn analyze_parallel(files: Vec<(String, String, bool)>) -> Vec<PerFile> {
     if workers <= 1 || files.len() < PARALLEL_THRESHOLD {
         return files.into_iter().map(|(p, s, t)| analyze_file(p, &s, t)).collect();
     }
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, String, String, bool)>();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, PerFile)>();
-    let n = files.len();
-    for (i, (path, src, token_rules)) in files.into_iter().enumerate() {
-        let _ = work_tx.send((i, path, src, token_rules));
-    }
-    drop(work_tx);
-    let mut slots: Vec<Option<PerFile>> = Vec::new();
-    slots.resize_with(n, || None);
-    let _ = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            scope.spawn(move |_| {
-                while let Ok((i, path, src, token_rules)) = work_rx.recv() {
-                    let _ = done_tx.send((i, analyze_file(path, &src, token_rules)));
-                }
-            });
-        }
-        drop(done_tx);
-        while let Ok((i, pf)) = done_rx.recv() {
-            slots[i] = Some(pf);
-        }
+    // The work list is complete before the pool starts, so a shared index
+    // is all the queue it needs. Workers hand results back through their
+    // join handles; a worker panic is re-raised here.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, PerFile)> = std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some((path, src, token_rules)) = files.get(i) else { break mine };
+                        mine.push((i, analyze_file(path.clone(), src, *token_rules)));
+                    }
+                })
+            })
+            .collect();
+        pool.into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    slots.into_iter().flatten().collect()
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, pf)| pf).collect()
 }
 
 /// Lint a set of in-memory sources. `files` yields workspace-relative
@@ -373,7 +372,7 @@ pub fn scan_sources_cached(
 ) -> (Vec<Finding>, cache::CacheStats) {
     let registry = cache::registry_digest();
     let digests: Vec<u64> =
-        files.iter().map(|(_, src)| cache::fnv64(src.as_bytes())).collect();
+        files.iter().map(|(_, src)| ixp_codec::fnv64(src.as_bytes())).collect();
     let workspace = cache::workspace_digest(&files, &digests);
     let mut stats = cache::CacheStats::default();
     if let Some(findings) = cache::load_fixpoint(dir, registry, workspace) {
@@ -428,16 +427,6 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()>
 fn collect_workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut paths = Vec::new();
     collect_rs(root, root, &mut paths)?;
-    // The general walk skips vendor/ (stand-ins are exempt from the
-    // style-level families), but the L8 concurrency rules deliberately
-    // cover the vendored channel/lock internals: walk those two crates
-    // explicitly.
-    for name in ["crossbeam", "parking_lot"] {
-        let dir = root.join("vendor").join(name);
-        if dir.is_dir() {
-            collect_rs(root, &dir, &mut paths)?;
-        }
-    }
     paths.sort();
     let mut files = Vec::with_capacity(paths.len());
     for p in paths {

@@ -145,7 +145,7 @@ fn cache_dir_for(root: &std::path::Path) -> Option<PathBuf> {
     let cwd = std::env::current_dir().ok()?;
     let home = ixp_lint::find_workspace_root(&cwd)?;
     let canon = root.canonicalize().unwrap_or_else(|_| root.to_path_buf());
-    let key = ixp_lint::cache::fnv64(canon.to_string_lossy().as_bytes());
+    let key = ixp_codec::fnv64(canon.to_string_lossy().as_bytes());
     Some(home.join("target").join("lint-cache").join(format!("{key:016x}")))
 }
 

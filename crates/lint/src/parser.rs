@@ -99,14 +99,10 @@ pub struct ParsedFile {
 
 /// The crate a workspace-relative path belongs to.
 pub fn crate_of(path: &str) -> String {
-    for prefix in ["crates/", "vendor/"] {
-        if let Some(rest) = path.strip_prefix(prefix) {
-            if let Some(name) = rest.split('/').next() {
-                return name.to_string();
-            }
-        }
+    match path.strip_prefix("crates/").and_then(|rest| rest.split('/').next()) {
+        Some(name) => name.to_string(),
+        None => "(root)".to_string(),
     }
-    "(root)".to_string()
 }
 
 /// Keywords that introduce control flow, not calls, when followed by `(`.
@@ -762,7 +758,6 @@ mod tests {
     #[test]
     fn crate_of_paths() {
         assert_eq!(crate_of("crates/wire/src/ipv4.rs"), "wire");
-        assert_eq!(crate_of("vendor/crossbeam/src/lib.rs"), "crossbeam");
         assert_eq!(crate_of("src/lib.rs"), "(root)");
     }
 }

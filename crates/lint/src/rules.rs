@@ -18,11 +18,11 @@
 //! | `tainted-capacity`, `tainted-arith`, `tainted-slice-len` | L6 | stream-facing crates |
 //! | `hash-iter-order`, `ambient-time`, `ambient-random` | L7 | `core::{report, snapshot, bias}`, `ixp-faults` |
 //! | `obs-clock-boundary` | L7 | every crate `src/` tree except `obs/src/clock.rs` |
-//! | `lock-order-cycle` | L8 | every crate `src/` tree + `vendor/*/src/` |
-//! | `guard-across-blocking` | L8 | every crate `src/` tree + `vendor/*/src/` |
-//! | `shared-state-escape` | L8 | every crate `src/` tree + `vendor/*/src/` |
-//! | `atomic-ordering` | L8 | every crate `src/` tree + `vendor/*/src/` |
-//! | `order-dependent-merge` | L8 | every crate `src/` tree + `vendor/*/src/` |
+//! | `lock-order-cycle` | L8 | every crate `src/` tree |
+//! | `guard-across-blocking` | L8 | every crate `src/` tree |
+//! | `shared-state-escape` | L8 | every crate `src/` tree |
+//! | `atomic-ordering` | L8 | every crate `src/` tree |
+//! | `order-dependent-merge` | L8 | every crate `src/` tree |
 //! | `unaccounted-drop` | L9 | datagram-consuming paths of `sflow::collector`, `supervisor::{ring, supervisor}`, `core::scan` |
 //! | `codec-asymmetry` | L10 | registered checkpoint save/restore pairs |
 //! | `schema-drift` | L10 | registered pairs (digest ratchet) + unregistered checkpoint-shaped codecs |

@@ -68,7 +68,7 @@ const PATHS: &[&str] = &[
     "crates/faults/src/plan.rs",
     "crates/lint/src/x.rs",
     "crates/obs/src/metrics.rs",
-    "vendor/crossbeam/src/lib.rs",
+    "crates/codec/src/lib.rs",
 ];
 
 fn assemble(picks: &[sample::Index]) -> String {

@@ -8,8 +8,6 @@
 //! counts are reported next to the paper's in EXPERIMENTS.md together with
 //! the divisor used.
 
-use serde::{Deserialize, Serialize};
-
 /// Real-world reference counts from the paper (week 45).
 pub mod paper_counts {
     /// Routed ASes ("ground truth ≈ 43K", observed 42 825).
@@ -31,7 +29,7 @@ pub mod paper_counts {
 }
 
 /// All population sizes of the synthetic Internet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaleConfig {
     /// Number of routed ASes.
     pub as_count: u32,

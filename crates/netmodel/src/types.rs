@@ -3,10 +3,8 @@
 use core::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// An autonomous system number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -16,17 +14,15 @@ impl fmt::Display for Asn {
 }
 
 /// Index of an organization in the model's organization catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OrgId(pub u32);
 
 /// Index of an IXP member in the membership table.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemberId(pub u32);
 
 /// A measurement week. The study covers ISO weeks 35–51 of 2012.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Week(pub u8);
 
 impl Week {
@@ -59,7 +55,7 @@ impl fmt::Display for Week {
 
 /// The five geographic regions used in the longitudinal analysis
 /// (paper Fig. 4b/5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Region {
     /// Germany.
     De,
@@ -97,7 +93,7 @@ impl fmt::Display for Region {
 
 /// Distance class of an AS relative to the IXP's member set (paper Table 3):
 /// A(L) = member, A(M) = one AS-hop from a member, A(G) = two or more hops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Locality {
     /// A(L): the AS is itself an IXP member.
     Member,
@@ -122,7 +118,7 @@ impl Locality {
 }
 
 /// An IPv4 prefix in CIDR form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     /// Network base address (host bits zero).
     pub base: u32,

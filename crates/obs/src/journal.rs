@@ -17,10 +17,10 @@
 //! * [`seal_flight`] / [`parse_flight`] — the binary *flight record*
 //!   dumped to a `<checkpoint>.flight` side file when a run is killed,
 //!   a restore is rejected, or the conservation auditor fires. The frame
-//!   mirrors the checkpoint envelope discipline: magic, format version,
-//!   event count, fixed-width big-endian events, FNV-1a-64 trailer —
-//!   parsing is total and every corruption maps to a typed
-//!   [`FlightError`].
+//!   is magic, format version, event count and fixed-width events written
+//!   with `ixp-codec`'s big-endian fields, closed by its FNV-1a-64 trailer
+//!   like the checkpoint envelope — parsing is total and every corruption
+//!   maps to a typed [`FlightError`].
 //!
 //! The journal is cheap when disabled (capacity 0 short-circuits before
 //! taking the lock's contents seriously) and bounded when enabled: once
@@ -29,6 +29,10 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+
+use ixp_codec::{
+    append_trailer, put_u32, put_u64, put_u8, split_verified, Cur, StateError, TrailerError,
+};
 
 use crate::clock::Clock;
 
@@ -446,36 +450,21 @@ impl std::fmt::Display for FlightError {
 
 impl std::error::Error for FlightError {}
 
-/// FNV-1a 64-bit, matching the checkpoint envelope's trailer discipline.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<TrailerError> for FlightError {
+    fn from(e: TrailerError) -> FlightError {
+        match e {
+            TrailerError::Truncated => FlightError::Truncated,
+            TrailerError::Mismatch => FlightError::ChecksumMismatch,
+        }
     }
-    hash
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn get_u32(bytes: &[u8], pos: usize) -> Result<u32, FlightError> {
-    let end = pos.checked_add(4).ok_or(FlightError::Truncated)?;
-    let chunk = bytes.get(pos..end).ok_or(FlightError::Truncated)?;
-    let arr: [u8; 4] = chunk.try_into().map_err(|_| FlightError::Truncated)?;
-    Ok(u32::from_be_bytes(arr))
-}
-
-fn get_u64(bytes: &[u8], pos: usize) -> Result<u64, FlightError> {
-    let end = pos.checked_add(8).ok_or(FlightError::Truncated)?;
-    let chunk = bytes.get(pos..end).ok_or(FlightError::Truncated)?;
-    let arr: [u8; 8] = chunk.try_into().map_err(|_| FlightError::Truncated)?;
-    Ok(u64::from_be_bytes(arr))
+/// The fixed-width reads [`parse_flight`] makes can only fail by running
+/// out of bytes.
+impl From<StateError> for FlightError {
+    fn from(_: StateError) -> FlightError {
+        FlightError::Truncated
+    }
 }
 
 /// Seal events into a flight record:
@@ -491,59 +480,53 @@ pub fn seal_flight(events: &[Event]) -> Vec<u8> {
         put_u64(&mut out, e.seq);
         put_u64(&mut out, e.tick);
         put_u64(&mut out, e.at_ns);
-        out.push(e.kind as u8);
+        put_u8(&mut out, e.kind as u8);
         put_u64(&mut out, e.agent);
         put_u64(&mut out, e.sub_agent);
         put_u64(&mut out, e.a);
         put_u64(&mut out, e.b);
     }
-    let digest = fnv64(&out);
-    put_u64(&mut out, digest);
+    append_trailer(&mut out);
     out
 }
 
 /// Parse a sealed flight record. Total: every malformed input maps to a
 /// typed [`FlightError`], never a panic.
 pub fn parse_flight(bytes: &[u8]) -> Result<Vec<Event>, FlightError> {
-    let magic = bytes.get(..8).ok_or(FlightError::Truncated)?;
+    let (magic, rest) = bytes.split_at_checked(8).ok_or(FlightError::Truncated)?;
     if magic != FLIGHT_MAGIC {
         return Err(FlightError::BadMagic);
     }
-    let version = get_u32(bytes, 8)?;
+    let mut cur = Cur::new(rest);
+    let version = cur.u32()?;
     if version != FLIGHT_VERSION {
         return Err(FlightError::BadVersion(version));
     }
-    let count = get_u32(bytes, 12)? as usize;
-    // Cap hostile counts before allocating: the body must physically fit.
-    let body_len = count
+    let count = cur.u32()? as usize;
+    // Cap hostile counts before allocating: the frame must physically fit.
+    let sealed_len = count
         .checked_mul(EVENT_WIRE_BYTES)
-        .and_then(|n| n.checked_add(16))
+        .and_then(|n| n.checked_add(16 + 8))
         .ok_or(FlightError::Truncated)?;
-    if bytes.len() < body_len.saturating_add(8) {
+    if bytes.len() < sealed_len {
         return Err(FlightError::Truncated);
     }
-    if bytes.len() > body_len.saturating_add(8) {
+    if bytes.len() > sealed_len {
         return Err(FlightError::TrailingBytes);
     }
-    let body = bytes.get(..body_len).ok_or(FlightError::Truncated)?;
-    let declared = get_u64(bytes, body_len)?;
-    if fnv64(body) != declared {
-        return Err(FlightError::ChecksumMismatch);
-    }
+    split_verified(bytes)?;
     let mut events = Vec::with_capacity(count.min(DEFAULT_CAPACITY * 4));
-    let mut pos = 16usize;
     for _ in 0..count {
-        let seq = get_u64(bytes, pos)?;
-        let tick = get_u64(bytes, pos + 8)?;
-        let at_ns = get_u64(bytes, pos + 16)?;
-        let kind_byte = *bytes.get(pos + 24).ok_or(FlightError::Truncated)?;
+        let seq = cur.u64()?;
+        let tick = cur.u64()?;
+        let at_ns = cur.u64()?;
+        let kind_byte = cur.u8()?;
         let kind = EventKind::from_u8(kind_byte).ok_or(FlightError::BadKind(kind_byte))?;
-        let agent = get_u64(bytes, pos + 25)?;
-        let sub_agent = get_u64(bytes, pos + 33)?;
-        let a = get_u64(bytes, pos + 41)?;
-        let b = get_u64(bytes, pos + 49)?;
+        let agent = cur.u64()?;
+        let sub_agent = cur.u64()?;
+        let a = cur.u64()?;
+        let b = cur.u64()?;
         events.push(Event { seq, tick, at_ns, kind, agent, sub_agent, a, b });
-        pos = pos.checked_add(EVENT_WIRE_BYTES).ok_or(FlightError::Truncated)?;
     }
     Ok(events)
 }
@@ -682,15 +665,9 @@ mod tests {
             *b ^= 0x01;
         }
         assert_eq!(parse_flight(&bad), Err(FlightError::ChecksumMismatch));
-        // Truncation at every boundary is typed, never a panic.
-        for cut in 0..sealed.len() {
-            let got = parse_flight(&sealed[..cut]);
-            assert!(got.is_err(), "truncated at {cut} must fail");
-        }
-        // Trailing garbage.
-        let mut bad = sealed.clone();
-        bad.push(0);
-        assert_eq!(parse_flight(&bad), Err(FlightError::TrailingBytes));
+        // Every truncation, every bit flip and trailing bytes: see
+        // `ixp-codec`'s `tests/corruption.rs`, which walks this framing
+        // beside the checkpoint envelope and the transport state.
     }
 
     #[test]
@@ -705,10 +682,8 @@ mod tests {
             *b = 200;
         }
         // Re-seal the checksum so only the kind is bad.
-        let body_len = sealed.len() - 8;
-        let digest = fnv64(&sealed[..body_len]);
-        sealed.truncate(body_len);
-        sealed.extend_from_slice(&digest.to_be_bytes());
+        sealed.truncate(sealed.len() - 8);
+        append_trailer(&mut sealed);
         assert_eq!(parse_flight(&sealed), Err(FlightError::BadKind(200)));
     }
 

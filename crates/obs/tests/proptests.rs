@@ -81,9 +81,9 @@ proptest! {
         prop_assert!(covered >= rank, "bound {} covers {} < rank {}", bound, covered, rank);
     }
 
-    /// Concurrent counter increments from N threads (vendored crossbeam
-    /// scoped threads) lose no updates: the final reading is exactly the
-    /// sum of everything every thread added.
+    /// Concurrent counter increments from N scoped threads lose no
+    /// updates: the final reading is exactly the sum of everything every
+    /// thread added.
     #[test]
     fn concurrent_counter_increments_lose_no_updates(
         threads in 2usize..8,
@@ -91,17 +91,15 @@ proptest! {
     ) {
         let registry = Registry::new();
         let counter = registry.counter("contended_total");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                let counter = counter.clone();
-                scope.spawn(move |_| {
+                scope.spawn(|| {
                     for _ in 0..per_thread {
                         counter.inc();
                     }
                 });
             }
-        })
-        .expect("scoped threads join cleanly");
+        });
         prop_assert_eq!(counter.get(), threads as u64 * per_thread);
         prop_assert_eq!(registry.snapshot().counter("contended_total"), Some(threads as u64 * per_thread));
     }
@@ -113,17 +111,16 @@ proptest! {
         per_thread in 1u64..200,
     ) {
         let h = Histogram::with_bounds(&[10, 100, 1000]);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..threads {
-                let h = h.clone();
-                scope.spawn(move |_| {
+                let h = &h;
+                scope.spawn(move || {
                     for i in 0..per_thread {
                         h.observe(t as u64 * 37 + i);
                     }
                 });
             }
-        })
-        .expect("scoped threads join cleanly");
+        });
         let s = h.snapshot();
         let total = threads as u64 * per_thread;
         prop_assert_eq!(s.count, total);

@@ -1,299 +1,21 @@
-//! Versioned, deterministic byte codec for collector-state checkpoints.
+//! Collector-state checkpoints: the format version, and a re-export of the
+//! `ixp-codec` field codec the state is written in (this is where
+//! `ixp-core`'s week scan and the supervisor import it from).
 //!
-//! The supervised pipeline (`ixp-supervisor`) must be able to kill the
-//! process at any datagram boundary and resume from a checkpoint with
-//! byte-identical results, which puts three demands on this codec:
-//!
-//! * **determinism** — the same state always serializes to the same bytes
-//!   (hash maps are written in sorted key order), so `save → restore →
-//!   save` is the identity on the byte level and checkpoints can be
-//!   compared with `cmp`;
-//! * **robustness** — checkpoints come back off disk, which makes them
-//!   wire-grade input: every read is bounds-checked through [`Cur`] and
-//!   fails with a typed [`StateError`], never a panic (the same no-panic
-//!   contract as the datagram decoder in [`crate::xdr`]);
-//! * **versioning** — each state blob leads with a format version so a
-//!   schema change is a clean [`StateError::BadVersion`], not a
-//!   misinterpretation.
-//!
-//! Layout is plain big-endian primitives with 64-bit length prefixes for
-//! byte strings; there is no self-description. The enclosing file format
-//! (magic, envelope version, checksum) belongs to `ixp-supervisor`; this
-//! module only covers the state payloads of [`crate::Collector`] and, via
-//! re-use, `ixp-core`'s week scan.
+//! The supervised pipeline (`ixp-supervisor`) kills the process at any
+//! datagram boundary and resumes byte-identically, which needs the state
+//! to be *deterministic* (hash maps are written in sorted key order, so
+//! `save → restore → save` is the identity on bytes and checkpoints can
+//! be compared with `cmp`), *robust* (every read goes through the
+//! bounds-checked [`Cur`] and fails with a typed [`StateError`], never a
+//! panic — the same contract as the datagram decoder in [`crate::xdr`])
+//! and *versioned* (each blob leads with a format version, so a schema
+//! change is a clean [`StateError::BadVersion`]). The enclosing file
+//! format (magic, envelope version, checksum) belongs to `ixp-supervisor`.
 
-use std::fmt;
+pub use ixp_codec::{
+    put_bool, put_bytes, put_str, put_u128, put_u16, put_u32, put_u64, put_u8, Cur, StateError,
+};
 
 /// Serialization format version of [`crate::Collector`] state.
 pub const COLLECTOR_STATE_VERSION: u32 = 1;
-
-/// A typed decode failure while restoring checkpointed state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StateError {
-    /// The blob ended before the announced content did.
-    Truncated,
-    /// The state was written by an unknown format version.
-    BadVersion(u32),
-    /// The bytes decoded but describe an impossible state (unsorted keys,
-    /// out-of-range references, accounting that does not balance).
-    Invalid(&'static str),
-}
-
-impl fmt::Display for StateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StateError::Truncated => write!(f, "checkpoint state truncated"),
-            StateError::BadVersion(v) => {
-                write!(f, "unsupported checkpoint state version {v}")
-            }
-            StateError::Invalid(what) => write!(f, "invalid checkpoint state: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for StateError {}
-
-/// Append a `u8`.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-/// Append a `bool` as one byte.
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-/// Append a big-endian `u16`.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a big-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a big-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a big-endian `u128`.
-pub fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a length-prefixed byte string (`u64` length, then the bytes).
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// A bounds-checked read cursor over a checkpoint blob. Every accessor
-/// returns a typed error instead of panicking — the blob is treated as
-/// hostile input (it may have been truncated or corrupted on disk).
-#[derive(Debug, Clone, Copy)]
-pub struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    /// A cursor at the start of `data`.
-    pub fn new(data: &'a [u8]) -> Cur<'a> {
-        Cur { data, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.data.len().saturating_sub(self.pos)
-    }
-
-    /// Succeeds only if the cursor consumed the blob exactly.
-    pub fn finish(&self) -> Result<(), StateError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(StateError::Invalid("trailing bytes after state"))
-        }
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, StateError> {
-        let end = self.pos.checked_add(1).ok_or(StateError::Truncated)?;
-        match *self.data.get(self.pos..end).ok_or(StateError::Truncated)? {
-            [a] => {
-                self.pos = end;
-                Ok(a)
-            }
-            _ => Err(StateError::Truncated),
-        }
-    }
-
-    /// Read one byte as a strict `bool` (0 or 1).
-    pub fn bool(&mut self) -> Result<bool, StateError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(StateError::Invalid("boolean byte out of range")),
-        }
-    }
-
-    /// Read a big-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, StateError> {
-        let end = self.pos.checked_add(2).ok_or(StateError::Truncated)?;
-        match *self.data.get(self.pos..end).ok_or(StateError::Truncated)? {
-            [a, b] => {
-                self.pos = end;
-                Ok(u16::from_be_bytes([a, b]))
-            }
-            _ => Err(StateError::Truncated),
-        }
-    }
-
-    /// Read a big-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, StateError> {
-        let end = self.pos.checked_add(4).ok_or(StateError::Truncated)?;
-        match *self.data.get(self.pos..end).ok_or(StateError::Truncated)? {
-            [a, b, c, d] => {
-                self.pos = end;
-                Ok(u32::from_be_bytes([a, b, c, d]))
-            }
-            _ => Err(StateError::Truncated),
-        }
-    }
-
-    /// Read a big-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, StateError> {
-        let end = self.pos.checked_add(8).ok_or(StateError::Truncated)?;
-        match *self.data.get(self.pos..end).ok_or(StateError::Truncated)? {
-            [a, b, c, d, e, f, g, h] => {
-                self.pos = end;
-                Ok(u64::from_be_bytes([a, b, c, d, e, f, g, h]))
-            }
-            _ => Err(StateError::Truncated),
-        }
-    }
-
-    /// Read a big-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, StateError> {
-        let hi = self.u64()?;
-        let lo = self.u64()?;
-        Ok((u128::from(hi) << 64) | u128::from(lo))
-    }
-
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<&'a [u8], StateError> {
-        let len = self.u64()?;
-        let n = usize::try_from(len).map_err(|_| StateError::Truncated)?;
-        let end = self.pos.checked_add(n).ok_or(StateError::Truncated)?;
-        let s = self.data.get(self.pos..end).ok_or(StateError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, StateError> {
-        std::str::from_utf8(self.bytes()?)
-            .map_err(|_| StateError::Invalid("non-UTF-8 string in state"))
-    }
-
-    /// Read an element count and sanity-cap it against the remaining bytes,
-    /// assuming each element needs at least `min_element_size` bytes. A
-    /// corrupted count then fails fast instead of driving a giant loop.
-    pub fn count(&mut self, min_element_size: usize) -> Result<usize, StateError> {
-        let raw = self.u64()?;
-        let n = usize::try_from(raw).map_err(|_| StateError::Truncated)?;
-        let need = n.checked_mul(min_element_size.max(1)).ok_or(StateError::Truncated)?;
-        if need > self.remaining() {
-            return Err(StateError::Truncated);
-        }
-        Ok(n)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trips_primitives() {
-        let mut out = Vec::new();
-        put_u8(&mut out, 7);
-        put_bool(&mut out, true);
-        put_u16(&mut out, 0xBEEF);
-        put_u32(&mut out, 0xDEAD_BEEF);
-        put_u64(&mut out, u64::MAX - 1);
-        put_u128(&mut out, u128::MAX / 3);
-        put_bytes(&mut out, b"abc");
-        put_str(&mut out, "über");
-        let mut cur = Cur::new(&out);
-        assert_eq!(cur.u8(), Ok(7));
-        assert_eq!(cur.bool(), Ok(true));
-        assert_eq!(cur.u16(), Ok(0xBEEF));
-        assert_eq!(cur.u32(), Ok(0xDEAD_BEEF));
-        assert_eq!(cur.u64(), Ok(u64::MAX - 1));
-        assert_eq!(cur.u128(), Ok(u128::MAX / 3));
-        assert_eq!(cur.bytes(), Ok(&b"abc"[..]));
-        assert_eq!(cur.str(), Ok("über"));
-        assert_eq!(cur.finish(), Ok(()));
-    }
-
-    #[test]
-    fn truncation_is_a_typed_error_at_every_cut() {
-        let mut out = Vec::new();
-        put_u32(&mut out, 1);
-        put_bytes(&mut out, b"payload");
-        put_u64(&mut out, 42);
-        for cut in 0..out.len() {
-            let prefix: Vec<u8> = out.iter().copied().take(cut).collect();
-            let mut cur = Cur::new(&prefix);
-            let r = cur
-                .u32()
-                .and_then(|_| cur.bytes().map(<[u8]>::len))
-                .and_then(|_| cur.u64());
-            assert!(r.is_err(), "cut at {cut} decoded");
-        }
-    }
-
-    #[test]
-    fn hostile_lengths_do_not_allocate_or_panic() {
-        // A length prefix claiming u64::MAX bytes.
-        let mut out = Vec::new();
-        put_u64(&mut out, u64::MAX);
-        let mut cur = Cur::new(&out);
-        assert_eq!(cur.bytes(), Err(StateError::Truncated));
-        // A count prefix claiming more elements than bytes remain.
-        let mut out = Vec::new();
-        put_u64(&mut out, 1 << 40);
-        let mut cur = Cur::new(&out);
-        assert_eq!(cur.count(8), Err(StateError::Truncated));
-    }
-
-    #[test]
-    fn bad_bool_and_bad_utf8_are_invalid_not_truncated() {
-        let mut cur = Cur::new(&[2u8]);
-        assert!(matches!(cur.bool(), Err(StateError::Invalid(_))));
-        let mut out = Vec::new();
-        put_bytes(&mut out, &[0xFF, 0xFE]);
-        let mut cur = Cur::new(&out);
-        assert!(matches!(cur.str(), Err(StateError::Invalid(_))));
-    }
-
-    #[test]
-    fn errors_render_and_implement_error() {
-        let errors: [Box<dyn std::error::Error>; 3] = [
-            Box::new(StateError::Truncated),
-            Box::new(StateError::BadVersion(9)),
-            Box::new(StateError::Invalid("x")),
-        ];
-        for e in errors {
-            assert!(!e.to_string().is_empty());
-        }
-    }
-}

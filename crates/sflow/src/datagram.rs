@@ -14,7 +14,7 @@
 use core::fmt;
 use std::net::Ipv4Addr;
 
-use bytes::BufMut;
+use ixp_codec::{put_u32, put_u64};
 
 use crate::xdr::{self, Reader};
 
@@ -163,15 +163,16 @@ pub struct Datagram {
 
 impl Datagram {
     /// Encode to the XDR wire format.
+    // ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.samples.len() * 192);
-        out.put_u32(SFLOW_VERSION);
-        out.put_u32(AGENT_ADDR_IPV4);
-        out.put_slice(&self.agent_address.octets());
-        out.put_u32(self.sub_agent_id);
-        out.put_u32(self.sequence);
-        out.put_u32(self.uptime_ms);
-        out.put_u32((self.samples.len() + self.counters.len()) as u32);
+        put_u32(&mut out, SFLOW_VERSION);
+        put_u32(&mut out, AGENT_ADDR_IPV4);
+        out.extend_from_slice(&self.agent_address.octets());
+        put_u32(&mut out, self.sub_agent_id);
+        put_u32(&mut out, self.sequence);
+        put_u32(&mut out, self.uptime_ms);
+        put_u32(&mut out, (self.samples.len() + self.counters.len()) as u32);
         for sample in &self.samples {
             encode_flow_sample(&mut out, sample);
         }
@@ -320,31 +321,32 @@ impl<'a> DatagramView<'a> {
     }
 }
 
+// ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
 fn encode_flow_sample(out: &mut Vec<u8>, sample: &FlowSample) {
-    out.put_u32(SAMPLE_TYPE_FLOW);
+    put_u32(out, SAMPLE_TYPE_FLOW);
     // Reserve the sample length, fill in afterwards.
     let len_pos = out.len();
-    out.put_u32(0);
+    put_u32(out, 0);
     let body_start = out.len();
 
-    out.put_u32(sample.sequence);
-    out.put_u32(sample.source_id);
-    out.put_u32(sample.sampling_rate);
-    out.put_u32(sample.sample_pool);
-    out.put_u32(sample.drops);
-    out.put_u32(sample.input_if);
-    out.put_u32(sample.output_if);
-    out.put_u32(1); // record count
+    put_u32(out, sample.sequence);
+    put_u32(out, sample.source_id);
+    put_u32(out, sample.sampling_rate);
+    put_u32(out, sample.sample_pool);
+    put_u32(out, sample.drops);
+    put_u32(out, sample.input_if);
+    put_u32(out, sample.output_if);
+    put_u32(out, 1); // record count
 
     // Raw packet header record.
-    out.put_u32(RECORD_TYPE_RAW_PACKET);
+    put_u32(out, RECORD_TYPE_RAW_PACKET);
     let rec = &sample.record;
     let record_len = 16usize.saturating_add(xdr::pad4(rec.header.len()));
-    out.put_u32(record_len as u32);
-    out.put_u32(rec.protocol);
-    out.put_u32(rec.frame_length);
-    out.put_u32(rec.stripped);
-    out.put_u32(rec.header.len() as u32);
+    put_u32(out, record_len as u32);
+    put_u32(out, rec.protocol);
+    put_u32(out, rec.frame_length);
+    put_u32(out, rec.stripped);
+    put_u32(out, rec.header.len() as u32);
     xdr::put_opaque(out, &rec.header);
 
     let body_len = (out.len() - body_start) as u32;
@@ -353,39 +355,40 @@ fn encode_flow_sample(out: &mut Vec<u8>, sample: &FlowSample) {
 }
 
 /// Encode a counters sample with one generic-interface-counters record.
+// ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
 fn encode_counter_sample(out: &mut Vec<u8>, c: &CounterSample) {
-    out.put_u32(SAMPLE_TYPE_COUNTERS);
+    put_u32(out, SAMPLE_TYPE_COUNTERS);
     let len_pos = out.len();
-    out.put_u32(0);
+    put_u32(out, 0);
     let body_start = out.len();
 
-    out.put_u32(c.sequence);
-    out.put_u32(c.source_id);
-    out.put_u32(1); // record count
+    put_u32(out, c.sequence);
+    put_u32(out, c.source_id);
+    put_u32(out, 1); // record count
 
-    out.put_u32(RECORD_TYPE_IF_COUNTERS);
+    put_u32(out, RECORD_TYPE_IF_COUNTERS);
     // The standard if_counters block is 88 bytes; fields we do not model
     // are emitted as zero so real parsers stay happy.
-    out.put_u32(88);
-    out.put_u32(c.if_index);
-    out.put_u32(6); // ifType: ethernetCsmacd
-    out.put_u64(c.if_speed);
-    out.put_u32(1); // ifDirection: full duplex
-    out.put_u32(0b11); // ifStatus: admin up, oper up
-    out.put_u64(c.if_in_octets);
-    out.put_u32(c.if_in_ucast);
-    out.put_u32(0); // in multicast
-    out.put_u32(0); // in broadcast
-    out.put_u32(0); // in discards
-    out.put_u32(0); // in errors
-    out.put_u32(0); // in unknown protos
-    out.put_u64(c.if_out_octets);
-    out.put_u32(c.if_out_ucast);
-    out.put_u32(0); // out multicast
-    out.put_u32(0); // out broadcast
-    out.put_u32(0); // out discards
-    out.put_u32(0); // out errors
-    out.put_u32(0); // promiscuous mode
+    put_u32(out, 88);
+    put_u32(out, c.if_index);
+    put_u32(out, 6); // ifType: ethernetCsmacd
+    put_u64(out, c.if_speed);
+    put_u32(out, 1); // ifDirection: full duplex
+    put_u32(out, 0b11); // ifStatus: admin up, oper up
+    put_u64(out, c.if_in_octets);
+    put_u32(out, c.if_in_ucast);
+    put_u32(out, 0); // in multicast
+    put_u32(out, 0); // in broadcast
+    put_u32(out, 0); // in discards
+    put_u32(out, 0); // in errors
+    put_u32(out, 0); // in unknown protos
+    put_u64(out, c.if_out_octets);
+    put_u32(out, c.if_out_ucast);
+    put_u32(out, 0); // out multicast
+    put_u32(out, 0); // out broadcast
+    put_u32(out, 0); // out discards
+    put_u32(out, 0); // out errors
+    put_u32(out, 0); // promiscuous mode
 
     let body_len = (out.len() - body_start) as u32;
     // ixp-lint: allow(no-index) encoder backpatch; len_pos was reserved above
@@ -598,19 +601,16 @@ mod tests {
     fn unknown_sample_types_are_skipped() {
         let dg = sample_datagram();
         let mut bytes = Vec::new();
-        {
-            use bytes::BufMut;
-            bytes.put_u32(5);
-            bytes.put_u32(1);
-            bytes.put_slice(&[10, 0, 0, 1]);
-            bytes.put_u32(0);
-            bytes.put_u32(1);
-            bytes.put_u32(0);
-            bytes.put_u32(2); // two samples: one unknown, one real
-            bytes.put_u32(4); // expanded counter sample (unknown to us)
-            bytes.put_u32(8);
-            bytes.put_u64(0xdeadbeef_cafebabe);
-        }
+        put_u32(&mut bytes, 5);
+        put_u32(&mut bytes, 1);
+        bytes.extend_from_slice(&[10, 0, 0, 1]);
+        put_u32(&mut bytes, 0);
+        put_u32(&mut bytes, 1);
+        put_u32(&mut bytes, 0);
+        put_u32(&mut bytes, 2); // two samples: one unknown, one real
+        put_u32(&mut bytes, 4); // expanded counter sample (unknown to us)
+        put_u32(&mut bytes, 8);
+        put_u64(&mut bytes, 0xdeadbeef_cafebabe);
         let mut real = Vec::new();
         encode_flow_sample(&mut real, &dg.samples[0]);
         bytes.extend_from_slice(&real);

@@ -1,8 +1,6 @@
 //! Minimal XDR-style (RFC 4506) primitives: big-endian u32-aligned encoding,
 //! which is what the sFlow v5 specification uses throughout.
 
-use bytes::BufMut;
-
 use crate::datagram::DecodeError;
 
 /// Pad a byte length up to the next multiple of four. Saturates instead of
@@ -15,9 +13,9 @@ pub fn pad4(len: usize) -> usize {
 /// Append an opaque byte string with XDR padding (no length prefix; sFlow
 /// fields carry explicit separate lengths).
 pub fn put_opaque(out: &mut Vec<u8>, data: &[u8]) {
-    out.put_slice(data);
+    out.extend_from_slice(data);
     let padding = pad4(data.len()) - data.len();
-    out.put_bytes(0, padding);
+    out.extend(std::iter::repeat(0).take(padding));
 }
 
 /// A forward-only reader over an XDR byte stream.
@@ -102,8 +100,8 @@ mod tests {
     #[test]
     fn u32_sequence() {
         let mut buf = Vec::new();
-        bytes::BufMut::put_u32(&mut buf, 5);
-        bytes::BufMut::put_u32(&mut buf, 0xdead_beef);
+        ixp_codec::put_u32(&mut buf, 5);
+        ixp_codec::put_u32(&mut buf, 0xdead_beef);
         let mut r = Reader::new(&buf);
         assert_eq!(r.u32().unwrap(), 5);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);

@@ -8,15 +8,17 @@
 //! +--------+---------+-------------+---------+----------+
 //! ```
 //!
-//! The trailing checksum is FNV-1a-64 over every byte before it (magic,
-//! version, length, payload), so truncation, bit flips, and extensions are
-//! all detected before the payload codec ever runs. A checkpoint that
-//! fails any of these checks is rejected with a typed
-//! [`CheckpointError`] — never a panic, and never a partial restore.
+//! The trailing checksum is the shared `ixp-codec` FNV-1a-64 trailer over
+//! every byte before it (magic, version, length, payload), so truncation,
+//! bit flips, and extensions are all detected before the payload codec
+//! ever runs. A checkpoint that fails any of these checks is rejected with
+//! a typed [`CheckpointError`] — never a panic, and never a partial
+//! restore.
 
 use std::fmt;
 
-use ixp_sflow::checkpoint::{self, Cur, StateError};
+pub use ixp_codec::fnv64;
+use ixp_codec::{append_trailer, put_u32, put_u64, split_verified, Cur, StateError, TrailerError};
 
 /// File magic: "IXPCKPT1".
 pub const MAGIC: [u8; 8] = *b"IXPCKPT1";
@@ -71,39 +73,33 @@ impl From<StateError> for CheckpointError {
     }
 }
 
-/// FNV-1a-64 over `bytes`. The per-byte state evolution is bijective, so
-/// any single-bit flip at unchanged length is always detected.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<TrailerError> for CheckpointError {
+    fn from(e: TrailerError) -> CheckpointError {
+        match e {
+            TrailerError::Truncated => CheckpointError::Truncated,
+            TrailerError::Mismatch => CheckpointError::ChecksumMismatch,
+        }
     }
-    hash
 }
 
 /// Wrap a state payload in the checkpoint envelope.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 28);
     out.extend_from_slice(&MAGIC);
-    checkpoint::put_u32(&mut out, FORMAT_VERSION);
-    checkpoint::put_u64(&mut out, payload.len() as u64);
+    put_u32(&mut out, FORMAT_VERSION);
+    put_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(payload);
-    let sum = fnv64(&out);
-    checkpoint::put_u64(&mut out, sum);
+    append_trailer(&mut out);
     out
 }
 
 /// Open an envelope, returning the verified payload slice.
 pub fn open(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
-    let mut cur = Cur::new(bytes);
-    let mut magic = [0u8; 8];
-    for m in &mut magic {
-        *m = cur.u8().map_err(|_| CheckpointError::Truncated)?;
-    }
+    let (magic, rest) = bytes.split_at_checked(8).ok_or(CheckpointError::Truncated)?;
     if magic != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
+    let mut cur = Cur::new(rest);
     let version = cur.u32().map_err(|_| CheckpointError::Truncated)?;
     if version != FORMAT_VERSION {
         return Err(CheckpointError::BadVersion(version));
@@ -111,22 +107,16 @@ pub fn open(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
     let len = cur.u64().map_err(|_| CheckpointError::Truncated)?;
     let n = usize::try_from(len).map_err(|_| CheckpointError::Truncated)?;
     let header: usize = 8 + 4 + 8;
-    let payload_end = header.checked_add(n).ok_or(CheckpointError::Truncated)?;
-    let payload = bytes.get(header..payload_end).ok_or(CheckpointError::Truncated)?;
-    let trailer_end = payload_end.checked_add(8).ok_or(CheckpointError::Truncated)?;
-    let trailer = bytes.get(payload_end..trailer_end).ok_or(CheckpointError::Truncated)?;
-    let stored = match *trailer {
-        [a, b, c, d, e, f, g, h] => u64::from_be_bytes([a, b, c, d, e, f, g, h]),
-        _ => return Err(CheckpointError::Truncated),
-    };
-    let content = bytes.get(..payload_end).ok_or(CheckpointError::Truncated)?;
-    if fnv64(content) != stored {
-        return Err(CheckpointError::ChecksumMismatch);
-    }
-    if bytes.len() != trailer_end {
+    let sealed_len = header
+        .checked_add(n)
+        .and_then(|end| end.checked_add(8))
+        .ok_or(CheckpointError::Truncated)?;
+    let sealed = bytes.get(..sealed_len).ok_or(CheckpointError::Truncated)?;
+    let content = split_verified(sealed)?;
+    if bytes.len() != sealed_len {
         return Err(CheckpointError::TrailingBytes);
     }
-    Ok(payload)
+    content.get(header..).ok_or(CheckpointError::Truncated)
 }
 
 #[cfg(test)]
@@ -141,35 +131,9 @@ mod tests {
         assert_eq!(open(&seal(&[])), Ok(&[][..]));
     }
 
-    #[test]
-    fn every_truncation_is_rejected() {
-        let sealed = seal(b"some payload bytes");
-        for cut in 0..sealed.len() {
-            let prefix: Vec<u8> = sealed.iter().copied().take(cut).collect();
-            assert!(open(&prefix).is_err(), "cut at {cut} opened");
-        }
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_rejected() {
-        let sealed = seal(b"bit flip target");
-        for i in 0..sealed.len() {
-            for bit in 0..8 {
-                let mut bad = sealed.clone();
-                if let Some(b) = bad.get_mut(i) {
-                    *b ^= 1 << bit;
-                }
-                assert!(open(&bad).is_err(), "flip at byte {i} bit {bit} opened");
-            }
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut sealed = seal(b"payload");
-        sealed.push(0);
-        assert_eq!(open(&sealed), Err(CheckpointError::TrailingBytes));
-    }
+    // Every truncation, every single-bit flip, trailing bytes and a
+    // hostile length: `ixp-codec`'s `tests/corruption.rs` walks this
+    // framing beside the transport state and the flight record.
 
     #[test]
     fn wrong_magic_and_version_are_typed() {

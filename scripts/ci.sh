@@ -4,11 +4,30 @@
 #   contract and friends; see crates/lint and DESIGN.md).
 #
 # Clippy runs only when the crates.io registry (or a cached index) is
-# reachable: the offline build environment resolves all external deps to
-# the vendor/ stand-ins and has no clippy driver for them.
+# reachable: the offline build environment resolves its two external deps
+# to the vendor/ stand-ins and has no clippy driver for them.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> one of everything (structural guard)"
+# Cheap and first: the workspace keeps one FNV, one cursor, one JSON
+# reader (all in crates/codec) and only the two vendored stand-ins std
+# cannot spell. A second copy of any of them is a format that can drift.
+[ "$(ls vendor | tr '\n' ' ')" = "proptest rand " ] || {
+    echo "ci: vendor/ must hold exactly proptest and rand, found: $(ls vendor | tr '\n' ' ')" >&2
+    exit 1
+}
+[ "$(grep -rn 'fn fnv64' crates | wc -l)" -eq 1 ] || {
+    echo "ci: expected exactly one \`fn fnv64\` (crates/codec/src/lib.rs), found:" >&2
+    grep -rn 'fn fnv64' crates >&2
+    exit 1
+}
+if grep -nE '^(bytes|criterion|crossbeam|parking_lot|serde|serde_json|serde_derive)\b' \
+    Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml >&2; then
+    echo "ci: a manifest names a dependency the workspace spells in std" >&2
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release

@@ -1,5 +1,6 @@
 //! Umbrella crate re-exporting the `ixp-vantage` public API.
 pub use ixp_cert as cert;
+pub use ixp_codec as codec;
 pub use ixp_core as core;
 pub use ixp_dns as dns;
 pub use ixp_faults as faults;
