@@ -20,7 +20,7 @@
 //!
 //! [`ResolverPool::resolve_with_retry`]: ixp_dns::ResolverPool::resolve_with_retry
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use ixp_faults::Quarantine;
 use ixp_netmodel::{AsRole, InternetModel, Region, Week};
@@ -72,7 +72,7 @@ pub fn domain_recovery(report: &WeeklyReport, model: &InternetModel) -> DomainRe
 
 /// Why an actively-discovered server IP is invisible at the IXP (paper's
 /// four §3.3 categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum UnseenReason {
     /// Answered only by resolvers inside its own AS: a private cluster.
     PrivateCluster,
@@ -95,7 +95,7 @@ pub struct ResolverCampaign {
     /// Of those, already identified at the IXP this week.
     pub already_seen: usize,
     /// Unseen IPs per reason bucket.
-    pub unseen: HashMap<UnseenReason, usize>,
+    pub unseen: BTreeMap<UnseenReason, usize>,
     /// Queries that failed over past at least one resolver slot.
     pub failovers: usize,
     /// Resolver slots the campaign quarantined as persistently dead.
@@ -193,7 +193,7 @@ pub fn resolver_campaign(
     }
 
     let mut already_seen = 0usize;
-    let mut unseen: HashMap<UnseenReason, usize> = HashMap::new();
+    let mut unseen: BTreeMap<UnseenReason, usize> = BTreeMap::new();
     for (raw_ip, resolver_ases) in &found {
         let ip = std::net::Ipv4Addr::from(*raw_ip);
         if report.census.get(ip).is_some() {

@@ -222,7 +222,9 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
             if step == 3 && votes.values().sum::<usize>() <= 1 {
                 continue;
             }
-            let winner = votes
+            // The zone itself is the last key, so a full tie never falls to
+            // `HashMap` iteration order.
+            let Some(winner) = votes
                 .iter()
                 .max_by_key(|(zone, count)| {
                     let (ips, footprint) = if cfg.footprint_weighted {
@@ -238,10 +240,12 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
                     } else {
                         (0, 0)
                     };
-                    (**count, ips, footprint, std::cmp::Reverse(zone.len()))
+                    (**count, ips, footprint, std::cmp::Reverse(zone.len()), **zone)
                 })
                 .map(|(zone, _)| zone.to_string())
-                .unwrap();
+            else {
+                continue;
+            };
             assign(
                 &winner,
                 idx,

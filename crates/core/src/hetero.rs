@@ -66,10 +66,12 @@ pub fn fig6c(report: &WeeklyReport, clusters: &Clusters, min_servers: usize) -> 
         slot.0 += 1;
         slot.1.insert(*cid);
     }
-    let points: Vec<(u32, usize, usize)> = per_as
+    let mut points: Vec<(u32, usize, usize)> = per_as
         .into_iter()
         .map(|(as_idx, (ips, orgs))| (as_idx, ips, orgs.len()))
         .collect();
+    // Out of `HashMap` order: renderers list and rank these rows.
+    points.sort_unstable_by_key(|&(as_idx, _, _)| as_idx);
     let over_5_orgs = points.iter().filter(|(_, _, orgs)| *orgs > 5).count();
     let over_10_orgs = points.iter().filter(|(_, _, orgs)| *orgs > 10).count();
     Fig6c { points, over_5_orgs, over_10_orgs }
@@ -233,6 +235,10 @@ mod tests {
         assert!(
             f.points.iter().any(|(_, _, orgs)| *orgs > 1),
             "no AS hosts multiple orgs"
+        );
+        assert!(
+            f.points.windows(2).all(|w| w[0].0 < w[1].0),
+            "points must come out in AS-index order, not hash order"
         );
     }
 

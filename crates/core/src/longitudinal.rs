@@ -220,8 +220,10 @@ pub struct ChurnSummary {
 
 /// Derive the summary.
 pub fn summary(fig4a: &Fig4a, fig4c: &Fig4c, fig5: &Fig5) -> ChurnSummary {
-    let last_ip = *fig4a.bars.last().expect("17 weeks");
-    let last_as = *fig4c.bars.last().expect("17 weeks");
+    // A study with no weeks summarises to zero shares (`pct` guards the
+    // zero total).
+    let last_ip = fig4a.bars.last().copied().unwrap_or_default();
+    let last_as = fig4c.bars.last().copied().unwrap_or_default();
     let pct = |part: usize, total: usize| {
         if total == 0 {
             0.0
@@ -332,5 +334,11 @@ mod tests {
         let total = s.stable_ip_share + s.recurrent_ip_share + s.fresh_ip_share;
         assert!((total - 100.0).abs() < 1e-6);
         assert!(s.stable_as_share >= s.stable_ip_share);
+    }
+
+    #[test]
+    fn summary_of_a_study_with_no_weeks_is_zero_shares() {
+        let s = summary(&Fig4a { bars: vec![] }, &Fig4c { bars: vec![] }, &Fig5 { weeks: vec![] });
+        assert!(s.stable_ip_share + s.recurrent_ip_share + s.fresh_ip_share + s.stable_as_share < 1e-9);
     }
 }

@@ -280,8 +280,7 @@ impl WeeklySnapshot {
         // port belongs to a reseller member.
         let mut reseller_servers = Vec::new();
         for asn in model.registry.member_asns() {
-            let info = model.registry.info(*asn).unwrap();
-            let m = info.member.unwrap();
+            let Some(m) = model.registry.info(*asn).and_then(|i| i.member) else { continue };
             if m.reseller {
                 let count = census.records.iter().filter(|r| r.member == m.id).count();
                 reseller_servers.push((m.id, count));

@@ -5,8 +5,8 @@
 //! no-panic decoder contract and a few numeric-hygiene rules (see
 //! [`rules`] for the table). Run it as
 //! `cargo run -p ixp-lint`; it exits 0 on a clean tree, 1 with
-//! `file:line: rule: message` output when violations exceed the committed
-//! ratchet baseline (`lint-baseline.toml`), and 2 on usage or I/O errors.
+//! `file:line: rule: message` output on any violation, and 2 on usage or
+//! I/O errors.
 //!
 //! False positives are suppressed inline:
 //!
@@ -21,26 +21,22 @@
 //! // ixp-lint: allow-file(no-float-eq, "bit-exact golden values")
 //! ```
 //!
-//! Family aliases `l1`..`l8` expand to their rule groups.
+//! Family aliases `l1`..`l11` expand to their rule groups.
 //!
 //! Beyond the token-level rules, the linter parses every file into a
 //! lightweight item tree ([`parser`]), builds a workspace symbol table
 //! ([`symbols`]), and runs four semantic passes: panic-reachability over
 //! the call graph ([`callgraph`], L5), wire-taint overflow analysis
 //! ([`taint`], L6), determinism checks ([`determinism`], L7), and
-//! concurrency-safety analysis ([`concurrency`], L8). The per-file
-//! lex/parse stage fans out over scoped threads; the semantic passes stay
-//! sequential, so output is byte-identical to a single-threaded run.
+//! concurrency-safety analysis ([`concurrency`], L8). Every run reads the
+//! tree and runs every pass once, on one thread.
 
-pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod codec_sym;
 pub mod concurrency;
 pub mod conservation;
 pub mod determinism;
 pub mod errorflow;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -51,7 +47,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lexer::Lexed;
 
@@ -64,7 +59,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column of the offending token; 0 when unknown.
     pub col: u32,
-    /// Rule id (one of [`rules::ALL_RULES`]).
+    /// Rule id (the `id` of a [`rules::RULES`] entry).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -150,7 +145,7 @@ pub(crate) fn parse_directives(
                 continue;
             }
             match rules::resolve_rule(rule_name.trim()) {
-                Some(resolved) => allows.file_wide.extend(resolved),
+                Some(resolved) => allows.file_wide.extend(resolved.iter().map(|r| r.id)),
                 None => findings.push(Finding::new(
                     path,
                     c.line,
@@ -182,7 +177,11 @@ pub(crate) fn parse_directives(
                 match rules::resolve_rule(rule_name.trim()) {
                     Some(resolved) => {
                         for &line in &targets {
-                            allows.lines.entry(line).or_default().extend(resolved.iter());
+                            allows
+                                .lines
+                                .entry(line)
+                                .or_default()
+                                .extend(resolved.iter().map(|r| r.id));
                         }
                     }
                     None => findings.push(Finding::new(
@@ -214,82 +213,6 @@ fn paren_args(args: &str) -> Option<&str> {
     Some(&rest[..close])
 }
 
-/// The outcome of the per-file stage (lex, directives, token rules, L4
-/// facts, determinism, parse) for one source file. Everything later
-/// passes need, computed independently of every other file — which is
-/// what lets the stage fan out across threads.
-struct PerFile {
-    path: String,
-    findings: Vec<Finding>,
-    /// Findings of the pure per-file rules (token rules + determinism):
-    /// the slice of the result the incremental cache may reuse. Empty
-    /// when the cache supplied them (`token_rules: false`).
-    token_findings: Vec<Finding>,
-    allows: FileAllows,
-    l4: BTreeMap<String, rules::CrateErrorInfo>,
-    lexed: Lexed,
-    parsed: parser::ParsedFile,
-}
-
-/// Run every per-file pass over one source. `token_rules: false` skips
-/// the cacheable token/determinism rules (a per-file cache hit); the
-/// directive, L4-fact, and parse stages always run — later passes and
-/// the suppression step need their output regardless.
-fn analyze_file(path: String, src: &str, token_rules: bool) -> PerFile {
-    let mut findings = Vec::new();
-    let mut token_findings = Vec::new();
-    let mut l4 = BTreeMap::new();
-    let lexed = lexer::lex(src);
-    let allows = parse_directives(&path, &lexed, &mut findings);
-    if token_rules {
-        rules::check_tokens(&path, &lexed, &mut token_findings);
-        determinism::check(&path, &lexed, &mut token_findings);
-    }
-    rules::collect_error_info(&path, &lexed, &mut l4);
-    let parsed = parser::parse(&path, &lexed);
-    PerFile { path, findings, token_findings, allows, l4, lexed, parsed }
-}
-
-/// Below this many files the thread fan-out costs more than it saves.
-const PARALLEL_THRESHOLD: usize = 4;
-
-/// Fan the per-file stage out over a scoped worker pool. Results are
-/// put back in index order, so the returned order — and therefore every
-/// downstream pass — is identical to the sequential path.
-fn analyze_parallel(files: Vec<(String, String, bool)>) -> Vec<PerFile> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-        .min(files.len());
-    if workers <= 1 || files.len() < PARALLEL_THRESHOLD {
-        return files.into_iter().map(|(p, s, t)| analyze_file(p, &s, t)).collect();
-    }
-    // The work list is complete before the pool starts, so a shared index
-    // is all the queue it needs. Workers hand results back through their
-    // join handles; a worker panic is re-raised here.
-    let next = AtomicUsize::new(0);
-    let mut done: Vec<(usize, PerFile)> = std::thread::scope(|scope| {
-        let pool: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((path, src, token_rules)) = files.get(i) else { break mine };
-                        mine.push((i, analyze_file(path.clone(), src, *token_rules)));
-                    }
-                })
-            })
-            .collect();
-        pool.into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    done.sort_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, pf)| pf).collect()
-}
-
 /// Lint a set of in-memory sources. `files` yields workspace-relative
 /// paths (forward slashes) and their contents. Findings come back sorted
 /// by file, line, rule.
@@ -297,50 +220,21 @@ pub fn scan_sources<I>(files: I) -> Vec<Finding>
 where
     I: IntoIterator<Item = (String, String)>,
 {
-    let files: Vec<(String, String)> = files.into_iter().collect();
-    let n = files.len();
-    scan_sources_inner(files, vec![None; n]).0
-}
-
-/// The full pipeline behind [`scan_sources`] and the cached scan.
-/// `cached_tokens[i]` supplies file `i`'s per-file findings from the
-/// cache (skipping its token/determinism rules); `None` computes them.
-/// Returns the final findings plus, for each file that was computed,
-/// `(index, per-file findings)` for the caller to store.
-fn scan_sources_inner(
-    files: Vec<(String, String)>,
-    cached_tokens: Vec<Option<Vec<Finding>>>,
-) -> (Vec<Finding>, Vec<(usize, Vec<Finding>)>) {
     let mut findings = Vec::new();
-    let mut computed_tokens = Vec::new();
     let mut l4_map: BTreeMap<String, rules::CrateErrorInfo> = BTreeMap::new();
     let mut allows: HashMap<String, FileAllows> = HashMap::new();
     let mut lexed_files = Vec::new();
     let mut parsed_files = Vec::new();
 
-    let work: Vec<(String, String, bool)> = files
-        .into_iter()
-        .zip(&cached_tokens)
-        .map(|((p, s), cached)| (p, s, cached.is_none()))
-        .collect();
-    for (i, pf) in analyze_parallel(work).into_iter().enumerate() {
-        findings.extend(pf.findings);
-        match &cached_tokens[i] {
-            Some(cached) => findings.extend(cached.iter().cloned()),
-            None => {
-                computed_tokens.push((i, pf.token_findings.clone()));
-                findings.extend(pf.token_findings);
-            }
-        }
-        for (group, info) in pf.l4 {
-            let entry = l4_map.entry(group).or_default();
-            entry.error_enums.extend(info.error_enums);
-            entry.display_impls.extend(info.display_impls);
-            entry.error_impls.extend(info.error_impls);
-        }
-        parsed_files.push(pf.parsed);
-        lexed_files.push(pf.lexed);
-        allows.insert(pf.path, pf.allows);
+    for (path, src) in files {
+        let lexed = lexer::lex(&src);
+        let file_allows = parse_directives(&path, &lexed, &mut findings);
+        rules::check_tokens(&path, &lexed, &mut findings);
+        determinism::check(&path, &lexed, &mut findings);
+        rules::collect_error_info(&path, &lexed, &mut l4_map);
+        parsed_files.push(parser::parse(&path, &lexed));
+        lexed_files.push(lexed);
+        allows.insert(path, file_allows);
     }
     rules::finalize_error_impl(&l4_map, &mut findings);
 
@@ -359,43 +253,7 @@ fn scan_sources_inner(
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
     });
-    (findings, computed_tokens)
-}
-
-/// [`scan_sources`] through the incremental cache at `dir` (see
-/// [`cache`]): a whole-workspace fixpoint hit skips all analysis; per
-/// changed file only its token rules recompute, everything cross-file
-/// always recomputes. Results are identical to an uncached scan.
-pub fn scan_sources_cached(
-    files: Vec<(String, String)>,
-    dir: &Path,
-) -> (Vec<Finding>, cache::CacheStats) {
-    let registry = cache::registry_digest();
-    let digests: Vec<u64> =
-        files.iter().map(|(_, src)| ixp_codec::fnv64(src.as_bytes())).collect();
-    let workspace = cache::workspace_digest(&files, &digests);
-    let mut stats = cache::CacheStats::default();
-    if let Some(findings) = cache::load_fixpoint(dir, registry, workspace) {
-        stats.fixpoint_hit = true;
-        stats.file_hits = files.len();
-        return (findings, stats);
-    }
-    let cached_tokens: Vec<Option<Vec<Finding>>> = files
-        .iter()
-        .zip(&digests)
-        .map(|((path, _), digest)| cache::load_per_file(dir, path, *digest, registry))
-        .collect();
-    stats.file_hits = cached_tokens.iter().filter(|c| c.is_some()).count();
-    stats.file_misses = files.len() - stats.file_hits;
-    let keys: Vec<(String, u64)> =
-        files.iter().zip(&digests).map(|((p, _), d)| (p.clone(), *d)).collect();
-    let (findings, computed) = scan_sources_inner(files, cached_tokens);
-    for (i, token_findings) in &computed {
-        let (path, digest) = &keys[*i];
-        cache::store_per_file(dir, path, *digest, registry, token_findings);
-    }
-    cache::store_fixpoint(dir, registry, workspace, &findings);
-    (findings, stats)
+    findings
 }
 
 /// Directory names the walker never descends into: build output, the
@@ -445,14 +303,6 @@ fn collect_workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
 /// Lint every `.rs` file under `root` (a workspace checkout).
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(scan_sources(collect_workspace_files(root)?))
-}
-
-/// [`scan_workspace`] through the incremental cache at `cache_dir`.
-pub fn scan_workspace_cached(
-    root: &Path,
-    cache_dir: &Path,
-) -> io::Result<(Vec<Finding>, cache::CacheStats)> {
-    Ok(scan_sources_cached(collect_workspace_files(root)?, cache_dir))
 }
 
 /// Walk up from `start` looking for a `Cargo.toml` declaring `[workspace]`.

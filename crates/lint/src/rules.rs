@@ -6,10 +6,10 @@
 //!
 //! | rule            | family | scope                                         |
 //! |-----------------|--------|-----------------------------------------------|
-//! | `no-unwrap`     | L1     | stream-facing crates (`ixp-wire`, `ixp-sflow`, `ixp-faults`, `ixp-supervisor`, `ixp-transport`, `ixp-obsd`) |
-//! | `no-expect`     | L1     | stream-facing crates                          |
-//! | `no-panic`      | L1     | stream-facing crates (`panic!`/`todo!`/`unimplemented!`) |
-//! | `no-unreachable`| L1     | stream-facing crates                          |
+//! | `no-unwrap`     | L1     | stream-facing crates (`ixp-wire`, `ixp-sflow`, `ixp-faults`, `ixp-supervisor`, `ixp-transport`, `ixp-obsd`) and `ixp-core` |
+//! | `no-expect`     | L1     | stream-facing crates and `ixp-core`           |
+//! | `no-panic`      | L1     | stream-facing crates and `ixp-core` (`panic!`/`todo!`/`unimplemented!`) |
+//! | `no-unreachable`| L1     | stream-facing crates and `ixp-core`           |
 //! | `no-index`      | L1     | stream-facing crates (`[i]` indexing / slicing) |
 //! | `no-narrow-cast`| L2     | `sflow::accounting`, `core::census`           |
 //! | `no-float-eq`   | L3     | `core::{longitudinal, visibility, baseline}`  |
@@ -18,9 +18,6 @@
 //! | `tainted-capacity`, `tainted-arith`, `tainted-slice-len` | L6 | stream-facing crates |
 //! | `hash-iter-order`, `ambient-time`, `ambient-random` | L7 | `core::{report, snapshot, bias}`, `ixp-faults` |
 //! | `obs-clock-boundary` | L7 | every crate `src/` tree except `obs/src/clock.rs` |
-//! | `lock-order-cycle` | L8 | every crate `src/` tree |
-//! | `guard-across-blocking` | L8 | every crate `src/` tree |
-//! | `shared-state-escape` | L8 | every crate `src/` tree |
 //! | `atomic-ordering` | L8 | every crate `src/` tree |
 //! | `order-dependent-merge` | L8 | every crate `src/` tree |
 //! | `unaccounted-drop` | L9 | datagram-consuming paths of `sflow::collector`, `supervisor::{ring, supervisor}`, `core::scan` |
@@ -43,9 +40,6 @@ pub struct RuleInfo {
     pub id: &'static str,
     /// Family tag: `L1`..`L11`, or `meta` for the directive checker.
     pub family: &'static str,
-    /// Diagnostic severity (currently always `error`; the field exists so
-    /// advisory rules can be added without a JSON schema bump).
-    pub severity: &'static str,
     /// One-line summary.
     pub summary: &'static str,
     /// Longer `--explain` text.
@@ -57,8 +51,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-unwrap",
         family: "L1",
-        severity: "error",
-        summary: "no `.unwrap()` in stream-facing crates",
+        summary: "no `.unwrap()` in stream-facing crates or ixp-core",
         explain: "The decoders are fed raw network bytes and must never panic \
                   (DESIGN.md §8). `.unwrap()` turns a malformed datagram into a \
                   collector crash; return the crate's Error type instead.",
@@ -66,8 +59,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-expect",
         family: "L1",
-        severity: "error",
-        summary: "no `.expect()` in stream-facing crates",
+        summary: "no `.expect()` in stream-facing crates or ixp-core",
         explain: "Like no-unwrap: `.expect()` panics on malformed input. The \
                   message string does not make the crash acceptable; return an \
                   Error with the same context instead.",
@@ -75,16 +67,14 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-panic",
         family: "L1",
-        severity: "error",
-        summary: "no `panic!`/`todo!`/`unimplemented!` in stream-facing crates",
+        summary: "no `panic!`/`todo!`/`unimplemented!` in stream-facing crates or ixp-core",
         explain: "Explicit panic macros in a decoder convert hostile input into \
                   denial of service. Unfinished paths must return Error, not todo!.",
     },
     RuleInfo {
         id: "no-unreachable",
         family: "L1",
-        severity: "error",
-        summary: "no `unreachable!` in stream-facing crates",
+        summary: "no `unreachable!` in stream-facing crates or ixp-core",
         explain: "States judged impossible have a way of arriving off the wire. \
                   Return an Error for impossible states so a wrong judgement is \
                   a diagnostic, not an abort.",
@@ -92,7 +82,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-index",
         family: "L1",
-        severity: "error",
         summary: "no `[..]` indexing/slicing in stream-facing crates",
         explain: "Slice indexing panics on out-of-bounds. Decoders must use \
                   `.get()`, slice patterns, or split_at-style helpers after an \
@@ -102,7 +91,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-narrow-cast",
         family: "L2",
-        severity: "error",
         summary: "no narrowing `as` casts in accounting modules",
         explain: "Traffic estimates aggregate 64-bit counters; a narrowing `as` \
                   silently truncates. Use TryFrom or keep the wide type \
@@ -111,7 +99,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "no-float-eq",
         family: "L3",
-        severity: "error",
         summary: "no exact float comparison in longitudinal analytics",
         explain: "Measured ratios carry rounding error; `==`/`!=` against floats \
                   makes conclusions depend on accumulation order. Compare \
@@ -120,7 +107,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "error-impl",
         family: "L4",
-        severity: "error",
         summary: "public error enums implement Display + std::error::Error",
         explain: "Every `pub enum *Error*` must implement Display and \
                   std::error::Error somewhere in its crate, so callers can \
@@ -129,7 +115,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "panic-path",
         family: "L5",
-        severity: "error",
         summary: "pub fns of stream-facing crates are transitively panic-free",
         explain: "L5 builds the workspace call graph and computes the transitive \
                   can-panic set. A `pub fn` in ixp-wire/ixp-sflow/ixp-faults that \
@@ -142,7 +127,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "tainted-capacity",
         family: "L6",
-        severity: "error",
         summary: "wire-tainted values must not size allocations",
         explain: "A length decoded from the wire can be up to 2^32; passing it \
                   to Vec::with_capacity lets one datagram demand gigabytes. Cap \
@@ -152,7 +136,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "tainted-arith",
         family: "L6",
-        severity: "error",
         summary: "wire-tainted operands require checked arithmetic",
         explain: "Unchecked `+`/`*`/`<<` on a wire-derived value overflows: a \
                   panic in debug builds, a silent wrap in release — either way a \
@@ -163,7 +146,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "tainted-slice-len",
         family: "L6",
-        severity: "error",
         summary: "wire-tainted values must not bound index/slice expressions",
         explain: "Using a decoded length inside `[..]` panics when the datagram \
                   lies about its own size. Validate against the buffer length \
@@ -172,7 +154,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "hash-iter-order",
         family: "L7",
-        severity: "error",
         summary: "no HashMap/HashSet in deterministic output/replay paths",
         explain: "HashMap iteration order is randomized per process. In report \
                   rendering it reorders lines; in float accumulation it changes \
@@ -182,7 +163,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "ambient-time",
         family: "L7",
-        severity: "error",
         summary: "no SystemTime::now/Instant::now in deterministic paths",
         explain: "Wall-clock reads make two runs of the same input differ. \
                   Timestamps must arrive as data (datagram uptime fields, plan \
@@ -191,7 +171,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "ambient-random",
         family: "L7",
-        severity: "error",
         summary: "no ambient entropy in deterministic paths",
         explain: "thread_rng/from_entropy/OsRng draw per-process entropy, \
                   breaking the fault-replay guarantee. All randomness flows from \
@@ -200,7 +179,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "obs-clock-boundary",
         family: "L7",
-        severity: "error",
         summary: "Instant/SystemTime reads only inside ixp-obs's RealClock",
         explain: "All instrumentation timing flows through the injectable \
                   ixp_obs::Clock trait so metric snapshots stay reproducible \
@@ -210,48 +188,8 @@ pub const RULES: &[RuleInfo] = &[
                   and reads time through it.",
     },
     RuleInfo {
-        id: "lock-order-cycle",
-        family: "L8",
-        severity: "error",
-        summary: "lock-acquisition order is acyclic across the workspace",
-        explain: "L8 records, per function, which locks are held when another \
-                  lock is acquired — directly or through any workspace call \
-                  chain — and builds a lock-order graph over the guard scopes \
-                  it can see (`lock()`/`read()`/`write()` receivers). A cycle \
-                  in that graph means two threads taking the locks in opposite \
-                  orders can deadlock; the finding carries the full cycle with \
-                  one witness acquisition site per edge. Break the cycle by \
-                  ordering the acquisitions consistently or narrowing a guard \
-                  scope with `drop(guard)`.",
-    },
-    RuleInfo {
-        id: "guard-across-blocking",
-        family: "L8",
-        severity: "error",
-        summary: "no Mutex guard held across a blocking channel/thread call",
-        explain: "Holding a lock guard across `.send()`/`.recv()`/`join`/`wait`/\
-                  `sleep` stalls every other thread contending for that lock for \
-                  as long as the blocking call takes — and deadlocks outright \
-                  when the unblocking party needs the same lock. Drop the guard \
-                  first (`drop(guard)`), or pass the guard to a condvar `wait`, \
-                  which atomically releases it and is therefore exempt.",
-    },
-    RuleInfo {
-        id: "shared-state-escape",
-        family: "L8",
-        severity: "error",
-        summary: "no non-Arc interior mutability or `static mut` inside spawned closures",
-        explain: "A `RefCell`/`Cell`/`UnsafeCell` local that is not wrapped in \
-                  `Arc`, or any `static mut`, reached from a `thread::spawn`/\
-                  `scope.spawn` closure is a data race: the borrow-flag or the \
-                  raw cell is mutated unsynchronised from two threads. Share \
-                  state through `Arc<Mutex<_>>`/`Arc<AtomicU64>` or move \
-                  per-thread state into the closure by value.",
-    },
-    RuleInfo {
         id: "atomic-ordering",
         family: "L8",
-        severity: "error",
         summary: "no `Ordering::Relaxed` atomic loads on report/snapshot paths",
         explain: "Functions reachable from a snapshot/report/export entry point \
                   feed the byte-identical-metrics gate (DESIGN.md §10). A \
@@ -264,7 +202,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "order-dependent-merge",
         family: "L8",
-        severity: "error",
         summary: "channel-drain merges must be order-independent or sorted",
         explain: "A loop draining a channel (`recv`/`try_recv`) observes items \
                   in a scheduling-dependent order. Accumulating them with \
@@ -278,7 +215,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "unaccounted-drop",
         family: "L9",
-        severity: "error",
         summary: "datagram-consuming paths must increment an accounting bucket on every exit",
         explain: "The conservation invariant `ingested = accepted + duplicates + \
                   errors + shed` (DESIGN.md §9/§11) only holds if every code \
@@ -295,7 +231,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "codec-asymmetry",
         family: "L10",
-        severity: "error",
         summary: "checkpoint encode/decode pairs must walk the same ordered field list",
         explain: "Crash recovery restores state by replaying the writer's field \
                   list in order (DESIGN.md §11); if `save` and `restore` \
@@ -311,7 +246,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "schema-drift",
         family: "L10",
-        severity: "error",
         summary: "checkpoint schemas may only change together with a version bump",
         explain: "Every registered codec writer has an FNV-1a-64 digest of its \
                   field schema (widths, loops, nested codecs, and the written \
@@ -327,7 +261,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "error-sink",
         family: "L11",
-        severity: "error",
         summary: "no silently discarded `Result` on stream-facing paths",
         explain: "A decode/restore error that evaporates is a lost datagram the \
                   accounting never saw — the dynamic invariants can no longer \
@@ -343,7 +276,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "bad-directive",
         family: "meta",
-        severity: "error",
         summary: "malformed or unknown ixp-lint directives",
         explain: "An `// ixp-lint:` comment that names an unknown rule or omits \
                   the allow-file reason is itself a finding, so suppressions \
@@ -351,94 +283,14 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Every rule the linter knows, including the meta rule for malformed
-/// directives.
-pub const ALL_RULES: &[&str] = &[
-    "no-unwrap",
-    "no-expect",
-    "no-panic",
-    "no-unreachable",
-    "no-index",
-    "no-narrow-cast",
-    "no-float-eq",
-    "error-impl",
-    "panic-path",
-    "tainted-capacity",
-    "tainted-arith",
-    "tainted-slice-len",
-    "hash-iter-order",
-    "ambient-time",
-    "ambient-random",
-    "obs-clock-boundary",
-    "lock-order-cycle",
-    "guard-across-blocking",
-    "shared-state-escape",
-    "atomic-ordering",
-    "order-dependent-merge",
-    "unaccounted-drop",
-    "codec-asymmetry",
-    "schema-drift",
-    "error-sink",
-    "bad-directive",
-];
-
-/// The L1 family: the no-panic decoder contract.
-pub const L1_RULES: &[&str] =
-    &["no-unwrap", "no-expect", "no-panic", "no-unreachable", "no-index"];
-
-/// The L6 family: wire-taint overflow analysis.
-pub const L6_RULES: &[&str] = &["tainted-capacity", "tainted-arith", "tainted-slice-len"];
-
-/// The L7 family: determinism of output and replay paths, plus the
-/// workspace-wide clock-injection boundary of `ixp-obs`.
-pub const L7_RULES: &[&str] =
-    &["hash-iter-order", "ambient-time", "ambient-random", "obs-clock-boundary"];
-
-/// The L8 family: concurrency safety ahead of the sharded parallel ingest —
-/// lock ordering, guard scopes, shared-state escapes, atomic orderings on
-/// snapshot paths, and order-independent shard merges.
-pub const L8_RULES: &[&str] = &[
-    "lock-order-cycle",
-    "guard-across-blocking",
-    "shared-state-escape",
-    "atomic-ordering",
-    "order-dependent-merge",
-];
-
-/// The L9 family: the accounting-conservation invariant, held statically.
-pub const L9_RULES: &[&str] = &["unaccounted-drop"];
-
-/// The L10 family: checkpoint-codec symmetry and the schema-digest ratchet.
-pub const L10_RULES: &[&str] = &["codec-asymmetry", "schema-drift"];
-
-/// The L11 family: error-flow completeness on stream-facing paths.
-pub const L11_RULES: &[&str] = &["error-sink"];
-
-/// Registry lookup by rule id.
-pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.id == id)
-}
-
-/// Expand a rule name or family alias (`l1`..`l11`) into concrete rules.
-/// Returns `None` for unknown names.
-pub fn resolve_rule(name: &str) -> Option<Vec<&'static str>> {
-    if let Some(&r) = ALL_RULES.iter().find(|r| **r == name) {
-        return Some(vec![r]);
-    }
-    match name {
-        "l1" | "L1" => Some(L1_RULES.to_vec()),
-        "l2" | "L2" => Some(vec!["no-narrow-cast"]),
-        "l3" | "L3" => Some(vec!["no-float-eq"]),
-        "l4" | "L4" => Some(vec!["error-impl"]),
-        "l5" | "L5" => Some(vec!["panic-path"]),
-        "l6" | "L6" => Some(L6_RULES.to_vec()),
-        "l7" | "L7" => Some(L7_RULES.to_vec()),
-        "l8" | "L8" => Some(L8_RULES.to_vec()),
-        "l9" | "L9" => Some(L9_RULES.to_vec()),
-        "l10" | "L10" => Some(L10_RULES.to_vec()),
-        "l11" | "L11" => Some(L11_RULES.to_vec()),
-        _ => None,
-    }
+/// Expand a rule id or family alias (`l1`..`l11`, any case) into its
+/// registry entries. Returns `None` for unknown names.
+pub fn resolve_rule(name: &str) -> Option<Vec<&'static RuleInfo>> {
+    let hits: Vec<&RuleInfo> = RULES
+        .iter()
+        .filter(|r| r.id == name || r.family.eq_ignore_ascii_case(name))
+        .collect();
+    (!hits.is_empty()).then_some(hits)
 }
 
 /// L1 scope: source trees of the crates that face the raw datagram stream —
@@ -503,9 +355,12 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"]
 /// Run the per-file rules (L1, L2, L3) over one lexed file.
 pub fn check_tokens(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     let l1 = l1_applies(path);
+    // `ixp-core` is held to the four call-style L1 rules only; its `[..]`
+    // sites are counted in ROADMAP item 4 as work still to do.
+    let l1_calls = l1 || path.starts_with("crates/core/src/");
     let l2 = l2_applies(path);
     let l3 = l3_applies(path);
-    if !(l1 || l2 || l3) {
+    if !(l1_calls || l2 || l3) {
         return;
     }
     let toks = &lexed.tokens;
@@ -539,7 +394,7 @@ pub fn check_tokens(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
             }
         }
         match &t.kind {
-            Kind::Ident(name) if l1 => {
+            Kind::Ident(name) if l1_calls => {
                 let after_dot = prev == Some(&Kind::Punct('.'));
                 let bang = next == Some(&Kind::Punct('!'));
                 match name.as_str() {
@@ -788,6 +643,16 @@ fn f(b: &[u8]) {
     }
 
     #[test]
+    fn core_takes_the_call_style_rules_but_not_no_index() {
+        let src = "fn f(b: &[u8]) {\n b.first().unwrap();\n b.get(1).expect(\"x\");\n todo!();\n unreachable!();\n b[0];\n}";
+        let got = run("crates/core/src/x.rs", src);
+        assert_eq!(
+            got,
+            vec![(2, "no-unwrap"), (3, "no-expect"), (4, "no-panic"), (5, "no-unreachable")]
+        );
+    }
+
+    #[test]
     fn l1_covers_the_fault_injector() {
         let src = "fn f(b: &[u8]) { b.first().unwrap(); let _ = b[0]; }";
         let got = run("crates/faults/src/plan.rs", src);
@@ -882,35 +747,34 @@ mod tests { pub enum TestError { X } }
         assert!(out.is_empty(), "{out:?}");
     }
 
-    #[test]
-    fn aliases_resolve() {
-        assert_eq!(resolve_rule("l1").map(|v| v.len()), Some(5));
-        assert_eq!(resolve_rule("l6").map(|v| v.len()), Some(3));
-        assert_eq!(resolve_rule("l7").map(|v| v.len()), Some(4));
-        assert_eq!(resolve_rule("l8").map(|v| v.len()), Some(5));
-        assert_eq!(resolve_rule("l9").map(|v| v.len()), Some(1));
-        assert_eq!(resolve_rule("l10").map(|v| v.len()), Some(2));
-        assert_eq!(resolve_rule("l11").map(|v| v.len()), Some(1));
-        assert_eq!(resolve_rule("no-index"), Some(vec!["no-index"]));
-        assert_eq!(resolve_rule("panic-path"), Some(vec!["panic-path"]));
-        assert_eq!(resolve_rule("nope"), None);
+    fn ids(name: &str) -> Vec<&'static str> {
+        resolve_rule(name).unwrap_or_default().iter().map(|r| r.id).collect()
     }
 
     #[test]
-    fn registry_covers_every_rule() {
-        assert_eq!(RULES.len(), ALL_RULES.len());
-        for id in ALL_RULES {
-            let info = rule_info(id).unwrap_or_else(|| panic!("{id} missing from RULES"));
-            assert!(!info.summary.is_empty() && !info.explain.is_empty());
-            assert!(
-                matches!(
-                    info.family,
-                    "L1" | "L2" | "L3" | "L4" | "L5" | "L6" | "L7" | "L8" | "L9" | "L10"
-                        | "L11" | "meta"
-                ),
-                "{id} has odd family {}",
-                info.family
-            );
+    fn aliases_resolve() {
+        assert_eq!(
+            ids("l1"),
+            ["no-unwrap", "no-expect", "no-panic", "no-unreachable", "no-index"]
+        );
+        assert_eq!(ids("L6").len(), 3);
+        assert_eq!(ids("l7").len(), 4);
+        assert_eq!(ids("l8"), ["atomic-ordering", "order-dependent-merge"]);
+        assert_eq!(ids("l10"), ["codec-asymmetry", "schema-drift"]);
+        assert_eq!(ids("no-index"), ["no-index"]);
+        assert_eq!(ids("panic-path"), ["panic-path"]);
+        assert!(resolve_rule("nope").is_none());
+        assert!(resolve_rule("lock-order-cycle").is_none());
+    }
+
+    #[test]
+    fn every_family_l1_to_l11_resolves_and_ids_are_unique() {
+        for n in 1..=11 {
+            assert!(resolve_rule(&format!("l{n}")).is_some(), "family l{n} is empty");
+        }
+        for r in RULES {
+            assert_eq!(ids(r.id), [r.id], "{} must resolve to itself alone", r.id);
+            assert!(!r.summary.is_empty() && !r.explain.is_empty());
         }
     }
 }

@@ -1,32 +1,7 @@
 //! L8 clean fixtures: each construct mirrors a violation in the
 //! violations tree, written the way the rules want it.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Consistent `a` → `b` order everywhere: no cycle.
-pub fn tick(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let g = a.lock();
-    let h = b.lock();
-    drop(h);
-    drop(g);
-}
-
-/// Same order as `tick`.
-pub fn audit(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let g = a.lock();
-    let h = b.lock();
-    drop(h);
-    drop(g);
-}
-
-/// The guard is dropped before the blocking receive.
-pub fn drain(m: &Mutex<u64>, rx: &Receiver<u64>) {
-    let g = m.lock();
-    drop(g);
-    let v = rx.recv();
-    let _ = v;
-}
 
 /// Acquire load on the snapshot path.
 pub fn snapshot(c: &AtomicU64) -> u64 {

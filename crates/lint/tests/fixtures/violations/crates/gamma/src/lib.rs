@@ -1,29 +1,7 @@
-//! L8 violation fixtures for the other four sub-rules: shared-state
-//! escapes, a guard across recv, Relaxed snapshot loads, order-dependent
+//! L8 violation fixtures: Relaxed snapshot loads and order-dependent
 //! merges.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-static mut DROPPED: u64 = 0;
-
-/// Un-Arc'ed RefCell and a `static mut` both escape into the spawned
-/// closure.
-pub fn shard(rx: &Receiver<u64>) {
-    let cache = RefCell::new(0u64);
-    std::thread::spawn(move || {
-        *cache.borrow_mut() += 1;
-        unsafe { DROPPED += 1 };
-    });
-}
-
-/// Blocks on `recv` while the lock guard is still live.
-pub fn drain(m: &Mutex<u64>, rx: &Receiver<u64>) {
-    let g = m.lock();
-    let v = rx.recv();
-    let _ = (g, v);
-}
 
 /// Relaxed load directly in a snapshot entry point.
 pub fn snapshot(c: &AtomicU64) -> u64 {

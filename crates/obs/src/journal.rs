@@ -257,7 +257,6 @@ impl Journal {
         let seq = ring.next_seq;
         ring.next_seq = ring.next_seq.saturating_add(1);
         let tick = ring.tick;
-        // ixp-lint: allow(lock-order-cycle) VecDeque::len on the guarded field, not a lock
         if ring.events.len() >= ring.capacity {
             ring.events.pop_front();
             ring.dropped = ring.dropped.saturating_add(1);

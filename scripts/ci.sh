@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification for the ixp-vantage workspace:
-#   build, test, and the ixp-lint invariant pass (no-panic decoder
-#   contract and friends; see crates/lint and DESIGN.md).
+#   build, every workspace test, the ixp-lint invariant pass (no-panic
+#   decoder contract and friends; see crates/lint and DESIGN.md), and the
+#   same-seed byte-identity smokes of the repro harness.
 #
 # Clippy runs only when the crates.io registry (or a cached index) is
 # reachable: the offline build environment resolves its two external deps
@@ -10,153 +11,95 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+fail() {
+    echo "ci: $*" >&2
+    exit 1
+}
+
+# same <a> <b> <what differs>: two artefacts that must be byte-identical.
+same() {
+    cmp "$1" "$2" || fail "$3"
+}
+
+# budget <label> <seconds> <cmd...>: run the command; a gate that balloons
+# past its budget fails even when the command itself passed.
+budget() {
+    label=$1 limit=$2
+    shift 2
+    started=$(date +%s)
+    "$@"
+    elapsed=$(( $(date +%s) - started ))
+    [ "$elapsed" -le "$limit" ] || fail "$label runtime budget exceeded: ${elapsed}s > ${limit}s"
+    echo "ci: $label took ${elapsed}s (budget ${limit}s)"
+}
+
+# Every harness run below is the tiny-scale reference study.
+repro() {
+    cargo run -q --release -p ixp-bench --bin repro -- --scale tiny "$@"
+}
+
 echo "==> one of everything (structural guard)"
 # Cheap and first: the workspace keeps one FNV, one cursor, one JSON
 # reader (all in crates/codec) and only the two vendored stand-ins std
 # cannot spell. A second copy of any of them is a format that can drift.
-[ "$(ls vendor | tr '\n' ' ')" = "proptest rand " ] || {
-    echo "ci: vendor/ must hold exactly proptest and rand, found: $(ls vendor | tr '\n' ' ')" >&2
-    exit 1
-}
+[ "$(ls vendor | tr '\n' ' ')" = "proptest rand " ] ||
+    fail "vendor/ must hold exactly proptest and rand, found: $(ls vendor | tr '\n' ' ')"
 [ "$(grep -rn 'fn fnv64' crates | wc -l)" -eq 1 ] || {
-    echo "ci: expected exactly one \`fn fnv64\` (crates/codec/src/lib.rs), found:" >&2
     grep -rn 'fn fnv64' crates >&2
-    exit 1
+    fail "expected exactly one \`fn fnv64\` (crates/codec/src/lib.rs), found the above"
 }
 if grep -nE '^(bytes|criterion|crossbeam|parking_lot|serde|serde_json|serde_derive)\b' \
     Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml >&2; then
-    echo "ci: a manifest names a dependency the workspace spells in std" >&2
-    exit 1
+    fail "a manifest names a dependency the workspace spells in std"
 fi
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> cargo test -q --test fault_tolerance (degraded-mode acceptance)"
-cargo test -q --test fault_tolerance
-
-echo "==> cargo test -q --test chaos_soak (kill/resume + overload gate)"
-# The chaos-soak gate replays the reference week under process-level
-# chaos: kill-and-resume at seeded offsets (byte-identical checkpoints
-# and metrics), damaged-checkpoint rejection, overload shedding with
-# exact accounting, and the < 2 % Table-1 drift bar. Budgeted: the soak
-# runs at tiny scale and must not balloon into a minutes-long gate.
-soak_started=$(date +%s)
-cargo test -q --test chaos_soak
-soak_elapsed=$(( $(date +%s) - soak_started ))
-if [ "$soak_elapsed" -gt 120 ]; then
-    echo "ci: chaos-soak runtime budget exceeded: ${soak_elapsed}s > 120s" >&2
-    exit 1
-fi
-echo "ci: chaos soak took ${soak_elapsed}s (budget 120s)"
-
-echo "==> cargo test -q --test transport_soak (wire-transport chaos gate)"
-# The transport soak drives the reference week plus a NetFlow v5/v9/IPFIX
-# flow workload through the UDP-grade intake under 5 % loss, duplication,
-# reordering, truncation, and template churn — with a mid-stream kill
-# and resume of both the supervisor and the transport state. Gates:
-# byte-identical recovery, exact extended conservation (including
-# template-missing drops), and the < 2 % Table-1 drift bar.
-tsoak_started=$(date +%s)
-cargo test -q --test transport_soak
-tsoak_elapsed=$(( $(date +%s) - tsoak_started ))
-if [ "$tsoak_elapsed" -gt 120 ]; then
-    echo "ci: transport-soak runtime budget exceeded: ${tsoak_elapsed}s > 120s" >&2
-    exit 1
-fi
-echo "ci: transport soak took ${tsoak_elapsed}s (budget 120s)"
+echo "==> cargo test -q --workspace"
+# Every crate's unit, property and differential tests plus the root
+# package's integration tests, once. That includes the degraded-mode
+# acceptance (fault_tolerance), the chaos soak (kill/resume, damaged
+# checkpoints, overload shedding, < 2 % Table-1 drift) and the transport
+# soak (the same under loss, duplication, reordering, truncation and
+# template churn through the UDP-grade intake). Budgeted: the soaks run at
+# tiny scale and the suite must not balloon into a many-minutes gate.
+budget "workspace tests" 600 cargo test -q --workspace
 
 echo "==> benchmark smoke (benchmark/ builds against this tree and its checks pass)"
 # benchmark/ is a package of its own with path dependencies on crates/*,
 # so nothing above compiles it. Every workload at tiny scale, both modes,
 # all output checks on: API drift fails here, not at the perf gate later.
-# The timings of a smoke run mean nothing. Budgeted like the soaks (the
+# The timings of a smoke run mean nothing. Budgeted like the tests (the
 # cold build of the package is most of it).
-bench_started=$(date +%s)
-cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-    --seconds 1 --smoke > target/benchmark-smoke.log 2>&1 || {
-    echo "ci: benchmark smoke failed (see target/benchmark-smoke.log)" >&2
-    exit 1
+bench_smoke() {
+    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --seconds 1 --smoke > target/benchmark-smoke.log 2>&1 ||
+        fail "benchmark smoke failed (see target/benchmark-smoke.log)"
 }
-bench_elapsed=$(( $(date +%s) - bench_started ))
-if [ "$bench_elapsed" -gt 180 ]; then
-    echo "ci: benchmark-smoke runtime budget exceeded: ${bench_elapsed}s > 180s" >&2
-    exit 1
-fi
-echo "ci: benchmark smoke took ${bench_elapsed}s (budget 180s)"
-
-echo "==> cargo run -p ixp-lint -- --format json > target/lint-report.json (cold)"
-# The JSON report is written unconditionally — even when the lint gate
-# below fails, target/lint-report.json holds the findings for triage.
-# The cache is cleared first so this run exercises the full analysis.
-mkdir -p target
-rm -rf target/lint-cache
-lint_started=$(date +%s)
-cargo run -q -p ixp-lint -- --format json > target/lint-report.json || true
+budget "benchmark smoke" 180 bench_smoke
 
 echo "==> cargo run -p ixp-lint"
-cargo run -q -p ixp-lint
-lint_elapsed=$(( $(date +%s) - lint_started ))
-# Runtime budget for the two cold full-workspace lint passes: the
-# parallel per-file front end should keep this far under a minute; a
-# blowout here means the fan-out regressed to sequential or a pass went
-# quadratic.
-if [ "$lint_elapsed" -gt 60 ]; then
-    echo "ci: lint runtime budget exceeded: ${lint_elapsed}s > 60s" >&2
-    exit 1
-fi
-echo "ci: cold lint passes took ${lint_elapsed}s (budget 60s)"
+# One scan of the whole tree; any finding fails. A blowout past the budget
+# means a pass went quadratic.
+budget "ixp-lint" 60 cargo run -q -p ixp-lint
 
-echo "==> cargo run -p ixp-lint -- --format json (warm cache)"
-# The warm run must be answered from target/lint-cache: byte-identical
-# to the cold report, and fast — the fixpoint hit skips analysis
-# entirely, so anything near the cold time means the cache is broken.
-warm_started=$(date +%s)
-cargo run -q -p ixp-lint -- --format json > target/lint-report-warm.json || true
-warm_elapsed=$(( $(date +%s) - warm_started ))
-cmp target/lint-report.json target/lint-report-warm.json || {
-    echo "ci: warm-cache lint report differs from the cold run" >&2
-    exit 1
-}
-if [ "$warm_elapsed" -gt 10 ]; then
-    echo "ci: warm lint budget exceeded: ${warm_elapsed}s > 10s" >&2
-    exit 1
-fi
-echo "ci: warm lint pass took ${warm_elapsed}s (budget 10s, byte-identical)"
-
-# Smoke-check the machine-readable report: it must parse against the
-# documented schema (crates/lint/src/json.rs, version 3), agree with the
-# gate above that the tree is clean, and advertise the L8 concurrency
-# and L9-L11 invariant rules in its registry array.
-grep -q '"version": 3' target/lint-report.json || {
-    echo "ci: target/lint-report.json does not advertise schema version 3" >&2
-    exit 1
-}
-for rule in lock-order-cycle guard-across-blocking shared-state-escape \
-            atomic-ordering order-dependent-merge \
-            unaccounted-drop codec-asymmetry schema-drift error-sink; do
-    grep -q "\"id\": \"$rule\"" target/lint-report.json || {
-        echo "ci: rule $rule missing from target/lint-report.json" >&2
-        exit 1
-    }
-done
-cargo test -q -p ixp-lint --test cli json_format_
+echo "==> report determinism (same seed, same bytes)"
+# Two same-seed full studies must render byte-identical reports: no table
+# row or breakdown may come out in hash-map order.
+repro --markdown target/repro-a.md >/dev/null 2>&1
+repro --markdown target/repro-b.md >/dev/null 2>&1
+same target/repro-a.md target/repro-b.md "markdown reports differ between same-seed runs"
 
 echo "==> metrics smoke test (snapshot determinism + schema)"
 # Two same-seed repro runs under the frozen test clock must export
-# byte-identical ixp-obs snapshots; the companion cargo test parses the
-# first one against the ixp-obs/1 schema and checks the metric families.
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny --exp E1 \
-    --metrics target/metrics-a.json >/dev/null 2>&1
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny --exp E1 \
-    --metrics target/metrics-b.json >/dev/null 2>&1
-cmp target/metrics-a.json target/metrics-b.json || {
-    echo "ci: metrics snapshots differ between same-seed runs" >&2
-    exit 1
-}
+# byte-identical ixp-obs snapshots; the companion cargo test (re-run here
+# so that it reads the file just written, not its in-process fallback)
+# parses the first one against the ixp-obs/1 schema and checks the metric
+# families.
+repro --exp E1 --metrics target/metrics-a.json >/dev/null 2>&1
+repro --exp E1 --metrics target/metrics-b.json >/dev/null 2>&1
+same target/metrics-a.json target/metrics-b.json "metrics snapshots differ between same-seed runs"
 cargo test -q --test metrics_smoke
 
 echo "==> supervised resume smoke test (checkpoint byte-identity)"
@@ -167,75 +110,49 @@ echo "==> supervised resume smoke test (checkpoint byte-identity)"
 # two whole runs export identical ixp-trace/1 documents, two killed runs
 # seal identical flight dumps, and every kill leaves a flight dump
 # beside its checkpoint.
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-    --checkpoint target/ckpt-whole.bin --trace target/trace-whole-a.json \
+repro --checkpoint target/ckpt-whole.bin --trace target/trace-whole-a.json \
     --metrics target/metrics-whole.json >/dev/null 2>&1
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-    --checkpoint target/ckpt-whole-b.bin --trace target/trace-whole-b.json \
+repro --checkpoint target/ckpt-whole-b.bin --trace target/trace-whole-b.json \
     --metrics target/metrics-whole-b.json >/dev/null 2>&1
-cmp target/trace-whole-a.json target/trace-whole-b.json || {
-    echo "ci: event-journal traces differ between same-seed runs" >&2
-    exit 1
-}
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-    --checkpoint target/ckpt-mid.bin --kill-at 400 \
+same target/trace-whole-a.json target/trace-whole-b.json \
+    "event-journal traces differ between same-seed runs"
+repro --checkpoint target/ckpt-mid.bin --kill-at 400 \
     --metrics target/metrics-killed.json > target/repro-killed.log 2>&1
-[ -f target/ckpt-mid.bin.flight ] || {
-    echo "ci: killed run left no flight dump beside its checkpoint" >&2
-    exit 1
-}
-grep -q "flight dump to " target/repro-killed.log || {
-    echo "ci: killed run did not report its flight dump (see target/repro-killed.log)" >&2
-    exit 1
-}
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-    --checkpoint target/ckpt-mid-b.bin --kill-at 400 \
+[ -f target/ckpt-mid.bin.flight ] || fail "killed run left no flight dump beside its checkpoint"
+grep -q "flight dump to " target/repro-killed.log ||
+    fail "killed run did not report its flight dump (see target/repro-killed.log)"
+repro --checkpoint target/ckpt-mid-b.bin --kill-at 400 \
     --metrics target/metrics-killed-b.json >/dev/null 2>&1
-cmp target/ckpt-mid.bin.flight target/ckpt-mid-b.bin.flight || {
-    echo "ci: flight dumps differ between same-seed killed runs" >&2
-    exit 1
-}
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-    --resume target/ckpt-mid.bin --checkpoint target/ckpt-resumed.bin \
+same target/ckpt-mid.bin.flight target/ckpt-mid-b.bin.flight \
+    "flight dumps differ between same-seed killed runs"
+repro --resume target/ckpt-mid.bin --checkpoint target/ckpt-resumed.bin \
     --metrics target/metrics-resumed.json >/dev/null 2>&1
-cmp target/metrics-whole.json target/metrics-resumed.json || {
-    echo "ci: resumed run's metrics snapshot differs from uninterrupted run" >&2
-    exit 1
-}
-cmp target/ckpt-whole.bin target/ckpt-resumed.bin || {
-    echo "ci: resumed run's final checkpoint differs from uninterrupted run" >&2
-    exit 1
-}
+same target/metrics-whole.json target/metrics-resumed.json \
+    "resumed run's metrics snapshot differs from uninterrupted run"
+same target/ckpt-whole.bin target/ckpt-resumed.bin \
+    "resumed run's final checkpoint differs from uninterrupted run"
 
 echo "==> transport smoke test (wire front-end determinism + metrics)"
 # Two same-seed supervised runs fed through the in-memory wire transport
 # (seeded loss, duplication, reordering, and template churn) must export
 # byte-identical metrics snapshots carrying the transport_* families,
 # and must end with the extended accounting invariant holding.
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-    --transport memory --metrics target/metrics-transport-a.json \
+repro --transport memory --metrics target/metrics-transport-a.json \
     > target/transport-mem-a.log 2>&1
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-    --transport memory --metrics target/metrics-transport-b.json \
+repro --transport memory --metrics target/metrics-transport-b.json \
     > target/transport-mem-b.log 2>&1
-cmp target/metrics-transport-a.json target/metrics-transport-b.json || {
-    echo "ci: transport-mode metrics snapshots differ between same-seed runs" >&2
-    exit 1
-}
-grep -q "transport accounting invariant.*: holds" target/transport-mem-a.log || {
-    echo "ci: transport accounting invariant violated (see target/transport-mem-a.log)" >&2
-    exit 1
-}
+same target/metrics-transport-a.json target/metrics-transport-b.json \
+    "transport-mode metrics snapshots differ between same-seed runs"
+grep -q "transport accounting invariant.*: holds" target/transport-mem-a.log ||
+    fail "transport accounting invariant violated (see target/transport-mem-a.log)"
 for family in transport_offered_total transport_received_total \
               transport_accepted_total transport_shed_total \
               transport_decode_errors_total \
               transport_template_missing_dropped_total \
               transport_templates_total transport_flow_records_total \
               transport_pending_packets; do
-    grep -q "$family" target/metrics-transport-a.json || {
-        echo "ci: metric family $family missing from the transport snapshot" >&2
-        exit 1
-    }
+    grep -q "$family" target/metrics-transport-a.json ||
+        fail "metric family $family missing from the transport snapshot"
 done
 
 echo "==> flowgen -> repro loopback smoke (UDP when permitted)"
@@ -248,9 +165,7 @@ echo "==> flowgen -> repro loopback smoke (UDP when permitted)"
 if cargo run -q --release -p ixp-bench --bin flowgen -- --probe \
         2> target/flowgen-probe.log; then
     : > target/transport-udp.log
-    cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-        --transport udp --listen 127.0.0.1:0 \
-        > target/transport-udp.log 2>&1 &
+    repro --transport udp --listen 127.0.0.1:0 > target/transport-udp.log 2>&1 &
     repro_pid=$!
     addr=""
     for _ in $(seq 1 50); do
@@ -260,24 +175,18 @@ if cargo run -q --release -p ixp-bench --bin flowgen -- --probe \
     done
     if [ -z "$addr" ]; then
         kill "$repro_pid" 2>/dev/null || true
-        echo "ci: repro --transport udp never reported its listening address" >&2
-        exit 1
+        fail "repro --transport udp never reported its listening address"
     fi
     cargo run -q --release -p ixp-bench --bin flowgen -- --target "$addr" \
         --packets 300 --withhold 1:40 --flap 1:30 --restarts 1 \
         >> target/transport-udp.log 2>&1 || {
         kill "$repro_pid" 2>/dev/null || true
-        echo "ci: flowgen failed against $addr (see target/transport-udp.log)" >&2
-        exit 1
+        fail "flowgen failed against $addr (see target/transport-udp.log)"
     }
-    wait "$repro_pid" || {
-        echo "ci: repro --transport udp exited nonzero (see target/transport-udp.log)" >&2
-        exit 1
-    }
-    grep -q "transport accounting invariant.*: holds" target/transport-udp.log || {
-        echo "ci: UDP-mode transport accounting invariant violated (see target/transport-udp.log)" >&2
-        exit 1
-    }
+    wait "$repro_pid" ||
+        fail "repro --transport udp exited nonzero (see target/transport-udp.log)"
+    grep -q "transport accounting invariant.*: holds" target/transport-udp.log ||
+        fail "UDP-mode transport accounting invariant violated (see target/transport-udp.log)"
     echo "ci: UDP loopback smoke passed ($addr)"
 else
     echo "ci: UDP loopback denied here ($(cat target/flowgen-probe.log)); in-memory transport smoke stands in"
@@ -297,8 +206,7 @@ httpget() {
     cargo run -q --release -p ixp-obsd --bin httpget -- "$@"
 }
 : > target/obsd-smoke.log
-cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-    --transport memory --checkpoint target/obsd-ckpt.bin \
+repro --transport memory --checkpoint target/obsd-ckpt.bin \
     --trace target/obsd-trace.json --serve 127.0.0.1:0 \
     > target/obsd-smoke.log 2>&1 &
 obsd_pid=$!
@@ -314,8 +222,7 @@ if grep -q "^obsd: binding .* denied" target/obsd-smoke.log; then
     echo "ci: loopback TCP denied here ($(sed -n 's/^obsd: //p' target/obsd-smoke.log | head -n 1)); obsd unit tests stand in"
 elif [ -z "$obsd_addr" ]; then
     kill "$obsd_pid" 2>/dev/null || true
-    echo "ci: repro --serve never reported an address (see target/obsd-smoke.log)" >&2
-    exit 1
+    fail "repro --serve never reported an address (see target/obsd-smoke.log)"
 else
     # Fetch after the run completes so /healthz carries the final audit
     # verdict and /trace the full journal.
@@ -327,39 +234,22 @@ else
     httpget "$obsd_addr" /metrics.json > target/obsd-metrics.json
     httpget "$obsd_addr" /healthz > target/obsd-healthz.json
     httpget "$obsd_addr" /trace > target/obsd-trace-live.json
-    grep -q "obs_audit_breaches_total 0" target/obsd-metrics.txt || {
-        echo "ci: /metrics missing a zero obs_audit_breaches_total" >&2
-        exit 1
-    }
-    grep -q '"schema": "ixp-obs/1"' target/obsd-metrics.json || {
-        echo "ci: /metrics.json does not declare schema ixp-obs/1" >&2
-        exit 1
-    }
-    grep -q '"schema": "ixp-health/1"' target/obsd-healthz.json || {
-        echo "ci: /healthz does not declare schema ixp-health/1" >&2
-        exit 1
-    }
-    grep -q '"status": "ok"' target/obsd-healthz.json || {
-        echo "ci: /healthz does not report status ok" >&2
-        exit 1
-    }
-    grep -q '"audit_verdict": "pass"' target/obsd-healthz.json || {
-        echo "ci: /healthz does not report a passing conservation audit" >&2
-        exit 1
-    }
-    grep -q '"schema": "ixp-trace/1"' target/obsd-trace-live.json || {
-        echo "ci: /trace does not declare schema ixp-trace/1" >&2
-        exit 1
-    }
-    cmp target/obsd-trace-live.json target/obsd-trace.json || {
-        echo "ci: /trace differs from the --trace file the same run wrote" >&2
-        exit 1
-    }
+    grep -q "obs_audit_breaches_total 0" target/obsd-metrics.txt ||
+        fail "/metrics missing a zero obs_audit_breaches_total"
+    grep -q '"schema": "ixp-obs/1"' target/obsd-metrics.json ||
+        fail "/metrics.json does not declare schema ixp-obs/1"
+    grep -q '"schema": "ixp-health/1"' target/obsd-healthz.json ||
+        fail "/healthz does not declare schema ixp-health/1"
+    grep -q '"status": "ok"' target/obsd-healthz.json ||
+        fail "/healthz does not report status ok"
+    grep -q '"audit_verdict": "pass"' target/obsd-healthz.json ||
+        fail "/healthz does not report a passing conservation audit"
+    grep -q '"schema": "ixp-trace/1"' target/obsd-trace-live.json ||
+        fail "/trace does not declare schema ixp-trace/1"
+    same target/obsd-trace-live.json target/obsd-trace.json \
+        "/trace differs from the --trace file the same run wrote"
     httpget "$obsd_addr" /quit >/dev/null
-    wait "$obsd_pid" || {
-        echo "ci: repro --serve exited nonzero (see target/obsd-smoke.log)" >&2
-        exit 1
-    }
+    wait "$obsd_pid" || fail "repro --serve exited nonzero (see target/obsd-smoke.log)"
     echo "ci: obsd HTTP smoke passed ($obsd_addr)"
 fi
 
