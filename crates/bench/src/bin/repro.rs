@@ -441,7 +441,7 @@ fn supervised_mode(
     // A steady-state audit breach mid-run is fatal: seal the flight dump
     // and exit, so the journal tail names the moment the ledger broke.
     let audit_steady = |offered: u64| {
-        if offered % AUDIT_EVERY != 0 {
+        if !offered.is_multiple_of(AUDIT_EVERY) {
             return;
         }
         if let Err(e) = auditor.run(ixp_obs::AuditScope::Steady) {
@@ -993,8 +993,8 @@ fn e17_cluster(
 fn e18_fig6b(out: &mut Out, clusters: &Clusters, scale: &ScaleConfig) {
     // Scale the paper's ">1000 servers" and ">10 servers" thresholds by the
     // divisor (they collapse toward zero at high divisors).
-    let large = if scale.divisor > 0 { (1000 / scale.divisor).max(2) as usize } else { 30 };
-    let small = if scale.divisor > 0 { (10 / scale.divisor).max(0) as usize } else { 2 };
+    let large = 1000u32.checked_div(scale.divisor).map_or(30, |n| n.max(2) as usize);
+    let small = 10u32.checked_div(scale.divisor).map_or(2, |n| n as usize);
     let f = hetero::fig6b(clusters, small.min(large - 1), large);
     let mut body = String::new();
     let _ = writeln!(

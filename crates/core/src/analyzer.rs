@@ -126,6 +126,7 @@ impl<'m> Analyzer<'m> {
                 scan.ingest(&datagram);
             }
         });
+        scan.publish();
         scan
     }
 
@@ -254,8 +255,8 @@ mod tests {
         assert_eq!(h.collector.duplicates, 0);
         assert_eq!(h.collector.restarts, 0);
         assert_eq!(h.collector.decode_errors.total(), 0);
-        assert_eq!(h.loss_pct(), 0.0);
-        assert_eq!(h.compensation_factor(), 1.0);
+        assert!(h.loss_pct().abs() < 1e-9);
+        assert!((h.compensation_factor() - 1.0).abs() < 1e-9);
         assert!(h.collector.sources > 0);
     }
 

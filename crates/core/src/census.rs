@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use ixp_cert::{validate_fetches, CrawlSim, RootStore};
-use ixp_dns::{DnsDb, SoaIdentity};
+use ixp_dns::{DnsDb, SoaIdentity, SoaTimeout};
 use ixp_netmodel::{InternetModel, MemberId};
 
 use crate::scan::{Evidence, WeekScan};
@@ -156,7 +156,7 @@ impl ServerCensus {
             let host_soa = match dns.soa_of_ip(ip) {
                 Ok(Some(ident)) => SoaOutcome::Identity(ident),
                 Ok(None) => SoaOutcome::None,
-                Err(()) => SoaOutcome::Timeout,
+                Err(SoaTimeout) => SoaOutcome::Timeout,
             };
             // URI cleaning: drop syntactically invalid authorities.
             let uris: Vec<String> = scan

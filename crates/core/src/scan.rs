@@ -13,12 +13,12 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use ixp_netmodel::{MemberId, Week};
-use ixp_obs::Obs;
+use ixp_obs::{Obs, Published, Series};
 use ixp_sflow::checkpoint::{self, Cur, StateError};
 use ixp_sflow::collector::{Collector, CollectorStats, Ingest};
 use ixp_sflow::{DecodeErrorCounts, TrafficEstimate};
 use ixp_wire::dissect::{Dissection, Network, Transport};
-use ixp_wire::{ipv4, DissectMetrics, EthernetAddress};
+use ixp_wire::{ipv4, EthernetAddress};
 
 use crate::http::{self, HttpEvidence};
 
@@ -332,11 +332,10 @@ impl IngestHealth {
     }
 }
 
-/// A plain-integer shadow of [`DissectMetrics`]: the same outcome taxonomy
-/// kept as owned `u64`s so it can be checkpointed and replayed. Registered
-/// counters may be shared across scans (a parallel study registers one
-/// `wire_*` family for all weeks), so per-scan contributions cannot be
-/// read back out of the registry — the tally carries them instead.
+/// Frame-dissection outcomes by the taxonomy of [`Network`] and
+/// [`Transport`] — the breakdown behind the paper's Table 1 cascade. The
+/// tally is checkpointed, and it is what the `wire_*` families publish
+/// ([`SERIES`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct DissectTally {
     frames: u64,
@@ -353,7 +352,7 @@ struct DissectTally {
 }
 
 impl DissectTally {
-    /// Mirror of [`DissectMetrics::record`] over plain integers.
+    /// Count one dissection outcome.
     fn record(&mut self, outcome: &ixp_wire::Result<Dissection<'_>>) {
         self.frames += 1;
         let d = match outcome {
@@ -413,22 +412,29 @@ impl DissectTally {
             too_short,
         }
     }
-
-    /// Replay the tally into a live bundle (after a restore).
-    fn replay(&self, m: &DissectMetrics) {
-        m.frames.add(self.frames);
-        m.ipv4_tcp.add(self.ipv4_tcp);
-        m.ipv4_udp.add(self.ipv4_udp);
-        m.ipv4_icmp.add(self.ipv4_icmp);
-        m.ipv4_other.add(self.ipv4_other);
-        m.ipv4_truncated.add(self.ipv4_truncated);
-        m.ipv6.add(self.ipv6);
-        m.arp.add(self.arp);
-        m.other_ethertype.add(self.other_ethertype);
-        m.malformed_ipv4.add(self.malformed_ipv4);
-        m.too_short.add(self.too_short);
-    }
 }
+
+/// The `wire_*` families: every frame handed to the dissector, and one
+/// series per outcome.
+pub const SERIES: &[Series<WeekScan>] = &[
+    Series::counter("wire_frames_total", |s| s.tally.frames),
+    Series::counter("wire_frame_outcomes_total{outcome=\"ipv4_tcp\"}", |s| s.tally.ipv4_tcp),
+    Series::counter("wire_frame_outcomes_total{outcome=\"ipv4_udp\"}", |s| s.tally.ipv4_udp),
+    Series::counter("wire_frame_outcomes_total{outcome=\"ipv4_icmp\"}", |s| s.tally.ipv4_icmp),
+    Series::counter("wire_frame_outcomes_total{outcome=\"ipv4_other\"}", |s| s.tally.ipv4_other),
+    Series::counter("wire_frame_outcomes_total{outcome=\"ipv4_truncated\"}", |s| {
+        s.tally.ipv4_truncated
+    }),
+    Series::counter("wire_frame_outcomes_total{outcome=\"ipv6\"}", |s| s.tally.ipv6),
+    Series::counter("wire_frame_outcomes_total{outcome=\"arp\"}", |s| s.tally.arp),
+    Series::counter("wire_frame_outcomes_total{outcome=\"other_ethertype\"}", |s| {
+        s.tally.other_ethertype
+    }),
+    Series::counter("wire_frame_outcomes_total{outcome=\"malformed_ipv4\"}", |s| {
+        s.tally.malformed_ipv4
+    }),
+    Series::counter("wire_frame_outcomes_total{outcome=\"too_short\"}", |s| s.tally.too_short),
+];
 
 /// A member-to-member IPv4 TCP or UDP frame — everything the per-IP
 /// evidence needs, and what only [`WeekScan::categorize`] can construct.
@@ -492,11 +498,10 @@ pub struct WeekScan {
     /// The fault-tolerant collector front-end: sequence accounting,
     /// duplicate suppression, restart detection, per-kind decode errors.
     collector: Collector,
-    /// Live frame-dissection outcome counters (`wire_*` families;
-    /// detached unless built by [`WeekScan::with_obs`]).
-    dissect: DissectMetrics,
-    /// Checkpointable shadow of `dissect`.
+    /// Frame-dissection outcome counts.
     tally: DissectTally,
+    /// [`SERIES`] bound to a registry (unbound until [`WeekScan::bind_obs`]).
+    published: Published<WeekScan>,
     /// Datagrams shed by the bounded intake queue before reaching the
     /// collector (reported via [`WeekScan::record_shed`]).
     shed: u64,
@@ -517,22 +522,26 @@ impl WeekScan {
             uri_lists: Vec::new(),
             undissectable: 0,
             collector: Collector::new(),
-            dissect: DissectMetrics::detached(),
             tally: DissectTally::default(),
+            published: Published::default(),
             shed: 0,
             member_count,
         }
     }
 
-    /// Like [`WeekScan::new`], but publishing live metrics: the collector's
-    /// `sflow_*` accounting and the dissector's `wire_*` outcome counters
-    /// land in the bundle's registry as the scan runs.
+    /// [`WeekScan::new`] + [`WeekScan::bind_obs`].
     pub fn with_obs(week: Week, member_count: u32, obs: &Obs) -> WeekScan {
-        WeekScan {
-            collector: Collector::with_obs(obs),
-            dissect: DissectMetrics::register(&obs.registry),
-            ..WeekScan::new(week, member_count)
-        }
+        let mut scan = WeekScan::new(week, member_count);
+        scan.bind_obs(obs);
+        scan
+    }
+
+    /// Bring the bound registry's `sflow_*` and `wire_*` series up to this
+    /// scan's counts. Ingest does not: the registry is as fresh as the last
+    /// call (the owner's sync points, `save_state`, `bind_obs`).
+    pub fn publish(&self) {
+        self.collector.publish();
+        self.published.publish(self);
     }
 
     /// Feed one encoded sFlow datagram through the fault-tolerant
@@ -584,7 +593,6 @@ impl WeekScan {
         snippet: &'a [u8],
     ) -> Option<Update<'a>> {
         let parsed = Dissection::parse(snippet);
-        self.dissect.record(&parsed);
         self.tally.record(&parsed);
         let d = match parsed {
             Ok(d) => d,
@@ -746,8 +754,10 @@ impl WeekScan {
     /// interned domains, dissection tally, shed count, and the nested
     /// collector state — into a versioned, deterministic byte blob.
     /// Deterministic: hash maps are written in sorted key order, so equal
-    /// states yield equal bytes.
+    /// states yield equal bytes. Sealing is a sync point: the registry is
+    /// published up to the state being written.
     pub fn save_state(&self) -> Vec<u8> {
+        self.publish();
         let mut out = Vec::with_capacity(self.own_state_len());
         checkpoint::put_u32(&mut out, WEEKSCAN_STATE_VERSION);
         checkpoint::put_u8(&mut out, self.week.0);
@@ -810,8 +820,8 @@ impl WeekScan {
     /// validated as hostile input: typed errors (never panics) on
     /// truncation, version skew, unsorted or duplicate keys, out-of-range
     /// domain references, or collector accounting that does not balance.
-    /// The restored scan has detached metrics and the frozen test clock;
-    /// use [`WeekScan::bind_obs`] to re-attach instrumentation.
+    /// The restored scan is unbound and on the frozen test clock; use
+    /// [`WeekScan::bind_obs`] to re-attach instrumentation.
     pub fn restore_state(bytes: &[u8]) -> Result<WeekScan, StateError> {
         let mut cur = Cur::new(bytes);
         let version = cur.u32()?;
@@ -879,15 +889,14 @@ impl WeekScan {
         Ok(scan)
     }
 
-    /// Attach a restored scan to live instrumentation: the nested collector
-    /// replays its `sflow_*` totals, and the dissection tally replays into
-    /// freshly registered `wire_*` counters. After this, the registry reads
-    /// exactly as if the scan had run uninterrupted under it.
+    /// Attach the scan to live instrumentation: bind the nested collector,
+    /// register [`SERIES`] in the bundle's registry and publish the counts
+    /// so far. For a restored scan the registry then reads exactly as if it
+    /// had run uninterrupted under it.
     pub fn bind_obs(&mut self, obs: &Obs) {
         self.collector.bind_obs(obs);
-        let m = DissectMetrics::register(&obs.registry);
-        self.tally.replay(&m);
-        self.dissect = m;
+        self.published = Published::bind(&obs.registry, SERIES);
+        self.published.publish(self);
     }
 
     /// Attach an event journal to the collector front-end so source
@@ -1159,6 +1168,30 @@ mod tests {
             ixp_obs::json::render(&obs_a.snapshot()),
             ixp_obs::json::render(&obs_b.snapshot())
         );
+    }
+
+    #[test]
+    fn dissection_outcomes_land_in_their_own_series() {
+        let obs = ixp_obs::Obs::deterministic();
+        let mut scan = WeekScan::with_obs(Week::REFERENCE, 10, &obs);
+        let tcp = tcp_frame(1, 2, b"GET / HTTP/1.1\r\n", 80);
+        let mut ipv6 = vec![0u8; 60];
+        ipv6[12..14].copy_from_slice(&[0x86, 0xdd]);
+        let mut unknown = ipv6.clone();
+        unknown[12..14].copy_from_slice(&[0x12, 0x34]);
+        for frame in [&tcp[..], &tcp[..], &ipv6[..], &unknown[..], &[0u8; 4][..]] {
+            scan.ingest_sample(16_384, 600, frame);
+        }
+        scan.publish();
+        let snap = obs.snapshot();
+        let outcome =
+            |o: &str| snap.counter(&format!("wire_frame_outcomes_total{{outcome=\"{o}\"}}"));
+        assert_eq!(snap.counter("wire_frames_total"), Some(5));
+        assert_eq!(outcome("ipv4_tcp"), Some(2));
+        assert_eq!(outcome("ipv6"), Some(1));
+        assert_eq!(outcome("other_ethertype"), Some(1));
+        assert_eq!(outcome("too_short"), Some(1));
+        assert_eq!(outcome("ipv4_udp"), Some(0));
     }
 
     /// A datagram with more flow samples than one batch holds — peering,

@@ -30,6 +30,18 @@ impl SoaIdentity {
     }
 }
 
+/// The SOA lookup for an IP timed out ([`DnsDb::soa_of_ip`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SoaTimeout;
+
+impl std::fmt::Display for SoaTimeout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SOA lookup timed out")
+    }
+}
+
+impl std::error::Error for SoaTimeout {}
+
 /// The queryable DNS database.
 #[derive(Debug)]
 pub struct DnsDb {
@@ -91,10 +103,10 @@ impl DnsDb {
     }
 
     /// SOA of the hostname of an IP, with the step-3 timeout behaviour:
-    /// returns `Err(())` when the lookup times out (partial information).
-    pub fn soa_of_ip(&self, ip: Ipv4Addr) -> Result<Option<SoaIdentity>, ()> {
+    /// [`SoaTimeout`] when the lookup times out (partial information).
+    pub fn soa_of_ip(&self, ip: Ipv4Addr) -> Result<Option<SoaIdentity>, SoaTimeout> {
         if self.soa_timeout.contains_key(&u32::from(ip)) {
-            return Err(());
+            return Err(SoaTimeout);
         }
         match self.ptr_lookup(ip) {
             Some(name) => Ok(self.soa_lookup(name)),

@@ -18,8 +18,9 @@
 //! accounting event, which is any of:
 //!
 //! * a counter bump: `<known counter field> += ...`;
-//! * a counting call: `.inc()`, `.add(..)`, `.count(..)`, `.record*(..)`,
-//!   `.observe(..)`, `.set_max(..)`;
+//! * a counting call: `.count(..)`, `.record*(..)` — never a metric bump:
+//!   the plain counters are the ledger and the registry is published from
+//!   them (DESIGN.md §10), so no consuming function calls a metric;
 //! * a transfer: handing the datagram to another consuming function
 //!   (`.offer(..)`, `.ingest*(..)`, `.push_back(..)`, `.push(..)`),
 //!   which is then accountable for it.
@@ -63,9 +64,8 @@ const COUNTER_FIELDS: &[&str] = &[
     "undissectable_samples",
 ];
 
-/// Method names that record into a counter/metric when called.
-const COUNT_CALLS: &[&str] =
-    &["add", "count", "inc", "observe", "record", "record_shed", "set_max"];
+/// Method names that record into a ledger counter when called.
+const COUNT_CALLS: &[&str] = &["count", "record", "record_shed"];
 
 /// Method/function names that hand the datagram to another consuming
 /// function, transferring the accounting obligation.
@@ -240,6 +240,24 @@ mod tests {
                    }\n\
                    }\n";
         assert!(scan("crates/supervisor/src/r.rs", src).is_empty());
+    }
+
+    #[test]
+    fn a_metric_bump_alone_does_not_account_for_a_drop() {
+        let src = "pub struct R { shed: u64 }\n\
+                   impl R {\n\
+                   pub fn offer(&mut self, dg: Vec<u8>) -> bool {\n\
+                   if dg.is_empty() {\n\
+                   self.metrics.shed.inc();\n\
+                   return false;\n\
+                   }\n\
+                   self.shed += 1;\n\
+                   false\n\
+                   }\n\
+                   }\n";
+        let hits = scan("crates/supervisor/src/r.rs", src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].0, 6);
     }
 
     #[test]

@@ -223,7 +223,8 @@ pub const RULES: &[RuleInfo] = &[
                   exits. This pass splits each consuming fn (`offer`/`ingest*` \
                   with a payload parameter) into segments at every `return`: a \
                   segment that exits without a counter bump (`<bucket> += ..`), \
-                  a counting call (`.inc()`/`.add()`/`.record*()`/...), or a \
+                  a ledger counting call (`.count()`/`.record*()`; a metric bump \
+                  does not count), or a \
                   transfer to another consuming fn is a silent drop. Count the \
                   datagram, hand it on, or vouch the exit with \
                   allow(unaccounted-drop) and a reason.",
@@ -542,11 +543,7 @@ pub fn collect_error_info(
                             is_impl = true;
                             break;
                         }
-                        Kind::Ident(id) => {
-                            if trait_name.is_none() {
-                                trait_name = Some(id);
-                            }
-                        }
+                        Kind::Ident(id) if trait_name.is_none() => trait_name = Some(id),
                         Kind::Punct('{' | '}' | ';') => break,
                         _ => {}
                     }

@@ -106,10 +106,10 @@ mod tests {
     fn model_generates_coherently() {
         let model = InternetModel::tiny(99);
         assert_eq!(model.registry.len(), model.scale.as_count as usize);
-        assert!(model.routing.len() > 0);
-        assert!(model.orgs.len() > 0);
-        assert!(model.servers.servers().len() > 0);
-        assert!(model.popularity.len() > 0);
+        assert!(!model.routing.is_empty());
+        assert!(!model.orgs.is_empty());
+        assert!(!model.servers.servers().is_empty());
+        assert!(!model.popularity.is_empty());
         assert!(model.member_count(Week::FIRST) < model.member_count(Week::LAST));
     }
 

@@ -268,10 +268,8 @@ impl DeployPools {
         for info in registry.iter() {
             match info.role {
                 AsRole::EyeballLarge => eyeballs.push(info.asn),
-                AsRole::EyeballSmall | AsRole::University => {
-                    if eyeballs.len() < 4096 {
-                        eyeballs.push(info.asn);
-                    }
+                AsRole::EyeballSmall | AsRole::University if eyeballs.len() < 4096 => {
+                    eyeballs.push(info.asn);
                 }
                 AsRole::Hoster | AsRole::Cloud => hosting.push(info.asn),
                 _ => {}
@@ -654,7 +652,7 @@ impl<'a> Generator<'a> {
                 Some(Archetype::StormCloud) => ServiceTag::StormCloud(d as u8),
                 _ => ServiceTag::None,
             };
-            self.place_dc_servers(org, home, &dc_prefixes[d], count, service, d, rng);
+            self.place_dc_servers(org, home, &dc_prefixes[d], count, service, rng);
         }
         // CloudFront edges: a slice of extra servers marked as the CDN part,
         // placed in the home AS as well (Amazon only).
@@ -671,7 +669,6 @@ impl<'a> Generator<'a> {
         dc_prefixes: &[u32],
         count: u32,
         service: ServiceTag,
-        dc_index: usize,
         rng: &mut SmallRng,
     ) {
         for _ in 0..count {
@@ -686,7 +683,7 @@ impl<'a> Generator<'a> {
                     *next += 1;
                     let stable = rng.gen::<f64>() < self.params.archetype_stable;
                     if let Some(mut server) =
-                        self.materialize_at(org, home, ip, entry.country, stable, service, rng)
+                        self.materialize_at(org, home, (ip, entry.country), stable, service, rng)
                     {
                         // StormCloud US-East (DC 0 and 1) drops out in wk 44
                         // — which by definition evicts those servers from
@@ -695,12 +692,9 @@ impl<'a> Generator<'a> {
                             server.activity &= !(1u32 << (44 - 35));
                             server.flags.0 &= !ServerFlags::STABLE;
                         }
-                        // EC2 Ireland ramps up in weeks 49-51 (§4.2): one
-                        // third of its servers only appear then.
-                        if matches!(service, ServiceTag::Ec2(0))
-                            && dc_index == 0
-                            && rng.gen::<f64>() < 0.45
-                        {
+                        // EC2 Ireland (the first DC) ramps up in weeks 49-51
+                        // (§4.2): one third of its servers only appear then.
+                        if matches!(service, ServiceTag::Ec2(0)) && rng.gen::<f64>() < 0.45 {
                             let start = rng.gen_range(49..=51u8);
                             let mut mask = 0u32;
                             for w in start..=51 {
@@ -756,8 +750,7 @@ impl<'a> Generator<'a> {
             if let Some(mut server) = self.materialize_at(
                 org,
                 amazon_asn,
-                ip,
-                entry.country,
+                (ip, entry.country),
                 false,
                 ServiceTag::Ec2(0),
                 rng,
@@ -773,13 +766,13 @@ impl<'a> Generator<'a> {
         }
     }
 
-    /// Like `materialize`, but for a pre-allocated IP.
+    /// Like `materialize`, but for a pre-allocated IP (and its country, as
+    /// `allocate_ip` pairs them).
     fn materialize_at(
         &mut self,
         org: &Organization,
         asn: Asn,
-        ip: Ipv4Addr,
-        country: CountryId,
+        (ip, country): (Ipv4Addr, CountryId),
         stable: bool,
         service: ServiceTag,
         rng: &mut SmallRng,

@@ -4,9 +4,12 @@
 //! crate makes that processing visible without making it irreproducible.
 //! Three pieces (DESIGN.md §10):
 //!
-//! * a lock-free-on-the-hot-path metrics [`Registry`] — monotonic
-//!   [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s with
-//!   integer p50/p90/p99 extraction;
+//! * a metrics [`Registry`] — monotonic [`Counter`]s, [`Gauge`]s and
+//!   fixed-bucket [`Histogram`]s with integer p50/p90/p99 extraction,
+//!   recorded without a lock — and [`Published`], which keeps it in step
+//!   with the plain counters the ingest path counts in: each component
+//!   states its families once as a [`Series`] table and publishes at its
+//!   sync points;
 //! * span timing ([`Stopwatch`], [`span::time`]) over an injectable
 //!   [`Clock`]: [`RealClock`] in production, [`TestClock`] in tests and
 //!   reproducibility-checked runs, so instrumentation never reads ambient
@@ -22,7 +25,7 @@
 //!   against live metric families.
 //!
 //! The crate is dependency-free and panic-free: it is linked into the
-//! decoders' hot loops, which the workspace lint holds to a transitive
+//! stream-facing crates, which the workspace lint holds to a transitive
 //! no-panic contract.
 
 pub mod audit;
@@ -31,6 +34,7 @@ pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod prometheus;
+pub mod publish;
 pub mod span;
 
 use std::sync::Arc;
@@ -43,6 +47,7 @@ pub use metrics::{
     Snapshot, DURATION_BOUNDS_NS,
 };
 pub use prometheus::RenderError;
+pub use publish::{Published, Series, SeriesKind};
 pub use span::Stopwatch;
 
 /// The observability bundle instrumented components carry: a shared

@@ -1,9 +1,11 @@
 //! The atomic metrics registry: counters, gauges, fixed-bucket histograms.
 //!
 //! Handles returned by the [`Registry`] are cheap `Arc` clones around
-//! atomics, so the hot ingest loop records a metric with a single
-//! `fetch_add` and no lock. The registry itself is only locked when a
-//! metric is (re)registered or a snapshot is taken.
+//! atomics: recording is a single `fetch_add` and no lock. The registry
+//! itself is only locked when a metric is (re)registered or a snapshot is
+//! taken. The per-datagram ingest path does not record at all — it counts
+//! in plain integers that [`crate::publish`] brings into the registry at
+//! sync points.
 //!
 //! Everything here is panic-free by construction (no indexing, no unwrap,
 //! saturating arithmetic): instrumented code inside the stream-facing
@@ -26,13 +28,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A counter not registered anywhere; increments go nowhere visible.
-    /// Used as the default so uninstrumented construction stays free of
-    /// registry plumbing.
-    pub fn detached() -> Counter {
-        Counter::default()
-    }
-
     /// Add one.
     pub fn inc(&self) {
         self.cell.fetch_add(1, Ordering::Relaxed);
@@ -58,11 +53,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A gauge not registered anywhere.
-    pub fn detached() -> Gauge {
-        Gauge::default()
-    }
-
     /// Set the gauge to an absolute value.
     pub fn set(&self, v: u64) {
         self.cell.store(v, Ordering::Relaxed);
@@ -335,7 +325,7 @@ impl Registry {
     }
 
     /// Get or create the counter `name`. If `name` is already registered
-    /// as a different kind, a detached handle is returned so the caller
+    /// as a different kind, an unregistered handle is returned so the caller
     /// keeps working (the collision is a naming bug, not a crash).
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.lock();
@@ -344,7 +334,7 @@ impl Registry {
             .or_insert_with(|| Slot::Counter(Counter::default()))
         {
             Slot::Counter(c) => c.clone(),
-            _ => Counter::detached(),
+            _ => Counter::default(),
         }
     }
 
@@ -356,7 +346,7 @@ impl Registry {
             .or_insert_with(|| Slot::Gauge(Gauge::default()))
         {
             Slot::Gauge(g) => g.clone(),
-            _ => Gauge::detached(),
+            _ => Gauge::default(),
         }
     }
 

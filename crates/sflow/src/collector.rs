@@ -31,20 +31,18 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use ixp_obs::journal::{EventKind, Journal};
-use ixp_obs::{test_clock, Clock, Obs, Stopwatch};
+use ixp_obs::{test_clock, Clock, Histogram, Obs, Published, Series, Stopwatch};
 
 use crate::accounting::TrafficEstimate;
 use crate::checkpoint::{self, Cur, StateError, COLLECTOR_STATE_VERSION};
 use crate::datagram::{CounterSample, Datagram, DatagramView, DecodeError};
-use crate::metrics::CollectorMetrics;
 
 /// Sequence regressions up to this distance are treated as reordering; a
 /// regression beyond it is a restart. 128 matches the sliding-window width.
 const REORDER_WINDOW: u32 = 128;
 
 /// Ingest latency is sampled into `sflow_ingest_duration_ns` once every
-/// this many datagrams, so instrumentation costs one atomic add — not two
-/// clock reads — on the typical hot-path iteration.
+/// this many datagrams: the only registry cell the ingest path touches.
 pub const LATENCY_SAMPLE_EVERY: u64 = 64;
 
 /// Forward distances below 2³¹ are forward jumps; at or above, the
@@ -252,16 +250,15 @@ pub struct Collector {
     errors: DecodeErrorCounts,
     unattributed_errors: u64,
     agg: AggTotals,
-    // Monotonic shadows of the metric-only counters (`sflow_seq_lost_total`
-    // / `sflow_seq_recovered_total` / latency-sample count). Registered
-    // counters may be shared across collectors and cannot be read back per
-    // instance, so checkpoint/restore carries these shadows and replays
-    // them into a fresh registry — a resumed run's metrics snapshot is then
-    // byte-identical to the uninterrupted run's.
+    // `agg.lost` is net of late arrivals and so can fall; a counter cannot.
+    // These two are what `sflow_seq_lost_total` (gaps opened) and
+    // `sflow_seq_recovered_total` (late arrivals that closed one) publish,
+    // and the net estimate is their difference.
     seq_opened: u64,
     seq_recovered: u64,
     latency_samples: u64,
-    metrics: CollectorMetrics,
+    published: Published<Collector>,
+    ingest_ns: Histogram,
     clock: Arc<dyn Clock>,
     // Disabled unless attached via [`Collector::bind_journal`]: restart
     // and quarantine detections then become journal events for the
@@ -281,34 +278,55 @@ impl Default for Collector {
             seq_opened: 0,
             seq_recovered: 0,
             latency_samples: 0,
-            metrics: CollectorMetrics::detached(),
+            published: Published::default(),
+            ingest_ns: Histogram::detached(),
             clock: test_clock(),
             journal: Journal::disabled(),
         }
     }
 }
 
+/// The `sflow_*` counter and gauge families, each read off the collector's
+/// own accounting. The two gauges are high-water marks: the per-week
+/// collectors of a parallel study share them, and a running maximum reads
+/// the same whatever order they publish in.
+pub const SERIES: &[Series<Collector>] = &[
+    Series::counter("sflow_datagrams_total", |c| c.datagrams),
+    Series::counter("sflow_accepted_total", |c| c.agg.accepted),
+    Series::counter("sflow_duplicates_total", |c| c.agg.duplicates),
+    Series::counter("sflow_decode_errors_total{kind=\"truncated\"}", |c| c.errors.truncated),
+    Series::counter("sflow_decode_errors_total{kind=\"bad_version\"}", |c| c.errors.bad_version),
+    Series::counter("sflow_decode_errors_total{kind=\"unsupported_agent_address\"}", |c| {
+        c.errors.unsupported_agent
+    }),
+    Series::counter("sflow_decode_errors_total{kind=\"inconsistent\"}", |c| c.errors.inconsistent),
+    Series::counter("sflow_unattributed_errors_total", |c| c.unattributed_errors),
+    Series::counter("sflow_seq_lost_total", |c| c.seq_opened),
+    Series::counter("sflow_seq_recovered_total", |c| c.seq_recovered),
+    Series::counter("sflow_restarts_total", |c| c.agg.restarts),
+    Series::high_water("sflow_sources", |c| c.sources.len() as u64),
+    Series::high_water("sflow_quarantined_sources", |c| c.agg.quarantined),
+];
+
 impl Collector {
-    /// A fresh collector with detached (unregistered) metrics and a
-    /// frozen test clock: the uninstrumented configuration.
+    /// A fresh collector, unbound from any registry and on a frozen test
+    /// clock: the uninstrumented configuration.
     pub fn new() -> Collector {
         Collector::default()
     }
 
-    /// A collector publishing live `sflow_*` metrics into the bundle's
-    /// registry and timing sampled ingests against its clock.
+    /// [`Collector::new`] + [`Collector::bind_obs`].
     pub fn with_obs(obs: &Obs) -> Collector {
-        Collector {
-            metrics: CollectorMetrics::register(&obs.registry),
-            clock: Arc::clone(&obs.clock),
-            ..Collector::default()
-        }
+        let mut c = Collector::new();
+        c.bind_obs(obs);
+        c
     }
 
-    /// The live metrics bundle (detached unless built by
-    /// [`Collector::with_obs`]).
-    pub fn metrics(&self) -> &CollectorMetrics {
-        &self.metrics
+    /// Bring the bound registry's `sflow_*` series up to this collector's
+    /// accounting. Ingest does not: the registry is as fresh as the last
+    /// call (the owner's sync points, `save_state`, `bind_obs`).
+    pub fn publish(&self) {
+        self.published.publish(self);
     }
 
     /// Ingest one encoded datagram into an owned [`Datagram`]: the
@@ -332,9 +350,8 @@ impl Collector {
         }
         let sw = if sampled { Some(Stopwatch::start(self.clock.as_ref())) } else { None };
         let outcome = self.ingest_inner(bytes);
-        self.metrics.record(&outcome);
         if let Some(sw) = sw {
-            sw.record(self.clock.as_ref(), &self.metrics.ingest_ns);
+            sw.record(self.clock.as_ref(), &self.ingest_ns);
         }
         outcome
     }
@@ -353,7 +370,6 @@ impl Collector {
                         if src.error_run >= QUARANTINE_THRESHOLD && !src.stats.quarantined {
                             src.stats.quarantined = true;
                             self.agg.quarantined += 1;
-                            self.metrics.quarantined_sources.set_max(self.agg.quarantined);
                             self.journal.record(
                                 EventKind::SourceQuarantined,
                                 u64::from(u32::from(key.agent)),
@@ -362,12 +378,8 @@ impl Collector {
                                 0,
                             );
                         }
-                        self.publish_source_count();
                     }
-                    None => {
-                        self.unattributed_errors += 1;
-                        self.metrics.unattributed.inc();
-                    }
+                    None => self.unattributed_errors += 1,
                 }
                 return Ingest::Rejected(e);
             }
@@ -383,7 +395,6 @@ impl Collector {
             src.last_uptime = dg.uptime_ms;
             src.stats.received += 1;
             self.agg.accepted += 1;
-            self.publish_source_count();
             self.track_counters(&dg);
             return Ingest::Accepted(dg);
         }
@@ -402,7 +413,6 @@ impl Collector {
                 restart(src, &dg);
                 self.agg.restarts += 1;
                 self.agg.accepted += 1;
-                self.metrics.restarts.inc();
                 self.journal.record(
                     EventKind::SourceRestart,
                     u64::from(u32::from(key.agent)),
@@ -417,7 +427,6 @@ impl Collector {
                 src.stats.lost += missing;
                 self.agg.lost += missing;
                 self.seq_opened += missing;
-                self.metrics.lost.add(missing);
                 src.window = if ahead >= REORDER_WINDOW {
                     1
                 } else {
@@ -453,7 +462,6 @@ impl Collector {
             let corrected = before - src.stats.lost;
             self.agg.lost = self.agg.lost.saturating_sub(corrected);
             self.seq_recovered += corrected;
-            self.metrics.recovered.add(corrected);
             src.stats.received += 1;
             self.agg.accepted += 1;
             return Ingest::Accepted(dg);
@@ -463,7 +471,6 @@ impl Collector {
         restart(src, &dg);
         self.agg.restarts += 1;
         self.agg.accepted += 1;
-        self.metrics.restarts.inc();
         self.journal.record(
             EventKind::SourceRestart,
             u64::from(u32::from(key.agent)),
@@ -473,15 +480,6 @@ impl Collector {
         );
         self.track_counters(&dg);
         Ingest::Accepted(dg)
-    }
-
-    /// Refresh the `sflow_sources` gauge after a possible insertion. The
-    /// gauge is a high-water mark (`set_max`): several per-week collectors
-    /// may share one registered gauge when a study runs in parallel, and a
-    /// running maximum is scheduling-independent where a plain store is
-    /// last-writer-wins.
-    fn publish_source_count(&self) {
-        self.metrics.sources.set_max(u64::try_from(self.sources.len()).unwrap_or(u64::MAX));
     }
 
     /// Accumulate wrap-safe deltas for the datagram's counter samples.
@@ -558,8 +556,10 @@ impl Collector {
     ///
     /// Deterministic means: the same state always yields the same bytes
     /// (hash maps are emitted in sorted key order), so checkpoints taken
-    /// from identical runs compare equal with `cmp`.
+    /// from identical runs compare equal with `cmp`. Sealing is a sync
+    /// point: the registry is published up to the state being written.
     pub fn save_state(&self) -> Vec<u8> {
+        self.publish();
         let mut out = Vec::new();
         checkpoint::put_u32(&mut out, COLLECTOR_STATE_VERSION);
         checkpoint::put_u64(&mut out, self.datagrams);
@@ -617,9 +617,9 @@ impl Collector {
     /// Restore a collector from [`Collector::save_state`] bytes, consuming
     /// the cursor exactly. The blob is validated as hostile input: typed
     /// errors (never panics) on truncation, version skew, unsorted keys, or
-    /// accounting that does not balance. The restored collector starts with
-    /// detached metrics and the frozen test clock; use
-    /// [`Collector::bind_obs`] to re-attach instrumentation.
+    /// accounting that does not balance. The restored collector starts
+    /// unbound and on the frozen test clock; use [`Collector::bind_obs`] to
+    /// re-attach instrumentation.
     pub fn restore_state(bytes: &[u8]) -> Result<Collector, StateError> {
         let mut cur = Cur::new(bytes);
         let c = Collector::restore_from(&mut cur)?;
@@ -731,32 +731,20 @@ impl Collector {
         self.journal = journal;
     }
 
-    /// Attach a restored collector to live instrumentation: register the
-    /// `sflow_*` families in the bundle's registry, replay the checkpointed
-    /// totals into them, and adopt the bundle's clock. After this, the
-    /// registry reads exactly as if the collector had run uninterrupted
-    /// under it (latency observations replay as zero-duration samples,
-    /// which is what the frozen test clock records anyway).
+    /// Attach the collector to live instrumentation: register [`SERIES`]
+    /// in the bundle's registry, publish the accounting so far into it, and
+    /// adopt the bundle's clock. For a restored collector the registry then
+    /// reads exactly as if it had run uninterrupted under it (latency
+    /// observations, a measurement rather than a ledger entry, replay as
+    /// zero-duration samples: what the frozen test clock records anyway).
     pub fn bind_obs(&mut self, obs: &Obs) {
-        let m = CollectorMetrics::register(&obs.registry);
-        m.datagrams.add(self.datagrams);
-        m.accepted.add(self.agg.accepted);
-        m.duplicates.add(self.agg.duplicates);
-        m.truncated.add(self.errors.truncated);
-        m.bad_version.add(self.errors.bad_version);
-        m.unsupported_agent.add(self.errors.unsupported_agent);
-        m.inconsistent.add(self.errors.inconsistent);
-        m.unattributed.add(self.unattributed_errors);
-        m.lost.add(self.seq_opened);
-        m.recovered.add(self.seq_recovered);
-        m.restarts.add(self.agg.restarts);
-        m.sources.set_max(u64::try_from(self.sources.len()).unwrap_or(u64::MAX));
-        m.quarantined_sources.set_max(self.agg.quarantined);
+        self.published = Published::bind(&obs.registry, SERIES);
+        self.ingest_ns = obs.registry.duration_histogram("sflow_ingest_duration_ns");
         for _ in 0..self.latency_samples {
-            m.ingest_ns.observe(0);
+            self.ingest_ns.observe(0);
         }
-        self.metrics = m;
         self.clock = Arc::clone(&obs.clock);
+        self.publish();
     }
 }
 
@@ -1050,7 +1038,7 @@ mod tests {
     }
 
     #[test]
-    fn live_metrics_mirror_the_stats_report() {
+    fn published_metrics_mirror_the_stats_report() {
         let obs = ixp_obs::Obs::deterministic();
         let mut c = Collector::with_obs(&obs);
         for seq in [1u32, 2, 5, 5, 3] {
@@ -1058,6 +1046,9 @@ mod tests {
         }
         c.ingest(&[0u8; 3]);
         let s = c.stats();
+        // Ingest moves no counter or gauge; `publish` brings them all up.
+        assert_eq!(obs.snapshot().counter("sflow_datagrams_total"), Some(0));
+        c.publish();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("sflow_datagrams_total"), Some(s.datagrams));
         assert_eq!(snap.counter("sflow_accepted_total"), Some(s.accepted));

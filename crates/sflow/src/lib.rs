@@ -37,7 +37,6 @@ pub mod accounting;
 pub mod checkpoint;
 pub mod collector;
 pub mod datagram;
-pub mod metrics;
 pub mod sampler;
 
 pub mod xdr;
@@ -45,7 +44,6 @@ pub mod xdr;
 pub use accounting::TrafficEstimate;
 pub use checkpoint::StateError;
 pub use collector::{Collector, CollectorStats, CounterTotals, DecodeErrorCounts, Ingest, SourceKey, SourceStats};
-pub use metrics::CollectorMetrics;
 pub use datagram::{
     CounterSample, Datagram, DatagramView, DecodeError, FlowSample, FlowSampleView, RawPacketHeader,
     SampleView, HEADER_PROTO_ETHERNET,

@@ -15,7 +15,7 @@ pub fn pad4(len: usize) -> usize {
 pub fn put_opaque(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(data);
     let padding = pad4(data.len()) - data.len();
-    out.extend(std::iter::repeat(0).take(padding));
+    out.extend(std::iter::repeat_n(0, padding));
 }
 
 /// A forward-only reader over an XDR byte stream.

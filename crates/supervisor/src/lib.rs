@@ -31,12 +31,10 @@
 
 pub mod envelope;
 pub mod health;
-pub mod metrics;
 pub mod ring;
 pub mod supervisor;
 
 pub use envelope::CheckpointError;
 pub use health::{AgentHealth, HealthPolicy, HealthState, TickDelta};
-pub use metrics::SupervisorMetrics;
 pub use ring::IntakeRing;
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorStats, SUPERVISOR_STATE_VERSION};

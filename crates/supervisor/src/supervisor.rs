@@ -16,12 +16,11 @@ use std::collections::BTreeMap;
 use ixp_core::WeekScan;
 use ixp_netmodel::Week;
 use ixp_obs::journal::{EventKind, Journal};
-use ixp_obs::Obs;
+use ixp_obs::{Obs, Published, Series};
 use ixp_sflow::checkpoint::{self, Cur, StateError};
 
 use crate::envelope::{self, CheckpointError};
 use crate::health::{AgentHealth, HealthPolicy, HealthState, TickDelta};
-use crate::metrics::SupervisorMetrics;
 use crate::ring::IntakeRing;
 
 /// Serialization format version of [`Supervisor`] state.
@@ -101,6 +100,31 @@ pub struct SupervisorStats {
     pub agents: [u64; 4],
 }
 
+/// One per-state slot, by position in [`HealthState::ALL`](crate::HealthState::ALL).
+fn slot(slots: &[u64; 4], i: usize) -> u64 {
+    slots.get(i).copied().unwrap_or(0)
+}
+
+/// The `supervisor_*` families, read off [`Supervisor::stats`]: the intake
+/// ring's offered/shed counts and high-water mark, the watchdog's ticks and
+/// deadline misses, agents per health state and transitions per destination
+/// state.
+pub const SERIES: &[Series<SupervisorStats>] = &[
+    Series::counter("supervisor_offered_total", |s| s.offered),
+    Series::counter("supervisor_shed_total", |s| s.shed),
+    Series::counter("supervisor_ticks_total", |s| s.ticks),
+    Series::counter("supervisor_deadline_misses_total", |s| s.deadline_misses),
+    Series::high_water("supervisor_ring_depth", |s| s.high_water as u64),
+    Series::level("supervisor_agents{state=\"healthy\"}", |s| slot(&s.agents, 0)),
+    Series::level("supervisor_agents{state=\"degraded\"}", |s| slot(&s.agents, 1)),
+    Series::level("supervisor_agents{state=\"quarantined\"}", |s| slot(&s.agents, 2)),
+    Series::level("supervisor_agents{state=\"recovering\"}", |s| slot(&s.agents, 3)),
+    Series::counter("supervisor_transitions_total{to=\"healthy\"}", |s| slot(&s.transitions, 0)),
+    Series::counter("supervisor_transitions_total{to=\"degraded\"}", |s| slot(&s.transitions, 1)),
+    Series::counter("supervisor_transitions_total{to=\"quarantined\"}", |s| slot(&s.transitions, 2)),
+    Series::counter("supervisor_transitions_total{to=\"recovering\"}", |s| slot(&s.transitions, 3)),
+];
+
 /// The supervised ingest loop around one week's [`WeekScan`].
 #[derive(Debug)]
 pub struct Supervisor {
@@ -114,7 +138,7 @@ pub struct Supervisor {
     transitions: [u64; 4],
     prev: BTreeMap<(u32, u32), PrevStats>,
     health: BTreeMap<(u32, u32), AgentHealth>,
-    metrics: SupervisorMetrics,
+    published: Published<SupervisorStats>,
     // Disabled unless attached via [`Supervisor::bind_journal`]. Not
     // part of a checkpoint: the journal is live evidence of *this*
     // process's run, exactly what a flight record must show.
@@ -122,7 +146,7 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Supervise an existing scan (detached supervisor metrics).
+    /// Supervise an existing scan, unbound from any registry.
     pub fn new(scan: WeekScan, config: SupervisorConfig) -> Supervisor {
         let config = config.normalized();
         Supervisor {
@@ -136,17 +160,16 @@ impl Supervisor {
             transitions: [0; 4],
             prev: BTreeMap::new(),
             health: BTreeMap::new(),
-            metrics: SupervisorMetrics::detached(),
+            published: Published::default(),
             journal: Journal::disabled(),
         }
     }
 
-    /// Supervise an existing scan, publishing live `supervisor_*` metrics.
+    /// [`Supervisor::new`] + [`Supervisor::bind_obs`].
     pub fn with_obs(scan: WeekScan, config: SupervisorConfig, obs: &Obs) -> Supervisor {
-        Supervisor {
-            metrics: SupervisorMetrics::register(&obs.registry),
-            ..Supervisor::new(scan, config)
-        }
+        let mut sup = Supervisor::new(scan, config);
+        sup.bind_obs(obs);
+        sup
     }
 
     /// The week being supervised.
@@ -228,12 +251,8 @@ impl Supervisor {
     /// every `arrivals_per_tick` offers.
     pub fn offer(&mut self, datagram: Vec<u8>) {
         self.offered += 1;
-        self.metrics.offered.inc();
-        if self.ring.offer(datagram) {
-            self.metrics.ring_depth.set_max(self.ring.len() as u64);
-        } else {
+        if !self.ring.offer(datagram) {
             self.scan.record_shed(1);
-            self.metrics.shed.inc();
             self.journal.record(EventKind::Shed, 0, 0, 1, self.ring.shed());
         }
         if self.offered.is_multiple_of(self.config.arrivals_per_tick) {
@@ -273,11 +292,21 @@ impl Supervisor {
             self.scan.ingest(&datagram);
         }
         self.watchdog();
+        self.publish();
+    }
+
+    /// Bring the bound registry up to the pipeline as it stands: the nested
+    /// scan's `sflow_*`/`wire_*` series and the supervisor's own. The sync
+    /// points are the tick, [`Supervisor::finish`],
+    /// [`Supervisor::checkpoint`] and [`Supervisor::bind_obs`]; between them
+    /// the registry lags by at most one tick (`arrivals_per_tick` offers).
+    fn publish(&self) {
+        self.scan.publish();
+        self.published.publish(&self.stats());
     }
 
     fn tick(&mut self) {
         self.ticks += 1;
-        self.metrics.ticks.inc();
         self.journal.set_tick(self.ticks);
         self.journal.record(EventKind::TickStart, 0, 0, self.offered, 0);
         let mut drained = 0u64;
@@ -286,7 +315,6 @@ impl Supervisor {
             // The drain stage is wedged: it consumes none of its budget,
             // which by definition misses the deadline.
             self.deadline_misses += 1;
-            self.metrics.deadline_misses.inc();
             missed = true;
         } else {
             let mut budget = self.config.drain_budget;
@@ -302,11 +330,11 @@ impl Supervisor {
             }
             if !self.ring.is_empty() {
                 self.deadline_misses += 1;
-                self.metrics.deadline_misses.inc();
                 missed = true;
             }
         }
         self.watchdog();
+        self.publish();
         self.journal.record(EventKind::TickEnd, 0, 0, drained, u64::from(missed));
     }
 
@@ -344,9 +372,6 @@ impl Supervisor {
             let before = agent.state();
             if let Some(next) = agent.observe(&delta, &self.config.policy) {
                 bump(&mut self.transitions, next.index());
-                if let Some(counter) = self.metrics.transitions.get(next.index()) {
-                    counter.inc();
-                }
                 self.journal.record(
                     EventKind::Transition,
                     u64::from(key.0),
@@ -356,20 +381,15 @@ impl Supervisor {
                 );
             }
         }
-        let mut counts = [0u64; 4];
-        for h in self.health.values() {
-            bump(&mut counts, h.state().index());
-        }
-        for (gauge, count) in self.metrics.agents.iter().zip(counts) {
-            gauge.set(count);
-        }
     }
 
     /// Serialize the whole supervised pipeline — supervisor counters, ring
     /// contents, per-agent health, and the nested scan/collector state —
     /// into a sealed checkpoint file image (magic, version, checksum; see
-    /// [`crate::envelope`]).
+    /// [`crate::envelope`]). Sealing is a sync point: the registry is
+    /// published up to the state being written.
     pub fn checkpoint(&self) -> Vec<u8> {
+        self.publish();
         let mut payload = Vec::new();
         checkpoint::put_u32(&mut payload, SUPERVISOR_STATE_VERSION);
         checkpoint::put_u64(&mut payload, self.offered);
@@ -402,7 +422,7 @@ impl Supervisor {
     /// Restore a supervised pipeline from a [`Supervisor::checkpoint`]
     /// image under the same configuration. The image is hostile input:
     /// envelope and payload are fully validated with typed errors, never
-    /// panics. The restored supervisor has detached metrics; use
+    /// panics. The restored supervisor is unbound; use
     /// [`Supervisor::bind_obs`] to re-attach instrumentation.
     pub fn restore(bytes: &[u8], config: SupervisorConfig) -> Result<Supervisor, CheckpointError> {
         let config = config.normalized();
@@ -472,34 +492,20 @@ impl Supervisor {
             transitions,
             prev,
             health,
-            metrics: SupervisorMetrics::detached(),
+            published: Published::default(),
             journal: Journal::disabled(),
         })
     }
 
-    /// Attach a restored supervisor to live instrumentation: the nested
-    /// scan replays its `sflow_*`/`wire_*` totals, and the supervisor
-    /// replays its own `supervisor_*` counters/gauges. After this, the
-    /// registry reads exactly as if the run had never been interrupted.
+    /// Attach the pipeline to live instrumentation: bind the nested scan
+    /// (which publishes its `sflow_*`/`wire_*` counts so far), register
+    /// [`SERIES`] in the bundle's registry and publish the supervisor's own.
+    /// For a restored supervisor the registry then reads exactly as if the
+    /// run had never been interrupted.
     pub fn bind_obs(&mut self, obs: &Obs) {
         self.scan.bind_obs(obs);
-        let m = SupervisorMetrics::register(&obs.registry);
-        m.offered.add(self.offered);
-        m.shed.add(self.ring.shed());
-        m.ticks.add(self.ticks);
-        m.deadline_misses.add(self.deadline_misses);
-        m.ring_depth.set_max(self.ring.high_water() as u64);
-        for (counter, t) in m.transitions.iter().zip(self.transitions) {
-            counter.add(t);
-        }
-        let mut counts = [0u64; 4];
-        for h in self.health.values() {
-            bump(&mut counts, h.state().index());
-        }
-        for (gauge, count) in m.agents.iter().zip(counts) {
-            gauge.set(count);
-        }
-        self.metrics = m;
+        self.published = Published::bind(&obs.registry, SERIES);
+        self.published.publish(&self.stats());
     }
 }
 
@@ -508,6 +514,7 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
 
+    use ixp_obs::MetricValue;
     use ixp_sflow::Datagram;
 
     fn dg(sub: u32, seq: u32) -> Vec<u8> {
@@ -653,6 +660,143 @@ mod tests {
         let ckpt = sup.checkpoint();
         let tiny = SupervisorConfig { ring_capacity: 2, ..small_config() };
         assert!(Supervisor::restore(&ckpt, tiny).is_err());
+    }
+
+    /// Every counter and gauge of the three families the supervised
+    /// pipeline publishes, by name.
+    fn published(obs: &Obs) -> BTreeMap<String, u64> {
+        obs.snapshot()
+            .entries
+            .into_iter()
+            .filter_map(|(name, value)| match value {
+                MetricValue::Counter(v) | MetricValue::Gauge(v) => Some((name, v)),
+                MetricValue::Histogram(_) => None,
+            })
+            .filter(|(name, _)| {
+                ["sflow_", "wire_", "supervisor_"].iter().any(|family| name.starts_with(family))
+            })
+            .collect()
+    }
+
+    /// What `published` must read when the registry is up to date, from
+    /// `stats()` and `ingest_health()` alone. `sflow_seq_lost_total` and
+    /// `sflow_seq_recovered_total` are checked as their difference (the
+    /// report's net `lost`), the eight `wire_*` outcomes with no accessor of
+    /// their own through their sum.
+    fn assert_registry_equals_stats(obs: &Obs, sup: &Supervisor) {
+        let (s, h, scan) = (sup.stats(), sup.scan().ingest_health(), sup.scan());
+        let c = h.collector;
+        let mut want: BTreeMap<String, u64> = [
+            ("sflow_datagrams_total", c.datagrams),
+            ("sflow_accepted_total", c.accepted),
+            ("sflow_duplicates_total", c.duplicates),
+            ("sflow_decode_errors_total{kind=\"truncated\"}", c.decode_errors.truncated),
+            ("sflow_decode_errors_total{kind=\"bad_version\"}", c.decode_errors.bad_version),
+            (
+                "sflow_decode_errors_total{kind=\"unsupported_agent_address\"}",
+                c.decode_errors.unsupported_agent,
+            ),
+            ("sflow_decode_errors_total{kind=\"inconsistent\"}", c.decode_errors.inconsistent),
+            ("sflow_unattributed_errors_total", c.unattributed_errors),
+            ("sflow_restarts_total", c.restarts),
+            ("sflow_sources", c.sources as u64),
+            ("sflow_quarantined_sources", c.quarantined_sources as u64),
+            ("wire_frames_total", scan.filter.total().samples + h.undissectable_samples),
+            ("wire_frame_outcomes_total{outcome=\"too_short\"}", h.undissectable_samples),
+            (
+                "wire_frame_outcomes_total{outcome=\"ipv6\"}",
+                scan.filter.get(ixp_core::Category::Ipv6).samples,
+            ),
+            ("supervisor_offered_total", s.offered),
+            ("supervisor_shed_total", s.shed),
+            ("supervisor_ticks_total", s.ticks),
+            ("supervisor_deadline_misses_total", s.deadline_misses),
+            ("supervisor_ring_depth", s.high_water as u64),
+        ]
+        .into_iter()
+        .map(|(name, v)| (name.to_string(), v))
+        .collect();
+        for state in HealthState::ALL {
+            let (i, label) = (state.index(), state.as_str());
+            want.insert(format!("supervisor_agents{{state=\"{label}\"}}"), s.agents[i]);
+            want.insert(format!("supervisor_transitions_total{{to=\"{label}\"}}"), s.transitions[i]);
+        }
+        let got = published(obs);
+        for (name, v) in &want {
+            assert_eq!(got.get(name), Some(v), "{name}");
+        }
+        assert_eq!(got["sflow_seq_lost_total"] - got["sflow_seq_recovered_total"], c.lost);
+        let outcomes: u64 = got
+            .iter()
+            .filter(|(name, _)| name.starts_with("wire_frame_outcomes_total"))
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(outcomes, got["wire_frames_total"]);
+        // Nothing published goes unchecked, and every table row is there.
+        assert_eq!(got.len(), want.len() + 2 + 8);
+        assert_eq!(
+            got.len(),
+            SERIES.len() + ixp_core::scan::SERIES.len() + ixp_sflow::collector::SERIES.len()
+        );
+    }
+
+    /// The registry is a published view of the stats: it does not move
+    /// between sync points, and at each one it equals them.
+    #[test]
+    fn registry_moves_only_at_sync_points_and_then_equals_the_stats() {
+        let model = ixp_netmodel::InternetModel::tiny(7);
+        let members = model.registry.members_at(Week::REFERENCE).len() as u32;
+        let mut feed: Vec<Vec<u8>> =
+            ixp_traffic::WeekStream::new(&model, ixp_traffic::MixConfig::default(), Week::REFERENCE, 7)
+                .take(120)
+                .collect();
+        // Garbage, a duplicate and a gap, so those series are not all zero.
+        feed.insert(10, vec![1, 2, 3]);
+        feed.insert(21, feed[20].clone());
+        feed.remove(40);
+        let mut feed = feed.into_iter();
+
+        let obs = Obs::deterministic();
+        let config = SupervisorConfig { arrivals_per_tick: 64, ..SupervisorConfig::default() };
+        let mut sup =
+            Supervisor::with_obs(WeekScan::with_obs(Week::REFERENCE, members, &obs), config, &obs);
+        let bound = published(&obs);
+        assert!(bound.values().all(|v| *v == 0));
+
+        // One offer short of the first tick: nothing is published.
+        feed.by_ref().take(63).for_each(|dg| sup.offer(dg));
+        assert_eq!(published(&obs), bound);
+        // The 64th offer ticks: the ring drains into the scan, then a publish.
+        feed.by_ref().take(1).for_each(|dg| sup.offer(dg));
+        assert_registry_equals_stats(&obs, &sup);
+        let at_tick = published(&obs);
+        assert!(at_tick["wire_frames_total"] > 0 && at_tick["sflow_duplicates_total"] > 0);
+
+        // Between ticks the stats move and the registry does not.
+        feed.by_ref().take(30).for_each(|dg| sup.offer(dg));
+        assert_eq!(sup.stats().offered, 94);
+        assert_eq!(published(&obs), at_tick);
+        // Sealing is a sync point.
+        let _ = sup.checkpoint();
+        assert_registry_equals_stats(&obs, &sup);
+        let sealed = published(&obs);
+        assert_eq!(sealed["supervisor_offered_total"], 94);
+
+        // So is the end of the stream; `finish` ingests what is queued.
+        feed.for_each(|dg| sup.offer(dg));
+        assert_eq!(sup.stats().ticks, 1);
+        assert_eq!(published(&obs), sealed);
+        sup.finish();
+        assert_registry_equals_stats(&obs, &sup);
+        assert_eq!(published(&obs)["sflow_datagrams_total"], 121);
+
+        // `WeekScan::ingest` on its own publishes nothing either.
+        let obs = Obs::deterministic();
+        let mut scan = WeekScan::with_obs(Week::REFERENCE, members, &obs);
+        scan.ingest(&dg(0, 1));
+        assert!(published(&obs).values().all(|v| *v == 0));
+        scan.publish();
+        assert_eq!(published(&obs)["sflow_accepted_total"], 1);
     }
 
     #[test]

@@ -36,11 +36,11 @@ use ixp_codec::{
     append_trailer, put_bytes, put_u16, put_u32, put_u64, split_verified, Cur, StateError,
 };
 use ixp_obs::journal::{EventKind, Journal};
+use ixp_obs::{Published, Registry, Series};
 
 use crate::error::{DecodeFault, LinkError};
 use crate::flow::FlowRecord;
 use crate::link::{Link, MAX_PACKET};
-use crate::metrics::TransportMetrics;
 use crate::template::{Template, TemplateCache, TemplateCacheConfig};
 use crate::{ipfix, netflow5, netflow9};
 
@@ -137,6 +137,47 @@ pub enum Drained {
     },
 }
 
+/// The `transport_*` families, read off the intake's [`TransportStats`]
+/// and its template cache's lifetime counts. The two `pending` gauges are
+/// levels: the parked set drains.
+pub const SERIES: &[Series<TransportIntake>] = &[
+    Series::counter("transport_offered_total", |t| t.stats.offered),
+    Series::counter("transport_received_total", |t| t.stats.received),
+    Series::counter("transport_accepted_total", |t| t.stats.accepted),
+    Series::counter("transport_packets_total{proto=\"sflow\"}", |t| t.stats.sflow_datagrams),
+    Series::counter("transport_packets_total{proto=\"netflow5\"}", |t| t.stats.v5_packets),
+    Series::counter("transport_packets_total{proto=\"netflow9\"}", |t| t.stats.v9_packets),
+    Series::counter("transport_packets_total{proto=\"ipfix\"}", |t| t.stats.ipfix_packets),
+    Series::counter("transport_duplicates_total", |t| t.stats.duplicates),
+    Series::counter("transport_decode_errors_total{kind=\"truncated\"}", |t| t.stats.truncated),
+    Series::counter("transport_decode_errors_total{kind=\"bad_version\"}", |t| t.stats.bad_version),
+    Series::counter("transport_decode_errors_total{kind=\"inconsistent\"}", |t| {
+        t.stats.inconsistent
+    }),
+    Series::counter("transport_shed_total", |t| t.stats.shed),
+    Series::counter("transport_template_missing_dropped_total", |t| {
+        t.stats.template_missing_dropped
+    }),
+    Series::counter("transport_flow_records_total", |t| t.stats.flows),
+    Series::counter("transport_templates_total{event=\"installed\"}", |t| t.cache.installed),
+    Series::counter("transport_templates_total{event=\"refreshed\"}", |t| t.cache.refreshed),
+    Series::counter("transport_templates_total{event=\"evicted\"}", |t| t.cache.evicted),
+    Series::level("transport_pending_packets", |t| t.stats.pending),
+    Series::level("transport_pending_bytes", |t| t.stats.pending_bytes),
+];
+
+/// [`SERIES`] bound to a registry, for [`TransportIntake::bind_metrics`].
+/// The default is unbound and publishes nowhere.
+#[derive(Debug, Default)]
+pub struct TransportMetrics(Published<TransportIntake>);
+
+impl TransportMetrics {
+    /// Register the `transport_*` families in `registry`.
+    pub fn register(registry: &Registry) -> TransportMetrics {
+        TransportMetrics(Published::bind(registry, SERIES))
+    }
+}
+
 /// The bounded, checkpointable packet intake.
 #[derive(Debug, Default)]
 pub struct TransportIntake {
@@ -198,21 +239,19 @@ impl TransportIntake {
         front && decode && kinds && protos
     }
 
-    /// Attach live metrics, replaying the current stats into them so a
-    /// restored intake's registry matches an uninterrupted run's.
+    /// Attach live metrics and publish the stats so far into them, so a
+    /// restored intake's registry matches an uninterrupted run's. From here
+    /// on [`TransportIntake::drain`] and [`TransportIntake::finish`] are
+    /// the sync points.
     pub fn bind_metrics(&mut self, metrics: TransportMetrics) {
         self.metrics = metrics;
-        self.sync_metrics();
+        self.metrics.0.publish(self);
     }
 
     /// Attach an event journal; template churn, sheds, parks, and
     /// replays emit span events into it from here on.
     pub fn bind_journal(&mut self, journal: Journal) {
         self.journal = journal;
-    }
-
-    fn sync_metrics(&self) {
-        self.metrics.sync(&self.stats, self.cache.counts());
     }
 
     /// Offer one packet at the front door. Returns `false` when it was
@@ -249,7 +288,7 @@ impl TransportIntake {
             let Some((peer, packet)) = self.inbox.pop_front() else { break };
             self.ingest_packet(peer, packet, &mut out);
         }
-        self.sync_metrics();
+        self.metrics.0.publish(self);
         out
     }
 
@@ -282,7 +321,7 @@ impl TransportIntake {
         }
         self.stats.pending = 0;
         self.stats.pending_bytes = 0;
-        self.sync_metrics();
+        self.metrics.0.publish(self);
         self.stats
     }
 
@@ -698,7 +737,7 @@ impl TransportIntake {
             parked,
             seen,
             cache,
-            metrics: TransportMetrics::detached(),
+            metrics: TransportMetrics::default(),
             journal: Journal::disabled(),
         };
         if stats.pending != intake.parked.len() as u64 {

@@ -31,7 +31,6 @@ pub mod gen;
 pub mod intake;
 pub mod ipfix;
 pub mod link;
-pub mod metrics;
 pub mod netflow5;
 pub mod netflow9;
 pub mod rd;
@@ -41,8 +40,8 @@ pub use error::{DecodeFault, LinkError};
 pub use flow::FlowRecord;
 pub use gen::{generate, FlowGenConfig, FIN};
 pub use intake::{
-    Drained, TransportConfig, TransportIntake, TransportStats, TRANSPORT_STATE_VERSION,
+    Drained, TransportConfig, TransportIntake, TransportMetrics, TransportStats,
+    TRANSPORT_STATE_VERSION,
 };
 pub use link::{peer_id, Link, MemLink, UdpLink, MAX_PACKET};
-pub use metrics::TransportMetrics;
 pub use template::{Install, Template, TemplateCache, TemplateCacheConfig};

@@ -40,7 +40,6 @@ pub mod ethernet;
 pub mod icmp;
 pub mod ip;
 pub mod ipv4;
-pub mod metrics;
 pub mod tcp;
 pub mod udp;
 
@@ -51,4 +50,3 @@ pub use error::{Error, Result};
 pub use dissect::{Dissection, FlowKey, Network, Transport};
 pub use ethernet::{EtherType, EthernetAddress};
 pub use ip::Protocol;
-pub use metrics::DissectMetrics;

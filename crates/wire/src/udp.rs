@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn emit_parse_round_trip() {
         let repr = Repr { src_port: 53124, dst_port: 53, payload_len: 24 };
-        let mut buf = vec![0u8; HEADER_LEN + 24];
+        let mut buf = [0u8; HEADER_LEN + 24];
         buf[HEADER_LEN..].fill(0x5a);
         repr.emit(&mut Packet::new_unchecked(&mut buf[..]), SRC, DST).unwrap();
         let packet = Packet::new_checked(&buf[..]).unwrap();
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn zero_checksum_verifies() {
         let repr = Repr { src_port: 1, dst_port: 2, payload_len: 4 };
-        let mut buf = vec![0u8; HEADER_LEN + 4];
+        let mut buf = [0u8; HEADER_LEN + 4];
         repr.emit(&mut Packet::new_unchecked(&mut buf[..]), SRC, DST).unwrap();
         buf[6..8].copy_from_slice(&[0, 0]);
         assert!(Packet::new_checked(&buf[..]).unwrap().verify_checksum(SRC, DST));
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn snippet_mode_tolerates_truncation() {
         let repr = Repr { src_port: 1000, dst_port: 443, payload_len: 500 };
-        let mut buf = vec![0u8; 128];
+        let mut buf = [0u8; 128];
         repr.emit(&mut Packet::new_unchecked(&mut buf[..]), SRC, DST).unwrap();
         assert!(Packet::new_checked(&buf[..]).is_err());
         let snippet = Packet::new_snippet(&buf[..]).unwrap();

@@ -330,8 +330,7 @@ fn kill_leaves_a_flight_dump_naming_the_cut() {
     let mut flipped = bytes.clone();
     faults::chaos::flip_bit(&mut flipped, SEED);
     let err = journal::parse_flight(&flipped)
-        .err()
-        .expect("bit-flipped flight dump must be rejected");
+        .expect_err("bit-flipped flight dump must be rejected");
     assert!(!err.to_string().is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
