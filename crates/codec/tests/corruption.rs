@@ -4,9 +4,11 @@
 //! framing in its own crate; what they share — and what this loop holds
 //! for all of them at once — is that damage of any kind is a typed
 //! rejection before a single payload field is trusted: every truncation,
-//! every single-bit flip, trailing bytes, and a hostile length field.
+//! every single-bit flip, trailing bytes, and a hostile length field. So is
+//! a record of the version before the trailer changed: there is no reader
+//! for it, and it is refused, not misread.
 
-use ixp_codec::append_trailer;
+use ixp_codec::{append_trailer, fnv64};
 use ixp_obs::journal::{self, EventKind, Journal};
 use ixp_supervisor::envelope;
 use ixp_transport::{generate, FlowGenConfig, TransportConfig, TransportIntake};
@@ -22,6 +24,11 @@ struct Framing {
     trailing: &'static str,
     /// Byte range of the first length/count field.
     length: std::ops::Range<usize>,
+    /// Byte range of the `u32` format version.
+    version: std::ops::Range<usize>,
+    /// What a version-1 record — same fields, FNV-1a-64 trailer — is
+    /// rejected as.
+    version_1: &'static str,
 }
 
 fn open_checkpoint(bytes: &[u8]) -> Result<(), String> {
@@ -60,6 +67,8 @@ fn framings() -> Vec<Framing> {
             open: open_checkpoint,
             trailing: "TrailingBytes",
             length: 12..20, // magic 8, version 4, then the u64 payload length
+            version: 8..12,
+            version_1: "BadVersion(1)",
         },
         Framing {
             name: "transport state",
@@ -69,6 +78,10 @@ fn framings() -> Vec<Framing> {
             // trailer and fails its check.
             trailing: "Invalid(\"state checksum mismatch\")",
             length: 180..188, // version 4, 5 bounds, 17 stats, then the dedup-key count
+            version: 0..4,
+            // No magic and no length frame this blob, so its seal is the
+            // outermost check and fails before the version is read.
+            version_1: "Invalid(\"state checksum mismatch\")",
         },
         Framing {
             name: "flight record",
@@ -76,6 +89,8 @@ fn framings() -> Vec<Framing> {
             open: open_flight,
             trailing: "TrailingBytes",
             length: 12..16, // magic 8, version 4, then the u32 event count
+            version: 8..12,
+            version_1: "BadVersion(1)",
         },
     ]
 }
@@ -83,7 +98,7 @@ fn framings() -> Vec<Framing> {
 #[test]
 fn every_sealed_format_fails_closed_under_every_kind_of_damage() {
     for f in framings() {
-        let Framing { name, sealed, open, trailing, length } = f;
+        let Framing { name, sealed, open, trailing, length, .. } = f;
         assert_eq!(open(&sealed), Ok(()), "{name}: the undamaged record must open");
 
         for cut in 0..sealed.len() {
@@ -110,6 +125,26 @@ fn every_sealed_format_fails_closed_under_every_kind_of_damage() {
         hostile.truncate(hostile.len() - 8);
         append_trailer(&mut hostile);
         assert_eq!(open(&hostile), Err("Truncated".to_string()), "{name}: hostile length");
+    }
+}
+
+/// What the parent of the version bump wrote: the same fields under
+/// version 1, closed by big-endian FNV-1a-64. Each format refuses it with a
+/// typed error — and refuses it still when the old version number sits
+/// under a valid new trailer.
+#[test]
+fn version_1_records_are_refused_not_read() {
+    for f in framings() {
+        let Framing { name, sealed, open, version, version_1, .. } = f;
+        let mut old = sealed.clone();
+        old.truncate(old.len() - 8);
+        old[version].copy_from_slice(&1u32.to_be_bytes());
+        let mut resealed = old.clone();
+        old.extend_from_slice(&fnv64(&old).to_be_bytes());
+        assert_eq!(open(&old), Err(version_1.to_string()), "{name}: version-1 record");
+
+        append_trailer(&mut resealed);
+        assert_eq!(open(&resealed), Err("BadVersion(1)".to_string()), "{name}: version 1 resealed");
     }
 }
 

@@ -480,6 +480,19 @@ const APPLY_BATCH: usize = 16;
 /// Serialization format version of [`WeekScan`] state.
 pub const WEEKSCAN_STATE_VERSION: u32 = 1;
 
+/// Address bits one pass of [`WeekScan::address_order`] sorts by, and the
+/// passes that cover an address: 11 + 11 + 10. A table of 2 048 counters
+/// stays in the first-level cache while its pass scatters; the 65 536 of a
+/// two-pass sort would not.
+const RADIX_BITS: u32 = 11;
+const RADIX: usize = 1 << RADIX_BITS;
+const RADIX_PASSES: usize = 3;
+
+/// The digit of `ip` that pass `pass` sorts by, lowest first.
+fn radix_digit(ip: u32, pass: usize) -> usize {
+    (ip >> (RADIX_BITS as usize * pass)) as usize & (RADIX - 1)
+}
+
 /// The result of scanning one week of sFlow.
 #[derive(Debug)]
 pub struct WeekScan {
@@ -758,7 +771,14 @@ impl WeekScan {
     /// published up to the state being written.
     pub fn save_state(&self) -> Vec<u8> {
         self.publish();
-        let mut out = Vec::with_capacity(self.own_state_len());
+        let (ips, ip_bytes) = self.address_order();
+        // Exact size of everything written ahead of the nested collector
+        // state: header and cascade totals, length-prefixed names, per-IP
+        // entries, tally.
+        let names: usize = self.domains.names.iter().map(|n| 8 + n.len()).sum();
+        let own_len = 25 + 24 * Category::ALL.len() + 8 + names + 8 + ip_bytes
+            + 8 * self.tally.fields().len();
+        let mut out = Vec::with_capacity(own_len);
         checkpoint::put_u32(&mut out, WEEKSCAN_STATE_VERSION);
         checkpoint::put_u8(&mut out, self.week.0);
         checkpoint::put_u32(&mut out, self.member_count);
@@ -774,8 +794,6 @@ impl WeekScan {
         for name in &self.domains.names {
             checkpoint::put_str(&mut out, name);
         }
-        let mut ips: Vec<(u32, &IpStats)> = self.ips.iter().map(|(ip, s)| (*ip, s)).collect();
-        ips.sort_unstable_by_key(|(ip, _)| *ip);
         checkpoint::put_u64(&mut out, ips.len() as u64);
         for (ip, s) in &ips {
             let s = IpRow {
@@ -804,16 +822,46 @@ impl WeekScan {
         out
     }
 
-    /// Exact size of everything [`WeekScan::save_state`] writes ahead of the
-    /// nested collector state: header and cascade totals, length-prefixed
-    /// names, per-IP entries, tally.
-    fn own_state_len(&self) -> usize {
-        25 + 24 * Category::ALL.len()
-            + 8
-            + self.domains.names.iter().map(|n| 8 + n.len()).sum::<usize>()
-            + 8
-            + self.ips.values().map(|s| 23 + 4 * self.uris(s).len()).sum::<usize>()
-            + 8 * self.tally.fields().len()
+    /// The per-IP table in address order — the order that makes equal
+    /// states equal bytes — and the exact size of its entries in the state
+    /// format. One walk of the table collects the `(address, entry)` pairs,
+    /// sums the size and counts every digit; then a stable counting sort,
+    /// lowest digit first, deals the pairs from one buffer into the other
+    /// once a digit. That is three sequential reads and three scatters over
+    /// 2 048 open cache lines where a comparison sort makes some eighteen
+    /// data-dependent passes; the second buffer is gone before the state
+    /// buffer, which is larger, is allocated.
+    fn address_order(&self) -> (Vec<(u32, &IpStats)>, usize) {
+        let mut pairs = Vec::with_capacity(self.ips.len());
+        let mut bytes = 0;
+        let mut counts = [[0usize; RADIX]; RADIX_PASSES];
+        for (ip, stats) in &self.ips {
+            pairs.push((*ip, stats));
+            // u32 key + u64 + 2×u32 + u16 + uri count byte, then the ids.
+            bytes += 23 + 4 * self.uris(stats).len();
+            for (pass, counts) in counts.iter_mut().enumerate() {
+                if let Some(n) = counts.get_mut(radix_digit(*ip, pass)) {
+                    *n += 1;
+                }
+            }
+        }
+        let mut dealt = pairs.clone();
+        for (pass, counts) in counts.iter_mut().enumerate() {
+            // From how many pairs hold each digit to where the first goes.
+            let mut next = 0;
+            for n in counts.iter_mut() {
+                next += std::mem::replace(n, next);
+            }
+            for pair in &pairs {
+                let Some(next) = counts.get_mut(radix_digit(pair.0, pass)) else { continue };
+                if let Some(slot) = dealt.get_mut(*next) {
+                    *slot = *pair;
+                }
+                *next += 1;
+            }
+            std::mem::swap(&mut pairs, &mut dealt);
+        }
+        (pairs, bytes)
     }
 
     /// Restore a scan from [`WeekScan::save_state`] bytes. The blob is
@@ -1117,9 +1165,146 @@ mod tests {
 
     #[test]
     fn save_state_sizes_its_buffer_exactly() {
-        let scan = messy_scan();
-        let nested = scan.collector().save_state().len();
-        assert_eq!(scan.own_state_len() + nested, scan.save_state().len());
+        let blob = messy_scan().save_state();
+        assert_eq!(blob.capacity(), blob.len());
+    }
+
+    /// The address order `save_state` used before the counting sort,
+    /// frozen: collect, then a comparison sort by copied key.
+    fn address_order_reference(scan: &WeekScan) -> Vec<(u32, &IpStats)> {
+        let mut ips: Vec<(u32, &IpStats)> = scan.ips.iter().map(|(ip, s)| (*ip, s)).collect();
+        ips.sort_unstable_by_key(|(ip, _)| *ip);
+        ips
+    }
+
+    /// `save_state` as it was before the counting sort, frozen: a separate
+    /// walk for the length, the reference order, the same writes.
+    fn save_state_reference(scan: &WeekScan) -> Vec<u8> {
+        let own_len = 25 + 24 * Category::ALL.len()
+            + 8
+            + scan.domains.names.iter().map(|n| 8 + n.len()).sum::<usize>()
+            + 8
+            + scan.ips.values().map(|s| 23 + 4 * scan.uris(s).len()).sum::<usize>()
+            + 8 * scan.tally.fields().len();
+        let mut out = Vec::with_capacity(own_len);
+        checkpoint::put_u32(&mut out, WEEKSCAN_STATE_VERSION);
+        checkpoint::put_u8(&mut out, scan.week.0);
+        checkpoint::put_u32(&mut out, scan.member_count);
+        checkpoint::put_u64(&mut out, scan.shed);
+        checkpoint::put_u64(&mut out, scan.undissectable);
+        for cat in Category::ALL {
+            let e = scan.filter.get(cat);
+            checkpoint::put_u64(&mut out, e.samples);
+            checkpoint::put_u64(&mut out, e.frames);
+            checkpoint::put_u64(&mut out, e.bytes);
+        }
+        checkpoint::put_u64(&mut out, scan.domains.names.len() as u64);
+        for name in &scan.domains.names {
+            checkpoint::put_str(&mut out, name);
+        }
+        let ips = address_order_reference(scan);
+        checkpoint::put_u64(&mut out, ips.len() as u64);
+        for (ip, s) in &ips {
+            let uris = scan.uris(s);
+            checkpoint::put_u32(&mut out, *ip);
+            checkpoint::put_u64(&mut out, s.bytes);
+            checkpoint::put_u32(&mut out, s.samples);
+            checkpoint::put_u16(&mut out, s.evidence.0);
+            checkpoint::put_u32(&mut out, s.member.0);
+            checkpoint::put_u8(&mut out, uris.len().min(MAX_URIS_PER_IP) as u8);
+            for id in uris.iter().take(MAX_URIS_PER_IP) {
+                checkpoint::put_u32(&mut out, *id);
+            }
+        }
+        for f in scan.tally.fields() {
+            checkpoint::put_u64(&mut out, f);
+        }
+        out.extend_from_slice(&scan.collector.save_state());
+        out
+    }
+
+    /// A scan whose table holds exactly `addresses`, each entry telling its
+    /// address apart.
+    fn table_of(addresses: impl IntoIterator<Item = u32>) -> WeekScan {
+        let mut scan = WeekScan::new(Week::REFERENCE, 10);
+        for ip in addresses {
+            let stats = IpStats {
+                bytes: u64::from(ip) * 3 + 1,
+                samples: ip.rotate_left(7),
+                member: MemberId(ip % 10),
+                ..IpStats::default()
+            };
+            scan.ips.insert(ip, stats);
+        }
+        scan
+    }
+
+    /// The counting sort puts the same entries (by identity, not only by
+    /// address) in the same order as the comparison sort, sums the length
+    /// the separate walk summed, and so leaves the same bytes.
+    fn assert_orders_as_the_reference(scan: &WeekScan) {
+        let entries = |order: Vec<(u32, &IpStats)>| -> Vec<(u32, *const IpStats)> {
+            order.into_iter().map(|(ip, s)| (ip, std::ptr::from_ref(s))).collect()
+        };
+        let (order, bytes) = scan.address_order();
+        let walked: usize = scan.ips.values().map(|s| 23 + 4 * scan.uris(s).len()).sum();
+        assert_eq!(bytes, walked);
+        assert_eq!(entries(order), entries(address_order_reference(scan)));
+        assert!(scan.save_state() == save_state_reference(scan), "state bytes differ");
+    }
+
+    #[test]
+    fn address_order_matches_the_comparison_sort_at_the_edges() {
+        assert_orders_as_the_reference(&table_of([]));
+        for one in [0, 1, 0x0a00_0001, u32::MAX] {
+            assert_orders_as_the_reference(&table_of([one]));
+        }
+        assert_orders_as_the_reference(&table_of([u32::MAX, 0]));
+        assert_orders_as_the_reference(&table_of([0, u32::MAX, 1, u32::MAX - 1, 1 << 31]));
+        // Every value of one digit under fixed other digits, for each of the
+        // three digits: an order only that pass can establish.
+        for pass in 0..RADIX_PASSES {
+            let shift = RADIX_BITS as usize * pass;
+            for base in [0u32, u32::MAX, 0x5a5a_5a5a, 0xc0a8_0001] {
+                let rest = base & !(((RADIX - 1) as u32) << shift);
+                let digits = (0..RADIX as u64).map(|d| d << shift).filter(|d| *d <= 0xffff_ffff);
+                let scan = table_of(digits.map(|d| rest | d as u32));
+                assert!(scan.ips.len() >= RADIX / 2, "pass {pass}: {} addresses", scan.ips.len());
+                assert_orders_as_the_reference(&scan);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn address_order_matches_the_comparison_sort_on_random_tables(
+            addresses in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..700),
+            // Clustered like real prefixes: many addresses that differ in
+            // one digit only, around a few bases.
+            bases in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..4),
+            offsets in proptest::collection::vec((0..RADIX_PASSES as u32, 0..RADIX as u32), 0..300),
+        ) {
+            let clustered = bases.iter().flat_map(|base| {
+                offsets.iter().map(move |(pass, d)| base ^ d.wrapping_shl(RADIX_BITS * pass))
+            });
+            let scan = table_of(addresses.iter().copied().chain(clustered).chain([0, u32::MAX]));
+            assert_orders_as_the_reference(&scan);
+        }
+    }
+
+    /// Whole-state differential on real weeks, clean and fault-injected:
+    /// the bytes are the reference writer's, and they are a fixed point of
+    /// restore + save.
+    #[test]
+    fn save_state_matches_the_reference_writer_on_scanned_weeks() {
+        for (scan, _) in crate::testutil::scanned_weeks() {
+            assert!(scan.unique_ips() > 1_000 && scan.domains.len() > 10);
+            assert_orders_as_the_reference(scan);
+            let blob = scan.save_state();
+            let restored = WeekScan::restore_state(&blob).expect("restore");
+            assert!(restored.save_state() == blob, "save → restore → save changed bytes");
+            assert_orders_as_the_reference(&restored);
+        }
     }
 
     #[test]
@@ -1253,7 +1438,11 @@ mod tests {
         assert_eq!(batched.uris(server).len(), MAX_URIS_PER_IP);
         // Same scan state; the collector's part differs (only `batched` saw
         // a datagram) and comes last.
-        let own = |scan: &WeekScan| scan.save_state()[..scan.own_state_len()].to_vec();
+        let own = |scan: &WeekScan| {
+            let mut blob = scan.save_state();
+            blob.truncate(blob.len() - scan.collector().save_state().len());
+            blob
+        };
         assert!(own(&batched) == own(&single));
     }
 

@@ -120,6 +120,12 @@ pub const REGISTRY: &[CodecPair] = &[
         // Re-pinned without a version bump when the trailer moved into
         // `ixp-codec::append_trailer` (one `put_u64` fewer in the text,
         // the same bytes on disk: `tests/format_pins.rs` is the evidence).
+        // Version 2 (the trailer's digest went word-wise, with the transport
+        // state and the flight record) moved no digest in this table: a
+        // digest is over the field-width sequence and the written
+        // expressions, and those are the same; what changed is which
+        // function `append_trailer` calls, and the three version constants
+        // say so on disk.
         digest: 0x7eb4_2fcd_e83d_7811,
     },
     CodecPair {

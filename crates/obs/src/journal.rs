@@ -18,7 +18,7 @@
 //!   dumped to a `<checkpoint>.flight` side file when a run is killed,
 //!   a restore is rejected, or the conservation auditor fires. The frame
 //!   is magic, format version, event count and fixed-width events written
-//!   with `ixp-codec`'s big-endian fields, closed by its FNV-1a-64 trailer
+//!   with `ixp-codec`'s big-endian fields, closed by its digest trailer
 //!   like the checkpoint envelope — parsing is total and every corruption
 //!   maps to a typed [`FlightError`].
 //!
@@ -47,8 +47,9 @@ pub const DEFAULT_CAPACITY: usize = 1024;
 /// Magic prefix of a sealed flight record.
 pub const FLIGHT_MAGIC: &[u8; 8] = b"IXPFLGT1";
 
-/// Format version of the flight-record frame.
-pub const FLIGHT_VERSION: u32 = 1;
+/// Format version of the flight-record frame. 2: the trailer is
+/// `ixp-codec`'s word-wise digest (FNV-1a-64 in version 1); widths unchanged.
+pub const FLIGHT_VERSION: u32 = 2;
 
 /// Bytes of one encoded event inside a flight record.
 const EVENT_WIRE_BYTES: usize = 57;
@@ -420,7 +421,7 @@ pub enum FlightError {
     BadVersion(u32),
     /// The frame ends before its declared content.
     Truncated,
-    /// The FNV-1a-64 trailer does not match the frame body.
+    /// The trailer does not match the frame body.
     ChecksumMismatch,
     /// Bytes follow the checksum trailer.
     TrailingBytes,
@@ -467,7 +468,7 @@ impl From<StateError> for FlightError {
 }
 
 /// Seal events into a flight record:
-/// `magic | version | count | events | fnv64(everything before trailer)`.
+/// `magic | version | count | events | trailer over everything before it`.
 pub fn seal_flight(events: &[Event]) -> Vec<u8> {
     let count = u32::try_from(events.len()).unwrap_or(u32::MAX);
     let mut out =

@@ -8,12 +8,14 @@
 //! +--------+---------+-------------+---------+----------+
 //! ```
 //!
-//! The trailing checksum is the shared `ixp-codec` FNV-1a-64 trailer over
-//! every byte before it (magic, version, length, payload), so truncation,
-//! bit flips, and extensions are all detected before the payload codec
-//! ever runs. A checkpoint that fails any of these checks is rejected with
-//! a typed [`CheckpointError`] — never a panic, and never a partial
-//! restore.
+//! The trailing checksum is the shared `ixp-codec` trailer — its word-wise
+//! four-lane digest, since version 2 — over every byte before it (magic,
+//! version, length, payload), so truncation, bit flips, and extensions are
+//! all detected before the payload codec ever runs. A checkpoint that fails
+//! any of these checks is rejected with a typed [`CheckpointError`] — never
+//! a panic, and never a partial restore. Version 1 ended in FNV-1a-64 over
+//! the same bytes; there is no reader for it, and a version-1 file is
+//! rejected as [`CheckpointError::BadVersion`].
 
 use std::fmt;
 
@@ -24,7 +26,8 @@ use ixp_codec::{append_trailer, put_u32, put_u64, split_verified, Cur, StateErro
 pub const MAGIC: [u8; 8] = *b"IXPCKPT1";
 
 /// Envelope format version (independent of the payload's own versions).
-pub const FORMAT_VERSION: u32 = 1;
+/// 2: the trailer is `ixp-codec`'s word-wise digest; widths unchanged.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A typed failure while opening or decoding a checkpoint file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -79,6 +79,11 @@ impl IntakeRing {
         self.high_water
     }
 
+    /// Exact number of bytes [`IntakeRing::save`] appends.
+    pub(crate) fn saved_len(&self) -> usize {
+        24 + self.buf.iter().map(|dg| 8 + dg.len()).sum::<usize>()
+    }
+
     /// Serialize the ring contents and counters (capacity is configuration,
     /// not state — the restoring side supplies it).
     pub fn save(&self, out: &mut Vec<u8>) {

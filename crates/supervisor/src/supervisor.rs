@@ -390,7 +390,12 @@ impl Supervisor {
     /// published up to the state being written.
     pub fn checkpoint(&self) -> Vec<u8> {
         self.publish();
-        let mut payload = Vec::new();
+        // Sized for everything ahead of the scan state; `put_bytes` below
+        // reserves for that in one step, once its length is known, so the
+        // payload never grows by doubling — not under a full ring either.
+        // (The scan state is not serialized first and sized with the rest:
+        // L10 reads the fields in the order the calls stand in.)
+        let mut payload = Vec::with_capacity(self.head_len());
         checkpoint::put_u32(&mut payload, SUPERVISOR_STATE_VERSION);
         checkpoint::put_u64(&mut payload, self.offered);
         checkpoint::put_u64(&mut payload, self.ticks);
@@ -417,6 +422,13 @@ impl Supervisor {
         }
         checkpoint::put_bytes(&mut payload, &self.scan.save_state());
         envelope::seal(&payload)
+    }
+
+    /// Exact size of what [`Supervisor::checkpoint`] writes ahead of the
+    /// scan state: version, counters and transitions, the ring, then 33
+    /// bytes a baseline and 13 a health entry behind their counts.
+    fn head_len(&self) -> usize {
+        61 + self.ring.saved_len() + 8 + 33 * self.prev.len() + 8 + 13 * self.health.len()
     }
 
     /// Restore a supervised pipeline from a [`Supervisor::checkpoint`]
@@ -624,6 +636,22 @@ mod tests {
                 "divergence after kill at {kill_at}"
             );
         }
+    }
+
+    #[test]
+    fn checkpoint_sizes_its_payload_head_exactly() {
+        // Baselines and health entries from two sources, then a stalled
+        // drain that leaves the ring full.
+        let mut sup = supervisor(small_config());
+        sup.run_feed((1..=16u32).flat_map(|s| [dg(0, s), dg(1, s)]), None);
+        sup.set_stalled(true);
+        for seq in 17..=40u32 {
+            sup.offer(dg(0, seq));
+        }
+        assert!(sup.ring.len() == 8 && sup.prev.len() == 2 && sup.health.len() == 2);
+        let sealed = sup.checkpoint();
+        let payload = envelope::open(&sealed).expect("the checkpoint opens");
+        assert_eq!(payload.len(), sup.head_len() + 8 + sup.scan.save_state().len());
     }
 
     #[test]

@@ -44,8 +44,10 @@ use crate::link::{Link, MAX_PACKET};
 use crate::template::{Template, TemplateCache, TemplateCacheConfig};
 use crate::{ipfix, netflow5, netflow9};
 
-/// Serialization format version of [`TransportIntake`] state.
-pub const TRANSPORT_STATE_VERSION: u32 = 1;
+/// Serialization format version of [`TransportIntake`] state. 2: the
+/// trailer is `ixp-codec`'s word-wise digest (FNV-1a-64 in version 1);
+/// widths unchanged.
+pub const TRANSPORT_STATE_VERSION: u32 = 2;
 
 /// Cap on distinct `(peer, protocol, domain)` dedup windows kept.
 const MAX_DEDUP_KEYS: usize = 4096;
@@ -535,7 +537,7 @@ impl TransportIntake {
 
     /// Serialize the intake — stats, dedup windows, parked packets,
     /// inbox, template cache, and bounds — deterministically, with a
-    /// trailing FNV-1a-64 checksum so storage damage (bit flips,
+    /// trailing `ixp-codec` checksum so storage damage (bit flips,
     /// truncation, extension) is detected before the codec runs.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = Vec::new();

@@ -45,6 +45,16 @@ echo "==> one of everything (structural guard)"
     grep -rn 'fn fnv64' crates >&2
     fail "expected exactly one \`fn fnv64\` (crates/codec/src/lib.rs), found the above"
 }
+# One trailer: the digest that closes every sealed record is defined once
+# and reached through append_trailer and split_verified only. A format that
+# computed its own would be a second meaning of "sealed".
+[ "$(grep -rl 'trailer_digest(' crates | tr '\n' ' ')" = "crates/codec/src/lib.rs " ] ||
+    fail "the trailer digest is named outside crates/codec/src/lib.rs: $(grep -rl 'trailer_digest(' crates | tr '\n' ' ')"
+trailer_sites=$(awk '
+    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
+    /trailer_digest\(/ { printf "%s ", within }' crates/codec/src/lib.rs)
+[ "$trailer_sites" = "trailer_digest append_trailer split_verified " ] ||
+    fail "expected one \`fn trailer_digest\` called from append_trailer and split_verified, found it in: $trailer_sites"
 if grep -nE '^(bytes|criterion|crossbeam|parking_lot|serde|serde_json|serde_derive)\b' \
     Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml >&2; then
     fail "a manifest names a dependency the workspace spells in std"

@@ -9,8 +9,16 @@
 //! none of them notices a refactor that changes what is written. These
 //! constants do: they were computed on the commit before the codecs moved
 //! into `ixp-codec` and must not change unless the matching `*_VERSION`
-//! constant (and its L10 digest in `crates/lint/src/codec_sym.rs`) is
-//! bumped in the same change.
+//! constant (and, where the field sequence moved, its L10 digest in
+//! `crates/lint/src/codec_sym.rs`) is bumped in the same change.
+//!
+//! That has happened once: `FORMAT_VERSION`, `TRANSPORT_STATE_VERSION` and
+//! `FLIGHT_VERSION` went 1 → 2 together when the trailer of all three
+//! sealed formats changed from FNV-1a-64 to `ixp-codec`'s word-wise digest,
+//! and the three whole-record pins were taken again then. What lies between
+//! a record's version field and its trailer did not change, and the three
+//! `*_PAYLOAD`/`*_FIELDS`/`*_EVENTS` pins — computed on the parent of that
+//! change, before any codec was touched — hold it to that.
 
 use ixp_vantage::codec::fnv64;
 use ixp_vantage::core::analyzer::Analyzer;
@@ -19,7 +27,7 @@ use ixp_vantage::faults::{self, WireFaultConfig, WirePlan};
 use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
 use ixp_vantage::obs::journal::{self, EventKind};
 use ixp_vantage::obs::{Journal, Obs};
-use ixp_vantage::supervisor::{Supervisor, SupervisorConfig};
+use ixp_vantage::supervisor::{envelope, Supervisor, SupervisorConfig};
 use ixp_vantage::transport::{
     generate, Drained, FlowGenConfig, TransportConfig, TransportIntake, TransportMetrics,
 };
@@ -28,11 +36,21 @@ const SEED: u64 = 1616;
 const SFLOW_PEER: u64 = 0x5F10;
 const FLOW_PACKETS: u64 = 200;
 
-const CHECKPOINT_FNV: u64 = 0x5910_e3d0_05a8_b1dd;
-const TRANSPORT_STATE_FNV: u64 = 0x1c8e_700d_96a4_c245;
-const FLIGHT_FNV: u64 = 0x281f_573b_23e9_e575;
+const CHECKPOINT_FNV: u64 = 0x6f3b_dd3a_a9ba_63ba;
+const TRANSPORT_STATE_FNV: u64 = 0xebeb_c376_347c_06b3;
+const FLIGHT_FNV: u64 = 0x5fc7_5d58_19ff_a142;
 const TRACE_FNV: u64 = 0xa97d_d6cd_95c9_739d;
 const METRICS_JSON_FNV: u64 = 0x55ab_aa8f_f099_7644;
+
+const CHECKPOINT_PAYLOAD_FNV: u64 = 0xdf7a_2ba3_e846_2511;
+const TRANSPORT_FIELDS_FNV: u64 = 0xbce5_177a_1834_ae2e;
+const FLIGHT_EVENTS_FNV: u64 = 0x8065_eea0_73d4_24b1;
+
+/// What a sealed record holds between its version field and its 8-byte
+/// trailer: the part a change of trailer or version number must not move.
+fn between(sealed: &[u8], header: usize) -> &[u8] {
+    sealed.get(header..sealed.len().saturating_sub(8)).expect("record shorter than its frame")
+}
 
 /// The reference week's sFlow feed with flow export interleaved, under
 /// light wire faults. The first few flow packets come from exporters whose
@@ -116,8 +134,13 @@ fn sealed_formats_and_documents_are_byte_stable_across_commits() {
     let flight = journal.dump_flight(journal::DEFAULT_CAPACITY);
     assert!(flight.len() > 24, "the flight record must carry events");
 
+    let checkpoint = sup.checkpoint();
+    let payload = envelope::open(&checkpoint).expect("the checkpoint opens");
     let got = [
-        ("checkpoint", fnv64(&sup.checkpoint()), CHECKPOINT_FNV),
+        ("checkpoint", fnv64(&checkpoint), CHECKPOINT_FNV),
+        ("checkpoint payload", fnv64(payload), CHECKPOINT_PAYLOAD_FNV),
+        ("transport state fields", fnv64(between(&transport_state, 4)), TRANSPORT_FIELDS_FNV),
+        ("flight record events", fnv64(between(&flight, 16)), FLIGHT_EVENTS_FNV),
         ("transport state", fnv64(&transport_state), TRANSPORT_STATE_FNV),
         ("flight record", fnv64(&flight), FLIGHT_FNV),
         ("ixp-trace/1", fnv64(journal.render().as_bytes()), TRACE_FNV),
@@ -134,7 +157,7 @@ fn sealed_formats_and_documents_are_byte_stable_across_commits() {
         .collect();
     assert!(
         moved.is_empty(),
-        "bytes changed — a format change needs its version constant and L10 digest bumped \
-         with this pin: {moved:#?}"
+        "bytes changed — a format change needs its version constant (and L10 digest, if the \
+         field sequence moved) bumped with this pin: {moved:#?}"
     );
 }
