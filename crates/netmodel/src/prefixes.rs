@@ -178,10 +178,21 @@ impl RoutingSnapshot {
 
     /// Dense prefix indices originated by an AS.
     pub fn prefixes_of(&self, registry: &AsRegistry, asn: Asn) -> &[u32] {
-        registry
-            .index_of(asn)
-            .map(|i| self.by_as[i as usize].as_slice())
-            .unwrap_or(&[])
+        registry.index_of(asn).map_or(&[], |i| self.prefixes_at(i))
+    }
+
+    /// Dense prefix indices originated by the AS at a dense index:
+    /// [`RoutingSnapshot::prefixes_of`] without the hash probe.
+    pub fn prefixes_at(&self, as_idx: u32) -> &[u32] {
+        &self.by_as[as_idx as usize]
+    }
+
+    /// This table with one AS's row of the per-AS index emptied, which no
+    /// generated table has: an AS without prefixes for the client tests.
+    #[cfg(test)]
+    pub(crate) fn without_prefixes_of(mut self, as_idx: u32) -> RoutingSnapshot {
+        self.by_as[as_idx as usize].clear();
+        self
     }
 
     /// Number of distinct origin ASes that actually got prefixes.

@@ -60,11 +60,12 @@ proptest! {
     fn client_mapping_total(seed in 0u64..100_000, probe in 0u64..6_000) {
         let model = InternetModel::generate(ScaleConfig::tiny(), seed);
         let client = probe % model.clients.universe();
-        let addr = model.clients.address_of(&model.registry, &model.routing, client);
-        prop_assert!(addr.is_some());
-        let entry = model.routing.resolve(addr.unwrap());
+        let located = model.clients.locate(&model.routing, client);
+        prop_assert!(located.is_some());
+        let (addr, as_idx) = located.unwrap();
+        let entry = model.routing.resolve(addr);
         prop_assert!(entry.is_some());
-        let as_idx = model.clients.as_of(client);
+        prop_assert_eq!(as_idx, model.clients.as_of(client));
         prop_assert_eq!(entry.unwrap().origin, model.registry.by_index(as_idx).asn);
     }
 

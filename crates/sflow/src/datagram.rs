@@ -28,6 +28,22 @@ const SAMPLE_TYPE_COUNTERS: u32 = 2;
 const RECORD_TYPE_RAW_PACKET: u32 = 1;
 const RECORD_TYPE_IF_COUNTERS: u32 = 1;
 
+/// Encoded length of the datagram header in its IPv4-agent form: version,
+/// address type and address, sub-agent, sequence, uptime, sample count.
+const DATAGRAM_HEADER_LEN: usize = 28;
+
+/// Encoded length of a counters sample: tag and length, the sequence,
+/// source and record count, the record's tag and length, and the 88-byte
+/// `if_counters` block.
+pub const COUNTER_SAMPLE_LEN: usize = 8 + 12 + 8 + 88;
+
+/// Encoded length of a flow sample carrying `header_len` captured bytes: tag
+/// and length, the seven sample fields and the record count, the record's
+/// tag and length, its four fields, and the bytes padded to a word.
+pub const fn flow_sample_len(header_len: usize) -> usize {
+    (8 + 32 + 8 + 16usize).saturating_add(xdr::pad4(header_len))
+}
+
 /// Failure while decoding a datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
@@ -165,14 +181,15 @@ impl Datagram {
     /// Encode to the XDR wire format.
     // ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.samples.len() * 192);
-        put_u32(&mut out, SFLOW_VERSION);
-        put_u32(&mut out, AGENT_ADDR_IPV4);
-        out.extend_from_slice(&self.agent_address.octets());
-        put_u32(&mut out, self.sub_agent_id);
-        put_u32(&mut out, self.sequence);
-        put_u32(&mut out, self.uptime_ms);
-        put_u32(&mut out, (self.samples.len() + self.counters.len()) as u32);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        encode_header(
+            &mut out,
+            self.agent_address,
+            self.sub_agent_id,
+            self.sequence,
+            self.uptime_ms,
+            (self.samples.len() + self.counters.len()) as u32,
+        );
         for sample in &self.samples {
             encode_flow_sample(&mut out, sample);
         }
@@ -182,10 +199,84 @@ impl Datagram {
         out
     }
 
+    /// Exactly `self.encode().len()`, without encoding.
+    pub fn encoded_len(&self) -> usize {
+        let counters = self.counters.len().saturating_mul(COUNTER_SAMPLE_LEN);
+        self.samples
+            .iter()
+            .map(|sample| flow_sample_len(sample.record.header.len()))
+            .fold(DATAGRAM_HEADER_LEN.saturating_add(counters), usize::saturating_add)
+    }
+
     /// Decode from the XDR wire format into owned samples: the allocating
     /// adapter over [`DatagramView::decode`].
     pub fn decode(data: &[u8]) -> Result<Datagram, DecodeError> {
         DatagramView::decode(data).map(|view| view.to_owned())
+    }
+}
+
+/// A datagram assembled sample by sample: each sample is encoded into one
+/// reused buffer as it is pushed, and [`DatagramBuilder::finish`] makes the
+/// only allocation — the datagram, at exactly its length. What a generator
+/// that emits millions of datagrams uses in place of collecting owned
+/// [`FlowSample`]s into a [`Datagram`] and encoding them afterwards; the
+/// bytes are the same.
+#[derive(Debug, Clone, Default)]
+pub struct DatagramBuilder {
+    /// The encoded samples pushed since the last `finish`.
+    body: Vec<u8>,
+    samples: u32,
+}
+
+impl DatagramBuilder {
+    /// A builder that holds `body_bytes` of encoded samples (see
+    /// [`flow_sample_len`] and [`COUNTER_SAMPLE_LEN`]) before it regrows.
+    pub fn with_capacity(body_bytes: usize) -> DatagramBuilder {
+        DatagramBuilder { body: Vec::with_capacity(body_bytes), samples: 0 }
+    }
+
+    /// Samples pushed since the last [`DatagramBuilder::finish`].
+    pub fn len(&self) -> usize {
+        self.samples as usize
+    }
+
+    /// True when nothing was pushed since the last `finish`.
+    pub fn is_empty(&self) -> bool {
+        self.samples == 0
+    }
+
+    /// Length of the datagram [`DatagramBuilder::finish`] would return.
+    pub fn encoded_len(&self) -> usize {
+        DATAGRAM_HEADER_LEN + self.body.len()
+    }
+
+    /// Append a flow sample, owned or borrowing its header bytes.
+    pub fn push_flow<H: AsRef<[u8]>>(&mut self, sample: &FlowSample<H>) {
+        encode_flow_sample(&mut self.body, sample);
+        self.samples += 1;
+    }
+
+    /// Append a counters sample.
+    pub fn push_counters(&mut self, counters: &CounterSample) {
+        encode_counter_sample(&mut self.body, counters);
+        self.samples += 1;
+    }
+
+    /// The datagram of everything pushed, under the given header; the
+    /// builder is empty afterwards and keeps its buffer.
+    pub fn finish(
+        &mut self,
+        agent_address: Ipv4Addr,
+        sub_agent_id: u32,
+        sequence: u32,
+        uptime_ms: u32,
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        encode_header(&mut out, agent_address, sub_agent_id, sequence, uptime_ms, self.samples);
+        out.extend_from_slice(&self.body);
+        self.body.clear();
+        self.samples = 0;
+        out
     }
 }
 
@@ -322,7 +413,25 @@ impl<'a> DatagramView<'a> {
 }
 
 // ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
-fn encode_flow_sample(out: &mut Vec<u8>, sample: &FlowSample) {
+fn encode_header(
+    out: &mut Vec<u8>,
+    agent_address: Ipv4Addr,
+    sub_agent_id: u32,
+    sequence: u32,
+    uptime_ms: u32,
+    samples: u32,
+) {
+    put_u32(out, SFLOW_VERSION);
+    put_u32(out, AGENT_ADDR_IPV4);
+    out.extend_from_slice(&agent_address.octets());
+    put_u32(out, sub_agent_id);
+    put_u32(out, sequence);
+    put_u32(out, uptime_ms);
+    put_u32(out, samples);
+}
+
+// ixp-lint: allow(schema-drift) sFlow v5 wire codec; the schema is fixed by the protocol spec, not the checkpoint ratchet
+fn encode_flow_sample<H: AsRef<[u8]>>(out: &mut Vec<u8>, sample: &FlowSample<H>) {
     put_u32(out, SAMPLE_TYPE_FLOW);
     // Reserve the sample length, fill in afterwards.
     let len_pos = out.len();
@@ -341,13 +450,14 @@ fn encode_flow_sample(out: &mut Vec<u8>, sample: &FlowSample) {
     // Raw packet header record.
     put_u32(out, RECORD_TYPE_RAW_PACKET);
     let rec = &sample.record;
-    let record_len = 16usize.saturating_add(xdr::pad4(rec.header.len()));
+    let header = rec.header.as_ref();
+    let record_len = 16usize.saturating_add(xdr::pad4(header.len()));
     put_u32(out, record_len as u32);
     put_u32(out, rec.protocol);
     put_u32(out, rec.frame_length);
     put_u32(out, rec.stripped);
-    put_u32(out, rec.header.len() as u32);
-    xdr::put_opaque(out, &rec.header);
+    put_u32(out, header.len() as u32);
+    xdr::put_opaque(out, header);
 
     let body_len = (out.len() - body_start) as u32;
     // ixp-lint: allow(no-index) encoder backpatch; len_pos was reserved above
@@ -564,6 +674,69 @@ mod tests {
         assert_eq!(bytes.len() % 4, 0, "XDR output must stay 4-byte aligned");
         let decoded = Datagram::decode(&bytes).unwrap();
         assert_eq!(decoded, dg);
+    }
+
+    /// Datagrams of every mix: none, flows only (header lengths around the
+    /// padding), counters only, both.
+    fn mixed_datagrams() -> Vec<Datagram> {
+        let full = sample_datagram();
+        let empty = Datagram { samples: vec![], counters: vec![], ..full.clone() };
+        let flows = Datagram {
+            samples: (0..=9).chain(125..=128).map(|n| sample_with_header(vec![n as u8; n])).collect(),
+            ..empty.clone()
+        };
+        let counters = Datagram { counters: vec![full.counters[0]; 46], ..empty.clone() };
+        let closing = Datagram { samples: flows.samples[..3].to_vec(), ..counters.clone() };
+        vec![full, empty, flows, counters, closing]
+    }
+
+    fn view_of(sample: &FlowSample) -> FlowSampleView<'_> {
+        FlowSample {
+            sequence: sample.sequence,
+            source_id: sample.source_id,
+            sampling_rate: sample.sampling_rate,
+            sample_pool: sample.sample_pool,
+            drops: sample.drops,
+            input_if: sample.input_if,
+            output_if: sample.output_if,
+            record: RawPacketHeader {
+                protocol: sample.record.protocol,
+                frame_length: sample.record.frame_length,
+                stripped: sample.record.stripped,
+                header: &sample.record.header,
+            },
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_the_length_of_the_encoding() {
+        for dg in mixed_datagrams() {
+            let bytes = dg.encode();
+            assert_eq!(dg.encoded_len(), bytes.len());
+            assert_eq!(bytes.capacity(), bytes.len(), "encode sized its buffer by a guess");
+        }
+    }
+
+    #[test]
+    fn builder_assembles_the_bytes_of_encode_in_one_exact_buffer() {
+        let mut builder = DatagramBuilder::default();
+        for dg in mixed_datagrams() {
+            assert!(builder.is_empty());
+            // Flow samples pushed as views: the header bytes stay borrowed.
+            for sample in &dg.samples {
+                builder.push_flow(&view_of(sample));
+            }
+            for counters in &dg.counters {
+                builder.push_counters(counters);
+            }
+            assert_eq!(builder.len(), dg.samples.len() + dg.counters.len());
+            assert_eq!(builder.encoded_len(), dg.encoded_len());
+            let bytes =
+                builder.finish(dg.agent_address, dg.sub_agent_id, dg.sequence, dg.uptime_ms);
+            assert_eq!(bytes, dg.encode());
+            assert_eq!(bytes.capacity(), bytes.len());
+            assert_eq!(Datagram::decode(&bytes).unwrap(), dg);
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   format (datagram header, flow-sample header, raw-packet-header record),
 //!   so the analysis side works on *bytes*, exactly like a real collector;
 //!   [`DatagramView`] is the same decode borrowing the caller's buffer,
-//!   which is what the ingest path uses;
+//!   which is what the ingest path uses, and [`DatagramBuilder`] the same
+//!   encode sample by sample, which is what the traffic generator uses;
 //! * [`Sampler`] — the per-port sampling process (geometric skip counts, the
 //!   textbook implementation of sFlow's random 1-in-N sampling) plus snippet
 //!   truncation; and
@@ -45,8 +46,8 @@ pub use accounting::TrafficEstimate;
 pub use checkpoint::StateError;
 pub use collector::{Collector, CollectorStats, CounterTotals, DecodeErrorCounts, Ingest, SourceKey, SourceStats};
 pub use datagram::{
-    CounterSample, Datagram, DatagramView, DecodeError, FlowSample, FlowSampleView, RawPacketHeader,
-    SampleView, HEADER_PROTO_ETHERNET,
+    flow_sample_len, CounterSample, Datagram, DatagramBuilder, DatagramView, DecodeError, FlowSample,
+    FlowSampleView, RawPacketHeader, SampleView, COUNTER_SAMPLE_LEN, HEADER_PROTO_ETHERNET,
 };
 pub use sampler::{Sampler, SamplerConfig, SNIPPET_LEN};
 

@@ -6,7 +6,7 @@ use crate::datagram::DecodeError;
 /// Pad a byte length up to the next multiple of four. Saturates instead of
 /// wrapping for lengths within 3 of `usize::MAX` (which no real datagram
 /// can reach, but a forged length field can claim).
-pub fn pad4(len: usize) -> usize {
+pub const fn pad4(len: usize) -> usize {
     len.saturating_add(3) & !3
 }
 

@@ -129,6 +129,31 @@ mod tests {
     }
 
     #[test]
+    fn size_hint_brackets_the_datagrams_to_come_and_is_exact_once_a_port_has_counted() {
+        let model = InternetModel::tiny(7);
+        // A short last batch, none (the closing datagram is counters
+        // only), one sample, and no samples at all.
+        for (budget, datagrams) in [(1_000, 143), (700, 101), (1, 1), (0, 0)] {
+            let mut stream =
+                WeekStream::with_budget(&model, MixConfig::default(), Week::REFERENCE, 7, budget);
+            let mut left = datagrams;
+            loop {
+                let (lower, upper) = stream.size_hint();
+                assert!(lower <= left && Some(left) <= upper, "{budget}: {left} in {lower}..={upper:?}");
+                if left < datagrams && left > 0 {
+                    assert_eq!(lower, left, "{budget}: a port has counted by now");
+                }
+                if stream.next().is_none() {
+                    break;
+                }
+                left -= 1;
+            }
+            assert_eq!(left, 0);
+            assert_eq!(stream.size_hint(), (0, Some(0)));
+        }
+    }
+
+    #[test]
     fn weeks_differ() {
         let model = InternetModel::tiny(7);
         let a: Vec<Vec<u8>> =

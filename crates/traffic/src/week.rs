@@ -12,15 +12,29 @@
 //! hard-coded statistic: category mixes come from [`MixConfig`], per-server
 //! traffic from the catalog's weights, link heterogeneity from the
 //! interplay of gateway members, CDN re-routing, and the peering matrix.
+//!
+//! **The contract is the order of the random draws.** Every byte of a week
+//! is a function of the seed and of which draw comes when, and every golden
+//! file downstream (this crate's `tests/stream_pins.rs`, the repository's
+//! `tests/format_pins.rs`, `benchmark/golden.json`) pins the result; the
+//! code between two draws is free to change and the draws are not. So the
+//! per-sample path keeps every `rng` call where it was and does nothing
+//! else that costs: whatever is keyed by ASN, organization or week is
+//! resolved to a dense index once, in [`WeekContext::new`], and a sample is
+//! array lookups, a 128-byte snippet on the stack that the payload is
+//! written straight into, and one encode into the datagram being assembled.
+//! [`WeekStream::next`] allocates the datagram it returns, at exactly its
+//! length, and nothing else (DESIGN.md §14, "The generator path").
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use ixp_netmodel::{InternetModel, MemberId, OrgId, OrgKind, ServerFlags, ServiceTag, Week};
-use ixp_sflow::{Datagram, FlowSample, RawPacketHeader, HEADER_PROTO_ETHERNET, PAPER_SAMPLING_RATE};
-use ixp_sflow::SNIPPET_LEN;
+use ixp_sflow::{
+    flow_sample_len, CounterSample, DatagramBuilder, FlowSample, RawPacketHeader,
+    COUNTER_SAMPLE_LEN, HEADER_PROTO_ETHERNET, PAPER_SAMPLING_RATE, SNIPPET_LEN,
+};
 use ixp_wire::ethernet::{self, EthernetAddress};
 use ixp_wire::ip::Protocol;
 use ixp_wire::{ipv4, tcp, udp};
@@ -39,12 +53,16 @@ pub struct WeekContext<'m> {
     weight_cdf: Vec<f64>,
     /// Active servers that also act as clients.
     m2m_peers: Vec<u32>,
-    /// org -> member ids hosting re-routable deployments of that org.
-    org_members: HashMap<OrgId, Vec<MemberId>>,
-    /// (org, member) -> active server indices hosted behind that member.
-    org_member_servers: HashMap<(OrgId, u32), Vec<u32>>,
+    /// Dense AS index of every server of the catalogue.
+    server_as: Vec<u32>,
+    /// Per organization (dense id): the members hosting re-routable
+    /// deployments of it, in the order the catalogue first names them, each
+    /// with the active server indices hosted behind that member.
+    org_hosts: Vec<Vec<(MemberId, Vec<u32>)>>,
     /// Gateway member of every AS (dense index) this week.
     gateway: Vec<MemberId>,
+    /// Member ports that have joined by this week.
+    members: u32,
     /// Cumulative client-population ranges of member ASes, for the
     /// member-biased client draw: (cumulative_size, as_dense_index).
     member_client_ranges: Vec<(u64, u32)>,
@@ -58,8 +76,11 @@ impl<'m> WeekContext<'m> {
         let mut active = Vec::new();
         let mut weight_cdf = Vec::new();
         let mut m2m_peers = Vec::new();
-        let mut org_members: HashMap<OrgId, Vec<MemberId>> = HashMap::new();
-        let mut org_member_servers: HashMap<(OrgId, u32), Vec<u32>> = HashMap::new();
+        let mut org_hosts: Vec<Vec<(MemberId, Vec<u32>)>> = vec![Vec::new(); model.orgs.len()];
+        let server_as: Vec<u32> = servers
+            .iter()
+            .map(|s| model.registry.index_of(s.asn).expect("a server's AS is in the registry"))
+            .collect();
 
         // Gateways per AS this week.
         let gateway: Vec<MemberId> = (0..model.registry.len() as u32)
@@ -101,17 +122,13 @@ impl<'m> WeekContext<'m> {
             let reroutable = matches!(org.kind, OrgKind::Cdn | OrgKind::Content)
                 || matches!(s.service, ServiceTag::Ec2(_));
             if reroutable {
-                let as_idx = model.registry.index_of(s.asn).unwrap();
-                let info = model.registry.by_index(as_idx);
+                let info = model.registry.by_index(server_as[i]);
                 if let Some(m) = info.member {
                     if m.joined.0 <= week.0 {
-                        org_member_servers
-                            .entry((s.org, m.id.0))
-                            .or_default()
-                            .push(i as u32);
-                        let list = org_members.entry(s.org).or_default();
-                        if !list.contains(&m.id) {
-                            list.push(m.id);
+                        let hosts = &mut org_hosts[s.org.0 as usize];
+                        match hosts.iter_mut().find(|(id, _)| *id == m.id) {
+                            Some((_, pool)) => pool.push(i as u32),
+                            None => hosts.push((m.id, vec![i as u32])),
                         }
                     }
                 }
@@ -119,13 +136,14 @@ impl<'m> WeekContext<'m> {
         }
 
         // Member-AS client ranges.
+        let member_asns = model.registry.members_at(week);
         let mut member_client_ranges = Vec::new();
         let mut member_total = 0u64;
-        for asn in model.registry.members_at(week) {
-            let pop = model.clients.population_of(&model.registry, asn);
+        for asn in &member_asns {
+            let idx = model.registry.index_of(*asn).expect("a member's AS is in the registry");
+            let pop = model.clients.population(idx);
             if pop > 0 {
                 member_total += pop;
-                let idx = model.registry.index_of(asn).unwrap();
                 member_client_ranges.push((member_total, idx));
             }
         }
@@ -137,9 +155,10 @@ impl<'m> WeekContext<'m> {
             active,
             weight_cdf,
             m2m_peers,
-            org_members,
-            org_member_servers,
+            server_as,
+            org_hosts,
             gateway,
+            members: member_asns.len() as u32,
             member_client_ranges,
             member_client_total: member_total,
         }
@@ -165,57 +184,32 @@ impl<'m> WeekContext<'m> {
         self.active[idx]
     }
 
-    /// Draw a client index, member-biased, with a heavy-tailed activity
-    /// profile over the universe.
-    fn draw_client(&self, rng: &mut SmallRng) -> u64 {
+    /// Draw a client, member-biased, with a heavy-tailed activity profile
+    /// over the universe: its address and the dense index of its AS, or
+    /// `None` for a client of an AS without prefixes. All the randomness is
+    /// spent before the client is located, so a caller can draw several
+    /// clients and only then look at what it drew.
+    fn draw_client(&self, rng: &mut SmallRng) -> Option<(Ipv4Addr, u32)> {
+        let (clients, routing) = (&self.model.clients, &self.model.routing);
         if self.member_client_total > 0 && rng.gen::<f64>() < self.cfg.p_member_client {
-            // Uniform over the member-AS populations.
+            // Uniform over the member-AS populations: the range names the
+            // AS, so the client is located inside it and never searched for.
             let x = rng.gen_range(0..self.member_client_total);
             let k = self
                 .member_client_ranges
                 .partition_point(|(end, _)| *end <= x);
             let (end, as_idx) = self.member_client_ranges[k.min(self.member_client_ranges.len() - 1)];
-            let asn = self.model.registry.by_index(as_idx).asn;
-            let pop = self.model.clients.population_of(&self.model.registry, asn);
+            let pop = clients.population(as_idx);
             let local = pop - (end - x).min(pop);
-            // Translate (as, local) back to a global client index.
-            self.global_client_index(as_idx, local)
+            clients.locate_in(routing, as_idx, local).map(|addr| (addr, as_idx))
         } else {
             // Skewed global draw, scrambled so heavy hitters spread across
             // the whole universe rather than clustering at low indices.
-            let universe = self.model.clients.universe();
+            let universe = clients.universe();
             let u: f64 = rng.gen();
             let c = (u.powf(self.cfg.client_skew) * universe as f64) as u64;
-            c.wrapping_mul(0x2545_F491_4F6C_DD1D) % universe
+            clients.locate(routing, c.wrapping_mul(0x2545_F491_4F6C_DD1D) % universe)
         }
-    }
-
-    fn global_client_index(&self, as_idx: u32, local: u64) -> u64 {
-        // The client pool's cumulative boundaries give the AS's base.
-        let asn = self.model.registry.by_index(as_idx).asn;
-        let pop = self.model.clients.population_of(&self.model.registry, asn);
-        let local = if pop == 0 { 0 } else { local % pop };
-        // Reconstruct the base by searching for the first client of the AS.
-        // (Binary search over indices via as_of.)
-        let universe = self.model.clients.universe();
-        let (mut lo, mut hi) = (0u64, universe - 1);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.model.clients.as_of(mid) < as_idx {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo + local).min(universe - 1)
-    }
-
-    fn client_addr(&self, client: u64) -> Option<(Ipv4Addr, u32)> {
-        let addr = self
-            .model
-            .clients
-            .address_of(&self.model.registry, &self.model.routing, client)?;
-        Some((addr, self.model.clients.as_of(client)))
     }
 
     /// Deterministic per-(org, member) preference for the *direct* link
@@ -249,8 +243,8 @@ pub struct WeekStream<'m> {
     /// counters, so the counters never perturb the flow-sample stream.
     counter_rng: SmallRng,
     remaining: u64,
-    batch: Vec<FlowSample>,
-    counter_batch: Vec<ixp_sflow::CounterSample>,
+    /// The datagram being assembled: each sample is encoded as it is drawn.
+    datagram: DatagramBuilder,
     /// True octets sourced by each member port (the switch's own counters,
     /// not an estimate): each emitted sample stands for a *realized* number
     /// of frames around the sampling rate.
@@ -273,13 +267,17 @@ impl<'m> WeekStream<'m> {
         let ctx = WeekContext::new(model, cfg, week);
         let remaining = model.scale.samples_per_week;
         let ports = model.scale.members_end as usize;
+        // Room for the largest datagram there can be — the week's last one,
+        // a short batch plus every port's counters — so assembling never
+        // regrows the buffer.
+        let largest =
+            SAMPLES_PER_DATAGRAM * flow_sample_len(SNIPPET_LEN) + ports * COUNTER_SAMPLE_LEN;
         WeekStream {
             ctx,
             rng: SmallRng::seed_from_u64(seed ^ (0xA5A5_0100 + week.0 as u64)),
             counter_rng: SmallRng::seed_from_u64(seed ^ 0xC0C0_C0C0 ^ u64::from(week.0)),
             remaining,
-            batch: Vec::with_capacity(SAMPLES_PER_DATAGRAM),
-            counter_batch: Vec::new(),
+            datagram: DatagramBuilder::with_capacity(largest),
             port_octets: vec![0; ports],
             port_frames: vec![0; ports],
             counter_seq: 0,
@@ -307,8 +305,11 @@ impl<'m> WeekStream<'m> {
         &self.ctx
     }
 
-    fn next_sample(&mut self) -> FlowSample {
-        let (frame, wire_len) = generate_frame(&self.ctx, &mut self.rng);
+    /// Draw the next sampled frame and encode it into the datagram.
+    fn push_sample(&mut self) {
+        let mut snippet = [0u8; SNIPPET_LEN];
+        let (len, wire_len) = generate_frame(&self.ctx, &mut self.rng, &mut snippet);
+        let frame = &snippet[..len];
         self.seq = self.seq.wrapping_add(1);
         // Maintain the switch's own interface counters: each sample stands
         // for a realized frame count drawn around the sampling rate (mean
@@ -326,7 +327,7 @@ impl<'m> WeekStream<'m> {
                 self.port_frames[port] += realized;
             }
         }
-        FlowSample {
+        self.datagram.push_flow(&FlowSample {
             sequence: self.seq,
             source_id: 0,
             sampling_rate: PAPER_SAMPLING_RATE,
@@ -340,20 +341,17 @@ impl<'m> WeekStream<'m> {
                 stripped: 0,
                 header: frame,
             },
-        }
+        });
     }
 
     fn export(&mut self) -> Vec<u8> {
         self.dg_seq = self.dg_seq.wrapping_add(1);
-        let dg = Datagram {
-            agent_address: Ipv4Addr::new(10, 255, 0, 1),
-            sub_agent_id: 0,
-            sequence: self.dg_seq,
-            uptime_ms: self.dg_seq.wrapping_mul(40),
-            samples: std::mem::take(&mut self.batch),
-            counters: std::mem::take(&mut self.counter_batch),
-        };
-        dg.encode()
+        self.datagram.finish(
+            Ipv4Addr::new(10, 255, 0, 1),
+            0,
+            self.dg_seq,
+            self.dg_seq.wrapping_mul(40),
+        )
     }
 }
 
@@ -366,9 +364,8 @@ impl Iterator for WeekStream<'_> {
         }
         while self.remaining > 0 {
             self.remaining -= 1;
-            let sample = self.next_sample();
-            self.batch.push(sample);
-            if self.batch.len() >= SAMPLES_PER_DATAGRAM {
+            self.push_sample();
+            if self.datagram.len() >= SAMPLES_PER_DATAGRAM {
                 return Some(self.export());
             }
         }
@@ -381,7 +378,7 @@ impl Iterator for WeekStream<'_> {
                 continue;
             }
             self.counter_seq = self.counter_seq.wrapping_add(1);
-            self.counter_batch.push(ixp_sflow::CounterSample {
+            self.datagram.push_counters(&CounterSample {
                 sequence: self.counter_seq,
                 source_id: port as u32,
                 if_index: port as u32,
@@ -392,17 +389,45 @@ impl Iterator for WeekStream<'_> {
                 if_out_ucast: 0,
             });
         }
-        if self.batch.is_empty() && self.counter_batch.is_empty() {
+        if self.datagram.is_empty() {
             None
         } else {
             Some(self.export())
         }
     }
+
+    /// The full datagrams the samples still to come fill, and the closing
+    /// one when it is already certain: a short last batch, or a port with
+    /// counters to report. (Only a week that has not yet sampled a member
+    /// port leaves the closing datagram open.)
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        if self.done {
+            return (0, Some(0));
+        }
+        let samples = self.datagram.len() as u64 + self.remaining;
+        let per_datagram = SAMPLES_PER_DATAGRAM as u64;
+        let full = usize::try_from(samples / per_datagram).unwrap_or(usize::MAX);
+        let short_batch = !samples.is_multiple_of(per_datagram);
+        let closing = short_batch || self.port_octets.iter().any(|&octets| octets != 0);
+        (full.saturating_add(usize::from(closing)), full.checked_add(1))
+    }
 }
 
-/// Build one sampled frame snippet: returns (first ≤128 bytes, wire length).
+/// Offsets into an Ethernet + IPv4 snippet: the IPv4 header, the transport
+/// header, and the payload behind a TCP or a UDP header.
+const L3: usize = ethernet::HEADER_LEN;
+const L4: usize = L3 + ipv4::HEADER_LEN;
+const TCP_PAYLOAD: usize = L4 + tcp::HEADER_LEN;
+const UDP_PAYLOAD: usize = L4 + udp::HEADER_LEN;
+
+/// Build one sampled frame snippet in `buf`, which arrives zeroed: returns
+/// (bytes of `buf` that are the snippet, ≤ 128; wire length).
 #[allow(unused_assignments)] // the final take!() decrement is intentionally dead
-fn generate_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn generate_frame(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+    buf: &mut [u8; SNIPPET_LEN],
+) -> (usize, usize) {
     let cfg = &ctx.cfg;
     let mut x: f64 = rng.gen();
 
@@ -418,27 +443,27 @@ fn generate_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize)
     }
 
     if take!(cfg.p_ipv6) {
-        return ipv6_frame(ctx, rng);
+        return ipv6_frame(ctx, rng, buf);
     }
     if take!(cfg.p_other_ethertype) {
-        return arp_frame(rng);
+        return arp_frame(rng, buf);
     }
     if take!(cfg.p_local) {
-        return local_frame(ctx, rng);
+        return local_frame(ctx, rng, buf);
     }
     if take!(cfg.p_icmp) {
-        return icmp_frame(ctx, rng);
+        return icmp_frame(ctx, rng, buf);
     }
     if take!(cfg.p_other_transport) {
-        return other_transport_frame(ctx, rng);
+        return other_transport_frame(ctx, rng, buf);
     }
     if take!(cfg.p_server_flow) {
-        return server_flow_frame(ctx, rng);
+        return server_flow_frame(ctx, rng, buf);
     }
     if take!(cfg.p_background_tcp) {
-        return background_tcp_frame(ctx, rng);
+        return background_tcp_frame(ctx, rng, buf);
     }
-    background_udp_frame(ctx, rng)
+    background_udp_frame(ctx, rng, buf)
 }
 
 /// Pick two distinct member-gatewayed clients that can exchange traffic
@@ -447,13 +472,8 @@ fn client_pair(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> Option<(Ipv4Addr, M
     for _ in 0..6 {
         let a = ctx.draw_client(rng);
         let b = ctx.draw_client(rng);
-        let (ip_a, as_a) = match ctx.client_addr(a) {
-            Some(v) => v,
-            None => continue,
-        };
-        let (ip_b, as_b) = match ctx.client_addr(b) {
-            Some(v) => v,
-            None => continue,
+        let (Some((ip_a, as_a)), Some((ip_b, as_b))) = (a, b) else {
+            continue;
         };
         let ma = ctx.gateway[as_a as usize];
         let mb = ctx.gateway[as_b as usize];
@@ -464,7 +484,11 @@ fn client_pair(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> Option<(Ipv4Addr, M
     None
 }
 
-fn server_flow_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn server_flow_frame(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+    buf: &mut [u8; SNIPPET_LEN],
+) -> (usize, usize) {
     let servers = ctx.model.servers.servers();
     for _ in 0..6 {
         let mut sidx = ctx.draw_server(rng);
@@ -476,11 +500,9 @@ fn server_flow_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usi
             if peer == sidx {
                 continue;
             }
-            let p = &servers[peer as usize];
-            (p.ip, ctx.model.registry.index_of(p.asn).unwrap())
+            (servers[peer as usize].ip, ctx.server_as[peer as usize])
         } else {
-            let c = ctx.draw_client(rng);
-            match ctx.client_addr(c) {
+            match ctx.draw_client(rng) {
                 Some(v) => v,
                 None => continue,
             }
@@ -491,26 +513,20 @@ fn server_flow_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usi
         // deployments behind *other* members instead of the direct link.
         {
             let s = &servers[sidx as usize];
-            let is_cloudfront = s.service == ServiceTag::CloudFront;
-            if !is_cloudfront {
-                if let Some(member_list) = ctx.org_members.get(&s.org) {
-                    let theta = ctx.theta(s.org, m_client);
-                    if rng.gen::<f64>() > theta {
-                        // Choose an alternative member-hosted deployment.
-                        let candidates: Vec<MemberId> = member_list
-                            .iter()
-                            .copied()
-                            .filter(|m| {
-                                *m != m_client && ctx.model.peering.peers(*m, m_client)
-                            })
-                            .collect();
-                        if !candidates.is_empty() {
-                            let m = candidates[rng.gen_range(0..candidates.len())];
-                            if let Some(pool) =
-                                ctx.org_member_servers.get(&(s.org, m.0))
-                            {
-                                sidx = pool[rng.gen_range(0..pool.len())];
-                            }
+            let hosts = &ctx.org_hosts[s.org.0 as usize];
+            if s.service != ServiceTag::CloudFront && !hosts.is_empty() {
+                let theta = ctx.theta(s.org, m_client);
+                if rng.gen::<f64>() > theta {
+                    // Choose an alternative member-hosted deployment.
+                    let candidates = || {
+                        hosts.iter().filter(|(m, _)| {
+                            *m != m_client && ctx.model.peering.peers(*m, m_client)
+                        })
+                    };
+                    let n = candidates().count();
+                    if n > 0 {
+                        if let Some((_, pool)) = candidates().nth(rng.gen_range(0..n)) {
+                            sidx = pool[rng.gen_range(0..pool.len())];
                         }
                     }
                 }
@@ -518,8 +534,7 @@ fn server_flow_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usi
         }
 
         let server = &servers[sidx as usize];
-        let server_as = ctx.model.registry.index_of(server.asn).unwrap();
-        let m_server = ctx.gateway[server_as as usize];
+        let m_server = ctx.gateway[ctx.server_as[sidx as usize] as usize];
         if m_server == m_client || !ctx.model.peering.peers(m_server, m_client) {
             continue; // stays inside one member / no public peering: invisible
         }
@@ -545,22 +560,26 @@ fn server_flow_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usi
         let response = rng.gen::<f64>() < ctx.cfg.p_response;
         let ephemeral: u16 = rng.gen_range(32768..61000);
 
-        let (payload_bytes, wire): (Vec<u8>, usize) = if https {
+        // The payload goes where the snippet keeps it; what lies beyond the
+        // snippet is drawn and dropped.
+        let payload = &mut buf[TCP_PAYLOAD..];
+        let (payload_len, wire): (usize, usize) = if https {
             if response {
-                (payload::tls_record(118, rng), frame_len::DATA)
+                (payload::tls_record(payload, 118, rng), frame_len::DATA)
             } else {
-                (payload::tls_record(90, rng), frame_len::REQUEST)
+                (payload::tls_record(payload, 90, rng), frame_len::REQUEST)
             }
         } else if rtmp {
-            (payload::rtmp_chunk(110, rng), frame_len::DATA)
+            (payload::rtmp_chunk(payload, 110, rng), frame_len::DATA)
         } else if response {
             if rng.gen::<f64>() < ctx.cfg.p_response_headers {
+                let length: usize = rng.gen_range(500..2_000_000);
                 (
-                    payload::http_response(server_token(org.kind), rng.gen_range(500..2_000_000), rng),
+                    payload::http_response(payload, server_token(org.kind), length, rng),
                     frame_len::RESPONSE_HEAD,
                 )
             } else {
-                (payload::content_bytes(118, rng), frame_len::DATA)
+                (payload::content_bytes(payload, 118, rng), frame_len::DATA)
             }
         } else {
             // Request direction.
@@ -575,36 +594,33 @@ fn server_flow_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usi
                 // snippet. (This keeps the paper's step-3 population small.)
                 let ptr_gate = server.flags.has(ServerFlags::HAS_PTR)
                     || rng.gen::<f64>() < 0.12;
-                let domain = if emits_uri && ptr_gate && !org.domains.is_empty() {
+                let domain: &str = if emits_uri && ptr_gate && !org.domains.is_empty() {
                     if rng.gen::<f64>() < ctx.cfg.p_cross_org_uri {
                         // Embedded third-party content: the Host names
                         // another organization's domain.
-                        let other = ctx.model.orgs.get(ixp_netmodel::OrgId(
+                        let other = ctx.model.orgs.get(OrgId(
                             rng.gen_range(0..ctx.model.orgs.len() as u32),
                         ));
-                        other.domains.first().cloned().unwrap_or_default()
+                        other.domains.first().map_or("", String::as_str)
                     } else {
                         let u: f64 = rng.gen();
                         let k = (u * u * org.domains.len() as f64) as usize;
-                        org.domains[k.min(org.domains.len() - 1)].clone()
+                        &org.domains[k.min(org.domains.len() - 1)]
                     }
                 } else {
                     // Host header hidden beyond the snippet / absolute-form
                     // noise: emit a request line only.
-                    String::new()
+                    ""
                 };
+                let path_id: u32 = rng.gen();
                 if domain.is_empty() {
-                    let mut p = payload::http_request("x", rng.gen(), rng);
-                    // Truncate before the Host header so no URI leaks.
-                    if let Some(pos) = p.windows(6).position(|w| w == b"Host: ") {
-                        p.truncate(pos);
-                    }
-                    (p, frame_len::REQUEST)
+                    // Cut before the Host header so no URI leaks.
+                    (payload::http_request_line(payload, path_id, rng), frame_len::REQUEST)
                 } else {
-                    (payload::http_request(&domain, rng.gen(), rng), frame_len::REQUEST)
+                    (payload::http_request(payload, domain, path_id, rng), frame_len::REQUEST)
                 }
             } else {
-                (payload::content_bytes(100, rng), frame_len::REQUEST)
+                (payload::content_bytes(payload, 100, rng), frame_len::REQUEST)
             }
         };
 
@@ -613,10 +629,10 @@ fn server_flow_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usi
         } else {
             (client_ip, server.ip, ephemeral, port, mac(m_client), mac(m_server))
         };
-        return tcp_frame(src_mac, dst_mac, src_ip, dst_ip, sport, dport, &payload_bytes, wire, rng);
+        return tcp_frame(buf, src_mac, dst_mac, src_ip, dst_ip, sport, dport, payload_len, wire, rng);
     }
     // Could not build a server flow (degenerate tiny worlds): fall back.
-    background_udp_frame(ctx, rng)
+    background_udp_frame(ctx, rng, buf)
 }
 
 fn server_token(kind: OrgKind) -> &'static str {
@@ -629,7 +645,11 @@ fn server_token(kind: OrgKind) -> &'static str {
     }
 }
 
-fn background_tcp_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn background_tcp_frame(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+    buf: &mut [u8; SNIPPET_LEN],
+) -> (usize, usize) {
     if let Some((a, ma, b, mb)) = client_pair(ctx, rng) {
         let fake_443 = rng.gen::<f64>() < ctx.cfg.p_fake_443;
         let (sport, dport) = if fake_443 {
@@ -638,132 +658,127 @@ fn background_tcp_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, 
             const SERVICES: [u16; 6] = [25, 22, 6881, 51413, 993, 5222];
             (rng.gen_range(32768..61000u16), SERVICES[rng.gen_range(0..SERVICES.len())])
         };
-        let payload_bytes = if fake_443 {
-            payload::tls_record(90, rng) // VPN-over-443 looks TLS-ish too
+        let payload = &mut buf[TCP_PAYLOAD..];
+        let payload_len = if fake_443 {
+            payload::tls_record(payload, 90, rng) // VPN-over-443 looks TLS-ish too
         } else {
-            payload::content_bytes(96, rng)
+            payload::content_bytes(payload, 96, rng)
         };
         let wire = if rng.gen::<f64>() < 0.4 { frame_len::DATA } else { frame_len::ACK + 120 };
-        return tcp_frame(mac(ma), mac(mb), a, b, sport, dport, &payload_bytes, wire, rng);
+        return tcp_frame(buf, mac(ma), mac(mb), a, b, sport, dport, payload_len, wire, rng);
     }
-    arp_frame(rng)
+    arp_frame(rng, buf)
 }
 
-fn background_udp_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn background_udp_frame(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+    buf: &mut [u8; SNIPPET_LEN],
+) -> (usize, usize) {
     if let Some((a, ma, b, mb)) = client_pair(ctx, rng) {
         let dns = rng.gen::<f64>() < 0.35;
-        let (payload_bytes, wire, dport) = if dns {
-            (payload::dns_query(rng), frame_len::UDP_SMALL, 53u16)
+        let payload = &mut buf[UDP_PAYLOAD..];
+        let (payload_len, wire, dport) = if dns {
+            (payload::dns_query(payload, rng), frame_len::UDP_SMALL, 53u16)
         } else {
             (
-                payload::content_bytes(100, rng),
+                payload::content_bytes(payload, 100, rng),
                 frame_len::UDP_LARGE,
                 rng.gen_range(1024..65000u16),
             )
         };
-        return udp_frame(
-            mac(ma),
-            mac(mb),
-            a,
-            b,
-            rng.gen_range(1024..65000),
-            dport,
-            &payload_bytes,
-            wire,
-        );
+        let sport = rng.gen_range(1024..65000);
+        return udp_frame(buf, mac(ma), mac(mb), a, b, sport, dport, payload_len, wire);
     }
-    arp_frame(rng)
+    arp_frame(rng, buf)
 }
 
-fn icmp_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn icmp_frame(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+    buf: &mut [u8; SNIPPET_LEN],
+) -> (usize, usize) {
     if let Some((a, ma, b, mb)) = client_pair(ctx, rng) {
         let wire = frame_len::ICMP;
-        let ip_payload_len = wire - ethernet::HEADER_LEN - ipv4::HEADER_LEN;
-        let mut buf = vec![0u8; wire.min(SNIPPET_LEN)];
-        emit_eth_ip(
-            &mut buf,
-            mac(ma),
-            mac(mb),
-            a,
-            b,
-            Protocol::Icmp,
-            ip_payload_len,
-            rng,
-        );
-        let l4 = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
-        let mut icmp = ixp_wire::icmp::Packet::new_unchecked(&mut buf[l4..]);
+        let snippet = &mut buf[..wire.min(SNIPPET_LEN)];
+        emit_eth_ip(snippet, mac(ma), mac(mb), a, b, Protocol::Icmp, wire - L4, rng);
+        let mut icmp = ixp_wire::icmp::Packet::new_unchecked(&mut snippet[L4..]);
         icmp.emit_echo(ixp_wire::icmp::Message::EchoRequest, rng.gen(), rng.gen());
-        return (buf, wire);
+        return (snippet.len(), wire);
     }
-    arp_frame(rng)
+    arp_frame(rng, buf)
 }
 
-fn other_transport_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn other_transport_frame(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+    buf: &mut [u8; SNIPPET_LEN],
+) -> (usize, usize) {
     if let Some((a, ma, b, mb)) = client_pair(ctx, rng) {
         let wire = 900;
-        let ip_payload_len = wire - ethernet::HEADER_LEN - ipv4::HEADER_LEN;
-        let mut buf = vec![0u8; wire.min(SNIPPET_LEN)];
         let proto = if rng.gen::<bool>() { Protocol::Gre } else { Protocol::Esp };
-        emit_eth_ip(&mut buf, mac(ma), mac(mb), a, b, proto, ip_payload_len, rng);
-        return (buf, wire);
+        emit_eth_ip(buf, mac(ma), mac(mb), a, b, proto, wire - L4, rng);
+        return (SNIPPET_LEN, wire);
     }
-    arp_frame(rng)
+    arp_frame(rng, buf)
 }
 
-fn ipv6_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn ipv6_frame(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+    buf: &mut [u8; SNIPPET_LEN],
+) -> (usize, usize) {
     // Native IPv6 between two member ports; the pipeline only needs the
     // EtherType to classify (and discard) it.
-    let n_members = ctx.model.registry.members_at(ctx.week).len().max(2) as u32;
+    let n_members = ctx.members.max(2);
     let ma = MemberId(rng.gen_range(0..n_members));
     let mb = MemberId(rng.gen_range(0..n_members));
-    let wire = frame_len::OTHER;
-    let mut buf = vec![0u8; wire.min(SNIPPET_LEN)];
     let eth = ethernet::Repr {
         src_addr: mac(ma),
         dst_addr: mac(mb),
         ethertype: ixp_wire::EtherType::Ipv6,
     };
     eth.emit(&mut ethernet::Frame::new_unchecked(&mut buf[..]));
-    buf[ethernet::HEADER_LEN] = 0x60; // IPv6 version nibble
-    for b in buf[ethernet::HEADER_LEN + 1..].iter_mut() {
+    buf[L3] = 0x60; // IPv6 version nibble
+    for b in buf[L3 + 1..].iter_mut() {
         *b = rng.gen();
     }
-    (buf, wire)
+    (SNIPPET_LEN, frame_len::OTHER)
 }
 
-fn arp_frame(rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn arp_frame(rng: &mut SmallRng, buf: &mut [u8; SNIPPET_LEN]) -> (usize, usize) {
     let wire = 60;
-    let mut buf = vec![0u8; wire];
     let eth = ethernet::Repr {
         src_addr: EthernetAddress([0x02, 0xFE, 0, 0, 0, rng.gen()]),
         dst_addr: EthernetAddress::BROADCAST,
         ethertype: ixp_wire::EtherType::Arp,
     };
-    eth.emit(&mut ethernet::Frame::new_unchecked(&mut buf[..]));
-    (buf, wire)
+    eth.emit(&mut ethernet::Frame::new_unchecked(&mut buf[..wire]));
+    (wire, wire)
 }
 
 /// IXP-management / non-member traffic: valid IPv4, but at least one MAC is
 /// not a member port (monitoring boxes, route servers).
-fn local_frame(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> (Vec<u8>, usize) {
+fn local_frame(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+    buf: &mut [u8; SNIPPET_LEN],
+) -> (usize, usize) {
     let infra = EthernetAddress([0x02, 0xFD, 0, 0, 0, rng.gen_range(1..200)]);
-    let n_members = ctx.model.registry.members_at(ctx.week).len().max(1) as u32;
-    let member = mac(MemberId(rng.gen_range(0..n_members)));
+    let member = mac(MemberId(rng.gen_range(0..ctx.members.max(1))));
     let wire = 520;
-    let ip_payload_len = wire - ethernet::HEADER_LEN - ipv4::HEADER_LEN;
-    let mut buf = vec![0u8; wire.min(SNIPPET_LEN)];
     let (src_mac, dst_mac) = if rng.gen::<bool>() { (infra, member) } else { (member, infra) };
     emit_eth_ip(
-        &mut buf,
+        buf,
         src_mac,
         dst_mac,
         Ipv4Addr::new(10, 255, rng.gen(), rng.gen()),
         Ipv4Addr::new(10, 255, rng.gen(), rng.gen()),
         Protocol::Udp,
-        ip_payload_len,
+        wire - L4,
         rng,
     );
-    (buf, wire)
+    (SNIPPET_LEN, wire)
 }
 
 fn mac(m: MemberId) -> EthernetAddress {
@@ -792,31 +807,29 @@ fn emit_eth_ip(
         payload_len: ip_payload_len,
         ttl: rng.gen_range(40..64),
     };
-    ip.emit(&mut ipv4::Packet::new_unchecked(&mut buf[ethernet::HEADER_LEN..]))
+    ip.emit(&mut ipv4::Packet::new_unchecked(&mut buf[L3..]))
         .expect("ip emit");
 }
 
-/// Build a TCP frame snippet. `wire` is the claimed on-the-wire length; the
-/// returned buffer holds at most the sFlow snippet.
+/// Put Ethernet, IPv4 and TCP headers in front of the `payload_len` bytes
+/// already at [`TCP_PAYLOAD`]. `wire` is the claimed on-the-wire length;
+/// the snippet holds at most the first 128 bytes of it.
 #[allow(clippy::too_many_arguments)]
 fn tcp_frame(
+    buf: &mut [u8; SNIPPET_LEN],
     src_mac: EthernetAddress,
     dst_mac: EthernetAddress,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
     sport: u16,
     dport: u16,
-    payload_bytes: &[u8],
+    payload_len: usize,
     wire: usize,
     rng: &mut SmallRng,
-) -> (Vec<u8>, usize) {
-    let headers = ethernet::HEADER_LEN + ipv4::HEADER_LEN + tcp::HEADER_LEN;
-    let wire = wire.max(headers + payload_bytes.len().min(74));
-    let ip_payload_len = wire - ethernet::HEADER_LEN - ipv4::HEADER_LEN;
-    let snip = wire.min(SNIPPET_LEN);
-    let mut buf = vec![0u8; snip];
-    emit_eth_ip(&mut buf, src_mac, dst_mac, src_ip, dst_ip, Protocol::Tcp, ip_payload_len, rng);
-    let l4 = &mut buf[ethernet::HEADER_LEN + ipv4::HEADER_LEN..];
+) -> (usize, usize) {
+    let wire = wire.max(TCP_PAYLOAD + payload_len);
+    let snippet = &mut buf[..wire.min(SNIPPET_LEN)];
+    emit_eth_ip(snippet, src_mac, dst_mac, src_ip, dst_ip, Protocol::Tcp, wire - L4, rng);
     let tcp_repr = tcp::Repr {
         src_port: sport,
         dst_port: dport,
@@ -825,61 +838,40 @@ fn tcp_frame(
         flags: tcp::Flags::PSH | tcp::Flags::ACK,
         window: rng.gen_range(8_000..65_000),
     };
-    // Emit header fields directly (checksum covers only the snippet bytes;
-    // snippets cannot be checksum-verified anyway, as in real sFlow).
-    if l4.len() >= tcp::HEADER_LEN {
-        let avail = l4.len() - tcp::HEADER_LEN;
-        let n = avail.min(payload_bytes.len());
-        l4[tcp::HEADER_LEN..tcp::HEADER_LEN + n].copy_from_slice(&payload_bytes[..n]);
-        tcp_repr
-            .emit(&mut tcp::Packet::new_unchecked(&mut l4[..]), src_ip, dst_ip)
-            .expect("tcp emit");
-    }
-    (buf, wire)
+    // The checksum covers only the snippet bytes; snippets cannot be
+    // checksum-verified anyway, as in real sFlow.
+    tcp_repr
+        .emit(&mut tcp::Packet::new_unchecked(&mut snippet[L4..]), src_ip, dst_ip)
+        .expect("tcp emit");
+    (snippet.len(), wire)
 }
 
-/// Build a UDP frame snippet.
+/// Put Ethernet, IPv4 and UDP headers in front of the `payload_len` bytes
+/// already at [`UDP_PAYLOAD`].
 #[allow(clippy::too_many_arguments)]
 fn udp_frame(
+    buf: &mut [u8; SNIPPET_LEN],
     src_mac: EthernetAddress,
     dst_mac: EthernetAddress,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
     sport: u16,
     dport: u16,
-    payload_bytes: &[u8],
+    payload_len: usize,
     wire: usize,
-) -> (Vec<u8>, usize) {
-    let headers = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN;
-    let wire = wire.max(headers + payload_bytes.len().min(86));
-    let ip_payload_len = wire - ethernet::HEADER_LEN - ipv4::HEADER_LEN;
-    let snip = wire.min(SNIPPET_LEN);
-    let mut buf = vec![0u8; snip];
+) -> (usize, usize) {
+    let wire = wire.max(UDP_PAYLOAD + payload_len);
+    let snippet = &mut buf[..wire.min(SNIPPET_LEN)];
     // UDP needs no rng for headers; reuse a throwaway for the IP TTL.
     let mut ttl_rng = SmallRng::seed_from_u64(u64::from(u32::from(src_ip)) ^ 0x77);
-    emit_eth_ip(
-        &mut buf,
-        src_mac,
-        dst_mac,
-        src_ip,
-        dst_ip,
-        Protocol::Udp,
-        ip_payload_len,
-        &mut ttl_rng,
-    );
-    let l4 = &mut buf[ethernet::HEADER_LEN + ipv4::HEADER_LEN..];
-    if l4.len() >= udp::HEADER_LEN {
-        let avail = l4.len() - udp::HEADER_LEN;
-        let n = avail.min(payload_bytes.len());
-        l4[udp::HEADER_LEN..udp::HEADER_LEN + n].copy_from_slice(&payload_bytes[..n]);
-        let udp_repr = udp::Repr {
-            src_port: sport,
-            dst_port: dport,
-            payload_len: ip_payload_len - udp::HEADER_LEN,
-        };
-        udp_repr
-            .emit(&mut udp::Packet::new_unchecked(&mut l4[..]), src_ip, dst_ip)
-            .expect("udp emit");
-    }
-    (buf, wire)
+    emit_eth_ip(snippet, src_mac, dst_mac, src_ip, dst_ip, Protocol::Udp, wire - L4, &mut ttl_rng);
+    let udp_repr = udp::Repr {
+        src_port: sport,
+        dst_port: dport,
+        payload_len: wire - UDP_PAYLOAD,
+    };
+    udp_repr
+        .emit(&mut udp::Packet::new_unchecked(&mut snippet[L4..]), src_ip, dst_ip)
+        .expect("udp emit");
+    (snippet.len(), wire)
 }

@@ -55,6 +55,18 @@ trailer_sites=$(awk '
     /trailer_digest\(/ { printf "%s ", within }' crates/codec/src/lib.rs)
 [ "$trailer_sites" = "trailer_digest append_trailer split_verified " ] ||
     fail "expected one \`fn trailer_digest\` called from append_trailer and split_verified, found it in: $trailer_sites"
+# One resolution: whatever the generator keys by ASN, organization or week
+# becomes a dense index once per week, in WeekContext::new; the per-sample
+# code does array lookups and writes into a buffer, nothing else. A hash
+# probe or a `format!` there is per-sample work the week pays 1.3 M times.
+keyed_sites=$(awk '
+    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
+    /index_of\(|members_at\(|population_of\(|HashMap/ { if (within != "new") printf "%s:%d ", within, NR }' crates/traffic/src/week.rs)
+[ -z "$keyed_sites" ] ||
+    fail "crates/traffic/src/week.rs resolves a key outside WeekContext::new (fn:line): $keyed_sites"
+if grep -nE 'format!|to_string' crates/traffic/src/payload.rs >&2; then
+    fail "crates/traffic/src/payload.rs formats into a String: write into the caller's buffer"
+fi
 if grep -nE '^(bytes|criterion|crossbeam|parking_lot|serde|serde_json|serde_derive)\b' \
     Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml >&2; then
     fail "a manifest names a dependency the workspace spells in std"

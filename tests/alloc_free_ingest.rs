@@ -1,7 +1,8 @@
 //! `WeekScan::ingest` allocates for what it learns — a new IP, a new
-//! domain, a new source — and for nothing else. An integration test is a
-//! binary of its own, so the counting allocator below is installed here
-//! and nowhere else.
+//! domain, a new source — and for nothing else; `WeekStream::next`, which
+//! feeds it, allocates the datagram it returns and nothing else. An
+//! integration test is a binary of its own, so the counting allocator below
+//! is installed here and nowhere else.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -17,12 +18,14 @@ struct CountingPerThread;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // Unreachable thread-local storage (a thread being torn down) is not
     // a thread this test measures.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -30,13 +33,13 @@ fn count_one() {
 // thread-local `Cell` that neither allocates nor touches allocator state.
 unsafe impl GlobalAlloc for CountingPerThread {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's layout is passed through as given.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's layout is passed through as given.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -48,7 +51,7 @@ unsafe impl GlobalAlloc for CountingPerThread {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: as for `dealloc`, plus the caller guarantees `new_size`
         // is valid for `layout.align()`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -60,9 +63,15 @@ static ALLOCATOR: CountingPerThread = CountingPerThread;
 
 /// Allocations (and reallocations) this thread makes while `f` runs.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
+    allocated(f).1
+}
+
+/// What `f` returns, how often this thread allocated while it ran, and how
+/// many bytes it asked for in all.
+fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (count, bytes) = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - count, ALLOCATED_BYTES.with(Cell::get) - bytes)
 }
 
 /// The reference week at tiny scale, and its member count.
@@ -136,4 +145,32 @@ fn a_fresh_scan_allocates_for_what_it_learns_not_per_datagram() {
         "bound {bound} does not separate table growth from {} datagrams",
         feed.len()
     );
+}
+
+#[test]
+fn each_generated_datagram_is_the_one_allocation_of_its_step() {
+    let model = InternetModel::generate(ScaleConfig::tiny(), 14);
+    let mut stream = WeekStream::new(&model, MixConfig::default(), Week::REFERENCE, model.seed);
+    let mut datagrams = 0;
+    let mut closing = 0;
+    loop {
+        let (datagram, count, bytes) = allocated(|| stream.next());
+        let Some(datagram) = datagram else {
+            assert_eq!(count, 0, "allocations after the last datagram");
+            break;
+        };
+        datagrams += 1;
+        // From the very first datagram to the closing one, which carries
+        // every port's counters behind a short batch of samples.
+        assert_eq!(
+            (count, bytes, datagram.capacity()),
+            (1, datagram.len() as u64, datagram.len()),
+            "datagram {datagrams} of {} bytes",
+            datagram.len()
+        );
+        closing = datagram.len();
+    }
+    assert!(datagrams > 1_000, "a feed of {datagrams} datagrams proves little");
+    assert!(closing > 4_000, "the last datagram carried no counters: {closing} bytes");
+    assert!(stream.next().is_none());
 }
