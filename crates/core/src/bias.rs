@@ -8,6 +8,8 @@
 //! comparison over a week's feed: for every member port, the flow-sample
 //! estimate of sourced octets vs. the port's own `if_in_octets`.
 
+#![deny(clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 
 use ixp_netmodel::Week;

@@ -9,6 +9,8 @@
 //!   hostname (PTR), SOA identity, observed URIs, and X.509 names — each of
 //!   which may be missing, exactly as in the wild.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 

@@ -28,6 +28,7 @@
 //! `validate_`, mirroring how the authors validated against Akamai's
 //! published footprint and hand-checked clusters.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

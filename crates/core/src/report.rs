@@ -2,6 +2,9 @@
 //! row/column layout of the paper, for the `repro` harness and
 //! EXPERIMENTS.md.
 
+#![deny(clippy::disallowed_types)]
+#![allow(clippy::let_underscore_must_use, reason = "every renderer here does `writeln!` into a `String`, whose `fmt::Write` never returns `Err`")]
+
 use std::fmt::Write as _;
 
 use ixp_netmodel::InternetModel;

@@ -6,6 +6,8 @@
 //! (RouteViews/GeoLite stand-in), the member directory, the AS graph, and
 //! published range lists. Ground truth is never consulted here.
 
+#![deny(clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 
 use ixp_netmodel::{

@@ -30,6 +30,8 @@
 //!   perturbs `(peer, packet)` pairs at the UDP level (drop, duplicate,
 //!   reorder, truncate) for the transport front-end.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok))]
+#![deny(clippy::disallowed_types)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -2,19 +2,20 @@
 //!
 //! Builds the intra-workspace call graph from the parsed files and
 //! computes the transitive can-panic set by fixpoint. Every unrestricted
-//! `pub fn` in the stream-facing crates (`ixp-wire`, `ixp-sflow`,
-//! `ixp-faults`) must be transitively panic-free: a panic *anywhere* in
-//! its workspace call chain — including helpers in other crates — is a
-//! `panic-path` finding, reported at the `pub fn` with the offending
-//! chain spelled out.
+//! `pub fn` in the stream-facing crates ([`crate::rules::stream_facing`]:
+//! `ixp-wire`, `ixp-sflow`, `ixp-faults`, `ixp-supervisor`,
+//! `ixp-transport`, `ixp-obsd`) must be transitively panic-free: a panic
+//! *anywhere* in its workspace call chain — including helpers in other
+//! crates — is a `panic-path` finding, reported at the `pub fn` with the
+//! offending chain spelled out.
 //!
-//! Division of labour with L1: a panic construct written directly inside
-//! an in-scope function is already reported (and suppressed) token-wise
-//! by the L1 rules, so L5 re-reports a function only when the panic is
-//! *reachable through a call* or comes from the assert family, which L1
-//! does not cover. A site suppressed by its L1 allow directive is
-//! "vouched": the author asserts it cannot fire, so it does not
-//! propagate through the graph either.
+//! Division of labour with the compiler: inside the stream-facing crates
+//! an `.unwrap()`, `.expect()`, `panic!`-family macro or `[..]` site is
+//! clippy's (the contract line that opens each `lib.rs`, DESIGN.md §8) —
+//! either a build error or carrying a reasoned `#[allow]`, by which the
+//! author vouches that it cannot fire. L5 therefore seeds the graph there
+//! from the assert family only, which no clippy lint covers, and from
+//! every panic site everywhere else.
 
 use std::collections::HashMap;
 
@@ -22,7 +23,7 @@ use crate::parser::ParsedFile;
 use crate::symbols::{FnRef, SymbolTable};
 use crate::{FileAllows, Finding};
 
-/// Why a function can panic: a vouched-free local site, or a call into a
+/// Why a function can panic: an unvouched local site, or a call into a
 /// function that can.
 #[derive(Debug, Clone, Copy)]
 enum Witness {
@@ -43,32 +44,26 @@ pub(crate) fn check(
     allows: &HashMap<String, FileAllows>,
     out: &mut Vec<Finding>,
 ) {
-    // Unvouched local panic sites and resolved call edges, per function.
-    let mut local: HashMap<FnRef, Vec<usize>> = HashMap::new();
+    // The first unvouched local panic site and the resolved call edges, per
+    // function.
     let mut edges: HashMap<FnRef, Vec<(FnRef, u32)>> = HashMap::new();
     let mut witness: HashMap<FnRef, Witness> = HashMap::new();
 
     for (fi, file) in files.iter().enumerate() {
         let fa = allows.get(&file.path);
+        let asserts_only = crate::rules::stream_facing(&file.path);
         for (xi, f) in file.fns.iter().enumerate() {
             if f.in_test {
                 continue;
             }
             let id: FnRef = (fi, xi);
-            let mut sites = Vec::new();
-            for (si, site) in f.panics.iter().enumerate() {
-                let vouched = fa.is_some_and(|fa| {
-                    fa.suppresses(site.vouch_rule, site.line)
-                        || fa.suppresses("panic-path", site.line)
-                });
-                if !vouched {
-                    sites.push(si);
-                }
-            }
-            if let Some(&si) = sites.first() {
+            let seed = f.panics.iter().position(|site| {
+                (site.is_assert || !asserts_only)
+                    && !fa.is_some_and(|fa| fa.suppresses("panic-path", site.line))
+            });
+            if let Some(si) = seed {
                 witness.insert(id, Witness::Local(si));
             }
-            local.insert(id, sites);
             let mut callees = Vec::new();
             for call in &f.calls {
                 for tgt in table.resolve(call, file, f) {
@@ -104,7 +99,7 @@ pub(crate) fn check(
     }
 
     for (fi, file) in files.iter().enumerate() {
-        if !crate::rules::l1_applies(&file.path) {
+        if !crate::rules::stream_facing(&file.path) {
             continue;
         }
         for (xi, f) in file.fns.iter().enumerate() {
@@ -113,27 +108,12 @@ pub(crate) fn check(
             }
             let id: FnRef = (fi, xi);
             let Some(&w) = witness.get(&id) else { continue };
-            // Purely local L1-covered panics are L1's findings, not L5's.
-            let has_assert_family = local
+            // Prefer a call chain in the message: it is the part no
+            // per-crate lint can see. Fall back to the local assert site.
+            let start = edges
                 .get(&id)
-                .is_some_and(|sites| sites.iter().any(|&si| !f.panics[si].l1_covered));
-            let has_panicking_callee = edges
-                .get(&id)
-                .is_some_and(|cs| cs.iter().any(|(t, _)| witness.contains_key(t)));
-            if !has_assert_family && !has_panicking_callee {
-                continue;
-            }
-            // Prefer the call chain in the message: it is the part L1
-            // cannot see. Fall back to the local assert-family site.
-            let start = if has_panicking_callee {
-                edges
-                    .get(&id)
-                    .and_then(|cs| cs.iter().find(|(t, _)| witness.contains_key(t)))
-                    .map(|&(t, line)| Witness::Call(t, line))
-                    .unwrap_or(w)
-            } else {
-                w
-            };
+                .and_then(|cs| cs.iter().find(|(t, _)| witness.contains_key(t)))
+                .map_or(w, |&(t, line)| Witness::Call(t, line));
             let trace = render_trace(files, &witness, id, start);
             out.push(Finding::at(
                 &file.path,
@@ -236,10 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn local_l1_covered_panics_are_left_to_l1() {
+    fn clippy_owned_sites_in_stream_facing_crates_are_not_rereported() {
         let got = run(&[(
             "crates/wire/src/lib.rs",
-            "pub fn bad(o: Option<u8>) -> u8 { o.unwrap() }",
+            "pub fn bad(o: Option<u8>, b: &[u8]) -> u8 { o.unwrap() + b[0] + via(b) }\nfn via(b: &[u8]) -> u8 { b[1] }",
         )]);
         assert!(got.is_empty(), "{got:?}");
     }
@@ -258,10 +238,10 @@ mod tests {
     fn vouched_sites_do_not_propagate() {
         let got = run(&[
             (
-                "crates/wire/src/acc.rs",
-                "pub fn field(b: &[u8]) -> u8 {\n    b[0] // ixp-lint: allow(no-index) caller validated length\n}",
+                "crates/core/src/acc.rs",
+                "pub fn field(b: &[u8]) -> u8 {\n    b[0] // ixp-lint: allow(panic-path) caller validated length\n}",
             ),
-            ("crates/wire/src/lib.rs", "pub fn go(b: &[u8]) -> u8 { field(b) }"),
+            ("crates/wire/src/lib.rs", "use ixp_core::acc::field;\npub fn go(b: &[u8]) -> u8 { field(b) }"),
         ]);
         assert!(got.is_empty(), "{got:?}");
     }

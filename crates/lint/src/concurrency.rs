@@ -376,7 +376,7 @@ mod tests {
     fn sorted_push_and_index_keyed_merge_are_clean() {
         let got = run(&[(
             "crates/a/src/lib.rs",
-            "pub fn merge(rx: &Receiver<u64>, slots: &mut [u64]) -> Vec<u64> {\n    let mut out = Vec::new();\n    let mut i = 0;\n    while let Ok(v) = rx.recv() {\n        out.push(v);\n        slots[i] = v; // ixp-lint: allow(no-index) fixture\n        i += 1;\n    }\n    out.sort_unstable();\n    out\n}\n",
+            "pub fn merge(rx: &Receiver<u64>, slots: &mut [u64]) -> Vec<u64> {\n    let mut out = Vec::new();\n    let mut i = 0;\n    while let Ok(v) = rx.recv() {\n        out.push(v);\n        slots[i] = v;\n        i += 1;\n    }\n    out.sort_unstable();\n    out\n}\n",
         )]);
         assert!(got.is_empty(), "{got:?}");
     }

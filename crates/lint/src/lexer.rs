@@ -578,10 +578,10 @@ fn after() { z.unwrap(); }
         // The closing `*/` never arrives; the comment runs to EOF and the
         // last two characters are real text — a directive there must
         // survive (it used to be clipped).
-        let src = "/* ixp-lint: allow(no-index) ok";
+        let src = "/* ixp-lint: allow(panic-path) ok";
         let toks = lex(src);
         assert_eq!(toks.comments.len(), 1);
-        assert!(toks.comments[0].text.ends_with("allow(no-index) ok"), "{:?}", toks.comments[0]);
+        assert!(toks.comments[0].text.ends_with("allow(panic-path) ok"), "{:?}", toks.comments[0]);
         assert!(toks.tokens.is_empty());
     }
 

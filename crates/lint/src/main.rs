@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p ixp-lint                      # lint the workspace
 //! cargo run -p ixp-lint -- --root <dir>      # lint another checkout
-//! cargo run -p ixp-lint -- --explain no-index
+//! cargo run -p ixp-lint -- --explain panic-path
 //! ```
 //!
 //! Exit codes: 0 clean, 1 any violation, 2 usage/I-O error.
@@ -15,10 +15,13 @@ fn usage() -> &'static str {
     "usage: ixp-lint [--root <dir>]\n\
      \x20      ixp-lint --explain <rule|family>\n\
      \n\
-     Lints every workspace .rs file against the project rules, families\n\
-     L1-L11 (see crates/lint/src/rules.rs), and prints one\n\
+     Lints every workspace .rs file against the eleven project rules no\n\
+     compiler lint can state (families L4, L5, L6, L8, L9, L10 and the\n\
+     directive checker; see crates/lint/src/rules.rs) and prints one\n\
      `file:line: rule: message` line per violation. --explain prints the\n\
-     rationale for one rule or family alias (l1..l11)."
+     rationale for one rule or family alias (l4, l5, l6, l8, l9, l10).\n\
+     unwrap/expect/panic/index, narrowing casts, float equality, hash order,\n\
+     ambient time and dropped Results are clippy's: see DESIGN.md section 8."
 }
 
 struct Args {

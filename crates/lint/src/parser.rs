@@ -48,12 +48,9 @@ pub struct PanicSite {
     pub col: u32,
     /// Human description, e.g. "`.unwrap()`" or "`[..]` indexing".
     pub what: &'static str,
-    /// The rule whose allow directive vouches for this site. L1-covered
-    /// sites use their L1 rule id; assert-family sites use `panic-path`.
-    pub vouch_rule: &'static str,
-    /// True when the L1 token rules already report this construct in L1
-    /// scope (so L5 need not re-report it locally).
-    pub l1_covered: bool,
+    /// True for `assert!`/`assert_eq!`/`assert_ne!`, the one family the
+    /// clippy contract line of the stream-facing crates does not cover.
+    pub is_assert: bool,
 }
 
 /// One `fn` item.
@@ -496,23 +493,22 @@ fn scan_body(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                 let before_paren = matches!(kind(next), Some(Kind::Punct('(')));
                 let before_bang = matches!(kind(next), Some(Kind::Punct('!')));
                 if before_bang {
-                    let (what, vouch_rule, l1): (&str, &str, bool) = match name.as_str() {
-                        "panic" => ("`panic!`", "no-panic", true),
-                        "todo" => ("`todo!`", "no-panic", true),
-                        "unimplemented" => ("`unimplemented!`", "no-panic", true),
-                        "unreachable" => ("`unreachable!`", "no-unreachable", true),
-                        "assert" => ("`assert!`", "panic-path", false),
-                        "assert_eq" => ("`assert_eq!`", "panic-path", false),
-                        "assert_ne" => ("`assert_ne!`", "panic-path", false),
-                        _ => ("", "", false),
+                    let what = match name.as_str() {
+                        "panic" => "`panic!`",
+                        "todo" => "`todo!`",
+                        "unimplemented" => "`unimplemented!`",
+                        "unreachable" => "`unreachable!`",
+                        "assert" => "`assert!`",
+                        "assert_eq" => "`assert_eq!`",
+                        "assert_ne" => "`assert_ne!`",
+                        _ => "",
                     };
                     if !what.is_empty() {
                         item.panics.push(PanicSite {
                             line: t.line,
                             col: t.col,
                             what,
-                            vouch_rule,
-                            l1_covered: l1,
+                            is_assert: name.starts_with("assert"),
                         });
                     }
                     i += 1;
@@ -525,15 +521,13 @@ fn scan_body(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                                 line: t.line,
                                 col: t.col,
                                 what: "`.unwrap()`",
-                                vouch_rule: "no-unwrap",
-                                l1_covered: true,
+                                is_assert: false,
                             }),
                             "expect" => item.panics.push(PanicSite {
                                 line: t.line,
                                 col: t.col,
                                 what: "`.expect()`",
-                                vouch_rule: "no-expect",
-                                l1_covered: true,
+                                is_assert: false,
                             }),
                             _ => {}
                         }
@@ -576,8 +570,7 @@ fn scan_body(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                         line: t.line,
                         col: t.col,
                         what: "`[..]` indexing",
-                        vouch_rule: "no-index",
-                        l1_covered: true,
+                        is_assert: false,
                     });
                 }
             }
@@ -709,7 +702,8 @@ mod tests {
             what,
             vec!["`.unwrap()`", "`.expect()`", "`panic!`", "`assert!`", "`[..]` indexing"]
         );
-        assert!(p.fns[0].panics.iter().any(|s| !s.l1_covered));
+        let asserts: Vec<bool> = p.fns[0].panics.iter().map(|s| s.is_assert).collect();
+        assert_eq!(asserts, vec![false, false, false, true, false]);
     }
 
     #[test]

@@ -1,29 +1,23 @@
-//! The project rules, run over the token stream of each file.
+//! The rule registry, the scope predicates, and the L4 `error-impl` rule.
 //!
 //! Rules are scoped by workspace-relative path. All checks are lexical
 //! approximations of the real invariants — exact enough for this codebase,
 //! with the inline allow directive as the escape hatch for false positives.
+//! What a compiler lint can say is not here: unwrap/expect/panic/index,
+//! narrowing casts, float equality, hash-ordered containers, ambient time
+//! and discarded `Result`s are clippy's (DESIGN.md §8 has the table).
 //!
 //! | rule            | family | scope                                         |
 //! |-----------------|--------|-----------------------------------------------|
-//! | `no-unwrap`     | L1     | stream-facing crates (`ixp-wire`, `ixp-sflow`, `ixp-faults`, `ixp-supervisor`, `ixp-transport`, `ixp-obsd`) and `ixp-core` |
-//! | `no-expect`     | L1     | stream-facing crates and `ixp-core`           |
-//! | `no-panic`      | L1     | stream-facing crates and `ixp-core` (`panic!`/`todo!`/`unimplemented!`) |
-//! | `no-unreachable`| L1     | stream-facing crates and `ixp-core`           |
-//! | `no-index`      | L1     | stream-facing crates (`[i]` indexing / slicing) |
-//! | `no-narrow-cast`| L2     | `sflow::accounting`, `core::census`           |
-//! | `no-float-eq`   | L3     | `core::{longitudinal, visibility, baseline}`  |
 //! | `error-impl`    | L4     | every crate `src/` tree                       |
 //! | `panic-path`    | L5     | `pub fn`s of stream-facing crates (whole-workspace call graph) |
 //! | `tainted-capacity`, `tainted-arith`, `tainted-slice-len` | L6 | stream-facing crates |
-//! | `hash-iter-order`, `ambient-time`, `ambient-random` | L7 | `core::{report, snapshot, bias}`, `ixp-faults` |
-//! | `obs-clock-boundary` | L7 | every crate `src/` tree except `obs/src/clock.rs` |
 //! | `atomic-ordering` | L8 | every crate `src/` tree |
 //! | `order-dependent-merge` | L8 | every crate `src/` tree |
 //! | `unaccounted-drop` | L9 | datagram-consuming paths of `sflow::collector`, `supervisor::{ring, supervisor}`, `core::scan` |
 //! | `codec-asymmetry` | L10 | registered checkpoint save/restore pairs |
 //! | `schema-drift` | L10 | registered pairs (digest ratchet) + unregistered checkpoint-shaped codecs |
-//! | `error-sink` | L11 | every crate `src/` tree |
+//! | `bad-directive` | meta | every scanned file                           |
 //!
 //! Test code (`#[cfg(test)]` items) is exempt from every family except L4.
 
@@ -38,7 +32,8 @@ use crate::Finding;
 pub struct RuleInfo {
     /// Rule id as it appears in findings and directives.
     pub id: &'static str,
-    /// Family tag: `L1`..`L11`, or `meta` for the directive checker.
+    /// Family tag: `L4`..`L10` (L7 is retired), or `meta` for the directive
+    /// checker.
     pub family: &'static str,
     /// One-line summary.
     pub summary: &'static str,
@@ -48,62 +43,6 @@ pub struct RuleInfo {
 
 /// The full rule registry.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "no-unwrap",
-        family: "L1",
-        summary: "no `.unwrap()` in stream-facing crates or ixp-core",
-        explain: "The decoders are fed raw network bytes and must never panic \
-                  (DESIGN.md §8). `.unwrap()` turns a malformed datagram into a \
-                  collector crash; return the crate's Error type instead.",
-    },
-    RuleInfo {
-        id: "no-expect",
-        family: "L1",
-        summary: "no `.expect()` in stream-facing crates or ixp-core",
-        explain: "Like no-unwrap: `.expect()` panics on malformed input. The \
-                  message string does not make the crash acceptable; return an \
-                  Error with the same context instead.",
-    },
-    RuleInfo {
-        id: "no-panic",
-        family: "L1",
-        summary: "no `panic!`/`todo!`/`unimplemented!` in stream-facing crates or ixp-core",
-        explain: "Explicit panic macros in a decoder convert hostile input into \
-                  denial of service. Unfinished paths must return Error, not todo!.",
-    },
-    RuleInfo {
-        id: "no-unreachable",
-        family: "L1",
-        summary: "no `unreachable!` in stream-facing crates or ixp-core",
-        explain: "States judged impossible have a way of arriving off the wire. \
-                  Return an Error for impossible states so a wrong judgement is \
-                  a diagnostic, not an abort.",
-    },
-    RuleInfo {
-        id: "no-index",
-        family: "L1",
-        summary: "no `[..]` indexing/slicing in stream-facing crates",
-        explain: "Slice indexing panics on out-of-bounds. Decoders must use \
-                  `.get()`, slice patterns, or split_at-style helpers after an \
-                  explicit length check. A checked site can be vouched for with \
-                  `// ixp-lint: allow(no-index) <reason>`.",
-    },
-    RuleInfo {
-        id: "no-narrow-cast",
-        family: "L2",
-        summary: "no narrowing `as` casts in accounting modules",
-        explain: "Traffic estimates aggregate 64-bit counters; a narrowing `as` \
-                  silently truncates. Use TryFrom or keep the wide type \
-                  (DESIGN.md §8, L2).",
-    },
-    RuleInfo {
-        id: "no-float-eq",
-        family: "L3",
-        summary: "no exact float comparison in longitudinal analytics",
-        explain: "Measured ratios carry rounding error; `==`/`!=` against floats \
-                  makes conclusions depend on accumulation order. Compare \
-                  against a tolerance.",
-    },
     RuleInfo {
         id: "error-impl",
         family: "L4",
@@ -117,12 +56,14 @@ pub const RULES: &[RuleInfo] = &[
         family: "L5",
         summary: "pub fns of stream-facing crates are transitively panic-free",
         explain: "L5 builds the workspace call graph and computes the transitive \
-                  can-panic set. A `pub fn` in ixp-wire/ixp-sflow/ixp-faults that \
-                  can reach a panic through any workspace call chain — including \
-                  helpers in other crates, or assert!/assert_eq! which the L1 \
-                  token rules do not cover — is reported with the offending \
-                  chain. Sites suppressed by their L1 allow directive are \
-                  treated as vouched-safe and do not propagate.",
+                  can-panic set. A `pub fn` in a stream-facing crate (ixp-wire, \
+                  ixp-sflow, ixp-faults, ixp-supervisor, ixp-transport, ixp-obsd) \
+                  that can reach a panic through any workspace call chain — \
+                  including helpers in other crates — is reported with the \
+                  offending chain. Inside those crates an unwrap, expect, \
+                  panic!, unreachable! or index site is clippy's (denied, or \
+                  vouched by a reasoned #[allow]) and does not seed the graph; \
+                  the assert! family, which no clippy lint covers, does.",
     },
     RuleInfo {
         id: "tainted-capacity",
@@ -150,42 +91,6 @@ pub const RULES: &[RuleInfo] = &[
         explain: "Using a decoded length inside `[..]` panics when the datagram \
                   lies about its own size. Validate against the buffer length \
                   and use `.get()`.",
-    },
-    RuleInfo {
-        id: "hash-iter-order",
-        family: "L7",
-        summary: "no HashMap/HashSet in deterministic output/replay paths",
-        explain: "HashMap iteration order is randomized per process. In report \
-                  rendering it reorders lines; in float accumulation it changes \
-                  sums; in ixp-faults it breaks bit-for-bit replay (DESIGN.md §9). \
-                  Use BTreeMap/BTreeSet or sort explicitly.",
-    },
-    RuleInfo {
-        id: "ambient-time",
-        family: "L7",
-        summary: "no SystemTime::now/Instant::now in deterministic paths",
-        explain: "Wall-clock reads make two runs of the same input differ. \
-                  Timestamps must arrive as data (datagram uptime fields, plan \
-                  parameters), never be sampled ambiently.",
-    },
-    RuleInfo {
-        id: "ambient-random",
-        family: "L7",
-        summary: "no ambient entropy in deterministic paths",
-        explain: "thread_rng/from_entropy/OsRng draw per-process entropy, \
-                  breaking the fault-replay guarantee. All randomness flows from \
-                  the seeded generator carried in the plan.",
-    },
-    RuleInfo {
-        id: "obs-clock-boundary",
-        family: "L7",
-        summary: "Instant/SystemTime reads only inside ixp-obs's RealClock",
-        explain: "All instrumentation timing flows through the injectable \
-                  ixp_obs::Clock trait so metric snapshots stay reproducible \
-                  under TestClock (DESIGN.md §10). The single permitted \
-                  `Instant::now()` site is RealClock in crates/obs/src/clock.rs; \
-                  every other module takes a `&dyn Clock` (or an `Obs` bundle) \
-                  and reads time through it.",
     },
     RuleInfo {
         id: "atomic-ordering",
@@ -260,21 +165,6 @@ pub const RULES: &[RuleInfo] = &[
                   codecs must enter the ratchet.",
     },
     RuleInfo {
-        id: "error-sink",
-        family: "L11",
-        summary: "no silently discarded `Result` on stream-facing paths",
-        explain: "A decode/restore error that evaporates is a lost datagram the \
-                  accounting never saw — the dynamic invariants can no longer \
-                  notice it. On stream-facing paths, `let _ = fallible()`, a \
-                  bare `fallible().ok();`, and `fallible().unwrap_or_default()` \
-                  are findings; fallibility is resolved interprocedurally \
-                  through the workspace symbol table (any fn returning \
-                  `Result`) plus the `Cur`/decode/restore primitives. \
-                  Propagate with `?`, convert the error into a counted bucket \
-                  or metric, or vouch the site with allow(error-sink) and a \
-                  reason.",
-    },
-    RuleInfo {
         id: "bad-directive",
         family: "meta",
         summary: "malformed or unknown ixp-lint directives",
@@ -284,7 +174,7 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Expand a rule id or family alias (`l1`..`l11`, any case) into its
+/// Expand a rule id or family alias (`l4`..`l10`, any case) into its
 /// registry entries. Returns `None` for unknown names.
 pub fn resolve_rule(name: &str) -> Option<Vec<&'static RuleInfo>> {
     let hits: Vec<&RuleInfo> = RULES
@@ -294,16 +184,18 @@ pub fn resolve_rule(name: &str) -> Option<Vec<&'static RuleInfo>> {
     (!hits.is_empty()).then_some(hits)
 }
 
-/// L1 scope: source trees of the crates that face the raw datagram stream —
-/// the two packet parsers, the fault injector (which rewrites encoded
-/// datagrams and must survive anything it is fed, including its own output),
-/// the supervisor (which decodes checkpoint images that may be
-/// truncated or corrupted by the very crash they are recovering from),
-/// and the wire transport (UDP front door plus the NetFlow v5/v9/IPFIX
-/// decoders, which parse attacker-grade bytes straight off the socket),
-/// and the exposition server (which parses HTTP request bytes from any
-/// client that can reach the socket).
-pub(crate) fn l1_applies(path: &str) -> bool {
+/// The stream-facing scope of L5 and L6: source trees of the crates that
+/// face raw input — the two packet parsers, the fault injector (which
+/// rewrites encoded datagrams and must survive anything it is fed,
+/// including its own output), the supervisor (which decodes checkpoint
+/// images that may be truncated or corrupted by the very crash they are
+/// recovering from), the wire transport (UDP front door plus the NetFlow
+/// v5/v9/IPFIX decoders, which parse attacker-grade bytes straight off the
+/// socket), and the exposition server (which parses HTTP request bytes
+/// from any client that can reach the socket). These are the crates whose
+/// `lib.rs` opens with the clippy contract line; `scripts/ci.sh` reads
+/// this list and checks that exactly these six carry it.
+pub(crate) fn stream_facing(path: &str) -> bool {
     path.starts_with("crates/wire/src/")
         || path.starts_with("crates/sflow/src/")
         || path.starts_with("crates/faults/src/")
@@ -312,21 +204,8 @@ pub(crate) fn l1_applies(path: &str) -> bool {
         || path.starts_with("crates/obsd/src/")
 }
 
-/// L2 scope: modules that aggregate counters and must not silently truncate.
-fn l2_applies(path: &str) -> bool {
-    path == "crates/sflow/src/accounting.rs" || path == "crates/core/src/census.rs"
-}
-
-/// L3 scope: longitudinal/visibility analytics comparing measured ratios.
-fn l3_applies(path: &str) -> bool {
-    path == "crates/core/src/longitudinal.rs"
-        || path == "crates/core/src/visibility.rs"
-        || path == "crates/core/src/baseline.rs"
-}
-
 /// L4 scope: any `src/` tree (root package or a workspace crate). Excludes
-/// tests, examples, benches and fixture trees. Shared with the L7
-/// `obs-clock-boundary` rule, which polices the same set of files.
+/// tests, examples, benches and fixture trees. L8 polices the same files.
 pub(crate) fn l4_applies(path: &str) -> bool {
     let mut parts = path.split('/');
     match parts.next() {
@@ -347,124 +226,6 @@ pub(crate) const NON_INDEXABLE_KEYWORDS: &[&str] = &[
     "struct", "fn", "type", "break", "continue", "loop", "while", "unsafe",
     "mod", "trait", "box", "yield", "async", "await", "become",
 ];
-
-/// Cast targets treated as narrowing-prone. Lexically we cannot see the
-/// source type, so every `as` to one of these is flagged in L2 scope;
-/// widening targets (`u64`, `usize`, `f64`, ...) are not.
-const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-
-/// Run the per-file rules (L1, L2, L3) over one lexed file.
-pub fn check_tokens(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let l1 = l1_applies(path);
-    // `ixp-core` is held to the four call-style L1 rules only; its `[..]`
-    // sites are counted in ROADMAP item 4 as work still to do.
-    let l1_calls = l1 || path.starts_with("crates/core/src/");
-    let l2 = l2_applies(path);
-    let l3 = l3_applies(path);
-    if !(l1_calls || l2 || l3) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.in_test {
-            continue;
-        }
-        let prev = i.checked_sub(1).map(|j| &toks[j].kind);
-        let next = toks.get(i + 1).map(|t| &t.kind);
-        // L2 runs before the big match: accounting.rs sits inside an L1
-        // scope too, and `as` is an identifier the L1 arm would swallow.
-        if l2 {
-            if let Kind::Ident(name) = &t.kind {
-                if name == "as" {
-                    if let Some(Kind::Ident(target)) = next {
-                        if NARROW_TARGETS.contains(&target.as_str()) {
-                            out.push(Finding::at(
-                                path,
-                                t.line,
-                                t.col,
-                                "no-narrow-cast",
-                                &format!(
-                                    "narrowing `as {target}` in an accounting module; \
-                                     use `TryFrom` or a widening type"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        match &t.kind {
-            Kind::Ident(name) if l1_calls => {
-                let after_dot = prev == Some(&Kind::Punct('.'));
-                let bang = next == Some(&Kind::Punct('!'));
-                match name.as_str() {
-                    "unwrap" if after_dot => out.push(Finding::at(
-                        path,
-                        t.line,
-                        t.col,
-                        "no-unwrap",
-                        "`.unwrap()` in a parser crate; return `Error` instead",
-                    )),
-                    "expect" if after_dot => out.push(Finding::at(
-                        path,
-                        t.line,
-                        t.col,
-                        "no-expect",
-                        "`.expect()` in a parser crate; return `Error` instead",
-                    )),
-                    "panic" | "todo" | "unimplemented" if bang => out.push(Finding::at(
-                        path,
-                        t.line,
-                        t.col,
-                        "no-panic",
-                        &format!("`{name}!` in a parser crate; decoders must not panic"),
-                    )),
-                    "unreachable" if bang => out.push(Finding::at(
-                        path,
-                        t.line,
-                        t.col,
-                        "no-unreachable",
-                        "`unreachable!` in a parser crate; return `Error` for impossible states",
-                    )),
-                    _ => {}
-                }
-            }
-            Kind::Punct('[') if l1 => {
-                let indexable = match prev {
-                    Some(Kind::Ident(id)) => {
-                        !NON_INDEXABLE_KEYWORDS.contains(&id.as_str())
-                    }
-                    Some(Kind::Punct(']' | ')' | '?')) | Some(Kind::Int) => true,
-                    _ => false,
-                };
-                if indexable {
-                    out.push(Finding::at(
-                        path,
-                        t.line,
-                        t.col,
-                        "no-index",
-                        "`[..]` indexing/slicing can panic; use `.get()` or slice patterns",
-                    ));
-                }
-            }
-            Kind::EqEq | Kind::Ne if l3 => {
-                let float_adjacent = matches!(prev, Some(Kind::Float))
-                    || matches!(next, Some(&Kind::Float));
-                if float_adjacent {
-                    out.push(Finding::at(
-                        path,
-                        t.line,
-                        t.col,
-                        "no-float-eq",
-                        "exact float comparison; compare against a tolerance instead",
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-}
 
 /// Per-crate facts feeding the L4 rule.
 #[derive(Debug, Default)]
@@ -600,105 +361,6 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn run(path: &str, src: &str) -> Vec<(u32, &'static str)> {
-        let lexed = lex(src);
-        let mut out = Vec::new();
-        check_tokens(path, &lexed, &mut out);
-        out.into_iter().map(|f| (f.line, f.rule)).collect()
-    }
-
-    #[test]
-    fn l1_catches_all_five_shapes() {
-        let src = "
-fn f(b: &[u8]) {
-    let a = b.first().unwrap();
-    let c = b.get(1).expect(\"x\");
-    panic!(\"boom\");
-    unreachable!();
-    let d = b[0];
-}
-";
-        let got = run("crates/wire/src/x.rs", src);
-        assert_eq!(
-            got,
-            vec![
-                (3, "no-unwrap"),
-                (4, "no-expect"),
-                (5, "no-panic"),
-                (6, "no-unreachable"),
-                (7, "no-index"),
-            ]
-        );
-    }
-
-    #[test]
-    fn l1_out_of_scope_and_test_code_are_clean() {
-        let src = "fn f(b: &[u8]) -> u8 { b[0] }";
-        assert!(run("crates/core/src/x.rs", src).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests { fn t(b: &[u8]) { b[0]; b.first().unwrap(); } }";
-        assert!(run("crates/wire/src/x.rs", test_src).is_empty());
-    }
-
-    #[test]
-    fn core_takes_the_call_style_rules_but_not_no_index() {
-        let src = "fn f(b: &[u8]) {\n b.first().unwrap();\n b.get(1).expect(\"x\");\n todo!();\n unreachable!();\n b[0];\n}";
-        let got = run("crates/core/src/x.rs", src);
-        assert_eq!(
-            got,
-            vec![(2, "no-unwrap"), (3, "no-expect"), (4, "no-panic"), (5, "no-unreachable")]
-        );
-    }
-
-    #[test]
-    fn l1_covers_the_fault_injector() {
-        let src = "fn f(b: &[u8]) { b.first().unwrap(); let _ = b[0]; }";
-        let got = run("crates/faults/src/plan.rs", src);
-        assert_eq!(got, vec![(1, "no-unwrap"), (1, "no-index")]);
-    }
-
-    #[test]
-    fn no_index_skips_types_patterns_and_macros() {
-        let src = "
-fn f() -> [u8; 4] {
-    let [a, b, c, d] = [1u8, 2, 3, 4];
-    let v = vec![a, b];
-    if let Some([x, ..]) = Some([c, d]) { let _ = x; }
-    [a, b, c, d]
-}
-";
-        assert!(run("crates/wire/src/x.rs", src).is_empty(), "{:?}", run("crates/wire/src/x.rs", src));
-    }
-
-    #[test]
-    fn no_index_catches_chained_and_call_results() {
-        let src = "fn f(v: &[Vec<u8>]) { v[0][1]; f2()[2]; }";
-        let got = run("crates/sflow/src/x.rs", src);
-        assert_eq!(got.len(), 3);
-        assert!(got.iter().all(|(_, r)| *r == "no-index"));
-    }
-
-    #[test]
-    fn l2_narrowing_only_in_scope() {
-        let src = "fn f(x: usize) { let _ = x as u32; let _ = x as u64; }";
-        let got = run("crates/core/src/census.rs", src);
-        assert_eq!(got, vec![(1, "no-narrow-cast")]);
-        assert!(run("crates/core/src/other.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l1_and_l2_both_fire_in_accounting() {
-        let src = "fn f(x: usize, o: Option<u8>) { let _ = x as u16; o.unwrap(); }";
-        let got = run("crates/sflow/src/accounting.rs", src);
-        assert_eq!(got, vec![(1, "no-narrow-cast"), (1, "no-unwrap")]);
-    }
-
-    #[test]
-    fn l3_float_eq() {
-        let src = "fn f(x: f64) -> bool { x == 0.5 || 1.0 != x || x == y }";
-        let got = run("crates/core/src/visibility.rs", src);
-        assert_eq!(got, vec![(1, "no-float-eq"), (1, "no-float-eq")]);
-    }
-
     #[test]
     fn l4_flags_missing_impls_and_accepts_complete_ones() {
         let good = "
@@ -750,24 +412,26 @@ mod tests { pub enum TestError { X } }
 
     #[test]
     fn aliases_resolve() {
-        assert_eq!(
-            ids("l1"),
-            ["no-unwrap", "no-expect", "no-panic", "no-unreachable", "no-index"]
-        );
         assert_eq!(ids("L6").len(), 3);
-        assert_eq!(ids("l7").len(), 4);
         assert_eq!(ids("l8"), ["atomic-ordering", "order-dependent-merge"]);
         assert_eq!(ids("l10"), ["codec-asymmetry", "schema-drift"]);
-        assert_eq!(ids("no-index"), ["no-index"]);
         assert_eq!(ids("panic-path"), ["panic-path"]);
         assert!(resolve_rule("nope").is_none());
         assert!(resolve_rule("lock-order-cycle").is_none());
     }
 
     #[test]
-    fn every_family_l1_to_l11_resolves_and_ids_are_unique() {
-        for n in 1..=11 {
-            assert!(resolve_rule(&format!("l{n}")).is_some(), "family l{n} is empty");
+    fn rules_that_moved_to_the_compiler_no_longer_resolve() {
+        assert_eq!(RULES.len(), 11);
+        for gone in ["l1", "l2", "l3", "l7", "l11", "no-index", "no-unwrap", "error-sink"] {
+            assert!(resolve_rule(gone).is_none(), "{gone} still resolves");
+        }
+    }
+
+    #[test]
+    fn every_remaining_family_resolves_and_ids_are_unique() {
+        for family in ["l4", "l5", "l6", "l8", "l9", "l10", "meta"] {
+            assert!(resolve_rule(family).is_some(), "family {family} is empty");
         }
         for r in RULES {
             assert_eq!(ids(r.id), [r.id], "{} must resolve to itself alone", r.id);

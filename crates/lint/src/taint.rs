@@ -21,7 +21,7 @@
 //! the call graph), which is how scaling helpers like
 //! `accounting::add_raw` inherit taint from decoded samples.
 //!
-//! Scope: the stream-facing crates, same as L1.
+//! Scope: the stream-facing crates ([`crate::rules::stream_facing`]).
 
 use std::collections::{HashMap, HashSet};
 
@@ -415,7 +415,7 @@ pub fn check(
     out: &mut Vec<Finding>,
 ) {
     let in_scope: Vec<bool> =
-        files.iter().map(|f| crate::rules::l1_applies(&f.path)).collect();
+        files.iter().map(|f| crate::rules::stream_facing(&f.path)).collect();
 
     // Interprocedural parameter taint, by fixpoint over call sites.
     let mut param_taint: HashMap<FnRef, Vec<bool>> = HashMap::new();

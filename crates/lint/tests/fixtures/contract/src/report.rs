@@ -1,4 +1,6 @@
-//! L7 fixture: randomized iteration order feeding rendered output.
+//! L7 shape: a module whose output must not depend on hash order.
+
+#![deny(clippy::disallowed_types)]
 
 use std::collections::HashMap;
 

@@ -4,7 +4,7 @@ pub fn decode(r: &mut Reader, buf: &[u8]) -> Result<(), DecodeError> {
     let n = r.u32()? as usize;
     let samples = Vec::with_capacity(n);
     let total = n + 16;
-    // ixp-lint: allow(no-index) fixture isolates the taint rule from L1
+    // The `[..]` itself is clippy's (contract fixture); the tainted bound is L6's.
     let first = buf[n];
     let _ = (samples, total, first);
     Ok(())

@@ -1,5 +1,5 @@
 //! L5 fixture: a transport entry point that reaches a panic only through
-//! a cross-crate call, invisible to the token-level L1 rules.
+//! a cross-crate call, invisible to any per-crate clippy lint.
 
 use ixp_core::util::pick;
 

@@ -1,5 +1,5 @@
 //! L5 fixture: a stream-facing pub fn that reaches a panic only through a
-//! cross-crate call, which the token-level L1 rules cannot see.
+//! cross-crate call, which no per-crate clippy lint can see.
 
 use ixp_core::util::pick;
 

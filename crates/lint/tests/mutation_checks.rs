@@ -20,10 +20,9 @@ fn live(path: &str) -> String {
     fs::read_to_string(root.join(path)).expect("live source")
 }
 
-/// Scan the given (path, source) set and keep only the L9-L11 rules.
+/// Scan the given (path, source) set and keep only the L9-L10 rules.
 fn scan(files: Vec<(&str, String)>) -> Vec<(String, u32, String)> {
-    const NEW_RULES: [&str; 4] =
-        ["unaccounted-drop", "codec-asymmetry", "schema-drift", "error-sink"];
+    const NEW_RULES: [&str; 3] = ["unaccounted-drop", "codec-asymmetry", "schema-drift"];
     ixp_lint::scan_sources(files.into_iter().map(|(p, s)| (p.to_string(), s)))
         .into_iter()
         .filter(|f| NEW_RULES.contains(&f.rule))

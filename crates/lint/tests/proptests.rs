@@ -30,8 +30,9 @@ const FRAGMENTS: &[&str] = &[
     "s[i..j]\n",
     "a + b * c << d\n",
     "acc += n;\n",
-    "// ixp-lint: allow(no-index) reason\n",
-    "// ixp-lint: allow-file(no-unwrap, \"why\")\n",
+    "// ixp-lint: allow(panic-path) reason\n",
+    "// ixp-lint: allow-file(l6, \"why\")\n",
+    "// ixp-lint: allow(no-index) a rule that moved to clippy\n",
     "\"fn not_a_fn() { /* also not a comment */ }\"\n",
     "r#\"raw \" string\"#\n",
     "b\"bytes\"\n",
@@ -62,9 +63,8 @@ const FRAGMENTS: &[&str] = &[
 /// Paths that route the assembled source into every scope predicate.
 const PATHS: &[&str] = &[
     "crates/wire/src/x.rs",
-    "crates/sflow/src/accounting.rs",
-    "crates/core/src/report.rs",
-    "crates/core/src/visibility.rs",
+    "crates/sflow/src/collector.rs",
+    "crates/core/src/scan.rs",
     "crates/faults/src/plan.rs",
     "crates/lint/src/x.rs",
     "crates/obs/src/metrics.rs",
@@ -83,9 +83,9 @@ proptest! {
     ) {
         let src = assemble(&picks);
         let path = PATHS[path_ix.index(PATHS.len())];
-        // scan_sources drives lexer, parser, symbols, call graph, taint,
-        // determinism, and the token rules in one go; the property is
-        // simply that none of them panic and all spans are in range.
+        // scan_sources drives lexer, parser, symbols and every pass in one
+        // go; the property is simply that none of them panic and all spans
+        // are in range.
         let line_count = src.lines().count() as u32;
         for f in ixp_lint::scan_sources([(path.to_string(), src.clone())]) {
             prop_assert!(f.line >= 1 && f.line <= line_count.max(1), "{f:?}");

@@ -4,16 +4,15 @@
 
 #[test]
 fn columns_count_chars_not_bytes_on_multibyte_lines() {
-    let line = "    let π_total = v.unwrap();";
-    let src = format!("pub fn f(v: Option<u8>) -> u8 {{\n{line}\n    π_total\n}}\n");
-    let byte_off = line.find("unwrap").unwrap();
+    let line = "pub fn π_total() {} pub fn f(n: usize) { assert!(n > 0); }";
+    let byte_off = line.find("f(n").unwrap();
     let byte_col = byte_off + 1;
     let char_col = line[..byte_off].chars().count() + 1;
     assert_ne!(byte_col, char_col, "the fixture line must contain multi-byte chars");
 
     let findings =
-        ixp_lint::scan_sources(vec![("crates/wire/src/x.rs".to_string(), src)]);
-    let f = findings.iter().find(|f| f.rule == "no-unwrap").expect("no-unwrap fires");
-    assert_eq!(f.line, 2);
+        ixp_lint::scan_sources(vec![("crates/wire/src/x.rs".to_string(), format!("{line}\n"))]);
+    let f = findings.iter().find(|f| f.rule == "panic-path").expect("panic-path fires");
+    assert_eq!(f.line, 1);
     assert_eq!(f.col as usize, char_col, "column must be the char column");
 }

@@ -5,12 +5,12 @@
 //! injects a [`RealClock`]; tests and reproducibility-sensitive runs (the
 //! `--clock test` mode of `repro`) inject a [`TestClock`], which only moves
 //! when explicitly advanced. This is what lets span timings live inside the
-//! report path without violating the L7 ambient-time ban: with a
+//! report path without violating the ambient-time ban: with a
 //! `TestClock`, two runs over the same input produce byte-identical metric
 //! snapshots.
 //!
-//! The `ixp-lint` rule `obs-clock-boundary` enforces the boundary: this
-//! file is the only non-test source in the workspace allowed to call
+//! Clippy's `disallowed_methods` (the root `clippy.toml`) enforces the
+//! boundary: `RealClock::new` carries the workspace's one `#[allow]` for
 //! `Instant::now()`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,6 +35,7 @@ pub struct RealClock {
 
 impl RealClock {
     /// Anchor a new clock at the current instant.
+    #[allow(clippy::disallowed_methods, reason = "the one sanctioned real-clock read; everything else takes a `&dyn Clock`")]
     pub fn new() -> RealClock {
         RealClock { origin: Instant::now() }
     }

@@ -13,7 +13,7 @@
 //! * span timing ([`Stopwatch`], [`span::time`]) over an injectable
 //!   [`Clock`]: [`RealClock`] in production, [`TestClock`] in tests and
 //!   reproducibility-checked runs, so instrumentation never reads ambient
-//!   wall-clock time (the ixp-lint L7 / `obs-clock-boundary` contract);
+//!   wall-clock time (clippy's `disallowed_methods`, DESIGN.md §8);
 //! * two exporters over the same deterministic [`Snapshot`]:
 //!   [`prometheus::render`] (text exposition) and [`json::render`]
 //!   (schema-versioned document, `target/metrics-snapshot.json` in

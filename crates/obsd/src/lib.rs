@@ -26,6 +26,8 @@
 //! probe-gated by callers the same way `flowgen --probe` gates the UDP
 //! smoke: where sockets are denied, the pure core still works in memory.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -362,6 +364,7 @@ impl Server {
 
     /// Handle one connection; `true` when the server should stop.
     fn handle(&self, mut stream: TcpStream) -> bool {
+        #[allow(clippy::let_underscore_must_use, reason = "a socket that refuses the timeout is still served; the read loop ends on close, error or MAX_REQUEST_BYTES")]
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
         let mut buf = Vec::with_capacity(512);
         let mut chunk = [0u8; 512];
@@ -382,7 +385,9 @@ impl Server {
                 Err(_) => break respond(&self.state, &buf),
             }
         };
+        #[allow(clippy::let_underscore_must_use, reason = "the peer may hang up before its answer; a failed write to one client must not abort the accept loop")]
         let _ = stream.write_all(&response.bytes);
+        #[allow(clippy::let_underscore_must_use, reason = "as for write_all: the connection closes either way")]
         let _ = stream.flush();
         response.stop
     }

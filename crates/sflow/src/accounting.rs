@@ -6,6 +6,8 @@
 //! link-usage ratios of Fig. 7 — is such an estimate. This module keeps the
 //! arithmetic in one audited place.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::datagram::FlowSample;
 
 /// An additive traffic estimate derived from flow samples.
@@ -60,6 +62,7 @@ impl TrafficEstimate {
     /// Scale the estimate by a compensation factor (e.g. the collector's
     /// loss-compensation ratio). Sample counts stay raw — they record what
     /// was actually received — while frames and bytes are extrapolated.
+    #[allow(clippy::cast_possible_truncation, reason = "float-to-int `as` saturates; the factor is finite and positive and a scaled estimate beyond u64::MAX pins there")]
     pub fn scaled(&self, factor: f64) -> TrafficEstimate {
         let factor = if factor.is_finite() && factor > 0.0 { factor } else { 1.0 };
         TrafficEstimate {

@@ -460,7 +460,7 @@ fn encode_flow_sample<H: AsRef<[u8]>>(out: &mut Vec<u8>, sample: &FlowSample<H>)
     xdr::put_opaque(out, header);
 
     let body_len = (out.len() - body_start) as u32;
-    // ixp-lint: allow(no-index) encoder backpatch; len_pos was reserved above
+    #[allow(clippy::indexing_slicing, reason = "encoder backpatch; len_pos was reserved above")]
     out[len_pos..len_pos + 4].copy_from_slice(&body_len.to_be_bytes());
 }
 
@@ -501,7 +501,7 @@ fn encode_counter_sample(out: &mut Vec<u8>, c: &CounterSample) {
     put_u32(out, 0); // promiscuous mode
 
     let body_len = (out.len() - body_start) as u32;
-    // ixp-lint: allow(no-index) encoder backpatch; len_pos was reserved above
+    #[allow(clippy::indexing_slicing, reason = "encoder backpatch; len_pos was reserved above")]
     out[len_pos..len_pos + 4].copy_from_slice(&body_len.to_be_bytes());
 }
 

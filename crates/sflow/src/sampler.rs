@@ -119,7 +119,7 @@ impl Sampler {
 
     fn take_sample(&mut self, frame: &[u8]) {
         self.sample_seq = self.sample_seq.wrapping_add(1);
-        // ixp-lint: allow(no-index) the end index is clamped to frame.len()
+        #[allow(clippy::indexing_slicing, reason = "the end index is clamped to frame.len()")]
         let captured = &frame[..frame.len().min(SNIPPET_LEN)];
         self.pending.push(FlowSample {
             sequence: self.sample_seq,

@@ -26,6 +26,7 @@
 //! functions of their input stream — which is what makes the kill/resume
 //! byte-identity gate in `tests/chaos_soak.rs` possible at all.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -25,6 +25,8 @@
 //!   depend on socket permissions ([`link::UdpLink`] is the same
 //!   packets over a real loopback socket).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok))]
+
 pub mod error;
 pub mod flow;
 pub mod gen;

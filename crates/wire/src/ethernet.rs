@@ -4,7 +4,7 @@
 //! sFlow sample starts with an Ethernet II header. Only untagged Ethernet II
 //! is modelled (the study's IXP strips customer VLAN tags at the edge;
 //! 802.1Q-tagged frames are classified as "other" by the filtering cascade).
-// ixp-lint: allow-file(no-index, "field accessors are guarded by the new_checked length validation; new_unchecked documents its panic contract")
+#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by the new_checked length validation; new_unchecked documents its panic contract")]
 
 use core::fmt;
 

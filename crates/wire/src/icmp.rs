@@ -5,7 +5,7 @@
 //! is neither TCP nor UDP, and ICMP is the dominant representative of that
 //! sliver. The generator still emits well-formed echoes so that the dissector
 //! is exercised on real bytes.
-// ixp-lint: allow-file(no-index, "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")
+#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")]
 
 use crate::checksum;
 use crate::{Error, Result};

@@ -8,7 +8,7 @@
 //! * [`Packet::new_snippet`] — tolerant: the header must be intact and the
 //!   total-length field must be *at least* plausible, but the payload may be
 //!   truncated (used when *dissecting* sFlow samples).
-// ixp-lint: allow-file(no-index, "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")
+#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")]
 
 use std::net::Ipv4Addr;
 

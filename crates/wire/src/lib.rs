@@ -31,6 +31,7 @@
 //! [`ixp-traffic`]: ../ixp_traffic/index.html
 //! [`ixp-core`]: ../ixp_core/index.html
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

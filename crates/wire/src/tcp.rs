@@ -3,7 +3,7 @@
 //! The study's server identification keys off TCP ports (80, 8080, 443, 1935)
 //! and the first bytes of payload; we model the option-less 20-byte header,
 //! which is all the generator emits and all the dissector needs.
-// ixp-lint: allow-file(no-index, "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")
+#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")]
 
 use std::net::Ipv4Addr;
 

@@ -1,5 +1,5 @@
 //! UDP datagram views and representation.
-// ixp-lint: allow-file(no-index, "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")
+#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")]
 
 use std::net::Ipv4Addr;
 

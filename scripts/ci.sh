@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 verification for the ixp-vantage workspace:
-#   build, every workspace test, the ixp-lint invariant pass (no-panic
-#   decoder contract and friends; see crates/lint and DESIGN.md), the
-#   same-seed byte-identity smokes of the repro harness, and clippy with
-#   warnings denied.
+#   build, every workspace test, the ixp-lint invariant pass (the project
+#   rules no compiler lint can state; see crates/lint and DESIGN.md §8), the
+#   same-seed byte-identity smokes of the repro harness, clippy with
+#   warnings denied (which carries the no-panic decoder contract), and the
+#   fixture proving each lint of that contract still fires.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -81,6 +82,31 @@ if grep -rnE '[A-Za-z0-9_]:[[:space:]]+\[?(ixp_obs::)?(Counter|Gauge)\b' \
 fi
 [ -z "$(sed -n '/^\[dependencies\]/,/^\[/p' crates/wire/Cargo.toml | grep -v '^\[' | tr -d '[:space:]')" ] ||
     fail "crates/wire/Cargo.toml must list no dependency"
+# One contract: the no-panic, no-dropped-Result rules are one clippy
+# attribute line, the first `#![..]` of lib.rs in each stream-facing crate
+# (the list is read from ixp-lint's L5/L6 scope, so the two cannot drift)
+# and, minus indexing_slicing, in ixp-core. A crate that edits its copy has
+# left the contract; a leftover token-rule directive vouches for nothing.
+contract='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok))]'
+core_contract=$(printf '%s' "$contract" | sed 's/ clippy::indexing_slicing,//')
+opens_with() {
+    [ "$(grep -m1 '^#!\[' "$1")" = "$2" ] ||
+        fail "$1 must open with the contract line: $2"
+}
+stream_facing=$(sed -n 's|.*path\.starts_with("crates/\([a-z]*\)/src/").*|\1|p' crates/lint/src/rules.rs | tr '\n' ' ')
+[ "$(echo "$stream_facing" | wc -w)" -eq 6 ] ||
+    fail "expected six stream-facing crates in crates/lint/src/rules.rs, found: $stream_facing"
+for crate in $stream_facing; do
+    opens_with "crates/$crate/src/lib.rs" "$contract"
+done
+opens_with crates/core/src/lib.rs "$core_contract"
+opens_with crates/lint/tests/fixtures/contract/src/lib.rs "$contract"
+[ "$(grep -l 'clippy::unwrap_used' crates/*/src/lib.rs | wc -l)" -eq 7 ] ||
+    fail "a crate outside the stream-facing six and ixp-core carries its own copy of the contract"
+if grep -rnE 'ixp-lint: allow(-file)?\(no-' --include='*.rs' src tests examples benchmark/src crates |
+    grep -v '^crates/lint/' >&2; then
+    fail "a directive names a rule that moved to clippy: use #[allow(clippy::.., reason = \"..\")]"
+fi
 
 echo "==> cargo build --release"
 cargo build --release
@@ -283,13 +309,31 @@ else
 fi
 
 echo "==> cargo clippy --workspace --all-targets --offline"
-# Both external deps are vendor/ path crates, so clippy needs no registry;
-# the gate is skipped only where the toolchain ships no clippy driver.
-if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --workspace --all-targets --offline -- -D warnings ||
-        fail "clippy reported findings (above)"
-else
-    echo "ci: no clippy driver in this toolchain; gate skipped"
+# Both external deps are vendor/ path crates, so clippy needs no registry.
+# This gate carries the no-panic decoder contract (DESIGN.md §8), so a
+# toolchain without a clippy driver fails it rather than skipping it.
+cargo clippy --version >/dev/null 2>&1 ||
+    fail "no clippy driver in this toolchain: the no-panic decoder contract cannot be checked"
+cargo clippy --workspace --all-targets --offline -- -D warnings ||
+    fail "clippy reported findings (above)"
+
+echo "==> clippy contract fixture (every lint of the contract still fires)"
+# One violation per lint that replaced an ixp-lint token rule, plus the
+# shapes that must stay silent, under the same attribute line and the root
+# clippy.toml. A lint that stops firing (renamed, moved to another group,
+# clippy.toml no longer read) shows up here, not as a decoder that panics.
+fixture=crates/lint/tests/fixtures/contract
+if CLIPPY_CONF_DIR=$PWD CARGO_TARGET_DIR=$PWD/target/contract-fixture \
+    cargo clippy --offline --all-targets --manifest-path "$fixture/Cargo.toml" -- -D warnings \
+    > target/contract-fixture.log 2>&1; then
+    fail "the contract fixture passed clippy: no lint of the contract fired"
 fi
+awk '
+    /^error/ { loc = "" }
+    /^ *--> / && loc == "" { split($2, p, ":"); loc = p[1] ":" p[2] }
+    /index\.html#/ { sub(/.*index\.html#/, ""); print loc, $0 }' target/contract-fixture.log |
+    LC_ALL=C sort -u > target/contract-fixture.txt
+same target/contract-fixture.txt "$fixture/expected.txt" \
+    "the contract fixture's findings differ from $fixture/expected.txt (see target/contract-fixture.log)"
 
 echo "ci: all gates passed"
