@@ -1,2 +1,2 @@
-//! Shared helpers for the `ixp-bench` reproduction harness (see `src/bin`
-//! and `benches/`).
+//! The `ixp-bench` reproduction harness: the code is the two binaries under
+//! `src/bin` (`repro`, `flowgen`); this library target is empty.

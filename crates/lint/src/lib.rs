@@ -2,14 +2,16 @@
 //!
 //! A static analysis pass over every `.rs` file in the workspace (`std`
 //! plus the leaf `ixp-codec`, nothing else), enforcing the project
-//! invariants no compiler lint can state: eleven rules in six families
-//! plus the directive checker (see [`rules`] for the table). The token
-//! shapes a compiler lint *can* state — unwrap/expect/panic/index in the
-//! decoders, narrowing casts, float equality, hash-ordered containers,
-//! ambient time, discarded `Result`s — are clippy's, not this crate's
-//! (DESIGN.md §8). Run it as `cargo run -p ixp-lint`; it exits 0 on a
-//! clean tree, 1 with `file:line: rule: message` output on any violation,
-//! and 2 on usage or I/O errors.
+//! invariants no compiler lint can state: seven rules in four families
+//! plus the directive checker (see [`rules`] for the table). What the
+//! compiler *can* state — unwrap/expect/panic/index in the decoders,
+//! narrowing casts, float equality, hash-ordered containers, ambient
+//! time, discarded `Result`s, atomic reads, channel merges (clippy) and
+//! one ledger bucket per consumed datagram (a `#[must_use]` return type
+//! and an exhaustive `match`) — is not this crate's (DESIGN.md §8). Run
+//! it as `cargo run -p ixp-lint`; it exits 0 on a clean tree, 1 with
+//! `file:line: rule: message` output on any violation, and 2 on usage or
+//! I/O errors.
 //!
 //! False positives are suppressed inline:
 //!
@@ -24,22 +26,18 @@
 //! // ixp-lint: allow-file(schema-drift, "wire codec fixed by the protocol spec")
 //! ```
 //!
-//! Family aliases (`l4`, `l5`, `l6`, `l8`, `l9`, `l10`) expand to their
-//! rule groups.
+//! Family aliases (`l4`, `l5`, `l6`, `l10`) expand to their rule groups.
 //!
 //! The linter lexes every file ([`lexer`]), collects the L4 `error-impl`
 //! facts per crate ([`rules`]), parses a lightweight item tree
 //! ([`parser`]), builds a workspace symbol table ([`symbols`]), and runs
-//! five semantic passes: panic-reachability over the call graph
-//! ([`callgraph`], L5), wire-taint overflow analysis ([`taint`], L6),
-//! concurrency-safety analysis ([`concurrency`], L8), drop accounting
-//! ([`conservation`], L9) and checkpoint-codec symmetry ([`codec_sym`],
-//! L10). Every run reads the tree and runs every pass once, on one thread.
+//! three semantic passes: panic-reachability over the call graph
+//! ([`callgraph`], L5), wire-taint overflow analysis ([`taint`], L6) and
+//! checkpoint-codec symmetry ([`codec_sym`], L10). Every run reads the
+//! tree and runs every pass once, on one thread.
 
 pub mod callgraph;
 pub mod codec_sym;
-pub mod concurrency;
-pub mod conservation;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -241,8 +239,6 @@ where
     let table = symbols::SymbolTable::build(&parsed_files);
     callgraph::check(&parsed_files, &table, &allows, &mut findings);
     taint::check(&parsed_files, &lexed_files, &table, &mut findings);
-    concurrency::check(&parsed_files, &lexed_files, &table, &mut findings);
-    conservation::check(&parsed_files, &lexed_files, &mut findings);
     codec_sym::check(&parsed_files, &lexed_files, &mut findings);
 
     findings.retain(|f| {
@@ -385,9 +381,10 @@ pub fn f(n: usize) {
 
     #[test]
     fn unknown_rule_is_bad_directive() {
-        // `no-index` moved to clippy: a leftover vouch for it is as unknown
-        // as a typo, which is how the migration is checked.
-        for name in ["no-such-rule", "no-index"] {
+        // `no-index` moved to clippy and `unaccounted-drop` to a return
+        // type: a leftover vouch for either is as unknown as a typo, which
+        // is how the migration is checked.
+        for name in ["no-such-rule", "no-index", "unaccounted-drop"] {
             let src = format!("fn f() {{}} // ixp-lint: allow({name})\n");
             let got = scan_one("crates/wire/src/x.rs", &src);
             assert_eq!(got.len(), 1, "{name}: {got:?}");

@@ -15,13 +15,14 @@ fn usage() -> &'static str {
     "usage: ixp-lint [--root <dir>]\n\
      \x20      ixp-lint --explain <rule|family>\n\
      \n\
-     Lints every workspace .rs file against the eleven project rules no\n\
-     compiler lint can state (families L4, L5, L6, L8, L9, L10 and the\n\
-     directive checker; see crates/lint/src/rules.rs) and prints one\n\
+     Lints every workspace .rs file against the eight project rules no\n\
+     compiler lint can state (families L4, L5, L6, L10 and the directive\n\
+     checker; see crates/lint/src/rules.rs) and prints one\n\
      `file:line: rule: message` line per violation. --explain prints the\n\
-     rationale for one rule or family alias (l4, l5, l6, l8, l9, l10).\n\
+     rationale for one rule or family alias (l4, l5, l6, l10).\n\
      unwrap/expect/panic/index, narrowing casts, float equality, hash order,\n\
-     ambient time and dropped Results are clippy's: see DESIGN.md section 8."
+     ambient time, dropped Results, atomic reads and channel merges are\n\
+     clippy's, and drop accounting is a return type: see DESIGN.md section 8."
 }
 
 struct Args {

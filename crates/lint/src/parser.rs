@@ -34,9 +34,6 @@ pub struct CallSite {
     /// Token ranges (half-open, into the file's token vec) of each
     /// top-level argument.
     pub args: Vec<(usize, usize)>,
-    /// Token index of the callee name in the file's token vec, so passes
-    /// that reason about statement extents (L8) can anchor a scan there.
-    pub tok: usize,
 }
 
 /// A construct that can panic at runtime.
@@ -538,7 +535,6 @@ fn scan_body(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                             line: t.line,
                             col: t.col,
                             args,
-                            tok: i,
                         });
                         // Advance one token only: the argument interior is
                         // scanned normally, so nested calls are still found.
@@ -554,7 +550,6 @@ fn scan_body(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                             line: t.line,
                             col: t.col,
                             args,
-                            tok: i,
                         });
                     }
                 }

@@ -4,17 +4,15 @@
 //! approximations of the real invariants — exact enough for this codebase,
 //! with the inline allow directive as the escape hatch for false positives.
 //! What a compiler lint can say is not here: unwrap/expect/panic/index,
-//! narrowing casts, float equality, hash-ordered containers, ambient time
-//! and discarded `Result`s are clippy's (DESIGN.md §8 has the table).
+//! narrowing casts, float equality, hash-ordered containers, ambient time,
+//! discarded `Result`s, atomic reads and channel merges are clippy's, and
+//! drop accounting is a return type (DESIGN.md §8 has the table).
 //!
 //! | rule            | family | scope                                         |
 //! |-----------------|--------|-----------------------------------------------|
 //! | `error-impl`    | L4     | every crate `src/` tree                       |
 //! | `panic-path`    | L5     | `pub fn`s of stream-facing crates (whole-workspace call graph) |
 //! | `tainted-capacity`, `tainted-arith`, `tainted-slice-len` | L6 | stream-facing crates |
-//! | `atomic-ordering` | L8 | every crate `src/` tree |
-//! | `order-dependent-merge` | L8 | every crate `src/` tree |
-//! | `unaccounted-drop` | L9 | datagram-consuming paths of `sflow::collector`, `supervisor::{ring, supervisor}`, `core::scan` |
 //! | `codec-asymmetry` | L10 | registered checkpoint save/restore pairs |
 //! | `schema-drift` | L10 | registered pairs (digest ratchet) + unregistered checkpoint-shaped codecs |
 //! | `bad-directive` | meta | every scanned file                           |
@@ -32,8 +30,8 @@ use crate::Finding;
 pub struct RuleInfo {
     /// Rule id as it appears in findings and directives.
     pub id: &'static str,
-    /// Family tag: `L4`..`L10` (L7 is retired), or `meta` for the directive
-    /// checker.
+    /// Family tag: `L4`, `L5`, `L6` or `L10` (the others are the
+    /// compiler's), or `meta` for the directive checker.
     pub family: &'static str,
     /// One-line summary.
     pub summary: &'static str,
@@ -93,48 +91,6 @@ pub const RULES: &[RuleInfo] = &[
                   and use `.get()`.",
     },
     RuleInfo {
-        id: "atomic-ordering",
-        family: "L8",
-        summary: "no `Ordering::Relaxed` atomic loads on report/snapshot paths",
-        explain: "Functions reachable from a snapshot/report/export entry point \
-                  feed the byte-identical-metrics gate (DESIGN.md §10). A \
-                  `Relaxed` load there may read a stale value relative to the \
-                  writes another thread published before the snapshot was cut, \
-                  so two exports of the 'same' state can disagree. Use at least \
-                  `Ordering::Acquire` for loads on these paths; hot-path \
-                  writers (`fetch_add`/`store`) may stay `Relaxed`.",
-    },
-    RuleInfo {
-        id: "order-dependent-merge",
-        family: "L8",
-        summary: "channel-drain merges must be order-independent or sorted",
-        explain: "A loop draining a channel (`recv`/`try_recv`) observes items \
-                  in a scheduling-dependent order. Accumulating them with \
-                  float `+=`/`*=` makes the sum depend on that order (float \
-                  addition is not associative), and collecting them with \
-                  `push`/`extend` without a subsequent `sort*` leaks the order \
-                  into the result. Use integer accumulators, index-keyed slots \
-                  (`slots[i] = v`), or sort the collected values before use — \
-                  the ROADMAP-1 shard merge must be seed-stable.",
-    },
-    RuleInfo {
-        id: "unaccounted-drop",
-        family: "L9",
-        summary: "datagram-consuming paths must increment an accounting bucket on every exit",
-        explain: "The conservation invariant `ingested = accepted + duplicates + \
-                  errors + shed` (DESIGN.md §9/§11) only holds if every code \
-                  path that consumes a datagram — accept, dedupe, decode-error, \
-                  shed, quarantine — increments exactly one bucket before it \
-                  exits. This pass splits each consuming fn (`offer`/`ingest*` \
-                  with a payload parameter) into segments at every `return`: a \
-                  segment that exits without a counter bump (`<bucket> += ..`), \
-                  a ledger counting call (`.count()`/`.record*()`; a metric bump \
-                  does not count), or a \
-                  transfer to another consuming fn is a silent drop. Count the \
-                  datagram, hand it on, or vouch the exit with \
-                  allow(unaccounted-drop) and a reason.",
-    },
-    RuleInfo {
         id: "codec-asymmetry",
         family: "L10",
         summary: "checkpoint encode/decode pairs must walk the same ordered field list",
@@ -174,8 +130,8 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Expand a rule id or family alias (`l4`..`l10`, any case) into its
-/// registry entries. Returns `None` for unknown names.
+/// Expand a rule id or family alias (`l4`, `l5`, `l6`, `l10`; any case)
+/// into its registry entries. Returns `None` for unknown names.
 pub fn resolve_rule(name: &str) -> Option<Vec<&'static RuleInfo>> {
     let hits: Vec<&RuleInfo> = RULES
         .iter()
@@ -205,7 +161,7 @@ pub(crate) fn stream_facing(path: &str) -> bool {
 }
 
 /// L4 scope: any `src/` tree (root package or a workspace crate). Excludes
-/// tests, examples, benches and fixture trees. L8 polices the same files.
+/// tests, examples, benches and fixture trees.
 pub(crate) fn l4_applies(path: &str) -> bool {
     let mut parts = path.split('/');
     match parts.next() {
@@ -413,7 +369,6 @@ mod tests { pub enum TestError { X } }
     #[test]
     fn aliases_resolve() {
         assert_eq!(ids("L6").len(), 3);
-        assert_eq!(ids("l8"), ["atomic-ordering", "order-dependent-merge"]);
         assert_eq!(ids("l10"), ["codec-asymmetry", "schema-drift"]);
         assert_eq!(ids("panic-path"), ["panic-path"]);
         assert!(resolve_rule("nope").is_none());
@@ -422,15 +377,18 @@ mod tests { pub enum TestError { X } }
 
     #[test]
     fn rules_that_moved_to_the_compiler_no_longer_resolve() {
-        assert_eq!(RULES.len(), 11);
-        for gone in ["l1", "l2", "l3", "l7", "l11", "no-index", "no-unwrap", "error-sink"] {
+        assert_eq!(RULES.len(), 8);
+        for gone in [
+            "l1", "l2", "l3", "l7", "l8", "l9", "l11", "no-index", "no-unwrap", "error-sink",
+            "atomic-ordering", "order-dependent-merge", "unaccounted-drop",
+        ] {
             assert!(resolve_rule(gone).is_none(), "{gone} still resolves");
         }
     }
 
     #[test]
     fn every_remaining_family_resolves_and_ids_are_unique() {
-        for family in ["l4", "l5", "l6", "l8", "l9", "l10", "meta"] {
+        for family in ["l4", "l5", "l6", "l10", "meta"] {
             assert!(resolve_rule(family).is_some(), "family {family} is empty");
         }
         for r in RULES {

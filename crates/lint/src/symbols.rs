@@ -81,33 +81,9 @@ impl SymbolTable {
     /// functions. Empty when the callee lives outside the workspace.
     /// Method names on the std blocklist resolve to nothing.
     pub fn resolve(&self, call: &CallSite, file: &ParsedFile, caller: &FnItem) -> Vec<FnRef> {
-        self.resolve_inner(call, file, caller, true)
-    }
-
-    /// Like [`SymbolTable::resolve`], but without the std-method-name
-    /// filter. L8 reachability wants every same-crate candidate even for
-    /// common names (`get`, `count`, ...) because false negatives there
-    /// hide atomics read on snapshot paths; the extra fan-out only widens
-    /// the set of functions inspected, never fabricates a finding.
-    pub fn resolve_unfiltered(
-        &self,
-        call: &CallSite,
-        file: &ParsedFile,
-        caller: &FnItem,
-    ) -> Vec<FnRef> {
-        self.resolve_inner(call, file, caller, false)
-    }
-
-    fn resolve_inner(
-        &self,
-        call: &CallSite,
-        file: &ParsedFile,
-        caller: &FnItem,
-        filter_std: bool,
-    ) -> Vec<FnRef> {
         if call.is_method {
             let Some(name) = call.path.first() else { return Vec::new() };
-            if filter_std && STD_METHOD_NAMES.contains(&name.as_str()) {
+            if STD_METHOD_NAMES.contains(&name.as_str()) {
                 return Vec::new();
             }
             return self

@@ -19,17 +19,11 @@ fn violations_tree_reports_every_rule_exactly() {
         ("crates/badcrate/src/lib.rs", 1, "error-impl"),
         ("crates/core/src/codec_noreg.rs", 5, "schema-drift"),
         ("crates/core/src/codec_noreg.rs", 10, "schema-drift"),
-        ("crates/gamma/src/lib.rs", 8, "atomic-ordering"),
-        ("crates/gamma/src/lib.rs", 17, "atomic-ordering"),
-        ("crates/gamma/src/lib.rs", 25, "order-dependent-merge"),
-        ("crates/gamma/src/lib.rs", 26, "order-dependent-merge"),
         ("crates/sflow/src/taint.rs", 5, "tainted-capacity"),
         ("crates/sflow/src/taint.rs", 6, "tainted-arith"),
         ("crates/sflow/src/taint.rs", 8, "tainted-slice-len"),
         ("crates/supervisor/src/codec_pair.rs", 16, "codec-asymmetry"),
-        ("crates/supervisor/src/intake.rs", 14, "unaccounted-drop"),
         ("crates/transport/src/l5.rs", 6, "panic-path"),
-        ("crates/transport/src/shed.rs", 14, "unaccounted-drop"),
         ("crates/transport/src/taint.rs", 5, "tainted-capacity"),
         ("crates/wire/src/bad_directive.rs", 1, "bad-directive"),
         ("crates/wire/src/l5.rs", 6, "panic-path"),

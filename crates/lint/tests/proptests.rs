@@ -46,17 +46,6 @@ const FRAGMENTS: &[&str] = &[
     "::std::mem::swap(&mut a, &mut b);\n",
     "0x1f 1_000 2.5e-3\n",
     "match x { Some(_) => {} None => unreachable!() }\n",
-    // L8 shapes: guard scopes, spawn escapes, atomic orderings, drain loops.
-    "let g = m.lock();\n",
-    "drop(g);\n",
-    "std::thread::spawn(move || { x.borrow_mut(); });\n",
-    "scope.spawn(move |_| { tx.send(1); });\n",
-    "let v = c.load(Ordering::Relaxed);\n",
-    "fn snapshot(c: &AtomicU64) -> u64 { c.load(Ordering::Relaxed) }\n",
-    "while let Ok(v) = rx.recv() { sum += v; out.push(v); }\n",
-    "static mut COUNT: u64 = 0;\n",
-    "let s = RefCell::new(0);\n",
-    "cv.wait(&mut g);\n",
     "/* outer /* nested */ still a comment */\n",
 ];
 

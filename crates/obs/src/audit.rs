@@ -1,11 +1,11 @@
 //! The runtime conservation auditor.
 //!
-//! `ixp-lint`'s L9 pass proves *statically* that every datagram-consuming
-//! path increments exactly one accounting bucket. This module is the
-//! runtime mirror: it re-checks the same ledger identities against the
-//! live metric families in a [`Snapshot`], so a conservation bug that
-//! slips past the static analysis (or corruption introduced by a restore)
-//! is caught while the pipeline is running, not days later in a report.
+//! Each stage books a consumed datagram into exactly one accounting bucket
+//! at one booking point, which the compiler checks (DESIGN.md §8). This
+//! module is the runtime mirror: it re-checks the same ledger identities
+//! against the live metric families in a [`Snapshot`], so a conservation
+//! bug the types cannot see (or corruption introduced by a restore) is
+//! caught while the pipeline is running, not days later in a report.
 //!
 //! Two audit scopes exist because two kinds of identity exist:
 //!

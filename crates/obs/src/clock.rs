@@ -101,7 +101,7 @@ impl TestClock {
 
 impl Clock for TestClock {
     fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
+        crate::metrics::read(&self.now)
     }
 }
 

@@ -21,8 +21,8 @@
 //! * the live observability plane (DESIGN.md §13): a bounded
 //!   deterministic event [`Journal`] with an `ixp-trace/1` export and a
 //!   sealed binary flight record for post-mortems, and the runtime
-//!   conservation [`Auditor`] re-checking the L9 ledger identities
-//!   against live metric families.
+//!   conservation [`Auditor`] re-checking the ledger identities against
+//!   live metric families.
 //!
 //! The crate is dependency-free and panic-free: it is linked into the
 //! stream-facing crates, which the workspace lint holds to a transitive

@@ -21,6 +21,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// The one atomic read in the workspace (`Atomic*::load` is disallowed in
+/// `clippy.toml`). Acquire, so a reading includes every write published
+/// before it; the writers (`fetch_add`, `fetch_max`, `store`) stay Relaxed.
+#[allow(clippy::disallowed_methods, reason = "the sanctioned site: every reading is Acquire")]
+pub(crate) fn read(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::Acquire)
+}
+
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
@@ -38,11 +46,9 @@ impl Counter {
         self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value. Acquire pairs with the writers so a snapshot reads
-    /// everything published before it was cut (ixp-lint L8
-    /// `atomic-ordering`).
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Acquire)
+        read(&self.cell)
     }
 }
 
@@ -68,10 +74,9 @@ impl Gauge {
         self.cell.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Current value. Acquire, as for [`Counter::get`]: the snapshot path
-    /// must observe every write published before it.
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Acquire)
+        read(&self.cell)
     }
 }
 
@@ -108,7 +113,7 @@ impl std::fmt::Debug for HistogramInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistogramInner")
             .field("bounds", &self.bounds)
-            .field("count", &self.count.load(Ordering::Relaxed))
+            .field("count", &read(&self.count))
             .finish()
     }
 }
@@ -175,29 +180,24 @@ impl Histogram {
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        read(&self.inner.count)
     }
 
     /// Saturating sum of observations.
     pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
+        read(&self.inner.sum)
     }
 
     /// An immutable, internally consistent view of the histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let inner = &self.inner;
-        // Acquire loads on the snapshot path: the exported view must
-        // include every observation published before the snapshot was cut
-        // (ixp-lint L8 `atomic-ordering`); the hot-path writers stay
-        // Relaxed.
-        let counts: Vec<u64> =
-            inner.buckets.iter().map(|c| c.load(Ordering::Acquire)).collect();
+        let counts: Vec<u64> = inner.buckets.iter().map(read).collect();
         let count = counts.iter().fold(0u64, |a, c| a.saturating_add(*c));
         let snap = HistogramSnapshot {
             bounds: inner.bounds.clone(),
             counts,
             count,
-            sum: inner.sum.load(Ordering::Acquire),
+            sum: read(&inner.sum),
             p50: 0,
             p90: 0,
             p99: 0,

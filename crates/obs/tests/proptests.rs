@@ -125,5 +125,7 @@ proptest! {
         let total = threads as u64 * per_thread;
         prop_assert_eq!(s.count, total);
         prop_assert_eq!(s.counts.iter().sum::<u64>(), total);
+        // `count()` is as much an exported reading as `snapshot()`.
+        prop_assert_eq!(h.count(), total);
     }
 }

@@ -350,18 +350,26 @@ impl Collector {
         }
         let sw = if sampled { Some(Stopwatch::start(self.clock.as_ref())) } else { None };
         let outcome = self.ingest_inner(bytes);
+        // The one booking point: every exit of `ingest_inner` returns an
+        // outcome and each outcome moves one bucket, so
+        // `datagrams = accepted + duplicates + errors` by construction.
+        self.datagrams += 1;
+        match &outcome {
+            Ingest::Accepted(_) => self.agg.accepted += 1,
+            Ingest::Duplicate => self.agg.duplicates += 1,
+            Ingest::Rejected(e) => self.errors.count(*e),
+        }
         if let Some(sw) = sw {
             sw.record(self.clock.as_ref(), &self.ingest_ns);
         }
         outcome
     }
 
+    /// Sequence, window and per-source state; the caller books the outcome.
     fn ingest_inner<'a>(&mut self, bytes: &'a [u8]) -> Ingest<DatagramView<'a>> {
-        self.datagrams += 1;
         let dg = match DatagramView::decode(bytes) {
             Ok(dg) => dg,
             Err(e) => {
-                self.errors.count(e);
                 match peek_source(bytes) {
                     Some(key) => {
                         let src = self.sources.entry(key).or_insert_with(SourceState::new);
@@ -394,7 +402,6 @@ impl Collector {
             src.window = 1;
             src.last_uptime = dg.uptime_ms;
             src.stats.received += 1;
-            self.agg.accepted += 1;
             self.track_counters(&dg);
             return Ingest::Accepted(dg);
         }
@@ -402,7 +409,6 @@ impl Collector {
         let ahead = dg.sequence.wrapping_sub(src.last_seq);
         if ahead == 0 {
             src.stats.duplicates += 1;
-            self.agg.duplicates += 1;
             return Ingest::Duplicate;
         }
         if ahead < HALF_RANGE {
@@ -412,7 +418,6 @@ impl Collector {
                 // one. Counting the jump as loss would be wildly wrong.
                 restart(src, &dg);
                 self.agg.restarts += 1;
-                self.agg.accepted += 1;
                 self.journal.record(
                     EventKind::SourceRestart,
                     u64::from(u32::from(key.agent)),
@@ -435,7 +440,6 @@ impl Collector {
                 src.last_seq = dg.sequence;
                 src.last_uptime = dg.uptime_ms;
                 src.stats.received += 1;
-                self.agg.accepted += 1;
             }
             self.track_counters(&dg);
             return Ingest::Accepted(dg);
@@ -447,7 +451,6 @@ impl Collector {
             let bit = 1u128 << behind;
             if src.window & bit != 0 {
                 src.stats.duplicates += 1;
-                self.agg.duplicates += 1;
                 return Ingest::Duplicate;
             }
             // Late arrival: it was provisionally counted lost when the gap
@@ -463,14 +466,12 @@ impl Collector {
             self.agg.lost = self.agg.lost.saturating_sub(corrected);
             self.seq_recovered += corrected;
             src.stats.received += 1;
-            self.agg.accepted += 1;
             return Ingest::Accepted(dg);
         }
 
         // Regression beyond any plausible reordering: sequence reset.
         restart(src, &dg);
         self.agg.restarts += 1;
-        self.agg.accepted += 1;
         self.journal.record(
             EventKind::SourceRestart,
             u64::from(u32::from(key.agent)),
@@ -927,6 +928,52 @@ mod tests {
         assert_eq!(c.source_stats(&key(0)).map(|s| s.lost), Some(0));
         assert_eq!(c.source_stats(&key(1)).map(|s| s.lost), Some(3));
         assert_eq!(c.stats().sources, 2);
+    }
+
+    /// One stream through every exit of `ingest_inner`, the ledger
+    /// checked after each datagram: the step's bucket moved by one and
+    /// nothing else did.
+    #[test]
+    fn every_exit_books_exactly_one_bucket() {
+        let attributable: Vec<u8> = dg(0, 99).into_iter().take(20).collect();
+        let steps: [(&str, Vec<u8>, &str); 10] = [
+            ("first datagram", dg_up(0, 100, 4_000), "accepted"),
+            ("in order", dg_up(0, 101, 4_040), "accepted"),
+            ("forward gap", dg_up(0, 105, 4_200), "accepted"),
+            ("head repeat", dg_up(0, 105, 4_200), "duplicates"),
+            ("in-window repeat", dg_up(0, 101, 4_040), "duplicates"),
+            ("late arrival", dg_up(0, 103, 4_120), "accepted"),
+            ("forward restart", dg_up(0, 9_000, 40), "accepted"),
+            ("regression restart", dg_up(0, 1, 80), "accepted"),
+            ("undecodable, source peeked", attributable, "errors"),
+            ("undecodable, no source", vec![1, 2, 3], "errors"),
+        ];
+        let mut c = Collector::new();
+        let ledger = |c: &Collector| {
+            let s = c.stats();
+            assert_eq!(s.datagrams, s.accepted + s.duplicates + s.decode_errors.total());
+            [
+                ("accepted", s.accepted),
+                ("duplicates", s.duplicates),
+                ("errors", s.decode_errors.total()),
+            ]
+        };
+        for (step, bytes, bucket) in steps {
+            let before = ledger(&c);
+            let outcome = c.ingest_view(&bytes);
+            let booked = match outcome {
+                Ingest::Accepted(_) => "accepted",
+                Ingest::Duplicate => "duplicates",
+                Ingest::Rejected(_) => "errors",
+            };
+            assert_eq!(booked, bucket, "{step}: outcome");
+            for (b, a) in before.iter().zip(ledger(&c)) {
+                assert_eq!(a.1 - b.1, u64::from(a.0 == bucket), "{step}: {}", a.0);
+            }
+        }
+        let s = c.stats();
+        assert_eq!((s.accepted, s.duplicates, s.decode_errors.truncated), (6, 2, 2));
+        assert_eq!((s.restarts, s.lost, s.unattributed_errors), (2, 2, 1));
     }
 
     #[test]

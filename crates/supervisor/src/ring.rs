@@ -40,13 +40,14 @@ impl IntakeRing {
     /// Offer one datagram. Returns `true` if queued; `false` if the ring
     /// was full and the datagram was shed (and counted).
     pub fn offer(&mut self, datagram: Vec<u8>) -> bool {
-        if self.buf.len() >= self.capacity {
+        let queued = self.buf.len() < self.capacity;
+        if queued {
+            self.buf.push_back(datagram);
+            self.high_water = self.high_water.max(self.buf.len());
+        } else {
             self.shed += 1;
-            return false;
         }
-        self.buf.push_back(datagram);
-        self.high_water = self.high_water.max(self.buf.len());
-        true
+        queued
     }
 
     /// Dequeue the oldest datagram.
@@ -129,6 +130,7 @@ mod tests {
         assert!(ring.offer(vec![1]));
         assert!(ring.offer(vec![2]));
         assert!(!ring.offer(vec![3]));
+        assert_eq!((ring.shed(), ring.len()), (1, 2), "one offer at capacity sheds once");
         assert!(!ring.offer(vec![4]));
         assert_eq!(ring.shed(), 2);
         assert_eq!(ring.len(), 2);

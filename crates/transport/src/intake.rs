@@ -261,13 +261,14 @@ impl TransportIntake {
     /// caller may drop the return value without losing accounting.
     pub fn offer(&mut self, peer: u64, packet: &[u8]) -> bool {
         self.stats.offered += 1;
-        if packet.len() > MAX_PACKET || self.inbox.len() >= self.config.inbox_capacity {
+        let queued = packet.len() <= MAX_PACKET && self.inbox.len() < self.config.inbox_capacity;
+        if queued {
+            self.inbox.push_back((peer, packet.to_vec()));
+        } else {
             self.stats.shed += 1;
             self.journal.record(EventKind::Shed, peer, 0, 1, self.stats.shed);
-            return false;
         }
-        self.inbox.push_back((peer, packet.to_vec()));
-        true
+        queued
     }
 
     /// Pull up to `max_packets` packets out of `link` into the inbox.
@@ -288,7 +289,12 @@ impl TransportIntake {
         let mut out = Vec::new();
         for _ in 0..budget {
             let Some((peer, packet)) = self.inbox.pop_front() else { break };
-            self.ingest_packet(peer, packet, &mut out);
+            self.stats.received += 1;
+            let (disposition, templates_moved) = self.classify(peer, packet);
+            self.book(peer, disposition, &mut out);
+            if templates_moved {
+                self.replay_parked(&mut out);
+            }
         }
         self.metrics.0.publish(self);
         out
@@ -327,89 +333,93 @@ impl TransportIntake {
         self.stats
     }
 
-    /// Classify and decode one packet by its leading version field.
-    fn ingest_packet(&mut self, peer: u64, packet: Vec<u8>, out: &mut Vec<Drained>) {
-        self.stats.received += 1;
-        let tag = match packet.get(..2) {
-            Some(&[a, b]) => u16::from_be_bytes([a, b]),
-            _ => {
-                self.stats.decode_errors += 1;
-                self.stats.truncated += 1;
-                return;
+    /// The one booking point of the decode stage: each disposition moves
+    /// exactly one term of `received`'s right-hand side, and with it its
+    /// kind or protocol counter, so the three identities of
+    /// [`TransportIntake::fully_accounted`] hold by construction.
+    fn book(&mut self, peer: u64, disposition: Disposition, out: &mut Vec<Drained>) {
+        match disposition {
+            Disposition::Accepted { proto, work } => {
+                self.stats.accepted += 1;
+                match proto {
+                    Proto::Sflow => self.stats.sflow_datagrams += 1,
+                    Proto::V5 => self.stats.v5_packets += 1,
+                    Proto::V9 => self.stats.v9_packets += 1,
+                    Proto::Ipfix => self.stats.ipfix_packets += 1,
+                }
+                if let Some(Drained::Flows { records, .. }) = &work {
+                    self.stats.flows = self.stats.flows.saturating_add(records.len() as u64);
+                }
+                out.extend(work);
             }
+            Disposition::Duplicate => self.stats.duplicates += 1,
+            Disposition::Fault(fault) => {
+                self.stats.decode_errors += 1;
+                match fault {
+                    DecodeFault::Truncated => self.stats.truncated += 1,
+                    DecodeFault::BadVersion(_) => self.stats.bad_version += 1,
+                    DecodeFault::Inconsistent => self.stats.inconsistent += 1,
+                }
+            }
+            Disposition::TemplateUnresolved(packet) => self.park(peer, packet),
+        }
+    }
+
+    /// Classify one packet on first sight by its leading version field.
+    fn classify(&mut self, peer: u64, packet: Vec<u8>) -> Classified {
+        let Some(&[a, b]) = packet.get(..2) else {
+            return (Disposition::Fault(DecodeFault::Truncated), false);
         };
-        match tag {
+        match u16::from_be_bytes([a, b]) {
             // An sFlow v5 datagram leads with a u32 version, so its
             // first 16 bits are zero; the collector owns its decode.
             0x0000 => {
-                self.stats.accepted += 1;
-                self.stats.sflow_datagrams += 1;
-                out.push(Drained::Sflow { peer, datagram: packet });
+                let work = Some(Drained::Sflow { peer, datagram: packet });
+                (Disposition::Accepted { proto: Proto::Sflow, work }, false)
             }
-            netflow5::VERSION => self.ingest_v5(peer, &packet, out),
-            netflow9::VERSION | ipfix::VERSION => self.ingest_templated(peer, packet, out),
-            _ => {
-                self.stats.decode_errors += 1;
-                self.stats.bad_version += 1;
-            }
+            netflow5::VERSION => (self.classify_v5(peer, &packet), false),
+            netflow9::VERSION | ipfix::VERSION => self.classify_templated(peer, packet, true),
+            other => (Disposition::Fault(DecodeFault::BadVersion(other)), false),
         }
     }
 
     /// Decode a template-free NetFlow v5 packet.
-    fn ingest_v5(&mut self, peer: u64, packet: &[u8], out: &mut Vec<Drained>) {
+    fn classify_v5(&mut self, peer: u64, packet: &[u8]) -> Disposition {
         let p = match netflow5::decode(packet) {
             Ok(p) => p,
-            Err(fault) => {
-                self.count_fault(fault);
-                self.stats.decode_errors += 1;
-                return;
-            }
+            Err(fault) => return Disposition::Fault(fault),
         };
         let domain = (u32::from(p.engine.0) << 8) | u32::from(p.engine.1);
         if self.seen_before(peer, netflow5::VERSION, domain, p.sequence) {
-            self.stats.duplicates += 1;
-            return;
+            return Disposition::Duplicate;
         }
-        self.stats.accepted += 1;
-        self.stats.v5_packets += 1;
-        self.stats.flows = self.stats.flows.saturating_add(p.records.len() as u64);
-        out.push(Drained::Flows { peer, records: p.records });
+        let work = Some(Drained::Flows { peer, records: p.records });
+        Disposition::Accepted { proto: Proto::V5, work }
     }
 
-    /// Decode a template-described v9/IPFIX packet, parking it whole
-    /// when its template has not arrived yet.
-    fn ingest_templated(&mut self, peer: u64, packet: Vec<u8>, out: &mut Vec<Drained>) {
+    /// Decode a template-described v9/IPFIX packet; one whose template has
+    /// not arrived comes back whole, to be parked. `dedup` is off for a
+    /// replayed packet: it was checked when it was parked (and it can stop
+    /// decoding, if its template was refreshed to an incompatible layout).
+    fn classify_templated(&mut self, peer: u64, packet: Vec<u8>, dedup: bool) -> Classified {
         let counts_before = self.cache.counts();
-        let d = match decode_templated(&packet, peer, &mut self.cache) {
-            Ok(d) => d,
-            Err(fault) => {
-                self.journal_template_churn(peer, counts_before);
-                self.count_fault(fault);
-                self.stats.decode_errors += 1;
-                return;
-            }
-        };
+        let decoded = decode_templated(&packet, peer, &mut self.cache);
         self.journal_template_churn(peer, counts_before);
-        if self.seen_before(peer, d.version, d.domain, d.sequence) {
-            self.stats.duplicates += 1;
-            return;
+        let d = match decoded {
+            Ok(d) => d,
+            Err(fault) => return (Disposition::Fault(fault), false),
+        };
+        if dedup && self.seen_before(peer, d.version, d.domain, d.sequence) {
+            return (Disposition::Duplicate, false);
         }
-        if d.missing_template {
-            self.park(peer, packet);
+        let disposition = if d.missing_template {
+            Disposition::TemplateUnresolved(packet)
         } else {
-            self.stats.accepted += 1;
-            match d.version {
-                netflow9::VERSION => self.stats.v9_packets += 1,
-                _ => self.stats.ipfix_packets += 1,
-            }
-            self.stats.flows = self.stats.flows.saturating_add(d.records.len() as u64);
-            if !d.records.is_empty() {
-                out.push(Drained::Flows { peer, records: d.records });
-            }
-        }
-        if d.installed > 0 || d.refreshed > 0 {
-            self.replay_parked(out);
-        }
+            let work =
+                (!d.records.is_empty()).then_some(Drained::Flows { peer, records: d.records });
+            Disposition::Accepted { proto: d.proto, work }
+        };
+        (disposition, d.templates_moved)
     }
 
     /// Journal template installs/refreshes and evictions that happened
@@ -443,7 +453,8 @@ impl TransportIntake {
             self.stats.pending = 0;
             self.stats.pending_bytes = 0;
             for (peer, packet) in parked {
-                self.ingest_parked(peer, packet, out);
+                let (disposition, _) = self.classify_templated(peer, packet, false);
+                self.book(peer, disposition, out);
             }
             if self.parked.len() >= before {
                 break;
@@ -452,40 +463,6 @@ impl TransportIntake {
         if parked_before > 0 {
             let resolved = parked_before.saturating_sub(self.parked.len() as u64);
             self.journal.record(EventKind::Replay, 0, 0, resolved, self.parked.len() as u64);
-        }
-    }
-
-    /// Re-run one parked packet (already dedup-checked at park time).
-    fn ingest_parked(&mut self, peer: u64, packet: Vec<u8>, out: &mut Vec<Drained>) {
-        let counts_before = self.cache.counts();
-        let d = match decode_templated(&packet, peer, &mut self.cache) {
-            Ok(d) => {
-                self.journal_template_churn(peer, counts_before);
-                d
-            }
-            Err(fault) => {
-                self.journal_template_churn(peer, counts_before);
-                // A parked packet can stop decoding if its template was
-                // refreshed to an incompatible layout in the meantime.
-                self.count_fault(fault);
-                self.stats.decode_errors += 1;
-                return;
-            }
-        };
-        if d.missing_template {
-            // Still unresolved: back on the bench (or dropped, counted,
-            // at the budget) — `park` owns that accounting.
-            self.park(peer, packet);
-        } else {
-            self.stats.accepted += 1;
-            match d.version {
-                netflow9::VERSION => self.stats.v9_packets += 1,
-                _ => self.stats.ipfix_packets += 1,
-            }
-            self.stats.flows = self.stats.flows.saturating_add(d.records.len() as u64);
-            if !d.records.is_empty() {
-                out.push(Drained::Flows { peer, records: d.records });
-            }
         }
     }
 
@@ -503,15 +480,6 @@ impl TransportIntake {
         self.stats.pending_bytes = self.stats.pending_bytes.saturating_add(len);
         self.parked.push_back((peer, packet));
         self.journal.record(EventKind::Park, peer, 0, self.stats.pending, self.stats.pending_bytes);
-    }
-
-    /// Record `fault` in its per-kind bucket (the caller bumps the sum).
-    fn count_fault(&mut self, fault: DecodeFault) {
-        match fault {
-            DecodeFault::Truncated => self.stats.truncated += 1,
-            DecodeFault::BadVersion(_) => self.stats.bad_version += 1,
-            DecodeFault::Inconsistent => self.stats.inconsistent += 1,
-        }
     }
 
     /// Check-and-record `sequence` in the exporter's dedup window.
@@ -752,14 +720,40 @@ impl TransportIntake {
     }
 }
 
+/// Which protocol counter an accepted packet moves.
+enum Proto {
+    Sflow,
+    V5,
+    V9,
+    Ipfix,
+}
+
+/// Where one packet of the decode stage ends up. Every exit of the
+/// classify path has to produce one, and [`TransportIntake::book`] is the
+/// only consumer: a packet cannot leave the stage unbooked or booked twice.
+#[must_use]
+enum Disposition {
+    /// Decoded; `work` goes downstream (none for a template-only packet).
+    Accepted { proto: Proto, work: Option<Drained> },
+    /// A retransmit of a sequence already in the exporter's dedup window.
+    Duplicate,
+    Fault(DecodeFault),
+    /// Its template has not arrived: the packet comes back to be parked.
+    TemplateUnresolved(Vec<u8>),
+}
+
+/// A packet's disposition, and whether it installed or refreshed a
+/// template, so that parked packets may now resolve.
+type Classified = (Disposition, bool);
+
 /// The protocol-neutral shape both templated decoders reduce to.
 struct TemplatedOutcome {
+    proto: Proto,
     version: u16,
     domain: u32,
     sequence: u32,
     records: Vec<FlowRecord>,
-    installed: u32,
-    refreshed: u32,
+    templates_moved: bool,
     missing_template: bool,
 }
 
@@ -774,24 +768,24 @@ fn decode_templated(
         Some(&[0x00, 0x09]) => {
             let o = netflow9::decode(packet, peer, cache)?;
             Ok(TemplatedOutcome {
+                proto: Proto::V9,
                 version: netflow9::VERSION,
                 domain: o.source_id,
                 sequence: o.sequence,
                 records: o.records,
-                installed: o.installed,
-                refreshed: o.refreshed,
+                templates_moved: o.installed > 0 || o.refreshed > 0,
                 missing_template: o.missing_template,
             })
         }
         Some(&[0x00, 0x0A]) => {
             let o = ipfix::decode(packet, peer, cache)?;
             Ok(TemplatedOutcome {
+                proto: Proto::Ipfix,
                 version: ipfix::VERSION,
                 domain: o.observation_domain,
                 sequence: o.sequence,
                 records: o.records,
-                installed: o.installed,
-                refreshed: o.refreshed,
+                templates_moved: o.installed > 0 || o.refreshed > 0,
                 missing_template: o.missing_template,
             })
         }
@@ -855,6 +849,111 @@ mod tests {
         assert_eq!(s.bad_version, 1);
         assert_eq!((s.sflow_datagrams, s.v5_packets, s.v9_packets, s.ipfix_packets), (1, 1, 1, 1));
         assert!(t.fully_accounted());
+    }
+
+    /// The booking point, row by row: every disposition, booked on first
+    /// sight and on replay, moves `received`'s right-hand side by one
+    /// through exactly one terminal bucket, and its kind or protocol
+    /// counter with it.
+    #[test]
+    fn book_moves_exactly_one_terminal_bucket_per_disposition() {
+        use DecodeFault::{BadVersion, Inconsistent, Truncated};
+        let roomy = TransportConfig::default().pending_byte_budget;
+        let flows = || Some(Drained::Flows { peer: 9, records: vec![rec(1), rec(2)] });
+        let sflow = || Some(Drained::Sflow { peer: 9, datagram: vec![0, 0, 0, 5] });
+        let accepted = |proto, work| Disposition::Accepted { proto, work };
+        let fault = Disposition::Fault;
+        let unparked = Disposition::TemplateUnresolved;
+        let unresolved = || netflow9::encode::packet(7, 7, 260, None, &[rec(3)]);
+        // (disposition, parking budget, terminal bucket, kind or protocol counter)
+        let rows = || {
+            [
+                (accepted(Proto::Sflow, sflow()), roomy, "accepted", Some("sflow")),
+                (accepted(Proto::V5, flows()), roomy, "accepted", Some("v5")),
+                (accepted(Proto::V9, flows()), roomy, "accepted", Some("v9")),
+                (accepted(Proto::Ipfix, None), roomy, "accepted", Some("ipfix")),
+                (Disposition::Duplicate, roomy, "duplicates", None),
+                (fault(Truncated), roomy, "decode_errors", Some("truncated")),
+                (fault(BadVersion(0xBEEF)), roomy, "decode_errors", Some("bad_version")),
+                (fault(Inconsistent), roomy, "decode_errors", Some("inconsistent")),
+                (unparked(unresolved()), roomy, "pending", None),
+                (unparked(unresolved()), 1, "template_missing_dropped", None),
+            ]
+        };
+        let terminal = |s: &TransportStats| {
+            [
+                ("accepted", s.accepted),
+                ("duplicates", s.duplicates),
+                ("decode_errors", s.decode_errors),
+                ("template_missing_dropped", s.template_missing_dropped),
+                ("pending", s.pending),
+            ]
+        };
+        let sub = |s: &TransportStats| {
+            [
+                ("sflow", s.sflow_datagrams),
+                ("v5", s.v5_packets),
+                ("v9", s.v9_packets),
+                ("ipfix", s.ipfix_packets),
+                ("truncated", s.truncated),
+                ("bad_version", s.bad_version),
+                ("inconsistent", s.inconsistent),
+            ]
+        };
+        // The counters that moved, each by exactly one.
+        let moved = |before: &[(&'static str, u64)], after: &[(&'static str, u64)]| {
+            let grew = |(b, a): (&(&'static str, u64), &(&str, u64))| match a.1.checked_sub(b.1) {
+                Some(0) => None,
+                Some(1) => Some(b.0),
+                other => panic!("{} moved by {other:?}", b.0),
+            };
+            before.iter().zip(after).filter_map(grew).collect::<Vec<_>>()
+        };
+        for replay in [false, true] {
+            for (disposition, pending_byte_budget, bucket, counter) in rows() {
+                let label = format!("{bucket} ({counter:?}), replay {replay}");
+                let work = match &disposition {
+                    Disposition::Accepted { work, .. } => work.clone(),
+                    _ => None,
+                };
+                let records = match &work {
+                    Some(Drained::Flows { records, .. }) => records.len() as u64,
+                    _ => 0,
+                };
+                let mut t = TransportIntake::new(TransportConfig {
+                    pending_byte_budget,
+                    ..TransportConfig::default()
+                });
+                // Some history, so a counter that is assigned rather than
+                // bumped would show.
+                t.offer(1, &v5(1, 1));
+                t.offer(1, &v5(1, 1));
+                t.offer(1, &[0xBE, 0xEF, 0, 0]);
+                t.drain(16);
+                // One packet in hand: off the inbox on first sight, off the
+                // bench on replay.
+                t.stats.offered += 1;
+                t.stats.received += 1;
+                if replay {
+                    t.stats.pending += 1;
+                    t.parked.push_back((9, unresolved()));
+                    assert!(t.fully_accounted(), "{label}: parked");
+                    t.stats.pending -= 1;
+                    t.parked.clear();
+                }
+                assert!(!t.fully_accounted(), "{label}: in hand");
+                let before = t.stats();
+                let mut out = Vec::new();
+                t.book(9, disposition, &mut out);
+                let after = t.stats();
+                assert_eq!(moved(&terminal(&before), &terminal(&after)), [bucket], "{label}");
+                assert_eq!(moved(&sub(&before), &sub(&after)), Vec::from_iter(counter), "{label}");
+                assert!(t.fully_accounted(), "{label}: booked");
+                assert_eq!(after.received, before.received, "{label}");
+                assert_eq!(after.flows - before.flows, records, "{label}");
+                assert_eq!(out, Vec::from_iter(work), "{label}");
+            }
+        }
     }
 
     #[test]

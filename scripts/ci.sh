@@ -107,6 +107,26 @@ if grep -rnE 'ixp-lint: allow(-file)?\(no-' --include='*.rs' src tests examples 
     grep -v '^crates/lint/' >&2; then
     fail "a directive names a rule that moved to clippy: use #[allow(clippy::.., reason = \"..\")]"
 fi
+# One booking point per stage: a consumed datagram's terminal bucket moves
+# in one place, fed by a value every exit has to return (`Ingest` booked in
+# `Collector::ingest_view`, `Disposition` in `TransportIntake::book`, the
+# single-exit `IntakeRing::offer`), so conservation holds by construction
+# (DESIGN.md §8). A second bump site is a second place a packet can be
+# counted twice or not at all.
+bumps() {
+    sed '/^#\[cfg(test)\]/,$d' "$1" | grep -c "$2"
+}
+for site in \
+    "crates/transport/src/intake.rs:stats.accepted += 1" \
+    "crates/transport/src/intake.rs:stats.duplicates += 1" \
+    "crates/transport/src/intake.rs:stats.decode_errors += 1" \
+    "crates/sflow/src/collector.rs:agg.accepted += 1" \
+    "crates/sflow/src/collector.rs:agg.duplicates += 1" \
+    "crates/supervisor/src/ring.rs:shed += 1"; do
+    found=$(bumps "${site%%:*}" "${site#*:}") || true
+    [ "$found" -eq 1 ] ||
+        fail "expected exactly one \`${site#*:}\` outside the tests of ${site%%:*}, found $found"
+done
 
 echo "==> cargo build --release"
 cargo build --release
@@ -318,10 +338,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings ||
     fail "clippy reported findings (above)"
 
 echo "==> clippy contract fixture (every lint of the contract still fires)"
-# One violation per lint that replaced an ixp-lint token rule, plus the
-# shapes that must stay silent, under the same attribute line and the root
-# clippy.toml. A lint that stops firing (renamed, moved to another group,
-# clippy.toml no longer read) shows up here, not as a decoder that panics.
+# One violation per lint that replaced an ixp-lint rule (the token rules,
+# and L8's atomic reads and channel merges), plus the shapes that must stay
+# silent, under the same attribute line and the root clippy.toml. A lint
+# that stops firing (renamed, moved to another group, clippy.toml no longer
+# read) shows up here, not as a decoder that panics.
 fixture=crates/lint/tests/fixtures/contract
 if CLIPPY_CONF_DIR=$PWD CARGO_TARGET_DIR=$PWD/target/contract-fixture \
     cargo clippy --offline --all-targets --manifest-path "$fixture/Cargo.toml" -- -D warnings \

@@ -4,32 +4,18 @@
 //! corrupted or truncated checkpoint images — with byte-identical
 //! recovery, zero silent discards, and Table 1 drift under 2 %.
 
+mod common;
+
 use std::sync::OnceLock;
 
-use ixp_vantage::core::analyzer::{Analyzer, WeeklyReport};
+use common::{analyzer, clean, drift_pct, model};
 use ixp_vantage::core::{visibility, WeekScan};
 use ixp_vantage::faults::{chaos, FaultConfig, FaultPlan};
-use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
+use ixp_vantage::netmodel::Week;
 use ixp_vantage::obs::Obs;
 use ixp_vantage::supervisor::{Supervisor, SupervisorConfig};
 
 const SEED: u64 = 777;
-
-fn model() -> &'static InternetModel {
-    static M: OnceLock<InternetModel> = OnceLock::new();
-    M.get_or_init(|| InternetModel::generate(ScaleConfig::tiny(), SEED))
-}
-
-fn analyzer() -> &'static Analyzer<'static> {
-    static A: OnceLock<Analyzer<'static>> = OnceLock::new();
-    A.get_or_init(|| Analyzer::new(model()))
-}
-
-/// The fault-free reference-week report the soak compares drift against.
-fn clean() -> &'static WeeklyReport {
-    static C: OnceLock<WeeklyReport> = OnceLock::new();
-    C.get_or_init(|| analyzer().run_week(Week::REFERENCE))
-}
 
 /// The reference week's datagrams after a moderately hostile fault plan,
 /// materialized once — every supervised arm must see identical bytes.
@@ -72,10 +58,6 @@ fn fresh(obs: Option<&Obs>) -> Supervisor {
         ),
         None => Supervisor::new(WeekScan::new(Week::REFERENCE, members()), config()),
     }
-}
-
-fn drift_pct(chaotic: u64, clean: u64) -> f64 {
-    100.0 * (chaotic as f64 - clean as f64).abs() / clean.max(1) as f64
 }
 
 /// Kill-and-resume at every seeded offset: each killed run, restored from

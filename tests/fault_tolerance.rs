@@ -4,28 +4,15 @@
 //! counter wraps, outage windows — with exact ingest accounting and only
 //! marginal drift in the headline statistics.
 
-use std::sync::OnceLock;
+mod common;
 
-use ixp_vantage::core::analyzer::{Analyzer, WeeklyReport};
+use common::{analyzer, clean, drift_pct, model};
+use ixp_vantage::core::analyzer::WeeklyReport;
 use ixp_vantage::core::visibility;
 use ixp_vantage::faults::{FaultConfig, FaultPlan, OutageWindow};
-use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
+use ixp_vantage::netmodel::Week;
 
-fn model() -> &'static InternetModel {
-    static M: OnceLock<InternetModel> = OnceLock::new();
-    M.get_or_init(|| InternetModel::generate(ScaleConfig::tiny(), 777))
-}
-
-fn analyzer() -> &'static Analyzer<'static> {
-    static A: OnceLock<Analyzer<'static>> = OnceLock::new();
-    A.get_or_init(|| Analyzer::new(model()))
-}
-
-/// The fault-free reference-week report all degraded runs compare against.
-fn clean() -> &'static WeeklyReport {
-    static C: OnceLock<WeeklyReport> = OnceLock::new();
-    C.get_or_init(|| analyzer().run_week(Week::REFERENCE))
-}
+const SEED: u64 = 777;
 
 /// Run the reference week through a fault plan; return the report plus the
 /// plan's injection stats.
@@ -35,10 +22,6 @@ fn degraded(cfg: FaultConfig) -> (WeeklyReport, ixp_vantage::faults::FaultStats)
     let scan = analyzer.scan_week_from(Week::REFERENCE, plan.by_ref());
     let stats = plan.stats();
     (analyzer.report_from_scan(scan), stats)
-}
-
-fn drift_pct(degraded: u64, clean: u64) -> f64 {
-    100.0 * (degraded as f64 - clean as f64).abs() / clean.max(1) as f64
 }
 
 /// The headline acceptance criterion: 5 % loss plus one agent restart

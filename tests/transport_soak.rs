@@ -5,12 +5,15 @@
 //! intake and the supervisor — with byte-identical recovery, exact
 //! extended conservation, and Table 1 drift under 2 %.
 
+mod common;
+
 use std::sync::OnceLock;
 
-use ixp_vantage::core::analyzer::{Analyzer, WeeklyReport};
+use common::{analyzer, clean, drift_pct, model};
+use ixp_vantage::core::analyzer::WeeklyReport;
 use ixp_vantage::core::{visibility, WeekScan};
 use ixp_vantage::faults::{WireFaultConfig, WirePlan};
-use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
+use ixp_vantage::netmodel::Week;
 use ixp_vantage::obs::Obs;
 use ixp_vantage::supervisor::{Supervisor, SupervisorConfig};
 use ixp_vantage::transport::{
@@ -26,22 +29,6 @@ const SFLOW_PEER: u64 = 0x5F10;
 
 /// Flow-export packets mixed into the week feed.
 const FLOW_PACKETS: u64 = 400;
-
-fn model() -> &'static InternetModel {
-    static M: OnceLock<InternetModel> = OnceLock::new();
-    M.get_or_init(|| InternetModel::generate(ScaleConfig::tiny(), SEED))
-}
-
-fn analyzer() -> &'static Analyzer<'static> {
-    static A: OnceLock<Analyzer<'static>> = OnceLock::new();
-    A.get_or_init(|| Analyzer::new(model()))
-}
-
-/// The fault-free reference-week report drift is measured against.
-fn clean() -> &'static WeeklyReport {
-    static C: OnceLock<WeeklyReport> = OnceLock::new();
-    C.get_or_init(|| analyzer().run_week(Week::REFERENCE))
-}
 
 fn members() -> u32 {
     model().registry.members_at(Week::REFERENCE).len() as u32
@@ -183,10 +170,6 @@ fn run(kill_at: Option<usize>) -> Outcome {
         fully_accounted: intake.fully_accounted(),
         report: analyzer().report_from_scan(sup.into_scan()),
     }
-}
-
-fn drift_pct(value: u64, reference: u64) -> f64 {
-    100.0 * (value as f64 - reference as f64).abs() / reference.max(1) as f64
 }
 
 #[test]
