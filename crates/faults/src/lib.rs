@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+mod delivery;
 pub mod plan;
 pub mod quarantine;
 pub mod retry;

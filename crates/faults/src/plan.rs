@@ -19,11 +19,13 @@
 //! configuration the plan is the identity: every input byte vector passes
 //! through unchanged, in order.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use ixp_sflow::Datagram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::delivery::Delivery;
 
 /// Offset added to cumulative octet counters when `counter_wrap` is on:
 /// close enough to `u64::MAX` that a realistic second export wraps past 0.
@@ -128,10 +130,8 @@ pub struct FaultPlan<I> {
     rng: SmallRng,
     /// 1-based index of the last input datagram pulled.
     idx: u64,
-    /// Datagrams ready to hand out.
-    ready: VecDeque<Vec<u8>>,
-    /// A reordered datagram waiting out its delay (datagram, remaining).
-    held: Option<(Vec<u8>, u8)>,
+    /// The delivery stage; counts `emitted`, `duplicated` and `reordered`.
+    queue: Delivery<Vec<u8>>,
     /// Per-sub-agent sequence offset applied after an injected restart.
     renumber: BTreeMap<u32, u32>,
     stats: FaultStats,
@@ -146,8 +146,7 @@ impl<I: Iterator<Item = Vec<u8>>> FaultPlan<I> {
             cfg,
             rng,
             idx: 0,
-            ready: VecDeque::new(),
-            held: None,
+            queue: Delivery::default(),
             renumber: BTreeMap::new(),
             stats: FaultStats::default(),
         }
@@ -156,26 +155,8 @@ impl<I: Iterator<Item = Vec<u8>>> FaultPlan<I> {
     /// What has been injected so far (complete once the iterator is
     /// exhausted).
     pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    /// Queue a datagram for delivery, aging any held (reordered) datagram.
-    fn emit(&mut self, d: Vec<u8>) {
-        self.ready.push_back(d);
-        self.stats.emitted += 1;
-        let flush = match &mut self.held {
-            Some((_, remaining)) => {
-                *remaining = remaining.saturating_sub(1);
-                *remaining == 0
-            }
-            None => false,
-        };
-        if flush {
-            if let Some((h, _)) = self.held.take() {
-                self.ready.push_back(h);
-                self.stats.emitted += 1;
-            }
-        }
+        let Delivery { emitted, duplicated, reordered, .. } = self.queue;
+        FaultStats { emitted, duplicated, reordered, ..self.stats }
     }
 
     /// Apply the plan to one input datagram.
@@ -190,7 +171,7 @@ impl<I: Iterator<Item = Vec<u8>>> FaultPlan<I> {
         // bytes, these faults simply do not apply.
         if let Ok(mut dg) = Datagram::decode(&d) {
             let mut rewrite = false;
-            for (sub, at) in self.cfg.restarts.clone() {
+            for &(sub, at) in &self.cfg.restarts {
                 if dg.sub_agent_id == sub && idx >= at && !self.renumber.contains_key(&sub) {
                     // First datagram of this sub-agent at/after the restart
                     // point: renumber so its sequence restarts at 1.
@@ -245,19 +226,7 @@ impl<I: Iterator<Item = Vec<u8>>> FaultPlan<I> {
             }
             self.stats.corrupted += 1;
         }
-        let duplicate = self.rng.gen::<f64>() < self.cfg.duplicate;
-        let hold = self.rng.gen::<f64>() < self.cfg.reorder;
-        if duplicate {
-            self.stats.duplicated += 1;
-            self.emit(d.clone());
-        }
-        if hold && self.held.is_none() {
-            let delay = self.rng.gen_range(1..=3u8);
-            self.held = Some((d, delay));
-            self.stats.reordered += 1;
-        } else {
-            self.emit(d);
-        }
+        self.queue.deliver(d, self.cfg.duplicate, self.cfg.reorder, &mut self.rng);
     }
 }
 
@@ -266,21 +235,13 @@ impl<I: Iterator<Item = Vec<u8>>> Iterator for FaultPlan<I> {
 
     fn next(&mut self) -> Option<Vec<u8>> {
         loop {
-            if let Some(d) = self.ready.pop_front() {
+            if let Some(d) = self.queue.pop() {
                 return Some(d);
             }
             match self.inner.next() {
                 Some(d) => self.process(d),
-                None => {
-                    // Stream over: flush a still-held reordered datagram.
-                    match self.held.take() {
-                        Some((h, _)) => {
-                            self.stats.emitted += 1;
-                            return Some(h);
-                        }
-                        None => return None,
-                    }
-                }
+                // Stream over: flush a still-held reordered datagram.
+                None => return self.queue.flush(),
             }
         }
     }

@@ -13,10 +13,10 @@
 //! replays the identical faulted stream on both sides of a
 //! kill-and-resume and expects byte-identical metrics.
 
-use std::collections::VecDeque;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::delivery::Delivery;
 
 /// Which wire-level failures to inject, and how often. Probabilities are
 /// per input packet and independent.
@@ -70,10 +70,8 @@ pub struct WirePlan<I> {
     inner: I,
     cfg: WireFaultConfig,
     rng: SmallRng,
-    /// Packets ready to hand out.
-    ready: VecDeque<(u64, Vec<u8>)>,
-    /// A reordered packet waiting out its delay (packet, remaining).
-    held: Option<((u64, Vec<u8>), u8)>,
+    /// The delivery stage; counts `emitted`, `duplicated` and `reordered`.
+    queue: Delivery<(u64, Vec<u8>)>,
     stats: WireStats,
 }
 
@@ -81,32 +79,14 @@ impl<I: Iterator<Item = (u64, Vec<u8>)>> WirePlan<I> {
     /// Wrap a packet stream with a wire-fault configuration.
     pub fn new(inner: I, cfg: WireFaultConfig) -> WirePlan<I> {
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x7769_7265_FA17);
-        WirePlan { inner, cfg, rng, ready: VecDeque::new(), held: None, stats: WireStats::default() }
+        WirePlan { inner, cfg, rng, queue: Delivery::default(), stats: WireStats::default() }
     }
 
     /// What has been injected so far (complete once the iterator is
     /// exhausted).
     pub fn stats(&self) -> WireStats {
-        self.stats
-    }
-
-    /// Queue a packet for delivery, aging any held (reordered) packet.
-    fn emit(&mut self, p: (u64, Vec<u8>)) {
-        self.ready.push_back(p);
-        self.stats.emitted += 1;
-        let flush = match &mut self.held {
-            Some((_, remaining)) => {
-                *remaining = remaining.saturating_sub(1);
-                *remaining == 0
-            }
-            None => false,
-        };
-        if flush {
-            if let Some((h, _)) = self.held.take() {
-                self.ready.push_back(h);
-                self.stats.emitted += 1;
-            }
-        }
+        let Delivery { emitted, duplicated, reordered, .. } = self.queue;
+        WireStats { emitted, duplicated, reordered, ..self.stats }
     }
 
     /// Apply the plan to one input packet.
@@ -121,19 +101,7 @@ impl<I: Iterator<Item = (u64, Vec<u8>)>> WirePlan<I> {
             packet.truncate(cut);
             self.stats.truncated += 1;
         }
-        let duplicate = self.rng.gen::<f64>() < self.cfg.duplicate;
-        let hold = self.rng.gen::<f64>() < self.cfg.reorder;
-        if duplicate {
-            self.stats.duplicated += 1;
-            self.emit((peer, packet.clone()));
-        }
-        if hold && self.held.is_none() {
-            let delay = self.rng.gen_range(1..=3u8);
-            self.held = Some(((peer, packet), delay));
-            self.stats.reordered += 1;
-        } else {
-            self.emit((peer, packet));
-        }
+        self.queue.deliver((peer, packet), self.cfg.duplicate, self.cfg.reorder, &mut self.rng);
     }
 }
 
@@ -142,21 +110,13 @@ impl<I: Iterator<Item = (u64, Vec<u8>)>> Iterator for WirePlan<I> {
 
     fn next(&mut self) -> Option<(u64, Vec<u8>)> {
         loop {
-            if let Some(p) = self.ready.pop_front() {
+            if let Some(p) = self.queue.pop() {
                 return Some(p);
             }
             match self.inner.next() {
                 Some((peer, packet)) => self.process(peer, packet),
-                None => {
-                    // Stream over: flush a still-held reordered packet.
-                    match self.held.take() {
-                        Some((h, _)) => {
-                            self.stats.emitted += 1;
-                            return Some(h);
-                        }
-                        None => return None,
-                    }
-                }
+                // Stream over: flush a still-held reordered packet.
+                None => return self.queue.flush(),
             }
         }
     }

@@ -28,26 +28,70 @@ use crate::metrics::{split_name, Counter, MetricValue, Registry, Snapshot};
 /// Name of the breach counter the auditor registers.
 pub const BREACH_COUNTER: &str = "obs_audit_breaches_total";
 
-/// The ledger identities the auditor enforces. The discriminant order is
-/// stable: it is the `a` operand of the `audit_breach` journal event.
+/// The ledger identities the auditor enforces, each stated once as its row
+/// of [`LEDGER`]. The discriminant order is stable: it is the `a` operand of
+/// the `audit_breach` journal event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invariant {
-    /// `sflow_datagrams_total = accepted + duplicates + Σ decode_errors`.
+    /// Every sFlow datagram the collector saw is in one bucket.
     SflowLedger = 0,
-    /// `transport_received_total = accepted + duplicates +
-    /// Σ decode_errors + template_missing_dropped + pending_packets`.
+    /// Every packet the transport decode stage received is in one bucket.
     TransportLedger = 1,
-    /// `transport_accepted_total = Σ transport_packets_total{proto}`.
+    /// Every accepted transport packet is counted under one protocol.
     TransportProtoSum = 2,
-    /// `supervisor_offered_total = sflow_datagrams_total +
-    /// supervisor_shed_total` (final only: the ring may hold undrained
-    /// datagrams mid-run).
+    /// Every datagram offered to the supervisor was ingested or shed.
     SupervisorOffered = 3,
-    /// `transport_offered_total = transport_received_total +
-    /// transport_shed_total` (final only: the inbox may hold unoffered
-    /// packets mid-run).
+    /// Every packet offered to the transport was received or shed.
     TransportOffered = 4,
 }
+
+/// One row of the ledger.
+struct Identity {
+    invariant: Invariant,
+    name: &'static str,
+    /// The first scope it holds in; see the module docs.
+    scope: AuditScope,
+    /// `left = term + term …`, a term being a family or `sum(family)` for
+    /// one split across label blocks.
+    equation: &'static str,
+}
+
+/// The ledger, in [`Invariant`] order.
+const LEDGER: [Identity; 5] = [
+    Identity {
+        invariant: Invariant::SflowLedger,
+        name: "sflow-ledger",
+        scope: AuditScope::Steady,
+        equation: "sflow_datagrams_total = sflow_accepted_total + sflow_duplicates_total \
+                   + sum(sflow_decode_errors_total)",
+    },
+    Identity {
+        invariant: Invariant::TransportLedger,
+        name: "transport-ledger",
+        scope: AuditScope::Steady,
+        equation: "transport_received_total = transport_accepted_total + \
+                   transport_duplicates_total + sum(transport_decode_errors_total) + \
+                   transport_template_missing_dropped_total + transport_pending_packets",
+    },
+    Identity {
+        invariant: Invariant::TransportProtoSum,
+        name: "transport-proto-sum",
+        scope: AuditScope::Steady,
+        equation: "transport_accepted_total = sum(transport_packets_total)",
+    },
+    Identity {
+        invariant: Invariant::SupervisorOffered,
+        name: "supervisor-offered",
+        scope: AuditScope::Final,
+        equation: "supervisor_offered_total = sflow_datagrams_total + supervisor_shed_total",
+    },
+    Identity {
+        invariant: Invariant::TransportOffered,
+        name: "transport-offered",
+        scope: AuditScope::Final,
+        equation: "transport_offered_total = transport_received_total + transport_shed_total",
+    },
+];
 
 impl Invariant {
     /// Stable journal-event index.
@@ -57,37 +101,12 @@ impl Invariant {
 
     /// Short stable name for reports and the `/healthz` verdict.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Invariant::SflowLedger => "sflow-ledger",
-            Invariant::TransportLedger => "transport-ledger",
-            Invariant::TransportProtoSum => "transport-proto-sum",
-            Invariant::SupervisorOffered => "supervisor-offered",
-            Invariant::TransportOffered => "transport-offered",
-        }
+        LEDGER[self as usize].name
     }
 
     /// The identity, spelled out for humans.
     pub fn equation(self) -> &'static str {
-        match self {
-            Invariant::SflowLedger => {
-                "sflow_datagrams_total = sflow_accepted_total + sflow_duplicates_total \
-                 + sum(sflow_decode_errors_total)"
-            }
-            Invariant::TransportLedger => {
-                "transport_received_total = transport_accepted_total + \
-                 transport_duplicates_total + sum(transport_decode_errors_total) + \
-                 transport_template_missing_dropped_total + transport_pending_packets"
-            }
-            Invariant::TransportProtoSum => {
-                "transport_accepted_total = sum(transport_packets_total)"
-            }
-            Invariant::SupervisorOffered => {
-                "supervisor_offered_total = sflow_datagrams_total + supervisor_shed_total"
-            }
-            Invariant::TransportOffered => {
-                "transport_offered_total = transport_received_total + transport_shed_total"
-            }
-        }
+        LEDGER[self as usize].equation
     }
 }
 
@@ -158,61 +177,32 @@ fn family_sum(snapshot: &Snapshot, family: &str) -> Option<u64> {
     }
 }
 
-/// A family's sum, defaulting to 0 when absent (for right-hand-side terms
-/// whose zero state is legitimately unregistered).
-fn family_sum_or_zero(snapshot: &Snapshot, family: &str) -> u64 {
-    family_sum(snapshot, family).unwrap_or(0)
-}
-
 /// Check the ledger identities against a snapshot. Returns every breach,
 /// in invariant order. An invariant whose leading family is absent from
 /// the snapshot is skipped — its component was never constructed.
 pub fn check(snapshot: &Snapshot, scope: AuditScope) -> Vec<AuditError> {
     let mut breaches = Vec::new();
-    let mut push = |invariant: Invariant, left: u64, right: u64| {
-        if left != right {
-            breaches.push(AuditError { invariant, left, right });
+    for row in &LEDGER {
+        if row.scope == AuditScope::Final && scope != AuditScope::Final {
+            continue;
         }
-    };
-
-    if let Some(datagrams) = family_sum(snapshot, "sflow_datagrams_total") {
-        let accounted = family_sum_or_zero(snapshot, "sflow_accepted_total")
-            .saturating_add(family_sum_or_zero(snapshot, "sflow_duplicates_total"))
-            .saturating_add(family_sum_or_zero(snapshot, "sflow_decode_errors_total"));
-        push(Invariant::SflowLedger, datagrams, accounted);
-    }
-
-    if let Some(received) = family_sum(snapshot, "transport_received_total") {
-        let accounted = family_sum_or_zero(snapshot, "transport_accepted_total")
-            .saturating_add(family_sum_or_zero(snapshot, "transport_duplicates_total"))
-            .saturating_add(family_sum_or_zero(snapshot, "transport_decode_errors_total"))
-            .saturating_add(family_sum_or_zero(
-                snapshot,
-                "transport_template_missing_dropped_total",
-            ))
-            .saturating_add(family_sum_or_zero(snapshot, "transport_pending_packets"));
-        push(Invariant::TransportLedger, received, accounted);
-    }
-
-    if let Some(accepted) = family_sum(snapshot, "transport_accepted_total") {
-        if let Some(by_proto) = family_sum(snapshot, "transport_packets_total") {
-            push(Invariant::TransportProtoSum, accepted, by_proto);
+        let Some((left, terms)) = row.equation.split_once(" = ") else { continue };
+        let Some(left) = family_sum(snapshot, left) else { continue };
+        let right = terms.split(" + ").try_fold(0u64, |sum, term| {
+            let family = term.strip_prefix("sum(").and_then(|f| f.strip_suffix(')'));
+            match family_sum(snapshot, family.unwrap_or(term)) {
+                Some(v) => Some(sum.saturating_add(v)),
+                // A one-term identity compares two families and needs both.
+                None if term == terms => None,
+                // A ledger's absent bucket is one nothing fell into yet: its
+                // zero state is legitimately unregistered.
+                None => Some(sum),
+            }
+        });
+        if let Some(right) = right.filter(|right| *right != left) {
+            breaches.push(AuditError { invariant: row.invariant, left, right });
         }
     }
-
-    if scope == AuditScope::Final {
-        if let Some(offered) = family_sum(snapshot, "supervisor_offered_total") {
-            let accounted = family_sum_or_zero(snapshot, "sflow_datagrams_total")
-                .saturating_add(family_sum_or_zero(snapshot, "supervisor_shed_total"));
-            push(Invariant::SupervisorOffered, offered, accounted);
-        }
-        if let Some(offered) = family_sum(snapshot, "transport_offered_total") {
-            let accounted = family_sum_or_zero(snapshot, "transport_received_total")
-                .saturating_add(family_sum_or_zero(snapshot, "transport_shed_total"));
-            push(Invariant::TransportOffered, offered, accounted);
-        }
-    }
-
     breaches
 }
 
@@ -334,6 +324,29 @@ mod tests {
         let breaches = check(&r.snapshot(), AuditScope::Steady);
         assert_eq!(breaches.len(), 1);
         assert_eq!(breaches[0].invariant, Invariant::TransportProtoSum);
+    }
+
+    #[test]
+    fn an_absent_bucket_counts_as_zero_but_an_absent_breakdown_skips() {
+        let r = Registry::new();
+        r.counter("transport_received_total").add(2);
+        r.counter("transport_accepted_total").add(2);
+        // No `transport_packets_total` series: nothing to compare the
+        // accepted total with. The ledger's other buckets: nothing in them.
+        assert!(check(&r.snapshot(), AuditScope::Steady).is_empty());
+        r.counter("transport_received_total").add(1);
+        let breaches = check(&r.snapshot(), AuditScope::Steady);
+        let expected = AuditError { invariant: Invariant::TransportLedger, left: 3, right: 2 };
+        assert_eq!(breaches, [expected]);
+    }
+
+    #[test]
+    fn ledger_rows_are_in_invariant_order() {
+        for (index, row) in LEDGER.iter().enumerate() {
+            assert_eq!(row.invariant.index(), index as u64);
+            assert_eq!((row.invariant.as_str(), row.invariant.equation()), (row.name, row.equation));
+            assert!(row.equation.contains(" = "), "{}", row.name);
+        }
     }
 
     #[test]

@@ -70,18 +70,19 @@ pub enum EventKind {
     /// (Healthy/Degraded/Quarantined/Recovering as in
     /// `ixp-supervisor::health::HealthState`).
     Transition = 2,
-    /// A flow template was installed or refreshed. `agent` = peer key,
-    /// `sub_agent` = observation domain, `a` = template id,
-    /// `b` = revision.
+    /// One packet installed or refreshed flow templates. `agent` = peer
+    /// key, `sub_agent` = 0, `a` = templates newly installed, `b` =
+    /// templates refreshed to a new layout.
     TemplateInstall = 3,
-    /// A flow template was evicted (LRU). Operands as for
-    /// [`EventKind::TemplateInstall`].
+    /// One packet's installs evicted flow templates (LRU). `agent` = peer
+    /// key, `sub_agent` = 0, `a` = templates evicted, `b` = 0.
     TemplateEvict = 4,
     /// Work was shed. `a` = items shed in this event, `b` = shed total
     /// after it.
     Shed = 5,
-    /// A template-less data packet was parked. `agent`/`sub_agent` name
-    /// the exporter, `a` = set id awaited, `b` = parked bytes.
+    /// A template-less data packet was parked. `agent` = peer key,
+    /// `sub_agent` = 0, `a` = packets parked after it, `b` = bytes parked
+    /// after it.
     Park = 6,
     /// Parked packets were replayed after a template install.
     /// `a` = packets replayed, `b` = packets still parked.

@@ -403,8 +403,15 @@ impl TransportIntake {
     /// decoding, if its template was refreshed to an incompatible layout).
     fn classify_templated(&mut self, peer: u64, packet: Vec<u8>, dedup: bool) -> Classified {
         let counts_before = self.cache.counts();
-        let decoded = decode_templated(&packet, peer, &mut self.cache);
-        self.journal_template_churn(peer, counts_before);
+        let decoded = if packet.starts_with(&netflow9::VERSION.to_be_bytes()) {
+            netflow9::decode(&packet, peer, &mut self.cache)
+        } else if packet.starts_with(&ipfix::VERSION.to_be_bytes()) {
+            ipfix::decode(&packet, peer, &mut self.cache)
+        } else {
+            // Only a parked packet out of a damaged checkpoint gets here.
+            Err(DecodeFault::Truncated)
+        };
+        let templates_moved = self.template_churn(peer, counts_before);
         let d = match decoded {
             Ok(d) => d,
             Err(fault) => return (Disposition::Fault(fault), false),
@@ -415,29 +422,31 @@ impl TransportIntake {
         let disposition = if d.missing_template {
             Disposition::TemplateUnresolved(packet)
         } else {
+            let proto = if d.version == ipfix::VERSION { Proto::Ipfix } else { Proto::V9 };
             let work =
                 (!d.records.is_empty()).then_some(Drained::Flows { peer, records: d.records });
-            Disposition::Accepted { proto: d.proto, work }
+            Disposition::Accepted { proto, work }
         };
-        (disposition, d.templates_moved)
+        (disposition, templates_moved)
     }
 
-    /// Journal template installs/refreshes and evictions that happened
-    /// inside one `decode_templated` call, from the cache-count deltas.
-    fn journal_template_churn(&self, peer: u64, before: (u64, u64, u64)) {
-        if !self.journal.is_enabled() {
-            return;
-        }
+    /// What one decoder call did to the cache, from the count deltas:
+    /// journals its installs/refreshes and its evictions, and says whether
+    /// a template was installed or refreshed, so that parked packets may
+    /// now resolve.
+    fn template_churn(&self, peer: u64, before: (u64, u64, u64)) -> bool {
         let (installed, refreshed, evicted) = self.cache.counts();
         let new_installed = installed.saturating_sub(before.0);
         let new_refreshed = refreshed.saturating_sub(before.1);
         let new_evicted = evicted.saturating_sub(before.2);
-        if new_installed > 0 || new_refreshed > 0 {
+        let moved = new_installed > 0 || new_refreshed > 0;
+        if moved {
             self.journal.record(EventKind::TemplateInstall, peer, 0, new_installed, new_refreshed);
         }
         if new_evicted > 0 {
             self.journal.record(EventKind::TemplateEvict, peer, 0, new_evicted, 0);
         }
+        moved
     }
 
     /// Replay parked packets after a template install, looping while
@@ -745,53 +754,6 @@ enum Disposition {
 /// A packet's disposition, and whether it installed or refreshed a
 /// template, so that parked packets may now resolve.
 type Classified = (Disposition, bool);
-
-/// The protocol-neutral shape both templated decoders reduce to.
-struct TemplatedOutcome {
-    proto: Proto,
-    version: u16,
-    domain: u32,
-    sequence: u32,
-    records: Vec<FlowRecord>,
-    templates_moved: bool,
-    missing_template: bool,
-}
-
-/// Dispatch a v9/IPFIX packet to its decoder by the version field the
-/// caller already classified on.
-fn decode_templated(
-    packet: &[u8],
-    peer: u64,
-    cache: &mut TemplateCache,
-) -> Result<TemplatedOutcome, DecodeFault> {
-    match packet.get(..2) {
-        Some(&[0x00, 0x09]) => {
-            let o = netflow9::decode(packet, peer, cache)?;
-            Ok(TemplatedOutcome {
-                proto: Proto::V9,
-                version: netflow9::VERSION,
-                domain: o.source_id,
-                sequence: o.sequence,
-                records: o.records,
-                templates_moved: o.installed > 0 || o.refreshed > 0,
-                missing_template: o.missing_template,
-            })
-        }
-        Some(&[0x00, 0x0A]) => {
-            let o = ipfix::decode(packet, peer, cache)?;
-            Ok(TemplatedOutcome {
-                proto: Proto::Ipfix,
-                version: ipfix::VERSION,
-                domain: o.observation_domain,
-                sequence: o.sequence,
-                records: o.records,
-                templates_moved: o.installed > 0 || o.refreshed > 0,
-                missing_template: o.missing_template,
-            })
-        }
-        _ => Err(DecodeFault::Truncated),
-    }
-}
 
 #[cfg(test)]
 mod tests {

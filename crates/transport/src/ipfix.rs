@@ -1,28 +1,24 @@
-//! IPFIX (RFC 7011): the IETF successor to NetFlow v9.
+//! IPFIX (RFC 7011), the IETF successor to NetFlow v9: what is IPFIX's own
+//! around the shared set walk of [`crate::export`].
 //!
 //! An IPFIX message is a 16-byte header carrying its own **total length**
 //! — the first thing the decoder proves against the bytes on the wire —
 //! followed by sets framed exactly like v9 flowsets but with shifted ids:
-//! 2 is a template set, 3 an options-template set, 256+ data sets, and
-//! everything else reserved (an inconsistency here, since a conforming
-//! exporter never emits one). Templates may carry enterprise-specific
-//! information elements (top bit of the IE id set, followed by a 4-byte
-//! enterprise number); those fields are cached with their enterprise bit
-//! intact so the normalizer skips them by length instead of
-//! misinterpreting them as standard elements. Variable-length fields
-//! (declared length 0xFFFF) are rejected fail-closed: the flow workload
-//! this collector models never uses them, and accepting them would let a
-//! hostile exporter steer the cursor with attacker-controlled lengths.
-//!
-//! Like the v9 decoder this one is **packet-granular**: any data set
-//! whose template is unknown suppresses all records from the message and
-//! flags `missing_template`, so the intake can park the whole datagram
-//! and replay it verbatim once the template shows up.
+//! 2 is a template set, 3 an options-template set (field and scope *counts*,
+//! not byte lengths), 256+ data sets, and everything else reserved.
+//! Templates may carry enterprise-specific information elements (top bit of
+//! the IE id set, followed by a 4-byte enterprise number); those fields are
+//! cached with their enterprise bit intact so the normalizer skips them by
+//! length instead of misinterpreting them as standard elements.
+//! Variable-length fields (declared length 0xFFFF) are rejected
+//! fail-closed: the flow workload this collector models never uses them,
+//! and accepting them would let a hostile exporter steer the cursor with
+//! attacker-controlled lengths.
 
 use crate::error::DecodeFault;
-use crate::flow::{record_from_template, FlowRecord};
+use crate::export::{self, Export, Framing, FIRST_DATA_SET, MAX_TEMPLATE_FIELDS};
 use crate::rd::Rd;
-use crate::template::{Install, TemplateCache};
+use crate::template::TemplateCache;
 
 /// The version field an IPFIX message leads with.
 pub const VERSION: u16 = 10;
@@ -30,52 +26,12 @@ pub const VERSION: u16 = 10;
 /// Message header length fixed by RFC 7011.
 const HEADER_LEN: usize = 16;
 
-/// Set id of a template set.
-const SET_TEMPLATE: u16 = 2;
-
-/// Set id of an options-template set.
-const SET_OPTIONS: u16 = 3;
-
-/// First valid data-set id.
-const FIRST_DATA_SET: u16 = 256;
-
-/// The enterprise bit on an information-element id.
-const ENTERPRISE_BIT: u16 = 0x8000;
-
-/// The reserved variable-length field marker (unsupported, fail-closed).
-const VARLEN: u16 = 0xFFFF;
-
-/// Sanity cap on fields per template (mirrors the v9 decoder).
-const MAX_TEMPLATE_FIELDS: usize = 128;
-
-/// Sanity cap on sets per message.
-const MAX_SETS: usize = 256;
-
-/// What decoding one IPFIX message produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IpfixOutcome {
-    /// Export sequence number (counts data records for IPFIX, unlike v9).
-    pub sequence: u32,
-    /// The observation domain id — the template namespace.
-    pub observation_domain: u32,
-    /// Decoded data records (empty when `missing_template`).
-    pub records: Vec<FlowRecord>,
-    /// Templates newly installed by this message.
-    pub installed: u32,
-    /// Templates refreshed-on-conflict by this message.
-    pub refreshed: u32,
-    /// True when at least one data set referenced an unknown template:
-    /// the message must be buffered and replayed, not decoded piecemeal.
-    pub missing_template: bool,
-}
+const FRAMING: Framing =
+    Framing { template_set: 2, options_set: 3, enterprise_fields: true, options_template };
 
 /// Decode one IPFIX message against (and into) `cache`.
 // ixp-lint: allow(schema-drift) IPFIX wire codec; the layout is fixed by RFC 7011, not the checkpoint ratchet
-pub fn decode(
-    data: &[u8],
-    peer: u64,
-    cache: &mut TemplateCache,
-) -> Result<IpfixOutcome, DecodeFault> {
+pub fn decode(data: &[u8], peer: u64, cache: &mut TemplateCache) -> Result<Export, DecodeFault> {
     let mut r = Rd::new(data);
     let version = r.u16()?;
     if version != VERSION {
@@ -92,97 +48,24 @@ pub fn decode(
     }
     r.skip(4)?; // export_time
     let sequence = r.u32()?;
-    let observation_domain = r.u32()?;
-    let key = (peer, observation_domain);
-
-    let mut out = IpfixOutcome {
-        sequence,
-        observation_domain,
-        records: Vec::new(),
-        installed: 0,
-        refreshed: 0,
-        missing_template: false,
-    };
-    let mut sets = 0usize;
-    while r.remaining() >= 4 {
-        sets = sets.saturating_add(1);
-        if sets > MAX_SETS {
-            return Err(DecodeFault::Inconsistent);
-        }
-        let set_id = r.u16()?;
-        let set_len = usize::from(r.u16()?);
-        // The length covers the 4-byte set header itself.
-        let body_len = set_len.checked_sub(4).ok_or(DecodeFault::Inconsistent)?;
-        let body = r.take(body_len)?;
-        match set_id {
-            SET_TEMPLATE => templates(body, key, cache, &mut out)?,
-            SET_OPTIONS => options_template(body)?,
-            id if id < FIRST_DATA_SET => return Err(DecodeFault::Inconsistent),
-            _ => data_set(body, key, set_id, cache, &mut out)?,
-        }
-    }
+    let domain = r.u32()?;
+    let mut out =
+        Export { version, domain, sequence, records: Vec::new(), missing_template: false };
+    export::walk_sets(&mut r, &FRAMING, peer, cache, &mut out)?;
     if r.remaining() != 0 {
         // The total-length field already framed the message exactly, so
         // any straggler bytes mean a set length lied.
         return Err(DecodeFault::Inconsistent);
     }
-    if out.missing_template {
-        // Packet-granular: suppress records from the sets that did
-        // resolve, so a buffered replay cannot double-count them.
-        out.records.clear();
-    }
     Ok(out)
 }
 
-/// Parse a template set body (set id 2): install each definition.
+/// Parse an options-template set body (set id 3): validated and counted
+/// but not installed — options records describe the exporter, not flows.
 // ixp-lint: allow(schema-drift) IPFIX wire codec; the layout is fixed by RFC 7011, not the checkpoint ratchet
-fn templates(
-    body: &[u8],
-    key: (u64, u32),
-    cache: &mut TemplateCache,
-    out: &mut IpfixOutcome,
-) -> Result<(), DecodeFault> {
+fn options_template(body: &[u8]) -> Result<u32, DecodeFault> {
     let mut r = Rd::new(body);
-    // ≥ 4: another (template_id, field_count) header fits; less is pad.
-    while r.remaining() >= 4 {
-        let template_id = r.u16()?;
-        let field_count = usize::from(r.u16()?);
-        if template_id < FIRST_DATA_SET || field_count == 0 || field_count > MAX_TEMPLATE_FIELDS {
-            return Err(DecodeFault::Inconsistent);
-        }
-        let mut fields = Vec::with_capacity(field_count.min(MAX_TEMPLATE_FIELDS));
-        for _ in 0..field_count {
-            let ie = r.u16()?;
-            let len = r.u16()?;
-            if len == 0 || len == VARLEN {
-                return Err(DecodeFault::Inconsistent);
-            }
-            if ie & ENTERPRISE_BIT != 0 {
-                // Enterprise-specific element: a 4-byte enterprise number
-                // follows. The id keeps its enterprise bit in the cache
-                // so it can never collide with a standard element, and
-                // the normalizer skips it by its declared length.
-                r.skip(4)?;
-            }
-            fields.push((ie, len));
-        }
-        match cache.install(key, template_id, fields) {
-            Install::New => out.installed = out.installed.saturating_add(1),
-            Install::Refreshed => out.refreshed = out.refreshed.saturating_add(1),
-            Install::Unchanged => {}
-        }
-    }
-    if r.remaining() != 0 {
-        return Err(DecodeFault::Truncated);
-    }
-    Ok(())
-}
-
-/// Parse an options-template set body (set id 3): validated but not
-/// installed — options records describe the exporter, not flows.
-// ixp-lint: allow(schema-drift) IPFIX wire codec; the layout is fixed by RFC 7011, not the checkpoint ratchet
-fn options_template(body: &[u8]) -> Result<(), DecodeFault> {
-    let mut r = Rd::new(body);
+    let mut n = 0u32;
     while r.remaining() >= 6 {
         let template_id = r.u16()?;
         let field_count = usize::from(r.u16()?);
@@ -195,76 +78,22 @@ fn options_template(body: &[u8]) -> Result<(), DecodeFault> {
             return Err(DecodeFault::Inconsistent);
         }
         for _ in 0..field_count {
-            let ie = r.u16()?;
-            let len = r.u16()?;
-            if len == 0 || len == VARLEN {
-                return Err(DecodeFault::Inconsistent);
-            }
-            if ie & ENTERPRISE_BIT != 0 {
-                r.skip(4)?;
-            }
+            export::field_specifier(&mut r, FRAMING.enterprise_fields)?;
         }
+        n = n.saturating_add(1);
     }
     if r.remaining() > 3 {
         return Err(DecodeFault::Truncated);
     }
-    Ok(())
-}
-
-/// Parse a data set body against its template, if known.
-fn data_set(
-    body: &[u8],
-    key: (u64, u32),
-    set_id: u16,
-    cache: &mut TemplateCache,
-    out: &mut IpfixOutcome,
-) -> Result<(), DecodeFault> {
-    let Some(template) = cache.get(key, set_id) else {
-        out.missing_template = true;
-        return Ok(());
-    };
-    let fields = template.fields.clone();
-    let record_len = template.record_len as usize;
-    if record_len == 0 {
-        return Err(DecodeFault::Inconsistent);
-    }
-    let mut r = Rd::new(body);
-    let mut n = 0u32;
-    while r.remaining() >= record_len {
-        out.records.push(record_from_template(&mut r, &fields)?);
-        n = n.saturating_add(1);
-    }
-    // Remaining bytes must be 32-bit-alignment padding (< 4), otherwise
-    // the set length and the record size disagree.
-    if r.remaining() >= 4 || r.remaining() >= record_len {
-        return Err(DecodeFault::Inconsistent);
-    }
-    if n == 0 {
-        return Err(DecodeFault::Inconsistent);
-    }
-    Ok(())
+    Ok(n)
 }
 
 /// Encoding — the generator/test side.
 pub mod encode {
-    use super::{HEADER_LEN, SET_TEMPLATE, VERSION};
+    use super::{FRAMING, HEADER_LEN, VERSION};
+    use crate::export::encode::sets;
+    pub use crate::export::encode::flow_template_fields;
     use crate::flow::FlowRecord;
-
-    /// The canonical flow template (shared with the v9 generator).
-    pub fn flow_template_fields() -> Vec<(u16, u16)> {
-        crate::netflow9::encode::flow_template_fields()
-    }
-
-    /// Encode one data record under [`flow_template_fields`].
-    fn push_record(out: &mut Vec<u8>, rec: &FlowRecord) {
-        out.extend_from_slice(&rec.src.octets());
-        out.extend_from_slice(&rec.dst.octets());
-        out.extend_from_slice(&rec.src_port.to_be_bytes());
-        out.extend_from_slice(&rec.dst_port.to_be_bytes());
-        out.push(rec.proto);
-        out.extend_from_slice(&(rec.packets as u32).to_be_bytes());
-        out.extend_from_slice(&(rec.bytes as u32).to_be_bytes());
-    }
 
     /// Build an IPFIX message: optional template set announcing
     /// `template` under `template_id`, then one data set of `records`.
@@ -275,31 +104,7 @@ pub mod encode {
         template: Option<&[(u16, u16)]>,
         records: &[FlowRecord],
     ) -> Vec<u8> {
-        let mut sets: Vec<u8> = Vec::new();
-        if let Some(fields) = template {
-            let mut body = Vec::new();
-            body.extend_from_slice(&template_id.to_be_bytes());
-            body.extend_from_slice(&(fields.len() as u16).to_be_bytes());
-            for (ie_id, len) in fields {
-                body.extend_from_slice(&ie_id.to_be_bytes());
-                body.extend_from_slice(&len.to_be_bytes());
-            }
-            sets.extend_from_slice(&SET_TEMPLATE.to_be_bytes());
-            sets.extend_from_slice(&((body.len() + 4) as u16).to_be_bytes());
-            sets.extend_from_slice(&body);
-        }
-        if !records.is_empty() {
-            let mut body = Vec::new();
-            for rec in records {
-                push_record(&mut body, rec);
-            }
-            while body.len() % 4 != 0 {
-                body.push(0);
-            }
-            sets.extend_from_slice(&template_id.to_be_bytes());
-            sets.extend_from_slice(&((body.len() + 4) as u16).to_be_bytes());
-            sets.extend_from_slice(&body);
-        }
+        let sets = sets(FRAMING.template_set, template_id, template, records);
         let total = (HEADER_LEN + sets.len()) as u16;
         let mut out = Vec::with_capacity(usize::from(total));
         out.extend_from_slice(&VERSION.to_be_bytes());
@@ -315,46 +120,7 @@ pub mod encode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::TemplateCacheConfig;
-    use std::net::Ipv4Addr;
-
-    fn rec(i: u8) -> FlowRecord {
-        FlowRecord {
-            src: Ipv4Addr::new(192, 168, 0, i),
-            dst: Ipv4Addr::new(192, 168, 1, i),
-            src_port: 6000 + u16::from(i),
-            dst_port: 53,
-            proto: 17,
-            packets: 2,
-            bytes: 240,
-        }
-    }
-
-    fn cache() -> TemplateCache {
-        TemplateCache::new(TemplateCacheConfig::default())
-    }
-
-    #[test]
-    fn template_then_data_roundtrips() {
-        let mut c = cache();
-        let fields = encode::flow_template_fields();
-        let records = vec![rec(1), rec(2), rec(3)];
-        let bytes = encode::packet(5, 9, 300, Some(&fields), &records);
-        let out = decode(&bytes, 2, &mut c).unwrap();
-        assert_eq!(out.installed, 1);
-        assert!(!out.missing_template);
-        assert_eq!(out.records, records);
-        assert_eq!(out.observation_domain, 9);
-    }
-
-    #[test]
-    fn data_before_template_reports_missing_not_partial() {
-        let mut c = cache();
-        let bytes = encode::packet(1, 9, 300, None, &[rec(1)]);
-        let out = decode(&bytes, 2, &mut c).unwrap();
-        assert!(out.missing_template);
-        assert!(out.records.is_empty(), "partial emission breaks replay");
-    }
+    use crate::export::tests::{cache, rec};
 
     #[test]
     fn total_length_lies_fail_closed() {
@@ -416,7 +182,7 @@ mod tests {
     #[test]
     fn varlen_and_reserved_set_ids_are_rejected() {
         let mut c = cache();
-        let fields = vec![(crate::flow::ie::PROTOCOL, VARLEN)];
+        let fields = vec![(crate::flow::ie::PROTOCOL, 0xFFFF)];
         let bytes = encode::packet(1, 9, 300, Some(&fields), &[]);
         assert_eq!(decode(&bytes, 2, &mut c), Err(DecodeFault::Inconsistent));
         // A v9-style template set id (0) is reserved in IPFIX.
@@ -425,16 +191,5 @@ mod tests {
         reserved[16] = 0;
         reserved[17] = 0;
         assert_eq!(decode(&reserved, 2, &mut c), Err(DecodeFault::Inconsistent));
-    }
-
-    #[test]
-    fn refresh_on_conflict_counts() {
-        let mut c = cache();
-        let fields = encode::flow_template_fields();
-        decode(&encode::packet(1, 9, 300, Some(&fields), &[]), 2, &mut c).unwrap();
-        let mut flapped = fields.clone();
-        flapped.swap(0, 1);
-        let out = decode(&encode::packet(2, 9, 300, Some(&flapped), &[]), 2, &mut c).unwrap();
-        assert_eq!(out.refreshed, 1);
     }
 }

@@ -9,7 +9,8 @@
 //!   ([`netflow9`]), and IPFIX ([`ipfix`]) packets either decode
 //!   completely or are rejected with a typed [`error::DecodeFault`];
 //!   no panics, no partial records, every length proven against the
-//!   bytes present;
+//!   bytes present. v9 and IPFIX are two headers around one set walker
+//!   and decode to one [`Export`];
 //! * **bounded template state** — v9/IPFIX templates live in a
 //!   per-(peer, observation-domain) LRU cache ([`template`]) with hard
 //!   bounds and refresh-on-conflict versioning;
@@ -28,6 +29,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 pub mod error;
+mod export;
 pub mod flow;
 pub mod gen;
 pub mod intake;
@@ -39,6 +41,7 @@ pub mod rd;
 pub mod template;
 
 pub use error::{DecodeFault, LinkError};
+pub use export::Export;
 pub use flow::FlowRecord;
 pub use gen::{generate, FlowGenConfig, FIN};
 pub use intake::{
@@ -46,4 +49,4 @@ pub use intake::{
     TRANSPORT_STATE_VERSION,
 };
 pub use link::{peer_id, Link, MemLink, UdpLink, MAX_PACKET};
-pub use template::{Install, Template, TemplateCache, TemplateCacheConfig};
+pub use template::{Template, TemplateCache, TemplateCacheConfig};

@@ -1,20 +1,17 @@
-//! NetFlow v9 (RFC 3954): template-described export packets.
+//! NetFlow v9 (RFC 3954): what is v9's own around the shared set walk of
+//! [`crate::export`].
 //!
-//! A v9 packet is a 20-byte header followed by *flowsets*, each a
-//! `(set_id, length)` frame: template flowsets (id 0) and options
-//! templates (id 1) define record layouts; data flowsets (id ≥ 256)
-//! carry records whose layout only a previously seen template knows.
-//! Decoding is therefore stateful — the caller passes the bounded
-//! [`TemplateCache`] — and **packet-granular fail-closed**: if any data
-//! flowset's template is unknown, no records are emitted at all and the
-//! outcome says so, so the intake can buffer the whole packet and replay
-//! it when (if) the template arrives. Partial emission would make replay
-//! double-count.
+//! A v9 packet is a 20-byte header whose **count** field claims how many
+//! records and template definitions follow, then *flowsets*: template
+//! flowsets (id 0), options templates (id 1, scope and option lengths in
+//! bytes) and data flowsets (id ≥ 256). Flowsets are 32-bit aligned, so up
+//! to three bytes of padding may trail the last one. Field specifiers are
+//! plain `(type, length)` pairs: no enterprise numbers, no variable length.
 
 use crate::error::DecodeFault;
-use crate::flow::{record_from_template, FlowRecord};
+use crate::export::{self, Export, Framing, FIRST_DATA_SET};
 use crate::rd::Rd;
-use crate::template::{Install, TemplateCache};
+use crate::template::TemplateCache;
 
 /// The version field a v9 packet leads with.
 pub const VERSION: u16 = 9;
@@ -22,39 +19,12 @@ pub const VERSION: u16 = 9;
 /// Header length fixed by RFC 3954.
 const HEADER_LEN: usize = 20;
 
-/// Sanity cap on fields per template (RFC allows more; a hostile count
-/// would otherwise size work by attacker bytes).
-const MAX_TEMPLATE_FIELDS: usize = 128;
-
-/// Sanity cap on flowsets per packet.
-const MAX_SETS: usize = 256;
-
-/// What decoding one v9 packet produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct V9Outcome {
-    /// Export sequence number (counts packets for v9).
-    pub sequence: u32,
-    /// The exporter's source id — the template namespace.
-    pub source_id: u32,
-    /// Decoded data records (empty when `missing_template`).
-    pub records: Vec<FlowRecord>,
-    /// Templates newly installed by this packet.
-    pub installed: u32,
-    /// Templates refreshed-on-conflict by this packet.
-    pub refreshed: u32,
-    /// True when at least one data flowset referenced an unknown
-    /// template: the packet must be buffered and replayed, not decoded
-    /// piecemeal.
-    pub missing_template: bool,
-}
+const FRAMING: Framing =
+    Framing { template_set: 0, options_set: 1, enterprise_fields: false, options_template };
 
 /// Decode one v9 packet against (and into) `cache`.
 // ixp-lint: allow(schema-drift) NetFlow v9 wire codec; the layout is fixed by RFC 3954, not the checkpoint ratchet
-pub fn decode(
-    data: &[u8],
-    peer: u64,
-    cache: &mut TemplateCache,
-) -> Result<V9Outcome, DecodeFault> {
+pub fn decode(data: &[u8], peer: u64, cache: &mut TemplateCache) -> Result<Export, DecodeFault> {
     let mut r = Rd::new(data);
     let version = r.u16()?;
     if version != VERSION {
@@ -64,41 +34,12 @@ pub fn decode(
     r.skip(4)?; // sys_uptime
     r.skip(4)?; // unix_secs
     let sequence = r.u32()?;
-    let source_id = r.u32()?;
-    let key = (peer, source_id);
-
-    let mut out = V9Outcome {
-        sequence,
-        source_id,
-        records: Vec::new(),
-        installed: 0,
-        refreshed: 0,
-        missing_template: false,
-    };
-    let mut counted = 0u32;
-    let mut sets = 0usize;
-    while r.remaining() >= 4 {
-        sets = sets.saturating_add(1);
-        if sets > MAX_SETS {
-            return Err(DecodeFault::Inconsistent);
-        }
-        let set_id = r.u16()?;
-        let set_len = usize::from(r.u16()?);
-        // The length covers the 4-byte set header itself.
-        let body_len = set_len.checked_sub(4).ok_or(DecodeFault::Inconsistent)?;
-        let body = r.take(body_len)?;
-        match set_id {
-            0 => counted = counted.saturating_add(templates(body, key, cache, &mut out)?),
-            1 => counted = counted.saturating_add(options_template(body)?),
-            2..=255 => return Err(DecodeFault::Inconsistent),
-            _ => counted = counted.saturating_add(data_set(body, key, set_id, cache, &mut out)?),
-        }
-    }
-    // Up to 3 bytes of trailing padding are tolerated (flowsets are
-    // 32-bit aligned); more is damage.
-    if r.remaining() >= 4 {
-        return Err(DecodeFault::Truncated);
-    }
+    let domain = r.u32()?;
+    let mut out =
+        Export { version, domain, sequence, records: Vec::new(), missing_template: false };
+    // The walk stops with fewer than four bytes left: the alignment padding
+    // v9 tolerates behind its last flowset.
+    let counted = export::walk_sets(&mut r, &FRAMING, peer, cache, &mut out)?;
     // The header's count field is records + templates across the packet.
     // A mismatch on a fully-resolved packet is an exporter lie; with a
     // missing template we cannot know how many records the unreadable
@@ -106,51 +47,7 @@ pub fn decode(
     if !out.missing_template && counted != u32::from(declared_count) {
         return Err(DecodeFault::Inconsistent);
     }
-    if out.missing_template {
-        // Packet-granular: suppress records from the sets that did
-        // resolve, so a buffered replay cannot double-count them.
-        out.records.clear();
-    }
     Ok(out)
-}
-
-/// Parse a template flowset body (set id 0): install each definition.
-// ixp-lint: allow(schema-drift) NetFlow v9 wire codec; the layout is fixed by RFC 3954, not the checkpoint ratchet
-fn templates(
-    body: &[u8],
-    key: (u64, u32),
-    cache: &mut TemplateCache,
-    out: &mut V9Outcome,
-) -> Result<u32, DecodeFault> {
-    let mut r = Rd::new(body);
-    let mut n = 0u32;
-    // ≥ 4: another (template_id, field_count) header fits; less is pad.
-    while r.remaining() >= 4 {
-        let template_id = r.u16()?;
-        let field_count = usize::from(r.u16()?);
-        if template_id < 256 || field_count == 0 || field_count > MAX_TEMPLATE_FIELDS {
-            return Err(DecodeFault::Inconsistent);
-        }
-        let mut fields = Vec::with_capacity(field_count.min(MAX_TEMPLATE_FIELDS));
-        for _ in 0..field_count {
-            let ie = r.u16()?;
-            let len = r.u16()?;
-            if len == 0 {
-                return Err(DecodeFault::Inconsistent);
-            }
-            fields.push((ie, len));
-        }
-        match cache.install(key, template_id, fields) {
-            Install::New => out.installed = out.installed.saturating_add(1),
-            Install::Refreshed => out.refreshed = out.refreshed.saturating_add(1),
-            Install::Unchanged => {}
-        }
-        n = n.saturating_add(1);
-    }
-    if r.remaining() != 0 {
-        return Err(DecodeFault::Truncated);
-    }
-    Ok(n)
 }
 
 /// Parse an options-template flowset body (set id 1): validated and
@@ -164,7 +61,7 @@ fn options_template(body: &[u8]) -> Result<u32, DecodeFault> {
         let template_id = r.u16()?;
         let scope_len = usize::from(r.u16()?);
         let option_len = usize::from(r.u16()?);
-        if template_id < 256 {
+        if template_id < FIRST_DATA_SET {
             return Err(DecodeFault::Inconsistent);
         }
         let total = scope_len.checked_add(option_len).ok_or(DecodeFault::Inconsistent)?;
@@ -180,68 +77,12 @@ fn options_template(body: &[u8]) -> Result<u32, DecodeFault> {
     Ok(n)
 }
 
-/// Parse a data flowset body against its template, if known.
-fn data_set(
-    body: &[u8],
-    key: (u64, u32),
-    set_id: u16,
-    cache: &mut TemplateCache,
-    out: &mut V9Outcome,
-) -> Result<u32, DecodeFault> {
-    let Some(template) = cache.get(key, set_id) else {
-        out.missing_template = true;
-        return Ok(0);
-    };
-    let fields = template.fields.clone();
-    let record_len = template.record_len as usize;
-    if record_len == 0 {
-        return Err(DecodeFault::Inconsistent);
-    }
-    let mut r = Rd::new(body);
-    let mut n = 0u32;
-    while r.remaining() >= record_len {
-        out.records.push(record_from_template(&mut r, &fields)?);
-        n = n.saturating_add(1);
-    }
-    // Remaining bytes must be 32-bit-alignment padding (< 4), otherwise
-    // the set length and the record size disagree.
-    if r.remaining() >= 4 || r.remaining() >= record_len {
-        return Err(DecodeFault::Inconsistent);
-    }
-    if n == 0 {
-        return Err(DecodeFault::Inconsistent);
-    }
-    Ok(n)
-}
-
 /// Encoding — the generator/test side.
 pub mod encode {
-    use super::{HEADER_LEN, VERSION};
-    use crate::flow::{ie, FlowRecord};
-
-    /// The canonical 7-field flow template the generator announces.
-    pub fn flow_template_fields() -> Vec<(u16, u16)> {
-        vec![
-            (ie::IPV4_SRC_ADDR, 4),
-            (ie::IPV4_DST_ADDR, 4),
-            (ie::L4_SRC_PORT, 2),
-            (ie::L4_DST_PORT, 2),
-            (ie::PROTOCOL, 1),
-            (ie::IN_PKTS, 4),
-            (ie::IN_BYTES, 4),
-        ]
-    }
-
-    /// Encode one data record under [`flow_template_fields`].
-    fn push_record(out: &mut Vec<u8>, rec: &FlowRecord) {
-        out.extend_from_slice(&rec.src.octets());
-        out.extend_from_slice(&rec.dst.octets());
-        out.extend_from_slice(&rec.src_port.to_be_bytes());
-        out.extend_from_slice(&rec.dst_port.to_be_bytes());
-        out.push(rec.proto);
-        out.extend_from_slice(&(rec.packets as u32).to_be_bytes());
-        out.extend_from_slice(&(rec.bytes as u32).to_be_bytes());
-    }
+    use super::{FRAMING, HEADER_LEN, VERSION};
+    use crate::export::encode::sets;
+    pub use crate::export::encode::flow_template_fields;
+    use crate::flow::FlowRecord;
 
     /// Build a v9 packet: optional template flowset announcing
     /// `template` under `template_id`, then one data flowset of
@@ -253,34 +94,8 @@ pub mod encode {
         template: Option<&[(u16, u16)]>,
         records: &[FlowRecord],
     ) -> Vec<u8> {
-        let mut sets: Vec<u8> = Vec::new();
-        let mut count = 0u16;
-        if let Some(fields) = template {
-            let mut body = Vec::new();
-            body.extend_from_slice(&template_id.to_be_bytes());
-            body.extend_from_slice(&(fields.len() as u16).to_be_bytes());
-            for (ie_id, len) in fields {
-                body.extend_from_slice(&ie_id.to_be_bytes());
-                body.extend_from_slice(&len.to_be_bytes());
-            }
-            sets.extend_from_slice(&0u16.to_be_bytes());
-            sets.extend_from_slice(&((body.len() + 4) as u16).to_be_bytes());
-            sets.extend_from_slice(&body);
-            count += 1;
-        }
-        if !records.is_empty() {
-            let mut body = Vec::new();
-            for rec in records {
-                push_record(&mut body, rec);
-            }
-            while body.len() % 4 != 0 {
-                body.push(0);
-            }
-            sets.extend_from_slice(&template_id.to_be_bytes());
-            sets.extend_from_slice(&((body.len() + 4) as u16).to_be_bytes());
-            sets.extend_from_slice(&body);
-            count += records.len() as u16;
-        }
+        let sets = sets(FRAMING.template_set, template_id, template, records);
+        let count = u16::from(template.is_some()) + records.len() as u16;
         let mut out = Vec::with_capacity(HEADER_LEN + sets.len());
         out.extend_from_slice(&VERSION.to_be_bytes());
         out.extend_from_slice(&count.to_be_bytes());
@@ -296,77 +111,7 @@ pub mod encode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::TemplateCacheConfig;
-    use std::net::Ipv4Addr;
-
-    fn rec(i: u8) -> FlowRecord {
-        FlowRecord {
-            src: Ipv4Addr::new(10, 0, 0, i),
-            dst: Ipv4Addr::new(10, 0, 1, i),
-            src_port: 4000 + u16::from(i),
-            dst_port: 443,
-            proto: 6,
-            packets: 3,
-            bytes: 1500,
-        }
-    }
-
-    fn cache() -> TemplateCache {
-        TemplateCache::new(TemplateCacheConfig::default())
-    }
-
-    #[test]
-    fn template_then_data_roundtrips() {
-        let mut c = cache();
-        let fields = encode::flow_template_fields();
-        let records = vec![rec(1), rec(2)];
-        let bytes = encode::packet(1, 7, 260, Some(&fields), &records);
-        let out = decode(&bytes, 1, &mut c).unwrap();
-        assert_eq!(out.installed, 1);
-        assert!(!out.missing_template);
-        assert_eq!(out.records, records);
-        assert_eq!(out.source_id, 7);
-    }
-
-    #[test]
-    fn data_before_template_reports_missing_not_partial() {
-        let mut c = cache();
-        let bytes = encode::packet(1, 7, 260, None, &[rec(1)]);
-        let out = decode(&bytes, 1, &mut c).unwrap();
-        assert!(out.missing_template);
-        assert!(out.records.is_empty(), "partial emission breaks replay");
-    }
-
-    #[test]
-    fn refresh_on_conflict_bumps_revision() {
-        let mut c = cache();
-        let fields = encode::flow_template_fields();
-        decode(&encode::packet(1, 7, 260, Some(&fields), &[]), 1, &mut c).unwrap();
-        let mut flapped = fields.clone();
-        flapped.swap(0, 1);
-        let out = decode(&encode::packet(2, 7, 260, Some(&flapped), &[]), 1, &mut c).unwrap();
-        assert_eq!(out.refreshed, 1);
-        assert_eq!(c.get((1, 7), 260).unwrap().revision, 2);
-    }
-
-    #[test]
-    fn length_lies_fail_closed() {
-        let mut c = cache();
-        let fields = encode::flow_template_fields();
-        let good = encode::packet(1, 7, 260, Some(&fields), &[rec(1)]);
-        for cut in 1..good.len() {
-            let mut c2 = cache();
-            // Never panics; truncation before set boundaries may decode
-            // to fewer sets, in which case the count check catches it.
-            let _unused = decode(&good[..cut], 1, &mut c2);
-        }
-        // A set length pointing past the packet is Truncated.
-        let bytes = encode::packet(1, 7, 260, Some(&fields), &[]);
-        let mut lied = bytes;
-        let set_len_at = 22;
-        lied[set_len_at] = 0xFF;
-        assert!(decode(&lied, 1, &mut c).is_err());
-    }
+    use crate::export::tests::{cache, rec};
 
     #[test]
     fn header_count_mismatch_is_inconsistent() {
@@ -375,5 +120,16 @@ mod tests {
         let mut bytes = encode::packet(1, 7, 260, Some(&fields), &[rec(1)]);
         bytes[3] = 9; // lie about the record+template count
         assert_eq!(decode(&bytes, 1, &mut c), Err(DecodeFault::Inconsistent));
+    }
+
+    #[test]
+    fn field_specifiers_are_plain_pairs() {
+        // What IPFIX reads as an enterprise element and as the varlen
+        // marker are an ordinary type and an ordinary length in v9.
+        let mut c = cache();
+        let fields = [(0x8000 | 77, 4), (crate::flow::ie::PROTOCOL, 0xFFFF)];
+        let out = decode(&encode::packet(1, 7, 260, Some(&fields), &[]), 1, &mut c).unwrap();
+        assert!(out.records.is_empty());
+        assert_eq!(c.get((1, 7), 260).unwrap().fields, fields);
     }
 }

@@ -60,18 +60,6 @@ impl Default for TemplateCacheConfig {
     }
 }
 
-/// What installing a definition did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Install {
-    /// First sighting of this template id in the domain.
-    New,
-    /// Same id, same layout: a routine periodic re-announcement.
-    Unchanged,
-    /// Same id, different layout: the definition was replaced and its
-    /// revision bumped (refresh-on-conflict).
-    Refreshed,
-}
-
 /// The bounded LRU template store.
 #[derive(Debug, Default)]
 pub struct TemplateCache {
@@ -108,8 +96,10 @@ impl TemplateCache {
         (self.installed, self.refreshed, self.evicted)
     }
 
-    /// Install (or refresh) a definition for `(key, id)`.
-    pub fn install(&mut self, key: DomainKey, id: u16, fields: Vec<(u16, u16)>) -> Install {
+    /// Install a definition for `(key, id)`. The same layout again is a
+    /// routine periodic re-announcement; a different one replaces the old
+    /// definition and bumps its revision (refresh-on-conflict).
+    pub fn install(&mut self, key: DomainKey, id: u16, fields: Vec<(u16, u16)>) {
         self.tick = self.tick.saturating_add(1);
         let tick = self.tick;
         let record_len =
@@ -126,45 +116,35 @@ impl TemplateCache {
         let domain = self.domains.entry(key).or_default();
         domain.last_used = tick;
 
-        let outcome = match domain.templates.get_mut(&id) {
-            Some(existing) if existing.fields == fields => {
-                existing.last_used = tick;
-                Install::Unchanged
-            }
+        match domain.templates.get_mut(&id) {
+            Some(existing) if existing.fields == fields => existing.last_used = tick,
             Some(existing) => {
                 existing.revision = existing.revision.saturating_add(1);
                 existing.fields = fields;
                 existing.record_len = record_len;
                 existing.last_used = tick;
-                Install::Refreshed
+                self.refreshed = self.refreshed.saturating_add(1);
             }
             None => {
                 domain.templates.insert(
                     id,
                     Template { fields, record_len, revision: 1, last_used: tick },
                 );
-                Install::New
-            }
-        };
-        if matches!(outcome, Install::Refreshed) {
-            self.refreshed = self.refreshed.saturating_add(1);
-        }
-        if matches!(outcome, Install::New) {
-            self.installed = self.installed.saturating_add(1);
-            // Bound the per-domain table; evict its LRU template.
-            if domain.templates.len() > self.config.max_templates_per_domain {
-                let victim = domain
-                    .templates
-                    .iter()
-                    .min_by_key(|(tid, t)| (t.last_used, **tid))
-                    .map(|(tid, _)| *tid);
-                if let Some(tid) = victim {
-                    domain.templates.remove(&tid);
-                    self.evicted = self.evicted.saturating_add(1);
+                self.installed = self.installed.saturating_add(1);
+                // Bound the per-domain table; evict its LRU template.
+                if domain.templates.len() > self.config.max_templates_per_domain {
+                    let victim = domain
+                        .templates
+                        .iter()
+                        .min_by_key(|(tid, t)| (t.last_used, **tid))
+                        .map(|(tid, _)| *tid);
+                    if let Some(tid) = victim {
+                        domain.templates.remove(&tid);
+                        self.evicted = self.evicted.saturating_add(1);
+                    }
                 }
             }
         }
-        outcome
     }
 
     /// Look up a definition, touching the LRU order.
@@ -200,9 +180,11 @@ mod tests {
     #[test]
     fn install_refresh_unchanged_lifecycle() {
         let mut c = TemplateCache::new(TemplateCacheConfig::default());
-        assert_eq!(c.install((1, 0), 256, fields(2)), Install::New);
-        assert_eq!(c.install((1, 0), 256, fields(2)), Install::Unchanged);
-        assert_eq!(c.install((1, 0), 256, fields(3)), Install::Refreshed);
+        c.install((1, 0), 256, fields(2));
+        assert_eq!(c.counts(), (1, 0, 0));
+        c.install((1, 0), 256, fields(2));
+        assert_eq!((c.counts(), c.get((1, 0), 256).unwrap().revision), ((1, 0, 0), 1));
+        c.install((1, 0), 256, fields(3));
         let t = c.get((1, 0), 256).unwrap();
         assert_eq!(t.revision, 2);
         assert_eq!(t.record_len, 12);

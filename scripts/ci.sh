@@ -127,6 +127,29 @@ for site in \
     [ "$found" -eq 1 ] ||
         fail "expected exactly one \`${site#*:}\` outside the tests of ${site%%:*}, found $found"
 done
+# One set walker, one delivery queue: NetFlow v9 and IPFIX share
+# crates/transport/src/export.rs and differ only in what netflow9.rs and
+# ipfix.rs hand it; the two fault plans share crates/faults/src/delivery.rs.
+# A second copy of any of these is a dialect or a plan that can drift.
+defined() {
+    for f in "$1"/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE "$2"
+}
+for one in \
+    "crates/transport/src:fn data_set\(" \
+    "crates/transport/src:fn templates\(" \
+    "crates/transport/src:fn push_record\(" \
+    "crates/faults/src:fn emit\("; do
+    found=$(defined "${one%%:*}" "${one#*:}") || true
+    [ "$found" -eq 1 ] ||
+        fail "expected exactly one \`${one#*:}\` outside the tests of ${one%%:*}, found $found"
+done
+found=$(defined crates/transport/src 'struct [A-Za-z0-9]*Outcome') || true
+[ "$found" -eq 0 ] ||
+    fail "crates/transport/src declares an \`*Outcome\` struct: both decoders return \`Export\`"
+if sed '/^#\[cfg(test)\]/,$d' crates/transport/src/export.rs |
+    grep -nE 'netflow9|ipfix|VERSION' | grep -vE '^[0-9]+:[[:space:]]*//' >&2; then
+    fail "crates/transport/src/export.rs asks which dialect it is walking: pass the difference in as Framing"
+fi
 
 echo "==> cargo build --release"
 cargo build --release

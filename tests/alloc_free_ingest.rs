@@ -174,3 +174,44 @@ fn each_generated_datagram_is_the_one_allocation_of_its_step() {
     assert!(closing > 4_000, "the last datagram carried no counters: {closing} bytes");
     assert!(stream.next().is_none());
 }
+
+/// A NetFlow v9 or IPFIX data packet whose template is cached costs three
+/// allocations from `offer` to the end of `drain`: the inbox copy, the
+/// `records` it decodes to, and the `Vec<Drained>` handed back. (Four before
+/// the two decoders became one: each data set also cloned its template's
+/// field list out of the cache.)
+#[test]
+fn a_data_packet_under_a_cached_template_costs_its_copy_its_records_and_its_work() {
+    use ixp_vantage::transport::flow::FlowRecord;
+    use ixp_vantage::transport::{ipfix, netflow9, Drained, TransportConfig, TransportIntake};
+
+    type Encode = fn(u32, u32, u16, Option<&[(u16, u16)]>, &[FlowRecord]) -> Vec<u8>;
+    let dialects: [(&str, Encode); 2] =
+        [("NetFlow v9", netflow9::encode::packet), ("IPFIX", ipfix::encode::packet)];
+    let fields = netflow9::encode::flow_template_fields();
+    let records = [FlowRecord { proto: 6, packets: 3, bytes: 1500, ..FlowRecord::default() }; 3];
+    for (dialect, encode) in dialects {
+        let mut intake = TransportIntake::new(TransportConfig::default());
+        // The announcement, then enough data that the inbox and the
+        // exporter's dedup window have reached their steady capacity.
+        intake.offer(1, &encode(0, 7, 300, Some(&fields), &records));
+        for sequence in 1..=40 {
+            intake.offer(1, &encode(sequence, 7, 300, None, &records));
+        }
+        assert_eq!(intake.drain(64).len(), 41, "{dialect}: warm-up");
+
+        let packets: Vec<Vec<u8>> =
+            (41..=48).map(|sequence| encode(sequence, 7, 300, None, &records)).collect();
+        let steady = allocations(|| {
+            for packet in &packets {
+                intake.offer(1, packet);
+                let work = intake.drain(1);
+                assert!(
+                    matches!(&work[..], [Drained::Flows { records, .. }] if records.len() == 3),
+                    "{dialect}: {work:?}"
+                );
+            }
+        });
+        assert_eq!(steady, 3 * packets.len() as u64, "{dialect}");
+    }
+}
