@@ -14,10 +14,10 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use ixp_netmodel::{MemberId, Week};
-use ixp_obs::{Obs, Published, Series};
+use ixp_obs::{family_sum, Invariant, Obs, Published, Series};
 use ixp_sflow::checkpoint::{self, Cur, StateError};
-use ixp_sflow::collector::{Collector, CollectorStats, Ingest};
-use ixp_sflow::{DecodeErrorCounts, TrafficEstimate};
+use ixp_sflow::collector::{Collector, CollectorStats, Ingest, SERIES as COLLECTOR_SERIES};
+use ixp_sflow::TrafficEstimate;
 use ixp_wire::dissect::{Dissection, Network, Transport};
 use ixp_wire::{ipv4, EthernetAddress};
 
@@ -310,23 +310,14 @@ impl IngestHealth {
         self.collector.compensation_factor()
     }
 
-    /// Every datagram offered to the pipeline: the ones the collector saw
-    /// plus the ones the intake queue shed before it could.
-    pub fn ingested(&self) -> u64 {
-        self.collector.datagrams.saturating_add(self.shed)
-    }
-
-    /// The no-silent-discard invariant, extended over the intake queue:
-    /// every offered buffer is accepted, a suppressed duplicate, a counted
-    /// decode error, or an explicitly counted shed.
+    /// The collector's no-silent-discard invariant, the `sflow-ledger` row
+    /// of [`LEDGER`](ixp_obs::LEDGER) over its [`SERIES`](COLLECTOR_SERIES):
+    /// every datagram it saw is accepted, a suppressed duplicate, or a
+    /// counted decode error. The shed datagrams never reached it; that they
+    /// are counted is `Supervisor::fully_accounted`'s `supervisor-offered`.
     pub fn fully_accounted(&self) -> bool {
-        let c = &self.collector;
-        let accounted = c
-            .accepted
-            .checked_add(c.duplicates)
-            .and_then(|v| v.checked_add(c.decode_errors.total()))
-            .and_then(|v| v.checked_add(self.shed));
-        accounted == Some(self.ingested())
+        let read = |family: &str| family_sum(COLLECTOR_SERIES, &self.collector, family);
+        Invariant::SflowLedger.identity().balance(read, 0).is_ok()
     }
 
     /// A traffic estimate scaled up by the loss-compensation factor, so
@@ -730,19 +721,14 @@ impl WeekScan {
         list.map_or(&[], UriList::as_slice)
     }
 
-    /// Datagram decode failures by kind (the once-silent error path).
-    pub fn decode_errors(&self) -> DecodeErrorCounts {
-        self.collector.stats().decode_errors
-    }
-
     /// The collector front-end, for sequence/counter introspection.
     pub fn collector(&self) -> &Collector {
         &self.collector
     }
 
     /// Count datagrams the bounded intake queue shed before they reached
-    /// this scan's collector, keeping the no-silent-discard invariant over
-    /// the whole pipeline.
+    /// this scan's collector, for the report's ingest health. The queue's
+    /// own shed count is what its ledger row (`supervisor-offered`) reads.
     pub fn record_shed(&mut self, n: u64) {
         self.shed = self.shed.saturating_add(n);
     }
@@ -1121,8 +1107,8 @@ mod tests {
         // A datagram-level decode failure lands in the per-kind error
         // counters, not the sample-level dissection counter.
         scan.ingest(&[1, 2, 3]);
-        assert_eq!(scan.decode_errors().total(), 1);
-        assert_eq!(scan.decode_errors().truncated, 1);
+        let errors = scan.ingest_health().collector.decode_errors;
+        assert_eq!((errors.total(), errors.truncated), (1, 1));
         // A sample-level dissection failure is counted separately.
         scan.ingest_sample(1, 10, &[0xff; 4]);
         assert_eq!(scan.undissectable, 1);
@@ -1332,13 +1318,12 @@ mod tests {
     }
 
     #[test]
-    fn shed_extends_the_accounting_invariant() {
+    fn a_shed_is_reported_in_health_and_stays_out_of_the_collector_ledger() {
         let mut scan = WeekScan::new(Week::REFERENCE, 10);
         scan.ingest(&[1, 2, 3]);
         scan.record_shed(7);
         let h = scan.ingest_health();
-        assert_eq!(h.shed, 7);
-        assert_eq!(h.ingested(), h.collector.datagrams + 7);
+        assert_eq!((h.shed, h.collector.datagrams), (7, 1));
         assert!(h.fully_accounted());
     }
 

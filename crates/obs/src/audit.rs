@@ -1,36 +1,36 @@
-//! The runtime conservation auditor.
+//! The conservation ledger, stated once, and its runtime auditor.
 //!
-//! Each stage books a consumed datagram into exactly one accounting bucket
-//! at one booking point, which the compiler checks (DESIGN.md §8). This
-//! module is the runtime mirror: it re-checks the same ledger identities
-//! against the live metric families in a [`Snapshot`], so a conservation
-//! bug the types cannot see (or corruption introduced by a restore) is
-//! caught while the pipeline is running, not days later in a report.
+//! Each stage books a consumed datagram into one bucket at one booking
+//! point (DESIGN.md §8). What the buckets add up to is [`LEDGER`], five rows
+//! of metric family names, and [`Identity::balance`] is the only code that
+//! adds a row up. A component reads its own `Series` table
+//! ([`family_sum`](crate::publish::family_sum)) in `fully_accounted()` and
+//! its restore; the [`Auditor`] reads the live families in a [`Snapshot`],
+//! catching while the pipeline runs what the types cannot see.
 //!
-//! Two audit scopes exist because two kinds of identity exist:
+//! A `queued` row has work in flight between its sides: the supervisor
+//! ring, the transport inbox. A component passes the queue's depth; the
+//! registry holds none, so the auditor checks a queued row only in
+//! [`AuditScope::Final`], once the queues are drained, and the others at
+//! every sync point ([`AuditScope::Steady`]).
 //!
-//! * [`AuditScope::Steady`] invariants hold at *every* metrics sync
-//!   point — each ingested datagram is already in exactly one bucket.
-//! * [`AuditScope::Final`] adds the end-of-run identities that are
-//!   legitimately violated mid-run by work still sitting in a queue
-//!   (the supervisor ring holds offered-but-undrained datagrams; the
-//!   transport inbox holds received-but-unoffered packets).
-//!
-//! A breach increments `obs_audit_breaches_total`, records an
-//! [`EventKind::AuditBreach`] journal event, and surfaces as a typed
-//! [`AuditError`]. On a healthy pipeline the breach counter stays 0, so
-//! registering it does not disturb the byte-identity of same-seed
-//! snapshots.
+//! One skip rule: a row whose `total` family is not registered is skipped,
+//! its component never built. Binding registers a table's every row, and
+//! `tests/metrics_smoke.rs` checks that a row's families are bound together,
+//! so an absent part is a breach, as is a side that overflows `u64`. A breach
+//! bumps `obs_audit_breaches_total` (0 on a healthy run, so snapshots keep
+//! their bytes), journals an [`EventKind::AuditBreach`] and is an
+//! [`AuditError`].
 
 use crate::journal::{EventKind, Journal};
-use crate::metrics::{split_name, Counter, MetricValue, Registry, Snapshot};
+use crate::metrics::{family_total, Counter, MetricValue, Registry, Snapshot};
 
 /// Name of the breach counter the auditor registers.
 pub const BREACH_COUNTER: &str = "obs_audit_breaches_total";
 
-/// The ledger identities the auditor enforces, each stated once as its row
-/// of [`LEDGER`]. The discriminant order is stable: it is the `a` operand of
-/// the `audit_breach` journal event.
+/// The ledger identities, each stated once as its row of [`LEDGER`]. The
+/// discriminant order is stable: it is the `a` operand of the
+/// `audit_breach` journal event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invariant {
     /// Every sFlow datagram the collector saw is in one bucket.
@@ -39,59 +39,89 @@ pub enum Invariant {
     TransportLedger = 1,
     /// Every accepted transport packet is counted under one protocol.
     TransportProtoSum = 2,
-    /// Every datagram offered to the supervisor was ingested or shed.
+    /// Every datagram offered to the supervisor was ingested, shed or waits.
     SupervisorOffered = 3,
-    /// Every packet offered to the transport was received or shed.
+    /// Every packet offered to the transport was received, shed or waits.
     TransportOffered = 4,
 }
 
-/// One row of the ledger.
-struct Identity {
-    invariant: Invariant,
-    name: &'static str,
-    /// The first scope it holds in; see the module docs.
-    scope: AuditScope,
-    /// `left = term + term …`, a term being a family or `sum(family)` for
-    /// one split across label blocks.
-    equation: &'static str,
+/// One row of the ledger: `total = parts… (+ queue depth)`, over metric
+/// families. A family sums over its label blocks.
+#[derive(Debug)]
+pub struct Identity {
+    /// Which identity this is.
+    pub invariant: Invariant,
+    /// Short stable name, for reports and the `/healthz` verdict.
+    pub name: &'static str,
+    /// The family every unit enters by.
+    pub total: &'static str,
+    /// The families it leaves by.
+    pub parts: &'static [&'static str],
+    /// Work in flight sits between the sides: the right adds a queue depth.
+    pub queued: bool,
 }
 
 /// The ledger, in [`Invariant`] order.
-const LEDGER: [Identity; 5] = [
+pub static LEDGER: [Identity; 5] = [
     Identity {
         invariant: Invariant::SflowLedger,
         name: "sflow-ledger",
-        scope: AuditScope::Steady,
-        equation: "sflow_datagrams_total = sflow_accepted_total + sflow_duplicates_total \
-                   + sum(sflow_decode_errors_total)",
+        total: "sflow_datagrams_total",
+        parts: &["sflow_accepted_total", "sflow_duplicates_total", "sflow_decode_errors_total"],
+        queued: false,
     },
     Identity {
         invariant: Invariant::TransportLedger,
         name: "transport-ledger",
-        scope: AuditScope::Steady,
-        equation: "transport_received_total = transport_accepted_total + \
-                   transport_duplicates_total + sum(transport_decode_errors_total) + \
-                   transport_template_missing_dropped_total + transport_pending_packets",
+        total: "transport_received_total",
+        parts: &[
+            "transport_accepted_total",
+            "transport_duplicates_total",
+            "transport_decode_errors_total",
+            "transport_template_missing_dropped_total",
+            "transport_pending_packets",
+        ],
+        queued: false,
     },
     Identity {
         invariant: Invariant::TransportProtoSum,
         name: "transport-proto-sum",
-        scope: AuditScope::Steady,
-        equation: "transport_accepted_total = sum(transport_packets_total)",
+        total: "transport_accepted_total",
+        parts: &["transport_packets_total"],
+        queued: false,
     },
     Identity {
         invariant: Invariant::SupervisorOffered,
         name: "supervisor-offered",
-        scope: AuditScope::Final,
-        equation: "supervisor_offered_total = sflow_datagrams_total + supervisor_shed_total",
+        total: "supervisor_offered_total",
+        parts: &["sflow_datagrams_total", "supervisor_shed_total"],
+        queued: true,
     },
     Identity {
         invariant: Invariant::TransportOffered,
         name: "transport-offered",
-        scope: AuditScope::Final,
-        equation: "transport_offered_total = transport_received_total + transport_shed_total",
+        total: "transport_offered_total",
+        parts: &["transport_received_total", "transport_shed_total"],
+        queued: true,
     },
 ];
+
+impl Identity {
+    /// Add the row up. `read` gives a family's sum over its label blocks,
+    /// `None` when the family is absent or its sum overflows `u64`;
+    /// `queued` is the depth of a queued row's queue, ignored on the
+    /// others. An absent `total` skips the row (see the module docs); an
+    /// absent part, or a right side that overflows, is a breach.
+    pub fn balance(&self, read: impl Fn(&str) -> Option<u64>, queued: u64) -> Result<(), AuditError> {
+        let Some(left) = read(self.total) else { return Ok(()) };
+        let queued = if self.queued { queued } else { 0 };
+        let right = self.parts.iter().try_fold(queued, |sum, part| sum.checked_add(read(part)?));
+        match right {
+            Some(right) if right == left => Ok(()),
+            _ => Err(AuditError { invariant: self.invariant, left, right }),
+        }
+    }
+}
 
 impl Invariant {
     /// Stable journal-event index.
@@ -99,16 +129,28 @@ impl Invariant {
         self as u64
     }
 
+    /// Its row of [`LEDGER`].
+    pub fn identity(self) -> &'static Identity {
+        let [sflow, transport, protos, supervisor, offered] = &LEDGER;
+        match self {
+            Invariant::SflowLedger => sflow,
+            Invariant::TransportLedger => transport,
+            Invariant::TransportProtoSum => protos,
+            Invariant::SupervisorOffered => supervisor,
+            Invariant::TransportOffered => offered,
+        }
+    }
+
     /// Short stable name for reports and the `/healthz` verdict.
-    #[allow(clippy::indexing_slicing, reason = "LEDGER holds one row per Invariant in discriminant order (0..=4); a unit test checks the order")]
     pub fn as_str(self) -> &'static str {
-        LEDGER[self as usize].name
+        self.identity().name
     }
 
     /// The identity, spelled out for humans.
-    #[allow(clippy::indexing_slicing, reason = "LEDGER holds one row per Invariant in discriminant order (0..=4); a unit test checks the order")]
-    pub fn equation(self) -> &'static str {
-        LEDGER[self as usize].equation
+    pub fn equation(self) -> String {
+        let row = self.identity();
+        let queued = if row.queued { " + queued" } else { "" };
+        format!("{} = {}{queued}", row.total, row.parts.join(" + "))
     }
 }
 
@@ -117,29 +159,25 @@ impl Invariant {
 pub struct AuditError {
     /// Which identity failed.
     pub invariant: Invariant,
-    /// Left-hand side as read from the snapshot.
+    /// Left-hand side, the `total` family.
     pub left: u64,
-    /// Right-hand side as read from the snapshot.
-    pub right: u64,
+    /// Right-hand side; `None` when a part is absent or the sum overflows.
+    pub right: Option<u64>,
 }
 
 impl AuditError {
-    /// Absolute imbalance, the `b` operand of the journal event.
+    /// Absolute imbalance, the `b` operand of the journal event
+    /// (`u64::MAX` for a right side that does not evaluate).
     pub fn imbalance(&self) -> u64 {
-        self.left.abs_diff(self.right)
+        self.right.map_or(u64::MAX, |right| self.left.abs_diff(right))
     }
 }
 
 impl std::fmt::Display for AuditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "conservation breach [{}]: {} (lhs {} != rhs {})",
-            self.invariant.as_str(),
-            self.invariant.equation(),
-            self.left,
-            self.right
-        )
+        let right = self.right.map_or("absent or overflowing".to_string(), |right| right.to_string());
+        let (name, equation, left) = (self.invariant.as_str(), self.invariant.equation(), self.left);
+        write!(f, "conservation breach [{name}]: {equation} (lhs {left} != rhs {right})")
     }
 }
 
@@ -154,58 +192,20 @@ pub enum AuditScope {
     Final,
 }
 
-/// Sum every series of `family` (label blocks included), counting both
-/// counters and gauges. `None` when the family is absent — the component
-/// was never instantiated, so its invariants do not apply.
-fn family_sum(snapshot: &Snapshot, family: &str) -> Option<u64> {
-    let mut sum = 0u64;
-    let mut present = false;
-    for (name, value) in &snapshot.entries {
-        if split_name(name).0 != family {
-            continue;
-        }
-        present = true;
-        match value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                sum = sum.saturating_add(*v);
-            }
-            MetricValue::Histogram(_) => {}
-        }
-    }
-    if present {
-        Some(sum)
-    } else {
-        None
-    }
-}
-
 /// Check the ledger identities against a snapshot. Returns every breach,
-/// in invariant order. An invariant whose leading family is absent from
-/// the snapshot is skipped — its component was never constructed.
+/// in invariant order.
 pub fn check(snapshot: &Snapshot, scope: AuditScope) -> Vec<AuditError> {
-    let mut breaches = Vec::new();
-    for row in &LEDGER {
-        if row.scope == AuditScope::Final && scope != AuditScope::Final {
-            continue;
-        }
-        let Some((left, terms)) = row.equation.split_once(" = ") else { continue };
-        let Some(left) = family_sum(snapshot, left) else { continue };
-        let right = terms.split(" + ").try_fold(0u64, |sum, term| {
-            let family = term.strip_prefix("sum(").and_then(|f| f.strip_suffix(')'));
-            match family_sum(snapshot, family.unwrap_or(term)) {
-                Some(v) => Some(sum.saturating_add(v)),
-                // A one-term identity compares two families and needs both.
-                None if term == terms => None,
-                // A ledger's absent bucket is one nothing fell into yet: its
-                // zero state is legitimately unregistered.
-                None => Some(sum),
-            }
-        });
-        if let Some(right) = right.filter(|right| *right != left) {
-            breaches.push(AuditError { invariant: row.invariant, left, right });
-        }
-    }
-    breaches
+    let read = |family: &str| {
+        family_total(family, snapshot.entries.iter().filter_map(|(name, value)| match value {
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => Some((name.as_str(), *v)),
+            MetricValue::Histogram(_) => None,
+        }))
+    };
+    LEDGER
+        .iter()
+        .filter(|row| !row.queued || scope == AuditScope::Final)
+        .filter_map(|row| row.balance(read, 0).err())
+        .collect()
 }
 
 /// The periodic auditor: checks a registry's live snapshot, counts
@@ -294,7 +294,7 @@ mod tests {
         let b = &breaches[0];
         assert_eq!(b.invariant, Invariant::SflowLedger);
         assert_eq!(b.left, 101);
-        assert_eq!(b.right, 100);
+        assert_eq!(b.right, Some(100));
         assert_eq!(b.imbalance(), 1);
     }
 
@@ -307,6 +307,10 @@ mod tests {
         let breaches = check(&r.snapshot(), AuditScope::Final);
         assert_eq!(breaches.len(), 1);
         assert_eq!(breaches[0].invariant, Invariant::SupervisorOffered);
+        // A component knows its queue's depth and passes it.
+        let snapshot = r.snapshot();
+        let read = |family: &str| snapshot.counter(family);
+        assert_eq!(Invariant::SupervisorOffered.identity().balance(read, 4), Ok(()));
     }
 
     #[test]
@@ -329,25 +333,39 @@ mod tests {
     }
 
     #[test]
-    fn an_absent_bucket_counts_as_zero_but_an_absent_breakdown_skips() {
+    fn an_absent_part_is_a_breach() {
         let r = Registry::new();
         r.counter("transport_received_total").add(2);
         r.counter("transport_accepted_total").add(2);
-        // No `transport_packets_total` series: nothing to compare the
-        // accepted total with. The ledger's other buckets: nothing in them.
-        assert!(check(&r.snapshot(), AuditScope::Steady).is_empty());
-        r.counter("transport_received_total").add(1);
+        r.counter("transport_duplicates_total");
+        r.counter("transport_decode_errors_total{kind=\"truncated\"}");
+        r.counter("transport_template_missing_dropped_total");
+        // No `transport_pending_packets`, no `transport_packets_total`.
         let breaches = check(&r.snapshot(), AuditScope::Steady);
-        let expected = AuditError { invariant: Invariant::TransportLedger, left: 3, right: 2 };
-        assert_eq!(breaches, [expected]);
+        let expected = [Invariant::TransportLedger, Invariant::TransportProtoSum]
+            .map(|invariant| AuditError { invariant, left: 2, right: None });
+        assert_eq!(breaches, expected);
+        assert_eq!(breaches[0].imbalance(), u64::MAX);
+    }
+
+    #[test]
+    fn a_side_that_overflows_is_a_breach_not_a_saturated_match() {
+        let r = Registry::new();
+        r.counter("transport_offered_total").add(u64::MAX);
+        r.counter("transport_received_total").add(u64::MAX);
+        r.counter("transport_shed_total").add(1);
+        let offered = check(&r.snapshot(), AuditScope::Final);
+        let breach = offered.iter().find(|b| b.invariant == Invariant::TransportOffered);
+        assert_eq!(breach.map(|b| b.right), Some(None));
     }
 
     #[test]
     fn ledger_rows_are_in_invariant_order() {
         for (index, row) in LEDGER.iter().enumerate() {
             assert_eq!(row.invariant.index(), index as u64);
-            assert_eq!((row.invariant.as_str(), row.invariant.equation()), (row.name, row.equation));
-            assert!(row.equation.contains(" = "), "{}", row.name);
+            assert!(std::ptr::eq(row.invariant.identity(), row), "{}", row.name);
+            assert_eq!(row.invariant.as_str(), row.name);
+            assert!(!row.parts.is_empty() && !row.parts.contains(&row.total), "{}", row.name);
         }
     }
 
@@ -381,9 +399,10 @@ mod tests {
 
     #[test]
     fn error_messages_name_the_equation() {
-        let err = AuditError { invariant: Invariant::TransportOffered, left: 5, right: 3 };
+        let err = AuditError { invariant: Invariant::TransportOffered, left: 5, right: Some(3) };
         let msg = err.to_string();
         assert!(msg.contains("transport-offered"));
-        assert!(msg.contains("transport_shed_total"));
+        assert!(msg.contains("transport_offered_total = transport_received_total + transport_shed_total + queued"));
+        assert!(msg.contains("lhs 5 != rhs 3"));
     }
 }

@@ -20,9 +20,9 @@
 //!   `repro`);
 //! * the live observability plane (DESIGN.md §13): a bounded
 //!   deterministic event [`Journal`] with an `ixp-trace/1` export and a
-//!   sealed binary flight record for post-mortems, and the runtime
-//!   conservation [`Auditor`] re-checking the ledger identities against
-//!   live metric families.
+//!   sealed binary flight record for post-mortems, and the conservation
+//!   [`LEDGER`], which the components evaluate over their own [`Series`]
+//!   tables and the runtime [`Auditor`] over live metric families.
 //!
 //! The crate is dependency-free and panic-free: it is linked into the
 //! stream-facing crates, so it carries their no-panic contract line.
@@ -39,7 +39,7 @@ pub mod span;
 
 use std::sync::Arc;
 
-pub use audit::{AuditError, AuditScope, Auditor, Invariant};
+pub use audit::{AuditError, AuditScope, Auditor, Identity, Invariant, LEDGER};
 pub use clock::{real_clock, test_clock, Clock, RealClock, TestClock};
 pub use journal::{Event, EventKind, FlightError, Journal, TraceError};
 pub use metrics::{
@@ -47,7 +47,7 @@ pub use metrics::{
     Snapshot, DURATION_BOUNDS_NS,
 };
 pub use prometheus::RenderError;
-pub use publish::{Published, Series, SeriesKind};
+pub use publish::{family_sum, Published, Series, SeriesKind};
 pub use span::Stopwatch;
 
 /// The observability bundle instrumented components carry: a shared

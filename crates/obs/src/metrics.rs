@@ -410,6 +410,13 @@ pub fn split_name(name: &str) -> (&str, Option<&str>) {
     }
 }
 
+/// How both readers of a ledger row (`audit`) add up one family: the sum of
+/// its series, `None` when it has none or the sum overflows `u64`.
+pub(crate) fn family_total<'a>(family: &str, series: impl IntoIterator<Item = (&'a str, u64)>) -> Option<u64> {
+    let mut values = series.into_iter().filter(|(name, _)| split_name(name).0 == family).map(|(_, v)| v);
+    values.next().and_then(|first| values.try_fold(first, u64::checked_add))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

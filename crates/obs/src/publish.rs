@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::metrics::{Counter, Gauge, Registry};
+use crate::metrics::{family_total, Counter, Gauge, Registry};
 
 /// How a [`Series`] value lands in its registry cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +56,13 @@ impl<T> Series<T> {
     pub const fn level(name: &'static str, read: fn(&T) -> u64) -> Series<T> {
         Series { name, kind: SeriesKind::Level, read }
     }
+}
+
+/// `table`'s rows of `family` read off `source` and added up as the auditor
+/// adds a snapshot's: a component's reader for a [`LEDGER`](crate::LEDGER)
+/// row. `None` when the table has no such row or the sum overflows `u64`.
+pub fn family_sum<T>(table: &[Series<T>], source: &T, family: &str) -> Option<u64> {
+    family_total(family, table.iter().map(|s| (s.name, (s.read)(source))))
 }
 
 enum Cell {

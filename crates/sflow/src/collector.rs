@@ -31,7 +31,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use ixp_obs::journal::{EventKind, Journal};
-use ixp_obs::{test_clock, Clock, Histogram, Obs, Published, Series, Stopwatch};
+use ixp_obs::{family_sum, test_clock, Clock, Histogram, Invariant, Obs, Published, Series, Stopwatch};
 
 use crate::accounting::TrafficEstimate;
 use crate::checkpoint::{self, Cur, StateError, COLLECTOR_STATE_VERSION};
@@ -179,8 +179,13 @@ pub struct CollectorStats {
     pub accepted: u64,
     /// Duplicates suppressed.
     pub duplicates: u64,
-    /// Datagrams estimated lost (sequence gaps, net of late arrivals).
+    /// Datagrams estimated lost (sequence gaps, net of late arrivals):
+    /// `seq_opened − seq_recovered`.
     pub lost: u64,
+    /// Sequence numbers found missing when a gap opened.
+    pub seq_opened: u64,
+    /// Late arrivals that closed a gap.
+    pub seq_recovered: u64,
     /// Agent restarts detected.
     pub restarts: u64,
     /// Decode errors by kind.
@@ -257,7 +262,7 @@ pub struct Collector {
     seq_opened: u64,
     seq_recovered: u64,
     latency_samples: u64,
-    published: Published<Collector>,
+    published: Published<CollectorStats>,
     ingest_ns: Histogram,
     clock: Arc<dyn Clock>,
     // Disabled unless attached via [`Collector::bind_journal`]: restart
@@ -286,26 +291,26 @@ impl Default for Collector {
     }
 }
 
-/// The `sflow_*` counter and gauge families, each read off the collector's
-/// own accounting. The two gauges are high-water marks: the per-week
+/// The `sflow_*` counter and gauge families, read off
+/// [`Collector::stats`]. The two gauges are high-water marks: the per-week
 /// collectors of a parallel study share them, and a running maximum reads
 /// the same whatever order they publish in.
-pub const SERIES: &[Series<Collector>] = &[
+pub const SERIES: &[Series<CollectorStats>] = &[
     Series::counter("sflow_datagrams_total", |c| c.datagrams),
-    Series::counter("sflow_accepted_total", |c| c.agg.accepted),
-    Series::counter("sflow_duplicates_total", |c| c.agg.duplicates),
-    Series::counter("sflow_decode_errors_total{kind=\"truncated\"}", |c| c.errors.truncated),
-    Series::counter("sflow_decode_errors_total{kind=\"bad_version\"}", |c| c.errors.bad_version),
+    Series::counter("sflow_accepted_total", |c| c.accepted),
+    Series::counter("sflow_duplicates_total", |c| c.duplicates),
+    Series::counter("sflow_decode_errors_total{kind=\"truncated\"}", |c| c.decode_errors.truncated),
+    Series::counter("sflow_decode_errors_total{kind=\"bad_version\"}", |c| c.decode_errors.bad_version),
     Series::counter("sflow_decode_errors_total{kind=\"unsupported_agent_address\"}", |c| {
-        c.errors.unsupported_agent
+        c.decode_errors.unsupported_agent
     }),
-    Series::counter("sflow_decode_errors_total{kind=\"inconsistent\"}", |c| c.errors.inconsistent),
+    Series::counter("sflow_decode_errors_total{kind=\"inconsistent\"}", |c| c.decode_errors.inconsistent),
     Series::counter("sflow_unattributed_errors_total", |c| c.unattributed_errors),
     Series::counter("sflow_seq_lost_total", |c| c.seq_opened),
     Series::counter("sflow_seq_recovered_total", |c| c.seq_recovered),
-    Series::counter("sflow_restarts_total", |c| c.agg.restarts),
-    Series::high_water("sflow_sources", |c| c.sources.len() as u64),
-    Series::high_water("sflow_quarantined_sources", |c| c.agg.quarantined),
+    Series::counter("sflow_restarts_total", |c| c.restarts),
+    Series::high_water("sflow_sources", |c| c.sources as u64),
+    Series::high_water("sflow_quarantined_sources", |c| c.quarantined_sources as u64),
 ];
 
 impl Collector {
@@ -326,7 +331,7 @@ impl Collector {
     /// accounting. Ingest does not: the registry is as fresh as the last
     /// call (the owner's sync points, `save_state`, `bind_obs`).
     pub fn publish(&self) {
-        self.published.publish(self);
+        self.published.publish(&self.stats());
     }
 
     /// Ingest one encoded datagram into an owned [`Datagram`]: the
@@ -521,6 +526,8 @@ impl Collector {
             accepted: self.agg.accepted,
             duplicates: self.agg.duplicates,
             lost: self.agg.lost,
+            seq_opened: self.seq_opened,
+            seq_recovered: self.seq_recovered,
             restarts: self.agg.restarts,
             decode_errors: self.errors,
             unattributed_errors: self.unattributed_errors,
@@ -713,10 +720,8 @@ impl Collector {
         }
 
         // The no-silent-discard invariant must already hold in the blob.
-        let errors = c.errors.total();
-        let accounted =
-            c.agg.accepted.checked_add(c.agg.duplicates).and_then(|v| v.checked_add(errors));
-        if accounted != Some(c.datagrams) {
+        let stats = c.stats();
+        if Invariant::SflowLedger.identity().balance(|f| family_sum(SERIES, &stats, f), 0).is_err() {
             return Err(StateError::Invalid("datagram accounting does not balance"));
         }
         if c.seq_opened.checked_sub(c.seq_recovered) != Some(c.agg.lost) {

@@ -16,8 +16,9 @@ use std::collections::BTreeMap;
 use ixp_core::WeekScan;
 use ixp_netmodel::Week;
 use ixp_obs::journal::{EventKind, Journal};
-use ixp_obs::{Obs, Published, Series};
+use ixp_obs::{family_sum, Invariant, Obs, Published, Series};
 use ixp_sflow::checkpoint::{self, Cur, StateError};
+use ixp_sflow::collector::SERIES as COLLECTOR_SERIES;
 
 use crate::envelope::{self, CheckpointError};
 use crate::health::{AgentHealth, HealthPolicy, HealthState, TickDelta};
@@ -489,11 +490,7 @@ impl Supervisor {
         if scan.shed() != ring.shed() {
             return Err(StateError::Invalid("shed counters disagree").into());
         }
-        let ingested = scan.ingest_health().ingested().saturating_add(ring.len() as u64);
-        if ingested != offered {
-            return Err(StateError::Invalid("offered count does not cover the pipeline").into());
-        }
-        Ok(Supervisor {
+        let sup = Supervisor {
             config,
             scan,
             ring,
@@ -506,7 +503,21 @@ impl Supervisor {
             health,
             published: Published::default(),
             journal: Journal::disabled(),
-        })
+        };
+        if !sup.fully_accounted() {
+            return Err(StateError::Invalid("offered count does not cover the pipeline").into());
+        }
+        Ok(sup)
+    }
+
+    /// No silent discard: every offered datagram was shed, is queued, or is
+    /// in one collector bucket. The `sflow-ledger` and `supervisor-offered`
+    /// rows of [`LEDGER`](ixp_obs::LEDGER), the ring's depth the queue.
+    pub fn fully_accounted(&self) -> bool {
+        let (collector, stats) = (self.scan.collector().stats(), self.stats());
+        let read = |f: &str| family_sum(COLLECTOR_SERIES, &collector, f).or_else(|| family_sum(SERIES, &stats, f));
+        let rows = [Invariant::SflowLedger, Invariant::SupervisorOffered];
+        rows.iter().all(|row| row.identity().balance(read, stats.ring_depth as u64).is_ok())
     }
 
     /// Attach the pipeline to live instrumentation: bind the nested scan
@@ -574,9 +585,8 @@ mod tests {
         assert_eq!(s.agents, [1, 0, 0, 0]);
         assert_eq!(sup.health_of(u32::from(Ipv4Addr::new(10, 255, 0, 1)), 0),
                    Some(HealthState::Healthy));
-        let h = sup.scan().ingest_health();
-        assert!(h.fully_accounted());
-        assert_eq!(h.collector.accepted, 32);
+        assert!(sup.fully_accounted());
+        assert_eq!(sup.scan().ingest_health().collector.accepted, 32);
     }
 
     #[test]
@@ -602,17 +612,45 @@ mod tests {
         assert_eq!(s.shed, 24, "ring holds 8, the rest must shed");
         assert_eq!(s.deadline_misses, s.ticks);
         assert_eq!(s.high_water, 8);
-        // Shed datagrams are in the health accounting, not lost silently.
-        let h = sup.scan().ingest_health();
-        assert_eq!(h.shed, 24);
-        assert!(h.fully_accounted());
+        // Shed datagrams are in the accounting, not lost silently; the 8
+        // queued ones are the ring's depth.
+        assert_eq!(sup.scan().ingest_health().shed, 24);
+        assert!(sup.fully_accounted());
         // Un-stall and finish: the queued 8 drain, nothing more sheds.
         sup.set_stalled(false);
         sup.finish();
         let h = sup.scan().ingest_health();
-        assert_eq!(h.collector.datagrams, 8);
-        assert_eq!(h.ingested(), 32);
-        assert!(h.fully_accounted());
+        assert_eq!((h.collector.datagrams, h.shed), (8, 24));
+        assert!(sup.fully_accounted());
+        // An offer that lands in no bucket breaks the ledger.
+        sup.offered += 1;
+        assert!(!sup.fully_accounted());
+    }
+
+    /// `offered = datagrams + shed` must hold without saturating: here the
+    /// right side is `u64::MAX + 1`, which saturates to the stored
+    /// `offered`. The collector's own ledger balances (`u64::MAX`
+    /// datagrams, all truncated), so only the supervisor row can refuse.
+    #[test]
+    fn restore_refuses_an_offered_count_that_balances_only_by_saturation() {
+        let mut sup = supervisor(SupervisorConfig { arrivals_per_tick: 1000, ..small_config() });
+        for _ in 0..9 {
+            sup.offer(vec![1, 2, 3]);
+        }
+        sup.finish();
+        assert_eq!((sup.stats().shed, sup.scan().ingest_health().collector.datagrams), (1, 8));
+        let collector_len = sup.scan().collector().save_state().len();
+        let sealed = sup.checkpoint();
+        let mut payload = envelope::open(&sealed).expect("the checkpoint opens").to_vec();
+        // `offered` follows the version; the collector state closes the
+        // payload, its `datagrams` and `truncated` following its version.
+        let collector_at = payload.len() - collector_len;
+        for at in [4, collector_at + 4, collector_at + 12] {
+            payload[at..at + 8].copy_from_slice(&u64::MAX.to_be_bytes());
+        }
+        let err = Supervisor::restore(&envelope::seal(&payload), small_config()).err();
+        let refused = StateError::Invalid("offered count does not cover the pipeline");
+        assert_eq!(err, Some(CheckpointError::from(refused)));
     }
 
     #[test]

@@ -68,14 +68,14 @@ proptest! {
         let kill_at = kill.index(stream.len() + 1) as u64;
         let mut killed = Supervisor::new(WeekScan::new(Week::REFERENCE, 10), cfg);
         killed.run_feed(stream.iter().cloned(), Some(kill_at));
+        prop_assert!(killed.fully_accounted());
         let mid = killed.checkpoint();
 
         let mut resumed = Supervisor::restore(&mid, cfg).expect("restore own checkpoint");
         resumed.run_feed(stream.iter().cloned(), None);
 
         prop_assert_eq!(resumed.checkpoint(), whole.checkpoint());
-        let health = resumed.into_scan().ingest_health();
-        prop_assert!(health.fully_accounted());
+        prop_assert!(resumed.fully_accounted());
     }
 
     /// Any strict truncation and any single byte flip of a checkpoint

@@ -4,13 +4,9 @@
 //! [`TransportIntake`] sits between a [`Link`](crate::link::Link) and the
 //! existing sFlow collector/supervisor pipeline. Every datagram offered
 //! to it ends up in **exactly one** bucket, extending the pipeline's
-//! conservation invariant to the wire:
-//!
-//! ```text
-//! offered  = received + shed + inbox          (front door)
-//! received = accepted + duplicates + decode_errors
-//!          + template_missing_dropped + pending   (decode stage)
-//! ```
+//! conservation invariant to the wire: the front door's and the decode
+//! stage's are the `transport-offered` and `transport-ledger` rows of
+//! `ixp_obs::LEDGER`, with the inbox queued between them.
 //!
 //! `pending` is the transient bucket: a NetFlow v9 / IPFIX datagram whose
 //! template has not arrived yet is parked *whole* (up to a byte budget)
@@ -36,7 +32,7 @@ use ixp_codec::{
     append_trailer, put_bytes, put_u16, put_u32, put_u64, split_verified, Cur, StateError,
 };
 use ixp_obs::journal::{EventKind, Journal};
-use ixp_obs::{Published, Registry, Series};
+use ixp_obs::{family_sum, Invariant, Published, Registry, Series};
 
 use crate::error::{DecodeFault, LinkError};
 use crate::flow::FlowRecord;
@@ -215,30 +211,17 @@ impl TransportIntake {
         self.cache.counts()
     }
 
-    /// Packets waiting between `offer` and `drain`.
-    pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
-    }
-
-    /// The conservation invariant, checked at both stage boundaries.
+    /// The conservation invariant at both stage boundaries: the three
+    /// `transport-*` rows of [`LEDGER`](ixp_obs::LEDGER) over [`SERIES`],
+    /// the inbox being the queue in between, and the stored
+    /// `decode_errors` equal to its three kinds.
     pub fn fully_accounted(&self) -> bool {
         let s = &self.stats;
-        let front = s.offered
-            == s.received.saturating_add(s.shed).saturating_add(self.inbox.len() as u64);
-        let decode = s.received
-            == s.accepted
-                .saturating_add(s.duplicates)
-                .saturating_add(s.decode_errors)
-                .saturating_add(s.template_missing_dropped)
-                .saturating_add(s.pending);
-        let kinds = s.decode_errors
-            == s.truncated.saturating_add(s.bad_version).saturating_add(s.inconsistent);
-        let protos = s.accepted
-            == s.sflow_datagrams
-                .saturating_add(s.v5_packets)
-                .saturating_add(s.v9_packets)
-                .saturating_add(s.ipfix_packets);
-        front && decode && kinds && protos
+        let kinds = s.truncated.checked_add(s.bad_version).and_then(|v| v.checked_add(s.inconsistent));
+        let read = |family: &str| family_sum(SERIES, self, family);
+        let rows = [Invariant::TransportLedger, Invariant::TransportProtoSum, Invariant::TransportOffered];
+        kinds == Some(s.decode_errors)
+            && rows.iter().all(|row| row.identity().balance(read, self.inbox.len() as u64).is_ok())
     }
 
     /// Attach live metrics and publish the stats so far into them, so a
@@ -1101,6 +1084,30 @@ mod tests {
         let offered_at = 4 + 5 * 8 + 7; // version + bounds, low byte of `offered`
         unbalanced[offered_at] = unbalanced[offered_at].wrapping_add(1);
         assert!(TransportIntake::restore_from(&reseal(unbalanced)).is_err());
+    }
+
+    /// A side that adds up past `u64::MAX` does not balance: saturated, it
+    /// would equal anything. Here `offered = received + shed` holds only
+    /// if `u64::MAX + 1` saturates.
+    #[test]
+    fn restore_refuses_a_balance_that_holds_only_by_saturation() {
+        let mut blob = intake().save_state();
+        blob.truncate(blob.len() - 8);
+        // The stats follow the version and the five bounds, in field order.
+        let mut set = |field: usize, v: u64| {
+            let at = 4 + 5 * 8 + 8 * field;
+            blob[at..at + 8].copy_from_slice(&v.to_be_bytes());
+        };
+        // offered, received, accepted, sflow_datagrams; shed.
+        for field in [0, 1, 2, 13] {
+            set(field, u64::MAX);
+        }
+        set(8, 1);
+        append_trailer(&mut blob);
+        assert_eq!(
+            TransportIntake::restore_from(&blob).err(),
+            Some(StateError::Invalid("restored accounting does not balance"))
+        );
     }
 
     #[test]

@@ -151,6 +151,24 @@ for site in \
     [ "$found" -eq 1 ] ||
         fail "expected exactly one \`${site#*:}\` outside the tests of ${site%%:*}, found $found"
 done
+# One ledger: the conservation identities are the typed rows of
+# ixp_obs::audit::LEDGER, and Identity::balance is the one code that adds
+# them up, over a component's SERIES table or over a snapshot (DESIGN.md
+# §13). A `fully_accounted` that sums fields itself, or an audit.rs that
+# parses equation text, is a second statement of an identity that can drift.
+unledgered=$(for f in $(grep -rl 'fn fully_accounted' crates/*/src); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | awk -v file="$f" '
+        function close_fn() { if (within == "fully_accounted" && !rows) printf "%s ", file }
+        /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { close_fn(); match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3); rows = 0 }
+        within == "fully_accounted" && /\.balance\(/ { rows = 1 }
+        END { close_fn() }'
+done)
+[ -z "$unledgered" ] ||
+    fail "a \`fn fully_accounted\` evaluates no LEDGER row (Identity::balance) in: $unledgered"
+if sed '/^#\[cfg(test)\]/,$d' crates/obs/src/audit.rs |
+    grep -nE 'split_once\(|split\(|strip_prefix\(|strip_suffix\(|\.parse' >&2; then
+    fail "crates/obs/src/audit.rs parses equation text: state the identity as a LEDGER row"
+fi
 # One set walker, one delivery queue: NetFlow v9 and IPFIX share
 # crates/transport/src/export.rs and differ only in what netflow9.rs and
 # ipfix.rs hand it; the two fault plans share crates/faults/src/delivery.rs.

@@ -97,8 +97,7 @@ fn kill_and_resume_recovers_byte_identically() {
             whole_metrics,
             "metrics snapshot diverged after kill at {kill_at}"
         );
-        let health = resumed.into_scan().ingest_health();
-        assert!(health.fully_accounted(), "silent discard after kill at {kill_at}");
+        assert!(resumed.fully_accounted(), "silent discard after kill at {kill_at}");
     }
 }
 
@@ -181,7 +180,8 @@ fn damaged_checkpoints_fail_closed() {
 
 /// Sustained overload: with the drain stage stalled in seeded burst
 /// windows, the bounded ring sheds — visibly. Every shed datagram lands in
-/// the accounting (`ingested = accepted + duplicates + errors + shed`),
+/// the accounting (`Supervisor::fully_accounted`: offered = collector
+/// datagrams + shed + queued, and each datagram in one collector bucket),
 /// deadline misses are counted, and the run still recovers byte-identically
 /// across a kill inside a burst.
 #[test]
@@ -211,9 +211,8 @@ fn overload_sheds_visibly_and_recovers() {
     assert!(stats.shed > 0, "overload bursts never filled the ring");
     assert!(stats.deadline_misses > 0, "stalled ticks missed no deadlines");
     assert_eq!(stats.high_water, config().ring_capacity, "ring never hit capacity");
-    let health = whole.scan().ingest_health();
-    assert_eq!(health.shed, stats.shed, "ring and scan disagree on sheds");
-    assert!(health.fully_accounted(), "shed accounting does not balance");
+    assert_eq!(whole.scan().shed(), stats.shed, "ring and scan disagree on sheds");
+    assert!(whole.fully_accounted(), "shed accounting does not balance");
     let whole_ckpt = whole.checkpoint();
 
     // Kill inside the first burst — the ring is full and mid-shed — and
@@ -271,8 +270,7 @@ fn chaos_soak_stays_within_two_percent_drift() {
     assert!(resumes >= 2, "soak exercised too few resumes: {resumes}");
     assert_eq!(sup.checkpoint(), whole_ckpt, "kill chain diverged from whole run");
 
-    let health = sup.scan().ingest_health();
-    assert!(health.fully_accounted(), "soak accounting does not balance");
+    assert!(sup.fully_accounted(), "soak accounting does not balance");
     let report = analyzer().report_from_scan(sup.into_scan());
     let t1 = visibility::table1(&report.snapshot);
     let t1_clean = visibility::table1(&clean().snapshot);

@@ -7,13 +7,14 @@
 //!   across two executions (the cross-process equivalent — two `repro`
 //!   invocations — is byte-compared by `cmp` in ci.sh itself), and the
 //!   17-week study across one worker and four,
-//! * the four ingest-path series tables keep to the naming scheme.
+//! * the four ingest-path series tables keep to the naming scheme, and
+//!   state every family the conservation ledger names.
 
 use std::collections::BTreeSet;
 
 use ixp_vantage::core::analyzer::Analyzer;
 use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
-use ixp_vantage::obs::{json, split_name, Obs, Series, SeriesKind};
+use ixp_vantage::obs::{json, split_name, Obs, Series, SeriesKind, LEDGER};
 
 /// Families every instrumented run must publish. `dns_*` counters exist
 /// from registration even when a run never exercises the resolver pool.
@@ -97,6 +98,46 @@ fn parallel_study_snapshots_byte_identically_to_the_sequential_one() {
 
 fn names_and_kinds<T>(table: &[Series<T>]) -> Vec<(&'static str, SeriesKind)> {
     table.iter().map(|s| (s.name, s.kind)).collect()
+}
+
+/// Each `LEDGER` row is evaluated over the `SERIES` tables of its component,
+/// by `fully_accounted()` and the restores, and over the registry by the
+/// auditor, whose one skip rule is an unregistered `total`. So every family
+/// a row names is stated by exactly one table, its `total` as one unlabelled
+/// series, and a row's families all come from tables that one `bind_obs`
+/// registers together: a renamed family fails here, not as a silent skip.
+#[test]
+fn ledger_rows_name_families_that_one_binding_registers() {
+    let tables = [
+        ("collector", names_and_kinds(ixp_vantage::sflow::collector::SERIES)),
+        ("scan", names_and_kinds(ixp_vantage::core::scan::SERIES)),
+        ("supervisor", names_and_kinds(ixp_vantage::supervisor::supervisor::SERIES)),
+        ("intake", names_and_kinds(ixp_vantage::transport::intake::SERIES)),
+    ];
+    // `Collector::bind_obs`; `Supervisor::bind_obs`, which binds the
+    // collector under it; `TransportIntake::bind_metrics`.
+    let bound_together: [&[&str]; 3] = [&["collector"], &["collector", "supervisor"], &["intake"]];
+    for row in &LEDGER {
+        let owners: BTreeSet<&str> = std::iter::once(row.total)
+            .chain(row.parts.iter().copied())
+            .map(|family| {
+                let stating: Vec<&str> = tables
+                    .iter()
+                    .filter(|(_, rows)| rows.iter().any(|(name, _)| split_name(name).0 == family))
+                    .map(|(table, _)| *table)
+                    .collect();
+                assert_eq!(stating.len(), 1, "{}: {family} is stated by {stating:?}", row.name);
+                stating[0]
+            })
+            .collect();
+        let total_rows = tables.iter().flat_map(|(_, rows)| rows).filter(|(name, _)| split_name(name).0 == row.total);
+        assert_eq!(total_rows.map(|(name, _)| *name).collect::<Vec<_>>(), [row.total], "{}", row.name);
+        assert!(
+            bound_together.iter().any(|group| owners.iter().all(|owner| group.contains(owner))),
+            "{}: its families come from {owners:?}, which no one binding registers together",
+            row.name
+        );
+    }
 }
 
 /// The naming scheme of DESIGN.md §10 over every series the ingest path
