@@ -347,7 +347,7 @@ fn full_study(args: &Args, obs: &Obs) {
     e24_baselines(&mut out, &analyzer, reference, &clusters, model);
     ablations(&mut out, &analyzer, reference, model);
     faults_sweep(&mut out, &analyzer, reference, args.seed);
-    chaos_sweep(&mut out, &analyzer, reference, model, args.seed);
+    chaos_sweep(&mut out, &analyzer, reference, args.seed);
 
     eprintln!("all experiments done at {:.1}s", secs(&t0));
     if let Some(path) = &args.markdown {
@@ -522,8 +522,7 @@ fn supervised_mode(
         eprintln!("  final checkpoint written to {path}");
     }
 
-    let stats = sup.stats();
-    let health = sup.scan().ingest_health();
+    let (stats, balanced) = (sup.stats(), sup.fully_accounted());
     // Publish the per-agent health board for `/healthz` before the
     // supervisor is consumed for the report.
     let health_rows: Vec<((u32, u32), &'static str)> =
@@ -548,7 +547,7 @@ fn supervised_mode(
     );
     println!(
         "  accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
-        if health.fully_accounted() { "holds" } else { "VIOLATED" }
+        if balanced { "holds" } else { "VIOLATED" }
     );
     if let Some(intake) = &mut transport {
         let ts = intake.finish();
@@ -1267,17 +1266,15 @@ fn ablations(
 }
 
 /// The robustness sweep (`--exp faults`): replay the reference week through
-/// seeded [`FaultPlan`]s of increasing hostility and check that the
-/// headline Table 1 statistics degrade gracefully while the collector's
-/// ingest-health accounting stays exact.
+/// the seeded fault plans of `scenario::sweep`, of increasing hostility, and
+/// print how the headline Table 1 statistics degrade and whether the
+/// collector's ingest-health accounting stays exact. It gates nothing.
 fn faults_sweep(
     out: &mut Out,
     analyzer: &Analyzer<'_>,
     reference: &ixp_core::WeeklyReport,
     seed: u64,
 ) {
-    use ixp_faults::{FaultConfig, FaultPlan, OutageWindow};
-
     let week = Week::REFERENCE;
     let clean = visibility::table1(&reference.snapshot);
     let mut body = String::new();
@@ -1287,47 +1284,11 @@ fn faults_sweep(
         week.0, clean.peering.ips, clean.peering.prefixes, clean.peering.ases
     );
 
-    let hostile = FaultConfig {
-        seed,
-        drop: 0.05,
-        duplicate: 0.01,
-        reorder: 0.01,
-        truncate: 0.002,
-        corrupt: 0.002,
-        restarts: vec![(0, 500)],
-        counter_wrap: true,
-        ..FaultConfig::default()
-    };
-    let outage = FaultConfig {
-        seed,
-        outages: vec![OutageWindow { sub_agent: 0, from: 200, until: 400 }],
-        ..FaultConfig::default()
-    };
-    for (label, cfg) in [
-        ("loss 2.5 %", FaultConfig::loss(seed, 0.025)),
-        ("loss 5.0 %", FaultConfig::loss(seed, 0.05)),
-        ("loss 10 %", FaultConfig::loss(seed, 0.10)),
-        ("loss 5 % + restart + dup/reorder/corrupt + counter wrap", hostile),
-        ("agent outage (input 200..400)", outage),
-    ] {
-        let mut plan = FaultPlan::new(analyzer.feed(week), cfg);
-        let scan = analyzer.scan_week_from(week, plan.by_ref());
-        let stats = plan.stats();
-        let report = analyzer.report_from_scan(scan);
-        let t1 = visibility::table1(&report.snapshot);
-        let h = &report.health;
-        let drift = |a: u64, b: u64| 100.0 * (a as f64 - b as f64).abs() / b.max(1) as f64;
-        let _ = writeln!(body, "  — {label}");
-        let _ = writeln!(
-            body,
-            "    Table 1: {} IPs ({:+.2} % drift) / {} prefixes ({:+.2} %) / {} ASes ({:+.2} %)",
-            t1.peering.ips,
-            drift(t1.peering.ips, clean.peering.ips),
-            t1.peering.prefixes,
-            drift(t1.peering.prefixes, clean.peering.prefixes),
-            t1.peering.ases,
-            drift(t1.peering.ases, clean.peering.ases),
-        );
+    for row in ixp_bench::scenario::sweep(seed) {
+        let o = row.run(analyzer, reference, &row.feed(analyzer));
+        let (h, stats) = (&o.report.health, o.faults);
+        let _ = writeln!(body, "  — {}", row.name);
+        let _ = writeln!(body, "    Table 1: {}", o.drift);
         let _ = writeln!(
             body,
             "    injected: loss {:.2} %, {} dup, {} reordered, {} truncated, {} corrupted, {} restarts",
@@ -1351,7 +1312,7 @@ fn faults_sweep(
         let _ = writeln!(
             body,
             "    accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
-            if h.fully_accounted() { "holds" } else { "VIOLATED" }
+            if o.ledger { "holds" } else { "VIOLATED" }
         );
     }
     // Wire-level grid: the flow-export front-end (NetFlow v5/v9/IPFIX
@@ -1417,102 +1378,50 @@ fn faults_sweep(
 /// The chaos soak (`--exp chaos`): the reference week's faulted feed is
 /// driven through the supervised pipeline while the drain stage is stalled
 /// in seeded overload bursts and the process is killed and resumed from
-/// its own checkpoint at seeded offsets. The resumed run must end
-/// byte-identical to the uninterrupted one, damaged checkpoints must fail
-/// closed, and Table 1 must stay within the chaos drift tolerance.
+/// its own checkpoint at seeded offsets (the `scenario::chaos_sweep` row).
+/// It prints whether the resumed run ends byte-identical to the
+/// uninterrupted one, whether damaged checkpoints fail closed, Table 1's
+/// drift, and `Supervisor::fully_accounted` at every kill point and the end;
+/// it gates nothing.
 fn chaos_sweep(
     out: &mut Out,
     analyzer: &Analyzer<'_>,
     reference: &ixp_core::WeeklyReport,
-    model: &InternetModel,
     seed: u64,
 ) {
-    use ixp_faults::{chaos, BurstWindow, FaultConfig, FaultPlan};
-    use ixp_supervisor::{Supervisor, SupervisorConfig};
-
-    let week = Week::REFERENCE;
-    let clean = visibility::table1(&reference.snapshot);
-    let members = model.registry.members_at(week).len() as u32;
-    let config = SupervisorConfig {
-        ring_capacity: 256,
-        arrivals_per_tick: 64,
-        drain_budget: 96,
-        ..SupervisorConfig::default()
-    };
+    use ixp_bench::scenario;
+    use ixp_faults::chaos;
+    use ixp_supervisor::Supervisor;
 
     // One faulted feed, collected once so both arms see identical bytes.
-    let fault_cfg = FaultConfig {
-        seed,
-        drop: 0.02,
-        duplicate: 0.005,
-        reorder: 0.005,
-        truncate: 0.001,
-        corrupt: 0.001,
-        ..FaultConfig::default()
-    };
-    let stream: Vec<Vec<u8>> = FaultPlan::new(analyzer.feed(week), fault_cfg).collect();
-    let total = stream.len() as u64;
-    let kills = chaos::kill_offsets(seed, total, 3);
-    let bursts = chaos::overload_bursts(seed, total, 2, (total / 16).max(1));
-
-    // Drive `sup` over the shared feed, stalling the drain inside the
-    // overload bursts; stops (returning false) at `kill_at` if given.
-    let drive = |sup: &mut Supervisor, kill_at: Option<u64>| -> bool {
-        let skip = usize::try_from(sup.offered()).unwrap_or(usize::MAX);
-        for (i, dg) in stream.iter().enumerate().skip(skip) {
-            if kill_at.is_some_and(|k| sup.offered() >= k) {
-                return false;
-            }
-            let idx = i as u64 + 1;
-            sup.set_stalled(bursts.iter().any(|b: &BurstWindow| b.contains(idx)));
-            sup.offer(dg.clone());
-        }
-        sup.set_stalled(false);
-        sup.finish();
-        true
-    };
-
-    let mut whole = Supervisor::new(ixp_core::WeekScan::new(week, members), config);
-    drive(&mut whole, None);
-    let whole_ckpt = whole.checkpoint();
+    let row = scenario::chaos_sweep(seed);
+    let feed = row.feed(analyzer);
+    let total = feed.packets.len() as u64;
+    let (whole, _) = row.supervise(analyzer, &feed, &[]);
 
     // Kill-and-resume chain: die at each seeded offset, restore from the
     // sealed checkpoint, continue.
-    let mut sup = Supervisor::new(ixp_core::WeekScan::new(week, members), config);
-    let mut resumes = 0u32;
-    for &k in &kills {
-        if drive(&mut sup, Some(k)) {
-            break;
-        }
-        let ckpt = sup.checkpoint();
-        sup = Supervisor::restore(&ckpt, config).expect("restore own checkpoint");
-        resumes += 1;
-    }
-    drive(&mut sup, None);
-    let identical = sup.checkpoint() == whole_ckpt;
+    let o = row.run(analyzer, reference, &feed);
+    let identical = o.supervised.checkpoint == whole.checkpoint;
 
     // Damaged checkpoints must fail closed.
-    let mut flipped = whole_ckpt.clone();
+    let mut flipped = whole.checkpoint.clone();
     chaos::flip_bit(&mut flipped, seed);
-    let flip_rejected = Supervisor::restore(&flipped, config).is_err();
-    let truncated = chaos::truncate_at_random(&whole_ckpt, seed);
-    let trunc_rejected = Supervisor::restore(&truncated, config).is_err();
+    let flip_rejected = Supervisor::restore(&flipped, row.config()).is_err();
+    let truncated = chaos::truncate_at_random(&whole.checkpoint, seed);
+    let trunc_rejected = Supervisor::restore(&truncated, row.config()).is_err();
 
-    let stats = sup.stats();
-    let h = sup.scan().ingest_health();
-    let fully_accounted = h.fully_accounted();
-    let report = analyzer.report_from_scan(sup.into_scan());
-    let t1 = visibility::table1(&report.snapshot);
-    let drift = |a: u64, b: u64| 100.0 * (a as f64 - b as f64).abs() / b.max(1) as f64;
+    let (stats, resumes) = (o.supervised.stats, o.supervised.resumes.len());
+    let burst_len = row.supervision.and_then(|s| s.bursts).map_or(0, |b| b.burst_len(total));
 
     let mut body = String::new();
     let _ = writeln!(
         body,
         "  feed: {} datagrams; kills at {:?}; {} overload bursts of ≤{} datagrams",
         total,
-        kills,
-        bursts.len(),
-        (total / 16).max(1)
+        row.kill_points(total),
+        row.burst_windows(total).len(),
+        burst_len
     );
     let _ = writeln!(
         body,
@@ -1530,20 +1439,11 @@ fn chaos_sweep(
         "  supervisor: {} offered, {} shed, {} ticks, {} deadline misses, ring high water {}",
         stats.offered, stats.shed, stats.ticks, stats.deadline_misses, stats.high_water
     );
-    let _ = writeln!(
-        body,
-        "  Table 1 under chaos: {} IPs ({:+.2} % drift) / {} prefixes ({:+.2} %) / {} ASes ({:+.2} %)",
-        t1.peering.ips,
-        drift(t1.peering.ips, clean.peering.ips),
-        t1.peering.prefixes,
-        drift(t1.peering.prefixes, clean.peering.prefixes),
-        t1.peering.ases,
-        drift(t1.peering.ases, clean.peering.ases),
-    );
+    let _ = writeln!(body, "  Table 1 under chaos: {}", o.drift);
     let _ = writeln!(
         body,
         "  accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
-        if fully_accounted { "holds" } else { "VIOLATED" }
+        if o.ledger { "holds" } else { "VIOLATED" }
     );
     out.section(
         "CHAOS",

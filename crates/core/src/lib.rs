@@ -89,9 +89,11 @@ pub(crate) mod testutil {
         study().week(Week::REFERENCE)
     }
 
-    /// The reference week scanned clean and through the hostile fault plan
-    /// of `tests/fault_tolerance.rs`, each with its census: the inputs the
-    /// report path's frozen references are compared on.
+    /// The reference week scanned clean and through the hostile fault plan,
+    /// each with its census: the inputs the report path's frozen references
+    /// are compared on. The plan is a copy of the `hostile` row of
+    /// `ixp_bench::scenario`; ixp-bench depends on this crate, so the row
+    /// cannot be read from here.
     pub(crate) fn scanned_weeks() -> &'static [(WeekScan, ServerCensus)] {
         static WEEKS: OnceLock<Vec<(WeekScan, ServerCensus)>> = OnceLock::new();
         WEEKS.get_or_init(|| {

@@ -8,8 +8,10 @@
 //! agents restart and reset their sequence numbers; interface counters wrap;
 //! crawled HTTPS hosts flap; open resolvers die. The paper's headline
 //! statistics are only credible if the pipeline degrades gracefully under
-//! all of that — which is exactly what this crate lets the test suite and
-//! the `repro --exp faults` sweep demonstrate, bit-for-bit reproducibly:
+//! all of that — which is exactly what this crate lets the soak scenarios
+//! of `ixp_bench::scenario` demonstrate, bit-for-bit reproducibly: the rows
+//! the soak tests gate on and the rows `repro --exp faults|chaos` prints.
+//! Its primitives:
 //!
 //! * [`FaultPlan`] — a seeded iterator adaptor that perturbs an encoded
 //!   datagram stream between `ixp-traffic` and the analyzer (drop,
@@ -24,8 +26,8 @@
 //! * [`chaos`] — process-level scenarios for the supervised pipeline
 //!   (seeded kill offsets for checkpoint/resume, overload bursts,
 //!   checkpoint-image corruption, and template-churn windows for the
-//!   transport layer), driving the `tests/chaos_soak.rs` and
-//!   `tests/transport_soak.rs` gates and `repro --exp chaos`;
+//!   transport layer), which the supervised scenario rows schedule their
+//!   bursts and kills with;
 //! * [`WirePlan`] — a protocol-agnostic sibling of [`FaultPlan`] that
 //!   perturbs `(peer, packet)` pairs at the UDP level (drop, duplicate,
 //!   reorder, truncate) for the transport front-end.

@@ -38,7 +38,7 @@ fn main() {
         restarts: vec![(0, 500)],
         ..FaultConfig::default()
     };
-    let mut plan = FaultPlan::new(analyzer.feed(week), cfg);
+    let mut plan = FaultPlan::new(analyzer.feed(week), cfg.clone());
     let scan = analyzer.scan_week_from(week, plan.by_ref());
     let injected = plan.stats();
     let degraded = analyzer.report_from_scan(scan);
@@ -102,22 +102,15 @@ fn main() {
     println!("kill-and-resume recovery (supervised, checkpoint at datagram 500):");
     let members = model.registry.members_at(week).len() as u32;
     let sup_cfg = SupervisorConfig::default();
-    let faulted = |seed: u64| FaultPlan::new(analyzer.feed(week), FaultConfig {
-        seed,
-        drop: 0.05,
-        duplicate: 0.01,
-        reorder: 0.01,
-        restarts: vec![(0, 500)],
-        ..FaultConfig::default()
-    });
+    let faulted = || FaultPlan::new(analyzer.feed(week), cfg.clone());
 
     let mut uninterrupted = Supervisor::new(WeekScan::new(week, members), sup_cfg);
-    uninterrupted.run_feed(faulted(2012), None);
+    uninterrupted.run_feed(faulted(), None);
     let reference_ckpt = uninterrupted.checkpoint();
     let uninterrupted_report = analyzer.report_from_scan(uninterrupted.into_scan());
 
     let mut crashed = Supervisor::new(WeekScan::new(week, members), sup_cfg);
-    let done = crashed.run_feed(faulted(2012), Some(500));
+    let done = crashed.run_feed(faulted(), Some(500));
     assert!(!done, "the kill offset is mid-week");
     let checkpoint = crashed.checkpoint();
     println!(
@@ -129,7 +122,7 @@ fn main() {
 
     let mut resumed = Supervisor::restore(&checkpoint, sup_cfg).expect("restore checkpoint");
     println!("  restored; resuming the feed from datagram {}", resumed.offered());
-    resumed.run_feed(faulted(2012), None);
+    resumed.run_feed(faulted(), None);
     let identical = resumed.checkpoint() == reference_ckpt;
     let resumed_report = analyzer.report_from_scan(resumed.into_scan());
 

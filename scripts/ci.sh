@@ -192,6 +192,25 @@ if sed '/^#\[cfg(test)\]/,$d' crates/transport/src/export.rs |
     grep -nE 'netflow9|ipfix|VERSION' | grep -vE '^[0-9]+:[[:space:]]*//' >&2; then
     fail "crates/transport/src/export.rs asks which dialect it is walking: pass the difference in as Framing"
 fi
+# One scenario table: the soaks' fault plans, rings, bursts and kills are
+# rows of crates/bench/src/scenario.rs, which the soak tests and `repro
+# --exp faults|chaos` read, and its one drive loop is what stalls a drain
+# (the format pins stall a supervisor only to pin the flag's byte). A plan
+# or a schedule stated beside a soak is a second copy that can drift.
+# repro's `--transport memory` workload and wire grid keep their
+# `WireFaultConfig` until the flow-export family goes.
+if grep -nE '(^|[^A-Za-z])FaultConfig( \{|::)|SupervisorConfig \{|kill_offsets\(|overload_bursts\(' \
+    tests/fault_tolerance.rs tests/chaos_soak.rs tests/transport_soak.rs \
+    crates/bench/src/bin/repro.rs >&2; then
+    fail "a fault plan, supervisor config or chaos schedule beside a soak: state it as a row of crates/bench/src/scenario.rs"
+fi
+stallers=$(grep -rl --include='*.rs' 'set_stalled(' src tests examples crates |
+    grep -vxE 'crates/supervisor/.*|tests/format_pins\.rs' | tr '\n' ' ')
+stall_fns=$(awk '
+    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
+    /set_stalled\(/ { print within }' crates/bench/src/scenario.rs | sort -u | tr '\n' ' ')
+[ "$stallers" = "crates/bench/src/scenario.rs " ] && [ "$stall_fns" = "drive " ] ||
+    fail "expected \`set_stalled(\` outside crates/supervisor and the format pins in one \`fn drive\` of crates/bench/src/scenario.rs, found it in: $stallers(fns: $stall_fns)"
 
 echo "==> cargo build --release"
 cargo build --release

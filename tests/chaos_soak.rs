@@ -2,102 +2,54 @@
 //! process-level chaos — kill-and-resume at seeded datagram offsets,
 //! sustained overload that sheds into the bounded intake ring, and
 //! corrupted or truncated checkpoint images — with byte-identical
-//! recovery, zero silent discards, and Table 1 drift under 2 %.
+//! recovery, zero silent discards, and Table 1 drift under the row's bound.
+//! The plan, rings, bursts, kills and tolerance are the chaos rows of
+//! `ixp_bench::scenario`.
 
 mod common;
 
 use std::sync::OnceLock;
 
-use common::{analyzer, clean, drift_pct, model};
-use ixp_vantage::core::{visibility, WeekScan};
-use ixp_vantage::faults::{chaos, FaultConfig, FaultPlan};
-use ixp_vantage::netmodel::Week;
-use ixp_vantage::obs::Obs;
-use ixp_vantage::supervisor::{Supervisor, SupervisorConfig};
+use common::{analyzer, clean};
+use ixp_bench::scenario::{self, Feed};
+use ixp_vantage::faults::chaos;
+use ixp_vantage::supervisor::Supervisor;
 
 const SEED: u64 = 777;
 
-/// The reference week's datagrams after a moderately hostile fault plan,
+/// The reference week's datagrams after the chaos rows' fault plan,
 /// materialized once — every supervised arm must see identical bytes.
-fn faulted_feed() -> &'static Vec<Vec<u8>> {
-    static F: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
-    F.get_or_init(|| {
-        let cfg = FaultConfig {
-            seed: SEED,
-            drop: 0.02,
-            duplicate: 0.005,
-            reorder: 0.005,
-            truncate: 0.001,
-            corrupt: 0.001,
-            restarts: vec![(0, 400)],
-            ..FaultConfig::default()
-        };
-        FaultPlan::new(analyzer().feed(Week::REFERENCE), cfg).collect()
-    })
+fn feed() -> &'static Feed {
+    static F: OnceLock<Feed> = OnceLock::new();
+    F.get_or_init(|| scenario::chaos_kills().feed(analyzer()))
 }
 
-fn members() -> u32 {
-    model().registry.members_at(Week::REFERENCE).len() as u32
-}
-
-fn config() -> SupervisorConfig {
-    SupervisorConfig {
-        ring_capacity: 128,
-        arrivals_per_tick: 32,
-        drain_budget: 48,
-        ..SupervisorConfig::default()
-    }
-}
-
-fn fresh(obs: Option<&Obs>) -> Supervisor {
-    match obs {
-        Some(obs) => Supervisor::with_obs(
-            WeekScan::with_obs(Week::REFERENCE, members(), obs),
-            config(),
-            obs,
-        ),
-        None => Supervisor::new(WeekScan::new(Week::REFERENCE, members()), config()),
-    }
+fn total() -> u64 {
+    feed().packets.len() as u64
 }
 
 /// Kill-and-resume at every seeded offset: each killed run, restored from
 /// its own sealed checkpoint and replayed over the regenerated feed, ends
 /// with a checkpoint — and a metrics snapshot — byte-identical to the
-/// uninterrupted run's. Zero silent discards throughout.
+/// uninterrupted run's. Zero silent discards throughout, the kill point
+/// included.
 #[test]
 fn kill_and_resume_recovers_byte_identically() {
-    let feed = faulted_feed();
-    let obs_whole = Obs::deterministic();
-    let mut whole = fresh(Some(&obs_whole));
-    whole.run_feed(feed.iter().cloned(), None);
-    let whole_ckpt = whole.checkpoint();
-    let whole_metrics = ixp_vantage::obs::json::render(&obs_whole.snapshot());
+    let row = scenario::chaos_kills();
+    let (whole, _) = row.supervise(analyzer(), feed(), &[]);
 
-    for kill_at in chaos::kill_offsets(SEED, feed.len() as u64, 4) {
-        let mut killed = fresh(None);
-        let done = killed.run_feed(feed.iter().cloned(), Some(kill_at));
-        assert!(!done, "kill offset {kill_at} was never reached");
-        let ckpt = killed.checkpoint();
-        drop(killed);
-
-        let obs = Obs::deterministic();
-        let mut resumed = Supervisor::restore(&ckpt, config())
-            .unwrap_or_else(|e| panic!("restore at {kill_at}: {e}"));
-        resumed.bind_obs(&obs);
-        assert_eq!(resumed.offered(), kill_at, "resume cursor at {kill_at}");
-        resumed.run_feed(feed.iter().cloned(), None);
-
+    for kill_at in row.kill_points(total()) {
+        let (resumed, _) = row.supervise(analyzer(), feed(), &[kill_at]);
+        assert_eq!(resumed.resumes, [kill_at], "no resume at kill offset {kill_at}");
         assert_eq!(
-            resumed.checkpoint(),
-            whole_ckpt,
+            resumed.checkpoint, whole.checkpoint,
             "checkpoint diverged after kill at {kill_at}"
         );
         assert_eq!(
-            ixp_vantage::obs::json::render(&obs.snapshot()),
-            whole_metrics,
+            resumed.metrics, whole.metrics,
             "metrics snapshot diverged after kill at {kill_at}"
         );
-        assert!(resumed.fully_accounted(), "silent discard after kill at {kill_at}");
+        assert!(resumed.ledger, "silent discard after kill at {kill_at}");
     }
 }
 
@@ -109,15 +61,15 @@ fn kill_and_resume_recovers_byte_identically() {
 fn every_kill_leaves_a_parseable_flight_dump() {
     use ixp_vantage::obs::journal::{self, EventKind};
 
-    let feed = faulted_feed();
+    let row = scenario::chaos_kills();
     let dir = std::env::temp_dir().join(format!("ixp-chaos-flight-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    for kill_at in chaos::kill_offsets(SEED, feed.len() as u64, 4) {
+    for kill_at in row.kill_points(total()) {
         let journal = ixp_vantage::obs::Journal::deterministic();
-        let mut killed = fresh(None);
+        let mut killed = row.supervisor(analyzer());
         killed.bind_journal(journal.clone());
-        let done = killed.run_feed(feed.iter().cloned(), Some(kill_at));
+        let done = killed.run_feed(feed().datagrams(), Some(kill_at));
         assert!(!done, "kill offset {kill_at} was never reached");
 
         // As the repro binary's kill path: record the kill edge, then dump
@@ -156,15 +108,15 @@ fn every_kill_leaves_a_parseable_flight_dump() {
 /// panics and never yields a half-restored pipeline.
 #[test]
 fn damaged_checkpoints_fail_closed() {
-    let feed = faulted_feed();
-    let mut sup = fresh(None);
-    sup.run_feed(feed.iter().cloned(), Some((feed.len() / 2) as u64));
+    let row = scenario::chaos_kills();
+    let mut sup = row.supervisor(analyzer());
+    sup.run_feed(feed().datagrams(), Some(total() / 2));
     let ckpt = sup.checkpoint();
 
     for seed in 0..64u64 {
         let mut flipped = ckpt.clone();
         chaos::flip_bit(&mut flipped, seed);
-        let err = Supervisor::restore(&flipped, config())
+        let err = Supervisor::restore(&flipped, row.config())
             .err()
             .unwrap_or_else(|| panic!("bit flip (seed {seed}) restored"));
         // The error is typed and printable, not a panic payload.
@@ -172,7 +124,7 @@ fn damaged_checkpoints_fail_closed() {
 
         let truncated = chaos::truncate_at_random(&ckpt, seed);
         assert!(
-            Supervisor::restore(&truncated, config()).is_err(),
+            Supervisor::restore(&truncated, row.config()).is_err(),
             "truncation (seed {seed}) restored"
         );
     }
@@ -186,96 +138,39 @@ fn damaged_checkpoints_fail_closed() {
 /// across a kill inside a burst.
 #[test]
 fn overload_sheds_visibly_and_recovers() {
-    let feed = faulted_feed();
-    let total = feed.len() as u64;
-    let bursts = chaos::overload_bursts(SEED, total, 2, (total / 8).max(1));
-    assert!(!bursts.is_empty());
+    let row = scenario::chaos_overload();
+    assert!(!row.burst_windows(total()).is_empty());
 
-    let drive = |sup: &mut Supervisor, kill_at: Option<u64>| -> bool {
-        let skip = sup.offered() as usize;
-        for (i, dg) in feed.iter().enumerate().skip(skip) {
-            if kill_at.is_some_and(|k| sup.offered() >= k) {
-                return false;
-            }
-            sup.set_stalled(bursts.iter().any(|b| b.contains(i as u64 + 1)));
-            sup.offer(dg.clone());
-        }
-        sup.set_stalled(false);
-        sup.finish();
-        true
-    };
-
-    let mut whole = fresh(None);
-    drive(&mut whole, None);
-    let stats = whole.stats();
+    let (whole, scan) = row.supervise(analyzer(), feed(), &[]);
+    let stats = whole.stats;
     assert!(stats.shed > 0, "overload bursts never filled the ring");
     assert!(stats.deadline_misses > 0, "stalled ticks missed no deadlines");
-    assert_eq!(stats.high_water, config().ring_capacity, "ring never hit capacity");
-    assert_eq!(whole.scan().shed(), stats.shed, "ring and scan disagree on sheds");
-    assert!(whole.fully_accounted(), "shed accounting does not balance");
-    let whole_ckpt = whole.checkpoint();
+    assert_eq!(stats.high_water, row.config().ring_capacity, "ring never hit capacity");
+    assert_eq!(scan.shed(), stats.shed, "ring and scan disagree on sheds");
+    assert!(whole.ledger, "shed accounting does not balance");
 
-    // Kill inside the first burst — the ring is full and mid-shed — and
-    // resume; the queued datagrams are part of the checkpoint.
-    let kill_at = bursts.first().map(|b| b.from + (b.until - b.from) / 2).unwrap_or(1);
-    let mut killed = fresh(None);
-    assert!(!drive(&mut killed, Some(kill_at)));
-    let ckpt = killed.checkpoint();
-    let mut resumed = Supervisor::restore(&ckpt, config()).expect("restore mid-burst");
-    drive(&mut resumed, None);
-    assert_eq!(resumed.checkpoint(), whole_ckpt, "divergence after mid-burst kill");
+    // Killed inside the first burst — the ring is full and mid-shed — and
+    // resumed; the queued datagrams are part of the checkpoint.
+    let (killed, _) = row.supervise(analyzer(), feed(), &row.kill_points(total()));
+    assert_eq!(killed.resumes.len(), 1, "the mid-burst kill was never reached");
+    assert!(killed.ledger, "shed accounting does not balance at the mid-burst kill");
+    assert_eq!(killed.checkpoint, whole.checkpoint, "divergence after mid-burst kill");
 }
 
 /// The headline gate: stream faults, overload bursts, and a chain of
-/// kill-and-resume cycles together move Table 1's unique-prefix and
-/// unique-AS counts by less than 2 % against the fault-free run — and the
-/// soaked pipeline's final state is byte-identical to the same chaos
-/// without any kills.
+/// kill-and-resume cycles together move Table 1's unique counts by less
+/// than the row's drift bound against the fault-free run — and the soaked
+/// pipeline's final state is byte-identical to the same chaos without any
+/// kills.
 #[test]
 fn chaos_soak_stays_within_two_percent_drift() {
-    let feed = faulted_feed();
-    let total = feed.len() as u64;
-    let bursts = chaos::overload_bursts(SEED.wrapping_add(1), total, 2, (total / 10).max(1));
-    let kills = chaos::kill_offsets(SEED.wrapping_add(1), total, 3);
+    let row = scenario::chaos_soak();
+    let (whole, _) = row.supervise(analyzer(), feed(), &[]);
 
-    let drive = |sup: &mut Supervisor, kill_at: Option<u64>| -> bool {
-        let skip = sup.offered() as usize;
-        for (i, dg) in feed.iter().enumerate().skip(skip) {
-            if kill_at.is_some_and(|k| sup.offered() >= k) {
-                return false;
-            }
-            sup.set_stalled(bursts.iter().any(|b| b.contains(i as u64 + 1)));
-            sup.offer(dg.clone());
-        }
-        sup.set_stalled(false);
-        sup.finish();
-        true
-    };
-
-    let mut whole = fresh(None);
-    drive(&mut whole, None);
-    let whole_ckpt = whole.checkpoint();
-
-    let mut sup = fresh(None);
-    let mut resumes = 0;
-    for &k in &kills {
-        if drive(&mut sup, Some(k)) {
-            break;
-        }
-        let ckpt = sup.checkpoint();
-        sup = Supervisor::restore(&ckpt, config()).expect("restore in kill chain");
-        resumes += 1;
-    }
-    drive(&mut sup, None);
+    let o = row.run(analyzer(), clean(), feed());
+    let resumes = o.supervised.resumes.len();
     assert!(resumes >= 2, "soak exercised too few resumes: {resumes}");
-    assert_eq!(sup.checkpoint(), whole_ckpt, "kill chain diverged from whole run");
-
-    assert!(sup.fully_accounted(), "soak accounting does not balance");
-    let report = analyzer().report_from_scan(sup.into_scan());
-    let t1 = visibility::table1(&report.snapshot);
-    let t1_clean = visibility::table1(&clean().snapshot);
-    let prefixes = drift_pct(t1.peering.prefixes, t1_clean.peering.prefixes);
-    let ases = drift_pct(t1.peering.ases, t1_clean.peering.ases);
-    assert!(prefixes < 2.0, "unique-prefix drift {prefixes:.2} % >= 2 %");
-    assert!(ases < 2.0, "unique-AS drift {ases:.2} % >= 2 %");
+    assert_eq!(o.supervised.checkpoint, whole.checkpoint, "kill chain diverged from whole run");
+    assert!(o.ledger, "soak accounting does not balance");
+    assert_eq!(row.check(&o), Ok(()));
 }

@@ -1,7 +1,7 @@
 //! Fixtures the degraded-mode, chaos and transport soaks share: one tiny
-//! model per test binary, its analyzer, the fault-free reference-week
-//! report, and the drift measure. The including test declares
-//! `const SEED: u64`, its model seed.
+//! model per test binary, its analyzer, and the fault-free reference-week
+//! report every row of `ixp_bench::scenario` is compared against. The
+//! including test declares `const SEED: u64`, its model seed.
 
 use std::sync::OnceLock;
 
@@ -25,8 +25,4 @@ pub(crate) fn analyzer() -> &'static Analyzer<'static> {
 pub(crate) fn clean() -> &'static WeeklyReport {
     static C: OnceLock<WeeklyReport> = OnceLock::new();
     C.get_or_init(|| analyzer().run_week(Week::REFERENCE))
-}
-
-pub(crate) fn drift_pct(value: u64, reference: u64) -> f64 {
-    100.0 * (value as f64 - reference as f64).abs() / reference.max(1) as f64
 }

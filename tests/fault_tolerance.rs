@@ -2,86 +2,52 @@
 //! paper's tables must survive a hostile sFlow transport — datagram loss,
 //! duplication, reordering, truncation, bit corruption, agent restarts,
 //! counter wraps, outage windows — with exact ingest accounting and only
-//! marginal drift in the headline statistics.
+//! marginal drift in the headline statistics. The plans and tolerances are
+//! rows of `ixp_bench::scenario`.
 
 mod common;
 
-use common::{analyzer, clean, drift_pct, model};
-use ixp_vantage::core::analyzer::WeeklyReport;
-use ixp_vantage::core::visibility;
-use ixp_vantage::faults::{FaultConfig, FaultPlan, OutageWindow};
+use common::{analyzer, clean, model};
+use ixp_bench::scenario::{self, Outcome, Scenario};
 use ixp_vantage::netmodel::Week;
 
 const SEED: u64 = 777;
 
-/// Run the reference week through a fault plan; return the report plus the
-/// plan's injection stats.
-fn degraded(cfg: FaultConfig) -> (WeeklyReport, ixp_vantage::faults::FaultStats) {
-    let analyzer = analyzer();
-    let mut plan = FaultPlan::new(analyzer.feed(Week::REFERENCE), cfg);
-    let scan = analyzer.scan_week_from(Week::REFERENCE, plan.by_ref());
-    let stats = plan.stats();
-    (analyzer.report_from_scan(scan), stats)
+/// Run the reference week through the row's fault plan.
+fn degraded(row: &Scenario) -> Outcome {
+    row.run(analyzer(), clean(), &row.feed(analyzer()))
 }
 
 /// The headline acceptance criterion: 5 % loss plus one agent restart
-/// moves Table 1's unique-AS and unique-prefix counts by less than 2 %,
-/// the loss estimate is within half a percentage point of what was
-/// actually injected, and nothing is silently discarded.
+/// moves Table 1's unique counts by less than the row's drift bound, the
+/// loss estimate is within its bound of what was actually injected, and
+/// nothing is silently discarded.
 #[test]
 fn five_percent_loss_plus_restart_stays_within_tolerance() {
-    let cfg = FaultConfig {
-        seed: 777,
-        drop: 0.05,
-        restarts: vec![(0, 500)],
-        ..FaultConfig::default()
-    };
-    let (report, stats) = degraded(cfg);
-    let t1 = visibility::table1(&report.snapshot);
-    let t1_clean = visibility::table1(&clean().snapshot);
-
-    assert!(stats.restarts_injected == 1, "restart did not fire");
-    let injected_pct = 100.0 * stats.injected_loss_rate();
-    assert!((4.0..6.0).contains(&injected_pct), "loss coin off: {injected_pct:.2} %");
-
-    // Table 1 stability.
-    let ases = drift_pct(t1.peering.ases, t1_clean.peering.ases);
-    let prefixes = drift_pct(t1.peering.prefixes, t1_clean.peering.prefixes);
-    assert!(ases < 2.0, "unique-AS drift {ases:.2} % >= 2 %");
-    assert!(prefixes < 2.0, "unique-prefix drift {prefixes:.2} % >= 2 %");
-
-    // Loss-estimate accuracy: the collector detects the restart instead of
-    // booking the sequence regression as a giant gap.
-    let h = &report.health;
-    let err = h.loss_pct() - injected_pct;
-    assert!(err.abs() < 0.5, "loss estimate off by {err:+.2} pp");
+    let row = scenario::loss_restart();
+    let o = degraded(&row);
+    assert!(o.faults.restarts_injected == 1, "restart did not fire");
+    // Table 1 stability, the loss coin, and loss-estimate accuracy: the
+    // collector detects the restart instead of booking the sequence
+    // regression as a giant gap.
+    assert_eq!(row.check(&o), Ok(()));
+    let h = &o.report.health;
     assert_eq!(h.collector.restarts, 1, "restart not detected");
 
     // No silent discard: every ingested datagram is accepted, a suppressed
     // duplicate, or a counted decode error.
-    assert!(h.fully_accounted(), "accounting invariant violated: {:?}", h.collector);
-    assert_eq!(h.collector.datagrams, stats.emitted);
+    assert!(o.ledger, "accounting invariant violated: {:?}", h.collector);
+    assert_eq!(h.collector.datagrams, o.faults.emitted);
 }
 
 /// Full hostility: loss, duplicates, reordering, truncation, bit flips,
 /// counter wrap. The accounting invariant must still balance exactly.
 #[test]
 fn hostile_stream_is_fully_accounted() {
-    let cfg = FaultConfig {
-        seed: 31,
-        drop: 0.05,
-        duplicate: 0.02,
-        reorder: 0.02,
-        truncate: 0.01,
-        corrupt: 0.01,
-        restarts: vec![(0, 300)],
-        counter_wrap: true,
-        ..FaultConfig::default()
-    };
-    let (report, stats) = degraded(cfg);
-    let h = &report.health;
+    let o = degraded(&scenario::hostile());
+    let (h, stats) = (&o.report.health, o.faults);
 
-    assert!(h.fully_accounted(), "accounting invariant violated: {:?}", h.collector);
+    assert!(o.ledger, "accounting invariant violated: {:?}", h.collector);
     assert_eq!(h.collector.datagrams, stats.emitted, "collector missed datagrams");
     // Injected duplicates are suppressed, not double-counted. (A duplicate
     // of a truncated/corrupted datagram books as two decode errors instead,
@@ -92,64 +58,44 @@ fn hostile_stream_is_fully_accounted() {
     assert!(stats.truncated > 0, "truncation coin never fired");
     assert!(h.collector.decode_errors.total() > 0, "no decode errors counted");
     // The week still produces a usable census.
-    assert!(!report.census.is_empty());
-    assert!(report.snapshot.filter.total().bytes > 0);
+    assert!(!o.report.census.is_empty());
+    assert!(o.report.snapshot.filter.total().bytes > 0);
 }
 
 /// An outage window is plain loss to the collector: the gap estimate must
-/// track the dropped datagrams within half a percentage point.
+/// track the dropped datagrams within the row's bound.
 #[test]
 fn outage_window_is_counted_as_loss() {
-    let cfg = FaultConfig {
-        seed: 5,
-        outages: vec![OutageWindow { sub_agent: 0, from: 200, until: 500 }],
-        ..FaultConfig::default()
-    };
-    let (report, stats) = degraded(cfg);
-    assert!(stats.outage_dropped > 0, "outage window dropped nothing");
-    let injected_pct = 100.0 * stats.injected_loss_rate();
-    let err = report.health.loss_pct() - injected_pct;
-    assert!(err.abs() < 0.5, "outage loss estimate off by {err:+.2} pp");
-    assert!(report.health.fully_accounted());
+    let row = scenario::outage();
+    let o = degraded(&row);
+    assert!(o.faults.outage_dropped > 0, "outage window dropped nothing");
+    assert_eq!(row.check(&o), Ok(()));
+    assert!(o.ledger);
 }
 
 /// Counter wraps must not disturb the flow statistics: the wrap only
 /// touches cumulative `if_counters`, which the wrap-safe deltas absorb.
 #[test]
 fn counter_wrap_does_not_disturb_flow_statistics() {
-    let cfg = FaultConfig { seed: 9, counter_wrap: true, ..FaultConfig::default() };
-    let (report, stats) = degraded(cfg);
-    assert_eq!(stats.dropped + stats.outage_dropped, 0);
-    let t1 = visibility::table1(&report.snapshot);
-    let t1_clean = visibility::table1(&clean().snapshot);
-    assert_eq!(t1.peering.ips, t1_clean.peering.ips);
-    assert_eq!(t1.peering.prefixes, t1_clean.peering.prefixes);
-    assert_eq!(t1.peering.ases, t1_clean.peering.ases);
-    assert_eq!(report.health.collector.lost, 0);
-    assert!(report.health.fully_accounted());
+    let o = degraded(&scenario::counter_wrap());
+    assert_eq!(o.faults.dropped + o.faults.outage_dropped, 0);
+    let (got, clean) = (o.drift.got, o.drift.clean);
+    assert_eq!(got.ips, clean.ips);
+    assert_eq!(got.prefixes, clean.prefixes);
+    assert_eq!(got.ases, clean.ases);
+    assert_eq!(o.report.health.collector.lost, 0);
+    assert!(o.ledger);
 }
 
 /// A seeded plan replays bit-for-bit: the same configuration must yield an
 /// identical degraded report, down to the health counters.
 #[test]
 fn degraded_runs_replay_deterministically() {
-    let cfg = || FaultConfig {
-        seed: 2013,
-        drop: 0.03,
-        duplicate: 0.01,
-        reorder: 0.01,
-        restarts: vec![(0, 400)],
-        ..FaultConfig::default()
-    };
-    let (a, sa) = degraded(cfg());
-    let (b, sb) = degraded(cfg());
-    assert_eq!(sa, sb);
-    assert_eq!(a.health, b.health);
-    let (ta, tb) = (visibility::table1(&a.snapshot), visibility::table1(&b.snapshot));
-    assert_eq!(ta.peering.ips, tb.peering.ips);
-    assert_eq!(ta.peering.prefixes, tb.peering.prefixes);
-    assert_eq!(ta.peering.ases, tb.peering.ases);
-    assert_eq!(a.census.len(), b.census.len());
+    let (a, b) = (degraded(&scenario::replay()), degraded(&scenario::replay()));
+    assert_eq!(a.faults, b.faults);
+    assert_eq!(a.report.health, b.report.health);
+    assert_eq!(a.drift.got, b.drift.got);
+    assert_eq!(a.report.census.len(), b.report.census.len());
 }
 
 /// The allocation-free path and the owned one are the same scan: a week
@@ -161,19 +107,8 @@ fn borrowed_ingest_matches_owned_ingest_byte_for_byte() {
     use ixp_vantage::core::WeekScan;
     use ixp_vantage::sflow::{Collector, Ingest};
 
-    let cfg = FaultConfig {
-        seed: 14,
-        drop: 0.05,
-        duplicate: 0.02,
-        reorder: 0.02,
-        truncate: 0.01,
-        corrupt: 0.01,
-        restarts: vec![(0, 300)],
-        ..FaultConfig::default()
-    };
-    let mut plan = FaultPlan::new(analyzer().feed(Week::REFERENCE), cfg);
-    let feed: Vec<Vec<u8>> = plan.by_ref().collect();
-    let stats = plan.stats();
+    let feed = scenario::every_fault().feed(analyzer());
+    let stats = feed.faults;
     for (what, n) in [
         ("drop", stats.dropped),
         ("duplicate", stats.duplicated),
@@ -189,9 +124,9 @@ fn borrowed_ingest_matches_owned_ingest_byte_for_byte() {
     let mut borrowed = WeekScan::new(Week::REFERENCE, members);
     let mut owned = WeekScan::new(Week::REFERENCE, members);
     let mut collector = Collector::new();
-    for datagram in &feed {
-        borrowed.ingest(datagram);
-        if let Ingest::Accepted(dg) = collector.ingest(datagram) {
+    for datagram in feed.datagrams() {
+        borrowed.ingest(&datagram);
+        if let Ingest::Accepted(dg) = collector.ingest(&datagram) {
             for s in &dg.samples {
                 owned.ingest_sample(s.sampling_rate, s.record.frame_length, &s.record.header);
             }

@@ -3,23 +3,18 @@
 //! truncation), template churn (withhold windows, layout flaps, exporter
 //! restarts), and a mid-stream kill-and-resume of both the transport
 //! intake and the supervisor — with byte-identical recovery, exact
-//! extended conservation, and Table 1 drift under 2 %.
+//! extended conservation, and Table 1 drift under the row's bound. The
+//! wire plan, ring, kill and tolerance are the `transport_soak` row of
+//! `ixp_bench::scenario`; the workload is this file's.
 
 mod common;
 
 use std::sync::OnceLock;
 
-use common::{analyzer, clean, drift_pct, model};
-use ixp_vantage::core::analyzer::WeeklyReport;
-use ixp_vantage::core::{visibility, WeekScan};
-use ixp_vantage::faults::{WireFaultConfig, WirePlan};
+use common::{analyzer, clean};
+use ixp_bench::scenario::{self, Feed};
 use ixp_vantage::netmodel::Week;
-use ixp_vantage::obs::Obs;
-use ixp_vantage::supervisor::{Supervisor, SupervisorConfig};
-use ixp_vantage::transport::{
-    generate, Drained, FlowGenConfig, TransportConfig, TransportIntake, TransportMetrics,
-    TransportStats,
-};
+use ixp_vantage::transport::{generate, Drained, FlowGenConfig, TransportConfig, TransportIntake};
 use ixp_vantage::{faults, transport};
 
 const SEED: u64 = 1313;
@@ -29,10 +24,6 @@ const SFLOW_PEER: u64 = 0x5F10;
 
 /// Flow-export packets mixed into the week feed.
 const FLOW_PACKETS: u64 = 400;
-
-fn members() -> u32 {
-    model().registry.members_at(Week::REFERENCE).len() as u32
-}
 
 /// The flow-export half of the workload: NetFlow v5/v9/IPFIX with
 /// seeded withhold/flap windows and exporter restarts — a withhold
@@ -71,11 +62,12 @@ fn flow_workload() -> Vec<(u64, Vec<u8>)> {
     out
 }
 
-/// The combined workload, before wire faults: the reference week's sFlow
-/// datagrams with flow-export packets interleaved at a fixed stride.
-fn workload() -> &'static Vec<(u64, Vec<u8>)> {
-    static W: OnceLock<Vec<(u64, Vec<u8>)>> = OnceLock::new();
-    W.get_or_init(|| {
+/// The reference week's sFlow datagrams with flow-export packets
+/// interleaved at a fixed stride, through the row's wire plan —
+/// materialized once so every arm sees identical bytes.
+fn feed() -> &'static Feed {
+    static F: OnceLock<Feed> = OnceLock::new();
+    F.get_or_init(|| {
         let sflow: Vec<(u64, Vec<u8>)> =
             analyzer().feed(Week::REFERENCE).map(|d| (SFLOW_PEER, d)).collect();
         let mut flows = flow_workload().into_iter();
@@ -88,94 +80,15 @@ fn workload() -> &'static Vec<(u64, Vec<u8>)> {
             }
         }
         out.extend(flows);
-        out
+        scenario::transport_soak().feed_from(out.into_iter())
     })
-}
-
-/// The faulted stream, materialized once so every arm sees identical
-/// bytes: 5 % loss plus duplication, reordering, and truncation.
-fn faulted() -> &'static Vec<(u64, Vec<u8>)> {
-    static F: OnceLock<Vec<(u64, Vec<u8>)>> = OnceLock::new();
-    F.get_or_init(|| {
-        let wire = WireFaultConfig {
-            seed: SEED,
-            drop: 0.05,
-            duplicate: 0.01,
-            reorder: 0.01,
-            truncate: 0.002,
-        };
-        WirePlan::new(workload().iter().cloned(), wire).collect()
-    })
-}
-
-fn config() -> SupervisorConfig {
-    SupervisorConfig {
-        ring_capacity: 256,
-        arrivals_per_tick: 64,
-        drain_budget: 96,
-        ..SupervisorConfig::default()
-    }
-}
-
-/// One soak arm's complete observable outcome.
-struct Outcome {
-    sup_checkpoint: Vec<u8>,
-    transport_state: Vec<u8>,
-    metrics: String,
-    stats: TransportStats,
-    fully_accounted: bool,
-    report: WeeklyReport,
-}
-
-/// Drive the faulted stream through an intake-fed supervisor. With
-/// `kill_at`, the run "dies" at that stream offset: both the supervisor
-/// checkpoint and the transport state are serialized, everything is
-/// dropped, and a fresh process (fresh registry included) restores and
-/// continues — exactly the repro binary's `--kill-at`/`--resume` path.
-fn run(kill_at: Option<usize>) -> Outcome {
-    let stream = faulted();
-    let mut obs = Obs::deterministic();
-    let mut sup = Supervisor::with_obs(
-        WeekScan::with_obs(Week::REFERENCE, members(), &obs),
-        config(),
-        &obs,
-    );
-    let mut intake = TransportIntake::new(TransportConfig::default());
-    intake.bind_metrics(TransportMetrics::register(&obs.registry));
-
-    for (i, (peer, packet)) in stream.iter().enumerate() {
-        if kill_at == Some(i) {
-            let sup_ck = sup.checkpoint();
-            let t_ck = intake.save_state();
-            obs = Obs::deterministic();
-            sup = Supervisor::restore(&sup_ck, config()).expect("restore own checkpoint");
-            sup.bind_obs(&obs);
-            intake = TransportIntake::restore_from(&t_ck).expect("restore own transport state");
-            intake.bind_metrics(TransportMetrics::register(&obs.registry));
-        }
-        intake.offer(*peer, packet);
-        for unit in intake.drain(usize::MAX) {
-            if let Drained::Sflow { datagram, .. } = unit {
-                sup.offer(datagram);
-            }
-        }
-    }
-    sup.finish();
-    let stats = intake.finish();
-    Outcome {
-        sup_checkpoint: sup.checkpoint(),
-        transport_state: intake.save_state(),
-        metrics: ixp_vantage::obs::json::render(&obs.snapshot()),
-        stats,
-        fully_accounted: intake.fully_accounted(),
-        report: analyzer().report_from_scan(sup.into_scan()),
-    }
 }
 
 #[test]
 fn soak_holds_conservation_and_drift_under_combined_chaos() {
-    let outcome = run(None);
-    let s = outcome.stats;
+    let row = scenario::transport_soak();
+    let outcome = row.run(analyzer(), clean(), feed());
+    let s = outcome.supervised.transport;
 
     // The chaos actually happened: templates were withheld past the end,
     // flow packets were duplicated on the wire, and decoders saw damage.
@@ -184,9 +97,10 @@ fn soak_holds_conservation_and_drift_under_combined_chaos() {
     assert!(s.decode_errors > 0, "no decode errors: {s:?}");
     assert!(s.v5_packets > 0 && s.v9_packets > 0 && s.ipfix_packets > 0, "{s:?}");
 
-    // Exact extended conservation, with no transient terms after finish.
-    assert!(outcome.fully_accounted, "{s:?}");
-    assert_eq!(s.offered, faulted().len() as u64);
+    // Exact extended conservation — at the kill point and after finish,
+    // with no transient terms left.
+    assert!(outcome.ledger, "{s:?}");
+    assert_eq!(s.offered, feed().packets.len() as u64);
     assert_eq!(s.offered, s.received + s.shed);
     assert_eq!(
         s.received,
@@ -197,26 +111,20 @@ fn soak_holds_conservation_and_drift_under_combined_chaos() {
     assert_eq!(s.pending_bytes, 0);
 
     // Table 1 stays within the chaos drift tolerance.
-    let clean_t1 = visibility::table1(&clean().snapshot);
-    let t1 = visibility::table1(&outcome.report.snapshot);
-    for (label, got, want) in [
-        ("peering IPs", t1.peering.ips, clean_t1.peering.ips),
-        ("peering prefixes", t1.peering.prefixes, clean_t1.peering.prefixes),
-        ("peering ASes", t1.peering.ases, clean_t1.peering.ases),
-    ] {
-        let drift = drift_pct(got, want);
-        assert!(drift <= 2.0, "{label} drifted {drift:.2} % ({got} vs {want})");
-    }
+    assert_eq!(row.check(&outcome), Ok(()));
 }
 
 #[test]
 fn kill_and_resume_mid_stream_is_byte_identical() {
-    let whole = run(None);
+    let row = scenario::transport_soak();
+    let (whole, _) = row.supervise(analyzer(), feed(), &[]);
     // Die halfway through, inside the live part of the stream, where
     // dedup windows, the template cache, and parked packets are all hot.
-    let resumed = run(Some(faulted().len() / 2));
+    let (resumed, _) =
+        row.supervise(analyzer(), feed(), &row.kill_points(feed().packets.len() as u64));
+    assert_eq!(resumed.resumes.len(), 1, "the halfway kill was never reached");
     assert_eq!(
-        whole.sup_checkpoint, resumed.sup_checkpoint,
+        whole.checkpoint, resumed.checkpoint,
         "supervisor checkpoint diverged across kill-and-resume"
     );
     assert_eq!(
@@ -227,15 +135,16 @@ fn kill_and_resume_mid_stream_is_byte_identical() {
         whole.metrics, resumed.metrics,
         "metrics snapshot diverged across kill-and-resume"
     );
-    assert_eq!(whole.stats, resumed.stats);
+    assert_eq!(whole.transport, resumed.transport);
 }
 
 #[test]
 fn same_seed_runs_are_byte_identical() {
-    let a = run(None);
-    let b = run(None);
+    let row = scenario::transport_soak();
+    let (a, _) = row.supervise(analyzer(), feed(), &[]);
+    let (b, _) = row.supervise(analyzer(), feed(), &[]);
     assert_eq!(a.metrics, b.metrics);
-    assert_eq!(a.sup_checkpoint, b.sup_checkpoint);
+    assert_eq!(a.checkpoint, b.checkpoint);
     assert_eq!(a.transport_state, b.transport_state);
 }
 
@@ -269,15 +178,16 @@ fn overload_sheds_visibly_never_silently() {
 fn kill_leaves_a_flight_dump_naming_the_cut() {
     use ixp_vantage::obs::journal::{self, EventKind};
 
-    let stream = faulted();
-    let kill_at = stream.len() / 2;
+    let row = scenario::transport_soak();
+    let stream = &feed().packets;
+    let kill_at = row.kill_points(stream.len() as u64)[0];
     let journal = ixp_vantage::obs::Journal::deterministic();
-    let mut sup = Supervisor::new(WeekScan::new(Week::REFERENCE, members()), config());
+    let mut sup = row.supervisor(analyzer());
     sup.bind_journal(journal.clone());
     let mut intake = TransportIntake::new(TransportConfig::default());
     intake.bind_journal(journal.clone());
 
-    for (peer, packet) in stream.iter().take(kill_at) {
+    for (peer, packet) in stream.iter().take(kill_at as usize) {
         intake.offer(*peer, packet);
         for unit in intake.drain(usize::MAX) {
             if let Drained::Sflow { datagram, .. } = unit {
@@ -289,7 +199,7 @@ fn kill_leaves_a_flight_dump_naming_the_cut() {
     // transport side), then the dump to `<state>.flight`. The whole ring
     // goes into the dump here so the early template churn — parked during
     // the opening withhold window — is retained alongside the kill edge.
-    journal.record(EventKind::Kill, 0, 1, kill_at as u64, sup.stats().ticks);
+    journal.record(EventKind::Kill, 0, 1, kill_at, sup.stats().ticks);
     let dir = std::env::temp_dir().join(format!("ixp-transport-flight-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("transport.state.flight");
@@ -301,7 +211,7 @@ fn kill_leaves_a_flight_dump_naming_the_cut() {
     let tail = events.last().expect("flight dump holds the journal tail");
     assert_eq!(tail.kind, EventKind::Kill);
     assert_eq!(tail.sub_agent, 1, "kill edge must name the transport side");
-    assert_eq!(tail.a, kill_at as u64, "flight tail must name the cut offset");
+    assert_eq!(tail.a, kill_at, "flight tail must name the cut offset");
     assert!(
         events.iter().any(|e| matches!(
             e.kind,
@@ -320,7 +230,7 @@ fn kill_leaves_a_flight_dump_naming_the_cut() {
 
 #[test]
 fn damaged_transport_state_fails_closed() {
-    let state = run(None).transport_state;
+    let state = scenario::transport_soak().supervise(analyzer(), feed(), &[]).0.transport_state;
     let mut flipped = state.clone();
     faults::chaos::flip_bit(&mut flipped, SEED);
     assert!(
