@@ -5,12 +5,13 @@
 //!
 //! * [`fnv64`] — FNV-1a-64, the digest of reports and cross-commit format
 //!   pins;
-//! * the big-endian `put_*` field writers and the bounds-checked [`Cur`]
-//!   reader with its typed [`StateError`] — state comes back off disk,
-//!   which makes it wire-grade input: every read is checked and fails
-//!   with an error, never a panic. Layout is plain big-endian primitives
-//!   with 64-bit length prefixes for byte strings; there is no
-//!   self-description;
+//! * the field codec (`field.rs`): the big-endian `put_*` writers and the
+//!   bounds-checked [`Cur`] reader with its typed [`StateError`] — state
+//!   comes back off disk, which makes it wire-grade input: every read is
+//!   checked and fails with an error, never a panic. Layout is plain
+//!   big-endian primitives with 64-bit length prefixes for byte strings;
+//!   there is no self-description. Every writer and reader is `#[inline]`,
+//!   and a lint keeps it so;
 //! * the sealed-record trailer ([`append_trailer`] / [`split_verified`])
 //!   that the checkpoint envelope (`IXPCKPT1`), the transport state blob
 //!   and the flight record (`IXPFLGT1`) all end in: a word-wise, four-lane
@@ -26,9 +27,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+mod field;
 pub mod json;
 
 use std::fmt;
+
+pub use field::{put_bool, put_bytes, put_str, put_u128, put_u16, put_u32, put_u64, put_u8, Cur};
 
 /// FNV-1a-64 over `bytes`: the digest of reports and pins. Not
 /// the sealed-record trailer, which is [`append_trailer`]'s word-wise
@@ -67,173 +71,6 @@ impl fmt::Display for StateError {
 }
 
 impl std::error::Error for StateError {}
-
-/// Append a `u8`.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-/// Append a `bool` as one byte.
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-/// Append a big-endian `u16`.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a big-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a big-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a big-endian `u128`.
-pub fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a length-prefixed byte string (`u64` length, then the bytes),
-/// growing `out` at most once for the two.
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    #[allow(clippy::arithmetic_side_effects, reason = "b is in memory, so b.len() <= isize::MAX and 8 more fit in usize")]
-    out.reserve(8 + b.len());
-    put_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// A bounds-checked read cursor over a checkpoint blob. Every accessor
-/// returns a typed error instead of panicking — the blob is treated as
-/// hostile input (it may have been truncated or corrupted on disk).
-#[derive(Debug, Clone, Copy)]
-pub struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    /// A cursor at the start of `data`.
-    pub fn new(data: &'a [u8]) -> Cur<'a> {
-        Cur { data, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.data.len().saturating_sub(self.pos)
-    }
-
-    /// Succeeds only if the cursor consumed the blob exactly.
-    pub fn finish(&self) -> Result<(), StateError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(StateError::Invalid("trailing bytes after state"))
-        }
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, StateError> {
-        let end = self.pos.checked_add(1).ok_or(StateError::Truncated)?;
-        match *self.data.get(self.pos..end).ok_or(StateError::Truncated)? {
-            [a] => {
-                self.pos = end;
-                Ok(a)
-            }
-            _ => Err(StateError::Truncated),
-        }
-    }
-
-    /// Read one byte as a strict `bool` (0 or 1).
-    pub fn bool(&mut self) -> Result<bool, StateError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(StateError::Invalid("boolean byte out of range")),
-        }
-    }
-
-    /// Read a big-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, StateError> {
-        let end = self.pos.checked_add(2).ok_or(StateError::Truncated)?;
-        match *self.data.get(self.pos..end).ok_or(StateError::Truncated)? {
-            [a, b] => {
-                self.pos = end;
-                Ok(u16::from_be_bytes([a, b]))
-            }
-            _ => Err(StateError::Truncated),
-        }
-    }
-
-    /// Read a big-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, StateError> {
-        let end = self.pos.checked_add(4).ok_or(StateError::Truncated)?;
-        match *self.data.get(self.pos..end).ok_or(StateError::Truncated)? {
-            [a, b, c, d] => {
-                self.pos = end;
-                Ok(u32::from_be_bytes([a, b, c, d]))
-            }
-            _ => Err(StateError::Truncated),
-        }
-    }
-
-    /// Read a big-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, StateError> {
-        let end = self.pos.checked_add(8).ok_or(StateError::Truncated)?;
-        match *self.data.get(self.pos..end).ok_or(StateError::Truncated)? {
-            [a, b, c, d, e, f, g, h] => {
-                self.pos = end;
-                Ok(u64::from_be_bytes([a, b, c, d, e, f, g, h]))
-            }
-            _ => Err(StateError::Truncated),
-        }
-    }
-
-    /// Read a big-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, StateError> {
-        let hi = self.u64()?;
-        let lo = self.u64()?;
-        Ok((u128::from(hi) << 64) | u128::from(lo))
-    }
-
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<&'a [u8], StateError> {
-        let len = self.u64()?;
-        let n = usize::try_from(len).map_err(|_| StateError::Truncated)?;
-        let end = self.pos.checked_add(n).ok_or(StateError::Truncated)?;
-        let s = self.data.get(self.pos..end).ok_or(StateError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, StateError> {
-        std::str::from_utf8(self.bytes()?)
-            .map_err(|_| StateError::Invalid("non-UTF-8 string in state"))
-    }
-
-    /// Read an element count and sanity-cap it against the remaining bytes,
-    /// assuming each element needs at least `min_element_size` bytes. A
-    /// corrupted count then fails fast instead of driving a giant loop.
-    pub fn count(&mut self, min_element_size: usize) -> Result<usize, StateError> {
-        let raw = self.u64()?;
-        let n = usize::try_from(raw).map_err(|_| StateError::Truncated)?;
-        let need = n.checked_mul(min_element_size.max(1)).ok_or(StateError::Truncated)?;
-        if need > self.remaining() {
-            return Err(StateError::Truncated);
-        }
-        Ok(n)
-    }
-}
 
 /// Why a sealed record's trailer was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

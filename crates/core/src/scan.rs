@@ -441,17 +441,6 @@ struct Peering<'a> {
     dst_member: MemberId,
 }
 
-/// One per-IP entry as [`WeekScan::save_state`] writes it: the fields of
-/// the state format, whose writer (and so its pinned schema digest) reads
-/// the same now that the URI ids live outside [`IpStats`].
-struct IpRow<'a> {
-    bytes: u64,
-    samples: u32,
-    evidence: Evidence,
-    member: MemberId,
-    uris: &'a [u32],
-}
-
 /// What one peering sample adds to the per-IP table, worked out before the
 /// table is touched (see [`WeekScan::ingest`]).
 #[derive(Clone, Copy, Default)]
@@ -475,17 +464,141 @@ const APPLY_BATCH: usize = 16;
 /// Serialization format version of [`WeekScan`] state.
 pub const WEEKSCAN_STATE_VERSION: u32 = 1;
 
-/// Address bits one pass of [`WeekScan::address_order`] sorts by, and the
-/// passes that cover an address: 11 + 11 + 10. A table of 2 048 counters
-/// stays in the first-level cache while its pass scatters; the 65 536 of a
-/// two-pass sort would not.
+/// Size of one per-IP row of the state format before its URI ids: the u32
+/// key, u64 bytes, u32 samples, u16 evidence, u32 member and the id count
+/// byte. Each id adds four.
+const IP_ROW_LEN: usize = 23;
+
+/// From this many addresses on, [`WeekScan::save_state`] sorts and writes
+/// the per-IP rows in two address ranges, the upper on a second core;
+/// below it, in one range on the caller. Measured on a two-core Xeon, the
+/// split halved the sort-and-write of `paper(400)`'s 349 K addresses
+/// (17.4 → 8.6 ms), but bought a `small` table (65 K) 5 % of its checkpoint
+/// and cost its report 3–7 %: the report walks the table next, and the
+/// helper had left half of it in the other core's cache.
+const SPLIT_AT_IPS: usize = 1 << 17;
+
+/// Address bits one pass of [`sort_by_address`] sorts by, and the passes
+/// that cover an address: 11 + 11 + 10. A table of 2 048 counters stays in
+/// the first-level cache while its pass scatters; the 65 536 of a two-pass
+/// sort would not.
 const RADIX_BITS: u32 = 11;
 const RADIX: usize = 1 << RADIX_BITS;
 const RADIX_PASSES: usize = 3;
 
+/// Values of the top digit, the 10 bits the last pass sorts by. Address
+/// ranges of the table start at a top digit.
+const TOP_DIGITS: usize = 1 << (32 - RADIX_BITS as usize * (RADIX_PASSES - 1));
+
 /// The digit of `ip` that pass `pass` sorts by, lowest first.
 fn radix_digit(ip: u32, pass: usize) -> usize {
     (ip >> (RADIX_BITS as usize * pass)) as usize & (RADIX - 1)
+}
+
+/// The top digit of `ip`, below [`TOP_DIGITS`].
+fn top_digit(ip: u32) -> usize {
+    radix_digit(ip, RADIX_PASSES - 1)
+}
+
+/// An address of the per-IP table and its entry.
+type Pair<'a> = (u32, &'a IpStats);
+
+/// The per-IP table dealt into address ranges by
+/// [`WeekScan::address_ranges`]: every address of a range is below every
+/// address of the next.
+struct AddressRanges<'a> {
+    /// The pairs, range after range, each range in table order.
+    dealt: Vec<Pair<'a>>,
+    /// A second buffer as long, to sort into.
+    scratch: Vec<Pair<'a>>,
+    /// Per range, lowest first: how many pairs, and the exact size of their
+    /// rows in the state format.
+    ranges: Vec<(usize, usize)>,
+}
+
+impl<'a> AddressRanges<'a> {
+    /// The exact size of every row in the state format.
+    fn bytes(&self) -> usize {
+        self.ranges.iter().map(|(_, bytes)| bytes).sum()
+    }
+
+    /// Sort each range by address and hand it to `visit` with the sink of
+    /// the same index: the lowest on the caller, each other on a scoped
+    /// thread of its own, which leaves that range's rows in its core's
+    /// cache while it writes them. A panic on a thread is resumed here.
+    fn sorted_each<S: Send>(self, sinks: &mut [S], visit: impl Fn(&[Pair<'a>], &mut S) + Sync) {
+        let AddressRanges { mut dealt, mut scratch, ranges } = self;
+        let (mut rest, mut rest_scratch) = (&mut dealt[..], &mut scratch[..]);
+        let mut jobs = Vec::with_capacity(ranges.len());
+        for ((len, _), sink) in ranges.iter().zip(sinks) {
+            let at = (*len).min(rest.len()).min(rest_scratch.len());
+            let (pairs, tail) = std::mem::take(&mut rest).split_at_mut(at);
+            let (scratch, scratch_tail) = std::mem::take(&mut rest_scratch).split_at_mut(at);
+            (rest, rest_scratch) = (tail, scratch_tail);
+            jobs.push((pairs, scratch, sink));
+        }
+        let run =
+            |(pairs, scratch, sink): (_, _, &mut S)| visit(sort_by_address(pairs, scratch), sink);
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next();
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = jobs.map(|job| scope.spawn(|| run(job))).collect();
+            if let Some(job) = first {
+                run(job);
+            }
+            for helper in helpers {
+                helper.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            }
+        });
+    }
+}
+
+/// Sort `pairs` by address, dealing into `scratch` (as long) and back; the
+/// sorted pairs are in whichever of the two the last pass dealt into. A
+/// stable counting sort, lowest digit first: one walk counts every digit,
+/// then each pass [`deal`]s the pairs by its digit. That is three
+/// sequential reads and three scatters over 2 048 open cache lines where a
+/// comparison sort makes some eighteen data-dependent passes.
+fn sort_by_address<'s, 'a>(
+    mut pairs: &'s mut [Pair<'a>],
+    mut scratch: &'s mut [Pair<'a>],
+) -> &'s [Pair<'a>] {
+    let mut counts = [[0usize; RADIX]; RADIX_PASSES];
+    for (ip, _) in pairs.iter() {
+        for (pass, counts) in counts.iter_mut().enumerate() {
+            if let Some(n) = counts.get_mut(radix_digit(*ip, pass)) {
+                *n += 1;
+            }
+        }
+    }
+    for (pass, counts) in counts.iter_mut().enumerate() {
+        deal(pairs, scratch, counts, |ip| radix_digit(ip, pass));
+        std::mem::swap(&mut pairs, &mut scratch);
+    }
+    pairs
+}
+
+/// Deal `from` into `into` (as long) by the key of each address, stably:
+/// `counts` holds how many pairs have each key, turns into where the first
+/// of each goes, and the pairs go there in the order they are found — which
+/// is what makes successive deals compose into a sort.
+fn deal<'a>(
+    from: &[Pair<'a>],
+    into: &mut [Pair<'a>],
+    counts: &mut [usize],
+    key: impl Fn(u32) -> usize,
+) {
+    let mut next = 0;
+    for n in counts.iter_mut() {
+        next += std::mem::replace(n, next);
+    }
+    for pair in from {
+        let Some(next) = counts.get_mut(key(pair.0)) else { continue };
+        if let Some(slot) = into.get_mut(*next) {
+            *slot = *pair;
+        }
+        *next += 1;
+    }
 }
 
 /// The result of scanning one week of sFlow.
@@ -761,15 +874,32 @@ impl WeekScan {
     /// states yield equal bytes. Sealing is a sync point: the registry is
     /// published up to the state being written.
     pub fn save_state(&self) -> Vec<u8> {
+        self.save_state_in(self.save_parts())
+    }
+
+    /// How many address ranges [`WeekScan::save_state`] sorts and writes
+    /// the per-IP table in: two from [`SPLIT_AT_IPS`] addresses on, else one.
+    fn save_parts(&self) -> usize {
+        if self.ips.len() < SPLIT_AT_IPS {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// [`WeekScan::save_state`] with the per-IP rows sorted and written in
+    /// `parts` address ranges. The lowest range writes into the state
+    /// buffer, each other one into a run of its own that is appended after
+    /// it; the buffer is allocated once, at its exact length.
+    fn save_state_in(&self, parts: usize) -> Vec<u8> {
         self.publish();
-        let (ips, ip_bytes) = self.address_order();
-        // Exact size of everything written ahead of the nested collector
-        // state: header and cascade totals, length-prefixed names, per-IP
-        // entries, tally.
+        let ranges = self.address_ranges(parts);
+        let collector = self.collector.save_state();
         let names: usize = self.domains.names.iter().map(|n| 8 + n.len()).sum();
-        let own_len = 25 + 24 * Category::ALL.len() + 8 + names + 8 + ip_bytes
-            + 8 * self.tally.fields().len();
-        let mut out = Vec::with_capacity(own_len);
+        let len = 25 + 24 * Category::ALL.len() + 8 + names + 8 + ranges.bytes()
+            + 8 * self.tally.fields().len()
+            + collector.len();
+        let mut out = Vec::with_capacity(len);
         checkpoint::put_u32(&mut out, WEEKSCAN_STATE_VERSION);
         checkpoint::put_u8(&mut out, self.week.0);
         checkpoint::put_u32(&mut out, self.member_count);
@@ -785,74 +915,75 @@ impl WeekScan {
         for name in &self.domains.names {
             checkpoint::put_str(&mut out, name);
         }
-        checkpoint::put_u64(&mut out, ips.len() as u64);
-        for (ip, s) in &ips {
-            let s = IpRow {
-                bytes: s.bytes,
-                samples: s.samples,
-                evidence: s.evidence,
-                member: s.member,
-                uris: self.uris(s),
-            };
-            checkpoint::put_u32(&mut out, *ip);
-            checkpoint::put_u64(&mut out, s.bytes);
-            checkpoint::put_u32(&mut out, s.samples);
-            checkpoint::put_u16(&mut out, s.evidence.0);
-            checkpoint::put_u32(&mut out, s.member.0);
-            checkpoint::put_u8(&mut out, s.uris.len().min(MAX_URIS_PER_IP) as u8);
-            for id in s.uris.iter().take(MAX_URIS_PER_IP) {
-                checkpoint::put_u32(&mut out, *id);
-            }
+        checkpoint::put_u64(&mut out, self.ips.len() as u64);
+        let mut runs: Vec<Vec<u8>> =
+            ranges.ranges.iter().skip(1).map(|(_, bytes)| Vec::with_capacity(*bytes)).collect();
+        let mut sinks: Vec<&mut Vec<u8>> = std::iter::once(&mut out).chain(&mut runs).collect();
+        ranges.sorted_each(&mut sinks, |rows, out| self.put_rows(rows, out));
+        for run in &runs {
+            out.extend_from_slice(run);
         }
         for f in self.tally.fields() {
             checkpoint::put_u64(&mut out, f);
         }
-        let collector = self.collector.save_state();
-        out.reserve_exact(collector.len());
         out.extend_from_slice(&collector);
         out
     }
 
-    /// The per-IP table in address order — the order that makes equal
-    /// states equal bytes — and the exact size of its entries in the state
-    /// format. One walk of the table collects the `(address, entry)` pairs,
-    /// sums the size and counts every digit; then a stable counting sort,
-    /// lowest digit first, deals the pairs from one buffer into the other
-    /// once a digit. That is three sequential reads and three scatters over
-    /// 2 048 open cache lines where a comparison sort makes some eighteen
-    /// data-dependent passes; the second buffer is gone before the state
-    /// buffer, which is larger, is allocated.
-    fn address_order(&self) -> (Vec<(u32, &IpStats)>, usize) {
+    /// Append the state-format row of each of `rows`, entries of this scan.
+    fn put_rows(&self, rows: &[Pair<'_>], out: &mut Vec<u8>) {
+        for (ip, s) in rows {
+            let uris = self.uris(s);
+            checkpoint::put_u32(out, *ip);
+            checkpoint::put_u64(out, s.bytes);
+            checkpoint::put_u32(out, s.samples);
+            checkpoint::put_u16(out, s.evidence.0);
+            checkpoint::put_u32(out, s.member.0);
+            checkpoint::put_u8(out, uris.len().min(MAX_URIS_PER_IP) as u8);
+            for id in uris.iter().take(MAX_URIS_PER_IP) {
+                checkpoint::put_u32(out, *id);
+            }
+        }
+    }
+
+    /// The per-IP table dealt into `parts` address ranges (at least one)
+    /// for [`AddressRanges::sorted_each`]. One walk of the table collects
+    /// the `(address, entry)` pairs and, per top digit, counts them and sums
+    /// the size of their rows. Range `k` starts at the first top digit with
+    /// at least `k / parts` of the pairs below it, and one [`deal`] by range
+    /// puts the ranges one after the other. The buffer the pairs were
+    /// collected in is the one the ranges are sorted into.
+    fn address_ranges(&self, parts: usize) -> AddressRanges<'_> {
+        let parts = parts.max(1);
         let mut pairs = Vec::with_capacity(self.ips.len());
-        let mut bytes = 0;
-        let mut counts = [[0usize; RADIX]; RADIX_PASSES];
+        let mut tops = [(0usize, 0usize); TOP_DIGITS];
         for (ip, stats) in &self.ips {
             pairs.push((*ip, stats));
-            // u32 key + u64 + 2×u32 + u16 + uri count byte, then the ids.
-            bytes += 23 + 4 * self.uris(stats).len();
-            for (pass, counts) in counts.iter_mut().enumerate() {
-                if let Some(n) = counts.get_mut(radix_digit(*ip, pass)) {
-                    *n += 1;
-                }
+            if let Some((n, bytes)) = tops.get_mut(top_digit(*ip)) {
+                *n += 1;
+                *bytes += IP_ROW_LEN + 4 * self.uris(stats).len();
             }
+        }
+        let mut ranges = vec![(0, 0); parts];
+        let mut range_of = [0usize; TOP_DIGITS];
+        let mut below = 0;
+        for ((n, bytes), range) in tops.iter().zip(&mut range_of) {
+            *range = (1..parts).take_while(|k| below * parts >= k * pairs.len()).count();
+            if let Some((len, size)) = ranges.get_mut(*range) {
+                *len += n;
+                *size += bytes;
+            }
+            below += n;
         }
         let mut dealt = pairs.clone();
-        for (pass, counts) in counts.iter_mut().enumerate() {
-            // From how many pairs hold each digit to where the first goes.
-            let mut next = 0;
-            for n in counts.iter_mut() {
-                next += std::mem::replace(n, next);
-            }
-            for pair in &pairs {
-                let Some(next) = counts.get_mut(radix_digit(pair.0, pass)) else { continue };
-                if let Some(slot) = dealt.get_mut(*next) {
-                    *slot = *pair;
-                }
-                *next += 1;
-            }
-            std::mem::swap(&mut pairs, &mut dealt);
+        // One range is dealt already.
+        if parts > 1 {
+            let mut lens: Vec<usize> = ranges.iter().map(|(len, _)| *len).collect();
+            deal(&pairs, &mut dealt, &mut lens, |ip| {
+                range_of.get(top_digit(ip)).map_or(usize::MAX, |range| *range)
+            });
         }
-        (pairs, bytes)
+        AddressRanges { dealt, scratch: pairs, ranges }
     }
 
     /// Restore a scan from [`WeekScan::save_state`] bytes. The blob is
@@ -884,8 +1015,7 @@ impl WeekScan {
             }
         }
         let domain_count = scan.domains.len() as u32;
-        // Per-IP entry: u32 key + u64 + 2×u32 + u16 + uri count byte.
-        let n_ips = cur.count(19)?;
+        let n_ips = cur.count(IP_ROW_LEN)?;
         scan.ips.reserve(n_ips);
         let mut prev_ip: Option<u32> = None;
         for _ in 0..n_ips {
@@ -1154,10 +1284,17 @@ mod tests {
         assert_eq!(r.domains.len(), scan.domains.len(), "known domain re-interned");
     }
 
+    /// The part counts `save_state` takes: one below [`SPLIT_AT_IPS`]
+    /// addresses, two from it on.
+    const PARTS: [usize; 2] = [1, 2];
+
     #[test]
     fn save_state_sizes_its_buffer_exactly() {
-        let blob = messy_scan().save_state();
-        assert_eq!(blob.capacity(), blob.len());
+        let scan = messy_scan();
+        for parts in PARTS {
+            let blob = scan.save_state_in(parts);
+            assert_eq!(blob.capacity(), blob.len(), "{parts} part(s)");
+        }
     }
 
     /// The address order `save_state` used before the counting sort,
@@ -1230,18 +1367,33 @@ mod tests {
         scan
     }
 
-    /// The counting sort puts the same entries (by identity, not only by
-    /// address) in the same order as the comparison sort, sums the length
-    /// the separate walk summed, and so leaves the same bytes.
+    /// The table in address order as `parts` sorted ranges hand it to
+    /// their writers, and the size of its rows.
+    fn address_order_in(scan: &WeekScan, parts: usize) -> (Vec<(u32, &IpStats)>, usize) {
+        let ranges = scan.address_ranges(parts);
+        let bytes = ranges.bytes();
+        let mut orders = vec![Vec::new(); ranges.ranges.len()];
+        ranges.sorted_each(&mut orders, |pairs, order| order.extend_from_slice(pairs));
+        (orders.concat(), bytes)
+    }
+
+    /// For each part count, the counting sort puts the same entries (by
+    /// identity, not only by address) in the same order as the comparison
+    /// sort, sums the length the separate walk summed, and so leaves the
+    /// same bytes.
     fn assert_orders_as_the_reference(scan: &WeekScan) {
         let entries = |order: Vec<(u32, &IpStats)>| -> Vec<(u32, *const IpStats)> {
             order.into_iter().map(|(ip, s)| (ip, std::ptr::from_ref(s))).collect()
         };
-        let (order, bytes) = scan.address_order();
         let walked: usize = scan.ips.values().map(|s| 23 + 4 * scan.uris(s).len()).sum();
-        assert_eq!(bytes, walked);
-        assert_eq!(entries(order), entries(address_order_reference(scan)));
-        assert!(scan.save_state() == save_state_reference(scan), "state bytes differ");
+        let reference = save_state_reference(scan);
+        for parts in PARTS {
+            let (order, bytes) = address_order_in(scan, parts);
+            assert_eq!(bytes, walked, "{parts} part(s)");
+            assert_eq!(entries(order), entries(address_order_reference(scan)), "{parts} part(s)");
+            assert!(scan.save_state_in(parts) == reference, "{parts} part(s): state bytes differ");
+        }
+        assert!(scan.save_state() == reference, "state bytes differ");
     }
 
     #[test]
@@ -1252,6 +1404,23 @@ mod tests {
         }
         assert_orders_as_the_reference(&table_of([u32::MAX, 0]));
         assert_orders_as_the_reference(&table_of([0, u32::MAX, 1, u32::MAX - 1, 1 << 31]));
+        // Every address under one top digit: the upper range is empty.
+        let top = |digit: u32, low: u32| (digit << 22) | (low & ((1 << 22) - 1));
+        let one_digit = table_of((0..500).map(|i| top(5, i * 7_919)));
+        assert_eq!(one_digit.address_ranges(2).ranges[1], (0, 0));
+        assert_orders_as_the_reference(&one_digit);
+        // Both sides of the split digit and on it, down to its first and
+        // last address and the last one below it.
+        let around =
+            [3, 5, 6, 9].into_iter().flat_map(|d| (0..100).map(move |i| top(d, i * 40_009)));
+        let edges = [top(6, 0), top(6, u32::MAX), top(5, u32::MAX)];
+        let split = table_of(around.chain(edges));
+        let (lower, upper) = split.ips.keys().partition::<Vec<u32>, _>(|ip| top_digit(**ip) < 6);
+        assert_eq!(split.address_ranges(2).ranges.iter().map(|r| r.0).collect::<Vec<_>>(), [
+            lower.len(),
+            upper.len()
+        ]);
+        assert_orders_as_the_reference(&split);
         // Every value of one digit under fixed other digits, for each of the
         // three digits: an order only that pass can establish.
         for pass in 0..RADIX_PASSES {
@@ -1263,6 +1432,19 @@ mod tests {
                 assert!(scan.ips.len() >= RADIX / 2, "pass {pass}: {} addresses", scan.ips.len());
                 assert_orders_as_the_reference(&scan);
             }
+        }
+    }
+
+    /// A table one address short of [`SPLIT_AT_IPS`] is written in one
+    /// part, one at it in two, and both leave the reference bytes.
+    #[test]
+    fn save_state_splits_from_its_constant_on() {
+        // An odd multiplier spreads the addresses over every top digit.
+        let spread = |n: usize| table_of((0..n as u32).map(|i| i.wrapping_mul(0x9e37_79b9)));
+        for (ips, parts) in [(SPLIT_AT_IPS - 1, 1), (SPLIT_AT_IPS, 2)] {
+            let scan = spread(ips);
+            assert_eq!((scan.ips.len(), scan.save_parts()), (ips, parts));
+            assert!(scan.save_state() == save_state_reference(&scan), "{ips} addresses");
         }
     }
 
@@ -1293,7 +1475,10 @@ mod tests {
             assert_orders_as_the_reference(scan);
             let blob = scan.save_state();
             let restored = WeekScan::restore_state(&blob).expect("restore");
-            assert!(restored.save_state() == blob, "save → restore → save changed bytes");
+            for parts in PARTS {
+                let again = restored.save_state_in(parts);
+                assert!(again == blob, "{parts} part(s): save → restore → save changed bytes");
+            }
             assert_orders_as_the_reference(&restored);
         }
     }

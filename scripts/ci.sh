@@ -115,6 +115,10 @@ for module in crates/wire/src/lib.rs crates/codec/src/lib.rs \
     grep '^#!\[' "$module" | grep -qxF "$arith" ||
         fail "$module must open with the line: $arith"
 done
+# The field codec is inlined into every crate that writes or reads state
+# (there is no LTO): the lint on its module makes a writer or reader
+# without #[inline] a clippy finding.
+opens_with crates/codec/src/field.rs '#![deny(clippy::missing_inline_in_public_items)]'
 # The token linter is gone, and a directive it read vouches for nothing.
 if grep -rn --include='*.rs' 'ixp[-]lint:' src tests examples benchmark/src crates vendor >&2; then
     fail "a directive of the deleted linter is left: vouch with #[allow(clippy::.., reason = \"..\")]"
@@ -419,7 +423,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings ||
 echo "==> clippy contract fixture (every lint of the contract still fires)"
 # One violation per lint of the contract (the contract line, the
 # arithmetic and indexing lines of the decode-side modules and of
-# core/src/scan.rs, and the clippy.toml rows), plus the shapes that must
+# core/src/scan.rs, the inline line of the field codec, and the clippy.toml
+# rows), plus the shapes that must
 # stay silent, under the same lines and the root clippy.toml. A lint that
 # stops firing (renamed, moved to another group, clippy.toml no longer
 # read) shows up here, not as a decoder that panics.

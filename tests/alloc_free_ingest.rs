@@ -217,6 +217,38 @@ fn a_data_packet_under_a_cached_template_costs_its_copy_its_records_and_its_work
     }
 }
 
+/// A per-IP row is at least 23 bytes, so a scan state whose row count claims
+/// one row more than the bytes after it can hold is refused when the count
+/// is read, before it sizes the table. (Capped at 19 bytes a row, such a
+/// count passed and reserved a table larger than the whole state.)
+#[test]
+fn a_row_count_past_the_remaining_bytes_is_refused_before_it_sizes_the_table() {
+    use ixp_vantage::codec::StateError;
+    use ixp_vantage::core::Category;
+
+    let (feed, members) = tiny_week();
+    let mut scan = WeekScan::new(Week::REFERENCE, members);
+    for datagram in &feed {
+        scan.ingest(datagram);
+    }
+    let mut blob = scan.save_state();
+    // The count follows the header, the cascade totals and the names.
+    let names: usize = scan.domains.iter().map(|name| 8 + name.len()).sum();
+    let at = 25 + 24 * Category::ALL.len() + 8 + names;
+    assert_eq!(blob[at..at + 8], (scan.unique_ips() as u64).to_be_bytes());
+    let claimed = (blob.len() - at - 8) / 23 + 1;
+    blob[at..at + 8].copy_from_slice(&(claimed as u64).to_be_bytes());
+
+    let (restored, _, bytes) = allocated(|| WeekScan::restore_state(&blob).map(drop));
+    assert!(restored.is_err(), "{claimed} rows restored");
+    assert!(
+        bytes < blob.len() as u64,
+        "{bytes} bytes allocated for a state of {} claiming {claimed} rows",
+        blob.len()
+    );
+    assert_eq!(restored, Err(StateError::Truncated));
+}
+
 /// Overwrite each aligned 2-byte word of `valid`, then each aligned 4-byte
 /// word, with all-ones — the largest length or count the field can claim —
 /// resealing a sealed record so the damage reaches the field readers, and

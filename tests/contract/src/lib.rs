@@ -6,8 +6,11 @@
 
 pub mod accounting;
 pub mod analysis;
+mod field;
 pub mod report;
 pub mod xdr;
+
+pub use field::{put_inlined, put_outlined, Reader};
 
 pub struct Malformed;
 
