@@ -18,7 +18,7 @@ use ixp_traffic::{MixConfig, WeekStream};
 
 use crate::census::ServerCensus;
 use crate::scan::{IngestHealth, WeekScan};
-use crate::snapshot::WeeklySnapshot;
+use crate::snapshot::{peering_walk, WeeklySnapshot};
 
 /// Registry name of one pipeline stage's duration histogram
 /// (`core_stage_duration_ns{stage="..."}`). Exposed so orchestration code
@@ -131,13 +131,19 @@ impl<'m> Analyzer<'m> {
     }
 
     /// Finish the weekly pipeline from a completed scan: identify →
-    /// aggregate → health.
+    /// aggregate → health. A helper thread starts the snapshot's peering
+    /// walk while the caller runs the census, and the caller then takes a
+    /// share of what is left of the walk; the server view, which needs the
+    /// census, follows on the caller. So the `snapshot` stage spans the
+    /// `census` one.
     pub fn report_from_scan(&self, scan: WeekScan) -> WeeklyReport {
-        let census = self.obs.time(&stage_metric("census"), || {
-            ServerCensus::identify(&scan, self.model, &self.dns, &self.crawl)
-        });
-        let snapshot = self.obs.time(&stage_metric("snapshot"), || {
-            WeeklySnapshot::build(&scan, &census, self.model)
+        let (snapshot, census) = self.obs.time(&stage_metric("snapshot"), || {
+            let (peering, census) = peering_walk(&scan, self.model, || {
+                self.obs.time(&stage_metric("census"), || {
+                    ServerCensus::identify(&scan, self.model, &self.dns, &self.crawl)
+                })
+            });
+            (WeeklySnapshot::from_peering(&scan, &census, self.model, peering), census)
         });
         WeeklyReport { snapshot, census, health: scan.ingest_health() }
     }
@@ -243,6 +249,20 @@ mod tests {
         assert_eq!(direct.census.len(), via_study.census.len());
         assert_eq!(direct.snapshot.peering.ips, via_study.snapshot.peering.ips);
         assert_eq!(direct.snapshot.filter.total(), via_study.snapshot.filter.total());
+    }
+
+    #[test]
+    fn reports_of_one_scan_render_alike_however_the_walk_splits() {
+        // Every restore draws a new hasher, so each report walks the table
+        // in another order and the two workers split it differently.
+        let a = testutil::analyzer();
+        let state = testutil::scanned_weeks()[1].0.save_state();
+        let render = |r: &WeeklyReport| format!("{:#?}{:#?}{:#?}", r.snapshot, r.census.records, r.health);
+        let first = render(&a.report_from_scan(WeekScan::restore_state(&state).unwrap()));
+        for _ in 1..20 {
+            let again = a.report_from_scan(WeekScan::restore_state(&state).unwrap());
+            assert!(render(&again) == first, "a report of the same scan rendered differently");
+        }
     }
 
     #[test]

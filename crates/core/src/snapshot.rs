@@ -8,7 +8,9 @@
 
 #![deny(clippy::disallowed_types)]
 
-use std::collections::BTreeMap;
+use std::collections::{hash_map, BTreeMap};
+use std::net::Ipv4Addr;
+use std::sync::{Mutex, PoisonError};
 
 use ixp_netmodel::{
     CountryId, InternetModel, Locality, MemberId, Region, Week,
@@ -16,7 +18,7 @@ use ixp_netmodel::{
 use ixp_sflow::TrafficEstimate;
 
 use crate::census::{MetadataCoverage, ServerCensus};
-use crate::scan::{Evidence, FilterReport, WeekScan};
+use crate::scan::{Evidence, FilterReport, IpStats, WeekScan};
 
 /// One "view" block of Table 1 (peering or server traffic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -138,30 +140,177 @@ pub struct WeeklySnapshot {
     pub client_ips: u64,
 }
 
+/// Addresses a walker copies out of the table per hold of its lock, and
+/// the batch whose routing lookups then run back to back. DESIGN §14 ("The
+/// report path") records the measurement that set it.
+const CHUNK: usize = 512;
+
+/// What the peering walk adds up, per walker. Every field is a sum, or for
+/// `prefix_seen` an OR, so the merged sums do not depend on which walker
+/// took which address. The peering view's totals and its Table 3 split
+/// are sums of `as_peering`, taken after the merge.
+pub(crate) struct PeeringSums {
+    /// Per country: (resolved IPs, bytes).
+    country: Vec<(u64, u64)>,
+    /// Per dense AS index: (resolved IPs, bytes).
+    by_as: Vec<(u32, u64)>,
+    /// Per dense prefix index: some address resolved into it.
+    prefix_seen: Vec<bool>,
+    /// Addresses no prefix covers.
+    unresolved: u64,
+    /// Addresses seen acting as clients.
+    client_ips: u64,
+}
+
+impl PeeringSums {
+    fn zero(model: &InternetModel) -> PeeringSums {
+        PeeringSums {
+            country: vec![(0, 0); model.countries.len()],
+            by_as: vec![(0, 0); model.registry.len()],
+            prefix_seen: vec![false; model.routing.len()],
+            unresolved: 0,
+            client_ips: 0,
+        }
+    }
+
+    /// Fold another walker's sums into these (and drop them).
+    fn add(&mut self, other: PeeringSums) {
+        for (a, b) in self.country.iter_mut().zip(&other.country) {
+            a.0 += b.0;
+            a.1 += b.1;
+        }
+        for (a, b) in self.by_as.iter_mut().zip(&other.by_as) {
+            a.0 += b.0;
+            a.1 += b.1;
+        }
+        for (a, b) in self.prefix_seen.iter_mut().zip(&other.prefix_seen) {
+            *a |= *b;
+        }
+        self.unresolved += other.unresolved;
+        self.client_ips += other.client_ips;
+    }
+}
+
+/// The peering walk over `scan.ips` on two workers, and `side`'s result.
+/// One scoped helper thread walks from the start; the caller runs `side`
+/// and then joins the walk. Each worker adds the chunks it takes into sums
+/// of its own, and the helper's are merged into the caller's here; a panic
+/// on the helper is resumed on the caller. `side` stays on the caller so
+/// that what it allocates comes from the caller's heap, which is where it
+/// is freed (DESIGN §14).
+pub(crate) fn peering_walk<T>(
+    scan: &WeekScan,
+    model: &InternetModel,
+    side: impl FnOnce() -> T,
+) -> (PeeringSums, T) {
+    peering_walk_in::<CHUNK, T>(scan, model, side)
+}
+
+/// [`peering_walk`] with chunks of `N` addresses.
+fn peering_walk_in<const N: usize, T>(
+    scan: &WeekScan,
+    model: &InternetModel,
+    side: impl FnOnce() -> T,
+) -> (PeeringSums, T) {
+    let table = Mutex::new(scan.ips.iter());
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(|| walk::<N>(&table, model));
+        let side = side();
+        let mut sums = walk::<N>(&table, model);
+        sums.add(helper.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        (sums, side)
+    })
+}
+
+/// One worker's share of the walk: chunks of up to `N` addresses taken
+/// from the shared iterator until it is dry. Within a chunk every routing
+/// lookup runs first, back to back so that their cache misses overlap,
+/// and then every update (evaluate, then apply, as ingest does).
+fn walk<const N: usize>(
+    table: &Mutex<hash_map::Iter<'_, u32, IpStats>>,
+    model: &InternetModel,
+) -> PeeringSums {
+    let routing = &model.routing;
+    let mut sums = PeeringSums::zero(model);
+    let mut chunk = [(0u32, 0u64, false); N];
+    let mut resolved = [None::<u32>; N];
+    loop {
+        let taken = {
+            // Every update under the lock is the iterator's own step, so a
+            // poisoned lock still holds a valid iterator.
+            let mut rest = table.lock().unwrap_or_else(PoisonError::into_inner);
+            // The chunk leads the zip: the table gives up no address the
+            // chunk has no room for.
+            let mut taken = 0;
+            for (slot, (ip, stats)) in chunk.iter_mut().zip(&mut *rest) {
+                *slot = (*ip, stats.bytes, stats.evidence.has(Evidence::CLIENT));
+                taken += 1;
+            }
+            taken
+        };
+        if taken == 0 {
+            return sums;
+        }
+        let chunk = &chunk[..taken];
+        for (entry, (ip, _, _)) in resolved.iter_mut().zip(chunk) {
+            *entry = routing.lookup(Ipv4Addr::from(*ip));
+        }
+        for (entry, (_, bytes, client)) in resolved.iter().zip(chunk) {
+            sums.client_ips += u64::from(*client);
+            let Some(entry) = *entry else {
+                sums.unresolved += 1;
+                continue;
+            };
+            let country = &mut sums.country[routing.entry(entry).country.0 as usize];
+            country.0 += 1;
+            country.1 += bytes;
+            let by_as = &mut sums.by_as[routing.origin_index(entry) as usize];
+            by_as.0 += 1;
+            by_as.1 += bytes;
+            sums.prefix_seen[entry as usize] = true;
+        }
+    }
+}
+
 impl WeeklySnapshot {
-    /// Aggregate a finished scan + census.
+    /// Aggregate a finished scan + census. The walk over the scan's table
+    /// runs on the caller and one helper thread.
     pub fn build(
         scan: &WeekScan,
         census: &ServerCensus,
         model: &InternetModel,
+    ) -> WeeklySnapshot {
+        let (peering, ()) = peering_walk(scan, model, || ());
+        WeeklySnapshot::from_peering(scan, census, model, peering)
+    }
+
+    /// The rest of [`WeeklySnapshot::build`] after the peering walk: the
+    /// server view, which needs the census, and the roll-ups.
+    pub(crate) fn from_peering(
+        scan: &WeekScan,
+        census: &ServerCensus,
+        model: &InternetModel,
+        peering_sums: PeeringSums,
     ) -> WeeklySnapshot {
         let week = scan.week;
         let n_countries = model.countries.len();
         let n_as = model.registry.len();
         let n_prefix = model.routing.len();
 
-        let mut country_peering = vec![(0u64, 0u64); n_countries];
+        let PeeringSums {
+            country: country_peering,
+            by_as: as_peering,
+            prefix_seen,
+            unresolved,
+            client_ips,
+        } = peering_sums;
         let mut country_server = vec![(0u64, 0u64); n_countries];
-        let mut as_peering = vec![(0u32, 0u64); n_as];
         let mut as_server = vec![(0u32, 0u64); n_as];
-        let mut prefix_seen = vec![false; n_prefix];
         let mut prefix_server = vec![false; n_prefix];
         let mut peering = ViewStats::default();
         let mut server_view = ViewStats::default();
         let mut peering_loc = LocalitySplit::default();
         let mut server_loc = LocalitySplit::default();
-        let mut unresolved = 0u64;
-        let mut client_ips = 0u64;
 
         // Locality per AS is week-dependent; pre-compute once.
         let locality: Vec<Locality> = (0..n_as as u32)
@@ -173,30 +322,13 @@ impl WeeklySnapshot {
             Locality::Global => 2,
         };
 
-        // Peering view: every unique endpoint IP.
-        for (raw_ip, stats) in &scan.ips {
-            if stats.evidence.has(Evidence::CLIENT) {
-                client_ips += 1;
-            }
-            let entry = match model.routing.lookup(std::net::Ipv4Addr::from(*raw_ip)) {
-                Some(idx) => idx,
-                None => {
-                    unresolved += 1;
-                    continue;
-                }
-            };
-            let e = model.routing.entry(entry);
-            let as_idx = model.routing.origin_index(entry) as usize;
-            peering.ips += 1;
-            peering.bytes += stats.bytes;
-            country_peering[e.country.0 as usize].0 += 1;
-            country_peering[e.country.0 as usize].1 += stats.bytes;
-            as_peering[as_idx].0 += 1;
-            as_peering[as_idx].1 += stats.bytes;
-            prefix_seen[entry as usize] = true;
-            let l = loc_idx(locality[as_idx]);
-            peering_loc.ips[l] += 1;
-            peering_loc.bytes[l] += stats.bytes;
+        // Peering view: every resolved IP counted once, under its AS.
+        for (i, (ips, bytes)) in as_peering.iter().enumerate() {
+            let l = loc_idx(locality[i]);
+            peering.ips += u64::from(*ips);
+            peering.bytes += bytes;
+            peering_loc.ips[l] += u64::from(*ips);
+            peering_loc.bytes[l] += bytes;
         }
 
         // Server view + geo alignment.
@@ -542,5 +674,55 @@ mod tests {
             assert!(built.peering.ips > 0 && built.server.ips > 0);
             testutil::assert_same_debug(&built, &reference);
         }
+    }
+
+    /// A chunk length no `tiny` table reaches: the first worker to take the
+    /// lock takes the whole table, and the other walks nothing.
+    const WHOLE: usize = 1 << 14;
+
+    /// The split walk with chunks of `N`, with no side job and with the
+    /// census as the side job, against the frozen serial walk.
+    fn assert_split_walk_matches_the_reference<const N: usize>() {
+        let (model, a) = (testutil::model(), testutil::analyzer());
+        for (scan, census) in testutil::scanned_weeks() {
+            assert!(scan.ips.len() < WHOLE);
+            let reference = build_reference(scan, census, model);
+            let (peering, ()) = peering_walk_in::<N, ()>(scan, model, || ());
+            let built = WeeklySnapshot::from_peering(scan, census, model, peering);
+            testutil::assert_same_debug(&built, &reference);
+
+            let (peering, beside) = peering_walk_in::<N, _>(scan, model, || {
+                ServerCensus::identify(scan, model, &a.dns, &a.crawl)
+            });
+            testutil::assert_same_debug(&beside.records, &census.records);
+            let built = WeeklySnapshot::from_peering(scan, &beside, model, peering);
+            testutil::assert_same_debug(&built, &reference);
+        }
+    }
+
+    #[test]
+    fn the_split_walk_equals_the_frozen_serial_walk_for_every_chunk_length() {
+        assert_split_walk_matches_the_reference::<1>();
+        assert_split_walk_matches_the_reference::<7>();
+        assert_split_walk_matches_the_reference::<CHUNK>();
+        assert_split_walk_matches_the_reference::<WHOLE>();
+    }
+
+    #[test]
+    fn an_empty_table_gives_the_zero_peering_view() {
+        let (model, a) = (testutil::model(), testutil::analyzer());
+        let scan = WeekScan::new(Week::REFERENCE, 0);
+        let census = ServerCensus::identify(&scan, model, &a.dns, &a.crawl);
+        let built = WeeklySnapshot::build(&scan, &census, model);
+        assert_eq!(built.peering, ViewStats::default());
+        assert_eq!((built.unresolved_ips, built.client_ips), (0, 0));
+        testutil::assert_same_debug(&built, &build_reference(&scan, &census, model));
+    }
+
+    #[test]
+    #[should_panic(expected = "the side job failed")]
+    fn a_panicking_side_job_panics_on_the_caller() {
+        let (scan, _) = &testutil::scanned_weeks()[0];
+        let _ = peering_walk(scan, testutil::model(), || -> () { panic!("the side job failed") });
     }
 }

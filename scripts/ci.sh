@@ -248,6 +248,17 @@ echo "==> report determinism (same seed, same bytes)"
 repro --markdown target/repro-a.md >/dev/null 2>&1
 repro --markdown target/repro-b.md >/dev/null 2>&1
 same target/repro-a.md target/repro-b.md "markdown reports differ between same-seed runs"
+# Nor may it depend on how the report's two walkers interleave: on one core
+# they take turns in whatever order the scheduler picks, and the report
+# must come out the same.
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
+        --markdown target/repro-one-core.md >/dev/null 2>&1
+    same target/repro-a.md target/repro-one-core.md \
+        "the markdown report differs when the run is held to one core"
+else
+    echo "ci: taskset not found here; the one-core report check was skipped"
+fi
 
 echo "==> metrics smoke test (snapshot determinism + schema)"
 # Two same-seed repro runs under the frozen test clock must export
