@@ -1,68 +1,39 @@
-//! `flowgen` — the loopback flow-export load generator.
+//! `flowgen` — the loopback sFlow replayer.
 //!
-//! Replays a seeded NetFlow v5/v9/IPFIX workload (the same
-//! [`ixp_transport::generate`] stream the transport soak uses in memory)
-//! over a real UDP socket, aimed at a `repro --transport udp` receiver:
+//! Regenerates the reference week's sFlow feed from the same model `repro`
+//! builds (same `--scale`, same `--seed`) and sends it over a real UDP
+//! socket to a `repro --transport udp` receiver, which takes it through
+//! socket → intake → supervisor → report:
 //!
 //! ```text
 //! cargo run --release -p ixp-bench --bin flowgen -- --target 127.0.0.1:9995
-//!     [--seed N] [--packets N] [--exporters N] [--records N]
-//!     [--template-every N] [--withhold N:LEN] [--flap N:LEN]
-//!     [--restarts N] [--pace-us N] [--probe]
+//!     [--scale tiny|small|paper:<divisor>] [--seed N] [--pace-us N] [--probe]
 //! ```
 //!
-//! Template churn is driven by the same seeded `ixp-faults` chaos
-//! windows the in-memory soak uses: `--withhold 2:60` carves two
-//! 60-packet windows where template announcements are suppressed,
-//! `--flap 1:40` one window where the announced layout changes, and
-//! `--restarts 2` picks two seeded offsets where the exporter reboots.
-//!
-//! After the workload it sends a few out-of-band [`FIN`] sentinels so the
-//! receiver stops pumping promptly. `--probe` only checks whether this
-//! environment allows binding a loopback UDP socket (exit 0 yes, 1 no) —
-//! `scripts/ci.sh` uses it to decide between the UDP smoke and the
-//! deterministic in-memory fallback.
+//! After the week it sends a few out-of-band [`FIN`] sentinels so the
+//! receiver stops promptly. `--probe` only checks whether this environment
+//! allows binding a loopback UDP socket (exit 0 yes, 1 no) — `scripts/ci.sh`
+//! uses it to decide whether to run the UDP smoke.
 
 use std::time::Duration;
 
-use ixp_transport::{generate, FlowGenConfig, Link as _, UdpLink, FIN};
+use ixp_core::analyzer::Analyzer;
+use ixp_netmodel::{InternetModel, ScaleConfig, Week};
+use ixp_transport::{Link as _, UdpLink, FIN};
 
 struct Args {
     target: String,
+    scale: ScaleConfig,
     seed: u64,
-    packets: u64,
-    exporters: u32,
-    records: u16,
-    template_every: u64,
-    withhold: (usize, u64),
-    flap: (usize, u64),
-    restarts: usize,
     pace_us: u64,
     probe: bool,
-}
-
-/// Parse an `N:LEN` window spec ("2:60" → two windows of 60 packets).
-fn parse_windows(spec: &str) -> (usize, u64) {
-    let mut it = spec.splitn(2, ':');
-    let n = it.next().and_then(|s| s.parse().ok());
-    let len = it.next().and_then(|s| s.parse().ok());
-    match (n, len) {
-        (Some(n), Some(len)) => (n, len),
-        _ => panic!("window spec must be N:LEN, got {spec}"),
-    }
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         target: "127.0.0.1:9995".to_string(),
+        scale: ScaleConfig::small(),
         seed: 2012,
-        packets: 600,
-        exporters: 3,
-        records: 8,
-        template_every: 32,
-        withhold: (0, 0),
-        flap: (0, 0),
-        restarts: 0,
         pace_us: 200,
         probe: false,
     };
@@ -76,14 +47,13 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--target" => args.target = it.next().expect("--target addr"),
             "--seed" => args.seed = num("--seed"),
-            "--packets" => args.packets = num("--packets"),
-            "--exporters" => args.exporters = num("--exporters") as u32,
-            "--records" => args.records = num("--records") as u16,
-            "--template-every" => args.template_every = num("--template-every"),
-            "--restarts" => args.restarts = num("--restarts") as usize,
             "--pace-us" => args.pace_us = num("--pace-us"),
-            "--withhold" => args.withhold = parse_windows(&it.next().expect("--withhold N:LEN")),
-            "--flap" => args.flap = parse_windows(&it.next().expect("--flap N:LEN")),
+            "--scale" => {
+                args.scale = it
+                    .next()
+                    .and_then(|name| ixp_bench::parse_scale(&name))
+                    .expect("--scale tiny|small|paper:<divisor>")
+            }
             "--probe" => args.probe = true,
             other => panic!("unknown argument {other}"),
         }
@@ -95,8 +65,8 @@ fn main() {
     let args = parse_args();
     if args.probe {
         // Can this environment open a loopback UDP socket at all? ci.sh
-        // keys the flowgen → repro smoke (vs the in-memory fallback) on
-        // the exit code; say why on stderr either way.
+        // keys the flowgen → repro smoke on the exit code; say why on
+        // stderr either way.
         match UdpLink::bind("127.0.0.1:0") {
             Ok(_) => {
                 eprintln!("flowgen: UDP loopback binding available");
@@ -109,17 +79,8 @@ fn main() {
         }
     }
 
-    let cfg = FlowGenConfig {
-        seed: args.seed,
-        packets: args.packets,
-        exporters: args.exporters,
-        records_per_packet: args.records,
-        template_every: args.template_every,
-        withhold: ixp_faults::withhold_windows(args.seed, args.packets, args.withhold.0, args.withhold.1),
-        flap: ixp_faults::flap_windows(args.seed, args.packets, args.flap.0, args.flap.1),
-        restarts: ixp_faults::exporter_restart_offsets(args.seed, args.packets, args.restarts),
-    };
-    let workload = generate(&cfg);
+    let model = InternetModel::generate(args.scale, args.seed);
+    let analyzer = Analyzer::new(&model);
     let mut link = match UdpLink::connect(&args.target) {
         Ok(link) => link,
         Err(e) => {
@@ -129,13 +90,13 @@ fn main() {
     };
     let mut sent = 0u64;
     let mut bytes = 0u64;
-    for (peer, packet) in &workload {
-        if let Err(e) = link.send(*peer, packet) {
-            eprintln!("flowgen: send failed after {sent} packets: {e}");
+    for datagram in analyzer.feed(Week::REFERENCE) {
+        if let Err(e) = link.send(0, &datagram) {
+            eprintln!("flowgen: send failed after {sent} datagrams: {e}");
             std::process::exit(1);
         }
         sent += 1;
-        bytes += packet.len() as u64;
+        bytes += datagram.len() as u64;
         if args.pace_us > 0 {
             // Loopback has no congestion control; pace so the receiver's
             // bounded inbox is a policy choice, not an artifact of burst
@@ -150,12 +111,9 @@ fn main() {
         std::thread::sleep(Duration::from_millis(10));
     }
     eprintln!(
-        "flowgen: sent {sent} packets ({bytes} bytes) to {} (seed {}, {} exporters, withhold {:?}, flap {:?}, {} restarts)",
+        "flowgen: sent {sent} sFlow datagrams ({bytes} bytes) of week {} to {} (seed {})",
+        Week::REFERENCE.0,
         args.target,
         args.seed,
-        args.exporters,
-        cfg.withhold,
-        cfg.flap,
-        cfg.restarts.len(),
     );
 }

@@ -42,15 +42,14 @@
 //! snapshot byte-identical to an uninterrupted run — `scripts/ci.sh`
 //! checks exactly that, too.
 //!
-//! `--transport memory|udp` puts the `ixp-transport` front-end in front
-//! of the supervised mode: a seeded NetFlow v5/v9/IPFIX workload (replayed
-//! in memory under wire faults, or received over a loopback UDP socket
-//! from the `flowgen` binary) is decoded through the bounded
-//! [`TransportIntake`](ixp_transport::TransportIntake), and the week's
-//! sFlow feed then rides the same intake into the supervisor. The default
-//! `--transport none` leaves the supervised path byte-identical to
-//! earlier releases. A `--kill-at` run in transport mode writes the
-//! intake's own checkpoint next to the supervisor's
+//! `--transport memory|udp` puts the bounded
+//! [`TransportIntake`](ixp_transport::TransportIntake) in front of the
+//! supervisor. With `memory` the regenerated week rides it; with `udp` the
+//! feed is what a loopback socket receives from the `flowgen` binary (the
+//! same week, sent over UDP) until its `FIN` or an idle timeout. The
+//! default `--transport none` offers the week straight to the supervisor.
+//! The three share one feed loop. A `--kill-at` run in transport mode
+//! writes the intake's own checkpoint next to the supervisor's
 //! (`<checkpoint>.transport`), and `--resume` restores both.
 
 use std::fmt::Write as _;
@@ -99,19 +98,9 @@ fn parse_args() -> Args {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = it.next().expect("--scale value");
-                scale_name = v.clone();
-                scale = match v.as_str() {
-                    "tiny" => ScaleConfig::tiny(),
-                    "small" => ScaleConfig::small(),
-                    other => {
-                        let div: u32 = other
-                            .strip_prefix("paper:")
-                            .and_then(|d| d.parse().ok())
-                            .expect("--scale tiny|small|paper:<divisor>");
-                        ScaleConfig::paper(div)
-                    }
-                };
+                scale_name = it.next().expect("--scale value");
+                scale = ixp_bench::parse_scale(&scale_name)
+                    .expect("--scale tiny|small|paper:<divisor>");
             }
             "--seed" => seed = it.next().and_then(|s| s.parse().ok()).expect("--seed N"),
             "--markdown" => markdown = it.next(),
@@ -394,6 +383,7 @@ fn supervised_mode(
     auditor: &ixp_obs::Auditor,
 ) -> bool {
     use ixp_supervisor::{Supervisor, SupervisorConfig};
+    use ixp_transport::{Drained, TransportIntake};
 
     let t0 = Stopwatch::start(obs.clock.as_ref());
     let secs = |sw: &Stopwatch| sw.elapsed_ns(obs.clock.as_ref()) as f64 / 1e9;
@@ -454,47 +444,41 @@ fn supervised_mode(
         }
     };
 
-    let mut transport = if args.transport == "none" {
-        None
+    let mut transport = (args.transport != "none").then(|| transport_intake(args, obs, journal));
+    let feed: Box<dyn Iterator<Item = (u64, Vec<u8>)>> = if args.transport == "udp" {
+        Box::new(udp_feed(args))
     } else {
-        Some(transport_front_end(args, obs, journal))
+        Box::new(analyzer.feed(week).map(|dg| (SFLOW_PEER, dg)))
     };
-    let done = match &mut transport {
-        None => obs.time(&stage_metric("scan"), || {
-            // As `Supervisor::run_feed`, plus the periodic conservation
-            // audit at datagram boundaries.
-            let skip = usize::try_from(sup.offered()).unwrap_or(usize::MAX);
-            for dg in analyzer.feed(week).skip(skip) {
-                if args.kill_at.is_some_and(|k| sup.offered() >= k) {
-                    return false;
-                }
-                sup.offer(dg);
-                audit_steady(sup.offered());
+    let done = obs.time(&stage_metric("scan"), || {
+        // As `Supervisor::run_feed`, through the transport intake when one
+        // is in front, plus the periodic conservation audit at datagram
+        // boundaries. A resumed run skips the feed units it already took:
+        // the intake's count when there is one, as `scenario::Pipeline`.
+        let cursor = |sup: &Supervisor, intake: &Option<TransportIntake>| {
+            intake.as_ref().map_or(sup.offered(), |intake| intake.stats().offered)
+        };
+        let skip = usize::try_from(cursor(&sup, &transport)).unwrap_or(usize::MAX);
+        for (peer, dg) in feed.skip(skip) {
+            if args.kill_at.is_some_and(|k| cursor(&sup, &transport) >= k) {
+                return false;
             }
-            sup.finish();
-            true
-        }),
-        Some(intake) => obs.time(&stage_metric("scan"), || {
-            // The week's sFlow feed rides the transport intake into the
-            // supervisor: offer → drain → forward the passthrough
-            // datagrams. A resumed run skips what it already offered.
-            let skip = usize::try_from(sup.offered()).unwrap_or(usize::MAX);
-            for dg in analyzer.feed(week).skip(skip) {
-                if args.kill_at.is_some_and(|k| sup.offered() >= k) {
-                    return false;
-                }
-                intake.offer(SFLOW_PEER, &dg);
-                for unit in intake.drain(usize::MAX) {
-                    if let ixp_transport::Drained::Sflow { datagram, .. } = unit {
-                        sup.offer(datagram);
+            match &mut transport {
+                None => sup.offer(dg),
+                Some(intake) => {
+                    intake.offer(peer, &dg);
+                    for unit in intake.drain(usize::MAX) {
+                        if let Drained::Sflow { datagram, .. } = unit {
+                            sup.offer(datagram);
+                        }
                     }
                 }
-                audit_steady(sup.offered());
             }
-            sup.finish();
-            true
-        }),
-    };
+            audit_steady(sup.offered());
+        }
+        sup.finish();
+        true
+    });
     if !done {
         // The flight recorder's last word: where the kill landed.
         journal.record(ixp_obs::EventKind::Kill, 0, 0, sup.offered(), sup.stats().ticks);
@@ -551,31 +535,9 @@ fn supervised_mode(
     );
     if let Some(intake) = &mut transport {
         let ts = intake.finish();
-        let (installed, refreshed, evicted) = intake.template_counts();
         println!(
-            "  transport ({} mode): {} offered, {} received, {} accepted ({} sflow / {} v5 / {} v9 / {} ipfix), {} flow records",
-            args.transport,
-            ts.offered,
-            ts.received,
-            ts.accepted,
-            ts.sflow_datagrams,
-            ts.v5_packets,
-            ts.v9_packets,
-            ts.ipfix_packets,
-            ts.flows,
-        );
-        println!(
-            "  transport faults: {} shed, {} duplicates, {} decode errors ({} truncated / {} bad version / {} inconsistent), {} template-missing dropped",
-            ts.shed,
-            ts.duplicates,
-            ts.decode_errors,
-            ts.truncated,
-            ts.bad_version,
-            ts.inconsistent,
-            ts.template_missing_dropped,
-        );
-        println!(
-            "  transport templates: {installed} installed, {refreshed} refreshed, {evicted} evicted"
+            "  transport ({} mode): {} offered, {} received, {} accepted, {} shed, {} duplicates, {} decode errors",
+            args.transport, ts.offered, ts.received, ts.accepted, ts.shed, ts.duplicates, ts.decode_errors,
         );
         println!(
             "  transport accounting invariant (offered = received + shed; received = accepted + duplicates + errors + template-missing + pending): {}",
@@ -591,130 +553,80 @@ fn supervised_mode(
 /// week's sFlow datagrams to the transport intake.
 const SFLOW_PEER: u64 = 0x5F10;
 
-/// Build the transport intake for `--transport memory|udp` and run the
-/// flow-export phase: a seeded NetFlow v5/v9/IPFIX workload with template
-/// churn, replayed either deterministically in memory under wire faults
-/// or received over a loopback UDP socket from `flowgen`. A resumed run
-/// restores the intake (flow phase included) from the side file the
-/// killed run wrote and skips the phase.
-fn transport_front_end(
+/// The transport intake for `--transport memory|udp`, metrics and journal
+/// bound. A resumed run restores it from the side file the killed run
+/// wrote next to its checkpoint; a missing or damaged side file is refused
+/// like a damaged checkpoint, since the cursor is the intake's.
+fn transport_intake(
     args: &Args,
     obs: &Obs,
     journal: &ixp_obs::Journal,
 ) -> ixp_transport::TransportIntake {
-    use ixp_faults::{WireFaultConfig, WirePlan};
-    use ixp_transport::{
-        FlowGenConfig, Link as _, MemLink, TransportConfig, TransportIntake, TransportMetrics,
-        UdpLink, FIN,
-    };
+    use ixp_transport::{TransportConfig, TransportIntake, TransportMetrics};
 
-    let restored = args.resume.as_deref().and_then(|path| {
-        let side = format!("{path}.transport");
-        let bytes = std::fs::read(&side).ok()?;
-        let intake = match TransportIntake::restore_from(&bytes) {
-            Ok(intake) => intake,
-            Err(e) => {
-                journal.record(ixp_obs::EventKind::RestoreRejected, 0, 1, 0, 0);
-                let flight = format!("{side}.flight");
-                write_flight(&flight, journal);
-                eprintln!(
-                    "refusing to resume transport state from {side}: {e} — flight dump written to {flight}"
-                );
-                std::process::exit(3);
+    let mut intake = match args.resume.as_deref() {
+        None => TransportIntake::new(TransportConfig::default()),
+        Some(path) => {
+            let side = format!("{path}.transport");
+            let restored = std::fs::read(&side).map_err(|e| e.to_string()).and_then(|bytes| {
+                TransportIntake::restore_from(&bytes).map_err(|e| e.to_string())
+            });
+            match restored {
+                Ok(intake) => {
+                    eprintln!("  transport state resumed from {side}");
+                    intake
+                }
+                Err(e) => {
+                    journal.record(ixp_obs::EventKind::RestoreRejected, 0, 1, 0, 0);
+                    let flight = format!("{side}.flight");
+                    write_flight(&flight, journal);
+                    eprintln!(
+                        "refusing to resume transport state from {side}: {e} — flight dump written to {flight}"
+                    );
+                    std::process::exit(3);
+                }
             }
-        };
-        eprintln!("  transport state resumed from {side}");
-        Some(intake)
-    });
-    let resumed = restored.is_some();
-    let mut intake = restored.unwrap_or_else(|| TransportIntake::new(TransportConfig::default()));
+        }
+    };
     intake.bind_metrics(TransportMetrics::register(&obs.registry));
     intake.bind_journal(journal.clone());
-    if resumed {
-        return intake;
-    }
-
-    match args.transport.as_str() {
-        "memory" => {
-            // Deterministic in-memory replay: seeded workload with
-            // template withhold/flap windows and exporter restarts,
-            // perturbed at the wire level. Same seed, same bytes — two
-            // same-seed runs produce byte-identical metrics snapshots.
-            let packets = 600u64;
-            let cfg = FlowGenConfig {
-                seed: args.seed,
-                packets,
-                withhold: ixp_faults::withhold_windows(args.seed, packets, 2, 60),
-                flap: ixp_faults::flap_windows(args.seed, packets, 1, 40),
-                restarts: ixp_faults::exporter_restart_offsets(args.seed, packets, 2),
-                ..FlowGenConfig::default()
-            };
-            let wire = WireFaultConfig {
-                seed: args.seed,
-                drop: 0.02,
-                duplicate: 0.005,
-                reorder: 0.005,
-                truncate: 0.001,
-            };
-            let mut link = MemLink::new();
-            for (peer, packet) in WirePlan::new(ixp_transport::generate(&cfg).into_iter(), wire) {
-                link.send(peer, &packet).expect("memlink send");
-            }
-            eprintln!("  transport: replaying {} flow packets in memory", link.pending());
-            loop {
-                let n = intake.pump(&mut link, 64).expect("memlink recv");
-                intake.drain(usize::MAX);
-                if n == 0 {
-                    break;
-                }
-            }
-        }
-        "udp" => {
-            let addr = args.listen.as_deref().unwrap_or("127.0.0.1:0");
-            let mut link = match UdpLink::bind(addr) {
-                Ok(link) => link,
-                Err(e) => {
-                    eprintln!("transport: binding UDP {addr} denied: {e}");
-                    std::process::exit(42);
-                }
-            };
-            match link.local_addr() {
-                // To stderr (unbuffered): ci.sh polls the log for this
-                // line to learn the ephemeral port before starting flowgen.
-                Ok(local) => eprintln!("transport: listening on {local}"),
-                Err(e) => eprintln!("transport: listening (local addr unavailable: {e})"),
-            }
-            let mut idle = 0u32;
-            loop {
-                match link.recv() {
-                    Ok(Some((peer, packet))) => {
-                        idle = 0;
-                        if packet == FIN {
-                            break;
-                        }
-                        intake.offer(peer, &packet);
-                        intake.drain(64);
-                    }
-                    Ok(None) => {
-                        // The socket polls at 50 ms; give a slow sender
-                        // ~15 s of silence before giving up.
-                        idle += 1;
-                        if idle >= 300 {
-                            eprintln!("transport: idle timeout waiting for flowgen; proceeding");
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("transport: receive error: {e}; proceeding");
-                        break;
-                    }
-                }
-            }
-        }
-        other => panic!("--transport none|memory|udp, got {other}"),
-    }
-    intake.drain(usize::MAX);
     intake
+}
+
+/// The `--transport udp` feed: what a loopback socket receives, until the
+/// sender's `FIN` or ~15 s of silence (the socket polls at 50 ms).
+fn udp_feed(args: &Args) -> impl Iterator<Item = (u64, Vec<u8>)> {
+    use ixp_transport::{Link as _, UdpLink, FIN};
+
+    let addr = args.listen.as_deref().unwrap_or("127.0.0.1:0");
+    let mut link = match UdpLink::bind(addr) {
+        Ok(link) => link,
+        Err(e) => {
+            eprintln!("transport: binding UDP {addr} denied: {e}");
+            std::process::exit(42);
+        }
+    };
+    match link.local_addr() {
+        // To stderr (unbuffered): ci.sh polls the log for this line to
+        // learn the ephemeral port before starting flowgen.
+        Ok(local) => eprintln!("transport: listening on {local}"),
+        Err(e) => eprintln!("transport: listening (local addr unavailable: {e})"),
+    }
+    std::iter::from_fn(move || {
+        for _ in 0..300 {
+            match link.recv() {
+                Ok(Some((_, packet))) if packet == FIN => return None,
+                Ok(Some(unit)) => return Some(unit),
+                Ok(None) => {}
+                Err(e) => {
+                    eprintln!("transport: receive error: {e}; proceeding");
+                    return None;
+                }
+            }
+        }
+        eprintln!("transport: idle timeout waiting for flowgen; proceeding");
+        None
+    })
 }
 
 fn e1_fig1(out: &mut Out, reference: &ixp_core::WeeklyReport) {
@@ -1314,59 +1226,6 @@ fn faults_sweep(
             "    accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
             if o.ledger { "holds" } else { "VIOLATED" }
         );
-    }
-    // Wire-level grid: the flow-export front-end (NetFlow v5/v9/IPFIX
-    // through the transport intake) under UDP loss × template churn.
-    {
-        use ixp_faults::{WireFaultConfig, WirePlan};
-        use ixp_transport::{FlowGenConfig, TransportConfig, TransportIntake};
-        let packets = 600u64;
-        let _ = writeln!(
-            body,
-            "  — transport wire grid ({packets} v5/v9/IPFIX packets, loss × template churn)"
-        );
-        for (label, loss, churn) in [
-            ("clean", 0.0, false),
-            ("loss 5 %", 0.05, false),
-            ("template churn", 0.0, true),
-            ("loss 5 % + template churn", 0.05, true),
-        ] {
-            let (withhold, flap, restarts) = if churn {
-                (
-                    ixp_faults::withhold_windows(seed, packets, 2, 60),
-                    ixp_faults::flap_windows(seed, packets, 1, 40),
-                    ixp_faults::exporter_restart_offsets(seed, packets, 2),
-                )
-            } else {
-                (Vec::new(), Vec::new(), Vec::new())
-            };
-            let cfg = FlowGenConfig { seed, packets, withhold, flap, restarts, ..FlowGenConfig::default() };
-            let mut plan = WirePlan::new(
-                ixp_transport::generate(&cfg).into_iter(),
-                WireFaultConfig::loss(seed, loss),
-            );
-            let mut t = TransportIntake::new(TransportConfig::default());
-            for (peer, packet) in plan.by_ref() {
-                t.offer(peer, &packet);
-                t.drain(8);
-            }
-            t.drain(usize::MAX);
-            let s = t.finish();
-            let wire = plan.stats();
-            let (installed, refreshed, _evicted) = t.template_counts();
-            let _ = writeln!(
-                body,
-                "    {label}: {} offered ({} lost on the wire), {} accepted, {} dup, {} errors, {} template-missing dropped, {} flows, {installed} templates installed ({refreshed} refreshed) — accounting {}",
-                s.offered,
-                wire.dropped,
-                s.accepted,
-                s.duplicates,
-                s.decode_errors,
-                s.template_missing_dropped,
-                s.flows,
-                if t.fully_accounted() { "holds" } else { "VIOLATED" }
-            );
-        }
     }
     let _ = writeln!(
         body,

@@ -1,6 +1,17 @@
 //! The `ixp-bench` reproduction harness: the two binaries under `src/bin`
 //! (`repro`, `flowgen`), and as its library the soak scenario table
 //! ([`scenario`]) that `repro --exp faults|chaos` and the root package's soak
-//! tests both read.
+//! tests both read, and the `--scale` parser both binaries share.
 
 pub mod scenario;
+
+use ixp_netmodel::ScaleConfig;
+
+/// Parse a `--scale` value: `tiny`, `small` or `paper:<divisor>`.
+pub fn parse_scale(name: &str) -> Option<ScaleConfig> {
+    match name {
+        "tiny" => Some(ScaleConfig::tiny()),
+        "small" => Some(ScaleConfig::small()),
+        other => other.strip_prefix("paper:")?.parse().ok().map(ScaleConfig::paper),
+    }
+}

@@ -53,11 +53,6 @@ impl Category {
         Category::PeeringTcp,
         Category::PeeringUdp,
     ];
-
-    /// Is this one of the two peering categories?
-    pub fn is_peering(&self) -> bool {
-        matches!(self, Category::PeeringTcp | Category::PeeringUdp)
-    }
 }
 
 /// Traffic totals per cascade category.

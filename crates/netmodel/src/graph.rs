@@ -34,8 +34,6 @@ pub struct AsGraph {
     /// Per dense-AS-index: the member whose IXP port carries this AS's
     /// traffic (members map to themselves).
     gateway: Vec<MemberId>,
-    /// Per dense-AS-index: provider adjacency (dense indices).
-    providers: Vec<Vec<u32>>,
 }
 
 impl AsGraph {
@@ -143,7 +141,7 @@ impl AsGraph {
         }
 
         let (distance, gateway) = bfs_from_members(registry, &providers);
-        AsGraph { distance, gateway, providers }
+        AsGraph { distance, gateway }
     }
 
     /// The distance class of an AS (Table 3's A(L)/A(M)/A(G)) as of the
@@ -187,11 +185,6 @@ impl AsGraph {
             }
         }
         registry.index_of(asn).map(|i| self.gateway[i as usize])
-    }
-
-    /// Provider adjacency of an AS (dense indices), for tests/inspection.
-    pub fn providers_of(&self, registry: &AsRegistry, asn: Asn) -> Option<&[u32]> {
-        registry.index_of(asn).map(|i| self.providers[i as usize].as_slice())
     }
 
     /// ASes whose gateway is the given member (the member's "customer cone"

@@ -12,8 +12,9 @@
 //! Two export formats share the same event stream:
 //!
 //! * [`render_trace`] — the schema-versioned `ixp-trace/1` JSON document
-//!   served at `/trace` and written by `repro --trace`; [`parse_trace`]
-//!   reads it back fail-closed.
+//!   served at `/trace` and written by `repro --trace`. It is write-only:
+//!   consumers compare rendered bytes, and a post-mortem reads the flight
+//!   record below.
 //! * [`seal_flight`] / [`parse_flight`] — the binary *flight record*
 //!   dumped to a `<checkpoint>.flight` side file when a run is killed,
 //!   a restore is rejected, or the conservation auditor fires. The frame
@@ -144,11 +145,6 @@ impl EventKind {
     /// Decode a wire kind byte.
     pub fn from_u8(b: u8) -> Option<EventKind> {
         EVENT_KINDS.get(b as usize).copied()
-    }
-
-    /// Decode a trace-document kind name.
-    pub fn from_name(name: &str) -> Option<EventKind> {
-        EVENT_KINDS.iter().copied().find(|k| k.as_str() == name)
     }
 }
 
@@ -340,74 +336,6 @@ pub fn render_trace(events: &[Event], dropped: u64) -> String {
     out
 }
 
-/// Why a trace document was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The document is not the JSON subset the exporter emits.
-    Syntax,
-    /// The `schema` field is missing or names a different format.
-    BadSchema,
-    /// An event object is missing a field or carries a wrong type.
-    BadEvent,
-    /// An event names an unknown kind.
-    BadKind(String),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Syntax => write!(f, "trace document is not valid JSON"),
-            TraceError::BadSchema => {
-                write!(f, "trace document does not declare schema {TRACE_SCHEMA}")
-            }
-            TraceError::BadEvent => write!(f, "trace event is missing a required field"),
-            TraceError::BadKind(k) => write!(f, "trace event has unknown kind {k:?}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Parse an `ixp-trace/1` document back into events. Fail-closed: any
-/// syntax error, schema mismatch, or malformed event rejects the whole
-/// document.
-pub fn parse_trace(input: &str) -> Result<(Vec<Event>, u64), TraceError> {
-    let doc = crate::json::parse(input).ok_or(TraceError::Syntax)?;
-    match doc.get("schema").and_then(crate::json::Value::as_str) {
-        Some(s) if s == TRACE_SCHEMA => {}
-        _ => return Err(TraceError::BadSchema),
-    }
-    let dropped = doc
-        .get("dropped")
-        .and_then(crate::json::Value::as_u64)
-        .ok_or(TraceError::BadEvent)?;
-    let raw = doc
-        .get("events")
-        .and_then(crate::json::Value::as_arr)
-        .ok_or(TraceError::BadEvent)?;
-    let mut events = Vec::with_capacity(raw.len());
-    for ev in raw {
-        let field = |k: &str| ev.get(k).and_then(crate::json::Value::as_u64);
-        let kind_name = ev
-            .get("kind")
-            .and_then(crate::json::Value::as_str)
-            .ok_or(TraceError::BadEvent)?;
-        let kind = EventKind::from_name(kind_name)
-            .ok_or_else(|| TraceError::BadKind(kind_name.to_string()))?;
-        events.push(Event {
-            seq: field("seq").ok_or(TraceError::BadEvent)?,
-            tick: field("tick").ok_or(TraceError::BadEvent)?,
-            at_ns: field("at_ns").ok_or(TraceError::BadEvent)?,
-            kind,
-            agent: field("agent").ok_or(TraceError::BadEvent)?,
-            sub_agent: field("sub_agent").ok_or(TraceError::BadEvent)?,
-            a: field("a").ok_or(TraceError::BadEvent)?,
-            b: field("b").ok_or(TraceError::BadEvent)?,
-        });
-    }
-    Ok((events, dropped))
-}
-
 // ---------------------------------------------------------------------------
 // Flight record (binary, sealed)
 // ---------------------------------------------------------------------------
@@ -595,37 +523,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_roundtrip() {
-        let j = sample_journal();
-        let doc = j.render();
-        let (events, dropped) = parse_trace(&doc).expect("exporter output parses");
-        assert_eq!(events, j.events());
-        assert_eq!(dropped, 0);
-    }
-
-    #[test]
     fn trace_rendering_is_deterministic() {
         assert_eq!(sample_journal().render(), sample_journal().render());
-    }
-
-    #[test]
-    fn trace_rejects_bad_documents() {
-        assert_eq!(parse_trace("{"), Err(TraceError::Syntax));
-        assert_eq!(
-            parse_trace("{\"schema\": \"ixp-obs/1\", \"dropped\": 0, \"events\": []}"),
-            Err(TraceError::BadSchema)
-        );
-        let bad_kind = format!(
-            "{{\"schema\": \"{TRACE_SCHEMA}\", \"dropped\": 0, \"events\": [\
-             {{\"seq\": 0, \"tick\": 0, \"at_ns\": 0, \"kind\": \"warp\", \
-             \"agent\": 0, \"sub_agent\": 0, \"a\": 0, \"b\": 0}}]}}"
-        );
-        assert_eq!(parse_trace(&bad_kind), Err(TraceError::BadKind("warp".to_string())));
-        let missing_field = format!(
-            "{{\"schema\": \"{TRACE_SCHEMA}\", \"dropped\": 0, \"events\": [\
-             {{\"seq\": 0, \"kind\": \"kill\"}}]}}"
-        );
-        assert_eq!(parse_trace(&missing_field), Err(TraceError::BadEvent));
     }
 
     #[test]
@@ -689,12 +588,10 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_roundtrip() {
+    fn kind_bytes_roundtrip() {
         for k in EVENT_KINDS {
-            assert_eq!(EventKind::from_name(k.as_str()), Some(*k));
             assert_eq!(EventKind::from_u8(*k as u8), Some(*k));
         }
         assert_eq!(EventKind::from_u8(255), None);
-        assert_eq!(EventKind::from_name("nope"), None);
     }
 }

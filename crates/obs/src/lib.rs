@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 pub use audit::{AuditError, AuditScope, Auditor, Identity, Invariant, LEDGER};
 pub use clock::{real_clock, test_clock, Clock, RealClock, TestClock};
-pub use journal::{Event, EventKind, FlightError, Journal, TraceError};
+pub use journal::{Event, EventKind, FlightError, Journal};
 pub use metrics::{
     split_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
     Snapshot, DURATION_BOUNDS_NS,
@@ -71,11 +71,6 @@ impl Obs {
     /// runs over the same input yield byte-identical snapshots.
     pub fn deterministic() -> Obs {
         Obs { registry: Registry::new(), clock: test_clock() }
-    }
-
-    /// Bundle an existing registry with an explicit clock.
-    pub fn with_clock(registry: Registry, clock: Arc<dyn Clock>) -> Obs {
-        Obs { registry, clock }
     }
 
     /// Snapshot the registry (sorted, integer-only; see

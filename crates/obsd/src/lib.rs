@@ -458,10 +458,7 @@ mod tests {
         assert_eq!(doc.get("schema").and_then(json::Value::as_str), Some("ixp-obs/1"));
 
         let trace_body = body_of(&respond(&s, b"GET /trace HTTP/1.1\r\n\r\n").bytes);
-        let (events, dropped) =
-            ixp_obs::journal::parse_trace(&trace_body).expect("trace parses");
-        assert_eq!(events.len(), 1);
-        assert_eq!(dropped, 0);
+        assert_eq!(trace_body, s.journal.render());
 
         let health_body = body_of(&respond(&s, b"GET /healthz HTTP/1.1\r\n\r\n").bytes);
         let doc = json::parse(&health_body).expect("healthz parses");

@@ -70,8 +70,9 @@ proptest! {
         }
     }
 
-    /// Every defined event kind round-trips through the responder's
-    /// /trace endpoint unharmed.
+    /// Every defined event kind reaches the responder's /trace endpoint
+    /// unharmed: the body is the journal's own rendering, and its last
+    /// event names the kind just recorded.
     #[test]
     fn trace_endpoint_roundtrips_kinds(kind_idx in 0usize..EVENT_KINDS.len()) {
         let s = state();
@@ -81,8 +82,10 @@ proptest! {
         assert_well_formed(&r);
         let text = String::from_utf8_lossy(&r.bytes).to_string();
         let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-        let (events, _) = ixp_obs::journal::parse_trace(&body).expect("trace parses");
-        prop_assert_eq!(events.last().map(|e| e.kind), Some(kind));
+        prop_assert_eq!(&body, &s.journal.render());
+        let last = body.lines().rev().find(|l| l.contains("\"kind\": ")).unwrap_or_default();
+        let named = format!("\"kind\": \"{}\"", kind.as_str());
+        prop_assert!(last.contains(&named), "last event {:?} does not name {}", last, named);
     }
 }
 

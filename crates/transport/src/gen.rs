@@ -2,9 +2,9 @@
 //!
 //! [`generate`] turns a seed into a reproducible stream of `(peer,
 //! packet)` pairs mixing NetFlow v9, IPFIX, and NetFlow v5 exporters —
-//! the packets `flowgen` replays over loopback UDP and the transport
-//! soak feeds through a [`MemLink`](crate::link::MemLink). Template
-//! dynamics are first-class knobs:
+//! the packets the transport soak and the benchmark feed through a
+//! [`MemLink`](crate::link::MemLink). Template dynamics are first-class
+//! knobs:
 //!
 //! * **withhold windows** — packet-index ranges where template
 //!   re-announcements are suppressed, so data records outrun their
@@ -27,8 +27,8 @@ use crate::flow::FlowRecord;
 use crate::{ipfix, netflow5, netflow9};
 
 /// Out-of-band end-of-stream sentinel for UDP replay: `flowgen` sends a
-/// few of these after the workload and the receiving side stops its
-/// pump without offering them to the intake.
+/// few of these after the week and the receiving side stops without
+/// offering them to the intake.
 pub const FIN: &[u8] = b"IXP-TRANSPORT-FIN";
 
 /// Workload shape. All windows are half-open `[from, until)` ranges of

@@ -157,11 +157,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Frame<T> {
         let raw: u16 = value.into();
         self.buffer.as_mut()[12..14].copy_from_slice(&raw.to_be_bytes());
     }
-
-    /// Mutable access to the L3 payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
-    }
 }
 
 /// Owned representation of an Ethernet II header.

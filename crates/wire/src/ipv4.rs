@@ -88,11 +88,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         (self.buffer.as_ref()[0] & 0x0f) * 4
     }
 
-    /// DSCP/ECN byte.
-    pub fn dscp_ecn(&self) -> u8 {
-        self.buffer.as_ref()[1]
-    }
-
     /// Total packet length (header + payload) as claimed by the header.
     pub fn total_len(&self) -> u16 {
         let b = self.buffer.as_ref();
@@ -124,12 +119,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Transport protocol.
     pub fn protocol(&self) -> Protocol {
         Protocol::from(self.buffer.as_ref()[9])
-    }
-
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[10], b[11]])
     }
 
     /// Source address.
@@ -215,13 +204,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         let header_len = self.header_len() as usize;
         let sum = checksum::data(&self.buffer.as_ref()[..header_len]);
         self.buffer.as_mut()[10..12].copy_from_slice(&sum.to_be_bytes());
-    }
-
-    /// Mutable access to the transport payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let start = self.header_len() as usize;
-        let end = (self.total_len() as usize).min(self.buffer.as_ref().len());
-        &mut self.buffer.as_mut()[start..end.max(start)]
     }
 }
 

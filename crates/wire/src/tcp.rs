@@ -219,12 +219,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         self.buffer.as_mut()[18..20].copy_from_slice(&[0, 0]);
     }
 
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let start = self.header_len() as usize;
-        &mut self.buffer.as_mut()[start..]
-    }
-
     /// Compute and store the checksum over the full segment.
     pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
         self.buffer.as_mut()[16..18].copy_from_slice(&[0, 0]);

@@ -117,12 +117,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         self.buffer.as_mut()[4..6].copy_from_slice(&v.to_be_bytes());
     }
 
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let end = (self.len() as usize).min(self.buffer.as_ref().len());
-        &mut self.buffer.as_mut()[HEADER_LEN.min(end)..end]
-    }
-
     /// Compute and store the checksum over the full datagram.
     pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
         self.buffer.as_mut()[6..8].copy_from_slice(&[0, 0]);

@@ -201,12 +201,17 @@ fi
 # --exp faults|chaos` read, and its one drive loop is what stalls a drain
 # (the format pins stall a supervisor only to pin the flag's byte). A plan
 # or a schedule stated beside a soak is a second copy that can drift.
-# repro's `--transport memory` workload and wire grid keep their
-# `WireFaultConfig` until the flow-export family goes.
 if grep -nE '(^|[^A-Za-z])FaultConfig( \{|::)|SupervisorConfig \{|kill_offsets\(|overload_bursts\(' \
     tests/fault_tolerance.rs tests/chaos_soak.rs tests/transport_soak.rs \
     crates/bench/src/bin/repro.rs >&2; then
     fail "a fault plan, supervisor config or chaos schedule beside a soak: state it as a row of crates/bench/src/scenario.rs"
+fi
+# repro and flowgen speak the week's sFlow only: the NetFlow generator, its
+# wire plan and its template-churn schedules are the benchmark's and the
+# decoder tests' until the flow-export family goes.
+if grep -nE 'WireFaultConfig|FlowGenConfig|WirePlan|withhold_windows\(|flap_windows\(|exporter_restart_offsets\(' \
+    crates/bench/src/bin/repro.rs crates/bench/src/bin/flowgen.rs >&2; then
+    fail "repro or flowgen builds a NetFlow workload: they replay the week's sFlow"
 fi
 stallers=$(grep -rl --include='*.rs' 'set_stalled(' src tests examples crates |
     grep -vxE 'crates/supervisor/.*|tests/format_pins\.rs' | tr '\n' ' ')
@@ -301,11 +306,11 @@ same target/metrics-whole.json target/metrics-resumed.json \
 same target/ckpt-whole.bin target/ckpt-resumed.bin \
     "resumed run's final checkpoint differs from uninterrupted run"
 
-echo "==> transport smoke test (wire front-end determinism + metrics)"
-# Two same-seed supervised runs fed through the in-memory wire transport
-# (seeded loss, duplication, reordering, and template churn) must export
-# byte-identical metrics snapshots carrying the transport_* families,
-# and must end with the extended accounting invariant holding.
+echo "==> transport smoke test (intake determinism + metrics)"
+# Two same-seed supervised runs whose week rides the transport intake
+# must export byte-identical metrics snapshots carrying the transport_*
+# ledger families, and must end with the intake's accounting invariant
+# holding.
 repro --transport memory --metrics target/metrics-transport-a.json \
     > target/transport-mem-a.log 2>&1
 repro --transport memory --metrics target/metrics-transport-b.json \
@@ -316,21 +321,20 @@ grep -q "transport accounting invariant.*: holds" target/transport-mem-a.log ||
     fail "transport accounting invariant violated (see target/transport-mem-a.log)"
 for family in transport_offered_total transport_received_total \
               transport_accepted_total transport_shed_total \
-              transport_decode_errors_total \
-              transport_template_missing_dropped_total \
-              transport_templates_total transport_flow_records_total \
-              transport_pending_packets; do
+              transport_decode_errors_total; do
     grep -q "$family" target/metrics-transport-a.json ||
         fail "metric family $family missing from the transport snapshot"
 done
 
 echo "==> flowgen -> repro loopback smoke (UDP when permitted)"
 # When this environment allows loopback UDP, exercise the real socket
-# path: flowgen replays a seeded flow workload with template churn at a
-# repro receiver, which must finish with the accounting invariant
-# holding. Where sockets are denied, the deterministic in-memory smoke
-# above already covered the same decode and accounting code — log the
-# reason and move on rather than failing on sandbox policy.
+# path: flowgen replays the tiny reference week's sFlow at a repro
+# receiver, which takes it through socket, intake and supervisor to the
+# report and must finish the week with the accounting invariants holding.
+# Where sockets are denied, the in-memory smoke above already covered the
+# same intake and accounting code, and tests/transport_soak.rs holds the
+# socket path to the memory path byte for byte — log the reason and move
+# on rather than failing on sandbox policy.
 if cargo run -q --release -p ixp-bench --bin flowgen -- --probe \
         2> target/flowgen-probe.log; then
     : > target/transport-udp.log
@@ -346,8 +350,7 @@ if cargo run -q --release -p ixp-bench --bin flowgen -- --probe \
         kill "$repro_pid" 2>/dev/null || true
         fail "repro --transport udp never reported its listening address"
     fi
-    cargo run -q --release -p ixp-bench --bin flowgen -- --target "$addr" \
-        --packets 300 --withhold 1:40 --flap 1:30 --restarts 1 \
+    cargo run -q --release -p ixp-bench --bin flowgen -- --target "$addr" --scale tiny \
         >> target/transport-udp.log 2>&1 || {
         kill "$repro_pid" 2>/dev/null || true
         fail "flowgen failed against $addr (see target/transport-udp.log)"
@@ -356,6 +359,8 @@ if cargo run -q --release -p ixp-bench --bin flowgen -- --probe \
         fail "repro --transport udp exited nonzero (see target/transport-udp.log)"
     grep -q "transport accounting invariant.*: holds" target/transport-udp.log ||
         fail "UDP-mode transport accounting invariant violated (see target/transport-udp.log)"
+    grep -q "^supervised week .* complete" target/transport-udp.log ||
+        fail "UDP-mode run never completed the week (see target/transport-udp.log)"
     echo "ci: UDP loopback smoke passed ($addr)"
 else
     echo "ci: UDP loopback denied here ($(cat target/flowgen-probe.log)); in-memory transport smoke stands in"

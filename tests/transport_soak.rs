@@ -5,7 +5,8 @@
 //! intake and the supervisor — with byte-identical recovery, exact
 //! extended conservation, and Table 1 drift under the row's bound. The
 //! wire plan, ring, kill and tolerance are the `transport_soak` row of
-//! `ixp_bench::scenario`; the workload is this file's.
+//! `ixp_bench::scenario`; the workload is this file's. A last test holds
+//! the real loopback socket to the in-memory path, byte for byte.
 
 mod common;
 
@@ -247,4 +248,60 @@ fn damaged_transport_state_fails_closed() {
     t.offer(1, transport::FIN);
     t.drain(1);
     assert_eq!(t.stats().decode_errors + t.stats().shed, 1);
+}
+
+/// The clean reference week offered through a fresh intake into a fresh
+/// supervisor, each datagram handed over by `deliver` as `(peer, bytes)`;
+/// returns the final supervisor checkpoint.
+fn week_checkpoint(mut deliver: impl FnMut(&[u8]) -> (u64, Vec<u8>)) -> Vec<u8> {
+    let mut sup = scenario::transport_soak().supervisor(analyzer());
+    let mut intake = TransportIntake::new(TransportConfig::default());
+    for dg in analyzer().feed(Week::REFERENCE) {
+        let (peer, packet) = deliver(&dg);
+        intake.offer(peer, &packet);
+        for unit in intake.drain(usize::MAX) {
+            if let Drained::Sflow { datagram, .. } = unit {
+                sup.offer(datagram);
+            }
+        }
+    }
+    sup.finish();
+    let s = intake.finish();
+    assert!(intake.fully_accounted(), "{s:?}");
+    assert_eq!((s.shed, s.duplicates, s.decode_errors), (0, 0, 0), "{s:?}");
+    sup.checkpoint()
+}
+
+/// The week sent over a real loopback socket, lockstep (one datagram out,
+/// the same one received, then offered and drained), checkpoints exactly
+/// as the week offered through an intake with no socket: the socket path
+/// neither loses nor alters a datagram. Where binding is denied the test
+/// says why and passes, as `scripts/ci.sh` does for its UDP smoke.
+#[test]
+fn the_week_over_a_socket_checkpoints_as_the_memory_path() {
+    use ixp_vantage::transport::{Link as _, UdpLink};
+
+    let link = UdpLink::bind("127.0.0.1:0").and_then(|rx| {
+        let target = rx.local_addr()?.to_string();
+        Ok((rx, UdpLink::connect(&target)?))
+    });
+    let (mut rx, mut tx) = match link {
+        Ok(pair) => pair,
+        Err(e) => {
+            eprintln!("loopback UDP denied here ({e}); the memory path stands alone");
+            return;
+        }
+    };
+    let over_socket = week_checkpoint(|dg| {
+        tx.send(0, dg).expect("send on loopback");
+        // The socket polls at 50 ms: a few seconds of patience per datagram.
+        (0..100)
+            .find_map(|_| rx.recv().expect("receive on loopback"))
+            .expect("a loopback datagram never arrived")
+    });
+    let in_memory = week_checkpoint(|dg| (SFLOW_PEER, dg.to_vec()));
+    assert!(
+        over_socket == in_memory,
+        "the week over a socket checkpoints differently from the memory path"
+    );
 }
