@@ -1110,11 +1110,12 @@ fn ablations(
     use ixp_cert::{validate_fetches, RootStore};
     let store = RootStore::default_store();
     let mut body = String::new();
+    let mut fetches = Vec::new();
     for attempts in [1u32, 2, 4] {
         let mut confirmed = 0;
         let mut unstable = 0;
         for r in reference.census.records.iter().filter(|r| r.https) {
-            let fetches = analyzer.crawl.fetch_repeatedly(model, r.ip, Week::REFERENCE, attempts);
+            analyzer.crawl.fetch_repeatedly(model, r.ip, Week::REFERENCE, attempts, &mut fetches);
             match validate_fetches(&fetches, &store) {
                 Ok(_) => confirmed += 1,
                 Err(ixp_cert::ValidationError::Unstable) => unstable += 1,

@@ -19,10 +19,27 @@
 //! are recorded in a shared [`Quarantine`] table. The table is
 //! observability only — it never gates results, so the parallel study
 //! weeks stay bit-for-bit deterministic regardless of scheduling order.
+//!
+//! ## What a fetch costs
+//!
+//! A fetch copies nothing. The answer borrows the server's chain from the
+//! crawler's profiles ([`Presented`]); a role-flipping cloud IP's
+//! `tenant-<n>.` subject is a number beside the borrowed chain, and
+//! validation reads it in place. [`CrawlSim::fetch_repeatedly`] fills a
+//! vector its caller owns, so a census reuses one across its candidates.
+//! [`Presented::to_chain`] spells a presentation out when a caller wants
+//! it owned.
+//!
+//! The order in which a caller crawls its candidates does not matter
+//! either. Every `cert_*` metric is a sum, and the quarantine streak is
+//! kept per address, which one census visits once; the census walks its
+//! scan's table in hash order, which changes with every restore.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::Ipv4Addr;
 
 use ixp_faults::{retry_with_backoff, AttemptLog, Quarantine, RetryPolicy};
@@ -39,15 +56,91 @@ const TRANSIENT_DOWN_RATE: f64 = 0.12;
 const PERSISTENT_FAILURE_CUTOFF: u32 = 2;
 
 /// Result of one crawl attempt against an IP.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CrawlResult {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrawlResult<'c> {
     /// No TCP answer / handshake timeout.
     NoAnswer,
     /// Something answered on 443, but it does not speak TLS (SSH, VPN,
     /// proxies — the firewall-circumvention traffic the paper filters out).
     NotTls,
     /// A TLS handshake delivered this certificate chain.
-    Tls(Chain),
+    Tls(Presented<'c>),
+}
+
+/// A certificate chain as one TLS handshake presented it: the server's
+/// chain, borrowed from the crawler, and for a role-flipping cloud IP the
+/// tenant whose label heads the leaf subject on this visit
+/// (`tenant-<n>.<subject>`). Two presentations are equal when they present
+/// equal chains under the same tenant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Presented<'c> {
+    /// The chain as the crawler holds it.
+    pub(crate) chain: &'c Chain,
+    /// The tenant label the leaf subject carries on this visit, if any.
+    pub(crate) tenant: Option<u32>,
+}
+
+/// Room for the longest tenant prefix: `tenant-`, the ten digits of
+/// `u32::MAX` and the dot.
+pub(crate) const TENANT_PREFIX_MAX: usize = 18;
+
+impl<'c> Presented<'c> {
+    /// The leaf certificate as the crawler holds it: its subject lacks
+    /// the tenant label.
+    pub(crate) fn leaf(&self) -> Option<&'c Certificate> {
+        self.chain.leaf()
+    }
+
+    /// The same chain under the same tenant, by address: what an earlier
+    /// check of one holds for the other.
+    pub(crate) fn same_as(&self, other: &Presented<'_>) -> bool {
+        std::ptr::eq(self.chain, other.chain) && self.tenant == other.tenant
+    }
+
+    /// The `tenant-<n>.` label the leaf subject starts with, written into
+    /// `buf`; empty without a tenant or a leaf.
+    pub(crate) fn subject_prefix<'b>(&self, buf: &'b mut [u8; TENANT_PREFIX_MAX]) -> &'b str {
+        let (Some(tenant), Some(_)) = (self.tenant, self.leaf()) else { return "" };
+        let len = {
+            let mut rest = &mut buf[..];
+            // Cannot run out: the buffer holds the longest prefix.
+            let _ = write!(rest, "tenant-{tenant}.");
+            TENANT_PREFIX_MAX - rest.len()
+        };
+        std::str::from_utf8(&buf[..len]).unwrap_or("")
+    }
+
+    /// The leaf subject as presented: borrowed from the chain, or spelt
+    /// out under a tenant. Empty for an empty chain.
+    pub(crate) fn subject(&self) -> Cow<'c, str> {
+        let subject = self.leaf().map_or("", |leaf| &leaf.subject);
+        let mut buf = [0; TENANT_PREFIX_MAX];
+        match self.subject_prefix(&mut buf) {
+            "" => Cow::Borrowed(subject),
+            prefix => Cow::Owned(format!("{prefix}{subject}")),
+        }
+    }
+
+    /// Does the presented leaf subject read `head` then `tail`? Compared
+    /// in place, byte for byte, the tenant label included.
+    pub(crate) fn subject_reads(&self, head: &str, tail: &str) -> bool {
+        let mut buf = [0; TENANT_PREFIX_MAX];
+        let prefix = self.subject_prefix(&mut buf);
+        let subject = self.leaf().map_or("", |leaf| &leaf.subject);
+        prefix.len() + subject.len() == head.len() + tail.len()
+            && prefix.bytes().chain(subject.bytes()).eq(head.bytes().chain(tail.bytes()))
+    }
+
+    /// The presented chain, owned: a copy of the crawler's chain with the
+    /// presented subject written into its leaf.
+    pub fn to_chain(&self) -> Chain {
+        let mut chain = self.chain.clone();
+        let subject = self.subject().into_owned();
+        if let Some(leaf) = chain.certs.first_mut() {
+            leaf.subject = subject;
+        }
+        chain
+    }
 }
 
 /// How a server's certificate is broken, if it is.
@@ -236,7 +329,7 @@ impl CrawlSim {
         ip: Ipv4Addr,
         week: Week,
         attempt: u32,
-    ) -> CrawlResult {
+    ) -> CrawlResult<'_> {
         match model.servers.by_ip(ip) {
             None => {
                 // Not a server: VPN/SSH endpoints answer without TLS; the
@@ -265,20 +358,12 @@ impl CrawlSim {
                             CrawlResult::NoAnswer
                         }
                     }
-                    Some(profile) => {
-                        let mut chain = profile.chain.clone();
-                        if profile.defect == Defect::Flaky {
-                            // Present a different tenant identity per visit.
-                            if let Some(leaf) = chain.certs.first_mut() {
-                                leaf.subject = format!(
-                                    "tenant-{}.{}",
-                                    (u32::from(ip) ^ attempt).wrapping_mul(2654435761) % 100_000,
-                                    leaf.subject
-                                );
-                            }
-                        }
-                        CrawlResult::Tls(chain)
-                    }
+                    Some(profile) => CrawlResult::Tls(Presented {
+                        chain: &profile.chain,
+                        // Present a different tenant identity per visit.
+                        tenant: (profile.defect == Defect::Flaky)
+                            .then(|| (u32::from(ip) ^ attempt).wrapping_mul(2654435761) % 100_000),
+                    }),
                 }
             }
         }
@@ -295,7 +380,7 @@ impl CrawlSim {
         ip: Ipv4Addr,
         week: Week,
         attempt: u32,
-    ) -> (CrawlResult, AttemptLog) {
+    ) -> (CrawlResult<'_>, AttemptLog) {
         let (result, log) = retry_with_backoff(self.policy, |round| {
             if self.transient_down(ip, week, attempt, round) {
                 None
@@ -312,22 +397,24 @@ impl CrawlSim {
     }
 
     /// Crawl an IP several times across two weeks, as the paper does, and
-    /// hand back the fetches for validation.
+    /// hand back the fetches for validation: `out` is cleared, then holds
+    /// each TLS answer with its fetch week.
     ///
     /// Each fetch runs under the retry budget. An IP that answers nothing
     /// on [`PERSISTENT_FAILURE_CUTOFF`] consecutive attempts is treated as
     /// persistently down for this campaign: the remaining attempts are
     /// skipped (they could only burn deadline budget on a dead host) and
     /// the IP is recorded in the shared quarantine table.
-    pub fn fetch_repeatedly(
-        &self,
+    pub fn fetch_repeatedly<'c>(
+        &'c self,
         model: &InternetModel,
         ip: Ipv4Addr,
         week: Week,
         attempts: u32,
-    ) -> Vec<(Chain, u8)> {
+        out: &mut Vec<(Presented<'c>, u8)>,
+    ) {
         self.metrics.campaigns.inc();
-        let mut out = Vec::new();
+        out.clear();
         let mut dead_streak = 0u32;
         let mut answered = false;
         for a in 0..attempts {
@@ -339,10 +426,10 @@ impl CrawlSim {
             // the start of the study).
             let w = Week(week.0.saturating_sub((a % 2) as u8).max(Week::FIRST.0));
             match self.fetch_with_retry(model, ip, w, a) {
-                (CrawlResult::Tls(chain), _) => {
+                (CrawlResult::Tls(presented), _) => {
                     answered = true;
                     dead_streak = 0;
-                    out.push((chain, w.0));
+                    out.push((presented, w.0));
                 }
                 (CrawlResult::NotTls, _) => {
                     answered = true;
@@ -357,7 +444,6 @@ impl CrawlSim {
         } else {
             self.quarantine.record_failure(key);
         }
-        out
     }
 
     /// Hosts currently flagged as persistently unresponsive by past
@@ -395,12 +481,101 @@ impl CrawlSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::tests::reference_validate_fetches;
     use crate::validate::{validate_fetches, ValidationError};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn build() -> (InternetModel, CrawlSim) {
         let model = InternetModel::tiny(41);
         let sim = CrawlSim::build(&model, 41);
         (model, sim)
+    }
+
+    const DEFECTS: [Defect; 8] = [
+        Defect::None,
+        Defect::Expired,
+        Defect::SelfSigned,
+        Defect::BadSubject,
+        Defect::WrongKeyUsage,
+        Defect::ShuffledChain,
+        Defect::BadCcsld,
+        Defect::Flaky,
+    ];
+
+    /// The tiny model, its crawler, and the first three servers (by
+    /// address) of every defect.
+    fn by_defect() -> &'static (InternetModel, CrawlSim, Vec<Ipv4Addr>) {
+        static FIXTURE: OnceLock<(InternetModel, CrawlSim, Vec<Ipv4Addr>)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let (model, sim) = build();
+            let mut profiles: Vec<(u32, Defect)> =
+                sim.profiles.iter().map(|(ip, p)| (*ip, p.defect)).collect();
+            profiles.sort_unstable_by_key(|(ip, _)| *ip);
+            let mut servers = Vec::new();
+            for defect in DEFECTS {
+                let before = servers.len();
+                let of_defect = profiles.iter().filter(|(_, d)| *d == defect);
+                servers.extend(of_defect.take(3).map(|(ip, _)| Ipv4Addr::from(*ip)));
+                assert!(servers.len() > before, "no {defect:?} server in the tiny model");
+            }
+            (model, sim, servers)
+        })
+    }
+
+    fn materialised(fetches: &[(Presented<'_>, u8)]) -> Vec<(Chain, u8)> {
+        fetches.iter().map(|(p, week)| (p.to_chain(), *week)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// What the crawler hands back for a server of any defect, one to
+        /// four attempts, any study week: the same verdict and the same
+        /// names as the frozen copy over the chains spelt out.
+        #[test]
+        fn validating_crawled_fetches_matches_the_frozen_copy(
+            server in 0usize..24,
+            attempts in 1u32..=4,
+            week in 35u8..=51,
+        ) {
+            let (model, sim, servers) = by_defect();
+            let store = RootStore::default_store();
+            let mut fetches = Vec::new();
+            let ip = servers[server % servers.len()];
+            sim.fetch_repeatedly(model, ip, Week(week), attempts, &mut fetches);
+            prop_assert_eq!(
+                validate_fetches(&fetches, &store),
+                reference_validate_fetches(&materialised(&fetches), &store)
+            );
+        }
+
+        /// Presentations no single server would give: chains of different
+        /// servers and defects in one list, under chosen tenants and
+        /// weeks, so that the skipped re-checks and the in-place
+        /// comparison meet every order of failures.
+        #[test]
+        fn validating_mixed_presentations_matches_the_frozen_copy(
+            picks in collection::vec((0usize..24, 0u8..3, 0u32..3, 35u8..=51), 1..=4),
+        ) {
+            let (_, sim, servers) = by_defect();
+            let store = RootStore::default_store();
+            let first = picks[0].0;
+            let fetches: Vec<(Presented<'_>, u8)> = picks
+                .iter()
+                .map(|&(server, again, tenant, week)| {
+                    // Two in three fetches go back to the first server.
+                    let server = if again > 0 { first } else { server };
+                    let ip = u32::from(servers[server % servers.len()]);
+                    let chain = &sim.profiles[&ip].chain;
+                    (Presented { chain, tenant: (tenant > 0).then_some(tenant) }, week)
+                })
+                .collect();
+            prop_assert_eq!(
+                validate_fetches(&fetches, &store),
+                reference_validate_fetches(&materialised(&fetches), &store)
+            );
+        }
     }
 
     #[test]
@@ -413,7 +588,7 @@ mod tests {
             .find(|s| s.flags.has(ServerFlags::HTTPS) && s.active_in(Week::REFERENCE))
             .unwrap();
         match sim.fetch(&model, server.ip, Week::REFERENCE, 0) {
-            CrawlResult::Tls(chain) => assert!(!chain.certs.is_empty()),
+            CrawlResult::Tls(presented) => assert!(!presented.chain.certs.is_empty()),
             other => panic!("expected TLS, got {other:?}"),
         }
     }
@@ -455,11 +630,12 @@ mod tests {
         let store = RootStore::default_store();
         let mut valid = 0;
         let mut invalid = 0;
+        let mut fetches = Vec::new();
         for s in model.servers.servers() {
             if !s.flags.has(ServerFlags::HTTPS) || !s.active_in(Week::REFERENCE) {
                 continue;
             }
-            let fetches = sim.fetch_repeatedly(&model, s.ip, Week::REFERENCE, 3);
+            sim.fetch_repeatedly(&model, s.ip, Week::REFERENCE, 3, &mut fetches);
             match validate_fetches(&fetches, &store) {
                 Ok(_) => valid += 1,
                 Err(_) => invalid += 1,
@@ -477,11 +653,12 @@ mod tests {
         let (model, sim) = build();
         let store = RootStore::default_store();
         let mut saw_unstable = false;
+        let mut fetches = Vec::new();
         for s in model.servers.servers() {
             if !s.flags.has(ServerFlags::HTTPS) || !s.active_in(Week::REFERENCE) {
                 continue;
             }
-            let fetches = sim.fetch_repeatedly(&model, s.ip, Week::REFERENCE, 4);
+            sim.fetch_repeatedly(&model, s.ip, Week::REFERENCE, 4, &mut fetches);
             if validate_fetches(&fetches, &store) == Err(ValidationError::Unstable) {
                 saw_unstable = true;
                 break;
@@ -576,12 +753,13 @@ mod tests {
             })
             .expect("no silent non-server IP found");
         assert_eq!(sim.quarantined_hosts(), 0);
-        let fetches = sim.fetch_repeatedly(&model, dead, Week::REFERENCE, 8);
+        let mut fetches = Vec::new();
+        sim.fetch_repeatedly(&model, dead, Week::REFERENCE, 8, &mut fetches);
         assert!(fetches.is_empty());
         // One failed campaign starts the streak; the second crosses the
         // cutoff and quarantines the host.
         assert_eq!(sim.quarantined_hosts(), 0);
-        sim.fetch_repeatedly(&model, dead, Week::REFERENCE, 8);
+        sim.fetch_repeatedly(&model, dead, Week::REFERENCE, 8, &mut fetches);
         assert_eq!(sim.quarantined_hosts(), 1);
         // An answering host releases itself on its next campaign.
         let alive = model
@@ -590,7 +768,7 @@ mod tests {
             .iter()
             .find(|s| s.flags.has(ServerFlags::HTTPS) && s.active_in(Week::REFERENCE))
             .unwrap();
-        let fetches = sim.fetch_repeatedly(&model, alive.ip, Week::REFERENCE, 3);
+        sim.fetch_repeatedly(&model, alive.ip, Week::REFERENCE, 3, &mut fetches);
         assert!(!fetches.is_empty());
         assert_eq!(sim.quarantined_hosts(), 1, "answering host must not be quarantined");
     }
@@ -604,16 +782,13 @@ mod tests {
             .iter()
             .find(|s| s.flags.has(ServerFlags::HTTPS) && s.active_in(Week::REFERENCE))
             .unwrap();
-        let first = sim.fetch_repeatedly(&model, alive.ip, Week::REFERENCE, 3);
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        sim.fetch_repeatedly(&model, alive.ip, Week::REFERENCE, 3, &mut first);
         // Poison the shared table for this key, then refetch: identical.
         for _ in 0..10 {
             sim.quarantine.record_failure(u32::from(alive.ip));
         }
-        let second = sim.fetch_repeatedly(&model, alive.ip, Week::REFERENCE, 3);
-        assert_eq!(first.len(), second.len());
-        for ((c1, w1), (c2, w2)) in first.iter().zip(second.iter()) {
-            assert_eq!(w1, w2);
-            assert_eq!(c1.certs.len(), c2.certs.len());
-        }
+        sim.fetch_repeatedly(&model, alive.ip, Week::REFERENCE, 3, &mut second);
+        assert_eq!(first, second);
     }
 }

@@ -32,6 +32,6 @@ pub mod crawl;
 pub mod validate;
 pub mod x509;
 
-pub use crawl::{CrawlMetrics, CrawlResult, CrawlSim};
+pub use crawl::{CrawlMetrics, CrawlResult, CrawlSim, Presented};
 pub use validate::{validate_chain, validate_fetches, ValidationError};
 pub use x509::{Certificate, Chain, KeyUsage, RootStore};

@@ -1,6 +1,7 @@
 //! The six-check validation pipeline of paper §2.2.2.
 
-use crate::x509::{domain_is_valid, Chain, KeyUsage, RootStore};
+use crate::crawl::{Presented, TENANT_PREFIX_MAX};
+use crate::x509::{domain_is_valid, name_is_valid, Chain, KeyUsage, RootStore};
 
 /// Why a chain failed validation. Ordered like the paper's checks (a)–(f).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,10 +54,49 @@ pub fn validate_chain(
     store: &RootStore,
     fetch_week: u8,
 ) -> Result<ValidatedInfo, ValidationError> {
+    validate_fetches(&[(Presented { chain, tenant: None }, fetch_week)], store)
+}
+
+/// Run the full pipeline over repeated fetches of the same IP: every fetch
+/// must validate individually, and — ignoring validity time — all fetched
+/// chains must agree (check (f)). Fetches are judged in order and the
+/// first failure is the verdict.
+///
+/// Nothing is judged twice or copied to be judged. Checks (a)–(d) read
+/// only the presentation, so they run once per distinct one (chain and
+/// tenant); (e) reads the chain and the week, so it runs once per chain
+/// and fetch week; (f) compares subjects and alternative names in place.
+/// The one [`ValidatedInfo`] is built from the first fetch at the end.
+pub fn validate_fetches(
+    fetches: &[(Presented<'_>, u8)],
+    store: &RootStore,
+) -> Result<ValidatedInfo, ValidationError> {
+    let Some((first, _)) = fetches.first() else {
+        return Err(ValidationError::Empty);
+    };
+    for (i, (presented, week)) in fetches.iter().enumerate() {
+        let earlier = &fetches[..i];
+        if !earlier.iter().any(|(p, _)| p.same_as(presented)) {
+            check_presented(presented, store)?;
+        }
+        if !earlier.iter().any(|(p, w)| w == week && std::ptr::eq(p.chain, presented.chain)) {
+            check_week(presented.chain, *week)?;
+        }
+        if i > 0 && !agree(first, presented) {
+            return Err(ValidationError::Unstable);
+        }
+    }
+    Ok(validated_info(first))
+}
+
+/// Checks (a)–(d): everything that does not depend on the fetch week.
+fn check_presented(presented: &Presented<'_>, store: &RootStore) -> Result<(), ValidationError> {
+    let chain = presented.chain;
     let leaf = chain.leaf().ok_or(ValidationError::Empty)?;
 
-    // (a) subject.
-    if !domain_is_valid(&leaf.subject) {
+    // (a) subject, its tenant label (if any) read in place.
+    let mut prefix = [0; TENANT_PREFIX_MAX];
+    if !name_is_valid(presented.subject_prefix(&mut prefix), &leaf.subject) {
         return Err(ValidationError::BadSubject);
     }
     // (b) alternative names.
@@ -78,54 +118,121 @@ pub fn validate_chain(
             return Err(ValidationError::BadChain);
         }
     }
-    let last = chain.certs.last().unwrap();
     if chain.certs.len() == 1 {
         // A single self-signed certificate can never chain to the store.
-        if leaf.self_signed() || !store.trusts(&leaf.issuer) {
+        if presented.subject_reads("", &leaf.issuer) || !store.trusts(&leaf.issuer) {
             return Err(ValidationError::BadChain);
         }
-    } else if !store.trusts(&last.issuer) {
+    } else if chain.certs.last().is_some_and(|last| !store.trusts(&last.issuer)) {
         return Err(ValidationError::BadChain);
     }
-    // (e) validity time at fetch.
+    Ok(())
+}
+
+/// Check (e): every certificate valid at the fetch week.
+fn check_week(chain: &Chain, fetch_week: u8) -> Result<(), ValidationError> {
     if chain.certs.iter().any(|c| !c.valid_at(fetch_week)) {
         return Err(ValidationError::Expired);
     }
-
-    let mut names = vec![leaf.subject.clone()];
-    names.extend(leaf.alt_names.iter().cloned());
-    Ok(ValidatedInfo { subject: leaf.subject.clone(), names })
+    Ok(())
 }
 
-/// Run the full pipeline over repeated fetches of the same IP: every fetch
-/// must validate individually, and — ignoring validity time — all fetched
-/// chains must agree (check (f)).
-pub fn validate_fetches(
-    fetches: &[(Chain, u8)],
-    store: &RootStore,
-) -> Result<ValidatedInfo, ValidationError> {
-    if fetches.is_empty() {
-        return Err(ValidationError::Empty);
+/// Check (f) for two fetches that passed (a)–(e): the same subject and
+/// the same alternative names.
+fn agree(a: &Presented<'_>, b: &Presented<'_>) -> bool {
+    if a.same_as(b) {
+        return true;
     }
-    let mut first: Option<ValidatedInfo> = None;
-    for (chain, week) in fetches {
-        let info = validate_chain(chain, store, *week)?;
-        match &first {
-            None => first = Some(info),
-            Some(prev) => {
-                if prev != &info {
-                    return Err(ValidationError::Unstable);
-                }
-            }
-        }
-    }
-    Ok(first.unwrap())
+    let (Some(leaf_a), Some(leaf_b)) = (a.leaf(), b.leaf()) else { return false };
+    let mut prefix = [0; TENANT_PREFIX_MAX];
+    a.subject_reads(b.subject_prefix(&mut prefix), &leaf_b.subject)
+        && leaf_a.alt_names == leaf_b.alt_names
+}
+
+/// What a fetch that passed (a)–(d) tells the pipeline.
+fn validated_info(presented: &Presented<'_>) -> ValidatedInfo {
+    let subject = presented.subject().into_owned();
+    let alt_names = presented.leaf().map_or(&[][..], |l| &l.alt_names[..]);
+    let mut names = Vec::with_capacity(1 + alt_names.len());
+    names.push(subject.clone());
+    names.extend(alt_names.iter().cloned());
+    ValidatedInfo { subject, names }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::x509::tests::reference_domain_is_valid;
     use crate::x509::Certificate;
+
+    /// `validate_chain` as it was before presentations were borrowed,
+    /// frozen: an owned chain, the frozen name check.
+    fn reference_validate_chain(
+        chain: &Chain,
+        store: &RootStore,
+        fetch_week: u8,
+    ) -> Result<ValidatedInfo, ValidationError> {
+        let leaf = chain.leaf().ok_or(ValidationError::Empty)?;
+        if !reference_domain_is_valid(&leaf.subject) {
+            return Err(ValidationError::BadSubject);
+        }
+        if leaf.alt_names.iter().any(|n| !reference_domain_is_valid(n)) {
+            return Err(ValidationError::BadAltName);
+        }
+        if leaf.key_usage != KeyUsage::ServerAuth {
+            return Err(ValidationError::BadKeyUsage);
+        }
+        for pair in chain.certs.windows(2) {
+            if pair[0].issuer != pair[1].subject {
+                return Err(ValidationError::BadChain);
+            }
+            if pair[1].key_usage != KeyUsage::CertSign {
+                return Err(ValidationError::BadChain);
+            }
+        }
+        let last = chain.certs.last().unwrap();
+        if chain.certs.len() == 1 {
+            if leaf.self_signed() || !store.trusts(&leaf.issuer) {
+                return Err(ValidationError::BadChain);
+            }
+        } else if !store.trusts(&last.issuer) {
+            return Err(ValidationError::BadChain);
+        }
+        if chain.certs.iter().any(|c| !c.valid_at(fetch_week)) {
+            return Err(ValidationError::Expired);
+        }
+        let mut names = vec![leaf.subject.clone()];
+        names.extend(leaf.alt_names.iter().cloned());
+        Ok(ValidatedInfo { subject: leaf.subject.clone(), names })
+    }
+
+    /// `validate_fetches` as it was before presentations were borrowed,
+    /// frozen: owned chains, every check and a `ValidatedInfo` per fetch.
+    pub(crate) fn reference_validate_fetches(
+        fetches: &[(Chain, u8)],
+        store: &RootStore,
+    ) -> Result<ValidatedInfo, ValidationError> {
+        if fetches.is_empty() {
+            return Err(ValidationError::Empty);
+        }
+        let mut first: Option<ValidatedInfo> = None;
+        for (chain, week) in fetches {
+            let info = reference_validate_chain(chain, store, *week)?;
+            match &first {
+                None => first = Some(info),
+                Some(prev) => {
+                    if prev != &info {
+                        return Err(ValidationError::Unstable);
+                    }
+                }
+            }
+        }
+        Ok(first.unwrap())
+    }
+
+    fn presented(chain: &Chain, tenant: Option<u32>) -> Presented<'_> {
+        Presented { chain, tenant }
+    }
 
     fn good_chain() -> Chain {
         Chain {
@@ -222,10 +329,26 @@ mod tests {
         let mut b = good_chain();
         b.certs[0].subject = "www.other.example".into();
         b.certs[0].alt_names.clear();
-        let ok = validate_fetches(&[(a.clone(), 44), (a.clone(), 45)], &store);
+        let pair = |x: &Chain, tx, y: &Chain, ty| {
+            validate_fetches(&[(presented(x, tx), 44), (presented(y, ty), 45)], &store)
+        };
+        let ok = pair(&a, None, &a, None);
         assert!(ok.is_ok());
-        let flip = validate_fetches(&[(a, 44), (b, 45)], &store);
-        assert_eq!(flip.unwrap_err(), ValidationError::Unstable);
+        assert_eq!(pair(&a, None, &b, None).unwrap_err(), ValidationError::Unstable);
+        // A copy of the chain agrees with it; another tenant does not.
+        assert_eq!(pair(&a, None, &a.clone(), None), ok);
+        assert_eq!(pair(&a, Some(1), &a, Some(2)).unwrap_err(), ValidationError::Unstable);
+    }
+
+    #[test]
+    fn a_tenant_heads_the_validated_subject() {
+        let store = RootStore::default_store();
+        let chain = good_chain();
+        let info = validate_fetches(&[(presented(&chain, Some(42)), 45)], &store).unwrap();
+        assert_eq!(info.subject, "tenant-42.www.shop.example");
+        assert_eq!(info.names[0], info.subject);
+        let owned = presented(&chain, Some(42)).to_chain();
+        assert_eq!(Ok(info), reference_validate_fetches(&[(owned, 45)], &store));
     }
 
     #[test]

@@ -100,37 +100,125 @@ impl RootStore {
 /// least two labels, a known suffix, no illegal characters, not an IP
 /// literal, not an internal name.
 pub fn domain_is_valid(domain: &str) -> bool {
+    name_is_valid("", domain)
+}
+
+/// [`domain_is_valid`] of `prefix` followed by `domain`, read in place:
+/// `prefix` is empty or one label and its dot (a presented tenant label,
+/// see [`crate::crawl::Presented`]). One pass over the labels, no
+/// allocation.
+pub(crate) fn name_is_valid(prefix: &str, domain: &str) -> bool {
+    // Trailing dots do not count; an empty name is one empty label.
     let domain = domain.trim_end_matches('.');
-    if domain.is_empty() || domain.len() > 253 {
+    if prefix.len() + domain.len() > 253 {
         return false;
     }
-    let labels: Vec<&str> = domain.split('.').collect();
-    if labels.len() < 2 {
-        return false; // single-label internal names like "localhost"
+    let mut labels = 0usize;
+    let mut tld = "";
+    for label in prefix.split_terminator('.').chain(domain.split('.')) {
+        let bytes = label.as_bytes();
+        let (Some(&first), Some(&last)) = (bytes.first(), bytes.last()) else {
+            return false;
+        };
+        if bytes.len() > 63
+            || first == b'-'
+            || last == b'-'
+            || !bytes.iter().all(|&c| c.is_ascii_alphanumeric() || c == b'-' || c == b'*')
+        {
+            return false;
+        }
+        labels += 1;
+        tld = label;
     }
-    if labels.iter().any(|l| {
-        l.is_empty()
-            || l.len() > 63
-            || !l.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '*')
-            || l.starts_with('-')
-            || l.ends_with('-')
-    }) {
-        return false;
-    }
-    // IP literals are not domains.
-    if labels.iter().all(|l| l.chars().all(|c| c.is_ascii_digit())) {
-        return false;
-    }
-    // Known public suffixes of the synthetic universe (stand-in for the
-    // publicsuffix.org ccSLD list).
-    const SUFFIXES: &[&str] = &["example", "test", "invalid-ccsld"];
-    let tld = labels.last().unwrap();
-    SUFFIXES[..2].contains(tld) && *tld != "invalid-ccsld"
+    // Single-label internal names like "localhost" are not domains. The
+    // known public suffixes of the synthetic universe stand in for the
+    // publicsuffix.org ccSLD list ("invalid-ccsld" is not one); none is
+    // numeric, so no IP literal passes.
+    labels >= 2 && matches!(tld, "example" | "test")
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `domain_is_valid` as it was before it read the labels in place,
+    /// frozen: a vector of labels per call.
+    pub(crate) fn reference_domain_is_valid(domain: &str) -> bool {
+        let domain = domain.trim_end_matches('.');
+        if domain.is_empty() || domain.len() > 253 {
+            return false;
+        }
+        let labels: Vec<&str> = domain.split('.').collect();
+        if labels.len() < 2 {
+            return false;
+        }
+        if labels.iter().any(|l| {
+            l.is_empty()
+                || l.len() > 63
+                || !l.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '*')
+                || l.starts_with('-')
+                || l.ends_with('-')
+        }) {
+            return false;
+        }
+        if labels.iter().all(|l| l.chars().all(|c| c.is_ascii_digit())) {
+            return false;
+        }
+        const SUFFIXES: &[&str] = &["example", "test", "invalid-ccsld"];
+        let tld = labels.last().unwrap();
+        SUFFIXES[..2].contains(tld) && *tld != "invalid-ccsld"
+    }
+
+    const ENDINGS: [&str; 8] =
+        ["", ".", ".example", ".test", ".invalid-ccsld", ".example.", "example", "test."];
+    const PREFIXES: [&str; 4] = ["", "tenant-0.", "tenant-4294967295.", "tenant-12."];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Same verdict as the frozen reference, on names of the
+        /// characters that matter, with and without a tenant prefix read
+        /// in place.
+        #[test]
+        fn domain_validity_matches_the_frozen_reference(
+            body in "[a-z0-9.*_-]{0,24}",
+            ending in 0usize..8,
+            prefix in 0usize..4,
+        ) {
+            let ending = ENDINGS[ending];
+            for domain in [format!("{body}{ending}"), ending.to_string(), body] {
+                agrees(PREFIXES[prefix], &domain)?;
+            }
+        }
+
+        /// All-digit forms (IP literals and their kin), and labels and
+        /// names around the 63- and 253-byte limits.
+        #[test]
+        fn numeric_and_long_names_match_the_frozen_reference(
+            digits in "[0-9.]{0,16}",
+            label_len in 55usize..70,
+            labels in 1usize..6,
+            ending in 0usize..8,
+            prefix in 0usize..4,
+        ) {
+            let long = vec!["a".repeat(label_len); labels].join(".");
+            let ending = ENDINGS[ending];
+            for domain in [format!("{digits}{ending}"), format!("{long}{ending}"), digits] {
+                agrees(PREFIXES[prefix], &domain)?;
+            }
+        }
+    }
+
+    /// `domain_is_valid` on `domain`, and `name_is_valid` on `prefix`
+    /// before it, give the frozen reference's verdicts.
+    fn agrees(prefix: &str, domain: &str) -> Result<(), TestCaseError> {
+        prop_assert_eq!(domain_is_valid(domain), reference_domain_is_valid(domain), "{:?}", domain);
+        let joined = format!("{prefix}{domain}");
+        let frozen = reference_domain_is_valid(&joined);
+        prop_assert_eq!(name_is_valid(prefix, domain), frozen, "{:?}", joined);
+        Ok(())
+    }
 
     fn leaf(subject: &str) -> Certificate {
         Certificate {

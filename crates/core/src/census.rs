@@ -130,6 +130,11 @@ impl ServerCensus {
         let mut https_candidates = 0usize;
         let mut https_responders = 0usize;
         let mut https_confirmed = 0usize;
+        // Reused across candidates: the crawl's answers, borrowed from the
+        // crawler, and the URIs that survive cleaning, borrowed from the
+        // scan. What a record keeps is copied once, from these.
+        let mut fetches = Vec::with_capacity(3);
+        let mut clean_uris: Vec<&str> = Vec::new();
 
         for (raw_ip, stats) in &scan.ips {
             let ip = Ipv4Addr::from(*raw_ip);
@@ -139,7 +144,7 @@ impl ServerCensus {
 
             if stats.evidence.has(Evidence::TLS443) {
                 https_candidates += 1;
-                let fetches = crawl.fetch_repeatedly(model, ip, week, 3);
+                crawl.fetch_repeatedly(model, ip, week, 3, &mut fetches);
                 if !fetches.is_empty() {
                     https_responders += 1;
                     if let Ok(info) = validate_fetches(&fetches, &store) {
@@ -154,19 +159,20 @@ impl ServerCensus {
             }
 
             // §2.4 meta-data.
-            let hostname = dns.ptr_lookup(ip).map(str::to_string);
-            let host_soa = match dns.soa_of_ip(ip) {
-                Ok(Some(ident)) => SoaOutcome::Identity(ident),
+            let (hostname, soa) = dns.lookup_server(ip);
+            let host_soa = match soa {
+                Ok(Some(ident)) => SoaOutcome::Identity(ident.clone()),
                 Ok(None) => SoaOutcome::None,
                 Err(SoaTimeout) => SoaOutcome::Timeout,
             };
             // URI cleaning: drop syntactically invalid authorities.
-            let uris: Vec<String> = scan
-                .uris(stats)
-                .iter()
-                .map(|id| scan.domains.name(*id).to_string())
-                .filter(|d| ixp_cert::x509::domain_is_valid(d))
-                .collect();
+            clean_uris.clear();
+            clean_uris.extend(
+                scan.uris(stats)
+                    .iter()
+                    .map(|id| scan.domains.name(*id))
+                    .filter(|d| ixp_cert::x509::domain_is_valid(d)),
+            );
 
             records.push(ServerRecord {
                 ip,
@@ -177,16 +183,18 @@ impl ServerCensus {
                 multi_port: stats.evidence.service_port_count() >= 2,
                 also_client: stats.evidence.has(Evidence::CLIENT),
                 member: stats.member,
-                uris,
+                uris: clean_uris.iter().map(|d| d.to_string()).collect(),
                 cert_names,
-                hostname,
+                hostname: hostname.map(str::to_string),
                 host_soa,
             });
         }
 
         // Cleaning: the paper's meta-data cleaning shrinks the pool by
         // < 3 % (RIR SOAs, invalid URIs). Records whose *only* evidence was
-        // cleaned away are dropped here.
+        // cleaned away are dropped here. Every record above was pushed with
+        // `http || https`, so this drops none and `cleaned` is always 0: a
+        // model miss, ROADMAP item 5(c).
         let before = records.len();
         records.retain(|r| r.http || r.https || r.has_metadata());
         let cleaned = before - records.len();
@@ -258,8 +266,154 @@ impl ServerCensus {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::testutil;
+    use crate::Analyzer;
+    use ixp_cert::{validate_chain, Chain, ValidationError};
     use ixp_netmodel::ServerFlags;
+    use ixp_obs::Obs;
+
+    /// `validate_fetches` as it was over owned chains, frozen: each chain
+    /// validated on its own, and each result compared with the first.
+    fn reference_validate(
+        fetches: &[(Chain, u8)],
+        store: &RootStore,
+    ) -> Result<ixp_cert::validate::ValidatedInfo, ValidationError> {
+        let mut first = None;
+        for (chain, week) in fetches {
+            let info = validate_chain(chain, store, *week)?;
+            match &first {
+                None => first = Some(info),
+                Some(prev) if prev != &info => return Err(ValidationError::Unstable),
+                Some(_) => {}
+            }
+        }
+        first.ok_or(ValidationError::Empty)
+    }
+
+    /// `identify` as it was before the crawl was borrowed, frozen: every
+    /// fetch spelt out as an owned chain, validated one by one, two DNS
+    /// probes a server, every URI copied before cleaning.
+    fn reference_identify(
+        scan: &WeekScan,
+        model: &InternetModel,
+        dns: &DnsDb,
+        crawl: &CrawlSim,
+    ) -> ServerCensus {
+        let store = RootStore::default_store();
+        let week = scan.week;
+        let mut records: Vec<ServerRecord> = Vec::new();
+        let (mut https_candidates, mut https_responders, mut https_confirmed) = (0, 0, 0);
+        for (raw_ip, stats) in &scan.ips {
+            let ip = Ipv4Addr::from(*raw_ip);
+            let http = stats.evidence.has(Evidence::HTTP_SERVER);
+            let mut https = false;
+            let mut cert_names: Vec<String> = Vec::new();
+            if stats.evidence.has(Evidence::TLS443) {
+                https_candidates += 1;
+                let mut presented = Vec::new();
+                crawl.fetch_repeatedly(model, ip, week, 3, &mut presented);
+                let fetches: Vec<(Chain, u8)> =
+                    presented.iter().map(|(p, w)| (p.to_chain(), *w)).collect();
+                if !fetches.is_empty() {
+                    https_responders += 1;
+                    if let Ok(info) = reference_validate(&fetches, &store) {
+                        https = true;
+                        https_confirmed += 1;
+                        cert_names = info.names;
+                    }
+                }
+            }
+            if !http && !https {
+                continue;
+            }
+            let hostname = dns.ptr_lookup(ip).map(str::to_string);
+            let host_soa = match dns.soa_of_ip(ip) {
+                Ok(Some(ident)) => SoaOutcome::Identity(ident),
+                Ok(None) => SoaOutcome::None,
+                Err(SoaTimeout) => SoaOutcome::Timeout,
+            };
+            let uris: Vec<String> = scan
+                .uris(stats)
+                .iter()
+                .map(|id| scan.domains.name(*id).to_string())
+                .filter(|d| ixp_cert::x509::domain_is_valid(d))
+                .collect();
+            records.push(ServerRecord {
+                ip,
+                bytes: stats.bytes,
+                samples: stats.samples,
+                http,
+                https,
+                multi_port: stats.evidence.service_port_count() >= 2,
+                also_client: stats.evidence.has(Evidence::CLIENT),
+                member: stats.member,
+                uris,
+                cert_names,
+                hostname,
+                host_soa,
+            });
+        }
+        let before = records.len();
+        records.retain(|r| r.http || r.https || r.has_metadata());
+        let cleaned = before - records.len();
+        records.sort_by_key(|r| u32::from(r.ip));
+        let by_ip = records.iter().enumerate().map(|(i, r)| (u32::from(r.ip), i)).collect();
+        let coverage = MetadataCoverage {
+            dns: records.iter().filter(|r| r.hostname.is_some()).count(),
+            uri: records.iter().filter(|r| !r.uris.is_empty()).count(),
+            x509: records.iter().filter(|r| !r.cert_names.is_empty()).count(),
+            any: records.iter().filter(|r| r.has_metadata()).count(),
+            total: records.len(),
+            cleaned,
+        };
+        ServerCensus {
+            records,
+            by_ip,
+            https_candidates,
+            https_responders,
+            https_confirmed,
+            coverage,
+        }
+    }
+
+    /// A crawler of its own for one census, its `cert_*` counters in a
+    /// registry of their own.
+    fn fresh_crawler(model: &InternetModel) -> CrawlSim {
+        let mut crawl = CrawlSim::build(model, model.seed);
+        crawl.bind_obs(&Obs::deterministic());
+        crawl
+    }
+
+    #[test]
+    fn identify_matches_the_frozen_reference_on_clean_and_faulty_weeks_at_two_seeds() {
+        let other = InternetModel::tiny(7);
+        let other = Analyzer::new(&other);
+        for analyzer in [testutil::analyzer(), &other] {
+            let model = analyzer.model;
+            for scan in testutil::clean_and_hostile(analyzer) {
+                let (new_crawl, old_crawl) = (fresh_crawler(model), fresh_crawler(model));
+                let new = ServerCensus::identify(&scan, model, &analyzer.dns, &new_crawl);
+                let old = reference_identify(&scan, model, &analyzer.dns, &old_crawl);
+                assert!(new.https_confirmed > 0 && new.https_confirmed < new.https_responders);
+                testutil::assert_same_debug(&new.records, &old.records);
+                assert_eq!(new.by_ip, old.by_ip);
+                assert_eq!(
+                    (new.https_candidates, new.https_responders, new.https_confirmed),
+                    (old.https_candidates, old.https_responders, old.https_confirmed)
+                );
+                testutil::assert_same_debug(&new.coverage, &old.coverage);
+                let counters = |crawl: &CrawlSim| {
+                    let m = crawl.metrics();
+                    [&m.fetches, &m.attempts, &m.exhausted, &m.campaigns, &m.abandoned]
+                        .map(|c| c.get())
+                };
+                assert_eq!(counters(&new_crawl), counters(&old_crawl));
+                assert!(counters(&new_crawl)[0] > 0);
+                assert_eq!(new_crawl.quarantined_hosts(), old_crawl.quarantined_hosts());
+            }
+        }
+    }
 
     #[test]
     fn census_only_contains_ips_with_server_evidence() {

@@ -98,19 +98,7 @@ pub(crate) mod testutil {
         static WEEKS: OnceLock<Vec<(WeekScan, ServerCensus)>> = OnceLock::new();
         WEEKS.get_or_init(|| {
             let a = analyzer();
-            let hostile = FaultConfig {
-                seed: 31,
-                drop: 0.05,
-                duplicate: 0.02,
-                reorder: 0.02,
-                truncate: 0.01,
-                corrupt: 0.01,
-                restarts: vec![(0, 300)],
-                counter_wrap: true,
-                ..FaultConfig::default()
-            };
-            let faulty = FaultPlan::new(a.feed(Week::REFERENCE), hostile);
-            [a.scan_week(Week::REFERENCE), a.scan_week_from(Week::REFERENCE, faulty)]
+            clean_and_hostile(a)
                 .into_iter()
                 .map(|scan| {
                     let census = ServerCensus::identify(&scan, a.model, &a.dns, &a.crawl);
@@ -118,6 +106,24 @@ pub(crate) mod testutil {
                 })
                 .collect()
         })
+    }
+
+    /// An analyzer's reference week scanned clean and through the hostile
+    /// fault plan, the plan seeded with the model's seed.
+    pub(crate) fn clean_and_hostile(a: &Analyzer<'_>) -> [WeekScan; 2] {
+        let hostile = FaultConfig {
+            seed: a.model.seed,
+            drop: 0.05,
+            duplicate: 0.02,
+            reorder: 0.02,
+            truncate: 0.01,
+            corrupt: 0.01,
+            restarts: vec![(0, 300)],
+            counter_wrap: true,
+            ..FaultConfig::default()
+        };
+        let faulty = FaultPlan::new(a.feed(Week::REFERENCE), hostile);
+        [a.scan_week(Week::REFERENCE), a.scan_week_from(Week::REFERENCE, faulty)]
     }
 
     /// Assert that two values render alike under their derived `Debug`

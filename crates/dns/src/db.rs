@@ -97,21 +97,38 @@ impl DnsDb {
     /// Iteratively resolve the SOA behind a name (hostname or URI
     /// authority). Returns `None` for names outside the model's zones.
     pub fn soa_lookup(&self, name: &str) -> Option<SoaIdentity> {
-        let apex = names::apex_of(name)?;
-        let org = *self.zones.get(apex)?;
-        Some(self.org_identity[org.0 as usize].clone())
+        self.identity_of(name).cloned()
     }
 
-    /// SOA of the hostname of an IP, with the step-3 timeout behaviour:
-    /// [`SoaTimeout`] when the lookup times out (partial information).
+    /// The identity [`DnsDb::soa_lookup`] answers, borrowed.
+    fn identity_of(&self, name: &str) -> Option<&SoaIdentity> {
+        let apex = names::apex_of(name)?;
+        let org = *self.zones.get(apex)?;
+        Some(&self.org_identity[org.0 as usize])
+    }
+
+    /// A server IP's §2.4 DNS meta-data in one probe, borrowed: its PTR
+    /// hostname, and the SOA identity that hostname leads to, with the
+    /// step-3 timeout behaviour ([`SoaTimeout`] when the SOA lookup times
+    /// out, partial information). The hostname is answered either way.
+    pub fn lookup_server(
+        &self,
+        ip: Ipv4Addr,
+    ) -> (Option<&str>, Result<Option<&SoaIdentity>, SoaTimeout>) {
+        let key = u32::from(ip);
+        let hostname = self.ptr.get(&key).map(String::as_str);
+        let soa = if self.soa_timeout.contains_key(&key) {
+            Err(SoaTimeout)
+        } else {
+            Ok(hostname.and_then(|name| self.identity_of(name)))
+        };
+        (hostname, soa)
+    }
+
+    /// SOA of the hostname of an IP ([`DnsDb::lookup_server`]'s second
+    /// answer, owned).
     pub fn soa_of_ip(&self, ip: Ipv4Addr) -> Result<Option<SoaIdentity>, SoaTimeout> {
-        if self.soa_timeout.contains_key(&u32::from(ip)) {
-            return Err(SoaTimeout);
-        }
-        match self.ptr_lookup(ip) {
-            Some(name) => Ok(self.soa_lookup(name)),
-            None => Ok(None),
-        }
+        self.lookup_server(ip).1.map(|soa| soa.cloned())
     }
 
     /// Ground-truth helper for tests: which org owns a zone.
@@ -223,6 +240,22 @@ mod tests {
             .filter(|s| db.soa_of_ip(s.ip).is_err())
             .count();
         assert!(timeouts > 0, "no step-3 population generated");
+    }
+
+    #[test]
+    fn one_probe_answers_what_the_two_lookups_answer() {
+        let (model, db) = build();
+        let mut timeouts = 0;
+        for s in model.servers.servers() {
+            let (hostname, soa) = db.lookup_server(s.ip);
+            assert_eq!(hostname, db.ptr_lookup(s.ip));
+            assert_eq!(soa.map(|o| o.cloned()), db.soa_of_ip(s.ip));
+            match soa {
+                Ok(soa) => assert_eq!(soa.cloned(), hostname.and_then(|n| db.soa_lookup(n))),
+                Err(SoaTimeout) => timeouts += 1,
+            }
+        }
+        assert!(timeouts > 0);
     }
 
     #[test]

@@ -69,6 +69,17 @@ keyed_sites=$(awk '
 if grep -nE 'format!|to_string' crates/traffic/src/payload.rs >&2; then
     fail "crates/traffic/src/payload.rs formats into a String: write into the caller's buffer"
 fi
+# One presentation: a crawl answer borrows the crawler's chain and carries
+# a tenant as a number (DESIGN.md §14, "The census without copies"). A
+# `.clone()` or `format!` in crawl.rs outside the profile build and the two
+# spellings-out of a presentation is a copy per fetch, which the census
+# pays three times a candidate. The tests below `#[cfg(test)]` are free.
+copy_sites=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.clone\(\)|format!/ { if (within != "build" && within != "subject" && within != "to_chain") printf "%s:%d ", within, NR }' crates/cert/src/crawl.rs)
+[ -z "$copy_sites" ] ||
+    fail "crates/cert/src/crawl.rs copies outside build, Presented::subject and Presented::to_chain (fn:line): $copy_sites"
 if grep -nE '^(bytes|criterion|crossbeam|parking_lot|serde|serde_json|serde_derive)\b' \
     Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml >&2; then
     fail "a manifest names a dependency the workspace spells in std"

@@ -20,6 +20,7 @@ fn dns_and_crawler_agree_on_identity() {
     let store = RootStore::default_store();
 
     let mut agreements = 0usize;
+    let mut fetches = Vec::new();
     for server in model.servers.servers() {
         if !server.flags.has(ServerFlags::HTTPS)
             || !server.flags.has(ServerFlags::HAS_PTR)
@@ -27,7 +28,7 @@ fn dns_and_crawler_agree_on_identity() {
         {
             continue;
         }
-        let fetches = crawl.fetch_repeatedly(model, server.ip, Week::REFERENCE, 3);
+        crawl.fetch_repeatedly(model, server.ip, Week::REFERENCE, 3, &mut fetches);
         let Ok(info) = validate_fetches(&fetches, &store) else { continue };
         // The certificate's names and the hostname's SOA must lead to the
         // same administrative zone (this is what powers clustering step 1).

@@ -3,69 +3,15 @@
 //! may hold is sized by the directories it joins against (prefixes, ASes,
 //! countries) and by the servers it identifies — never by the number of
 //! IPs in the table: a sorted copy of the table, 16 bytes an IP, fails
-//! here. An integration test is a binary of its own, so the counting
-//! allocator below is installed here and nowhere else.
-#![allow(unsafe_code)]
+//! here. The counting allocator is `heap`'s, installed in this binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering::SeqCst};
+mod heap;
 
+use std::sync::atomic::Ordering::SeqCst;
+
+use heap::{LIVE, PEAK};
 use ixp_vantage::core::{Analyzer, ServerRecord};
 use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
-
-/// The system allocator, tracking the process's live bytes and their
-/// high-water mark. The report allocates on a helper thread as well as on
-/// the caller, and one thread frees what another allocated, so only a
-/// count over every thread adds up; this binary holds one test, so no
-/// other test's allocations are in it.
-struct PeakOfProcess;
-
-static LIVE: AtomicI64 = AtomicI64::new(0);
-static PEAK: AtomicI64 = AtomicI64::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as i64, SeqCst) + bytes as i64;
-    PEAK.fetch_max(live, SeqCst);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes as i64, SeqCst);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are atomics that neither
-// allocate nor touch allocator state.
-unsafe impl GlobalAlloc for PeakOfProcess {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        // SAFETY: the caller's layout is passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        // SAFETY: the caller's layout is passed through as given.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        // SAFETY: `ptr` came from this allocator with this layout (caller's
-        // contract), and this allocator only ever hands out `System` blocks.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        shrink(layout.size());
-        grow(new_size);
-        // SAFETY: as for `dealloc`, plus the caller guarantees `new_size`
-        // is valid for `layout.align()`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: PeakOfProcess = PeakOfProcess;
 
 /// `f`'s result, and how far the live heap rose above its level at the
 /// call while `f` ran.
