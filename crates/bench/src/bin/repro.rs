@@ -33,32 +33,29 @@
 //! `--clock real` for actual stage durations (at the cost of
 //! reproducibility of the timing histograms).
 //!
-//! `--checkpoint`/`--resume` switch to the **supervised single-week
-//! mode** (`ixp-supervisor`): the reference week is ingested through the
-//! bounded intake ring under the watchdog. With `--kill-at N` the run is
-//! killed at that datagram boundary and the sealed checkpoint written to
-//! `--checkpoint`; a later `--resume <path>` run restores it, replays the
-//! rest of the regenerated feed, and produces a report and metrics
-//! snapshot byte-identical to an uninterrupted run — `scripts/ci.sh`
-//! checks exactly that, too.
-//!
-//! `--transport memory|udp` puts the bounded
-//! [`TransportIntake`](ixp_transport::TransportIntake) in front of the
-//! supervisor. With `memory` the regenerated week rides it; with `udp` the
-//! feed is what a loopback socket receives from the `flowgen` binary (the
-//! same week, sent over UDP) until its `FIN` or an idle timeout. The
-//! default `--transport none` offers the week straight to the supervisor.
-//! The three share one feed loop. A `--kill-at` run in transport mode
-//! writes the intake's own checkpoint next to the supervisor's
-//! (`<checkpoint>.transport`), and `--resume` restores both.
+//! `--checkpoint`, `--resume` or `--transport memory|udp` switch to the
+//! **supervised single-week mode**: the reference week goes through the one
+//! supervised pipeline ([`Pipeline`]), the bounded intake ring under the
+//! watchdog, behind the bounded [`TransportIntake`](ixp_transport::TransportIntake)
+//! with `--transport memory` (the regenerated week) or `udp` (what a
+//! loopback socket receives from `flowgen` until its `FIN` or an idle
+//! timeout). `--kill-at N` (which needs `--checkpoint`; without it the run
+//! is refused with exit 2) kills the run before feed unit `N` and writes the
+//! sealed checkpoint there, in transport mode with the intake's state beside
+//! it (`<checkpoint>.transport`). A later `--resume <path>` restores both,
+//! replays the rest of the regenerated feed from the pipeline's cursor and
+//! ends byte-identical — report, checkpoint, metrics snapshot — to an
+//! uninterrupted run, as `scripts/ci.sh` checks; a refused image exits 3.
 
 use std::fmt::Write as _;
 
 use ixp_core::analyzer::{stage_metric, Analyzer, StudyReport};
 use ixp_core::{baseline, blindspots, changes, cluster, hetero, longitudinal, report, visibility};
 use ixp_core::cluster::Clusters;
+use ixp_bench::pipeline::{side_file, Images, Pipeline, ResumeError, Step, SFLOW_PEER};
 use ixp_netmodel::{InternetModel, ScaleConfig, Week};
 use ixp_obs::{Obs, Stopwatch};
+use ixp_supervisor::{Supervisor, SupervisorConfig};
 
 struct Args {
     scale: ScaleConfig,
@@ -131,6 +128,10 @@ fn parse_args() -> Args {
             }
             other => panic!("unknown argument {other}"),
         }
+    }
+    if kill_at.is_some() && checkpoint.is_none() {
+        eprintln!("--kill-at needs --checkpoint <path>: a killed run writes its images there");
+        std::process::exit(2);
     }
     Args {
         scale,
@@ -368,13 +369,9 @@ fn write_snapshots(args: &Args, obs: &Obs) {
     }
 }
 
-/// The supervised single-week mode (`--checkpoint` / `--resume`): ingest
-/// the reference week through the bounded intake ring under the watchdog,
-/// optionally killing at a datagram boundary (`--kill-at`) and writing a
-/// sealed checkpoint, or resuming from one. A resumed run replays the
-/// regenerated feed from its cursor and ends byte-identical — report,
-/// checkpoint, and metrics snapshot — to a run that was never killed.
-/// Returns `true` when the week completed (false: killed at `--kill-at`).
+/// The supervised single-week mode (see the module doc): the reference
+/// week through the [`Pipeline`], killed at `--kill-at` or resumed from
+/// `--resume`. Returns `true` when the week completed (false: killed).
 fn supervised_mode(
     args: &Args,
     obs: &Obs,
@@ -382,8 +379,7 @@ fn supervised_mode(
     board: &ixp_obsd::Board,
     auditor: &ixp_obs::Auditor,
 ) -> bool {
-    use ixp_supervisor::{Supervisor, SupervisorConfig};
-    use ixp_transport::{Drained, TransportIntake};
+    use ixp_transport::{TransportConfig, TransportIntake};
 
     let t0 = Stopwatch::start(obs.clock.as_ref());
     let secs = |sw: &Stopwatch| sw.elapsed_ns(obs.clock.as_ref()) as f64 / 1e9;
@@ -394,46 +390,26 @@ fn supervised_mode(
     let model = Box::leak(Box::new(InternetModel::generate(args.scale.clone(), args.seed)));
     let analyzer = Analyzer::with_obs(model, obs.clone());
     let week = Week::REFERENCE;
-    let config = SupervisorConfig::default();
+    let transport = args.transport != "none";
 
-    let mut sup = match &args.resume {
-        Some(path) => {
-            let bytes = std::fs::read(path).expect("read checkpoint file");
-            let mut sup = match Supervisor::restore(&bytes, config) {
-                Ok(sup) => sup,
-                Err(e) => {
-                    // Fail closed, and leave the flight recorder's
-                    // account of the rejection next to the rejected file.
-                    journal.record(ixp_obs::EventKind::RestoreRejected, 0, 0, 0, 0);
-                    let side = format!("{path}.flight");
-                    write_flight(&side, journal);
-                    eprintln!(
-                        "refusing to resume from {path}: {e} — flight dump written to {side}"
-                    );
-                    std::process::exit(3);
-                }
-            };
-            sup.bind_obs(obs);
-            eprintln!("  resumed from {path} at offered datagram {}", sup.offered());
-            sup
-        }
+    let mut pipeline = match &args.resume {
+        Some(path) => resume(path, transport, journal),
         None => {
             let members = model.registry.members_at(week).len() as u32;
-            Supervisor::with_obs(
-                ixp_core::WeekScan::with_obs(week, members, obs),
-                config,
-                obs,
-            )
+            let scan = ixp_core::WeekScan::new(week, members);
+            let sup = Supervisor::new(scan, SupervisorConfig::default());
+            Pipeline::new(sup, transport.then(|| TransportIntake::new(TransportConfig::default())))
         }
     };
-    sup.bind_journal(journal.clone());
+    pipeline.attach(obs, journal);
 
     // A steady-state audit breach mid-run is fatal: seal the flight dump
     // and exit, so the journal tail names the moment the ledger broke.
-    let audit_steady = |offered: u64| {
-        if !offered.is_multiple_of(AUDIT_EVERY) {
-            return;
-        }
+    let audit_steady = |step: Step<'_>| {
+        let offered = match step {
+            Step::After(sup) if sup.offered().is_multiple_of(AUDIT_EVERY) => sup.offered(),
+            _ => return,
+        };
         if let Err(e) = auditor.run(ixp_obs::AuditScope::Steady) {
             let side = flight_path(args);
             write_flight(&side, journal);
@@ -444,77 +420,44 @@ fn supervised_mode(
         }
     };
 
-    let mut transport = (args.transport != "none").then(|| transport_intake(args, obs, journal));
     let feed: Box<dyn Iterator<Item = (u64, Vec<u8>)>> = if args.transport == "udp" {
         Box::new(udp_feed(args))
     } else {
         Box::new(analyzer.feed(week).map(|dg| (SFLOW_PEER, dg)))
     };
-    let done = obs.time(&stage_metric("scan"), || {
-        // As `Supervisor::run_feed`, through the transport intake when one
-        // is in front, plus the periodic conservation audit at datagram
-        // boundaries. A resumed run skips the feed units it already took:
-        // the intake's count when there is one, as `scenario::Pipeline`.
-        let cursor = |sup: &Supervisor, intake: &Option<TransportIntake>| {
-            intake.as_ref().map_or(sup.offered(), |intake| intake.stats().offered)
-        };
-        let skip = usize::try_from(cursor(&sup, &transport)).unwrap_or(usize::MAX);
-        for (peer, dg) in feed.skip(skip) {
-            if args.kill_at.is_some_and(|k| cursor(&sup, &transport) >= k) {
-                return false;
-            }
-            match &mut transport {
-                None => sup.offer(dg),
-                Some(intake) => {
-                    intake.offer(peer, &dg);
-                    for unit in intake.drain(usize::MAX) {
-                        if let Drained::Sflow { datagram, .. } = unit {
-                            sup.offer(datagram);
-                        }
-                    }
-                }
-            }
-            audit_steady(sup.offered());
-        }
-        sup.finish();
-        true
-    });
+    let done = obs.time(&stage_metric("scan"), || pipeline.drive(feed, args.kill_at, audit_steady));
     if !done {
-        // The flight recorder's last word: where the kill landed.
-        journal.record(ixp_obs::EventKind::Kill, 0, 0, sup.offered(), sup.stats().ticks);
-        let path = args
-            .checkpoint
-            .as_deref()
-            .expect("--kill-at needs --checkpoint <path> to write to");
-        std::fs::write(path, sup.checkpoint()).expect("write checkpoint file");
-        if let Some(intake) = &transport {
-            let side = format!("{path}.transport");
-            std::fs::write(&side, intake.save_state()).expect("write transport state file");
+        let path = args.checkpoint.as_deref().expect("parse_args: --kill-at needs --checkpoint");
+        let images = pipeline.kill();
+        std::fs::write(path, &images.checkpoint).expect("write checkpoint file");
+        if let Some(state) = &images.transport {
+            let side = side_file(path);
+            std::fs::write(&side, state).expect("write transport state file");
             eprintln!("  transport state written to {side}");
         }
-        let flight = format!("{path}.flight");
+        let flight = flight_path(args);
         write_flight(&flight, journal);
         eprintln!(
-            "  killed at offered datagram {} ({:.1}s) — checkpoint written to {path}, flight dump to {flight}",
-            sup.offered(),
+            "  killed at feed unit {} ({:.1}s) — checkpoint written to {path}, flight dump to {flight}",
+            pipeline.cursor(),
             secs(&t0)
         );
         return false;
     }
+    let sup = pipeline.supervisor();
     if let Some(path) = &args.checkpoint {
         std::fs::write(path, sup.checkpoint()).expect("write checkpoint file");
         eprintln!("  final checkpoint written to {path}");
     }
 
     let (stats, balanced) = (sup.stats(), sup.fully_accounted());
+    let intake = pipeline.intake().map(|intake| (intake.stats(), intake.fully_accounted()));
     // Publish the per-agent health board for `/healthz` before the
     // supervisor is consumed for the report.
-    let health_rows: Vec<((u32, u32), &'static str)> =
-        sup.health_states().into_iter().map(|(key, state)| (key, state.as_str())).collect();
-    let rows: Vec<(u32, u32, &str)> =
-        health_rows.iter().map(|((agent, sub), state)| (*agent, *sub, *state)).collect();
+    let health = sup.health_states().into_iter();
+    let rows: Vec<_> = health.map(|((agent, sub), state)| (agent, sub, state.as_str())).collect();
     board.publish_agents(&rows);
-    let report = analyzer.report_from_scan(sup.into_scan());
+    let report = analyzer.report_from_scan(pipeline.into_scan());
     let t1 = visibility::table1(&report.snapshot);
     println!("supervised week {} complete at {:.1}s", week.0, secs(&t0));
     println!(
@@ -533,15 +476,14 @@ fn supervised_mode(
         "  accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
         if balanced { "holds" } else { "VIOLATED" }
     );
-    if let Some(intake) = &mut transport {
-        let ts = intake.finish();
+    if let Some((ts, balanced)) = intake {
         println!(
             "  transport ({} mode): {} offered, {} received, {} accepted, {} shed, {} duplicates, {} decode errors",
             args.transport, ts.offered, ts.received, ts.accepted, ts.shed, ts.duplicates, ts.decode_errors,
         );
         println!(
             "  transport accounting invariant (offered = received + shed; received = accepted + duplicates + errors + template-missing + pending): {}",
-            if intake.fully_accounted() { "holds" } else { "VIOLATED" }
+            if balanced { "holds" } else { "VIOLATED" }
         );
     }
     final_audit(args, journal, board, auditor);
@@ -549,48 +491,34 @@ fn supervised_mode(
     true
 }
 
-/// Stable peer identity the supervised mode uses when it offers the
-/// week's sFlow datagrams to the transport intake.
-const SFLOW_PEER: u64 = 0x5F10;
-
-/// The transport intake for `--transport memory|udp`, metrics and journal
-/// bound. A resumed run restores it from the side file the killed run
-/// wrote next to its checkpoint; a missing or damaged side file is refused
-/// like a damaged checkpoint, since the cursor is the intake's.
-fn transport_intake(
-    args: &Args,
-    obs: &Obs,
-    journal: &ixp_obs::Journal,
-) -> ixp_transport::TransportIntake {
-    use ixp_transport::{TransportConfig, TransportIntake, TransportMetrics};
-
-    let mut intake = match args.resume.as_deref() {
-        None => TransportIntake::new(TransportConfig::default()),
-        Some(path) => {
-            let side = format!("{path}.transport");
-            let restored = std::fs::read(&side).map_err(|e| e.to_string()).and_then(|bytes| {
-                TransportIntake::restore_from(&bytes).map_err(|e| e.to_string())
-            });
-            match restored {
-                Ok(intake) => {
-                    eprintln!("  transport state resumed from {side}");
-                    intake
-                }
-                Err(e) => {
-                    journal.record(ixp_obs::EventKind::RestoreRejected, 0, 1, 0, 0);
-                    let flight = format!("{side}.flight");
-                    write_flight(&flight, journal);
-                    eprintln!(
-                        "refusing to resume transport state from {side}: {e} — flight dump written to {flight}"
-                    );
-                    std::process::exit(3);
-                }
-            }
-        }
+/// The killed run's pipeline, from the checkpoint at `path` and, with a
+/// `transport`, the side file beside it. A refused image (an unreadable
+/// side file is an empty one) fails closed: a `RestoreRejected` event
+/// (`sub_agent` 0 for the checkpoint, 1 for the side file), the flight dump
+/// beside the refused file, exit 3.
+fn resume(path: &str, transport: bool, journal: &ixp_obs::Journal) -> Pipeline {
+    let checkpoint = std::fs::read(path).expect("read checkpoint file");
+    let side = side_file(path);
+    let state = transport.then(|| std::fs::read(&side));
+    let transport = state.as_ref().map(|read| read.as_deref().unwrap_or(&[]).to_vec());
+    let refuse = |sub_agent: u64, file: &str, e: &dyn std::fmt::Display| -> ! {
+        journal.record(ixp_obs::EventKind::RestoreRejected, 0, sub_agent, 0, 0);
+        let flight = format!("{file}.flight");
+        write_flight(&flight, journal);
+        eprintln!("refusing to resume from {file}: {e} — flight dump written to {flight}");
+        std::process::exit(3);
     };
-    intake.bind_metrics(TransportMetrics::register(&obs.registry));
-    intake.bind_journal(journal.clone());
-    intake
+    match Pipeline::resume(&Images { checkpoint, transport }, SupervisorConfig::default()) {
+        Ok(pipeline) => {
+            eprintln!("  resumed from {path} at feed unit {}", pipeline.cursor());
+            pipeline
+        }
+        Err(e @ ResumeError::Checkpoint(_)) => refuse(0, path, &e),
+        Err(e) => match &state {
+            Some(Err(read)) => refuse(1, &side, read),
+            _ => refuse(1, &side, &e),
+        },
+    }
 }
 
 /// The `--transport udp` feed: what a loopback socket receives, until the
@@ -1251,7 +1179,6 @@ fn chaos_sweep(
 ) {
     use ixp_bench::scenario;
     use ixp_faults::chaos;
-    use ixp_supervisor::Supervisor;
 
     // One faulted feed, collected once so both arms see identical bytes.
     let row = scenario::chaos_sweep(seed);
@@ -1262,13 +1189,13 @@ fn chaos_sweep(
     // Kill-and-resume chain: die at each seeded offset, restore from the
     // sealed checkpoint, continue.
     let o = row.run(analyzer, reference, &feed);
-    let identical = o.supervised.checkpoint == whole.checkpoint;
+    let identical = o.supervised.images == whole.images;
 
     // Damaged checkpoints must fail closed.
-    let mut flipped = whole.checkpoint.clone();
+    let mut flipped = whole.images.checkpoint.clone();
     chaos::flip_bit(&mut flipped, seed);
     let flip_rejected = Supervisor::restore(&flipped, row.config()).is_err();
-    let truncated = chaos::truncate_at_random(&whole.checkpoint, seed);
+    let truncated = chaos::truncate_at_random(&whole.images.checkpoint, seed);
     let trunc_rejected = Supervisor::restore(&truncated, row.config()).is_err();
 
     let (stats, resumes) = (o.supervised.stats, o.supervised.resumes.len());

@@ -1,8 +1,10 @@
 //! The `ixp-bench` reproduction harness: the two binaries under `src/bin`
-//! (`repro`, `flowgen`), and as its library the soak scenario table
+//! (`repro`, `flowgen`), and as its library the one supervised pipeline
+//! ([`pipeline`]) that `repro` and the soaks drive, the soak scenario table
 //! ([`scenario`]) that `repro --exp faults|chaos` and the root package's soak
 //! tests both read, and the `--scale` parser both binaries share.
 
+pub mod pipeline;
 pub mod scenario;
 
 use ixp_netmodel::ScaleConfig;

@@ -30,9 +30,11 @@ use ixp_faults::{
     chaos, BurstWindow, FaultConfig, FaultPlan, FaultStats, OutageWindow, WireFaultConfig, WirePlan,
 };
 use ixp_netmodel::Week;
-use ixp_obs::Obs;
+use ixp_obs::{Journal, Obs};
 use ixp_supervisor::{Supervisor, SupervisorConfig, SupervisorStats};
-use ixp_transport::{Drained, TransportConfig, TransportIntake, TransportMetrics, TransportStats};
+use ixp_transport::{TransportConfig, TransportIntake, TransportStats};
+
+use crate::pipeline::{Images, Pipeline, Step};
 
 /// The gated rows' Table-1 bound: each peering count within 2 % of the
 /// clean week's.
@@ -140,10 +142,10 @@ pub struct Feed {
 }
 
 impl Feed {
-    /// The packets without their peers, as the supervisor and the scan take
+    /// The packets with their peers, borrowed, as [`Pipeline::drive`] takes
     /// them.
-    pub fn datagrams(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
-        self.packets.iter().map(|(_, packet)| packet.clone())
+    pub fn units(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.packets.iter().map(|(peer, packet)| (*peer, packet.as_slice()))
     }
 }
 
@@ -182,21 +184,18 @@ impl fmt::Display for Drift {
 /// without supervision).
 #[derive(Debug, Default)]
 pub struct Supervised {
-    /// The final sealed checkpoint.
-    pub checkpoint: Vec<u8>,
+    /// The final sealed images: the checkpoint and, on a wire row, the
+    /// intake's saved state.
+    pub images: Images,
     /// The supervisor's counters at the end.
     pub stats: SupervisorStats,
     /// The JSON snapshot of the registry the last process published into.
     pub metrics: String,
     /// The transport intake's counters at the end (a wire row).
     pub transport: TransportStats,
-    /// The transport intake's saved state at the end (a wire row).
-    pub transport_state: Vec<u8>,
     /// The feed cursor each resumed process started from, one per kill.
     pub resumes: Vec<u64>,
-    /// `Supervisor::fully_accounted` (and, on a wire row,
-    /// `TransportIntake::fully_accounted`) held at every kill point and at
-    /// the end.
+    /// [`Pipeline::balances`] held at every kill point and at the end.
     pub ledger: bool,
 }
 
@@ -264,14 +263,17 @@ impl Scenario {
         }
     }
 
-    /// A fresh, unbound supervisor of the row over the reference week.
-    pub fn supervisor(&self, analyzer: &Analyzer<'_>) -> Supervisor {
+    /// A fresh, unbound pipeline of the row over the reference week: its
+    /// supervisor, behind a transport intake on a wire row.
+    pub fn pipeline(&self, analyzer: &Analyzer<'_>) -> Pipeline {
         let members = analyzer.model.registry.members_at(Week::REFERENCE).len() as u32;
-        Supervisor::new(WeekScan::new(Week::REFERENCE, members), self.config())
+        let sup = Supervisor::new(WeekScan::new(Week::REFERENCE, members), self.config());
+        let wire = matches!(self.plan, Plan::Wire(_));
+        Pipeline::new(sup, wire.then(|| TransportIntake::new(TransportConfig::default())))
     }
 
-    /// Plan → supervisor: drive `feed` through a fresh pipeline, the drain
-    /// stalled inside the bursts, killed and resumed at each of `kills`
+    /// Plan → supervisor: drive `feed` through a fresh [`Pipeline`], the
+    /// drain stalled inside the bursts, killed and resumed at each of `kills`
     /// (the row's [`Scenario::kill_points`], or `&[]` for the uninterrupted
     /// run a killed one is compared with); return its final state and the
     /// scan. Every process publishes into a fresh deterministic registry, so
@@ -283,37 +285,43 @@ impl Scenario {
         kills: &[u64],
     ) -> (Supervised, WeekScan) {
         let bursts = self.burst_windows(feed.packets.len() as u64);
-        let wire = matches!(self.plan, Plan::Wire(_));
-        let intake = wire.then(|| TransportIntake::new(TransportConfig::default()));
-        let mut p = Pipeline::bind(self.supervisor(analyzer), intake);
+        let stall = |step: Step<'_>| {
+            if let Step::Before { index, stall } = step {
+                *stall = bursts.iter().any(|b| b.contains(index + 1));
+            }
+        };
+        let mut p = self.pipeline(analyzer);
+        let mut obs = Obs::deterministic();
+        p.attach(&obs, &Journal::disabled());
         let (mut resumes, mut ledger) = (Vec::new(), true);
         for &kill_at in kills {
-            if p.drive(feed, &bursts, Some(kill_at)) {
+            if p.drive(feed.units(), Some(kill_at), stall) {
                 break;
             }
             // A kill point may find the ring full and a burst stalling the
             // drain. A pipeline that does not balance there is not killed:
             // its restore would refuse it, so the run goes on to report.
             if p.balances() {
-                p = p.restart(self.config());
+                p = Pipeline::resume(&p.kill(), self.config()).expect("resume own images");
+                obs = Obs::deterministic();
+                p.attach(&obs, &Journal::disabled());
                 resumes.push(p.cursor());
             } else {
                 ledger = false;
             }
         }
-        p.drive(feed, &bursts, None);
+        p.drive(feed.units(), None, stall);
         ledger &= p.balances();
         // In this order: sealing publishes the registry the snapshot reads.
         let supervised = Supervised {
-            checkpoint: p.sup.checkpoint(),
-            transport_state: p.intake.as_ref().map(TransportIntake::save_state).unwrap_or_default(),
-            metrics: ixp_obs::json::render(&p.obs.snapshot()),
-            stats: p.sup.stats(),
-            transport: p.intake.as_ref().map(TransportIntake::stats).unwrap_or_default(),
+            images: p.images(),
+            metrics: ixp_obs::json::render(&obs.snapshot()),
+            stats: p.supervisor().stats(),
+            transport: p.intake().map(TransportIntake::stats).unwrap_or_default(),
             resumes,
             ledger,
         };
-        (supervised, p.sup.into_scan())
+        (supervised, p.into_scan())
     }
 
     /// The whole path: plan → supervisor, if the row has one →
@@ -322,7 +330,8 @@ impl Scenario {
         let (supervised, scan) = match self.supervision {
             Some(_) => self.supervise(analyzer, feed, &self.kill_points(feed.packets.len() as u64)),
             None => {
-                (Supervised::default(), analyzer.scan_week_from(Week::REFERENCE, feed.datagrams()))
+                let datagrams = feed.units().map(|(_, datagram)| datagram.to_vec());
+                (Supervised::default(), analyzer.scan_week_from(Week::REFERENCE, datagrams))
             }
         };
         let report = analyzer.report_from_scan(scan);
@@ -357,78 +366,6 @@ impl Scenario {
             }
             _ => Ok(()),
         }
-    }
-}
-
-/// A supervised pipeline mid-run: the supervisor, a wire row's transport
-/// intake in front of it, and the registry both publish into.
-struct Pipeline {
-    sup: Supervisor,
-    intake: Option<TransportIntake>,
-    obs: Obs,
-}
-
-impl Pipeline {
-    fn bind(mut sup: Supervisor, mut intake: Option<TransportIntake>) -> Pipeline {
-        let obs = Obs::deterministic();
-        sup.bind_obs(&obs);
-        if let Some(intake) = &mut intake {
-            intake.bind_metrics(TransportMetrics::register(&obs.registry));
-        }
-        Pipeline { sup, intake, obs }
-    }
-
-    /// Feed units taken so far: where a resumed process picks the
-    /// regenerated feed up.
-    fn cursor(&self) -> u64 {
-        self.intake.as_ref().map_or(self.sup.offered(), |intake| intake.stats().offered)
-    }
-
-    fn balances(&self) -> bool {
-        self.sup.fully_accounted()
-            && self.intake.as_ref().is_none_or(TransportIntake::fully_accounted)
-    }
-
-    /// Offer the feed from the cursor on, the drain stalled while the
-    /// 1-based offered index is inside a burst. Stops before unit `kill_at`
-    /// (false), or finishes the run at the end of the feed (true).
-    fn drive(&mut self, feed: &Feed, bursts: &[BurstWindow], kill_at: Option<u64>) -> bool {
-        let skip = usize::try_from(self.cursor()).unwrap_or(usize::MAX);
-        for (i, (peer, packet)) in feed.packets.iter().enumerate().skip(skip) {
-            if kill_at.is_some_and(|k| i as u64 >= k) {
-                return false;
-            }
-            self.sup.set_stalled(bursts.iter().any(|b| b.contains(i as u64 + 1)));
-            match &mut self.intake {
-                None => self.sup.offer(packet.clone()),
-                Some(intake) => {
-                    intake.offer(*peer, packet);
-                    for unit in intake.drain(usize::MAX) {
-                        if let Drained::Sflow { datagram, .. } = unit {
-                            self.sup.offer(datagram);
-                        }
-                    }
-                }
-            }
-        }
-        self.sup.set_stalled(false);
-        self.sup.finish();
-        if let Some(intake) = &mut self.intake {
-            intake.finish();
-        }
-        true
-    }
-
-    /// Kill the process: seal its checkpoints, drop it, and restore a fresh
-    /// one, registry included.
-    fn restart(self, config: SupervisorConfig) -> Pipeline {
-        let checkpoint = self.sup.checkpoint();
-        let state = self.intake.as_ref().map(TransportIntake::save_state);
-        drop(self);
-        let sup = Supervisor::restore(&checkpoint, config).expect("restore own checkpoint");
-        let intake =
-            state.map(|s| TransportIntake::restore_from(&s).expect("restore own transport state"));
-        Pipeline::bind(sup, intake)
     }
 }
 

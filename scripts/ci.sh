@@ -209,9 +209,8 @@ if sed '/^#\[cfg(test)\]/,$d' crates/transport/src/export.rs |
 fi
 # One scenario table: the soaks' fault plans, rings, bursts and kills are
 # rows of crates/bench/src/scenario.rs, which the soak tests and `repro
-# --exp faults|chaos` read, and its one drive loop is what stalls a drain
-# (the format pins stall a supervisor only to pin the flag's byte). A plan
-# or a schedule stated beside a soak is a second copy that can drift.
+# --exp faults|chaos` read. A plan or a schedule stated beside a soak is a
+# second copy that can drift.
 if grep -nE '(^|[^A-Za-z])FaultConfig( \{|::)|SupervisorConfig \{|kill_offsets\(|overload_bursts\(' \
     tests/fault_tolerance.rs tests/chaos_soak.rs tests/transport_soak.rs \
     crates/bench/src/bin/repro.rs >&2; then
@@ -224,13 +223,25 @@ if grep -nE 'WireFaultConfig|FlowGenConfig|WirePlan|withhold_windows\(|flap_wind
     crates/bench/src/bin/repro.rs crates/bench/src/bin/flowgen.rs >&2; then
     fail "repro or flowgen builds a NetFlow workload: they replay the week's sFlow"
 fi
+# One feed loop: the intake → supervisor hand-off, the drain stall and the
+# kill edge are written in crates/bench/src/pipeline.rs, the one supervised
+# pipeline that repro, the soak runner and the soak and format-pin tests
+# drive (the format pins stall a supervisor only to pin the flag's byte).
+# Outside crates/transport and benchmark/, a second hand-off or kill edge is
+# a second cursor rule that can drift.
+handoffs=$(grep -rl --include='*.rs' 'Drained::Sflow' src tests examples crates |
+    grep -v '^crates/transport/' | tr '\n' ' ')
+[ "$handoffs" = "crates/bench/src/pipeline.rs " ] ||
+    fail "expected \`Drained::Sflow\` outside crates/transport in crates/bench/src/pipeline.rs only, found it in: $handoffs"
 stallers=$(grep -rl --include='*.rs' 'set_stalled(' src tests examples crates |
-    grep -vxE 'crates/supervisor/.*|tests/format_pins\.rs' | tr '\n' ' ')
-stall_fns=$(awk '
-    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
-    /set_stalled\(/ { print within }' crates/bench/src/scenario.rs | sort -u | tr '\n' ' ')
-[ "$stallers" = "crates/bench/src/scenario.rs " ] && [ "$stall_fns" = "drive " ] ||
-    fail "expected \`set_stalled(\` outside crates/supervisor and the format pins in one \`fn drive\` of crates/bench/src/scenario.rs, found it in: $stallers(fns: $stall_fns)"
+    grep -vxE 'crates/supervisor/.*|crates/bench/src/pipeline\.rs|tests/format_pins\.rs' | tr '\n' ' ')
+[ -z "$stallers" ] ||
+    fail "expected \`set_stalled(\` only in crates/bench/src/pipeline.rs, crates/supervisor and the format pins, found it in: $stallers"
+killers=$(for f in $(grep -rl --include='*.rs' 'EventKind::Kill' crates/*/src); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -q 'record(.*EventKind::Kill'; then printf '%s ' "$f"; fi
+done)
+[ "$killers" = "crates/bench/src/pipeline.rs " ] ||
+    fail "expected the kill edge (\`record(EventKind::Kill\`) under crates/*/src outside tests in crates/bench/src/pipeline.rs only, found it in: $killers"
 
 echo "==> cargo build --release"
 cargo build --release
@@ -316,6 +327,16 @@ same target/metrics-whole.json target/metrics-resumed.json \
     "resumed run's metrics snapshot differs from uninterrupted run"
 same target/ckpt-whole.bin target/ckpt-resumed.bin \
     "resumed run's final checkpoint differs from uninterrupted run"
+# --kill-at without --checkpoint has nowhere to write the killed run's
+# images: it is refused at argument parsing (exit 2), before any model is
+# generated, in either mode.
+for mode in none memory; do
+    status=0
+    repro --transport "$mode" --kill-at 400 > target/kill-no-ckpt.log 2>&1 || status=$?
+    [ "$status" -eq 2 ] && grep -q "needs --checkpoint" target/kill-no-ckpt.log &&
+        ! grep -q "generating model\|supervised mode" target/kill-no-ckpt.log ||
+        fail "--transport $mode --kill-at without --checkpoint was not refused at parsing (exit $status, see target/kill-no-ckpt.log)"
+done
 
 echo "==> transport smoke test (intake determinism + metrics)"
 # Two same-seed supervised runs whose week rides the transport intake
@@ -336,6 +357,35 @@ for family in transport_offered_total transport_received_total \
     grep -q "$family" target/metrics-transport-a.json ||
         fail "metric family $family missing from the transport snapshot"
 done
+# Kill and resume with the intake in front: the killed run leaves the
+# intake's side file and the flight dump beside its checkpoint, and its
+# resume ends on the whole run's final checkpoint and metrics. A resume
+# whose side file is gone is refused (exit 3), with the flight dump beside
+# the missing side file.
+rm -f target/tckpt-mid.bin.transport target/tckpt-mid.bin.flight \
+    target/tckpt-noside.bin.transport target/tckpt-noside.bin.transport.flight
+repro --transport memory --checkpoint target/tckpt-whole.bin \
+    --metrics target/tmetrics-whole.json >/dev/null 2>&1
+repro --transport memory --checkpoint target/tckpt-mid.bin --kill-at 400 \
+    --metrics target/tmetrics-killed.json >/dev/null 2>&1
+[ -f target/tckpt-mid.bin.transport ] ||
+    fail "transport-mode killed run left no .transport side file beside its checkpoint"
+[ -f target/tckpt-mid.bin.flight ] ||
+    fail "transport-mode killed run left no flight dump beside its checkpoint"
+repro --transport memory --resume target/tckpt-mid.bin --checkpoint target/tckpt-resumed.bin \
+    --metrics target/tmetrics-resumed.json >/dev/null 2>&1
+same target/tckpt-whole.bin target/tckpt-resumed.bin \
+    "transport-mode resumed run's final checkpoint differs from the whole run's"
+same target/tmetrics-whole.json target/tmetrics-resumed.json \
+    "transport-mode resumed run's metrics snapshot differs from the whole run's"
+cp target/tckpt-mid.bin target/tckpt-noside.bin
+status=0
+repro --transport memory --resume target/tckpt-noside.bin \
+    --checkpoint target/tckpt-noside-resumed.bin > target/transport-noside.log 2>&1 || status=$?
+[ "$status" -eq 3 ] ||
+    fail "a resume without its side file exited $status, not 3 (see target/transport-noside.log)"
+[ -f target/tckpt-noside.bin.transport.flight ] ||
+    fail "a refused side file left no flight dump beside it"
 
 echo "==> flowgen -> repro loopback smoke (UDP when permitted)"
 # When this environment allows loopback UDP, exercise the real socket

@@ -13,6 +13,7 @@ use std::sync::OnceLock;
 use common::{analyzer, clean};
 use ixp_bench::scenario::{self, Feed};
 use ixp_vantage::faults::chaos;
+use ixp_vantage::obs::Obs;
 use ixp_vantage::supervisor::Supervisor;
 
 const SEED: u64 = 777;
@@ -42,7 +43,7 @@ fn kill_and_resume_recovers_byte_identically() {
         let (resumed, _) = row.supervise(analyzer(), feed(), &[kill_at]);
         assert_eq!(resumed.resumes, [kill_at], "no resume at kill offset {kill_at}");
         assert_eq!(
-            resumed.checkpoint, whole.checkpoint,
+            resumed.images, whole.images,
             "checkpoint diverged after kill at {kill_at}"
         );
         assert_eq!(
@@ -53,38 +54,29 @@ fn kill_and_resume_recovers_byte_identically() {
     }
 }
 
-/// Every injected kill leaves a flight dump beside the checkpoint — the
-/// sealed tail of the event journal — that parses fail-closed and whose
-/// last event names the killed offset and tick count, exactly what a
-/// post-mortem needs. A bit-flipped dump is rejected with a typed error.
+/// Every injected kill leaves a flight dump — the sealed tail of the event
+/// journal — that parses fail-closed and whose last event is the kill edge
+/// naming the killed offset, exactly what a post-mortem needs. A
+/// bit-flipped dump is rejected with a typed error.
 #[test]
 fn every_kill_leaves_a_parseable_flight_dump() {
     use ixp_vantage::obs::journal::{self, EventKind};
 
     let row = scenario::chaos_kills();
-    let dir = std::env::temp_dir().join(format!("ixp-chaos-flight-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
     for kill_at in row.kill_points(total()) {
         let journal = ixp_vantage::obs::Journal::deterministic();
-        let mut killed = row.supervisor(analyzer());
-        killed.bind_journal(journal.clone());
-        let done = killed.run_feed(feed().datagrams(), Some(kill_at));
-        assert!(!done, "kill offset {kill_at} was never reached");
-
-        // As the repro binary's kill path: record the kill edge, then dump
-        // the journal tail to `<checkpoint>.flight`.
-        journal.record(EventKind::Kill, 0, 0, killed.offered(), killed.stats().ticks);
-        let path = dir.join(format!("kill-{kill_at}.ckpt.flight"));
-        std::fs::write(&path, journal.dump_flight(64)).unwrap();
-        assert!(path.is_file(), "flight dump missing after kill at {kill_at}");
-
-        let bytes = std::fs::read(&path).unwrap();
+        let mut killed = row.pipeline(analyzer());
+        killed.attach(&Obs::deterministic(), &journal);
+        let cut = !killed.drive(feed().units(), Some(kill_at), |_| {});
+        assert!(cut, "kill offset {kill_at} was never reached");
+        killed.kill();
+        let bytes = journal.dump_flight(64);
         let events = journal::parse_flight(&bytes)
             .unwrap_or_else(|e| panic!("flight dump after kill at {kill_at}: {e}"));
         let tail = events.last().expect("flight dump holds the journal tail");
         assert_eq!(tail.kind, EventKind::Kill, "tail must be the kill edge");
         assert_eq!(tail.a, kill_at, "flight tail must name the killed offset");
+        assert_eq!(tail.sub_agent, 0, "with no intake the kill edge names the supervisor");
         // The dump explains the failure: supervisor activity precedes it.
         assert!(
             events.iter().any(|e| matches!(e.kind, EventKind::TickStart | EventKind::TickEnd)),
@@ -99,8 +91,6 @@ fn every_kill_leaves_a_parseable_flight_dump() {
             .unwrap_or_else(|| panic!("bit-flipped flight dump (kill {kill_at}) parsed"));
         assert!(!err.to_string().is_empty());
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Corrupted and truncated checkpoint images are rejected with a typed
@@ -109,9 +99,9 @@ fn every_kill_leaves_a_parseable_flight_dump() {
 #[test]
 fn damaged_checkpoints_fail_closed() {
     let row = scenario::chaos_kills();
-    let mut sup = row.supervisor(analyzer());
-    sup.run_feed(feed().datagrams(), Some(total() / 2));
-    let ckpt = sup.checkpoint();
+    let mut p = row.pipeline(analyzer());
+    p.drive(feed().units(), Some(total() / 2), |_| {});
+    let ckpt = p.kill().checkpoint;
 
     for seed in 0..64u64 {
         let mut flipped = ckpt.clone();
@@ -154,7 +144,7 @@ fn overload_sheds_visibly_and_recovers() {
     let (killed, _) = row.supervise(analyzer(), feed(), &row.kill_points(total()));
     assert_eq!(killed.resumes.len(), 1, "the mid-burst kill was never reached");
     assert!(killed.ledger, "shed accounting does not balance at the mid-burst kill");
-    assert_eq!(killed.checkpoint, whole.checkpoint, "divergence after mid-burst kill");
+    assert_eq!(killed.images, whole.images, "divergence after mid-burst kill");
 }
 
 /// The headline gate: stream faults, overload bursts, and a chain of
@@ -170,7 +160,7 @@ fn chaos_soak_stays_within_two_percent_drift() {
     let o = row.run(analyzer(), clean(), feed());
     let resumes = o.supervised.resumes.len();
     assert!(resumes >= 2, "soak exercised too few resumes: {resumes}");
-    assert_eq!(o.supervised.checkpoint, whole.checkpoint, "kill chain diverged from whole run");
+    assert_eq!(o.supervised.images, whole.images, "kill chain diverged from whole run");
     assert!(o.ledger, "soak accounting does not balance");
     assert_eq!(row.check(&o), Ok(()));
 }

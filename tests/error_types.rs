@@ -18,4 +18,5 @@ fn every_public_error_enum_implements_std_error() {
     is_error::<ixp_vantage::supervisor::CheckpointError>();
     is_error::<ixp_vantage::codec::StateError>();
     is_error::<ixp_vantage::codec::TrailerError>();
+    is_error::<ixp_bench::pipeline::ResumeError>();
 }

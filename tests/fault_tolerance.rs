@@ -124,9 +124,9 @@ fn borrowed_ingest_matches_owned_ingest_byte_for_byte() {
     let mut borrowed = WeekScan::new(Week::REFERENCE, members);
     let mut owned = WeekScan::new(Week::REFERENCE, members);
     let mut collector = Collector::new();
-    for datagram in feed.datagrams() {
-        borrowed.ingest(&datagram);
-        if let Ingest::Accepted(dg) = collector.ingest(&datagram) {
+    for (_, datagram) in feed.units() {
+        borrowed.ingest(datagram);
+        if let Ingest::Accepted(dg) = collector.ingest(datagram) {
             for s in &dg.samples {
                 owned.ingest_sample(s.sampling_rate, s.record.frame_length, &s.record.header);
             }

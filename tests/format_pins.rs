@@ -30,6 +30,7 @@
 
 use std::net::Ipv4Addr;
 
+use ixp_bench::pipeline::{Images, Pipeline, SFLOW_PEER};
 use ixp_vantage::codec::fnv64;
 use ixp_vantage::core::analyzer::Analyzer;
 use ixp_vantage::core::scan::WEEKSCAN_STATE_VERSION;
@@ -44,12 +45,10 @@ use ixp_vantage::supervisor::{envelope, Supervisor, SupervisorConfig, SUPERVISOR
 use ixp_vantage::traffic::{MixConfig, WeekStream};
 use ixp_vantage::transport::intake::TRANSPORT_STATE_VERSION;
 use ixp_vantage::transport::{
-    generate, Drained, FlowGenConfig, TemplateCacheConfig, TransportConfig, TransportIntake,
-    TransportMetrics,
+    generate, FlowGenConfig, TemplateCacheConfig, TransportConfig, TransportIntake,
 };
 
 const SEED: u64 = 1616;
-const SFLOW_PEER: u64 = 0x5F10;
 const FLOW_PACKETS: u64 = 200;
 
 const CHECKPOINT_FNV: u64 = 0x6f3b_dd3a_a9ba_63ba;
@@ -122,7 +121,7 @@ fn sealed_formats_and_documents_are_byte_stable_across_commits() {
     let analyzer = Analyzer::new(&model);
     let members = model.registry.members_at(Week::REFERENCE).len() as u32;
     let stream = stream(&analyzer);
-    let kill_at = stream.len() / 2;
+    let kill_at = stream.len() as u64 / 2;
 
     let obs = Obs::deterministic();
     let journal = Journal::deterministic();
@@ -132,29 +131,17 @@ fn sealed_formats_and_documents_are_byte_stable_across_commits() {
         drain_budget: 96,
         ..SupervisorConfig::default()
     };
-    let mut sup =
-        Supervisor::with_obs(WeekScan::with_obs(Week::REFERENCE, members, &obs), config, &obs);
-    sup.bind_journal(journal.clone());
-    let mut intake = TransportIntake::new(TransportConfig::default());
-    intake.bind_metrics(TransportMetrics::register(&obs.registry));
-    intake.bind_journal(journal.clone());
-
-    for (peer, packet) in stream.iter().take(kill_at) {
-        intake.offer(*peer, packet);
-        for unit in intake.drain(usize::MAX) {
-            if let Drained::Sflow { datagram, .. } = unit {
-                sup.offer(datagram);
-            }
-        }
-    }
-    journal.record(EventKind::Kill, 0, 1, kill_at as u64, sup.stats().ticks);
-
-    let transport_state = intake.save_state();
-    assert!(intake.stats().pending > 0, "the cut must leave packets parked");
+    let sup = Supervisor::new(WeekScan::new(Week::REFERENCE, members), config);
+    let mut pipeline = Pipeline::new(sup, Some(TransportIntake::new(TransportConfig::default())));
+    pipeline.attach(&obs, &journal);
+    assert!(!pipeline.drive(stream.into_iter(), Some(kill_at), |_| {}), "no cut");
+    let parked = pipeline.intake().is_some_and(|intake| intake.stats().pending > 0);
+    assert!(parked, "the cut must leave packets parked");
+    let Images { checkpoint, transport } = pipeline.kill();
+    let transport_state = transport.expect("an intake is in front");
     let flight = journal.dump_flight(journal::DEFAULT_CAPACITY);
     assert!(flight.len() > 24, "the flight record must carry events");
 
-    let checkpoint = sup.checkpoint();
     let payload = envelope::open(&checkpoint).expect("the checkpoint opens");
     let got = [
         ("checkpoint", fnv64(&checkpoint), CHECKPOINT_FNV),

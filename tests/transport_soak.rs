@@ -13,15 +13,14 @@ mod common;
 use std::sync::OnceLock;
 
 use common::{analyzer, clean};
+use ixp_bench::pipeline::{Images, Pipeline, ResumeError, SFLOW_PEER};
 use ixp_bench::scenario::{self, Feed};
 use ixp_vantage::netmodel::Week;
-use ixp_vantage::transport::{generate, Drained, FlowGenConfig, TransportConfig, TransportIntake};
+use ixp_vantage::obs::Obs;
+use ixp_vantage::transport::{generate, FlowGenConfig, TransportConfig, TransportIntake};
 use ixp_vantage::{faults, transport};
 
 const SEED: u64 = 1313;
-
-/// Peer identity the sFlow week feed uses at the transport front door.
-const SFLOW_PEER: u64 = 0x5F10;
 
 /// Flow-export packets mixed into the week feed.
 const FLOW_PACKETS: u64 = 400;
@@ -124,14 +123,7 @@ fn kill_and_resume_mid_stream_is_byte_identical() {
     let (resumed, _) =
         row.supervise(analyzer(), feed(), &row.kill_points(feed().packets.len() as u64));
     assert_eq!(resumed.resumes.len(), 1, "the halfway kill was never reached");
-    assert_eq!(
-        whole.checkpoint, resumed.checkpoint,
-        "supervisor checkpoint diverged across kill-and-resume"
-    );
-    assert_eq!(
-        whole.transport_state, resumed.transport_state,
-        "transport state diverged across kill-and-resume"
-    );
+    assert_eq!(whole.images, resumed.images, "checkpoint or transport state diverged");
     assert_eq!(
         whole.metrics, resumed.metrics,
         "metrics snapshot diverged across kill-and-resume"
@@ -145,8 +137,7 @@ fn same_seed_runs_are_byte_identical() {
     let (a, _) = row.supervise(analyzer(), feed(), &[]);
     let (b, _) = row.supervise(analyzer(), feed(), &[]);
     assert_eq!(a.metrics, b.metrics);
-    assert_eq!(a.checkpoint, b.checkpoint);
-    assert_eq!(a.transport_state, b.transport_state);
+    assert_eq!(a.images, b.images);
 }
 
 #[test]
@@ -170,49 +161,33 @@ fn overload_sheds_visibly_never_silently() {
     assert_eq!(s.offered, s.received + s.shed);
 }
 
-/// A mid-stream kill of the transport front-end leaves a flight dump
-/// whose tail names the cut, and whose body carries the transport-side
-/// journal traffic (template churn, parking, replay, sheds) that explains
-/// what the intake was doing when it died. Damaged dumps are rejected
-/// with a typed error.
+/// A mid-stream kill of the transport front-end leaves a flight dump whose
+/// body carries the transport-side journal traffic (template churn,
+/// parking, replay, sheds) and whose tail is the kill edge: the intake's
+/// cursor, which NetFlow, duplicates and drops keep from the supervisor's
+/// count, with `sub_agent` 1. Damaged dumps are rejected with a typed error.
 #[test]
 fn kill_leaves_a_flight_dump_naming_the_cut() {
     use ixp_vantage::obs::journal::{self, EventKind};
 
     let row = scenario::transport_soak();
-    let stream = &feed().packets;
-    let kill_at = row.kill_points(stream.len() as u64)[0];
+    let kill_at = row.kill_points(feed().packets.len() as u64)[0];
     let journal = ixp_vantage::obs::Journal::deterministic();
-    let mut sup = row.supervisor(analyzer());
-    sup.bind_journal(journal.clone());
-    let mut intake = TransportIntake::new(TransportConfig::default());
-    intake.bind_journal(journal.clone());
-
-    for (peer, packet) in stream.iter().take(kill_at as usize) {
-        intake.offer(*peer, packet);
-        for unit in intake.drain(usize::MAX) {
-            if let Drained::Sflow { datagram, .. } = unit {
-                sup.offer(datagram);
-            }
-        }
-    }
-    // As the repro binary's transport kill path (`sub_agent` 1 marks the
-    // transport side), then the dump to `<state>.flight`. The whole ring
-    // goes into the dump here so the early template churn — parked during
-    // the opening withhold window — is retained alongside the kill edge.
-    journal.record(EventKind::Kill, 0, 1, kill_at, sup.stats().ticks);
-    let dir = std::env::temp_dir().join(format!("ixp-transport-flight-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("transport.state.flight");
-    std::fs::write(&path, journal.dump_flight(journal::DEFAULT_CAPACITY)).unwrap();
-    assert!(path.is_file(), "flight dump missing after transport kill");
-
-    let bytes = std::fs::read(&path).unwrap();
+    let mut p = row.pipeline(analyzer());
+    p.attach(&Obs::deterministic(), &journal);
+    assert!(!p.drive(feed().units(), Some(kill_at), |_| {}), "the cut was never reached");
+    assert_eq!(p.cursor(), kill_at);
+    assert_ne!(p.cursor(), p.supervisor().offered(), "the two counts agree at the cut");
+    p.kill();
+    // The whole ring goes into the dump so the early template churn —
+    // parked during the opening withhold window — is kept beside the kill
+    // edge.
+    let bytes = journal.dump_flight(journal::DEFAULT_CAPACITY);
     let events = journal::parse_flight(&bytes).expect("flight dump parses");
     let tail = events.last().expect("flight dump holds the journal tail");
     assert_eq!(tail.kind, EventKind::Kill);
     assert_eq!(tail.sub_agent, 1, "kill edge must name the transport side");
-    assert_eq!(tail.a, kill_at, "flight tail must name the cut offset");
+    assert_eq!(tail.a, kill_at, "flight tail must name the intake's cursor");
     assert!(
         events.iter().any(|e| matches!(
             e.kind,
@@ -226,23 +201,31 @@ fn kill_leaves_a_flight_dump_naming_the_cut() {
     let err = journal::parse_flight(&flipped)
         .expect_err("bit-flipped flight dump must be rejected");
     assert!(!err.to_string().is_empty());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Damaged images fail closed: a resume of the pair refuses a bit-flipped
+/// or truncated side file or a bit-flipped checkpoint, naming the image.
 #[test]
 fn damaged_transport_state_fails_closed() {
-    let state = scenario::transport_soak().supervise(analyzer(), feed(), &[]).0.transport_state;
+    let row = scenario::transport_soak();
+    let (whole, _) = row.supervise(analyzer(), feed(), &[]);
+    let Images { checkpoint, transport } = whole.images;
+    let state = transport.expect("an intake is in front");
+    let resume = |checkpoint: &[u8], state: &[u8]| {
+        let images = Images { checkpoint: checkpoint.to_vec(), transport: Some(state.to_vec()) };
+        Pipeline::resume(&images, row.config()).err()
+    };
+    assert_eq!(resume(&checkpoint, &state), None, "the undamaged pair must resume");
     let mut flipped = state.clone();
     faults::chaos::flip_bit(&mut flipped, SEED);
-    assert!(
-        TransportIntake::restore_from(&flipped).is_err(),
-        "bit-flipped transport state restored"
-    );
-    let truncated = faults::chaos::truncate_at_random(&state, SEED);
-    assert!(
-        TransportIntake::restore_from(&truncated).is_err(),
-        "truncated transport state restored"
-    );
+    for damaged in [flipped, faults::chaos::truncate_at_random(&state, SEED)] {
+        let err = resume(&checkpoint, &damaged);
+        assert!(matches!(err, Some(ResumeError::Transport(_))), "damaged side file: {err:?}");
+    }
+    let mut flipped = checkpoint.clone();
+    faults::chaos::flip_bit(&mut flipped, SEED);
+    let err = resume(&flipped, &state);
+    assert!(matches!(err, Some(ResumeError::Checkpoint(_))), "damaged checkpoint: {err:?}");
     // And the stream's FIN sentinel is never a valid packet.
     let mut t = TransportIntake::new(TransportConfig::default());
     t.offer(1, transport::FIN);
@@ -254,22 +237,12 @@ fn damaged_transport_state_fails_closed() {
 /// supervisor, each datagram handed over by `deliver` as `(peer, bytes)`;
 /// returns the final supervisor checkpoint.
 fn week_checkpoint(mut deliver: impl FnMut(&[u8]) -> (u64, Vec<u8>)) -> Vec<u8> {
-    let mut sup = scenario::transport_soak().supervisor(analyzer());
-    let mut intake = TransportIntake::new(TransportConfig::default());
-    for dg in analyzer().feed(Week::REFERENCE) {
-        let (peer, packet) = deliver(&dg);
-        intake.offer(peer, &packet);
-        for unit in intake.drain(usize::MAX) {
-            if let Drained::Sflow { datagram, .. } = unit {
-                sup.offer(datagram);
-            }
-        }
-    }
-    sup.finish();
-    let s = intake.finish();
-    assert!(intake.fully_accounted(), "{s:?}");
+    let mut p = scenario::transport_soak().pipeline(analyzer());
+    p.drive(analyzer().feed(Week::REFERENCE).map(|dg| deliver(&dg)), None, |_| {});
+    let s = p.intake().expect("an intake is in front").stats();
+    assert!(p.balances(), "{s:?}");
     assert_eq!((s.shed, s.duplicates, s.decode_errors), (0, 0, 0), "{s:?}");
-    sup.checkpoint()
+    p.supervisor().checkpoint()
 }
 
 /// The week sent over a real loopback socket, lockstep (one datagram out,
