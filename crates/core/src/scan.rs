@@ -342,6 +342,10 @@ struct DissectTally {
 }
 
 impl DissectTally {
+    /// How many counters the tally has: the length of
+    /// [`DissectTally::fields`], and so of the tally in the state format.
+    const FIELDS: usize = 11;
+
     /// Count one dissection outcome.
     fn record(&mut self, outcome: &ixp_wire::Result<Dissection<'_>>) {
         self.frames += 1;
@@ -368,7 +372,7 @@ impl DissectTally {
     }
 
     /// Fields in serialization order.
-    fn fields(&self) -> [u64; 11] {
+    fn fields(&self) -> [u64; Self::FIELDS] {
         [
             self.frames,
             self.ipv4_tcp,
@@ -385,7 +389,7 @@ impl DissectTally {
     }
 
     /// Inverse of [`DissectTally::fields`]: rebuild from the same order.
-    fn from_fields(f: [u64; 11]) -> DissectTally {
+    fn from_fields(f: [u64; Self::FIELDS]) -> DissectTally {
         let [frames, ipv4_tcp, ipv4_udp, ipv4_icmp, ipv4_other, ipv4_truncated, ipv6, arp, other_ethertype, malformed_ipv4, too_short] =
             f;
         DissectTally {
@@ -465,13 +469,28 @@ pub const WEEKSCAN_STATE_VERSION: u32 = 1;
 const IP_ROW_LEN: usize = 23;
 
 /// From this many addresses on, [`WeekScan::save_state`] sorts and writes
-/// the per-IP rows in two address ranges, the upper on a second core;
-/// below it, in one range on the caller. Measured on a two-core Xeon, the
-/// split halved the sort-and-write of `paper(400)`'s 349 K addresses
-/// (17.4 → 8.6 ms), but bought a `small` table (65 K) 5 % of its checkpoint
-/// and cost its report 3–7 %: the report walks the table next, and the
-/// helper had left half of it in the other core's cache.
+/// the per-IP rows in two address ranges, the upper on a second core, and
+/// [`WeekScan::restore_state`] parses the rows on a second core while the
+/// caller inserts them; below it, both run on the caller alone. Measured on
+/// a two-core Xeon, the split halved the sort-and-write of `paper(400)`'s
+/// 349 K addresses (17.4 → 8.6 ms), but bought a `small` table (65 K) 5 %
+/// of its checkpoint and cost its report 3–7 %: the report walks the table
+/// next, and the helper had left half of it in the other core's cache.
+/// Restore takes the same fork: a two-thread prototype read the `small`
+/// restore 2.46–2.61 ms against 2.30 on one thread (DESIGN §14, "Restore
+/// on two cores", has a later reading of the same question).
 const SPLIT_AT_IPS: usize = 1 << 17;
+
+/// Rows the restore helper parses into one buffer before it hands the
+/// buffer to the inserting caller: 128 KiB of parsed rows, few enough
+/// hand-overs that the channel costs nothing beside 4 096 inserts.
+const RESTORE_CHUNK: usize = 4_096;
+
+/// Buffers the restore helper and the caller pass between them: one being
+/// filled, one waiting in the channel, one being inserted. With
+/// [`RESTORE_CHUNK`] this fixes the helper's memory at 384 KiB, whatever
+/// row count the state claims.
+const RESTORE_BUFFERS: usize = 3;
 
 /// Address bits one pass of [`sort_by_address`] sorts by, and the passes
 /// that cover an address: 11 + 11 + 10. A table of 2 048 counters stays in
@@ -985,9 +1004,34 @@ impl WeekScan {
     /// validated as hostile input: typed errors (never panics) on
     /// truncation, version skew, unsorted or duplicate keys, out-of-range
     /// domain references, or collector accounting that does not balance.
-    /// The restored scan is unbound and on the frozen test clock; use
-    /// [`WeekScan::bind_obs`] to re-attach instrumentation.
+    /// From [`SPLIT_AT_IPS`] rows on, a second core parses and validates the
+    /// per-IP rows while the caller inserts them into the table, reserved
+    /// from the row count first ([`read_rows_beside`]); below it, the caller
+    /// does both. Either way the rows go through one reader, [`read_row`],
+    /// and the first bad one is the error. The restored scan is unbound and
+    /// on the frozen test clock; use [`WeekScan::bind_obs`] to re-attach
+    /// instrumentation.
     pub fn restore_state(bytes: &[u8]) -> Result<WeekScan, StateError> {
+        WeekScan::restore_state_in(bytes, WeekScan::restore_parts)
+    }
+
+    /// How many threads [`WeekScan::restore_state`] reads `n_ips` per-IP
+    /// rows on: two from [`SPLIT_AT_IPS`] rows on, else one.
+    fn restore_parts(n_ips: usize) -> usize {
+        if n_ips < SPLIT_AT_IPS {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// [`WeekScan::restore_state`] with the per-IP rows read on `parts(n)`
+    /// threads, `n` being the row count the bytes hold: one, or two from
+    /// any larger answer.
+    fn restore_state_in(
+        bytes: &[u8],
+        parts: impl FnOnce(usize) -> usize,
+    ) -> Result<WeekScan, StateError> {
         let mut cur = Cur::new(bytes);
         let version = cur.u32()?;
         if version != WEEKSCAN_STATE_VERSION {
@@ -1012,38 +1056,19 @@ impl WeekScan {
         let domain_count = scan.domains.len() as u32;
         let n_ips = cur.count(IP_ROW_LEN)?;
         scan.ips.reserve(n_ips);
-        let mut prev_ip: Option<u32> = None;
-        for _ in 0..n_ips {
-            let ip = cur.u32()?;
-            if prev_ip.is_some_and(|p| p >= ip) {
-                return Err(StateError::Invalid("ip keys not strictly increasing"));
+        if parts(n_ips) > 1 {
+            (cur, scan.uri_lists) = read_rows_beside(&mut scan.ips, cur, n_ips, domain_count)?;
+        } else {
+            let mut prev = None;
+            for _ in 0..n_ips {
+                let (ip, stats) = read_row(&mut cur, domain_count, prev, &mut scan.uri_lists)?;
+                prev = Some(ip);
+                scan.ips.insert(ip, stats);
             }
-            prev_ip = Some(ip);
-            let mut s = IpStats {
-                bytes: cur.u64()?,
-                samples: cur.u32()?,
-                evidence: Evidence(cur.u16()?),
-                member: MemberId(cur.u32()?),
-                uri_list: 0,
-            };
-            let n_uris = usize::from(cur.u8()?);
-            if n_uris > MAX_URIS_PER_IP {
-                return Err(StateError::Invalid("uri list exceeds the per-ip bound"));
-            }
-            for _ in 0..n_uris {
-                let id = cur.u32()?;
-                if id >= domain_count {
-                    return Err(StateError::Invalid("uri id out of domain-table range"));
-                }
-                if !insert_uri(&mut scan.uri_lists, &mut s, id) {
-                    return Err(StateError::Invalid("duplicate uri id for one ip"));
-                }
-            }
-            scan.ips.insert(ip, s);
         }
         // Mirror of the save-side `for f in self.tally.fields()` loop, so
         // the encode/decode field walks stay symmetric.
-        let mut tally_fields = [0u64; 11];
+        let mut tally_fields = [0u64; DissectTally::FIELDS];
         for f in &mut tally_fields {
             *f = cur.u64()?;
         }
@@ -1070,6 +1095,105 @@ impl WeekScan {
     pub fn bind_journal(&mut self, journal: ixp_obs::journal::Journal) {
         self.collector.bind_journal(journal);
     }
+}
+
+/// Read one per-IP row of the state format at `at`: an address above
+/// `prev`, the entry's fields and at most [`MAX_URIS_PER_IP`] distinct URI
+/// ids below `domain_count`, which go into a list of `lists`. The one
+/// parser of a row, on whichever thread reads it. It is inlined into both
+/// loops, and it reads through a copy of the cursor that it writes back
+/// once the row is whole: as a call, or reading through `at`, it left the
+/// position in memory between fields, and a `small` restore on one thread
+/// took 15–25 % longer than with the fields read in the loop itself.
+#[inline(always)]
+fn read_row(
+    at: &mut Cur<'_>,
+    domain_count: u32,
+    prev: Option<u32>,
+    lists: &mut Vec<UriList>,
+) -> Result<(u32, IpStats), StateError> {
+    let mut cur = *at;
+    let ip = cur.u32()?;
+    if prev.is_some_and(|p| p >= ip) {
+        return Err(StateError::Invalid("ip keys not strictly increasing"));
+    }
+    let mut s = IpStats {
+        bytes: cur.u64()?,
+        samples: cur.u32()?,
+        evidence: Evidence(cur.u16()?),
+        member: MemberId(cur.u32()?),
+        uri_list: 0,
+    };
+    let n_uris = usize::from(cur.u8()?);
+    if n_uris > MAX_URIS_PER_IP {
+        return Err(StateError::Invalid("uri list exceeds the per-ip bound"));
+    }
+    for _ in 0..n_uris {
+        let id = cur.u32()?;
+        if id >= domain_count {
+            return Err(StateError::Invalid("uri id out of domain-table range"));
+        }
+        if !insert_uri(lists, &mut s, id) {
+            return Err(StateError::Invalid("duplicate uri id for one ip"));
+        }
+    }
+    *at = cur;
+    Ok((ip, s))
+}
+
+/// Read the `n_ips` per-IP rows at `cur` into `ips`, reserved for them, on
+/// two cores. A scoped helper parses and validates the rows with
+/// [`read_row`], [`RESTORE_CHUNK`] to a buffer, and hands each full buffer
+/// over a bounded channel; this thread only inserts, and sends the emptied
+/// buffer back over a second one. Inserts miss the cache; with no parse
+/// between them, the misses of successive inserts overlap. Returns the cursor
+/// after the rows and the URI lists the helper built, or the error of the
+/// first bad row, where the helper stops. A panic on the helper is resumed
+/// here. The ends of both channels this thread holds live inside the
+/// scope, so if it unwinds they drop before the scope joins, and a helper
+/// blocked on either wakes to a closed channel and returns.
+fn read_rows_beside<'a>(
+    ips: &mut IpTable,
+    cur: Cur<'a>,
+    n_ips: usize,
+    domain_count: u32,
+) -> Result<(Cur<'a>, Vec<UriList>), StateError> {
+    std::thread::scope(|scope| {
+        #[allow(clippy::disallowed_methods, reason = "one sender, one receiver: chunks arrive in row order")]
+        let (full_tx, full_rx) = std::sync::mpsc::sync_channel::<Vec<(u32, IpStats)>>(1);
+        #[allow(clippy::disallowed_methods, reason = "one sender, one receiver, and every buffer is alike")]
+        let (empty_tx, empty_rx) = std::sync::mpsc::sync_channel(RESTORE_BUFFERS);
+        for _ in 0..RESTORE_BUFFERS {
+            #[allow(clippy::let_underscore_must_use, reason = "the receiver is alive and has room for every buffer")]
+            let _ = empty_tx.send(Vec::with_capacity(RESTORE_CHUNK));
+        }
+        let helper = scope.spawn(move || {
+            let (mut cur, mut lists, mut prev) = (cur, Vec::new(), None);
+            let mut left = n_ips;
+            while left > 0 {
+                // Either channel closes early only if the caller unwound.
+                let Ok(mut chunk) = empty_rx.recv() else { break };
+                for _ in 0..left.min(RESTORE_CHUNK) {
+                    let (ip, stats) = read_row(&mut cur, domain_count, prev, &mut lists)?;
+                    prev = Some(ip);
+                    chunk.push((ip, stats));
+                }
+                left -= chunk.len();
+                if full_tx.send(chunk).is_err() {
+                    break;
+                }
+            }
+            Ok((cur, lists))
+        });
+        for mut chunk in full_rx {
+            for (ip, stats) in chunk.drain(..) {
+                ips.insert(ip, stats);
+            }
+            #[allow(clippy::let_underscore_must_use, reason = "fails once the helper has sent its last chunk and returned; the buffer is then dropped")]
+            let _ = empty_tx.send(chunk);
+        }
+        helper.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+    })
 }
 
 /// Add `id` to the URI list of `stats`, creating the list on first use;
@@ -1440,6 +1564,144 @@ mod tests {
             let scan = spread(ips);
             assert_eq!((scan.ips.len(), scan.save_parts()), (ips, parts));
             assert!(scan.save_state() == save_state_reference(&scan), "{ips} addresses");
+        }
+    }
+
+    /// A state one row short of [`SPLIT_AT_IPS`] is read on one thread, one
+    /// at it on two, and both restore to scans that save the same bytes.
+    #[test]
+    fn restore_splits_from_its_constant_on() {
+        let spread = |n: usize| table_of((0..n as u32).map(|i| i.wrapping_mul(0x9e37_79b9)));
+        for (ips, parts) in [(SPLIT_AT_IPS - 1, 1), (SPLIT_AT_IPS, 2)] {
+            assert_eq!(WeekScan::restore_parts(ips), parts);
+            let state = spread(ips).save_state();
+            let restored = WeekScan::restore_state(&state).expect("restore");
+            assert_eq!(restored.unique_ips(), ips);
+            assert!(restored.save_state() == state, "{ips} rows");
+        }
+    }
+
+    /// A table of `rows` addresses, row `i` at `7 919 i + 3`, with URI ids
+    /// from three interned names: two on most rows and one on every fifth,
+    /// so that rows differ in length.
+    fn synthetic(rows: usize) -> WeekScan {
+        let mut scan = table_of((0..rows as u32).map(|i| 7_919 * i + 3));
+        for name in ["a.example", "b.example", "c.example"] {
+            scan.domains.intern(name);
+        }
+        for (ip, stats) in &mut scan.ips {
+            let i = (ip - 3) / 7_919;
+            insert_uri(&mut scan.uri_lists, stats, i % 3);
+            if i % 5 != 4 {
+                insert_uri(&mut scan.uri_lists, stats, (i + 1) % 3);
+            }
+        }
+        scan
+    }
+
+    /// Where each per-IP row of `state`, the saved `scan`, starts, and
+    /// where the last one ends.
+    fn row_starts(scan: &WeekScan, state: &[u8]) -> Vec<usize> {
+        let names: usize = scan.domains.iter().map(|n| 8 + n.len()).sum();
+        let mut at = 25 + 24 * Category::ALL.len() + 8 + names + 8;
+        let mut starts = vec![at];
+        for _ in 0..scan.unique_ips() {
+            at += IP_ROW_LEN + 4 * usize::from(state[at + IP_ROW_LEN - 1]);
+            starts.push(at);
+        }
+        starts
+    }
+
+    /// The offsets of `state` to cut or damage. In a state of a few rows,
+    /// all of them up to the tally's second field. In a larger one, the row
+    /// count and the first row, a row either side of every chunk boundary,
+    /// and the last row and the first tally field: everywhere the two
+    /// schedules part, where the helper hands its cursor back included,
+    /// without a restore for each of a quarter million offsets. What
+    /// follows is read by the caller alone on either schedule.
+    fn probe_offsets(starts: &[usize], len: usize) -> Vec<usize> {
+        let rows = starts.len() - 1;
+        let row = |k: usize| starts[k.min(rows)];
+        let head = if rows < 4 { 0 } else { row(0) - 8 };
+        let tail = (row(rows) + 9).min(len + 1);
+        let boundaries = (1..=rows / RESTORE_CHUNK).map(|c| c * RESTORE_CHUNK);
+        let mut windows = vec![head..row(1), row(rows.saturating_sub(1))..tail];
+        windows.extend(boundaries.map(|k| row(k - 1)..row(k + 1)));
+        let mut offsets: Vec<usize> = windows.into_iter().flatten().collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        offsets
+    }
+
+    /// `restore_state_in` on one thread and on two: the same error, or
+    /// scans that save the same bytes, which are returned.
+    fn restored_alike(bytes: &[u8]) -> Result<Vec<u8>, StateError> {
+        let [one, two] = [1, 2].map(|parts| {
+            WeekScan::restore_state_in(bytes, |_| parts).map(|scan| scan.save_state())
+        });
+        let (a, b) = (one.as_ref().err(), two.as_ref().err());
+        assert!(one == two, "{} bytes: {a:?} on one thread, {b:?} on two", bytes.len());
+        one
+    }
+
+    /// Restore on two threads is restore on one. The states are the empty
+    /// and one-row tables, the messy scan, both scanned weeks, and tables of
+    /// one chunk less one row, one chunk, one more row, and two chunks and
+    /// a row. Each restores, on either schedule, to a scan that saves the
+    /// input again. Every cut of its probed offsets is refused alike, and
+    /// every aligned 2- and 4-byte word there set to all-ones gives the same
+    /// result on both.
+    #[test]
+    fn restore_on_two_threads_matches_one_on_every_cut_and_damaged_word() {
+        let small = [table_of([]), table_of([0x0a00_0001]), messy_scan()];
+        let sizes = [RESTORE_CHUNK - 1, RESTORE_CHUNK, RESTORE_CHUNK + 1, 2 * RESTORE_CHUNK + 1];
+        let chunked = sizes.map(synthetic);
+        let weeks = crate::testutil::scanned_weeks().iter().map(|(scan, _)| scan);
+        for scan in small.iter().chain(weeks).chain(&chunked) {
+            let state = scan.save_state();
+            assert!(restored_alike(&state) == Ok(state.clone()), "{} rows", scan.unique_ips());
+            let offsets = probe_offsets(&row_starts(scan, &state), state.len());
+            for cut in offsets.iter().filter(|cut| **cut < state.len()) {
+                assert!(restored_alike(&state[..*cut]).is_err(), "cut {cut} restored");
+            }
+            for width in [2, 4] {
+                let words =
+                    offsets.iter().filter(|at| *at % width == 0 && *at + width <= state.len());
+                for at in words {
+                    let mut bad = state.clone();
+                    bad[*at..*at + width].fill(0xFF);
+                    restored_alike(&bad).ok();
+                }
+            }
+        }
+    }
+
+    /// A key not above the one before it, a URI id past the domain table
+    /// and a URI id twice in one row are refused alike on one thread and
+    /// two: planted in the last row of the first chunk, the first of the
+    /// second, and the last row of all, alone in its chunk.
+    #[test]
+    fn both_schedules_refuse_a_bad_row_alike_across_a_chunk_boundary_and_in_the_last_chunk() {
+        let scan = synthetic(2 * RESTORE_CHUNK + 1);
+        let state = scan.save_state();
+        let starts = row_starts(&scan, &state);
+        let domains = (scan.domains.len() as u32).to_be_bytes();
+        for row in [RESTORE_CHUNK - 1, RESTORE_CHUNK, 2 * RESTORE_CHUNK] {
+            let (at, ids) = (starts[row], starts[row] + IP_ROW_LEN);
+            assert_eq!(state[ids - 1], 2, "row {row} has two URI ids");
+            let mut unordered = state.clone();
+            unordered.copy_within(starts[row - 1]..starts[row - 1] + 4, at);
+            let mut out_of_range = state.clone();
+            out_of_range[ids..ids + 4].copy_from_slice(&domains);
+            let mut duplicate = state.clone();
+            duplicate.copy_within(ids..ids + 4, ids + 4);
+            for (bad, refusal) in [
+                (unordered, "ip keys not strictly increasing"),
+                (out_of_range, "uri id out of domain-table range"),
+                (duplicate, "duplicate uri id for one ip"),
+            ] {
+                assert_eq!(restored_alike(&bad), Err(StateError::Invalid(refusal)), "row {row}");
+            }
         }
     }
 

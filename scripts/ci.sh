@@ -166,6 +166,13 @@ for site in \
     [ "$found" -eq 1 ] ||
         fail "expected exactly one \`${site#*:}\` outside the tests of ${site%%:*}, found $found"
 done
+# One row reader: `read_row` parses a per-IP row of the scan state, on the
+# caller below SPLIT_AT_IPS rows and on the restore helper from it on. A
+# second parser of the row is a second set of checks that can drift between
+# the two schedules.
+found=$(bumps crates/core/src/scan.rs 'Evidence(cur.u16()') || true
+[ "$found" -eq 1 ] ||
+    fail "expected exactly one \`Evidence(cur.u16()\` (read_row) outside the tests of crates/core/src/scan.rs, found $found"
 # One ledger: the conservation identities are the typed rows of
 # ixp_obs::audit::LEDGER, and Identity::balance is the one code that adds
 # them up, over a component's SERIES table or over a snapshot (DESIGN.md
@@ -337,6 +344,36 @@ for mode in none memory; do
         ! grep -q "generating model\|supervised mode" target/kill-no-ckpt.log ||
         fail "--transport $mode --kill-at without --checkpoint was not refused at parsing (exit $status, see target/kill-no-ckpt.log)"
 done
+
+echo "==> paper-scale resume smoke (restore above the split, on two cores and on one)"
+# The tiny week restores on one thread. At paper(400) a checkpoint taken at
+# datagram 120 000 (≈ 7.3 MB) holds some 300 K per-IP rows, above
+# SPLIT_AT_IPS (2¹⁷), so the resume parses its rows on a helper thread
+# while the caller inserts them. It must end on the whole run's final checkpoint and
+# metrics, and so must the same resume held to one core, where the two
+# threads take turns.
+paper() {
+    cargo run -q --release -p ixp-bench --bin repro -- --scale paper:400 "$@"
+}
+paper --checkpoint target/pckpt-whole.bin --metrics target/pmetrics-whole.json >/dev/null 2>&1
+paper --checkpoint target/pckpt-mid.bin --kill-at 120000 >/dev/null 2>&1
+paper --resume target/pckpt-mid.bin --checkpoint target/pckpt-resumed.bin \
+    --metrics target/pmetrics-resumed.json >/dev/null 2>&1
+same target/pckpt-whole.bin target/pckpt-resumed.bin \
+    "paper-scale resumed run's final checkpoint differs from the whole run's"
+same target/pmetrics-whole.json target/pmetrics-resumed.json \
+    "paper-scale resumed run's metrics snapshot differs from the whole run's"
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo run -q --release -p ixp-bench --bin repro -- --scale paper:400 \
+        --resume target/pckpt-mid.bin --checkpoint target/pckpt-one-core.bin \
+        --metrics target/pmetrics-one-core.json >/dev/null 2>&1
+    same target/pckpt-whole.bin target/pckpt-one-core.bin \
+        "paper-scale resume held to one core wrote a different final checkpoint"
+    same target/pmetrics-whole.json target/pmetrics-one-core.json \
+        "paper-scale resume held to one core wrote a different metrics snapshot"
+else
+    echo "ci: taskset not found here; the one-core resume check was skipped"
+fi
 
 echo "==> transport smoke test (intake determinism + metrics)"
 # Two same-seed supervised runs whose week rides the transport intake
