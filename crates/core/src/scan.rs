@@ -469,16 +469,13 @@ pub const WEEKSCAN_STATE_VERSION: u32 = 1;
 const IP_ROW_LEN: usize = 23;
 
 /// From this many addresses on, [`WeekScan::save_state`] sorts and writes
-/// the per-IP rows in two address ranges, the upper on a second core, and
-/// [`WeekScan::restore_state`] parses the rows on a second core while the
-/// caller inserts them; below it, both run on the caller alone. Measured on
-/// a two-core Xeon, the split halved the sort-and-write of `paper(400)`'s
-/// 349 K addresses (17.4 → 8.6 ms), but bought a `small` table (65 K) 5 %
-/// of its checkpoint and cost its report 3–7 %: the report walks the table
-/// next, and the helper had left half of it in the other core's cache.
-/// Restore takes the same fork: a two-thread prototype read the `small`
-/// restore 2.46–2.61 ms against 2.30 on one thread (DESIGN §14, "Restore
-/// on two cores", has a later reading of the same question).
+/// the per-IP rows in two address ranges, the upper on a second core;
+/// below it, in one range on the caller. Measured on a two-core Xeon, the
+/// split halved the sort-and-write of `paper(400)`'s 349 K addresses
+/// (17.4 → 8.6 ms), but bought a `small` table (65 K) 5 % of its checkpoint
+/// and cost its report 3–7 %: the report walks the table next, and the
+/// helper had left half of it in the other core's cache. Restore has no
+/// such split: its helper only parses, and the caller inserts.
 const SPLIT_AT_IPS: usize = 1 << 17;
 
 /// Rows the restore helper parses into one buffer before it hands the
@@ -488,7 +485,7 @@ const RESTORE_CHUNK: usize = 4_096;
 
 /// Buffers the restore helper and the caller pass between them: one being
 /// filled, one waiting in the channel, one being inserted. With
-/// [`RESTORE_CHUNK`] this fixes the helper's memory at 384 KiB, whatever
+/// [`RESTORE_CHUNK`] this caps the helper's memory at 384 KiB, whatever
 /// row count the state claims.
 const RESTORE_BUFFERS: usize = 3;
 
@@ -1004,33 +1001,22 @@ impl WeekScan {
     /// validated as hostile input: typed errors (never panics) on
     /// truncation, version skew, unsorted or duplicate keys, out-of-range
     /// domain references, or collector accounting that does not balance.
-    /// From [`SPLIT_AT_IPS`] rows on, a second core parses and validates the
-    /// per-IP rows while the caller inserts them into the table, reserved
-    /// from the row count first ([`read_rows_beside`]); below it, the caller
-    /// does both. Either way the rows go through one reader, [`read_row`],
-    /// and the first bad one is the error. The restored scan is unbound and
-    /// on the frozen test clock; use [`WeekScan::bind_obs`] to re-attach
-    /// instrumentation.
+    /// The per-IP table is reserved from the row count, then a second core
+    /// parses and validates the rows while the caller inserts them
+    /// ([`read_rows_beside`]); the first bad row is the error. The restored
+    /// scan is unbound and on the frozen test clock; use
+    /// [`WeekScan::bind_obs`] to re-attach instrumentation.
     pub fn restore_state(bytes: &[u8]) -> Result<WeekScan, StateError> {
-        WeekScan::restore_state_in(bytes, WeekScan::restore_parts)
+        WeekScan::restore_state_in(bytes, read_rows_beside)
     }
 
-    /// How many threads [`WeekScan::restore_state`] reads `n_ips` per-IP
-    /// rows on: two from [`SPLIT_AT_IPS`] rows on, else one.
-    fn restore_parts(n_ips: usize) -> usize {
-        if n_ips < SPLIT_AT_IPS {
-            1
-        } else {
-            2
-        }
-    }
-
-    /// [`WeekScan::restore_state`] with the per-IP rows read on `parts(n)`
-    /// threads, `n` being the row count the bytes hold: one, or two from
-    /// any larger answer.
-    fn restore_state_in(
-        bytes: &[u8],
-        parts: impl FnOnce(usize) -> usize,
+    /// [`WeekScan::restore_state`] with the per-IP rows read by
+    /// `read_rows(table, cursor, row count, domain count)`, which returns
+    /// the cursor after the rows and their URI lists. The tests hold
+    /// [`read_rows_beside`] to a loop on one thread through it.
+    fn restore_state_in<'a>(
+        bytes: &'a [u8],
+        read_rows: impl FnOnce(&mut IpTable, Cur<'a>, usize, u32) -> RowsRead<'a>,
     ) -> Result<WeekScan, StateError> {
         let mut cur = Cur::new(bytes);
         let version = cur.u32()?;
@@ -1056,16 +1042,7 @@ impl WeekScan {
         let domain_count = scan.domains.len() as u32;
         let n_ips = cur.count(IP_ROW_LEN)?;
         scan.ips.reserve(n_ips);
-        if parts(n_ips) > 1 {
-            (cur, scan.uri_lists) = read_rows_beside(&mut scan.ips, cur, n_ips, domain_count)?;
-        } else {
-            let mut prev = None;
-            for _ in 0..n_ips {
-                let (ip, stats) = read_row(&mut cur, domain_count, prev, &mut scan.uri_lists)?;
-                prev = Some(ip);
-                scan.ips.insert(ip, stats);
-            }
-        }
+        (cur, scan.uri_lists) = read_rows(&mut scan.ips, cur, n_ips, domain_count)?;
         // Mirror of the save-side `for f in self.tally.fields()` loop, so
         // the encode/decode field walks stay symmetric.
         let mut tally_fields = [0u64; DissectTally::FIELDS];
@@ -1100,11 +1077,11 @@ impl WeekScan {
 /// Read one per-IP row of the state format at `at`: an address above
 /// `prev`, the entry's fields and at most [`MAX_URIS_PER_IP`] distinct URI
 /// ids below `domain_count`, which go into a list of `lists`. The one
-/// parser of a row, on whichever thread reads it. It is inlined into both
-/// loops, and it reads through a copy of the cursor that it writes back
-/// once the row is whole: as a call, or reading through `at`, it left the
-/// position in memory between fields, and a `small` restore on one thread
-/// took 15–25 % longer than with the fields read in the loop itself.
+/// parser of a row. It is inlined, and it reads through a copy of the
+/// cursor that it writes back once the row is whole: as a call, or reading
+/// through `at`, it left the position in memory between fields, and a
+/// `small` restore that parsed and inserted on one thread took 15–25 %
+/// longer than with the fields read in the loop itself.
 #[inline(always)]
 fn read_row(
     at: &mut Cur<'_>,
@@ -1141,23 +1118,29 @@ fn read_row(
     Ok((ip, s))
 }
 
+/// What reading the per-IP rows returns: the cursor after them and the URI
+/// lists they refer to, or the error of the first bad row.
+type RowsRead<'a> = Result<(Cur<'a>, Vec<UriList>), StateError>;
+
 /// Read the `n_ips` per-IP rows at `cur` into `ips`, reserved for them, on
 /// two cores. A scoped helper parses and validates the rows with
 /// [`read_row`], [`RESTORE_CHUNK`] to a buffer, and hands each full buffer
 /// over a bounded channel; this thread only inserts, and sends the emptied
 /// buffer back over a second one. Inserts miss the cache; with no parse
-/// between them, the misses of successive inserts overlap. Returns the cursor
-/// after the rows and the URI lists the helper built, or the error of the
-/// first bad row, where the helper stops. A panic on the helper is resumed
-/// here. The ends of both channels this thread holds live inside the
-/// scope, so if it unwinds they drop before the scope joins, and a helper
-/// blocked on either wakes to a closed channel and returns.
+/// between them, the misses of successive inserts overlap. A buffer holds
+/// at most the rows the bytes hold, so a short state buys short buffers.
+/// Returns the cursor after the rows and the URI lists the helper built,
+/// or the error of the first bad row, where the helper stops. A panic on
+/// the helper is resumed here. The ends of both channels this thread holds
+/// live inside the scope, so if it unwinds they drop before the scope
+/// joins, and a helper blocked on either wakes to a closed channel and
+/// returns.
 fn read_rows_beside<'a>(
     ips: &mut IpTable,
     cur: Cur<'a>,
     n_ips: usize,
     domain_count: u32,
-) -> Result<(Cur<'a>, Vec<UriList>), StateError> {
+) -> RowsRead<'a> {
     std::thread::scope(|scope| {
         #[allow(clippy::disallowed_methods, reason = "one sender, one receiver: chunks arrive in row order")]
         let (full_tx, full_rx) = std::sync::mpsc::sync_channel::<Vec<(u32, IpStats)>>(1);
@@ -1165,7 +1148,7 @@ fn read_rows_beside<'a>(
         let (empty_tx, empty_rx) = std::sync::mpsc::sync_channel(RESTORE_BUFFERS);
         for _ in 0..RESTORE_BUFFERS {
             #[allow(clippy::let_underscore_must_use, reason = "the receiver is alive and has room for every buffer")]
-            let _ = empty_tx.send(Vec::with_capacity(RESTORE_CHUNK));
+            let _ = empty_tx.send(Vec::with_capacity(n_ips.min(RESTORE_CHUNK)));
         }
         let helper = scope.spawn(move || {
             let (mut cur, mut lists, mut prev) = (cur, Vec::new(), None);
@@ -1567,18 +1550,21 @@ mod tests {
         }
     }
 
-    /// A state one row short of [`SPLIT_AT_IPS`] is read on one thread, one
-    /// at it on two, and both restore to scans that save the same bytes.
-    #[test]
-    fn restore_splits_from_its_constant_on() {
-        let spread = |n: usize| table_of((0..n as u32).map(|i| i.wrapping_mul(0x9e37_79b9)));
-        for (ips, parts) in [(SPLIT_AT_IPS - 1, 1), (SPLIT_AT_IPS, 2)] {
-            assert_eq!(WeekScan::restore_parts(ips), parts);
-            let state = spread(ips).save_state();
-            let restored = WeekScan::restore_state(&state).expect("restore");
-            assert_eq!(restored.unique_ips(), ips);
-            assert!(restored.save_state() == state, "{ips} rows");
+    /// The serial schedule [`read_rows_beside`] is held to: each row read
+    /// with [`read_row`] and inserted on this thread before the next is read.
+    fn read_rows_inline<'a>(
+        ips: &mut IpTable,
+        mut cur: Cur<'a>,
+        n_ips: usize,
+        domain_count: u32,
+    ) -> RowsRead<'a> {
+        let (mut lists, mut prev) = (Vec::new(), None);
+        for _ in 0..n_ips {
+            let (ip, stats) = read_row(&mut cur, domain_count, prev, &mut lists)?;
+            prev = Some(ip);
+            ips.insert(ip, stats);
         }
+        Ok((cur, lists))
     }
 
     /// A table of `rows` addresses, row `i` at `7 919 i + 3`, with URI ids
@@ -1636,9 +1622,9 @@ mod tests {
     /// `restore_state_in` on one thread and on two: the same error, or
     /// scans that save the same bytes, which are returned.
     fn restored_alike(bytes: &[u8]) -> Result<Vec<u8>, StateError> {
-        let [one, two] = [1, 2].map(|parts| {
-            WeekScan::restore_state_in(bytes, |_| parts).map(|scan| scan.save_state())
-        });
+        let saved = |scan: WeekScan| scan.save_state();
+        let one = WeekScan::restore_state_in(bytes, read_rows_inline).map(saved);
+        let two = WeekScan::restore_state_in(bytes, read_rows_beside).map(saved);
         let (a, b) = (one.as_ref().err(), two.as_ref().err());
         assert!(one == two, "{} bytes: {a:?} on one thread, {b:?} on two", bytes.len());
         one

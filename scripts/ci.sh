@@ -345,13 +345,13 @@ for mode in none memory; do
         fail "--transport $mode --kill-at without --checkpoint was not refused at parsing (exit $status, see target/kill-no-ckpt.log)"
 done
 
-echo "==> paper-scale resume smoke (restore above the split, on two cores and on one)"
-# The tiny week restores on one thread. At paper(400) a checkpoint taken at
-# datagram 120 000 (≈ 7.3 MB) holds some 300 K per-IP rows, above
-# SPLIT_AT_IPS (2¹⁷), so the resume parses its rows on a helper thread
-# while the caller inserts them. It must end on the whole run's final checkpoint and
-# metrics, and so must the same resume held to one core, where the two
-# threads take turns.
+echo "==> paper-scale resume smoke (restore of some 300 K rows, on two cores and on one)"
+# Every restore parses its rows on a helper thread while the caller inserts
+# them. The tiny week's rows fit in one of the helper's chunks; at
+# paper(400) a checkpoint taken at datagram 120 000 (≈ 7.3 MB) holds some
+# 300 K per-IP rows, some 75 chunks. The resume must end on the whole run's
+# final checkpoint and metrics, and so must the same resume held to one
+# core, where the two threads take turns.
 paper() {
     cargo run -q --release -p ixp-bench --bin repro -- --scale paper:400 "$@"
 }

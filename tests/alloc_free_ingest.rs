@@ -220,11 +220,10 @@ fn a_data_packet_under_a_cached_template_costs_its_copy_its_records_and_its_work
 /// A per-IP row is at least 23 bytes, so a scan state whose row count claims
 /// one row more than the bytes after it can hold is refused when the count
 /// is read, before it sizes the table. (Capped at 19 bytes a row, such a
-/// count passed and reserved a table larger than the whole state.) The
-/// tiny week is below `SPLIT_AT_IPS`, so its rows are read on this thread.
-/// Above the split a helper thread reads them, which this file's
-/// per-thread counter cannot see: `restore_heap.rs` checks that scale with
-/// a process-wide counter.
+/// count passed and reserved a table larger than the whole state.) Restore
+/// parses the rows on a helper thread, which this file's per-thread counter
+/// cannot see; it is refused here before the helper starts.
+/// `restore_heap.rs` counts what a restore allocates on both threads.
 #[test]
 fn a_row_count_past_the_remaining_bytes_is_refused_before_it_sizes_the_table() {
     use ixp_vantage::codec::StateError;

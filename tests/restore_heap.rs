@@ -1,12 +1,12 @@
 //! `WeekScan::restore_state` rebuilds the per-IP table while the process
 //! holds the checkpoint image, so what it allocates beside the scan it
-//! returns sits on top of the peak heap. From `SPLIT_AT_IPS` (2¹⁷) rows
-//! on, a helper thread parses the rows and builds the URI lists while the
-//! caller inserts: restore may then hold the table, the URI lists and the
-//! helper's fixed chunk buffers, and no copy of the rows. The helper
-//! allocates on a thread of its own, which a per-thread counter (as in
-//! `alloc_free_ingest.rs`) cannot see; the counting allocator here is
-//! `heap`'s, process-wide, installed in this binary.
+//! returns sits on top of the peak heap. A helper thread parses the rows
+//! and builds the URI lists while the caller inserts: restore may hold the
+//! table, the URI lists and the helper's fixed chunk buffers, and no copy
+//! of the rows. The helper allocates on a thread of its own, which a
+//! per-thread counter (as in `alloc_free_ingest.rs`) cannot see; the
+//! counting allocator here is `heap`'s, process-wide, installed in this
+//! binary.
 
 mod heap;
 
@@ -66,18 +66,25 @@ fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, i64) {
     (out, PEAK.load(SeqCst) - entry)
 }
 
-#[test]
-fn restore_above_the_split_holds_the_table_its_uri_lists_and_a_fixed_chunk_budget() {
-    // 2¹⁶ + 64 requests between distinct pairs: 2¹⁷ + 128 rows, every
-    // server with a URI id, so the helper builds URI lists as well.
+/// A scan of `requests` requests between distinct pairs of addresses: twice
+/// as many rows, every server with a URI id, so the helper builds URI lists
+/// as well.
+fn scan_of(requests: u32) -> WeekScan {
     let mut scan = WeekScan::new(Week::REFERENCE, 10);
-    for i in 0..(1u32 << 16) + 64 {
+    for i in 0..requests {
         let (src, dst) = (Ipv4Addr::from(0x0a00_0000 + 2 * i), Ipv4Addr::from(0x0a00_0001 + 2 * i));
         let frame = request(src, dst, &format!("h{}.example", i % 64));
         scan.ingest_sample(16_384, frame.len() as u32, &frame);
     }
+    scan
+}
+
+#[test]
+fn restore_holds_the_table_its_uri_lists_and_a_fixed_chunk_budget_on_both_threads() {
+    // 2¹⁷ + 128 rows: 32 full chunks and a short one.
+    let scan = scan_of((1 << 16) + 64);
     let rows = scan.unique_ips();
-    assert!(rows > 1 << 17, "{rows} rows do not reach the split");
+    assert!(rows > 1 << 17, "{rows} rows");
     let mut state = scan.save_state();
     drop(scan);
 
@@ -122,4 +129,19 @@ fn restore_above_the_split_holds_the_table_its_uri_lists_and_a_fixed_chunk_budge
         "{peak} bytes held for a state of {} claiming {claimed} rows",
         state.len()
     );
+
+    // A state of 200 rows, each aligned 2- and 4-byte word set to all-ones
+    // in turn, holds at most `alloc_free_ingest.rs`'s bound for a decode of
+    // outside bytes, `64 × len + 64 KiB`, counted on both threads: the
+    // helper's buffers are no longer than the rows the bytes hold.
+    let valid = scan_of(100).save_state();
+    for width in [2, 4] {
+        for at in (0..valid.len() / width).map(|word| word * width) {
+            let mut bytes = valid.clone();
+            bytes[at..at + width].fill(0xFF);
+            let (_, peak) = peak_above_entry(|| WeekScan::restore_state(&bytes).map(drop));
+            let bound = 64 * bytes.len() as i64 + 64 * 1024;
+            assert!(peak <= bound, "{width}-byte word at {at}: {peak} bytes held, bound {bound}");
+        }
+    }
 }
