@@ -166,10 +166,10 @@ for site in \
     [ "$found" -eq 1 ] ||
         fail "expected exactly one \`${site#*:}\` outside the tests of ${site%%:*}, found $found"
 done
-# One row reader: `read_row` parses a per-IP row of the scan state, on the
-# caller below SPLIT_AT_IPS rows and on the restore helper from it on. A
-# second parser of the row is a second set of checks that can drift between
-# the two schedules.
+# One row reader: `read_row` parses a per-IP row of the scan state on the
+# restore helper, and the tests hold the helper to a serial loop over the
+# same reader. A second parser of the row is a second set of checks that
+# the tests do not hold to the first.
 found=$(bumps crates/core/src/scan.rs 'Evidence(cur.u16()') || true
 [ "$found" -eq 1 ] ||
     fail "expected exactly one \`Evidence(cur.u16()\` (read_row) outside the tests of crates/core/src/scan.rs, found $found"
