@@ -18,7 +18,7 @@ use ixp_traffic::{MixConfig, WeekStream};
 
 use crate::census::ServerCensus;
 use crate::scan::{IngestHealth, WeekScan};
-use crate::snapshot::{peering_walk, WeeklySnapshot};
+use crate::snapshot::WeeklySnapshot;
 
 /// Registry name of one pipeline stage's duration histogram
 /// (`core_stage_duration_ns{stage="..."}`). Exposed so orchestration code
@@ -138,12 +138,11 @@ impl<'m> Analyzer<'m> {
     /// `census` one.
     pub fn report_from_scan(&self, scan: WeekScan) -> WeeklyReport {
         let (snapshot, census) = self.obs.time(&stage_metric("snapshot"), || {
-            let (peering, census) = peering_walk(&scan, self.model, || {
+            WeeklySnapshot::build_beside(&scan, self.model, || {
                 self.obs.time(&stage_metric("census"), || {
                     ServerCensus::identify(&scan, self.model, &self.dns, &self.crawl)
                 })
-            });
-            (WeeklySnapshot::from_peering(&scan, &census, self.model, peering), census)
+            })
         });
         WeeklyReport { snapshot, census, health: scan.ingest_health() }
     }

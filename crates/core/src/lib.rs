@@ -52,6 +52,62 @@ pub use census::{ServerCensus, ServerRecord};
 pub use scan::{Category, FilterReport, IngestHealth, WeekScan};
 pub use snapshot::WeeklySnapshot;
 
+/// Run `helper` on a second core beside `caller` on this one, and return
+/// both results, the helper's joined. The one two-core mechanism of the
+/// crate: checkpoint, restore and report call it. A helper panic is resumed
+/// here with its payload. `caller` is taken by value, so if it unwinds,
+/// what it owns — a channel end the helper waits on — drops before the
+/// join, and the helper wakes to a closed channel instead of hanging.
+fn beside<H: Send, C>(helper: impl FnOnce() -> H + Send, caller: impl FnOnce() -> C) -> (H, C) {
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(helper);
+        let caller = caller();
+        (helper.join().unwrap_or_else(|e| std::panic::resume_unwind(e)), caller)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread;
+
+    use super::beside;
+
+    #[test]
+    fn beside_returns_the_helpers_result_then_the_callers() {
+        let here = thread::current().id();
+        let (helper, caller) = beside(|| thread::current().id(), || thread::current().id());
+        assert_eq!((helper == here, caller), (false, here));
+    }
+
+    #[test]
+    fn a_helper_panic_reaches_the_caller_with_its_payload() {
+        let payload = catch_unwind(|| beside(|| panic!("the helper failed"), || ())).unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"the helper failed"));
+    }
+
+    /// The caller takes one value and panics, owning the receiver of the
+    /// rendezvous channel the helper then blocks on: the receiver drops
+    /// before the join, the helper's send fails, and the panic comes out.
+    #[test]
+    #[allow(clippy::disallowed_methods, reason = "one sender and one receiver per channel")]
+    fn a_caller_panic_frees_a_helper_blocked_on_its_channel() {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let (tx, rx) = std::sync::mpsc::sync_channel(0);
+            let helper = move || tx.send(1).and_then(|()| tx.send(2)).is_err();
+            let caller = move || -> () {
+                rx.recv().ok();
+                panic!("the caller failed")
+            };
+            let caught = catch_unwind(AssertUnwindSafe(|| beside(helper, caller)));
+            done_tx.send(caught.err().and_then(|e| e.downcast_ref::<&str>().copied())).ok();
+        });
+        let caught = done.recv_timeout(std::time::Duration::from_secs(5));
+        assert_eq!(caught, Ok(Some("the caller failed")));
+    }
+}
+
 /// Shared, lazily built fixtures so the test suite constructs the tiny
 /// model / 17-week study exactly once.
 #[cfg(test)]

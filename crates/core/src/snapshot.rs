@@ -8,6 +8,7 @@
 
 #![deny(clippy::disallowed_types)]
 
+use std::borrow::Borrow;
 use std::collections::{hash_map, BTreeMap};
 use std::net::Ipv4Addr;
 use std::sync::{Mutex, PoisonError};
@@ -17,6 +18,7 @@ use ixp_netmodel::{
 };
 use ixp_sflow::TrafficEstimate;
 
+use crate::beside;
 use crate::census::{MetadataCoverage, ServerCensus};
 use crate::scan::{Evidence, FilterReport, IpStats, WeekScan};
 
@@ -149,7 +151,7 @@ const CHUNK: usize = 512;
 /// `prefix_seen` an OR, so the merged sums do not depend on which walker
 /// took which address. The peering view's totals and its Table 3 split
 /// are sums of `as_peering`, taken after the merge.
-pub(crate) struct PeeringSums {
+struct PeeringSums {
     /// Per country: (resolved IPs, bytes).
     country: Vec<(u64, u64)>,
     /// Per dense AS index: (resolved IPs, bytes).
@@ -191,35 +193,23 @@ impl PeeringSums {
     }
 }
 
-/// The peering walk over `scan.ips` on two workers, and `side`'s result.
-/// One scoped helper thread walks from the start; the caller runs `side`
-/// and then joins the walk. Each worker adds the chunks it takes into sums
-/// of its own, and the helper's are merged into the caller's here; a panic
-/// on the helper is resumed on the caller. `side` stays on the caller so
-/// that what it allocates comes from the caller's heap, which is where it
-/// is freed (DESIGN §14).
-pub(crate) fn peering_walk<T>(
-    scan: &WeekScan,
-    model: &InternetModel,
-    side: impl FnOnce() -> T,
-) -> (PeeringSums, T) {
-    peering_walk_in::<CHUNK, T>(scan, model, side)
-}
-
-/// [`peering_walk`] with chunks of `N` addresses.
-fn peering_walk_in<const N: usize, T>(
+/// The peering walk over `scan.ips` on two workers with chunks of `N`
+/// addresses, and `side`'s result. A helper [`beside`] the caller walks
+/// from the start; the caller runs `side` and then joins the walk. Each
+/// worker adds the chunks it takes into sums of its own, and the helper's
+/// are merged into the caller's here. `side` stays on the caller so that
+/// what it allocates comes from the caller's heap, which is where it is
+/// freed (DESIGN §14).
+fn peering_walk<const N: usize, T>(
     scan: &WeekScan,
     model: &InternetModel,
     side: impl FnOnce() -> T,
 ) -> (PeeringSums, T) {
     let table = Mutex::new(scan.ips.iter());
-    std::thread::scope(|scope| {
-        let helper = scope.spawn(|| walk::<N>(&table, model));
-        let side = side();
-        let mut sums = walk::<N>(&table, model);
-        sums.add(helper.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        (sums, side)
-    })
+    let (helper, (side, mut sums)) =
+        beside(|| walk::<N>(&table, model), || (side(), walk::<N>(&table, model)));
+    sums.add(helper);
+    (sums, side)
 }
 
 /// One worker's share of the walk: chunks of up to `N` addresses taken
@@ -280,13 +270,23 @@ impl WeeklySnapshot {
         census: &ServerCensus,
         model: &InternetModel,
     ) -> WeeklySnapshot {
-        let (peering, ()) = peering_walk(scan, model, || ());
-        WeeklySnapshot::from_peering(scan, census, model, peering)
+        WeeklySnapshot::build_beside(scan, model, || census).0
+    }
+
+    /// [`WeeklySnapshot::build`] with its census made by `census`, on the
+    /// caller while the helper starts the peering walk, and returned.
+    pub(crate) fn build_beside<C: Borrow<ServerCensus>>(
+        scan: &WeekScan,
+        model: &InternetModel,
+        census: impl FnOnce() -> C,
+    ) -> (WeeklySnapshot, C) {
+        let (peering, census) = peering_walk::<CHUNK, C>(scan, model, census);
+        (WeeklySnapshot::from_peering(scan, census.borrow(), model, peering), census)
     }
 
     /// The rest of [`WeeklySnapshot::build`] after the peering walk: the
     /// server view, which needs the census, and the roll-ups.
-    pub(crate) fn from_peering(
+    fn from_peering(
         scan: &WeekScan,
         census: &ServerCensus,
         model: &InternetModel,
@@ -467,6 +467,7 @@ impl WeeklySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::two_core_states;
     use crate::testutil;
 
     /// `WeeklySnapshot::build` as it stood before the join went through the
@@ -676,53 +677,50 @@ mod tests {
         }
     }
 
-    /// A chunk length no `tiny` table reaches: the first worker to take the
-    /// lock takes the whole table, and the other walks nothing.
+    /// A chunk length no table of [`two_core_states`] reaches: the first
+    /// worker to take the lock takes the whole table, and the other walks
+    /// nothing.
     const WHOLE: usize = 1 << 14;
 
     /// The split walk with chunks of `N`, with no side job and with the
-    /// census as the side job, against the frozen serial walk.
-    fn assert_split_walk_matches_the_reference<const N: usize>() {
+    /// census as the side job, against the frozen serial walk's `reference`.
+    fn assert_split_walk_matches<const N: usize>(
+        scan: &WeekScan,
+        census: &ServerCensus,
+        reference: &WeeklySnapshot,
+    ) {
         let (model, a) = (testutil::model(), testutil::analyzer());
-        for (scan, census) in testutil::scanned_weeks() {
-            assert!(scan.ips.len() < WHOLE);
-            let reference = build_reference(scan, census, model);
-            let (peering, ()) = peering_walk_in::<N, ()>(scan, model, || ());
-            let built = WeeklySnapshot::from_peering(scan, census, model, peering);
-            testutil::assert_same_debug(&built, &reference);
+        let (peering, ()) = peering_walk::<N, ()>(scan, model, || ());
+        let built = WeeklySnapshot::from_peering(scan, census, model, peering);
+        testutil::assert_same_debug(&built, reference);
 
-            let (peering, beside) = peering_walk_in::<N, _>(scan, model, || {
-                ServerCensus::identify(scan, model, &a.dns, &a.crawl)
-            });
-            testutil::assert_same_debug(&beside.records, &census.records);
-            let built = WeeklySnapshot::from_peering(scan, &beside, model, peering);
-            testutil::assert_same_debug(&built, &reference);
-        }
+        let (peering, side) = peering_walk::<N, _>(scan, model, || {
+            ServerCensus::identify(scan, model, &a.dns, &a.crawl)
+        });
+        testutil::assert_same_debug(&side.records, &census.records);
+        let built = WeeklySnapshot::from_peering(scan, &side, model, peering);
+        testutil::assert_same_debug(&built, reference);
     }
 
     #[test]
     fn the_split_walk_equals_the_frozen_serial_walk_for_every_chunk_length() {
-        assert_split_walk_matches_the_reference::<1>();
-        assert_split_walk_matches_the_reference::<7>();
-        assert_split_walk_matches_the_reference::<CHUNK>();
-        assert_split_walk_matches_the_reference::<WHOLE>();
-    }
-
-    #[test]
-    fn an_empty_table_gives_the_zero_peering_view() {
         let (model, a) = (testutil::model(), testutil::analyzer());
-        let scan = WeekScan::new(Week::REFERENCE, 0);
-        let census = ServerCensus::identify(&scan, model, &a.dns, &a.crawl);
-        let built = WeeklySnapshot::build(&scan, &census, model);
-        assert_eq!(built.peering, ViewStats::default());
-        assert_eq!((built.unresolved_ips, built.client_ips), (0, 0));
-        testutil::assert_same_debug(&built, &build_reference(&scan, &census, model));
+        for scan in two_core_states() {
+            assert!(scan.ips.len() < WHOLE);
+            let census = ServerCensus::identify(scan, model, &a.dns, &a.crawl);
+            let reference = build_reference(scan, &census, model);
+            assert_split_walk_matches::<1>(scan, &census, &reference);
+            assert_split_walk_matches::<7>(scan, &census, &reference);
+            assert_split_walk_matches::<CHUNK>(scan, &census, &reference);
+            assert_split_walk_matches::<WHOLE>(scan, &census, &reference);
+        }
     }
 
     #[test]
     #[should_panic(expected = "the side job failed")]
     fn a_panicking_side_job_panics_on_the_caller() {
         let (scan, _) = &testutil::scanned_weeks()[0];
-        let _ = peering_walk(scan, testutil::model(), || -> () { panic!("the side job failed") });
+        let census = || -> ServerCensus { panic!("the side job failed") };
+        let _ = WeeklySnapshot::build_beside(scan, testutil::model(), census);
     }
 }

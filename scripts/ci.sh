@@ -97,8 +97,9 @@ fi
 # One contract: the no-panic, no-dropped-Result rules are one clippy
 # attribute line, the first `#![..]` of lib.rs in each crate that reads
 # bytes from outside or is called from one that does, and, minus
-# indexing_slicing, in ixp-core (whose checkpoint reader, core/src/scan.rs,
-# denies indexing_slicing for itself). A crate that edits its copy has left
+# indexing_slicing, in ixp-core (whose core/src/scan.rs denies
+# indexing_slicing for itself and for its checkpoint reader, the child
+# module scan/state.rs). A crate that edits its copy has left
 # the contract; a vouch is `#[allow(clippy::.., reason = "..")]`.
 contract='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]'
 core_contract=$(printf '%s' "$contract" | sed 's/ clippy::indexing_slicing,//')
@@ -166,13 +167,13 @@ for site in \
     [ "$found" -eq 1 ] ||
         fail "expected exactly one \`${site#*:}\` outside the tests of ${site%%:*}, found $found"
 done
-# One row reader: `read_row` parses a per-IP row of the scan state on the
-# restore helper, and the tests hold the helper to a serial loop over the
-# same reader. A second parser of the row is a second set of checks that
-# the tests do not hold to the first.
-found=$(bumps crates/core/src/scan.rs 'Evidence(cur.u16()') || true
-[ "$found" -eq 1 ] ||
-    fail "expected exactly one \`Evidence(cur.u16()\` (read_row) outside the tests of crates/core/src/scan.rs, found $found"
+# One row reader: `read_row` in the scan's state codec parses a per-IP row
+# on the restore helper, and the tests hold the helper to a serial loop over
+# the same reader. A second parser of the row is a second set of checks
+# that the tests do not hold to the first.
+found=$(bumps crates/core/src/scan/state.rs 'Evidence(cur.u16()') || true
+[ "$found" -eq 1 ] && ! grep -q 'Evidence(cur.u16()' crates/core/src/scan.rs ||
+    fail "expected exactly one \`Evidence(cur.u16()\` (read_row) outside the tests of crates/core/src/scan/state.rs and none in scan.rs, found $found there"
 # One ledger: the conservation identities are the typed rows of
 # ixp_obs::audit::LEDGER, and Identity::balance is the one code that adds
 # them up, over a component's SERIES table or over a snapshot (DESIGN.md
@@ -282,17 +283,6 @@ echo "==> report determinism (same seed, same bytes)"
 repro --markdown target/repro-a.md >/dev/null 2>&1
 repro --markdown target/repro-b.md >/dev/null 2>&1
 same target/repro-a.md target/repro-b.md "markdown reports differ between same-seed runs"
-# Nor may it depend on how the report's two walkers interleave: on one core
-# they take turns in whatever order the scheduler picks, and the report
-# must come out the same.
-if command -v taskset >/dev/null 2>&1; then
-    taskset -c 0 cargo run -q --release -p ixp-bench --bin repro -- --scale tiny \
-        --markdown target/repro-one-core.md >/dev/null 2>&1
-    same target/repro-a.md target/repro-one-core.md \
-        "the markdown report differs when the run is held to one core"
-else
-    echo "ci: taskset not found here; the one-core report check was skipped"
-fi
 
 echo "==> metrics smoke test (snapshot determinism + schema)"
 # Two same-seed repro runs under the frozen test clock must export
@@ -350,8 +340,7 @@ echo "==> paper-scale resume smoke (restore of some 300 K rows, on two cores and
 # them. The tiny week's rows fit in one of the helper's chunks; at
 # paper(400) a checkpoint taken at datagram 120 000 (≈ 7.3 MB) holds some
 # 300 K per-IP rows, some 75 chunks. The resume must end on the whole run's
-# final checkpoint and metrics, and so must the same resume held to one
-# core, where the two threads take turns.
+# final checkpoint and metrics.
 paper() {
     cargo run -q --release -p ixp-bench --bin repro -- --scale paper:400 "$@"
 }
@@ -363,16 +352,25 @@ same target/pckpt-whole.bin target/pckpt-resumed.bin \
     "paper-scale resumed run's final checkpoint differs from the whole run's"
 same target/pmetrics-whole.json target/pmetrics-resumed.json \
     "paper-scale resumed run's metrics snapshot differs from the whole run's"
+# Each two-core site of ixp-core (the report's second walker, the
+# checkpoint's upper address range, the restore's row parser) runs beside
+# its caller. Held to one core, the two take turns in whatever order the
+# scheduler picks, and the tiny report and this resume must not change.
 if command -v taskset >/dev/null 2>&1; then
-    taskset -c 0 cargo run -q --release -p ixp-bench --bin repro -- --scale paper:400 \
-        --resume target/pckpt-mid.bin --checkpoint target/pckpt-one-core.bin \
-        --metrics target/pmetrics-one-core.json >/dev/null 2>&1
+    one_core() {
+        taskset -c 0 cargo run -q --release -p ixp-bench --bin repro -- "$@" >/dev/null 2>&1
+    }
+    one_core --scale tiny --markdown target/repro-one-core.md
+    same target/repro-a.md target/repro-one-core.md \
+        "the markdown report differs when the run is held to one core"
+    one_core --scale paper:400 --resume target/pckpt-mid.bin \
+        --checkpoint target/pckpt-one-core.bin --metrics target/pmetrics-one-core.json
     same target/pckpt-whole.bin target/pckpt-one-core.bin \
         "paper-scale resume held to one core wrote a different final checkpoint"
     same target/pmetrics-whole.json target/pmetrics-one-core.json \
         "paper-scale resume held to one core wrote a different metrics snapshot"
 else
-    echo "ci: taskset not found here; the one-core resume check was skipped"
+    echo "ci: taskset not found here; the one-core checks were skipped"
 fi
 
 echo "==> transport smoke test (intake determinism + metrics)"
