@@ -74,14 +74,10 @@ mod tests {
     use super::beside;
 
     #[test]
-    fn beside_returns_the_helpers_result_then_the_callers() {
+    fn beside_returns_the_helpers_result_then_the_callers_and_resumes_a_helper_panic() {
         let here = thread::current().id();
         let (helper, caller) = beside(|| thread::current().id(), || thread::current().id());
         assert_eq!((helper == here, caller), (false, here));
-    }
-
-    #[test]
-    fn a_helper_panic_reaches_the_caller_with_its_payload() {
         let payload = catch_unwind(|| beside(|| panic!("the helper failed"), || ())).unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"the helper failed"));
     }

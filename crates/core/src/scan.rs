@@ -23,8 +23,6 @@ use ixp_wire::{ipv4, EthernetAddress};
 use crate::http::{self, HttpEvidence};
 
 mod state;
-#[cfg(test)]
-pub(crate) use state::two_core_states;
 
 /// Filtering-cascade categories (paper Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -785,6 +783,9 @@ pub fn member_of(mac: EthernetAddress) -> Option<MemberId> {
         None
     }
 }
+
+#[cfg(test)]
+pub(crate) use state::two_core_states;
 
 /// Build an Ethernet+IPv4+TCP frame between two member ports.
 #[cfg(test)]

@@ -8,7 +8,6 @@
 
 #![deny(clippy::disallowed_types)]
 
-use std::borrow::Borrow;
 use std::collections::{hash_map, BTreeMap};
 use std::net::Ipv4Addr;
 use std::sync::{Mutex, PoisonError};
@@ -270,18 +269,19 @@ impl WeeklySnapshot {
         census: &ServerCensus,
         model: &InternetModel,
     ) -> WeeklySnapshot {
-        WeeklySnapshot::build_beside(scan, model, || census).0
+        let (peering, ()) = peering_walk::<CHUNK, ()>(scan, model, || ());
+        WeeklySnapshot::from_peering(scan, census, model, peering)
     }
 
     /// [`WeeklySnapshot::build`] with its census made by `census`, on the
     /// caller while the helper starts the peering walk, and returned.
-    pub(crate) fn build_beside<C: Borrow<ServerCensus>>(
+    pub(crate) fn build_beside(
         scan: &WeekScan,
         model: &InternetModel,
-        census: impl FnOnce() -> C,
-    ) -> (WeeklySnapshot, C) {
-        let (peering, census) = peering_walk::<CHUNK, C>(scan, model, census);
-        (WeeklySnapshot::from_peering(scan, census.borrow(), model, peering), census)
+        census: impl FnOnce() -> ServerCensus,
+    ) -> (WeeklySnapshot, ServerCensus) {
+        let (peering, census) = peering_walk::<CHUNK, _>(scan, model, census);
+        (WeeklySnapshot::from_peering(scan, &census, model, peering), census)
     }
 
     /// The rest of [`WeeklySnapshot::build`] after the peering walk: the
@@ -714,6 +714,17 @@ mod tests {
             assert_split_walk_matches::<CHUNK>(scan, &census, &reference);
             assert_split_walk_matches::<WHOLE>(scan, &census, &reference);
         }
+    }
+
+    #[test]
+    fn an_empty_table_gives_the_zero_peering_view() {
+        let (model, a) = (testutil::model(), testutil::analyzer());
+        let scan = WeekScan::new(Week::REFERENCE, 0);
+        let census = ServerCensus::identify(&scan, model, &a.dns, &a.crawl);
+        let built = WeeklySnapshot::build(&scan, &census, model);
+        assert_eq!(built.peering, ViewStats::default());
+        assert_eq!((built.unresolved_ips, built.client_ips), (0, 0));
+        testutil::assert_same_debug(&built, &build_reference(&scan, &census, model));
     }
 
     #[test]
