@@ -304,7 +304,7 @@ fn full_study(args: &Args, obs: &Obs) {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let study = analyzer.run_study(threads.min(8));
     eprintln!("  study done at {:.1}s", secs(&t0));
-    let reference = study.reference();
+    let reference = study.reference().expect("run_study reports every week of the study");
     let clusters = obs.time(&stage_metric("clustering"), || cluster::cluster(reference, &analyzer.dns));
 
     let mut out = Out {

@@ -16,9 +16,9 @@ use ixp_netmodel::{InternetModel, Week};
 use ixp_obs::Obs;
 use ixp_traffic::{MixConfig, WeekStream};
 
-use crate::census::ServerCensus;
+use crate::census::{ServerCensus, ServerRecord};
 use crate::scan::{IngestHealth, WeekScan};
-use crate::snapshot::WeeklySnapshot;
+use crate::snapshot::{ServerGeo, WeeklySnapshot};
 
 /// Registry name of one pipeline stage's duration histogram
 /// (`core_stage_duration_ns{stage="..."}`). Exposed so orchestration code
@@ -40,6 +40,14 @@ pub struct WeeklyReport {
     pub health: IngestHealth,
 }
 
+impl WeeklyReport {
+    /// Each identified server with its geo attributes, in census order: the
+    /// one walk that pairs `census.records` with `snapshot.server_geo`.
+    pub fn servers(&self) -> impl Iterator<Item = (&ServerRecord, Option<ServerGeo>)> {
+        self.census.records.iter().zip(self.snapshot.server_geo.iter().copied())
+    }
+}
+
 /// The full study: one report per week, in week order.
 #[derive(Debug)]
 pub struct StudyReport {
@@ -48,13 +56,13 @@ pub struct StudyReport {
 }
 
 impl StudyReport {
-    /// Report for one week.
-    pub fn week(&self, week: Week) -> &WeeklyReport {
-        &self.weeks[week.index()]
+    /// Report for one week, if the study reaches it.
+    pub fn week(&self, week: Week) -> Option<&WeeklyReport> {
+        self.weeks.get(week.index())
     }
 
-    /// The reference-week report (week 45).
-    pub fn reference(&self) -> &WeeklyReport {
+    /// The reference-week report (week 45), if the study reaches it.
+    pub fn reference(&self) -> Option<&WeeklyReport> {
         self.week(Week::REFERENCE)
     }
 }
@@ -244,7 +252,7 @@ mod tests {
         assert_eq!(study.weeks.len(), Week::COUNT);
         // Parallel study result for the reference week matches a direct run.
         let direct = testutil::analyzer().run_week(Week::REFERENCE);
-        let via_study = study.reference();
+        let via_study = study.reference().unwrap();
         assert_eq!(direct.census.len(), via_study.census.len());
         assert_eq!(direct.snapshot.peering.ips, via_study.snapshot.peering.ips);
         assert_eq!(direct.snapshot.filter.total(), via_study.snapshot.filter.total());
@@ -282,8 +290,8 @@ mod tests {
     #[test]
     fn member_count_tracks_growth() {
         let study = testutil::study();
-        let a = study.week(Week::FIRST);
-        let b = study.week(Week::LAST);
+        let a = study.week(Week::FIRST).unwrap();
+        let b = study.week(Week::LAST).unwrap();
         assert!(b.snapshot.member_count > a.snapshot.member_count);
     }
 }

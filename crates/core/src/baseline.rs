@@ -99,13 +99,9 @@ pub fn as_org_baseline(
     let (cid, _) = clusters.by_key(key)?;
     let mut per_as: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     let mut total = 0usize;
-    for (idx, a) in clusters.assignments.iter().enumerate() {
-        if matches!(a, Some((c, _)) if *c == cid) {
-            if let Some(g) = report.snapshot.server_geo[idx] {
-                *per_as.entry(g.as_idx).or_default() += 1;
-                total += 1;
-            }
-        }
+    for g in clusters.members(report, cid).filter_map(|(_, geo)| geo) {
+        *per_as.entry(g.as_idx).or_default() += 1;
+        total += 1;
     }
     let own = per_as.values().max().copied().unwrap_or(0);
     Some(AsOrgBaseline {

@@ -184,7 +184,9 @@ pub fn resolver_campaign(
                 continue;
             }
             // The answering resolver's AS (for the private-cluster test).
-            let resolver = usable[slot % usable.len()];
+            let Some(resolver) = slot.checked_rem(usable.len()).and_then(|i| usable.get(i)) else {
+                continue;
+            };
             let resolver_as = model.registry.index_of(resolver.asn).unwrap_or(0);
             for ip in out.answers {
                 found.entry(u32::from(ip)).or_default().insert(resolver_as);
@@ -272,13 +274,9 @@ pub fn validate_footprint_case_study(
     // IXP view.
     let mut ixp_ips: HashSet<u32> = HashSet::new();
     let mut ixp_ases: HashSet<u32> = HashSet::new();
-    for (idx, a) in clusters.assignments.iter().enumerate() {
-        if matches!(a, Some((c, _)) if *c == cid) {
-            ixp_ips.insert(u32::from(report.census.records[idx].ip));
-            if let Some(g) = report.snapshot.server_geo[idx] {
-                ixp_ases.insert(g.as_idx);
-            }
-        }
+    for (record, geo) in clusters.members(report, cid) {
+        ixp_ips.insert(u32::from(record.ip));
+        ixp_ases.extend(geo.map(|g| g.as_idx));
     }
 
     // Active view: resolve the org's observed URIs through many resolvers.
@@ -287,11 +285,8 @@ pub fn validate_footprint_case_study(
     // Sorted: the campaign-scoped quarantine makes query order matter, so
     // the iteration order must be deterministic.
     let mut domains: Vec<&str> = clusters
-        .assignments
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| matches!(a, Some((c, _)) if *c == cid))
-        .flat_map(|(idx, _)| report.census.records[idx].uris.iter().map(String::as_str))
+        .members(report, cid)
+        .flat_map(|(record, _)| record.uris.iter().map(String::as_str))
         .collect::<HashSet<&str>>()
         .into_iter()
         .collect();

@@ -237,7 +237,7 @@ impl ServerCensus {
 
     /// Look up a record by IP.
     pub fn get(&self, ip: Ipv4Addr) -> Option<&ServerRecord> {
-        self.by_ip.get(&u32::from(ip)).map(|i| &self.records[*i])
+        self.by_ip.get(&u32::from(ip)).and_then(|i| self.records.get(*i))
     }
 
     /// Total estimated bytes of all identified servers.

@@ -180,10 +180,10 @@ pub fn reseller_series(study: &StudyReport) -> Vec<ResellerSeries> {
                         .unwrap_or(0)
                 })
                 .collect();
-            let head: f64 =
-                counts[..5].iter().sum::<usize>() as f64 / 5.0;
-            let tail: f64 =
-                counts[counts.len() - 5..].iter().sum::<usize>() as f64 / 5.0;
+            // Five weeks a side, or all of a shorter study.
+            let k = counts.len().min(5);
+            let head = counts.iter().take(k).sum::<usize>() as f64 / k as f64;
+            let tail = counts.iter().rev().take(k).sum::<usize>() as f64 / k as f64;
             ResellerSeries {
                 member: *member,
                 growth: if head == 0.0 {
@@ -260,5 +260,25 @@ mod tests {
             .map(|s| s.growth)
             .fold(0.0f64, f64::max);
         assert!(max_growth > 1.2, "no reseller growth detected: {max_growth:.2}");
+    }
+
+    /// A study is a public list of weeks, so it can be shorter than the
+    /// five weeks a side that a reseller's growth compares, and miss the
+    /// weeks a caller asks for.
+    #[test]
+    fn a_three_week_study_has_reseller_series_and_no_reference_week() {
+        let a = testutil::analyzer();
+        let weeks = Week::all().take(3).map(|w| a.report_from_scan(a.scan_week(w))).collect();
+        let study = StudyReport { weeks };
+        let series = reseller_series(&study);
+        assert!(!series.is_empty(), "no resellers tracked");
+        for s in &series {
+            // Head and tail are the same three weeks.
+            assert_eq!(s.counts.len(), 3);
+            assert!((s.growth - 1.0).abs() < 1e-12, "growth {} over one window", s.growth);
+        }
+        let last = Week::all().nth(2).unwrap();
+        assert_eq!(study.week(last).map(|r| r.snapshot.week), Some(last));
+        assert!(study.week(Week::REFERENCE).is_none() && study.reference().is_none());
     }
 }

@@ -16,13 +16,14 @@
 //!    vote over the partial evidence. (Paper: 3.9 %; CDN servers deep in
 //!    ISPs.)
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ixp_dns::DnsDb;
 use ixp_netmodel::InternetModel;
 
 use crate::analyzer::WeeklyReport;
-use crate::census::SoaOutcome;
+use crate::census::{ServerRecord, SoaOutcome};
+use crate::snapshot::ServerGeo;
 
 /// One recovered organization cluster.
 #[derive(Debug, Clone)]
@@ -40,7 +41,8 @@ pub struct Cluster {
 /// The clustering result, aligned with the census records.
 #[derive(Debug)]
 pub struct Clusters {
-    /// Per census record: (cluster index, step that assigned it).
+    /// Per census record: (cluster index, step that assigned it), which
+    /// [`Clusters::walk`] walks together with the records.
     pub assignments: Vec<Option<(u32, u8)>>,
     /// The clusters.
     pub clusters: Vec<Cluster>,
@@ -64,6 +66,28 @@ impl Clusters {
             100.0 * self.step_counts[1] as f64 / total,
             100.0 * self.step_counts[2] as f64 / total,
         ]
+    }
+
+    /// Each server of `report`, the week this clustering was run on, with
+    /// its geo attributes and its (cluster index, step) assignment, in
+    /// census order.
+    pub fn walk<'a>(
+        &'a self,
+        report: &'a WeeklyReport,
+    ) -> impl Iterator<Item = (&'a ServerRecord, Option<ServerGeo>, Option<(u32, u8)>)> + 'a {
+        report.servers().zip(&self.assignments).map(|((record, geo), a)| (record, geo, *a))
+    }
+
+    /// The servers of `report` assigned to cluster `cid`, with their geo
+    /// attributes.
+    pub fn members<'a>(
+        &'a self,
+        report: &'a WeeklyReport,
+        cid: u32,
+    ) -> impl Iterator<Item = (&'a ServerRecord, Option<ServerGeo>)> + 'a {
+        self.walk(report)
+            .filter(move |(_, _, a)| matches!(a, Some((c, _)) if *c == cid))
+            .map(|(record, geo, _)| (record, geo))
     }
 
     /// Find a cluster by key.
@@ -101,21 +125,73 @@ pub fn cluster(report: &WeeklyReport, dns: &DnsDb) -> Clusters {
     cluster_with(report, dns, ClusterConfig::default())
 }
 
+/// The clusters as they grow, each with the set of ASes its servers sit
+/// in, and where each key's cluster is.
+#[derive(Default)]
+struct Builder {
+    by_key: HashMap<String, u32>,
+    entries: Vec<(Cluster, HashSet<u32>)>,
+}
+
+impl Builder {
+    /// Add a server to the cluster of `key`, opened if it is new, and
+    /// return the server's assignment.
+    fn assign(&mut self, key: &str, server: &Server<'_>, step: u8) -> Option<(u32, u8)> {
+        let cid = match self.by_key.get(key) {
+            Some(cid) => *cid,
+            None => {
+                let cid = self.entries.len() as u32;
+                let cluster = Cluster { key: key.to_string(), size: 0, ases: 0, bytes: 0 };
+                self.entries.push((cluster, HashSet::new()));
+                self.by_key.insert(key.to_string(), cid);
+                cid
+            }
+        };
+        self.join(cid, server, step)
+    }
+
+    /// Add a server to cluster `cid` and return the server's assignment.
+    fn join(&mut self, cid: u32, server: &Server<'_>, step: u8) -> Option<(u32, u8)> {
+        let (cluster, ases) = self.entries.get_mut(cid as usize)?;
+        cluster.size += 1;
+        cluster.bytes += server.record.bytes;
+        ases.extend(server.geo.map(|g| g.as_idx));
+        Some((cid, step))
+    }
+
+    /// The vote weight of `key`'s cluster so far: (server IPs, ASes).
+    fn weight(&self, key: &str) -> (usize, usize) {
+        self.by_key
+            .get(key)
+            .and_then(|cid| self.entries.get(*cid as usize))
+            .map_or((0, 0), |(cluster, ases)| (cluster.size, ases.len()))
+    }
+
+    /// The clusters, each with its AS footprint counted.
+    fn finish(self) -> Vec<Cluster> {
+        self.entries
+            .into_iter()
+            .map(|(cluster, ases)| Cluster { ases: ases.len(), ..cluster })
+            .collect()
+    }
+}
+
+/// One census record with its geo attributes and its clustering evidence:
+/// the host zone (and whether it is outsourced), and the other zones.
+struct Server<'a> {
+    record: &'a ServerRecord,
+    geo: Option<ServerGeo>,
+    host_zone: Option<(String, bool)>,
+    host_timeout: bool,
+    other_zones: Vec<String>,
+}
+
 /// Run the clustering with explicit ablation switches.
 pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> Clusters {
-    let records = &report.census.records;
-    let geo = &report.snapshot.server_geo;
-
-    // Evidence per record: host zone (self-hosted?), and the other zones.
-    struct RecordEvidence {
-        host_zone: Option<(String, bool /* outsourced */)>,
-        host_timeout: bool,
-        other_zones: Vec<String>,
-    }
-    let evidence: Vec<RecordEvidence> = records
-        .iter()
-        .map(|r| {
-            let (host_zone, host_timeout) = match &r.host_soa {
+    let servers: Vec<Server<'_>> = report
+        .servers()
+        .map(|(record, geo)| {
+            let (host_zone, host_timeout) = match &record.host_soa {
                 SoaOutcome::Identity(id) => {
                     (Some((id.zone.clone(), id.outsourced())), false)
                 }
@@ -123,69 +199,29 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
                 SoaOutcome::Timeout => (None, true),
             };
             let mut other_zones = Vec::new();
-            for name in r.uris.iter().chain(r.cert_names.iter()) {
+            for name in record.uris.iter().chain(record.cert_names.iter()) {
                 if let Some(id) = dns.soa_lookup(name) {
                     other_zones.push(id.zone);
                 }
             }
-            RecordEvidence { host_zone, host_timeout, other_zones }
+            Server { record, geo, host_zone, host_timeout, other_zones }
         })
         .collect();
 
-    let mut key_to_cluster: HashMap<String, u32> = HashMap::new();
-    let mut clusters: Vec<Cluster> = Vec::new();
-    let mut cluster_as_sets: Vec<std::collections::HashSet<u32>> = Vec::new();
-    let mut assignments: Vec<Option<(u32, u8)>> = vec![None; records.len()];
-    let mut step_counts = [0usize; 3];
-
-    let assign =
-        |key: &str,
-         idx: usize,
-         step: u8,
-         key_to_cluster: &mut HashMap<String, u32>,
-         clusters: &mut Vec<Cluster>,
-         cluster_as_sets: &mut Vec<std::collections::HashSet<u32>>,
-         assignments: &mut Vec<Option<(u32, u8)>>,
-         step_counts: &mut [usize; 3]| {
-            let cid = *key_to_cluster.entry(key.to_string()).or_insert_with(|| {
-                clusters.push(Cluster {
-                    key: key.to_string(),
-                    size: 0,
-                    ases: 0,
-                    bytes: 0,
-                });
-                cluster_as_sets.push(std::collections::HashSet::new());
-                (clusters.len() - 1) as u32
-            });
-            clusters[cid as usize].size += 1;
-            clusters[cid as usize].bytes += records[idx].bytes;
-            if let Some(g) = geo[idx] {
-                cluster_as_sets[cid as usize].insert(g.as_idx);
-            }
-            assignments[idx] = Some((cid, step));
-            step_counts[(step - 1) as usize] += 1;
-        };
+    let mut built = Builder::default();
+    let mut assignments: Vec<Option<(u32, u8)>> = vec![None; servers.len()];
 
     // Step 1. A busy server accumulates the odd third-party URI (embedded
     // content), so consistency tolerates a small conflicting minority
     // rather than demanding unanimity.
-    for (idx, ev) in evidence.iter().enumerate() {
+    for (slot, ev) in assignments.iter_mut().zip(&servers) {
         if let Some((zone, outsourced)) = &ev.host_zone {
             let matching = ev.other_zones.iter().filter(|z| *z == zone).count();
             let conflicting = ev.other_zones.len() - matching;
             // Accept when at most a quarter of the URI/cert evidence points
             // elsewhere.
             if !outsourced && conflicting * 4 <= ev.other_zones.len() {
-                assign(
-                    zone,
-                    idx,
-                    1,
-                    &mut key_to_cluster,
-                    &mut clusters,
-                    &mut cluster_as_sets,
-                    &mut assignments,
-                    &mut step_counts,
-                );
+                *slot = built.assign(zone, ev, 1);
             }
         }
     }
@@ -193,8 +229,8 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
     // Steps 2 and 3: majority vote over candidate zones, weighted by the
     // clusters built so far (number of IPs, then footprint).
     for step in [2u8, 3u8] {
-        for (idx, ev) in evidence.iter().enumerate() {
-            if assignments[idx].is_some() {
+        for (slot, ev) in assignments.iter_mut().zip(&servers) {
+            if slot.is_some() {
                 continue;
             }
             let in_step = match step {
@@ -212,9 +248,6 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
             for z in &ev.other_zones {
                 *votes.entry(z.as_str()).or_default() += 1;
             }
-            if votes.is_empty() {
-                continue;
-            }
             // A single weak vote (one URI, nothing else) is unreliable —
             // embedded third-party content would misfile the server. Defer
             // those to the prefix-neighbourhood stage below; they are
@@ -224,38 +257,14 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
             }
             // The zone itself is the last key, so a full tie never falls to
             // `HashMap` iteration order.
-            let Some(winner) = votes
-                .iter()
-                .max_by_key(|(zone, count)| {
-                    let (ips, footprint) = if cfg.footprint_weighted {
-                        key_to_cluster
-                            .get(**zone)
-                            .map(|cid| {
-                                (
-                                    clusters[*cid as usize].size,
-                                    cluster_as_sets[*cid as usize].len(),
-                                )
-                            })
-                            .unwrap_or((0, 0))
-                    } else {
-                        (0, 0)
-                    };
-                    (**count, ips, footprint, std::cmp::Reverse(zone.len()), **zone)
-                })
-                .map(|(zone, _)| zone.to_string())
-            else {
-                continue;
-            };
-            assign(
-                &winner,
-                idx,
-                step,
-                &mut key_to_cluster,
-                &mut clusters,
-                &mut cluster_as_sets,
-                &mut assignments,
-                &mut step_counts,
-            );
+            let winner = votes.iter().max_by_key(|(zone, count)| {
+                let (ips, footprint) =
+                    if cfg.footprint_weighted { built.weight(zone) } else { (0, 0) };
+                (**count, ips, footprint, std::cmp::Reverse(zone.len()), **zone)
+            });
+            if let Some((zone, _)) = winner {
+                *slot = built.assign(zone, ev, step);
+            }
         }
     }
 
@@ -267,8 +276,8 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
     // to 100 % while only 81.9 % of server IPs carry direct meta-data.
     if cfg.prefix_vote {
         let mut prefix_majority: HashMap<u32, HashMap<u32, usize>> = HashMap::new();
-        for (idx, a) in assignments.iter().enumerate() {
-            if let (Some((cid, _)), Some(g)) = (a, geo[idx]) {
+        for (a, ev) in assignments.iter().zip(&servers) {
+            if let (Some((cid, _)), Some(g)) = (a, ev.geo) {
                 *prefix_majority
                     .entry(g.prefix_idx)
                     .or_default()
@@ -287,51 +296,31 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
                 (best * 5 >= total * 3).then_some((pidx, cid))
             })
             .collect();
-        for idx in 0..records.len() {
-            if assignments[idx].is_some() {
-                continue;
-            }
-            let Some(g) = geo[idx] else { continue };
-            if let Some(cid) = winners.get(&g.prefix_idx) {
-                clusters[*cid as usize].size += 1;
-                clusters[*cid as usize].bytes += records[idx].bytes;
-                cluster_as_sets[*cid as usize].insert(g.as_idx);
-                assignments[idx] = Some((*cid, 3));
-                step_counts[2] += 1;
+        for (slot, ev) in assignments.iter_mut().zip(&servers) {
+            let Some(g) = ev.geo else { continue };
+            if let (None, Some(cid)) = (*slot, winners.get(&g.prefix_idx)) {
+                *slot = built.join(*cid, ev, 3);
             }
         }
     }
 
     // Final sweep: single-evidence servers whose neighbourhood stayed
     // silent take their one piece of evidence at face value (step 3).
-    for (idx, ev) in evidence.iter().enumerate() {
-        if assignments[idx].is_some() {
+    for (slot, ev) in assignments.iter_mut().zip(&servers) {
+        if slot.is_some() {
             continue;
         }
-        let zone = ev
-            .host_zone
-            .as_ref()
-            .map(|(z, _)| z.clone())
-            .or_else(|| ev.other_zones.first().cloned());
+        let zone = ev.host_zone.as_ref().map(|(z, _)| z).or_else(|| ev.other_zones.first());
         if let Some(zone) = zone {
-            assign(
-                &zone,
-                idx,
-                3,
-                &mut key_to_cluster,
-                &mut clusters,
-                &mut cluster_as_sets,
-                &mut assignments,
-                &mut step_counts,
-            );
+            *slot = built.assign(zone, ev, 3);
         }
     }
 
-    for (cid, ases) in cluster_as_sets.iter().enumerate() {
-        clusters[cid].ases = ases.len();
-    }
+    let step_counts = [1, 2, 3].map(|step| {
+        assignments.iter().filter(|a| matches!(a, Some((_, s)) if *s == step)).count()
+    });
     let unclustered = assignments.iter().filter(|a| a.is_none()).count();
-    Clusters { assignments, clusters, step_counts, unclustered }
+    Clusters { assignments, clusters: built.finish(), step_counts, unclustered }
 }
 
 /// Ground-truth validation of the clustering (the paper hand-validated via
@@ -357,15 +346,18 @@ pub fn validate_clusters(
     report: &WeeklyReport,
     model: &InternetModel,
 ) -> ClusterValidation {
-    let records = &report.census.records;
+    // The true org of each assigned server the model knows, with its
+    // cluster.
+    let owned: Vec<(u32, u32)> = clusters
+        .walk(report)
+        .filter_map(|(record, _, a)| Some((a?.0, model.servers.by_ip(record.ip)?.org.0)))
+        .collect();
     // Majority true-org per cluster.
     let mut majority: Vec<HashMap<u32, usize>> =
         vec![HashMap::new(); clusters.clusters.len()];
-    for (idx, a) in clusters.assignments.iter().enumerate() {
-        if let Some((cid, _)) = a {
-            if let Some(s) = model.servers.by_ip(records[idx].ip) {
-                *majority[*cid as usize].entry(s.org.0).or_default() += 1;
-            }
+    for (cid, org) in &owned {
+        if let Some(counts) = majority.get_mut(*cid as usize) {
+            *counts.entry(*org).or_default() += 1;
         }
     }
     let majority_org: Vec<Option<u32>> = majority
@@ -378,15 +370,18 @@ pub fn validate_clusters(
     let mut assigned_large = 0usize;
     let mut wrong_large = 0usize;
     let large_threshold = 4;
-    for (idx, a) in clusters.assignments.iter().enumerate() {
-        let Some((cid, _)) = a else { continue };
-        let Some(truth) = model.servers.by_ip(records[idx].ip) else { continue };
+    for (cid, org) in owned {
+        let (Some(cluster), Some(majority)) =
+            (clusters.clusters.get(cid as usize), majority_org.get(cid as usize))
+        else {
+            continue;
+        };
         assigned += 1;
-        let is_wrong = majority_org[*cid as usize] != Some(truth.org.0);
+        let is_wrong = *majority != Some(org);
         if is_wrong {
             wrong += 1;
         }
-        if clusters.clusters[*cid as usize].ases >= large_threshold {
+        if cluster.ases >= large_threshold {
             assigned_large += 1;
             if is_wrong {
                 wrong_large += 1;
@@ -419,6 +414,15 @@ mod tests {
             clusters.clustered_total() + clusters.unclustered,
             report.census.len()
         );
+        // Each cluster's size, bytes and AS footprint are those of the
+        // census records and geo of its members.
+        for (cid, c) in clusters.clusters.iter().enumerate() {
+            let members: Vec<_> = clusters.members(report, cid as u32).collect();
+            let bytes: u64 = members.iter().map(|(r, _)| r.bytes).sum();
+            let ases: HashSet<u32> =
+                members.iter().filter_map(|(_, g)| Some(g.as_ref()?.as_idx)).collect();
+            assert_eq!((c.size, c.bytes, c.ases), (members.len(), bytes, ases.len()), "{}", c.key);
+        }
     }
 
     #[test]

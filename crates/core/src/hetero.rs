@@ -56,15 +56,14 @@ pub fn fig6c(report: &WeeklyReport, clusters: &Clusters, min_servers: usize) -> 
         .map(|(i, _)| i as u32)
         .collect();
     let mut per_as: HashMap<u32, (usize, HashSet<u32>)> = HashMap::new();
-    for (idx, a) in clusters.assignments.iter().enumerate() {
-        let Some((cid, _)) = a else { continue };
-        if !big.contains(cid) {
+    for (_, geo, a) in clusters.walk(report) {
+        let (Some(geo), Some((cid, _))) = (geo, a) else { continue };
+        if !big.contains(&cid) {
             continue;
         }
-        let Some(geo) = report.snapshot.server_geo[idx] else { continue };
         let slot = per_as.entry(geo.as_idx).or_default();
         slot.0 += 1;
-        slot.1.insert(*cid);
+        slot.1.insert(cid);
     }
     let mut points: Vec<(u32, usize, usize)> = per_as
         .into_iter()
@@ -111,12 +110,9 @@ pub fn link_usage(
     // the plurality of its server-side bytes.
     let mut server_ips: HashSet<u32> = HashSet::new();
     let mut member_bytes: HashMap<u32, u64> = HashMap::new();
-    for (idx, a) in clusters.assignments.iter().enumerate() {
-        if *a == Some((cid, 1)) || matches!(a, Some((c, _)) if *c == cid) {
-            let r = &report.census.records[idx];
-            server_ips.insert(u32::from(r.ip));
-            *member_bytes.entry(r.member.0).or_default() += r.bytes;
-        }
+    for (r, _) in clusters.members(report, cid) {
+        server_ips.insert(u32::from(r.ip));
+        *member_bytes.entry(r.member.0).or_default() += r.bytes;
     }
     let home_member = MemberId(
         member_bytes

@@ -67,7 +67,7 @@ pub fn classify(payload: &[u8]) -> HttpEvidence<'_> {
     // per name. A response header wins over any request header.
     let mut has_request_header = false;
     for (at, _) in payload.windows(2).enumerate().filter(|(_, w)| *w == b": ") {
-        let name = &payload[..at];
+        let Some(name) = payload.get(..at) else { continue };
         if RESPONSE_HEADERS.iter().any(|h| name.ends_with(h.as_bytes())) {
             return HttpEvidence::ResponseHeaders;
         }

@@ -28,7 +28,7 @@
 //! `validate_`, mirroring how the authors validated against Akamai's
 //! published footprint and hand-checked clusters.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -138,7 +138,7 @@ pub(crate) mod testutil {
 
     /// The shared reference-week report.
     pub(crate) fn reference() -> &'static WeeklyReport {
-        study().week(Week::REFERENCE)
+        study().reference().unwrap()
     }
 
     /// The reference week scanned clean and through the hostile fault plan,

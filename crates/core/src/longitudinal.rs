@@ -113,13 +113,15 @@ pub struct Fig5Week {
     pub stable: [f64; 5],
 }
 
-fn region_slot(r: Region) -> usize {
+/// Region `r`'s cell of a per-region row, in [`Region::ALL`] order.
+fn region_cell<T>(row: &mut [T; 5], r: Region) -> &mut T {
+    let [de, us, ru, cn, rest] = row;
     match r {
-        Region::De => 0,
-        Region::Us => 1,
-        Region::Ru => 2,
-        Region::Cn => 3,
-        Region::RoW => 4,
+        Region::De => de,
+        Region::Us => us,
+        Region::Ru => ru,
+        Region::Cn => cn,
+        Region::RoW => rest,
     }
 }
 
@@ -141,19 +143,18 @@ pub fn churn(study: &StudyReport) -> (Fig4a, Fig4b, Fig4c, Fig5) {
     for (w, report) in study.weeks.iter().enumerate() {
         let w = w as u32;
         let census = &report.census;
-        let geo = &report.snapshot.server_geo;
 
         // Fig. 4a.
         fig4a.push(ip_tracker.week(w, census.records.iter().map(|r| u64::from(u32::from(r.ip)))));
 
         // Fig. 4b (per region).
         let mut region_bars: [ChurnBar; 5] = Default::default();
-        for (slot, tracker) in region_trackers.iter_mut().enumerate() {
-            let keys = census.records.iter().zip(geo.iter()).filter_map(|(r, g)| {
-                let g = (*g)?;
-                (region_slot(g.region) == slot).then_some(u64::from(u32::from(r.ip)))
+        let regions = region_bars.iter_mut().zip(&mut region_trackers).zip(Region::ALL);
+        for ((bar, tracker), region) in regions {
+            let keys = report.servers().filter_map(|(r, g)| {
+                (g?.region == region).then_some(u64::from(u32::from(r.ip)))
             });
-            region_bars[slot] = tracker.week(w, keys);
+            *bar = tracker.week(w, keys);
         }
         fig4b.push(region_bars);
 
@@ -172,22 +173,18 @@ pub fn churn(study: &StudyReport) -> (Fig4a, Fig4b, Fig4c, Fig5) {
         // Fig. 5 traffic splits.
         let total_bytes: u64 = census.records.iter().map(|r| r.bytes).sum();
         let mut week5 = Fig5Week::default();
-        for (r, g) in census.records.iter().zip(geo.iter()) {
-            let g = match g {
-                Some(g) => *g,
-                None => continue,
-            };
+        for (r, g) in report.servers() {
+            let Some(g) = g else { continue };
             let key = u64::from(u32::from(r.ip));
             let share = if total_bytes == 0 {
                 0.0
             } else {
                 100.0 * r.bytes as f64 / total_bytes as f64
             };
-            let slot = region_slot(g.region);
-            week5.all[slot] += share;
+            *region_cell(&mut week5.all, g.region) += share;
             match ip_seen.get(&key) {
-                Some(count) if *count == w => week5.stable[slot] += share,
-                Some(_) => week5.recurrent[slot] += share,
+                Some(count) if *count == w => *region_cell(&mut week5.stable, g.region) += share,
+                Some(_) => *region_cell(&mut week5.recurrent, g.region) += share,
                 None => {}
             }
         }

@@ -6,7 +6,6 @@
 //! role evidence from HTTP string matching, service-port bitmaps, URI
 //! observations, and the member port seen on each IP's side of the fabric.
 
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};

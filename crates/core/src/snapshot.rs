@@ -64,6 +64,25 @@ impl LocalitySplit {
             ]
         }
     }
+
+    /// Add a row of counts to class `l`'s column of each metric (a row has
+    /// no column for its `countries`).
+    fn add(&mut self, l: Locality, row: ViewStats) {
+        *cell(&mut self.ips, l) += row.ips;
+        *cell(&mut self.prefixes, l) += row.prefixes;
+        *cell(&mut self.ases, l) += row.ases;
+        *cell(&mut self.bytes, l) += row.bytes;
+    }
+}
+
+/// Class `l`'s cell of a Table 3 row.
+fn cell(row: &mut [u64; 3], l: Locality) -> &mut u64 {
+    let [member, near, global] = row;
+    match l {
+        Locality::Member => member,
+        Locality::NearMember => near,
+        Locality::Global => global,
+    }
 }
 
 /// Geo/topology attributes of one census record (aligned by index).
@@ -121,7 +140,8 @@ pub struct WeeklySnapshot {
     pub as_peering: Vec<(u32, u64)>,
     /// Per-AS (unique server IPs, bytes).
     pub as_server: Vec<(u32, u64)>,
-    /// Geo attributes aligned with the census records.
+    /// Geo attributes aligned with the census records, which
+    /// [`WeeklyReport::servers`](crate::WeeklyReport::servers) walks together.
     pub server_geo: Vec<Option<ServerGeo>>,
     /// HTTPS funnel stats.
     pub https: HttpsStats,
@@ -146,26 +166,27 @@ pub struct WeeklySnapshot {
 /// report path") records the measurement that set it.
 const CHUNK: usize = 512;
 
-/// What the peering walk adds up, per walker. Every field is a sum, or for
-/// `prefix_seen` an OR, so the merged sums do not depend on which walker
-/// took which address. The peering view's totals and its Table 3 split
-/// are sums of `as_peering`, taken after the merge.
-struct PeeringSums {
-    /// Per country: (resolved IPs, bytes).
+/// What one view of Table 1 adds up per country, AS and prefix: the
+/// peering walk fills one per walker, the server view one. Every field is
+/// a sum, or for `prefix_seen` an OR, so merged sums do not depend on
+/// which walker took which address. The view's totals and its Table 3
+/// split are taken from the merged sums.
+struct ViewSums {
+    /// Per country: (IPs, bytes).
     country: Vec<(u64, u64)>,
-    /// Per dense AS index: (resolved IPs, bytes).
+    /// Per dense AS index: (IPs, bytes).
     by_as: Vec<(u32, u64)>,
     /// Per dense prefix index: some address resolved into it.
     prefix_seen: Vec<bool>,
-    /// Addresses no prefix covers.
+    /// Addresses no prefix covers (counted by the peering walk only).
     unresolved: u64,
-    /// Addresses seen acting as clients.
+    /// Addresses seen acting as clients (counted by the peering walk only).
     client_ips: u64,
 }
 
-impl PeeringSums {
-    fn zero(model: &InternetModel) -> PeeringSums {
-        PeeringSums {
+impl ViewSums {
+    fn zero(model: &InternetModel) -> ViewSums {
+        ViewSums {
             country: vec![(0, 0); model.countries.len()],
             by_as: vec![(0, 0); model.registry.len()],
             prefix_seen: vec![false; model.routing.len()],
@@ -174,8 +195,24 @@ impl PeeringSums {
         }
     }
 
+    /// Count one address of `bytes` that resolved into prefix `prefix_idx`
+    /// of `country`, originated by dense AS `as_idx`.
+    fn count(&mut self, country: CountryId, as_idx: u32, prefix_idx: u32, bytes: u64) {
+        if let Some(c) = self.country.get_mut(country.0 as usize) {
+            c.0 += 1;
+            c.1 += bytes;
+        }
+        if let Some(a) = self.by_as.get_mut(as_idx as usize) {
+            a.0 += 1;
+            a.1 += bytes;
+        }
+        if let Some(seen) = self.prefix_seen.get_mut(prefix_idx as usize) {
+            *seen = true;
+        }
+    }
+
     /// Fold another walker's sums into these (and drop them).
-    fn add(&mut self, other: PeeringSums) {
+    fn add(&mut self, other: ViewSums) {
         for (a, b) in self.country.iter_mut().zip(&other.country) {
             a.0 += b.0;
             a.1 += b.1;
@@ -190,6 +227,32 @@ impl PeeringSums {
         self.unresolved += other.unresolved;
         self.client_ips += other.client_ips;
     }
+
+    /// The view's Table 1 block and its Table 3 split, with each AS in its
+    /// class of the week (`locality`, by dense AS index). The split is
+    /// taken first; the block's totals are its sums.
+    fn stats(&self, model: &InternetModel, locality: &[Locality]) -> (ViewStats, LocalitySplit) {
+        let mut split = LocalitySplit::default();
+        for ((ips, bytes), l) in self.by_as.iter().zip(locality) {
+            if *ips > 0 {
+                let (ips, bytes) = (u64::from(*ips), *bytes);
+                split.add(*l, ViewStats { ips, ases: 1, bytes, ..ViewStats::default() });
+            }
+        }
+        for (pidx, _) in self.prefix_seen.iter().enumerate().filter(|(_, seen)| **seen) {
+            if let Some(l) = locality.get(model.routing.origin_index(pidx as u32) as usize) {
+                split.add(*l, ViewStats { prefixes: 1, ..ViewStats::default() });
+            }
+        }
+        let view = ViewStats {
+            ips: split.ips.iter().sum(),
+            prefixes: split.prefixes.iter().sum(),
+            ases: split.ases.iter().sum(),
+            countries: self.country.iter().filter(|(ips, _)| *ips > 0).count() as u64,
+            bytes: split.bytes.iter().sum(),
+        };
+        (view, split)
+    }
 }
 
 /// The peering walk over `scan.ips` on two workers with chunks of `N`
@@ -203,7 +266,7 @@ fn peering_walk<const N: usize, T>(
     scan: &WeekScan,
     model: &InternetModel,
     side: impl FnOnce() -> T,
-) -> (PeeringSums, T) {
+) -> (ViewSums, T) {
     let table = Mutex::new(scan.ips.iter());
     let (helper, (side, mut sums)) =
         beside(|| walk::<N>(&table, model), || (side(), walk::<N>(&table, model)));
@@ -218,9 +281,9 @@ fn peering_walk<const N: usize, T>(
 fn walk<const N: usize>(
     table: &Mutex<hash_map::Iter<'_, u32, IpStats>>,
     model: &InternetModel,
-) -> PeeringSums {
+) -> ViewSums {
     let routing = &model.routing;
-    let mut sums = PeeringSums::zero(model);
+    let mut sums = ViewSums::zero(model);
     let mut chunk = [(0u32, 0u64, false); N];
     let mut resolved = [None::<u32>; N];
     loop {
@@ -237,10 +300,9 @@ fn walk<const N: usize>(
             }
             taken
         };
-        if taken == 0 {
+        let Some(chunk) = chunk.get(..taken).filter(|chunk| !chunk.is_empty()) else {
             return sums;
-        }
-        let chunk = &chunk[..taken];
+        };
         for (entry, (ip, _, _)) in resolved.iter_mut().zip(chunk) {
             *entry = routing.lookup(Ipv4Addr::from(*ip));
         }
@@ -250,13 +312,8 @@ fn walk<const N: usize>(
                 sums.unresolved += 1;
                 continue;
             };
-            let country = &mut sums.country[routing.entry(entry).country.0 as usize];
-            country.0 += 1;
-            country.1 += bytes;
-            let by_as = &mut sums.by_as[routing.origin_index(entry) as usize];
-            by_as.0 += 1;
-            by_as.1 += bytes;
-            sums.prefix_seen[entry as usize] = true;
+            let country = routing.entry(entry).country;
+            sums.count(country, routing.origin_index(entry), entry, *bytes);
         }
     }
 }
@@ -290,111 +347,41 @@ impl WeeklySnapshot {
         scan: &WeekScan,
         census: &ServerCensus,
         model: &InternetModel,
-        peering_sums: PeeringSums,
+        peering_sums: ViewSums,
     ) -> WeeklySnapshot {
         let week = scan.week;
-        let n_countries = model.countries.len();
-        let n_as = model.registry.len();
-        let n_prefix = model.routing.len();
-
-        let PeeringSums {
-            country: country_peering,
-            by_as: as_peering,
-            prefix_seen,
-            unresolved,
-            client_ips,
-        } = peering_sums;
-        let mut country_server = vec![(0u64, 0u64); n_countries];
-        let mut as_server = vec![(0u32, 0u64); n_as];
-        let mut prefix_server = vec![false; n_prefix];
-        let mut peering = ViewStats::default();
-        let mut server_view = ViewStats::default();
-        let mut peering_loc = LocalitySplit::default();
-        let mut server_loc = LocalitySplit::default();
 
         // Locality per AS is week-dependent; pre-compute once.
-        let locality: Vec<Locality> = (0..n_as as u32)
+        let locality: Vec<Locality> = (0..model.registry.len() as u32)
             .map(|i| model.graph.locality_of_index(&model.registry, i, week))
             .collect();
-        let loc_idx = |l: Locality| match l {
-            Locality::Member => 0usize,
-            Locality::NearMember => 1,
-            Locality::Global => 2,
-        };
-
-        // Peering view: every resolved IP counted once, under its AS.
-        for (i, (ips, bytes)) in as_peering.iter().enumerate() {
-            let l = loc_idx(locality[i]);
-            peering.ips += u64::from(*ips);
-            peering.bytes += bytes;
-            peering_loc.ips[l] += u64::from(*ips);
-            peering_loc.bytes[l] += bytes;
-        }
 
         // Server view + geo alignment.
+        let mut server_sums = ViewSums::zero(model);
         let mut server_geo = Vec::with_capacity(census.records.len());
         let mut https_bytes = 0u64;
         for record in &census.records {
-            let geo = model.routing.lookup(record.ip).map(|pidx| {
+            let geo = model.routing.lookup(record.ip).and_then(|pidx| {
                 let e = model.routing.entry(pidx);
                 let as_idx = model.routing.origin_index(pidx);
-                ServerGeo {
+                Some(ServerGeo {
                     country: e.country,
                     region: model.countries.region(e.country),
                     as_idx,
                     prefix_idx: pidx,
-                    locality: locality[as_idx as usize],
-                }
+                    locality: *locality.get(as_idx as usize)?,
+                })
             });
             if let Some(g) = geo {
-                server_view.ips += 1;
-                server_view.bytes += record.bytes;
-                country_server[g.country.0 as usize].0 += 1;
-                country_server[g.country.0 as usize].1 += record.bytes;
-                as_server[g.as_idx as usize].0 += 1;
-                as_server[g.as_idx as usize].1 += record.bytes;
-                prefix_server[g.prefix_idx as usize] = true;
-                let l = loc_idx(g.locality);
-                server_loc.ips[l] += 1;
-                server_loc.bytes[l] += record.bytes;
+                server_sums.count(g.country, g.as_idx, g.prefix_idx, record.bytes);
             }
             if record.https {
                 https_bytes += record.bytes;
             }
             server_geo.push(geo);
         }
-
-        // Unique prefix/AS/country roll-ups.
-        peering.prefixes = prefix_seen.iter().filter(|b| **b).count() as u64;
-        server_view.prefixes = prefix_server.iter().filter(|b| **b).count() as u64;
-        peering.ases = as_peering.iter().filter(|(ips, _)| *ips > 0).count() as u64;
-        server_view.ases = as_server.iter().filter(|(ips, _)| *ips > 0).count() as u64;
-        peering.countries =
-            country_peering.iter().filter(|(ips, _)| *ips > 0).count() as u64;
-        server_view.countries =
-            country_server.iter().filter(|(ips, _)| *ips > 0).count() as u64;
-        for (i, (ips, _)) in as_peering.iter().enumerate() {
-            if *ips > 0 {
-                peering_loc.ases[loc_idx(locality[i])] += 1;
-            }
-        }
-        for (i, (ips, _)) in as_server.iter().enumerate() {
-            if *ips > 0 {
-                server_loc.ases[loc_idx(locality[i])] += 1;
-            }
-        }
-        for (pidx, seen) in prefix_seen.iter().enumerate() {
-            if *seen {
-                let as_idx = model.routing.origin_index(pidx as u32) as usize;
-                peering_loc.prefixes[loc_idx(locality[as_idx])] += 1;
-            }
-        }
-        for (pidx, seen) in prefix_server.iter().enumerate() {
-            if *seen {
-                let as_idx = model.routing.origin_index(pidx as u32) as usize;
-                server_loc.prefixes[loc_idx(locality[as_idx])] += 1;
-            }
-        }
+        let (peering, peering_locality) = peering_sums.stats(model, &locality);
+        let (server, server_locality) = server_sums.stats(model, &locality);
 
         // Published-range tracking (EC2/StormCloud experiments, §4.2).
         let mut range_tracking: BTreeMap<String, (usize, u64)> = BTreeMap::new();
@@ -427,13 +414,13 @@ impl WeeklySnapshot {
             filter: scan.filter.clone(),
             undissectable: scan.undissectable,
             peering,
-            server: server_view,
-            peering_locality: peering_loc,
-            server_locality: server_loc,
-            country_peering,
-            country_server,
-            as_peering,
-            as_server,
+            server,
+            peering_locality,
+            server_locality,
+            country_peering: peering_sums.country,
+            country_server: server_sums.country,
+            as_peering: peering_sums.by_as,
+            as_server: server_sums.by_as,
             server_geo,
             https: HttpsStats {
                 candidates: census.https_candidates,
@@ -446,8 +433,8 @@ impl WeeklySnapshot {
             multi_port: census.multi_port_count(),
             range_tracking,
             reseller_servers,
-            unresolved_ips: unresolved,
-            client_ips,
+            unresolved_ips: peering_sums.unresolved,
+            client_ips: peering_sums.client_ips,
         }
     }
 

@@ -73,15 +73,6 @@ impl TrafficEstimate {
             bytes: (self.bytes as f64 * factor).round() as u64,
         }
     }
-
-    /// Average estimated bytes per day given a measurement window in days.
-    pub fn bytes_per_day(&self, window_days: f64) -> f64 {
-        if window_days <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / window_days
-        }
-    }
 }
 
 impl std::ops::Add for TrafficEstimate {
@@ -167,13 +158,5 @@ mod tests {
         let total: TrafficEstimate = parts.into_iter().sum();
         assert_eq!(total.bytes, 3_000);
         assert_eq!(total.samples, 2);
-    }
-
-    #[test]
-    fn bytes_per_day() {
-        let mut e = TrafficEstimate::zero();
-        e.add_raw(16_384, 1_000);
-        assert!((e.bytes_per_day(7.0) - 16_384_000.0 / 7.0).abs() < 1e-6);
-        assert!(e.bytes_per_day(0.0).abs() < 1e-9);
     }
 }

@@ -754,16 +754,6 @@ impl Collector {
     }
 }
 
-/// Wrap-safe counter delta for 32-bit cumulative counters.
-pub fn wrap_safe_delta32(prev: u32, cur: u32) -> u32 {
-    cur.wrapping_sub(prev)
-}
-
-/// Wrap-safe counter delta for 64-bit cumulative counters.
-pub fn wrap_safe_delta64(prev: u64, cur: u64) -> u64 {
-    cur.wrapping_sub(prev)
-}
-
 /// Best-effort source attribution for an undecodable buffer: if the fixed
 /// 16-byte header prefix survived (version 5, IPv4 agent), read the agent
 /// address and sub-agent id from their fixed offsets.
@@ -1048,8 +1038,6 @@ mod tests {
         assert_eq!(t.exports, 2);
         assert_eq!(t.in_octets, 89_900);
         assert_eq!(t.in_ucast, 898);
-        assert_eq!(wrap_safe_delta32(u32::MAX - 10, 20), 31);
-        assert_eq!(wrap_safe_delta64(u64::MAX, 0), 1);
     }
 
     #[test]

@@ -21,16 +21,6 @@ impl EthernetAddress {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
     pub const BROADCAST: EthernetAddress = EthernetAddress([0xff; 6]);
 
-    /// True if this is a unicast address (I/G bit clear, non-zero).
-    pub fn is_unicast(&self) -> bool {
-        self.0[0] & 0x01 == 0 && self.0 != [0; 6]
-    }
-
-    /// True if the group bit is set (multicast or broadcast).
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// Derive a deterministic, locally administered unicast MAC from a
     /// 32-bit identifier — how the traffic generator mints router MACs for
     /// IXP member ports.
@@ -246,9 +236,8 @@ mod tests {
     fn member_macs_are_unicast_and_distinct() {
         let a = EthernetAddress::from_member_id(443);
         let b = EthernetAddress::from_member_id(444);
-        assert!(a.is_unicast() && b.is_unicast());
+        // Locally administered, group bit clear.
+        assert_eq!([a.0[0], b.0[0]], [0x02, 0x02]);
         assert_ne!(a, b);
-        assert!(!a.is_multicast());
-        assert!(EthernetAddress::BROADCAST.is_multicast());
     }
 }

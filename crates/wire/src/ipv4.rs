@@ -105,12 +105,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         self.buffer.as_ref()[6] & 0x40 != 0
     }
 
-    /// True if this is a fragment (MF set or offset non-zero).
-    pub fn is_fragment(&self) -> bool {
-        let b = self.buffer.as_ref();
-        (b[6] & 0x20 != 0) || (u16::from_be_bytes([b[6], b[7]]) & 0x1fff != 0)
-    }
-
     /// Time to live.
     pub fn ttl(&self) -> u8 {
         self.buffer.as_ref()[8]
@@ -350,12 +344,11 @@ mod tests {
     }
 
     #[test]
-    fn fragment_detection() {
+    fn dont_fragment_flag() {
         let repr = sample_repr();
         let mut buf = vec![0u8; repr.total_len()];
         repr.emit(&mut Packet::new_unchecked(&mut buf[..])).unwrap();
         let packet = Packet::new_checked(&buf[..]).unwrap();
-        assert!(!packet.is_fragment());
         assert!(packet.dont_frag());
     }
 }

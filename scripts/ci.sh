@@ -20,6 +20,13 @@ same() {
     cmp "$1" "$2" || fail "$3"
 }
 
+# prod <file>: the file's production code, every line above its first
+# line-start `#[cfg(test)]`. The guards below read production code through
+# it, and the test-cut guard holds each file to that rule.
+prod() {
+    sed '/^#\[cfg(test)\]/,$d' "$1"
+}
+
 # budget <label> <seconds> <cmd...>: run the command; a gate that balloons
 # past its budget fails even when the command itself passed.
 budget() {
@@ -74,10 +81,9 @@ fi
 # `.clone()` or `format!` in crawl.rs outside the profile build and the two
 # spellings-out of a presentation is a copy per fetch, which the census
 # pays three times a candidate. The tests below `#[cfg(test)]` are free.
-copy_sites=$(awk '
-    /^#\[cfg\(test\)\]/ { exit }
+copy_sites=$(prod crates/cert/src/crawl.rs | awk '
     /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
-    /\.clone\(\)|format!/ { if (within != "build" && within != "subject" && within != "to_chain") printf "%s:%d ", within, NR }' crates/cert/src/crawl.rs)
+    /\.clone\(\)|format!/ { if (within != "build" && within != "subject" && within != "to_chain") printf "%s:%d ", within, NR }')
 [ -z "$copy_sites" ] ||
     fail "crates/cert/src/crawl.rs copies outside build, Presented::subject and Presented::to_chain (fn:line): $copy_sites"
 if grep -nE '^(bytes|criterion|crossbeam|parking_lot|serde|serde_json|serde_derive)\b' \
@@ -95,26 +101,22 @@ fi
 [ -z "$(sed -n '/^\[dependencies\]/,/^\[/p' crates/wire/Cargo.toml | grep -v '^\[' | tr -d '[:space:]')" ] ||
     fail "crates/wire/Cargo.toml must list no dependency"
 # One contract: the no-panic, no-dropped-Result rules are one clippy
-# attribute line, the first `#![..]` of lib.rs in each crate that reads
-# bytes from outside or is called from one that does, and, minus
-# indexing_slicing, in ixp-core (whose core/src/scan.rs denies
-# indexing_slicing for itself and for its checkpoint reader, the child
-# module scan/state.rs). A crate that edits its copy has left
-# the contract; a vouch is `#[allow(clippy::.., reason = "..")]`.
+# attribute line, the first `#![..]` of lib.rs in each of the nine crates
+# that read bytes from outside, are called from one that does, or compute
+# the paper's results from them (ixp-core). No module carries a line of
+# its own. A crate that edits its copy has left the contract; a vouch is
+# `#[allow(clippy::.., reason = "..")]`.
 contract='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]'
-core_contract=$(printf '%s' "$contract" | sed 's/ clippy::indexing_slicing,//')
 opens_with() {
     [ "$(grep -m1 '^#!\[' "$1")" = "$2" ] ||
         fail "$1 must open with the line: $2"
 }
-for crate in wire sflow faults supervisor transport obsd codec obs; do
+for crate in wire sflow faults supervisor transport obsd codec obs core; do
     opens_with "crates/$crate/src/lib.rs" "$contract"
 done
-opens_with crates/core/src/lib.rs "$core_contract"
-opens_with crates/core/src/scan.rs '#![cfg_attr(not(test), deny(clippy::indexing_slicing))]'
 opens_with tests/contract/src/lib.rs "$contract"
 [ "$(grep -l 'clippy::unwrap_used' crates/*/src/lib.rs | wc -l)" -eq 9 ] ||
-    fail "a crate outside the contract's eight and ixp-core carries its own copy of the contract"
+    fail "a crate outside the contract's nine carries its own copy of the contract"
 # Wire-valued arithmetic is checked (checked_*/saturating_*/min) or vouched
 # for with a reason in every decode-side module: each opens with the line
 # among its leading inner attributes.
@@ -154,7 +156,7 @@ done
 # (DESIGN.md §8). A second bump site is a second place a packet can be
 # counted twice or not at all.
 bumps() {
-    sed '/^#\[cfg(test)\]/,$d' "$1" | grep -c "$2"
+    prod "$1" | grep -c "$2"
 }
 for site in \
     "crates/transport/src/intake.rs:stats.accepted += 1" \
@@ -180,7 +182,7 @@ found=$(bumps crates/core/src/scan/state.rs 'Evidence(cur.u16()') || true
 # §13). A `fully_accounted` that sums fields itself, or an audit.rs that
 # parses equation text, is a second statement of an identity that can drift.
 unledgered=$(for f in $(grep -rl 'fn fully_accounted' crates/*/src); do
-    sed '/^#\[cfg(test)\]/,$d' "$f" | awk -v file="$f" '
+    prod "$f" | awk -v file="$f" '
         function close_fn() { if (within == "fully_accounted" && !rows) printf "%s ", file }
         /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { close_fn(); match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3); rows = 0 }
         within == "fully_accounted" && /\.balance\(/ { rows = 1 }
@@ -188,7 +190,7 @@ unledgered=$(for f in $(grep -rl 'fn fully_accounted' crates/*/src); do
 done)
 [ -z "$unledgered" ] ||
     fail "a \`fn fully_accounted\` evaluates no LEDGER row (Identity::balance) in: $unledgered"
-if sed '/^#\[cfg(test)\]/,$d' crates/obs/src/audit.rs |
+if prod crates/obs/src/audit.rs |
     grep -nE 'split_once\(|split\(|strip_prefix\(|strip_suffix\(|\.parse' >&2; then
     fail "crates/obs/src/audit.rs parses equation text: state the identity as a LEDGER row"
 fi
@@ -197,7 +199,7 @@ fi
 # ipfix.rs hand it; the two fault plans share crates/faults/src/delivery.rs.
 # A second copy of any of these is a dialect or a plan that can drift.
 defined() {
-    for f in "$1"/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE "$2"
+    for f in "$1"/*.rs; do prod "$f"; done | grep -cE "$2"
 }
 for one in \
     "crates/transport/src:fn data_set\(" \
@@ -211,7 +213,7 @@ done
 found=$(defined crates/transport/src 'struct [A-Za-z0-9]*Outcome') || true
 [ "$found" -eq 0 ] ||
     fail "crates/transport/src declares an \`*Outcome\` struct: both decoders return \`Export\`"
-if sed '/^#\[cfg(test)\]/,$d' crates/transport/src/export.rs |
+if prod crates/transport/src/export.rs |
     grep -nE 'netflow9|ipfix|VERSION' | grep -vE '^[0-9]+:[[:space:]]*//' >&2; then
     fail "crates/transport/src/export.rs asks which dialect it is walking: pass the difference in as Framing"
 fi
@@ -246,10 +248,22 @@ stallers=$(grep -rl --include='*.rs' 'set_stalled(' src tests examples crates |
 [ -z "$stallers" ] ||
     fail "expected \`set_stalled(\` only in crates/bench/src/pipeline.rs, crates/supervisor and the format pins, found it in: $stallers"
 killers=$(for f in $(grep -rl --include='*.rs' 'EventKind::Kill' crates/*/src); do
-    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -q 'record(.*EventKind::Kill'; then printf '%s ' "$f"; fi
+    if prod "$f" | grep -q 'record(.*EventKind::Kill'; then printf '%s ' "$f"; fi
 done)
 [ "$killers" = "crates/bench/src/pipeline.rs " ] ||
     fail "expected the kill edge (\`record(EventKind::Kill\`) under crates/*/src outside tests in crates/bench/src/pipeline.rs only, found it in: $killers"
+# One test cut: `prod` reads a file up to its first line-start
+# `#[cfg(test)]`, so every top-level item below that line must be test code
+# too, under a line-start `#[cfg(test)]` of its own. A production item
+# placed below one is code that no guard above reads.
+late=$(for f in $(grep -rl --include='*.rs' '^#\[cfg(test)\]' crates/*/src); do
+    awk -v file="$f" '
+        /^#\[cfg\(test\)\]/ { cut = 1; test = 1; next }
+        !cut || /^(#\[|\/\/|[]})]|[[:space:]]|$)/ { next }
+        { if (!test) { printf "%s:%d ", file, NR; exit } test = 0 }' "$f"
+done)
+[ -z "$late" ] ||
+    fail "a top-level item not under #[cfg(test)] follows the first line-start #[cfg(test)] of (file:line): $late"
 
 echo "==> cargo build --release"
 cargo build --release
@@ -534,10 +548,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings ||
 
 echo "==> clippy contract fixture (every lint of the contract still fires)"
 # One violation per lint of the contract (the contract line, the
-# arithmetic and indexing lines of the decode-side modules and of
-# core/src/scan.rs, the inline line of the field codec, and the clippy.toml
-# rows), plus the shapes that must
-# stay silent, under the same lines and the root clippy.toml. A lint that
+# arithmetic line of the decode-side modules, the inline line of the field
+# codec, and the clippy.toml rows), plus the shapes that must stay silent,
+# under the same lines and the root clippy.toml. A lint that
 # stops firing (renamed, moved to another group, clippy.toml no longer
 # read) shows up here, not as a decoder that panics.
 fixture=tests/contract

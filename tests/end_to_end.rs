@@ -24,7 +24,7 @@ fn study() -> &'static StudyReport {
 
 #[test]
 fn fig1_filtering_cascade_shape() {
-    let report = study().reference();
+    let report = study().reference().unwrap();
     let f = &report.snapshot.filter;
     use ixp_vantage::core::Category::*;
     let total = f.total();
@@ -41,7 +41,7 @@ fn fig1_filtering_cascade_shape() {
 
 #[test]
 fn table1_visibility_hierarchy() {
-    let report = study().reference();
+    let report = study().reference().unwrap();
     let t1 = visibility::table1(&report.snapshot);
     // The vantage point sees most of the routed world each week...
     let as_coverage = t1.peering.ases as f64 / model().registry.len() as f64;
@@ -55,7 +55,7 @@ fn table1_visibility_hierarchy() {
 
 #[test]
 fn table3_member_traffic_concentration() {
-    let report = study().reference();
+    let report = study().reference().unwrap();
     let t3 = visibility::table3(&report.snapshot);
     // Traffic concentrates on A(L) much more than AS counts do (paper:
     // 67.3 % of traffic vs 1.0 % of ASes).
@@ -73,7 +73,7 @@ fn table3_member_traffic_concentration() {
 
 #[test]
 fn fig2_concentration_head() {
-    let report = study().reference();
+    let report = study().reference().unwrap();
     let f2 = visibility::fig2(report);
     // The head of the rank plot concentrates traffic (paper: top-34 > 6 %).
     assert!(f2.top34_share > 6.0, "top-34 share {:.1}", f2.top34_share);
@@ -115,7 +115,7 @@ fn events_are_detectable() {
 
 #[test]
 fn clustering_and_heterogeneity() {
-    let report = study().reference();
+    let report = study().reference().unwrap();
     let clusters = cluster::cluster(report, &analyzer().dns);
     // A partition with step 1 dominating.
     assert_eq!(
@@ -142,7 +142,7 @@ fn clustering_and_heterogeneity() {
 
 #[test]
 fn blindspots_and_baselines() {
-    let report = study().reference();
+    let report = study().reference().unwrap();
     // Domain recovery favours the popular head (paper: 80/63/20).
     let rec = blindspots::domain_recovery(report, model());
     assert!(rec.top_percentile >= rec.full_list);
