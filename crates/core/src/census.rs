@@ -182,7 +182,7 @@ impl ServerCensus {
                 https,
                 multi_port: stats.evidence.service_port_count() >= 2,
                 also_client: stats.evidence.has(Evidence::CLIENT),
-                member: stats.member,
+                member: stats.member(),
                 uris: clean_uris.iter().map(|d| d.to_string()).collect(),
                 cert_names,
                 hostname: hostname.map(str::to_string),
@@ -347,7 +347,7 @@ mod tests {
                 https,
                 multi_port: stats.evidence.service_port_count() >= 2,
                 also_client: stats.evidence.has(Evidence::CLIENT),
-                member: stats.member,
+                member: stats.member(),
                 uris,
                 cert_names,
                 hostname,

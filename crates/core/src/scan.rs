@@ -127,22 +127,46 @@ impl Evidence {
     }
 }
 
-/// Accumulated per-IP statistics. Kept to 24 bytes so that a table entry
-/// is 32 and never straddles a cache line: every sample costs two lookups
-/// in a table far larger than the cache. The URI authorities seen with this
-/// IP as the server are in [`WeekScan::uris`].
+/// Accumulated per-IP statistics. Packed to 20 bytes at 4-byte alignment,
+/// so that a table entry with its `u32` key is 24 bytes, 25 with the
+/// table's control byte: the table is the largest thing a week's scan
+/// holds, and a scan restored beside its source makes two. The price is
+/// that one entry in four straddles a cache line, so a lookup there may
+/// touch two. The member port is kept as the `u16` [`member_port`] narrows
+/// it to. The URI authorities seen with this IP as the server are in
+/// [`WeekScan::uris`].
 #[derive(Debug, Clone, Default)]
+#[repr(C, packed(4))]
 pub struct IpStats {
     /// Estimated bytes this IP was an endpoint of (peering traffic only).
     pub bytes: u64,
     /// Samples this IP appeared in.
     pub samples: u32,
-    /// The member port on this IP's side of the fabric (last seen).
-    pub member: MemberId,
     /// One more than the index of this IP's [`UriList`]; 0 while it has none.
     uri_list: u32,
+    /// The member port on this IP's side of the fabric (last seen).
+    member: u16,
     /// Role/port evidence.
     pub evidence: Evidence,
+}
+
+impl IpStats {
+    /// The member port on this IP's side of the fabric (last seen).
+    pub fn member(&self) -> MemberId {
+        MemberId(u32::from(self.member))
+    }
+}
+
+/// The member port `id` names in a scan of `member_count` ports, narrowed
+/// to the `u16` an [`IpStats`] stores: `None` unless `id` is below
+/// `member_count` and fits. Ingest counts a frame from or to a MAC it
+/// turns down as non-member traffic, and restore refuses a row holding one.
+fn member_port(id: u32, member_count: u32) -> Option<u16> {
+    if id < member_count {
+        u16::try_from(id).ok()
+    } else {
+        None
+    }
 }
 
 const MAX_URIS_PER_IP: usize = 8;
@@ -436,8 +460,8 @@ struct Peering<'a> {
     repr: ipv4::Repr,
     transport: Transport,
     payload: &'a [u8],
-    src_member: MemberId,
-    dst_member: MemberId,
+    src_member: u16,
+    dst_member: u16,
 }
 
 /// What one peering sample adds to the per-IP table, worked out before the
@@ -448,8 +472,8 @@ struct Update<'a> {
     dst: u32,
     /// Estimated bytes the sample stands for.
     bytes: u64,
-    src_member: MemberId,
-    dst_member: MemberId,
+    src_member: u16,
+    dst_member: u16,
     src_evidence: Evidence,
     dst_evidence: Evidence,
     /// URI authority requested of `dst`.
@@ -662,8 +686,8 @@ impl WeekScan {
             }
             Network::Ipv4 { repr, transport, payload } => (*repr, *transport, *payload),
         };
-        let src_m = member_of(d.src_mac).filter(|m| m.0 < self.member_count);
-        let dst_m = member_of(d.dst_mac).filter(|m| m.0 < self.member_count);
+        let port = |mac| member_of(mac).and_then(|m| member_port(m.0, self.member_count));
+        let (src_m, dst_m) = (port(d.src_mac), port(d.dst_mac));
         let (src_member, dst_member) = match (src_m, dst_m) {
             (Some(a), Some(b)) if a != b => (a, b),
             _ => return (Category::NonMemberOrLocal, None),
@@ -864,12 +888,16 @@ mod tests {
 
     #[test]
     fn non_member_macs_fall_out_of_peering() {
-        let mut scan = WeekScan::new(Week::REFERENCE, 3);
-        // Member ids 5 and 6 exceed the member count of 3.
-        let frame = tcp_frame(5, 6, b"GET / HTTP/1.1\r\n", 80);
-        scan.ingest_sample(16_384, frame.len() as u32, &frame);
-        assert_eq!(scan.filter.get(Category::NonMemberOrLocal).samples, 1);
-        assert_eq!(scan.unique_ips(), 0);
+        // Member ids 5 and 6 exceed the member count of 3. Under a count of
+        // `u32::MAX`, 65 537 is below it but past what a table entry holds;
+        // cut to 16 bits it would pass for member 1.
+        for (member_count, src, dst) in [(3, 5, 6), (u32::MAX, 65_537, 2)] {
+            let mut scan = WeekScan::new(Week::REFERENCE, member_count);
+            let frame = tcp_frame(src, dst, b"GET / HTTP/1.1\r\n", 80);
+            scan.ingest_sample(16_384, frame.len() as u32, &frame);
+            assert_eq!(scan.filter.get(Category::NonMemberOrLocal).samples, 1, "{src} → {dst}");
+            assert_eq!(scan.unique_ips(), 0, "{src} → {dst}");
+        }
     }
 
     #[test]
@@ -1038,6 +1066,11 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), uris.len());
-        assert_eq!(std::mem::size_of::<(u32, IpStats)>(), 32);
+    }
+
+    #[test]
+    fn a_table_entry_is_24_bytes_at_4_byte_alignment() {
+        let entry = (std::mem::size_of::<(u32, IpStats)>(), std::mem::align_of::<(u32, IpStats)>());
+        assert_eq!(entry, (24, 4));
     }
 }

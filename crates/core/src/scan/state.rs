@@ -23,13 +23,13 @@ const IP_ROW_LEN: usize = 23;
 const SPLIT_AT_IPS: usize = 1 << 17;
 
 /// Rows the restore helper parses into one buffer before it hands the
-/// buffer to the inserting caller: 128 KiB of parsed rows, few enough
+/// buffer to the inserting caller: 96 KiB of parsed rows, few enough
 /// hand-overs that the channel costs nothing beside 4 096 inserts.
 const RESTORE_CHUNK: usize = 4_096;
 
 /// Buffers the restore helper and the caller pass between them: one being
 /// filled, one waiting in the channel, one being inserted. With
-/// [`RESTORE_CHUNK`] this caps the helper's memory at 384 KiB, whatever
+/// [`RESTORE_CHUNK`] this caps the helper's memory at 288 KiB, whatever
 /// row count the state claims.
 const RESTORE_BUFFERS: usize = 3;
 
@@ -213,7 +213,7 @@ impl WeekScan {
             checkpoint::put_u64(out, s.bytes);
             checkpoint::put_u32(out, s.samples);
             checkpoint::put_u16(out, s.evidence.0);
-            checkpoint::put_u32(out, s.member.0);
+            checkpoint::put_u32(out, s.member().0);
             checkpoint::put_u8(out, uris.len().min(MAX_URIS_PER_IP) as u8);
             for id in uris.iter().take(MAX_URIS_PER_IP) {
                 checkpoint::put_u32(out, *id);
@@ -272,12 +272,12 @@ impl WeekScan {
     }
 
     /// [`WeekScan::restore_state`] with the per-IP rows read by
-    /// `read_rows(table, cursor, row count, domain count)`, which returns
-    /// the cursor after the rows and their URI lists. The tests hold
+    /// `read_rows(table, cursor, row count, bounds)`, which returns the
+    /// cursor after the rows and their URI lists. The tests hold
     /// [`read_rows_beside`] to a loop on one thread through it.
     fn restore_state_in<'a>(
         bytes: &'a [u8],
-        read_rows: impl FnOnce(&mut IpTable, Cur<'a>, usize, u32) -> RowsRead<'a>,
+        read_rows: impl FnOnce(&mut IpTable, Cur<'a>, usize, RowBounds) -> RowsRead<'a>,
     ) -> Result<WeekScan, StateError> {
         let mut cur = Cur::new(bytes);
         let version = cur.u32()?;
@@ -300,10 +300,10 @@ impl WeekScan {
                 return Err(StateError::Invalid("duplicate domain in intern table"));
             }
         }
-        let domain_count = scan.domains.len() as u32;
+        let bounds = RowBounds { domains: scan.domains.len() as u32, members: member_count };
         let n_ips = cur.count(IP_ROW_LEN)?;
         scan.ips.reserve(n_ips);
-        (cur, scan.uri_lists) = read_rows(&mut scan.ips, cur, n_ips, domain_count)?;
+        (cur, scan.uri_lists) = read_rows(&mut scan.ips, cur, n_ips, bounds)?;
         // Mirror of the save-side `for f in self.tally.fields()` loop, so
         // the encode/decode field walks stay symmetric.
         let mut tally_fields = [0u64; DissectTally::FIELDS];
@@ -317,18 +317,27 @@ impl WeekScan {
     }
 }
 
+/// What the per-IP rows of a state may name: URI ids below `domains`, and
+/// member ports [`member_port`] accepts in a scan of `members` ports, as
+/// ingest stores them.
+#[derive(Clone, Copy)]
+struct RowBounds {
+    domains: u32,
+    members: u32,
+}
+
 /// Read one per-IP row of the state format at `at`: an address above
-/// `prev`, the entry's fields and at most [`MAX_URIS_PER_IP`] distinct URI
-/// ids below `domain_count`, which go into a list of `lists`. The one
-/// parser of a row. It is inlined, and it reads through a copy of the
-/// cursor that it writes back once the row is whole: as a call, or reading
-/// through `at`, it left the position in memory between fields, and a
-/// `small` restore that parsed and inserted on one thread took 15–25 %
-/// longer than with the fields read in the loop itself.
+/// `prev`, the entry's fields with a member port within `bounds`, and at
+/// most [`MAX_URIS_PER_IP`] distinct URI ids within them, which go into a
+/// list of `lists`. The one parser of a row. It is inlined, and it reads
+/// through a copy of the cursor that it writes back once the row is whole:
+/// as a call, or reading through `at`, it left the position in memory
+/// between fields, and a `small` restore that parsed and inserted on one
+/// thread took 15–25 % longer than with the fields read in the loop itself.
 #[inline(always)]
 fn read_row(
     at: &mut Cur<'_>,
-    domain_count: u32,
+    bounds: RowBounds,
     prev: Option<u32>,
     lists: &mut Vec<UriList>,
 ) -> Result<(u32, IpStats), StateError> {
@@ -337,20 +346,18 @@ fn read_row(
     if prev.is_some_and(|p| p >= ip) {
         return Err(StateError::Invalid("ip keys not strictly increasing"));
     }
-    let mut s = IpStats {
-        bytes: cur.u64()?,
-        samples: cur.u32()?,
-        evidence: Evidence(cur.u16()?),
-        member: MemberId(cur.u32()?),
-        uri_list: 0,
+    let (bytes, samples, evidence) = (cur.u64()?, cur.u32()?, Evidence(cur.u16()?));
+    let Some(member) = member_port(cur.u32()?, bounds.members) else {
+        return Err(StateError::Invalid("member id out of range"));
     };
+    let mut s = IpStats { bytes, samples, uri_list: 0, member, evidence };
     let n_uris = usize::from(cur.u8()?);
     if n_uris > MAX_URIS_PER_IP {
         return Err(StateError::Invalid("uri list exceeds the per-ip bound"));
     }
     for _ in 0..n_uris {
         let id = cur.u32()?;
-        if id >= domain_count {
+        if id >= bounds.domains {
             return Err(StateError::Invalid("uri id out of domain-table range"));
         }
         if !insert_uri(lists, &mut s, id) {
@@ -378,7 +385,7 @@ fn read_rows_beside<'a>(
     ips: &mut IpTable,
     cur: Cur<'a>,
     n_ips: usize,
-    domain_count: u32,
+    bounds: RowBounds,
 ) -> RowsRead<'a> {
     #[allow(clippy::disallowed_methods, reason = "one sender, one receiver: chunks arrive in row order")]
     let (full_tx, full_rx) = std::sync::mpsc::sync_channel::<Vec<(u32, IpStats)>>(1);
@@ -395,7 +402,7 @@ fn read_rows_beside<'a>(
             // Either channel closes early only if the caller unwound.
             let Ok(mut chunk) = empty_rx.recv() else { break };
             for _ in 0..left.min(RESTORE_CHUNK) {
-                let (ip, stats) = read_row(&mut cur, domain_count, prev, &mut lists)?;
+                let (ip, stats) = read_row(&mut cur, bounds, prev, &mut lists)?;
                 prev = Some(ip);
                 chunk.push((ip, stats));
             }
@@ -427,7 +434,7 @@ fn table_of(addresses: impl IntoIterator<Item = u32>) -> WeekScan {
         let stats = IpStats {
             bytes: u64::from(ip) * 3 + 1,
             samples: ip.rotate_left(7),
-            member: MemberId(ip % 10),
+            member: u16::try_from(ip % 10).unwrap(),
             ..IpStats::default()
         };
         scan.ips.insert(ip, stats);
@@ -544,7 +551,7 @@ mod tests {
             checkpoint::put_u64(&mut out, s.bytes);
             checkpoint::put_u32(&mut out, s.samples);
             checkpoint::put_u16(&mut out, s.evidence.0);
-            checkpoint::put_u32(&mut out, s.member.0);
+            checkpoint::put_u32(&mut out, s.member().0);
             checkpoint::put_u8(&mut out, uris.len().min(MAX_URIS_PER_IP) as u8);
             for id in uris.iter().take(MAX_URIS_PER_IP) {
                 checkpoint::put_u32(&mut out, *id);
@@ -636,11 +643,11 @@ mod tests {
         ips: &mut IpTable,
         mut cur: Cur<'a>,
         n_ips: usize,
-        domain_count: u32,
+        bounds: RowBounds,
     ) -> RowsRead<'a> {
         let (mut lists, mut prev) = (Vec::new(), None);
         for _ in 0..n_ips {
-            let (ip, stats) = read_row(&mut cur, domain_count, prev, &mut lists)?;
+            let (ip, stats) = read_row(&mut cur, bounds, prev, &mut lists)?;
             prev = Some(ip);
             ips.insert(ip, stats);
         }
@@ -718,19 +725,30 @@ mod tests {
         }
     }
 
-    /// A key not above the one before it, a URI id past the domain table
-    /// and a URI id twice in one row are refused alike on one thread and
-    /// two: planted in the last row of the first chunk, the first of the
-    /// second, and the last row of all, alone in its chunk.
+    /// A key not above the one before it, a URI id past the domain table,
+    /// a URI id twice in one row, a member id at the member count and one
+    /// past `u16` under a member count of `u32::MAX` are refused alike on
+    /// one thread and two: planted in the last row of the first chunk, the
+    /// first of the second, and the last row of all, alone in its chunk.
     #[test]
     fn both_schedules_refuse_a_bad_row_alike_across_a_chunk_boundary_and_in_the_last_chunk() {
         let scan = synthetic(2 * RESTORE_CHUNK + 1);
         let state = scan.save_state();
         let starts = row_starts(&scan, &state);
         let domains = (scan.domains.len() as u32).to_be_bytes();
+        // The member count follows the version and the week.
+        assert_eq!(state[5..9], scan.member_count.to_be_bytes());
+        let mut any_member = state.clone();
+        any_member[5..9].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(WeekScan::restore_state(&any_member).is_ok());
         for row in [RESTORE_CHUNK - 1, RESTORE_CHUNK, 2 * RESTORE_CHUNK] {
             let (at, ids) = (starts[row], starts[row] + IP_ROW_LEN);
             assert_eq!(state[ids - 1], 2, "row {row} has two URI ids");
+            let member = ids - 5;
+            let mut not_a_port = state.clone();
+            not_a_port[member..ids - 1].copy_from_slice(&scan.member_count.to_be_bytes());
+            let mut past_u16 = any_member.clone();
+            past_u16[member..ids - 1].copy_from_slice(&65_536u32.to_be_bytes());
             let mut unordered = state.clone();
             unordered.copy_within(starts[row - 1]..starts[row - 1] + 4, at);
             let mut out_of_range = state.clone();
@@ -741,6 +759,8 @@ mod tests {
                 (unordered, "ip keys not strictly increasing"),
                 (out_of_range, "uri id out of domain-table range"),
                 (duplicate, "duplicate uri id for one ip"),
+                (not_a_port, "member id out of range"),
+                (past_u16, "member id out of range"),
             ] {
                 assert_eq!(restored_alike(&bad), Err(StateError::Invalid(refusal)), "row {row}");
             }

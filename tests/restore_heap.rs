@@ -15,6 +15,7 @@ use std::sync::atomic::Ordering::SeqCst;
 
 use heap::{LIVE, PEAK};
 use ixp_vantage::codec::StateError;
+use ixp_vantage::core::scan::IpStats;
 use ixp_vantage::core::{Category, WeekScan};
 use ixp_vantage::netmodel::Week;
 use ixp_vantage::wire::ethernet::{self, EthernetAddress};
@@ -95,10 +96,10 @@ fn restore_holds_the_table_its_uri_lists_and_a_fixed_chunk_budget_on_both_thread
     assert!(restored.save_state() == state, "restore → save changed bytes");
     // What the scan keeps: the table, the URI lists, the domains and the
     // collector. Beside it, restore may hold the helper's three buffers
-    // of 4 096 parsed rows of 32 bytes, and a little more (the thread, the
-    // two channels, a domain table's growth).
+    // of 4 096 parsed rows, each a table entry, and a little more (the
+    // thread, the two channels, a domain table's growth).
     let retained = LIVE.load(SeqCst) - entry;
-    let chunk_budget = 3 * 4_096 * 32;
+    let chunk_budget = 3 * 4_096 * size_of::<(u32, IpStats)>() as i64;
     let bound = retained + chunk_budget + 64 * 1024;
     assert!(
         peak <= bound,
