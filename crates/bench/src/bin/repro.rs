@@ -20,10 +20,11 @@
 //! file and exits nonzero), and `--serve <addr>` exposes `/metrics`,
 //! `/metrics.json`, `/healthz`, and `/trace` over HTTP until `GET /quit`
 //! (bind failure is logged and the run continues — probe-gated like the
-//! UDP transport). A `--kill-at` run seals the journal tail to
-//! `<checkpoint>.flight` so the crash site is named next to the
-//! checkpoint; a rejected `--resume` does the same next to the rejected
-//! file.
+//! UDP transport). A `--kill-at` run writes the journal tail, an
+//! `ixp-trace/1` document, to `<checkpoint>.flight` so the crash site is
+//! named next to the checkpoint; a rejected `--resume` writes it to
+//! `<file>.rejected.flight` beside the refused file, which leaves the
+//! killed run's own dump in place.
 //!
 //! Every run also writes the observability snapshot (`ixp-obs`, JSON
 //! schema `ixp-obs/1`) to `--metrics` (default
@@ -172,7 +173,7 @@ impl Out {
     }
 }
 
-/// How many journal events a flight dump seals (the tail that must
+/// How many journal events a flight dump holds (the tail that must
 /// explain the failure).
 const FLIGHT_TAIL: usize = 64;
 
@@ -256,13 +257,13 @@ fn flight_path(args: &Args) -> String {
     }
 }
 
-/// Seal the journal tail to `path` — the crash flight recorder write.
+/// Write the journal tail to `path` — the crash flight recorder write.
 fn write_flight(path: &str, journal: &ixp_obs::Journal) {
-    std::fs::write(path, journal.dump_flight(FLIGHT_TAIL)).expect("write flight dump");
+    std::fs::write(path, journal.render_tail(FLIGHT_TAIL)).expect("write flight dump");
 }
 
 /// The end-of-run conservation audit. A breach has already bumped the
-/// counter and journaled an `audit_breach` event; here it also seals the
+/// counter and journaled an `audit_breach` event; here it also writes the
 /// flight dump and fails the run.
 fn final_audit(
     args: &Args,
@@ -403,7 +404,7 @@ fn supervised_mode(
     };
     pipeline.attach(obs, journal);
 
-    // A steady-state audit breach mid-run is fatal: seal the flight dump
+    // A steady-state audit breach mid-run is fatal: write the flight dump
     // and exit, so the journal tail names the moment the ledger broke.
     let audit_steady = |step: Step<'_>| {
         let offered = match step {
@@ -495,7 +496,8 @@ fn supervised_mode(
 /// `transport`, the side file beside it. A refused image (an unreadable
 /// side file is an empty one) fails closed: a `RestoreRejected` event
 /// (`sub_agent` 0 for the checkpoint, 1 for the side file), the flight dump
-/// beside the refused file, exit 3.
+/// at `<file>.rejected.flight` — not `<file>.flight`, where the killed run
+/// left its own — and exit 3.
 fn resume(path: &str, transport: bool, journal: &ixp_obs::Journal) -> Pipeline {
     let checkpoint = std::fs::read(path).expect("read checkpoint file");
     let side = side_file(path);
@@ -503,7 +505,7 @@ fn resume(path: &str, transport: bool, journal: &ixp_obs::Journal) -> Pipeline {
     let transport = state.as_ref().map(|read| read.as_deref().unwrap_or(&[]).to_vec());
     let refuse = |sub_agent: u64, file: &str, e: &dyn std::fmt::Display| -> ! {
         journal.record(ixp_obs::EventKind::RestoreRejected, 0, sub_agent, 0, 0);
-        let flight = format!("{file}.flight");
+        let flight = format!("{file}.rejected.flight");
         write_flight(&flight, journal);
         eprintln!("refusing to resume from {file}: {e} — flight dump written to {flight}");
         std::process::exit(3);

@@ -13,10 +13,10 @@
 //!   there is no self-description. Every writer and reader is `#[inline]`,
 //!   and a lint keeps it so;
 //! * the sealed-record trailer ([`append_trailer`] / [`split_verified`])
-//!   that the checkpoint envelope (`IXPCKPT1`), the transport state blob
-//!   and the flight record (`IXPFLGT1`) all end in: a word-wise, four-lane
-//!   digest of every byte before it, defined once in this file and called
-//!   from those two functions only. Each format keeps its own
+//!   that the checkpoint envelope (`IXPCKPT1`) and the transport state
+//!   blob both end in: a word-wise, four-lane digest of every byte before
+//!   it, defined once in this file and called from those two functions
+//!   only. Each format keeps its own
 //!   magic/version/length framing in its own crate; only "digest everything
 //!   before, append big-endian, verify before the payload codec runs" is
 //!   shared. It is not [`fnv64`], whose one dependent multiplication a

@@ -1,15 +1,13 @@
-//! One corruption suite for the three sealed formats built on this
-//! crate's trailer: the checkpoint envelope (`IXPCKPT1`), the magic-less
-//! transport state, and the flight record (`IXPFLGT1`). Each keeps its own
-//! framing in its own crate; what they share — and what this loop holds
-//! for all of them at once — is that damage of any kind is a typed
-//! rejection before a single payload field is trusted: every truncation,
-//! every single-bit flip, trailing bytes, and a hostile length field. So is
-//! a record of the version before the trailer changed: there is no reader
-//! for it, and it is refused, not misread.
+//! One corruption suite for the two sealed formats built on this crate's
+//! trailer: the checkpoint envelope (`IXPCKPT1`) and the magic-less
+//! transport state. Each keeps its own framing in its own crate; what they
+//! share — and what this loop holds for both at once — is that damage of
+//! any kind is a typed rejection before a single payload field is trusted:
+//! every truncation, every single-bit flip, trailing bytes, and a hostile
+//! length field. So is a record of the version before the trailer changed:
+//! there is no reader for it, and it is refused, not misread.
 
 use ixp_codec::{append_trailer, fnv64};
-use ixp_obs::journal::{self, EventKind, Journal};
 use ixp_supervisor::envelope;
 use ixp_transport::{generate, FlowGenConfig, TransportConfig, TransportIntake};
 
@@ -39,10 +37,6 @@ fn open_transport(bytes: &[u8]) -> Result<(), String> {
     TransportIntake::restore_from(bytes).map(drop).map_err(|e| format!("{e:?}"))
 }
 
-fn open_flight(bytes: &[u8]) -> Result<(), String> {
-    journal::parse_flight(bytes).map(drop).map_err(|e| format!("{e:?}"))
-}
-
 fn framings() -> Vec<Framing> {
     // A transport state with every section populated: templates withheld
     // so packets park, and a partial drain so the inbox is not empty.
@@ -53,12 +47,6 @@ fn framings() -> Vec<Framing> {
     }
     intake.drain(5);
     assert!(intake.stats().pending > 0, "nothing parked: {:?}", intake.stats());
-
-    let journal = Journal::deterministic();
-    journal.set_tick(3);
-    journal.record(EventKind::TickStart, 0, 0, 256, 0);
-    journal.record(EventKind::Shed, 0x0a00_0001, 7, 3, 3);
-    journal.record(EventKind::Kill, 0, 1, 40, 3);
 
     vec![
         Framing {
@@ -82,15 +70,6 @@ fn framings() -> Vec<Framing> {
             // No magic and no length frame this blob, so its seal is the
             // outermost check and fails before the version is read.
             version_1: "Invalid(\"state checksum mismatch\")",
-        },
-        Framing {
-            name: "flight record",
-            sealed: journal.dump_flight(16),
-            open: open_flight,
-            trailing: "TrailingBytes",
-            length: 12..16, // magic 8, version 4, then the u32 event count
-            version: 8..12,
-            version_1: "BadVersion(1)",
         },
     ]
 }
@@ -148,11 +127,10 @@ fn version_1_records_are_refused_not_read() {
     }
 }
 
-/// No events and a fresh intake are valid records (the envelope's empty
-/// payload is covered beside `seal` itself).
+/// A fresh intake is a valid record (the envelope's empty payload is
+/// covered beside `seal` itself).
 #[test]
 fn empty_records_round_trip() {
-    assert_eq!(journal::parse_flight(&journal::seal_flight(&[])), Ok(vec![]));
     let fresh = TransportIntake::new(TransportConfig::default()).save_state();
     let restored = TransportIntake::restore_from(&fresh).expect("fresh state restores");
     assert_eq!(restored.save_state(), fresh);

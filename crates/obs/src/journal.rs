@@ -9,19 +9,19 @@
 //! supervised runs under the frozen `TestClock` produce byte-identical
 //! journals (the same property the metrics snapshots already have).
 //!
-//! Two export formats share the same event stream:
+//! The event stream has one export, [`render_trace`]'s schema-versioned
+//! `ixp-trace/1` JSON document, taken over two spans of the ring:
 //!
-//! * [`render_trace`] — the schema-versioned `ixp-trace/1` JSON document
-//!   served at `/trace` and written by `repro --trace`. It is write-only:
-//!   consumers compare rendered bytes, and a post-mortem reads the flight
-//!   record below.
-//! * [`seal_flight`] / [`parse_flight`] — the binary *flight record*
-//!   dumped to a `<checkpoint>.flight` side file when a run is killed,
-//!   a restore is rejected, or the conservation auditor fires. The frame
-//!   is magic, format version, event count and fixed-width events written
-//!   with `ixp-codec`'s big-endian fields, closed by its digest trailer
-//!   like the checkpoint envelope — parsing is total and every corruption
-//!   maps to a typed [`FlightError`].
+//! * [`Journal::render`] — every retained event: served at `/trace` and
+//!   written by `repro --trace`;
+//! * [`Journal::render_tail`] — the newest events only: the *flight dump*
+//!   written to a `<checkpoint>.flight` side file when a run is killed,
+//!   a restore is rejected, or the conservation auditor fires.
+//!
+//! A document's `dropped` counts every event it does not hold, so it
+//! equals its first event's `seq`. The export is write-only here:
+//! consumers compare rendered bytes, and a post-mortem reads a document
+//! with `ixp-codec`'s JSON reader.
 //!
 //! The journal is cheap when disabled (capacity 0 short-circuits before
 //! taking the lock's contents seriously) and bounded when enabled: once
@@ -30,10 +30,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-use ixp_codec::{
-    append_trailer, put_u32, put_u64, put_u8, split_verified, Cur, StateError, TrailerError,
-};
 
 use crate::clock::Clock;
 
@@ -45,67 +41,54 @@ pub const TRACE_SCHEMA: &str = "ixp-trace/1";
 /// while keeping a flight dump comfortably small.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
-/// Magic prefix of a sealed flight record.
-pub const FLIGHT_MAGIC: &[u8; 8] = b"IXPFLGT1";
-
-/// Format version of the flight-record frame. 2: the trailer is
-/// `ixp-codec`'s word-wise digest (FNV-1a-64 in version 1); widths unchanged.
-pub const FLIGHT_VERSION: u32 = 2;
-
-/// Bytes of one encoded event inside a flight record.
-const EVENT_WIRE_BYTES: usize = 57;
-
-/// What happened. The discriminants are the wire encoding of the kind
-/// byte inside a flight record; renumbering is a format break and must
-/// bump [`FLIGHT_VERSION`].
+/// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum EventKind {
     /// A supervisor tick began. `a` = offered datagrams so far.
-    TickStart = 0,
+    TickStart,
     /// A supervisor tick ended. `a` = datagrams drained this tick,
     /// `b` = 1 if the tick was a deadline miss (stalled drain).
-    TickEnd = 1,
+    TickEnd,
     /// A per-(agent, sub_agent) health transition fired.
     /// `a` = previous state index, `b` = new state index
     /// (Healthy/Degraded/Quarantined/Recovering as in
     /// `ixp-supervisor::health::HealthState`).
-    Transition = 2,
+    Transition,
     /// One packet installed or refreshed flow templates. `agent` = peer
     /// key, `sub_agent` = 0, `a` = templates newly installed, `b` =
     /// templates refreshed to a new layout.
-    TemplateInstall = 3,
+    TemplateInstall,
     /// One packet's installs evicted flow templates (LRU). `agent` = peer
     /// key, `sub_agent` = 0, `a` = templates evicted, `b` = 0.
-    TemplateEvict = 4,
+    TemplateEvict,
     /// Work was shed. `a` = items shed in this event, `b` = shed total
     /// after it.
-    Shed = 5,
+    Shed,
     /// A template-less data packet was parked. `agent` = peer key,
     /// `sub_agent` = 0, `a` = packets parked after it, `b` = bytes parked
     /// after it.
-    Park = 6,
+    Park,
     /// Parked packets were replayed after a template install.
     /// `a` = packets replayed, `b` = packets still parked.
-    Replay = 7,
+    Replay,
     /// A source restart was detected (sequence regression).
     /// `a` = restarts total after this one.
-    SourceRestart = 8,
+    SourceRestart,
     /// A source crossed the error-run threshold and was quarantined.
     /// `a` = consecutive error run length.
-    SourceQuarantined = 9,
+    SourceQuarantined,
     /// The runtime conservation auditor found an unbalanced ledger.
     /// `a` = invariant index (see `crate::audit`), `b` = absolute
     /// imbalance.
-    AuditBreach = 10,
+    AuditBreach,
     /// The run was killed at an injected fault point. `a` = offered
     /// datagrams at the kill, `b` = ticks completed.
-    Kill = 11,
+    Kill,
     /// A checkpoint restore was rejected fail-closed. `a` = 0.
-    RestoreRejected = 12,
+    RestoreRejected,
 }
 
-/// Every kind, in wire order.
+/// Every kind, in declaration order.
 pub const EVENT_KINDS: &[EventKind] = &[
     EventKind::TickStart,
     EventKind::TickEnd,
@@ -140,11 +123,6 @@ impl EventKind {
             EventKind::Kill => "kill",
             EventKind::RestoreRejected => "restore_rejected",
         }
-    }
-
-    /// Decode a wire kind byte.
-    pub fn from_u8(b: u8) -> Option<EventKind> {
-        EVENT_KINDS.get(b as usize).copied()
     }
 }
 
@@ -225,11 +203,6 @@ impl Journal {
         Journal::with_capacity(0, crate::clock::test_clock())
     }
 
-    /// Whether this journal records events at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
         // A poisoned ring still holds structurally valid events; recover
         // the data rather than propagating a panic into the collector.
@@ -291,12 +264,22 @@ impl Journal {
 
     /// Serialize the retained events as an `ixp-trace/1` document.
     pub fn render(&self) -> String {
-        render_trace(&self.events(), self.dropped())
+        self.render_tail(usize::MAX)
     }
 
-    /// Seal the most recent `last_n` events into a flight record.
-    pub fn dump_flight(&self, last_n: usize) -> Vec<u8> {
-        seal_flight(&self.tail(last_n))
+    /// Serialize the most recent `last_n` events as an `ixp-trace/1`
+    /// document. Its `dropped` counts every event the document does not
+    /// hold — ring evictions plus the retained events before the tail — so
+    /// it equals the first event's `seq`.
+    pub fn render_tail(&self, last_n: usize) -> String {
+        let (tail, dropped) = {
+            let ring = self.lock();
+            let skip = ring.events.len().saturating_sub(last_n);
+            let before = u64::try_from(skip).unwrap_or(u64::MAX);
+            let tail: Vec<Event> = ring.events.iter().skip(skip).copied().collect();
+            (tail, ring.dropped.saturating_add(before))
+        };
+        render_trace(&tail, dropped)
     }
 }
 
@@ -336,130 +319,6 @@ pub fn render_trace(events: &[Event], dropped: u64) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Flight record (binary, sealed)
-// ---------------------------------------------------------------------------
-
-/// Why a flight record was rejected. Every corruption maps here; parsing
-/// never panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightError {
-    /// The frame does not start with [`FLIGHT_MAGIC`].
-    BadMagic,
-    /// The frame declares an unknown format version.
-    BadVersion(u32),
-    /// The frame ends before its declared content.
-    Truncated,
-    /// The trailer does not match the frame body.
-    ChecksumMismatch,
-    /// Bytes follow the checksum trailer.
-    TrailingBytes,
-    /// An event carries an undefined kind byte.
-    BadKind(u8),
-}
-
-impl std::fmt::Display for FlightError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlightError::BadMagic => write!(f, "flight record has wrong magic"),
-            FlightError::BadVersion(v) => {
-                write!(f, "flight record declares unsupported version {v}")
-            }
-            FlightError::Truncated => write!(f, "flight record is truncated"),
-            FlightError::ChecksumMismatch => write!(f, "flight record checksum mismatch"),
-            FlightError::TrailingBytes => {
-                write!(f, "flight record has trailing bytes after the checksum")
-            }
-            FlightError::BadKind(b) => {
-                write!(f, "flight record event has undefined kind byte {b}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlightError {}
-
-impl From<TrailerError> for FlightError {
-    fn from(e: TrailerError) -> FlightError {
-        match e {
-            TrailerError::Truncated => FlightError::Truncated,
-            TrailerError::Mismatch => FlightError::ChecksumMismatch,
-        }
-    }
-}
-
-/// The fixed-width reads [`parse_flight`] makes can only fail by running
-/// out of bytes.
-impl From<StateError> for FlightError {
-    fn from(_: StateError) -> FlightError {
-        FlightError::Truncated
-    }
-}
-
-/// Seal events into a flight record:
-/// `magic | version | count | events | trailer over everything before it`.
-pub fn seal_flight(events: &[Event]) -> Vec<u8> {
-    let count = u32::try_from(events.len()).unwrap_or(u32::MAX);
-    let mut out =
-        Vec::with_capacity(16 + events.len().saturating_mul(EVENT_WIRE_BYTES) + 8);
-    out.extend_from_slice(FLIGHT_MAGIC);
-    put_u32(&mut out, FLIGHT_VERSION);
-    put_u32(&mut out, count);
-    for e in events.iter().take(count as usize) {
-        put_u64(&mut out, e.seq);
-        put_u64(&mut out, e.tick);
-        put_u64(&mut out, e.at_ns);
-        put_u8(&mut out, e.kind as u8);
-        put_u64(&mut out, e.agent);
-        put_u64(&mut out, e.sub_agent);
-        put_u64(&mut out, e.a);
-        put_u64(&mut out, e.b);
-    }
-    append_trailer(&mut out);
-    out
-}
-
-/// Parse a sealed flight record. Total: every malformed input maps to a
-/// typed [`FlightError`], never a panic.
-pub fn parse_flight(bytes: &[u8]) -> Result<Vec<Event>, FlightError> {
-    let (magic, rest) = bytes.split_at_checked(8).ok_or(FlightError::Truncated)?;
-    if magic != FLIGHT_MAGIC {
-        return Err(FlightError::BadMagic);
-    }
-    let mut cur = Cur::new(rest);
-    let version = cur.u32()?;
-    if version != FLIGHT_VERSION {
-        return Err(FlightError::BadVersion(version));
-    }
-    let count = cur.u32()? as usize;
-    // Cap hostile counts before allocating: the frame must physically fit.
-    let sealed_len = count
-        .checked_mul(EVENT_WIRE_BYTES)
-        .and_then(|n| n.checked_add(16 + 8))
-        .ok_or(FlightError::Truncated)?;
-    if bytes.len() < sealed_len {
-        return Err(FlightError::Truncated);
-    }
-    if bytes.len() > sealed_len {
-        return Err(FlightError::TrailingBytes);
-    }
-    split_verified(bytes)?;
-    let mut events = Vec::with_capacity(count.min(DEFAULT_CAPACITY * 4));
-    for _ in 0..count {
-        let seq = cur.u64()?;
-        let tick = cur.u64()?;
-        let at_ns = cur.u64()?;
-        let kind_byte = cur.u8()?;
-        let kind = EventKind::from_u8(kind_byte).ok_or(FlightError::BadKind(kind_byte))?;
-        let agent = cur.u64()?;
-        let sub_agent = cur.u64()?;
-        let a = cur.u64()?;
-        let b = cur.u64()?;
-        events.push(Event { seq, tick, at_ns, kind, agent, sub_agent, a, b });
-    }
-    Ok(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,7 +338,6 @@ mod tests {
     fn disabled_journal_records_nothing() {
         let j = Journal::disabled();
         j.record(EventKind::Kill, 1, 2, 3, 4);
-        assert!(!j.is_enabled());
         assert!(j.is_empty());
         assert_eq!(j.dropped(), 0);
     }
@@ -528,70 +386,21 @@ mod tests {
     }
 
     #[test]
-    fn flight_roundtrip() {
-        let j = sample_journal();
-        let sealed = j.dump_flight(16);
-        let events = parse_flight(&sealed).expect("sealed dump parses");
-        assert_eq!(events, j.events());
-    }
-
-    #[test]
-    fn flight_tail_is_bounded() {
-        let j = sample_journal();
-        let sealed = j.dump_flight(2);
-        let events = parse_flight(&sealed).expect("parses");
-        assert_eq!(events.len(), 2);
-        assert_eq!(events.last().map(|e| e.kind), Some(EventKind::TickEnd));
-    }
-
-    #[test]
-    fn flight_rejects_corruption_typed() {
-        let sealed = sample_journal().dump_flight(16);
-        // Wrong magic.
-        let mut bad = sealed.clone();
-        if let Some(b) = bad.first_mut() {
-            *b ^= 0xFF;
+    fn a_tail_document_counts_what_it_leaves_out() {
+        // Capacity 3 after five records: seqs 0 and 1 evicted, 2..=4 kept.
+        let j = Journal::with_capacity(3, test_clock());
+        for a in 0..5 {
+            j.record(EventKind::Shed, 0, 0, a, a);
         }
-        assert_eq!(parse_flight(&bad), Err(FlightError::BadMagic));
-        // Unknown version.
-        let mut bad = sealed.clone();
-        if let Some(b) = bad.get_mut(11) {
-            *b = 9;
-        }
-        assert_eq!(parse_flight(&bad), Err(FlightError::BadVersion(9)));
-        // Body bit flip -> checksum.
-        let mut bad = sealed.clone();
-        if let Some(b) = bad.get_mut(20) {
-            *b ^= 0x01;
-        }
-        assert_eq!(parse_flight(&bad), Err(FlightError::ChecksumMismatch));
-        // Every truncation, every bit flip and trailing bytes: see
-        // `ixp-codec`'s `tests/corruption.rs`, which walks this framing
-        // beside the checkpoint envelope and the transport state.
-    }
-
-    #[test]
-    fn flight_rejects_bad_kind_byte() {
-        let mut j = sample_journal().events();
-        if let Some(e) = j.first_mut() {
-            e.kind = EventKind::Kill;
-        }
-        let mut sealed = seal_flight(&j);
-        // Kind byte of event 0 sits at offset 16 + 24.
-        if let Some(b) = sealed.get_mut(40) {
-            *b = 200;
-        }
-        // Re-seal the checksum so only the kind is bad.
-        sealed.truncate(sealed.len() - 8);
-        append_trailer(&mut sealed);
-        assert_eq!(parse_flight(&sealed), Err(FlightError::BadKind(200)));
-    }
-
-    #[test]
-    fn kind_bytes_roundtrip() {
-        for k in EVENT_KINDS {
-            assert_eq!(EventKind::from_u8(*k as u8), Some(*k));
-        }
-        assert_eq!(EventKind::from_u8(255), None);
+        let seqs_and_dropped = |doc: &str| {
+            let doc = crate::json::parse(doc).expect("an ixp-trace/1 document parses");
+            let events = doc.get("events").and_then(|e| e.as_arr()).expect("an events array");
+            let seqs: Vec<u64> =
+                events.iter().filter_map(|e| e.get("seq").and_then(|s| s.as_u64())).collect();
+            (seqs, doc.get("dropped").and_then(|d| d.as_u64()))
+        };
+        assert_eq!(seqs_and_dropped(&j.render_tail(2)), (vec![3, 4], Some(3)));
+        assert_eq!(seqs_and_dropped(&j.render()), (vec![2, 3, 4], Some(2)));
+        assert_eq!(j.render_tail(j.len()), j.render());
     }
 }

@@ -19,8 +19,8 @@
 //!   (schema-versioned document, `target/metrics-snapshot.json` in
 //!   `repro`);
 //! * the live observability plane (DESIGN.md §13): a bounded
-//!   deterministic event [`Journal`] with an `ixp-trace/1` export and a
-//!   sealed binary flight record for post-mortems, and the conservation
+//!   deterministic event [`Journal`] with one `ixp-trace/1` export, whose
+//!   tail is the flight dump a post-mortem reads, and the conservation
 //!   [`LEDGER`], which the components evaluate over their own [`Series`]
 //!   tables and the runtime [`Auditor`] over live metric families.
 //!
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 pub use audit::{AuditError, AuditScope, Auditor, Identity, Invariant, LEDGER};
 pub use clock::{real_clock, test_clock, Clock, RealClock, TestClock};
-pub use journal::{Event, EventKind, FlightError, Journal};
+pub use journal::{Event, EventKind, Journal};
 pub use metrics::{
     split_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
     Snapshot, DURATION_BOUNDS_NS,

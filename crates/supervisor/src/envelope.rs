@@ -136,7 +136,7 @@ mod tests {
 
     // Every truncation, every single-bit flip, trailing bytes and a
     // hostile length: `ixp-codec`'s `tests/corruption.rs` walks this
-    // framing beside the transport state and the flight record.
+    // framing beside the transport state.
 
     #[test]
     fn wrong_magic_and_version_are_typed() {

@@ -142,7 +142,7 @@ pub struct Supervisor {
     published: Published<SupervisorStats>,
     // Disabled unless attached via [`Supervisor::bind_journal`]. Not
     // part of a checkpoint: the journal is live evidence of *this*
-    // process's run, exactly what a flight record must show.
+    // process's run, exactly what a flight dump must show.
     journal: Journal,
 }
 

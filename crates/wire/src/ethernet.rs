@@ -173,11 +173,6 @@ impl Repr {
         })
     }
 
-    /// Number of bytes `emit` writes.
-    pub const fn buffer_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Write this header into the start of the frame buffer.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, frame: &mut Frame<T>) {
         frame.set_dst_addr(self.dst_addr);

@@ -237,11 +237,6 @@ impl Repr {
         })
     }
 
-    /// Number of header bytes `emit` writes.
-    pub const fn buffer_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Total length this header will claim.
     #[allow(clippy::arithmetic_side_effects, reason = "payload_len is a u16 total less its header when parsed, or the length of a payload held in memory when emitted")]
     pub fn total_len(&self) -> usize {

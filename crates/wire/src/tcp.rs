@@ -262,11 +262,6 @@ impl Repr {
         })
     }
 
-    /// Number of header bytes `emit` writes.
-    pub const fn buffer_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Emit header fields; the payload must already be in place after the
     /// header so the checksum covers it.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(

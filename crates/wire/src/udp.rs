@@ -155,11 +155,6 @@ impl Repr {
         })
     }
 
-    /// Number of header bytes `emit` writes.
-    pub const fn buffer_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Emit header fields; the payload must already be in place.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(
         &self,

@@ -20,6 +20,16 @@ same() {
     cmp "$1" "$2" || fail "$3"
 }
 
+# dump_ends_in <flight dump> <kind>: the dump is an ixp-trace/1 document
+# whose last event is of kind <kind>.
+dump_ends_in() {
+    grep -q '"schema": "ixp-trace/1"' "$1" ||
+        fail "$1 does not declare the ixp-trace/1 schema"
+    last=$(grep -o '"kind": "[a-z_]*"' "$1" | tail -n 1)
+    [ "$last" = "\"kind\": \"$2\"" ] ||
+        fail "$1 ends in ${last:-no event}, not a $2 event"
+}
+
 # prod <file>: the file's production code, every line above its first
 # line-start `#[cfg(test)]`. The guards below read production code through
 # it, and the test-cut guard holds each file to that rule.
@@ -315,7 +325,8 @@ echo "==> supervised resume smoke test (checkpoint byte-identity)"
 # checkpoint — byte-identical to the run that was never interrupted.
 # The same-seed byte-identity bar extends to the observability plane:
 # two whole runs export identical ixp-trace/1 documents, two killed runs
-# seal identical flight dumps, and every kill leaves a flight dump
+# write identical flight dumps, and every kill leaves a flight dump — the
+# ixp-trace/1 document of the journal's tail, ending in the kill edge —
 # beside its checkpoint.
 repro --checkpoint target/ckpt-whole.bin --trace target/trace-whole-a.json \
     --metrics target/metrics-whole.json >/dev/null 2>&1
@@ -326,6 +337,7 @@ same target/trace-whole-a.json target/trace-whole-b.json \
 repro --checkpoint target/ckpt-mid.bin --kill-at 400 \
     --metrics target/metrics-killed.json > target/repro-killed.log 2>&1
 [ -f target/ckpt-mid.bin.flight ] || fail "killed run left no flight dump beside its checkpoint"
+dump_ends_in target/ckpt-mid.bin.flight kill
 grep -q "flight dump to " target/repro-killed.log ||
     fail "killed run did not report its flight dump (see target/repro-killed.log)"
 repro --checkpoint target/ckpt-mid-b.bin --kill-at 400 \
@@ -338,6 +350,24 @@ same target/metrics-whole.json target/metrics-resumed.json \
     "resumed run's metrics snapshot differs from uninterrupted run"
 same target/ckpt-whole.bin target/ckpt-resumed.bin \
     "resumed run's final checkpoint differs from uninterrupted run"
+# A resume from a damaged checkpoint is refused (exit 3) with its dump at
+# <checkpoint>.rejected.flight: the killed run's <checkpoint>.flight, the
+# crash's evidence, is left as it was.
+rm -f target/ckpt-bad.bin.rejected.flight
+cp target/ckpt-mid.bin target/ckpt-bad.bin
+cp target/ckpt-mid.bin.flight target/ckpt-bad.bin.flight
+byte=$(od -An -tu1 -j 40 -N 1 target/ckpt-bad.bin | tr -d ' ')
+printf "$(printf '\\%03o' $((byte ^ 1)))" |
+    dd of=target/ckpt-bad.bin bs=1 seek=40 count=1 conv=notrunc 2>/dev/null
+status=0
+repro --resume target/ckpt-bad.bin > target/ckpt-bad.log 2>&1 || status=$?
+[ "$status" -eq 3 ] ||
+    fail "a resume from a damaged checkpoint exited $status, not 3 (see target/ckpt-bad.log)"
+same target/ckpt-mid.bin.flight target/ckpt-bad.bin.flight \
+    "a refused resume overwrote the killed run's flight dump"
+[ -f target/ckpt-bad.bin.rejected.flight ] ||
+    fail "a refused checkpoint left no .rejected.flight dump beside it"
+dump_ends_in target/ckpt-bad.bin.rejected.flight restore_rejected
 # --kill-at without --checkpoint has nowhere to write the killed run's
 # images: it is refused at argument parsing (exit 2), before any model is
 # generated, in either mode.
@@ -409,10 +439,10 @@ done
 # Kill and resume with the intake in front: the killed run leaves the
 # intake's side file and the flight dump beside its checkpoint, and its
 # resume ends on the whole run's final checkpoint and metrics. A resume
-# whose side file is gone is refused (exit 3), with the flight dump beside
-# the missing side file.
+# whose side file is gone is refused (exit 3), with the flight dump at
+# <side file>.rejected.flight.
 rm -f target/tckpt-mid.bin.transport target/tckpt-mid.bin.flight \
-    target/tckpt-noside.bin.transport target/tckpt-noside.bin.transport.flight
+    target/tckpt-noside.bin.transport target/tckpt-noside.bin.transport.rejected.flight
 repro --transport memory --checkpoint target/tckpt-whole.bin \
     --metrics target/tmetrics-whole.json >/dev/null 2>&1
 repro --transport memory --checkpoint target/tckpt-mid.bin --kill-at 400 \
@@ -421,6 +451,7 @@ repro --transport memory --checkpoint target/tckpt-mid.bin --kill-at 400 \
     fail "transport-mode killed run left no .transport side file beside its checkpoint"
 [ -f target/tckpt-mid.bin.flight ] ||
     fail "transport-mode killed run left no flight dump beside its checkpoint"
+dump_ends_in target/tckpt-mid.bin.flight kill
 repro --transport memory --resume target/tckpt-mid.bin --checkpoint target/tckpt-resumed.bin \
     --metrics target/tmetrics-resumed.json >/dev/null 2>&1
 same target/tckpt-whole.bin target/tckpt-resumed.bin \
@@ -433,8 +464,9 @@ repro --transport memory --resume target/tckpt-noside.bin \
     --checkpoint target/tckpt-noside-resumed.bin > target/transport-noside.log 2>&1 || status=$?
 [ "$status" -eq 3 ] ||
     fail "a resume without its side file exited $status, not 3 (see target/transport-noside.log)"
-[ -f target/tckpt-noside.bin.transport.flight ] ||
-    fail "a refused side file left no flight dump beside it"
+[ -f target/tckpt-noside.bin.transport.rejected.flight ] ||
+    fail "a refused side file left no .rejected.flight dump beside it"
+dump_ends_in target/tckpt-noside.bin.transport.rejected.flight restore_rejected
 
 echo "==> flowgen -> repro loopback smoke (UDP when permitted)"
 # When this environment allows loopback UDP, exercise the real socket

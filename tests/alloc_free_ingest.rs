@@ -288,8 +288,6 @@ fn hostile_words_buy_no_memory(what: &str, valid: &[u8], sealed: bool, decode: i
 /// allocates at most `64 × len + 64 KiB` for them, however they are damaged.
 #[test]
 fn hostile_lengths_cannot_buy_memory_at_any_decode_entry_point() {
-    use ixp_vantage::obs::journal::{self, EventKind};
-    use ixp_vantage::obs::Journal;
     use ixp_vantage::sflow::{Collector, Datagram, DatagramView};
     use ixp_vantage::supervisor::{Supervisor, SupervisorConfig};
     use ixp_vantage::transport::{
@@ -367,14 +365,5 @@ fn hostile_lengths_cannot_buy_memory_at_any_decode_entry_point() {
     }
     hostile_words_buy_no_memory("TransportIntake::restore_from", &intake.save_state(), true, |b| {
         let _ = TransportIntake::restore_from(b);
-    });
-
-    let journal = Journal::deterministic();
-    for i in 0..6 {
-        journal.record(EventKind::Shed, i, 1, 2 * i, 3 * i);
-    }
-    let flight = journal.dump_flight(journal::DEFAULT_CAPACITY);
-    hostile_words_buy_no_memory("parse_flight", &flight, true, |b| {
-        let _ = journal::parse_flight(b);
     });
 }

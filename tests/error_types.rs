@@ -13,7 +13,6 @@ fn every_public_error_enum_implements_std_error() {
     is_error::<ixp_vantage::transport::LinkError>();
     is_error::<ixp_vantage::cert::validate::ValidationError>();
     is_error::<ixp_vantage::obs::RenderError>();
-    is_error::<ixp_vantage::obs::FlightError>();
     is_error::<ixp_vantage::sflow::DecodeError>();
     is_error::<ixp_vantage::supervisor::CheckpointError>();
     is_error::<ixp_vantage::codec::StateError>();

@@ -12,12 +12,17 @@
 //! constant is bumped in the same change.
 //!
 //! That has happened once: `FORMAT_VERSION`, `TRANSPORT_STATE_VERSION` and
-//! `FLIGHT_VERSION` went 1 → 2 together when the trailer of all three
-//! sealed formats changed from FNV-1a-64 to `ixp-codec`'s word-wise digest,
-//! and the three whole-record pins were taken again then. What lies between
-//! a record's version field and its trailer did not change, and the three
-//! `*_PAYLOAD`/`*_FIELDS`/`*_EVENTS` pins — computed on the parent of that
-//! change, before any codec was touched — hold it to that.
+//! the flight record's version went 1 → 2 together when the trailer of all
+//! three sealed formats changed from FNV-1a-64 to `ixp-codec`'s word-wise
+//! digest, and the whole-record pins were taken again then. What lies
+//! between a record's version field and its trailer did not change, and the
+//! `*_PAYLOAD`/`*_FIELDS` pins — computed on the parent of that change,
+//! before any codec was touched — hold it to that.
+//!
+//! The sealed binary flight record has since been deleted, and its pins with
+//! it: a flight dump is now the `ixp-trace/1` document of the journal's
+//! tail, and the reference run's whole-ring tail must equal the trace that
+//! `TRACE_FNV` pins.
 //!
 //! A pin sees two same-width fields trade places only where the sample
 //! holds different values in them, and the reference run leaves many at
@@ -37,7 +42,7 @@ use ixp_vantage::core::scan::WEEKSCAN_STATE_VERSION;
 use ixp_vantage::core::WeekScan;
 use ixp_vantage::faults::{self, WireFaultConfig, WirePlan};
 use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
-use ixp_vantage::obs::journal::{self, EventKind, FLIGHT_VERSION};
+use ixp_vantage::obs::journal;
 use ixp_vantage::obs::{Journal, Obs};
 use ixp_vantage::sflow::checkpoint::COLLECTOR_STATE_VERSION;
 use ixp_vantage::sflow::{CounterSample, DatagramBuilder, FlowSample, RawPacketHeader};
@@ -53,17 +58,14 @@ const FLOW_PACKETS: u64 = 200;
 
 const CHECKPOINT_FNV: u64 = 0x6f3b_dd3a_a9ba_63ba;
 const TRANSPORT_STATE_FNV: u64 = 0xebeb_c376_347c_06b3;
-const FLIGHT_FNV: u64 = 0x5fc7_5d58_19ff_a142;
 const TRACE_FNV: u64 = 0xa97d_d6cd_95c9_739d;
 const METRICS_JSON_FNV: u64 = 0x55ab_aa8f_f099_7644;
 
 const CHECKPOINT_PAYLOAD_FNV: u64 = 0xdf7a_2ba3_e846_2511;
 const TRANSPORT_FIELDS_FNV: u64 = 0xbce5_177a_1834_ae2e;
-const FLIGHT_EVENTS_FNV: u64 = 0x8065_eea0_73d4_24b1;
 
 const DISTINCT_CHECKPOINT_FNV: u64 = 0x1b2b_bbe1_a831_2821;
 const DISTINCT_TRANSPORT_STATE_FNV: u64 = 0xa3f7_49a3_f89e_f835;
-const DISTINCT_FLIGHT_FNV: u64 = 0x2110_831b_fedc_598d;
 
 /// What a sealed record holds between its version field and its 8-byte
 /// trailer: the part a change of trailer or version number must not move.
@@ -139,17 +141,17 @@ fn sealed_formats_and_documents_are_byte_stable_across_commits() {
     assert!(parked, "the cut must leave packets parked");
     let Images { checkpoint, transport } = pipeline.kill();
     let transport_state = transport.expect("an intake is in front");
-    let flight = journal.dump_flight(journal::DEFAULT_CAPACITY);
-    assert!(flight.len() > 24, "the flight record must carry events");
+    assert!(
+        journal.render_tail(journal::DEFAULT_CAPACITY) == journal.render(),
+        "the whole-ring flight dump is not the trace"
+    );
 
     let payload = envelope::open(&checkpoint).expect("the checkpoint opens");
     let got = [
         ("checkpoint", fnv64(&checkpoint), CHECKPOINT_FNV),
         ("checkpoint payload", fnv64(payload), CHECKPOINT_PAYLOAD_FNV),
         ("transport state fields", fnv64(between(&transport_state, 4)), TRANSPORT_FIELDS_FNV),
-        ("flight record events", fnv64(between(&flight, 16)), FLIGHT_EVENTS_FNV),
         ("transport state", fnv64(&transport_state), TRANSPORT_STATE_FNV),
-        ("flight record", fnv64(&flight), FLIGHT_FNV),
         ("ixp-trace/1", fnv64(journal.render().as_bytes()), TRACE_FNV),
         (
             "ixp-obs/1 metrics.json",
@@ -221,9 +223,9 @@ fn counter_datagrams() -> [Vec<u8>; 2] {
 /// samples, a ring stalled until it sheds; and flow export, some of it
 /// truncated, of a bad version or padded, through an intake with
 /// non-default bounds whose inbox sheds, whose parking budget drops and
-/// whose template cache evicts. Returns the configuration and the three
+/// whose template cache evicts. Returns the configuration and the two
 /// sealed records, cut mid-stream with packets parked.
-fn distinct_sample() -> (SupervisorConfig, Vec<u8>, Vec<u8>, Vec<u8>) {
+fn distinct_sample() -> (SupervisorConfig, Vec<u8>, Vec<u8>) {
     let model = InternetModel::tiny(SEED);
     let feed: Vec<Vec<u8>> =
         WeekStream::with_budget(&model, MixConfig::default(), Week::REFERENCE, SEED, 1_000)
@@ -234,7 +236,6 @@ fn distinct_sample() -> (SupervisorConfig, Vec<u8>, Vec<u8>, Vec<u8>) {
     damaged.extend(feed[7..11].iter().map(|d| with_word(d, 24, 0xFFFF)));
     damaged.extend(counter_datagrams());
 
-    let journal = Journal::deterministic();
     let config = SupervisorConfig {
         ring_capacity: 8,
         arrivals_per_tick: 8,
@@ -242,7 +243,6 @@ fn distinct_sample() -> (SupervisorConfig, Vec<u8>, Vec<u8>, Vec<u8>) {
         ..SupervisorConfig::default()
     };
     let mut sup = Supervisor::new(WeekScan::new(Week::REFERENCE, 12), config);
-    sup.bind_journal(journal.clone());
     let (head, tail) = feed.split_at(feed.len() / 2);
     for datagram in head {
         sup.offer(datagram.clone());
@@ -265,7 +265,6 @@ fn distinct_sample() -> (SupervisorConfig, Vec<u8>, Vec<u8>, Vec<u8>) {
         dedup_window: 5,
         template_cache: TemplateCacheConfig { max_domains: 3, max_templates_per_domain: 2 },
     });
-    intake.bind_journal(journal.clone());
     let flows = generate(&FlowGenConfig {
         seed: SEED,
         packets: 240,
@@ -288,9 +287,7 @@ fn distinct_sample() -> (SupervisorConfig, Vec<u8>, Vec<u8>, Vec<u8>) {
             intake.drain(usize::MAX);
         }
     }
-    journal.record(EventKind::Kill, 0, 1, sup.offered(), sup.stats().ticks);
-    let flight = journal.dump_flight(journal::DEFAULT_CAPACITY);
-    (config, sup.checkpoint(), intake.save_state(), flight)
+    (config, sup.checkpoint(), intake.save_state())
 }
 
 #[test]
@@ -302,16 +299,14 @@ fn a_sample_with_a_value_of_its_own_in_every_field_pins_and_restores_to_itself()
             WEEKSCAN_STATE_VERSION,
             COLLECTOR_STATE_VERSION,
             TRANSPORT_STATE_VERSION,
-            FLIGHT_VERSION,
         ],
-        [2, 1, 1, 1, 2, 2],
+        [2, 1, 1, 1, 2],
         "a format version moved: take the pins of this file again"
     );
-    let (config, checkpoint, transport_state, flight) = distinct_sample();
+    let (config, checkpoint, transport_state) = distinct_sample();
     let got = [
         ("checkpoint", fnv64(&checkpoint), DISTINCT_CHECKPOINT_FNV),
         ("transport state", fnv64(&transport_state), DISTINCT_TRANSPORT_STATE_FNV),
-        ("flight record", fnv64(&flight), DISTINCT_FLIGHT_FNV),
     ];
     let moved: Vec<String> = got
         .iter()
@@ -327,6 +322,4 @@ fn a_sample_with_a_value_of_its_own_in_every_field_pins_and_restores_to_itself()
         intake.save_state() == transport_state,
         "transport state: restore → save moved bytes"
     );
-    let events = journal::parse_flight(&flight).expect("the flight record parses");
-    assert!(journal::seal_flight(&events) == flight, "flight record: parse → seal moved bytes");
 }
