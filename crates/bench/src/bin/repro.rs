@@ -50,10 +50,10 @@
 
 use std::fmt::Write as _;
 
-use ixp_core::analyzer::{stage_metric, Analyzer, StudyReport};
-use ixp_core::{baseline, blindspots, changes, cluster, hetero, longitudinal, report, visibility};
-use ixp_core::cluster::Clusters;
 use ixp_bench::pipeline::{side_file, Images, Pipeline, ResumeError, Step, SFLOW_PEER};
+use ixp_core::analyzer::{stage_metric, Analyzer, StudyReport};
+use ixp_core::cluster::Clusters;
+use ixp_core::{baseline, blindspots, changes, cluster, hetero, longitudinal, report, visibility};
 use ixp_netmodel::{InternetModel, ScaleConfig, Week};
 use ixp_obs::{Obs, Stopwatch};
 use ixp_supervisor::{Supervisor, SupervisorConfig};
@@ -192,16 +192,17 @@ fn main() {
         ixp_obs::Journal::with_capacity(ixp_obs::journal::DEFAULT_CAPACITY, obs.clock.clone());
     let board = ixp_obsd::Board::new();
     let auditor = ixp_obs::Auditor::new(obs.registry.clone(), journal.clone());
-    let server = args.serve.as_deref().and_then(|addr| serve_exposition(addr, &obs, &journal, &board));
-    let completed = if args.checkpoint.is_some() || args.resume.is_some() || args.transport != "none"
-    {
-        supervised_mode(&args, &obs, &journal, &board, &auditor)
-    } else {
-        full_study(&args, &obs);
-        final_audit(&args, &journal, &board, &auditor);
-        write_snapshots(&args, &obs);
-        true
-    };
+    let server =
+        args.serve.as_deref().and_then(|addr| serve_exposition(addr, &obs, &journal, &board));
+    let completed =
+        if args.checkpoint.is_some() || args.resume.is_some() || args.transport != "none" {
+            supervised_mode(&args, &obs, &journal, &board, &auditor)
+        } else {
+            full_study(&args, &obs);
+            final_audit(&args, &journal, &board, &auditor);
+            write_snapshots(&args, &obs);
+            true
+        };
     if completed {
         if let Some(path) = &args.trace {
             std::fs::write(path, journal.render()).expect("write event trace");
@@ -306,7 +307,8 @@ fn full_study(args: &Args, obs: &Obs) {
     let study = analyzer.run_study(threads.min(8));
     eprintln!("  study done at {:.1}s", secs(&t0));
     let reference = study.reference().expect("run_study reports every week of the study");
-    let clusters = obs.time(&stage_metric("clustering"), || cluster::cluster(reference, &analyzer.dns));
+    let clusters =
+        obs.time(&stage_metric("clustering"), || cluster::cluster(reference, &analyzer.dns));
 
     let mut out = Out {
         md: format!(
@@ -356,12 +358,9 @@ fn write_snapshots(args: &Args, obs: &Obs) {
             std::fs::create_dir_all(parent).expect("create metrics dir");
         }
     }
-    std::fs::write(&args.metrics, ixp_obs::json::render(&snapshot)).expect("write metrics snapshot");
-    eprintln!(
-        "wrote metrics snapshot to {} ({} metrics)",
-        args.metrics,
-        snapshot.entries.len()
-    );
+    std::fs::write(&args.metrics, ixp_obs::json::render(&snapshot))
+        .expect("write metrics snapshot");
+    eprintln!("wrote metrics snapshot to {} ({} metrics)", args.metrics, snapshot.entries.len());
     if let Some(path) = &args.prometheus {
         let text = ixp_obs::prometheus::render(&snapshot)
             .unwrap_or_else(|e| panic!("prometheus exposition refused: {e}"));
@@ -384,10 +383,7 @@ fn supervised_mode(
 
     let t0 = Stopwatch::start(obs.clock.as_ref());
     let secs = |sw: &Stopwatch| sw.elapsed_ns(obs.clock.as_ref()) as f64 / 1e9;
-    eprintln!(
-        "supervised mode (scale={}, seed={}) ...",
-        args.scale_name, args.seed
-    );
+    eprintln!("supervised mode (scale={}, seed={}) ...", args.scale_name, args.seed);
     let model = Box::leak(Box::new(InternetModel::generate(args.scale.clone(), args.seed)));
     let analyzer = Analyzer::with_obs(model, obs.clone());
     let week = Week::REFERENCE;
@@ -611,8 +607,8 @@ fn e4_fig3(out: &mut Out, reference: &ixp_core::WeeklyReport, model: &InternetMo
 }
 
 fn e5_table2(out: &mut Out, reference: &ixp_core::WeeklyReport, model: &InternetModel, obs: &Obs) {
-    let t2 =
-        obs.time(&stage_metric("visibility"), || visibility::table2(&reference.snapshot, model, 10));
+    let t2 = obs
+        .time(&stage_metric("visibility"), || visibility::table2(&reference.snapshot, model, 10));
     let mut body = report::render_table2(&t2);
     let _ = writeln!(
         body,
@@ -730,9 +726,7 @@ fn e9_to_e12_longitudinal(out: &mut Out, study: &StudyReport, obs: &Obs) {
     let _ = writeln!(
         body,
         "  week-51 ASes hosting servers: total {}  stable {}  ({:.1} %; paper ~70 %)",
-        last_as.total,
-        last_as.stable,
-        s.stable_as_share
+        last_as.total, last_as.stable, s.stable_as_share
     );
     out.section("E11", "Fig. 4c — AS churn", body);
 
@@ -800,9 +794,16 @@ fn e15_sandy(out: &mut Out, study: &StudyReport) {
 fn e16_reseller(out: &mut Out, study: &StudyReport) {
     let mut body = String::new();
     for s in changes::reseller_series(study) {
-        let _ = writeln!(body, "  reseller member {:>3}: {:?} (growth {:.2}x)", s.member.0, s.counts, s.growth);
+        let _ = writeln!(
+            body,
+            "  reseller member {:>3}: {:?} (growth {:.2}x)",
+            s.member.0, s.counts, s.growth
+        );
     }
-    let _ = writeln!(body, "  paper: one reseller's customer servers doubled (50K -> 100K) in four months");
+    let _ = writeln!(
+        body,
+        "  paper: one reseller's customer servers doubled (50K -> 100K) in four months"
+    );
     out.section("E16", "§4.2 — reseller growth", body);
 }
 
@@ -815,7 +816,11 @@ fn e17_cluster(
     let shares = clusters.step_shares();
     let v = cluster::validate_clusters(clusters, reference, model);
     let mut body = String::new();
-    let _ = writeln!(body, "  organizations recovered: {} (paper: ~21K at full scale)", clusters.clusters.len());
+    let _ = writeln!(
+        body,
+        "  organizations recovered: {} (paper: ~21K at full scale)",
+        clusters.clusters.len()
+    );
     let _ = writeln!(
         body,
         "  step shares: {:.1} / {:.1} / {:.1} % (paper: 78.7 / 17.4 / 3.9); unclustered {}",
@@ -887,8 +892,16 @@ fn e20_e21_fig7(
     clusters: &Clusters,
 ) {
     for (id, key, paper) in [
-        ("E20", "akamai.example", "paper: 11.1 % of Akamai traffic off-link; >15K of 28K servers via other links"),
-        ("E21", "cloudflare.example", "paper: CloudFlare shows a similar pattern despite its data-center model"),
+        (
+            "E20",
+            "akamai.example",
+            "paper: 11.1 % of Akamai traffic off-link; >15K of 28K servers via other links",
+        ),
+        (
+            "E21",
+            "cloudflare.example",
+            "paper: CloudFlare shows a similar pattern despite its data-center model",
+        ),
     ] {
         let Some(f) = hetero::link_usage(analyzer, reference, clusters, key) else {
             out.section(id, &format!("Fig. 7 — {key}"), "  no data\n".into());
@@ -955,7 +968,12 @@ fn e23_blindspots(
         campaign.structural_share()
     );
     if let Some(cs) = blindspots::validate_footprint_case_study(
-        analyzer, reference, clusters, "akamai.example", Week::REFERENCE, 16,
+        analyzer,
+        reference,
+        clusters,
+        "akamai.example",
+        Week::REFERENCE,
+        16,
     ) {
         let _ = writeln!(
             body,
@@ -1008,10 +1026,8 @@ fn ablations(
     let mut body = String::new();
     let base = model.scale.samples_per_week;
     for (factor, label) in [(4u64, "4x coarser"), (16, "16x coarser")] {
-        let mut scan = WeekScan::new(
-            Week::REFERENCE,
-            model.registry.members_at(Week::REFERENCE).len() as u32,
-        );
+        let mut scan =
+            WeekScan::new(Week::REFERENCE, model.registry.members_at(Week::REFERENCE).len() as u32);
         let stream = WeekStream::with_budget(
             model,
             analyzer.mix.clone(),

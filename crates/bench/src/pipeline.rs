@@ -174,7 +174,8 @@ impl Pipeline {
     /// images are hostile input: both restore, or the error names the one
     /// refused (the checkpoint is judged first).
     pub fn resume(images: &Images, config: SupervisorConfig) -> Result<Pipeline, ResumeError> {
-        let sup = Supervisor::restore(&images.checkpoint, config).map_err(ResumeError::Checkpoint)?;
+        let sup =
+            Supervisor::restore(&images.checkpoint, config).map_err(ResumeError::Checkpoint)?;
         let intake = images.transport.as_deref().map(TransportIntake::restore_from);
         Ok(Pipeline { sup, intake: intake.transpose().map_err(ResumeError::Transport)? })
     }

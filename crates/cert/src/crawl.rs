@@ -613,12 +613,9 @@ mod tests {
     #[test]
     fn inactive_weeks_do_not_answer() {
         let (model, sim) = build();
-        if let Some(s) = model
-            .servers
-            .servers()
-            .iter()
-            .find(|s| s.flags.has(ServerFlags::HTTPS) && !s.exists_in(Week::FIRST) && s.exists_in(Week::LAST))
-        {
+        if let Some(s) = model.servers.servers().iter().find(|s| {
+            s.flags.has(ServerFlags::HTTPS) && !s.exists_in(Week::FIRST) && s.exists_in(Week::LAST)
+        }) {
             assert_eq!(sim.fetch(&model, s.ip, Week::FIRST, 0), CrawlResult::NoAnswer);
             assert!(matches!(sim.fetch(&model, s.ip, Week::LAST, 0), CrawlResult::Tls(_)));
         }

@@ -50,7 +50,10 @@ pub fn put_u128(out: &mut Vec<u8>, v: u128) {
 /// growing `out` at most once for the two.
 #[inline]
 pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    #[allow(clippy::arithmetic_side_effects, reason = "b is in memory, so b.len() <= isize::MAX and 8 more fit in usize")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "b is in memory, so b.len() <= isize::MAX and 8 more fit in usize"
+    )]
     out.reserve(8 + b.len());
     put_u64(out, b.len() as u64);
     out.extend_from_slice(b);

@@ -11,7 +11,10 @@
 //! exists so smoke tests and tooling can read the documents back without
 //! external dependencies; the writers stay with the documents they write.
 
-#![allow(clippy::arithmetic_side_effects, reason = "every `pos += 1` and `end += 1` follows a successful `bytes.get` at that index, so neither passes bytes.len(); `d - b'0'` follows `is_ascii_digit`; `s.len() + 2` sizes the copy of a str already in memory")]
+#![allow(
+    clippy::arithmetic_side_effects,
+    reason = "every `pos += 1` and `end += 1` follows a successful `bytes.get` at that index, so neither passes bytes.len(); `d - b'0'` follows `is_ascii_digit`; `s.len() + 2` sizes the copy of a str already in memory"
+)]
 /// Escape a string for a JSON document.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -52,9 +55,7 @@ impl Value {
     /// Member lookup on an object.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -156,9 +157,7 @@ impl Parser<'_> {
         let mut n: u64 = 0;
         let mut any = false;
         while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
-            n = n
-                .checked_mul(10)?
-                .checked_add(u64::from(d - b'0'))?;
+            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
             self.pos += 1;
             any = true;
         }
@@ -280,9 +279,11 @@ mod tests {
 
     #[test]
     fn parses_every_value_kind() {
-        let v = parse(" {\"n\": 18446744073709551615, \"a\": [1, [], {}], \"t\": true, \
-                       \"f\": false, \"z\": null, \"n\": 2} ")
-            .expect("parses");
+        let v = parse(
+            " {\"n\": 18446744073709551615, \"a\": [1, [], {}], \"t\": true, \
+                       \"f\": false, \"z\": null, \"n\": 2} ",
+        )
+        .expect("parses");
         assert_eq!(v.get("n").and_then(Value::as_u64), Some(u64::MAX), "first member wins");
         assert_eq!(v.get("a").and_then(Value::as_arr).map(<[Value]>::len), Some(3));
         assert_eq!(v.get("t"), Some(&Value::Bool(true)));

@@ -25,7 +25,21 @@
 //!
 //! The crate depends on nothing, so every other crate can use it.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        clippy::disallowed_macros
+    )
+)]
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 mod field;
 pub mod json;
@@ -236,10 +250,7 @@ mod tests {
         for cut in 0..out.len() {
             let prefix: Vec<u8> = out.iter().copied().take(cut).collect();
             let mut cur = Cur::new(&prefix);
-            let r = cur
-                .u32()
-                .and_then(|_| cur.bytes().map(<[u8]>::len))
-                .and_then(|_| cur.u64());
+            let r = cur.u32().and_then(|_| cur.bytes().map(<[u8]>::len)).and_then(|_| cur.u64());
             assert!(r.is_err(), "cut at {cut} decoded");
         }
     }

@@ -237,10 +237,7 @@ mod tests {
         let s = &report.snapshot;
         assert_eq!(s.peering_locality.ips.iter().sum::<u64>(), s.peering.ips);
         assert_eq!(s.peering_locality.ases.iter().sum::<u64>(), s.peering.ases);
-        assert_eq!(
-            s.peering_locality.prefixes.iter().sum::<u64>(),
-            s.peering.prefixes
-        );
+        assert_eq!(s.peering_locality.prefixes.iter().sum::<u64>(), s.peering.prefixes);
         assert_eq!(s.server_locality.ips.iter().sum::<u64>(), s.server.ips);
         let shares = s.peering_locality.shares(|l| l.ips);
         assert!((shares.iter().sum::<f64>() - 100.0).abs() < 1e-6);
@@ -264,7 +261,8 @@ mod tests {
         // in another order and the two workers split it differently.
         let a = testutil::analyzer();
         let state = testutil::scanned_weeks()[1].0.save_state();
-        let render = |r: &WeeklyReport| format!("{:#?}{:#?}{:#?}", r.snapshot, r.census.records, r.health);
+        let render =
+            |r: &WeeklyReport| format!("{:#?}{:#?}{:#?}", r.snapshot, r.census.records, r.health);
         let first = render(&a.report_from_scan(WeekScan::restore_state(&state).unwrap()));
         for _ in 1..20 {
             let again = a.report_from_scan(WeekScan::restore_state(&state).unwrap());

@@ -57,12 +57,7 @@ pub fn port_baseline(analyzer: &Analyzer<'_>, report: &WeeklyReport) -> PortBase
             }
         }
     }
-    let census: HashSet<u32> = report
-        .census
-        .records
-        .iter()
-        .map(|r| u32::from(r.ip))
-        .collect();
+    let census: HashSet<u32> = report.census.records.iter().map(|r| u32::from(r.ip)).collect();
     let false_servers = port_servers.difference(&census).count();
     let missed_servers = census.difference(&port_servers).count();
     PortBaseline {
@@ -147,12 +142,7 @@ mod tests {
         &'static WeeklyReport,
         &'static Clusters,
     ) {
-        (
-            testutil::model(),
-            testutil::analyzer(),
-            testutil::reference(),
-            testutil::clusters(),
-        )
+        (testutil::model(), testutil::analyzer(), testutil::reference(), testutil::clusters())
     }
 
     #[test]
@@ -168,14 +158,10 @@ mod tests {
     #[test]
     fn ownership_view_misses_cdn_spread() {
         let (_, _, report, clusters) = setup();
-        let b = as_org_baseline(report, clusters, "akamai.example")
-            .expect("akamai baseline");
+        let b = as_org_baseline(report, clusters, "akamai.example").expect("akamai baseline");
         assert!(b.servers > 0);
         assert_eq!(b.servers, b.in_own_as + b.in_third_party);
-        assert!(
-            b.in_third_party > 0,
-            "CDN footprint should extend beyond its own AS"
-        );
+        assert!(b.in_third_party > 0, "CDN footprint should extend beyond its own AS");
     }
 
     #[test]

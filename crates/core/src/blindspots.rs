@@ -44,22 +44,14 @@ pub struct DomainRecovery {
 
 /// Compute domain recovery from the observed URIs.
 pub fn domain_recovery(report: &WeeklyReport, model: &InternetModel) -> DomainRecovery {
-    let observed: HashSet<&str> = report
-        .census
-        .records
-        .iter()
-        .flat_map(|r| r.uris.iter().map(String::as_str))
-        .collect();
+    let observed: HashSet<&str> =
+        report.census.records.iter().flat_map(|r| r.uris.iter().map(String::as_str)).collect();
     let rate = |n: usize| -> f64 {
         if n == 0 {
             return 0.0;
         }
-        let hit = model
-            .popularity
-            .top(n)
-            .iter()
-            .filter(|s| observed.contains(s.domain.as_str()))
-            .count();
+        let hit =
+            model.popularity.top(n).iter().filter(|s| observed.contains(s.domain.as_str())).count();
         100.0 * hit as f64 / n as f64
     };
     let total = model.popularity.len();
@@ -120,9 +112,9 @@ impl ResolverCampaign {
 /// European-ish country codes considered "near" the vantage point.
 fn near_codes() -> HashSet<&'static str> {
     [
-        "DE", "NL", "FR", "GB", "BE", "LU", "AT", "CH", "CZ", "PL", "DK", "SE", "NO", "FI",
-        "IT", "ES", "PT", "IE", "HU", "SK", "SI", "HR", "RO", "BG", "GR", "EE", "LV", "LT",
-        "UA", "RU", "EU",
+        "DE", "NL", "FR", "GB", "BE", "LU", "AT", "CH", "CZ", "PL", "DK", "SE", "NO", "FI", "IT",
+        "ES", "PT", "IE", "HU", "SK", "SI", "HR", "RO", "BG", "GR", "EE", "LV", "LT", "UA", "RU",
+        "EU",
     ]
     .into_iter()
     .collect()
@@ -137,12 +129,8 @@ pub fn resolver_campaign(
     resolvers_per_domain: usize,
 ) -> ResolverCampaign {
     let model = analyzer.model;
-    let observed: HashSet<&str> = report
-        .census
-        .records
-        .iter()
-        .flat_map(|r| r.uris.iter().map(String::as_str))
-        .collect();
+    let observed: HashSet<&str> =
+        report.census.records.iter().flat_map(|r| r.uris.iter().map(String::as_str)).collect();
     let near = near_codes();
 
     // Which uncovered domains to chase: the paper uses the whole top-1M;
@@ -311,11 +299,7 @@ pub fn validate_footprint_case_study(
     }
 
     // Ground truth ("publicly stated" footprint).
-    let truth_org = model
-        .orgs
-        .iter()
-        .find(|o| o.soa_domain == key)
-        .map(|o| o.id)?;
+    let truth_org = model.orgs.iter().find(|o| o.soa_domain == key).map(|o| o.id)?;
     let mut truth_servers = 0usize;
     let mut truth_ases: HashSet<u32> = HashSet::new();
     for s in model.servers.servers() {

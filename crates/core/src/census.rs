@@ -200,11 +200,7 @@ impl ServerCensus {
         let cleaned = before - records.len();
 
         records.sort_by_key(|r| u32::from(r.ip));
-        let by_ip = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (u32::from(r.ip), i))
-            .collect();
+        let by_ip = records.iter().enumerate().map(|(i, r)| (u32::from(r.ip), i)).collect();
 
         let coverage = MetadataCoverage {
             dns: records.iter().filter(|r| r.hostname.is_some()).count(),

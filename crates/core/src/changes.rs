@@ -39,8 +39,7 @@ pub fn https_trend(study: &StudyReport) -> HttpsTrend {
             HttpsPoint {
                 week: r.snapshot.week,
                 server_share: 100.0 * r.snapshot.https.confirmed as f64 / total as f64,
-                traffic_share: (100.0 * r.snapshot.https.bytes as f64 / peering as f64)
-                    .min(100.0),
+                traffic_share: (100.0 * r.snapshot.https.bytes as f64 / peering as f64).min(100.0),
             }
         })
         .collect();
@@ -83,8 +82,7 @@ pub fn range_series(study: &StudyReport, label: &str) -> RangeSeries {
         .weeks
         .iter()
         .map(|r| {
-            let (count, bytes) =
-                r.snapshot.range_tracking.get(label).copied().unwrap_or((0, 0));
+            let (count, bytes) = r.snapshot.range_tracking.get(label).copied().unwrap_or((0, 0));
             (r.snapshot.week, count, bytes)
         })
         .collect();
@@ -106,12 +104,7 @@ pub struct Ec2Verdict {
 /// Evaluate the EC2-Ireland ramp.
 pub fn ec2_verdict(series: &RangeSeries) -> Ec2Verdict {
     let count_at = |week: u8| -> f64 {
-        series
-            .points
-            .iter()
-            .find(|(w, ..)| w.0 == week)
-            .map(|(_, c, _)| *c as f64)
-            .unwrap_or(0.0)
+        series.points.iter().find(|(w, ..)| w.0 == week).map(|(_, c, _)| *c as f64).unwrap_or(0.0)
     };
     let before = (45..=48).map(count_at).sum::<f64>() / 4.0;
     let after = (49..=51).map(count_at).sum::<f64>() / 3.0;
@@ -134,12 +127,7 @@ pub struct OutageVerdict {
 /// Evaluate the outage signature.
 pub fn outage_verdict(series: &RangeSeries) -> OutageVerdict {
     let get = |week: u8| {
-        series
-            .points
-            .iter()
-            .find(|(w, ..)| w.0 == week)
-            .map(|(_, c, b)| (*c, *b))
-            .unwrap_or((0, 0))
+        series.points.iter().find(|(w, ..)| w.0 == week).map(|(_, c, b)| (*c, *b)).unwrap_or((0, 0))
     };
     let (week43, _) = get(43);
     let (week44, week44_bytes) = get(44);
@@ -215,11 +203,7 @@ mod tests {
         let study = study();
         let trend = https_trend(study);
         assert_eq!(trend.points.len(), 17);
-        assert!(
-            trend.traffic_slope > 0.0,
-            "traffic slope {:.4} not positive",
-            trend.traffic_slope
-        );
+        assert!(trend.traffic_slope > 0.0, "traffic slope {:.4} not positive", trend.traffic_slope);
         for p in &trend.points {
             assert!(p.server_share >= 0.0 && p.server_share <= 100.0);
         }
@@ -255,10 +239,7 @@ mod tests {
         let study = study();
         let series = reseller_series(study);
         assert!(!series.is_empty(), "no resellers tracked");
-        let max_growth = series
-            .iter()
-            .map(|s| s.growth)
-            .fold(0.0f64, f64::max);
+        let max_growth = series.iter().map(|s| s.growth).fold(0.0f64, f64::max);
         assert!(max_growth > 1.2, "no reseller growth detected: {max_growth:.2}");
     }
 

@@ -92,11 +92,7 @@ impl Clusters {
 
     /// Find a cluster by key.
     pub fn by_key(&self, key: &str) -> Option<(u32, &Cluster)> {
-        self.clusters
-            .iter()
-            .enumerate()
-            .find(|(_, c)| c.key == key)
-            .map(|(i, c)| (i as u32, c))
+        self.clusters.iter().enumerate().find(|(_, c)| c.key == key).map(|(i, c)| (i as u32, c))
     }
 }
 
@@ -192,9 +188,7 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
         .servers()
         .map(|(record, geo)| {
             let (host_zone, host_timeout) = match &record.host_soa {
-                SoaOutcome::Identity(id) => {
-                    (Some((id.zone.clone(), id.outsourced())), false)
-                }
+                SoaOutcome::Identity(id) => (Some((id.zone.clone(), id.outsourced())), false),
                 SoaOutcome::None => (None, false),
                 SoaOutcome::Timeout => (None, true),
             };
@@ -278,11 +272,7 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
         let mut prefix_majority: HashMap<u32, HashMap<u32, usize>> = HashMap::new();
         for (a, ev) in assignments.iter().zip(&servers) {
             if let (Some((cid, _)), Some(g)) = (a, ev.geo) {
-                *prefix_majority
-                    .entry(g.prefix_idx)
-                    .or_default()
-                    .entry(*cid)
-                    .or_default() += 1;
+                *prefix_majority.entry(g.prefix_idx).or_default().entry(*cid).or_default() += 1;
             }
         }
         // Only prefixes dominated by one cluster vote their neighbours in —
@@ -316,9 +306,8 @@ pub fn cluster_with(report: &WeeklyReport, dns: &DnsDb, cfg: ClusterConfig) -> C
         }
     }
 
-    let step_counts = [1, 2, 3].map(|step| {
-        assignments.iter().filter(|a| matches!(a, Some((_, s)) if *s == step)).count()
-    });
+    let step_counts = [1, 2, 3]
+        .map(|step| assignments.iter().filter(|a| matches!(a, Some((_, s)) if *s == step)).count());
     let unclustered = assignments.iter().filter(|a| a.is_none()).count();
     Clusters { assignments, clusters: built.finish(), step_counts, unclustered }
 }
@@ -353,17 +342,14 @@ pub fn validate_clusters(
         .filter_map(|(record, _, a)| Some((a?.0, model.servers.by_ip(record.ip)?.org.0)))
         .collect();
     // Majority true-org per cluster.
-    let mut majority: Vec<HashMap<u32, usize>> =
-        vec![HashMap::new(); clusters.clusters.len()];
+    let mut majority: Vec<HashMap<u32, usize>> = vec![HashMap::new(); clusters.clusters.len()];
     for (cid, org) in &owned {
         if let Some(counts) = majority.get_mut(*cid as usize) {
             *counts.entry(*org).or_default() += 1;
         }
     }
-    let majority_org: Vec<Option<u32>> = majority
-        .iter()
-        .map(|m| m.iter().max_by_key(|(_, c)| **c).map(|(org, _)| *org))
-        .collect();
+    let majority_org: Vec<Option<u32>> =
+        majority.iter().map(|m| m.iter().max_by_key(|(_, c)| **c).map(|(org, _)| *org)).collect();
 
     let mut assigned = 0usize;
     let mut wrong = 0usize;
@@ -410,10 +396,7 @@ mod tests {
         assert_eq!(clusters.assignments.len(), report.census.len());
         let total: usize = clusters.clusters.iter().map(|c| c.size).sum();
         assert_eq!(total, clusters.clustered_total());
-        assert_eq!(
-            clusters.clustered_total() + clusters.unclustered,
-            report.census.len()
-        );
+        assert_eq!(clusters.clustered_total() + clusters.unclustered, report.census.len());
         // Each cluster's size, bytes and AS footprint are those of the
         // census records and geo of its members.
         for (cid, c) in clusters.clusters.iter().enumerate() {
@@ -429,10 +412,7 @@ mod tests {
     fn step1_dominates() {
         let (_, _, clusters) = run();
         let shares = clusters.step_shares();
-        assert!(
-            shares[0] > shares[1] && shares[0] > shares[2],
-            "step shares {shares:?}"
-        );
+        assert!(shares[0] > shares[1] && shares[0] > shares[2], "step shares {shares:?}");
         assert!(shares[0] > 40.0, "step 1 share too small: {shares:?}");
     }
 
@@ -462,9 +442,7 @@ mod tests {
     #[test]
     fn akamai_like_cluster_exists_and_spreads() {
         let (_, _, clusters) = run();
-        let (_, akamai) = clusters
-            .by_key("akamai.example")
-            .expect("akamai-like cluster recovered");
+        let (_, akamai) = clusters.by_key("akamai.example").expect("akamai-like cluster recovered");
         assert!(akamai.size > 3);
         assert!(akamai.ases > 2, "akamai cluster in only {} ASes", akamai.ases);
     }

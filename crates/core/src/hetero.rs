@@ -65,10 +65,8 @@ pub fn fig6c(report: &WeeklyReport, clusters: &Clusters, min_servers: usize) -> 
         slot.0 += 1;
         slot.1.insert(cid);
     }
-    let mut points: Vec<(u32, usize, usize)> = per_as
-        .into_iter()
-        .map(|(as_idx, (ips, orgs))| (as_idx, ips, orgs.len()))
-        .collect();
+    let mut points: Vec<(u32, usize, usize)> =
+        per_as.into_iter().map(|(as_idx, (ips, orgs))| (as_idx, ips, orgs.len())).collect();
     // Out of `HashMap` order: renderers list and rank these rows.
     points.sort_unstable_by_key(|&(as_idx, _, _)| as_idx);
     let over_5_orgs = points.iter().filter(|(_, _, orgs)| *orgs > 5).count();
@@ -114,12 +112,7 @@ pub fn link_usage(
         server_ips.insert(u32::from(r.ip));
         *member_bytes.entry(r.member.0).or_default() += r.bytes;
     }
-    let home_member = MemberId(
-        member_bytes
-            .iter()
-            .max_by_key(|(_, b)| **b)
-            .map(|(m, _)| *m)?,
-    );
+    let home_member = MemberId(member_bytes.iter().max_by_key(|(_, b)| **b).map(|(m, _)| *m)?);
 
     // Re-stream the week's feed.
     let mut per_member: HashMap<u32, (u64, u64)> = HashMap::new(); // member -> (direct, other)
@@ -175,8 +168,7 @@ pub fn link_usage(
         .collect();
     points.sort_by_key(|(m, ..)| m.0);
     let off: u64 = per_member.values().map(|(_, other)| *other).sum();
-    let servers_total: HashSet<u32> =
-        servers_direct.union(&servers_other).copied().collect();
+    let servers_total: HashSet<u32> = servers_direct.union(&servers_other).copied().collect();
     Some(Fig7 {
         key: key.to_string(),
         home_member,
@@ -199,12 +191,7 @@ mod tests {
         &'static WeeklyReport,
         &'static Clusters,
     ) {
-        (
-            testutil::model(),
-            testutil::analyzer(),
-            testutil::reference(),
-            testutil::clusters(),
-        )
+        (testutil::model(), testutil::analyzer(), testutil::reference(), testutil::clusters())
     }
 
     #[test]
@@ -228,10 +215,7 @@ mod tests {
         let f = fig6c(report, clusters, 1);
         assert!(!f.points.is_empty());
         // Some AS hosts servers of more than one organization.
-        assert!(
-            f.points.iter().any(|(_, _, orgs)| *orgs > 1),
-            "no AS hosts multiple orgs"
-        );
+        assert!(f.points.iter().any(|(_, _, orgs)| *orgs > 1), "no AS hosts multiple orgs");
         assert!(
             f.points.windows(2).all(|w| w[0].0 < w[1].0),
             "points must come out in AS-index order, not hash order"

@@ -123,9 +123,8 @@ fn classify_reference(payload: &[u8]) -> HttpEvidence<'_> {
     if payload.starts_with(b"HTTP/1.") {
         return HttpEvidence::Response;
     }
-    let has = |names: &[&str]| {
-        names.iter().any(|h| find(payload, format!("{h}: ").as_bytes()).is_some())
-    };
+    let has =
+        |names: &[&str]| names.iter().any(|h| find(payload, format!("{h}: ").as_bytes()).is_some());
     match (has(&REQUEST_HEADERS), has(&RESPONSE_HEADERS)) {
         (_, true) => HttpEvidence::ResponseHeaders,
         (true, false) => HttpEvidence::RequestHeaders { host: extract_host(payload) },

@@ -151,24 +151,26 @@ pub fn churn(study: &StudyReport) -> (Fig4a, Fig4b, Fig4c, Fig5) {
         let mut region_bars: [ChurnBar; 5] = Default::default();
         let regions = region_bars.iter_mut().zip(&mut region_trackers).zip(Region::ALL);
         for ((bar, tracker), region) in regions {
-            let keys = report.servers().filter_map(|(r, g)| {
-                (g?.region == region).then_some(u64::from(u32::from(r.ip)))
-            });
+            let keys = report
+                .servers()
+                .filter_map(|(r, g)| (g?.region == region).then_some(u64::from(u32::from(r.ip))));
             *bar = tracker.week(w, keys);
         }
         fig4b.push(region_bars);
 
         // Fig. 4c (ASes with servers).
-        fig4c.push(as_tracker.week(
-            w,
-            report
-                .snapshot
-                .as_server
-                .iter()
-                .enumerate()
-                .filter(|(_, (ips, _))| *ips > 0)
-                .map(|(i, _)| i as u64),
-        ));
+        fig4c.push(
+            as_tracker.week(
+                w,
+                report
+                    .snapshot
+                    .as_server
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (ips, _))| *ips > 0)
+                    .map(|(i, _)| i as u64),
+            ),
+        );
 
         // Fig. 5 traffic splits.
         let total_bytes: u64 = census.records.iter().map(|r| r.bytes).sum();
@@ -176,11 +178,8 @@ pub fn churn(study: &StudyReport) -> (Fig4a, Fig4b, Fig4c, Fig5) {
         for (r, g) in report.servers() {
             let Some(g) = g else { continue };
             let key = u64::from(u32::from(r.ip));
-            let share = if total_bytes == 0 {
-                0.0
-            } else {
-                100.0 * r.bytes as f64 / total_bytes as f64
-            };
+            let share =
+                if total_bytes == 0 { 0.0 } else { 100.0 * r.bytes as f64 / total_bytes as f64 };
             *region_cell(&mut week5.all, g.region) += share;
             match ip_seen.get(&key) {
                 Some(count) if *count == w => *region_cell(&mut week5.stable, g.region) += share,
@@ -336,6 +335,8 @@ mod tests {
     #[test]
     fn summary_of_a_study_with_no_weeks_is_zero_shares() {
         let s = summary(&Fig4a { bars: vec![] }, &Fig4c { bars: vec![] }, &Fig5 { weeks: vec![] });
-        assert!(s.stable_ip_share + s.recurrent_ip_share + s.fresh_ip_share + s.stable_as_share < 1e-9);
+        assert!(
+            s.stable_ip_share + s.recurrent_ip_share + s.fresh_ip_share + s.stable_as_share < 1e-9
+        );
     }
 }

@@ -3,7 +3,10 @@
 //! EXPERIMENTS.md.
 
 #![deny(clippy::disallowed_types)]
-#![allow(clippy::let_underscore_must_use, reason = "every renderer here does `writeln!` into a `String`, whose `fmt::Write` never returns `Err`")]
+#![allow(
+    clippy::let_underscore_must_use,
+    reason = "every renderer here does `writeln!` into a `String`, whose `fmt::Write` never returns `Err`"
+)]
 
 use std::fmt::Write as _;
 
@@ -44,9 +47,14 @@ pub fn render_table1(report: &WeeklyReport) -> String {
     let _ = writeln!(out, "Table 1 — IXP summary statistics, {}", report.snapshot.week);
     let _ = writeln!(out, "  {:<18} {:>14} {:>14}", "", "peering", "server");
     let _ = writeln!(out, "  {:<18} {:>14} {:>14}", "IPs", t.peering.ips, t.server.ips);
-    let _ = writeln!(out, "  {:<18} {:>14} {:>14}", "prefixes", t.peering.prefixes, t.server.prefixes);
+    let _ =
+        writeln!(out, "  {:<18} {:>14} {:>14}", "prefixes", t.peering.prefixes, t.server.prefixes);
     let _ = writeln!(out, "  {:<18} {:>14} {:>14}", "ASes", t.peering.ases, t.server.ases);
-    let _ = writeln!(out, "  {:<18} {:>14} {:>14}", "countries", t.peering.countries, t.server.countries);
+    let _ = writeln!(
+        out,
+        "  {:<18} {:>14} {:>14}",
+        "countries", t.peering.countries, t.server.countries
+    );
     out
 }
 
@@ -150,9 +158,7 @@ pub fn render_ingest_health(report: &WeeklyReport) -> String {
     let _ = writeln!(
         out,
         "  {:<28} {:>12}   ({} quarantined)",
-        "sources seen",
-        c.sources,
-        c.quarantined_sources
+        "sources seen", c.sources, c.quarantined_sources
     );
     for (kind, n) in c.decode_errors.iter() {
         if n > 0 {
@@ -184,12 +190,7 @@ pub fn render_ingest_health(report: &WeeklyReport) -> String {
             thousands(h.shed)
         );
     }
-    let _ = writeln!(
-        out,
-        "  {:<28} {:>12.4}",
-        "loss compensation factor",
-        h.compensation_factor()
-    );
+    let _ = writeln!(out, "  {:<28} {:>12.4}", "loss compensation factor", h.compensation_factor());
     let _ = writeln!(
         out,
         "  accounting invariant (ingested = accepted + duplicates + errors + shed): {}",

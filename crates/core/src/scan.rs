@@ -64,7 +64,10 @@ pub struct FilterReport {
 
 impl FilterReport {
     /// Estimate for one category.
-    #[allow(clippy::indexing_slicing, reason = "Category's discriminants are 0..ALL.len(), the length of totals")]
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "Category's discriminants are 0..ALL.len(), the length of totals"
+    )]
     pub fn get(&self, cat: Category) -> TrafficEstimate {
         self.totals[cat as usize]
     }
@@ -84,7 +87,10 @@ impl FilterReport {
         self.get(cat).share_of(&self.total())
     }
 
-    #[allow(clippy::indexing_slicing, reason = "Category's discriminants are 0..ALL.len(), the length of totals")]
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "Category's discriminants are 0..ALL.len(), the length of totals"
+    )]
     fn add(&mut self, cat: Category, rate: u32, frame_len: u32) {
         self.totals[cat as usize].add_raw(rate, frame_len);
     }
@@ -122,8 +128,7 @@ impl Evidence {
 
     /// Number of distinct well-known service ports seen.
     pub fn service_port_count(&self) -> u32 {
-        (self.0 & (Self::PORT_80 | Self::PORT_8080 | Self::PORT_443 | Self::PORT_1935))
-            .count_ones()
+        (self.0 & (Self::PORT_80 | Self::PORT_8080 | Self::PORT_443 | Self::PORT_1935)).count_ones()
     }
 }
 
@@ -280,7 +285,10 @@ impl DomainTable {
     }
 
     /// Resolve an id.
-    #[allow(clippy::indexing_slicing, reason = "ids come from intern(), and restore_state rejects a uri id >= domain_count")]
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "ids come from intern(), and restore_state rejects a uri id >= domain_count"
+    )]
     pub fn name(&self, id: u32) -> &str {
         &self.names[id as usize]
     }
@@ -555,7 +563,10 @@ impl WeekScan {
     /// collector: duplicates are suppressed, sequence gaps are accounted as
     /// loss, and decode failures are counted by kind — never silently
     /// dropped.
-    #[allow(clippy::indexing_slicing, reason = "n < APPLY_BATCH at pending[n], since it is reset on reaching it, so n <= APPLY_BATCH at pending[..n]")]
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "n < APPLY_BATCH at pending[n], since it is reset on reaching it, so n <= APPLY_BATCH at pending[..n]"
+    )]
     pub fn ingest(&mut self, datagram_bytes: &[u8]) {
         let dg = match self.collector.ingest_view(datagram_bytes) {
             Ingest::Accepted(dg) => dg,
@@ -836,16 +847,9 @@ fn tcp_frame(src_member: u32, dst_member: u32, payload: &[u8], dst_port: u16) ->
     .unwrap();
     let l4 = &mut buf[ethernet::HEADER_LEN + ipv4::HEADER_LEN..];
     l4[tcp::HEADER_LEN..].copy_from_slice(payload);
-    tcp::Repr {
-        src_port: 40000,
-        dst_port,
-        seq: 0,
-        ack: 0,
-        flags: tcp::Flags::ACK,
-        window: 1000,
-    }
-    .emit(&mut tcp::Packet::new_unchecked(&mut l4[..]), src_ip, dst_ip)
-    .unwrap();
+    tcp::Repr { src_port: 40000, dst_port, seq: 0, ack: 0, flags: tcp::Flags::ACK, window: 1000 }
+        .emit(&mut tcp::Packet::new_unchecked(&mut l4[..]), src_ip, dst_ip)
+        .unwrap();
     buf
 }
 
@@ -922,9 +926,11 @@ mod tests {
     #[test]
     fn filter_shares_sum_to_100() {
         let mut scan = WeekScan::new(Week::REFERENCE, 10);
-        for (port, payload) in
-            [(80u16, &b"GET / HTTP/1.1\r\n"[..]), (443, &[0x16, 0x03, 0x03][..]), (25, &[0x80u8][..])]
-        {
+        for (port, payload) in [
+            (80u16, &b"GET / HTTP/1.1\r\n"[..]),
+            (443, &[0x16, 0x03, 0x03][..]),
+            (25, &[0x80u8][..]),
+        ] {
             let frame = tcp_frame(1, 2, payload, port);
             scan.ingest_sample(16_384, frame.len() as u32, &frame);
         }

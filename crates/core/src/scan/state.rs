@@ -175,7 +175,12 @@ impl WeekScan {
         let ranges = self.address_ranges(split);
         let collector = self.collector.save_state();
         let names: usize = self.domains.names.iter().map(|n| 8 + n.len()).sum();
-        let len = 25 + 24 * Category::ALL.len() + 8 + names + 8 + ranges.bytes()
+        let len = 25
+            + 24 * Category::ALL.len()
+            + 8
+            + names
+            + 8
+            + ranges.bytes()
             + 8 * self.tally.fields().len()
             + collector.len();
         let mut out = Vec::with_capacity(len);
@@ -290,8 +295,7 @@ impl WeekScan {
         scan.shed = cur.u64()?;
         scan.undissectable = cur.u64()?;
         for total in &mut scan.filter.totals {
-            *total =
-                TrafficEstimate { samples: cur.u64()?, frames: cur.u64()?, bytes: cur.u64()? };
+            *total = TrafficEstimate { samples: cur.u64()?, frames: cur.u64()?, bytes: cur.u64()? };
         }
         let n_domains = cur.count(8)?;
         for id in 0..n_domains {
@@ -387,12 +391,21 @@ fn read_rows_beside<'a>(
     n_ips: usize,
     bounds: RowBounds,
 ) -> RowsRead<'a> {
-    #[allow(clippy::disallowed_methods, reason = "one sender, one receiver: chunks arrive in row order")]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "one sender, one receiver: chunks arrive in row order"
+    )]
     let (full_tx, full_rx) = std::sync::mpsc::sync_channel::<Vec<(u32, IpStats)>>(1);
-    #[allow(clippy::disallowed_methods, reason = "one sender, one receiver, and every buffer is alike")]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "one sender, one receiver, and every buffer is alike"
+    )]
     let (empty_tx, empty_rx) = std::sync::mpsc::sync_channel(RESTORE_BUFFERS);
     for _ in 0..RESTORE_BUFFERS {
-        #[allow(clippy::let_underscore_must_use, reason = "the receiver is alive and has room for every buffer")]
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "the receiver is alive and has room for every buffer"
+        )]
         let _ = empty_tx.send(Vec::with_capacity(n_ips.min(RESTORE_CHUNK)));
     }
     let parse = move || {
@@ -418,7 +431,10 @@ fn read_rows_beside<'a>(
             for (ip, stats) in chunk.drain(..) {
                 ips.insert(ip, stats);
             }
-            #[allow(clippy::let_underscore_must_use, reason = "fails once the helper has sent its last chunk and returned; the buffer is then dropped")]
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "fails once the helper has sent its last chunk and returned; the buffer is then dropped"
+            )]
             let _ = empty_tx.send(chunk);
         }
     };

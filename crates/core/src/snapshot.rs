@@ -12,9 +12,7 @@ use std::collections::{hash_map, BTreeMap};
 use std::net::Ipv4Addr;
 use std::sync::{Mutex, PoisonError};
 
-use ixp_netmodel::{
-    CountryId, InternetModel, Locality, MemberId, Region, Week,
-};
+use ixp_netmodel::{CountryId, InternetModel, Locality, MemberId, Region, Week};
 use ixp_sflow::TrafficEstimate;
 
 use crate::beside;
@@ -321,11 +319,7 @@ fn walk<const N: usize>(
 impl WeeklySnapshot {
     /// Aggregate a finished scan + census. The walk over the scan's table
     /// runs on the caller and one helper thread.
-    pub fn build(
-        scan: &WeekScan,
-        census: &ServerCensus,
-        model: &InternetModel,
-    ) -> WeeklySnapshot {
+    pub fn build(scan: &WeekScan, census: &ServerCensus, model: &InternetModel) -> WeeklySnapshot {
         let (peering, ()) = peering_walk::<CHUNK, ()>(scan, model, || ());
         WeeklySnapshot::from_peering(scan, census, model, peering)
     }
@@ -566,10 +560,8 @@ mod tests {
         server_view.prefixes = prefix_server.iter().filter(|b| **b).count() as u64;
         peering.ases = as_peering.iter().filter(|(ips, _)| *ips > 0).count() as u64;
         server_view.ases = as_server.iter().filter(|(ips, _)| *ips > 0).count() as u64;
-        peering.countries =
-            country_peering.iter().filter(|(ips, _)| *ips > 0).count() as u64;
-        server_view.countries =
-            country_server.iter().filter(|(ips, _)| *ips > 0).count() as u64;
+        peering.countries = country_peering.iter().filter(|(ips, _)| *ips > 0).count() as u64;
+        server_view.countries = country_server.iter().filter(|(ips, _)| *ips > 0).count() as u64;
         for (i, (ips, _)) in as_peering.iter().enumerate() {
             if *ips > 0 {
                 peering_loc.ases[loc_idx(locality[i])] += 1;

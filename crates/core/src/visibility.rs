@@ -61,11 +61,8 @@ fn top_n<'a>(
     label: impl Fn(usize) -> &'a str,
     n: usize,
 ) -> Vec<RankedEntry> {
-    let mut rows: Vec<(&str, u64)> = values
-        .enumerate()
-        .filter(|(_, v)| *v > 0)
-        .map(|(i, v)| (label(i), v))
-        .collect();
+    let mut rows: Vec<(&str, u64)> =
+        values.enumerate().filter(|(_, v)| *v > 0).map(|(i, v)| (label(i), v)).collect();
     let total: u64 = rows.iter().map(|(_, v)| v).sum();
     let by_rank = |a: &(&str, u64), b: &(&str, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0));
     if rows.len() > n {
@@ -122,12 +119,7 @@ pub struct Table3 {
 /// Produce Table 3.
 pub fn table3(s: &WeeklySnapshot) -> Table3 {
     let rows = |l: &crate::snapshot::LocalitySplit| {
-        [
-            l.shares(|x| x.ips),
-            l.shares(|x| x.prefixes),
-            l.shares(|x| x.ases),
-            l.shares(|x| x.bytes),
-        ]
+        [l.shares(|x| x.ips), l.shares(|x| x.prefixes), l.shares(|x| x.ases), l.shares(|x| x.bytes)]
     };
     Table3 { peering: rows(&s.peering_locality), server: rows(&s.server_locality) }
 }

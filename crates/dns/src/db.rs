@@ -163,12 +163,8 @@ mod tests {
     #[test]
     fn ptr_coverage_tracks_flags() {
         let (model, db) = build();
-        let with_flag = model
-            .servers
-            .servers()
-            .iter()
-            .filter(|s| s.flags.has(ServerFlags::HAS_PTR))
-            .count();
+        let with_flag =
+            model.servers.servers().iter().filter(|s| s.flags.has(ServerFlags::HAS_PTR)).count();
         assert_eq!(db.ptr_count(), with_flag);
     }
 
@@ -233,12 +229,8 @@ mod tests {
     #[test]
     fn some_deep_cdn_servers_time_out() {
         let (model, db) = build();
-        let timeouts = model
-            .servers
-            .servers()
-            .iter()
-            .filter(|s| db.soa_of_ip(s.ip).is_err())
-            .count();
+        let timeouts =
+            model.servers.servers().iter().filter(|s| db.soa_of_ip(s.ip).is_err()).count();
         assert!(timeouts > 0, "no step-3 population generated");
     }
 

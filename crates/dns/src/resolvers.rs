@@ -256,11 +256,8 @@ impl ResolverPool {
         };
         let servers = model.servers.servers();
         let answer_from = |pool: &[u32], salt: usize| -> Vec<Ipv4Addr> {
-            let live: Vec<u32> = pool
-                .iter()
-                .copied()
-                .filter(|i| servers[*i as usize].exists_in(week))
-                .collect();
+            let live: Vec<u32> =
+                pool.iter().copied().filter(|i| servers[*i as usize].exists_in(week)).collect();
             if live.is_empty() {
                 return Vec::new();
             }
@@ -275,10 +272,7 @@ impl ResolverPool {
                 return local_answer;
             }
         }
-        self.org_servers
-            .get(&org)
-            .map(|pool| answer_from(pool, k))
-            .unwrap_or_default()
+        self.org_servers.get(&org).map(|pool| answer_from(pool, k)).unwrap_or_default()
     }
 
     /// The retry budget queries run under.
@@ -423,20 +417,14 @@ mod tests {
     #[test]
     fn unknown_domains_get_no_answer() {
         let (model, pool) = build();
-        assert!(pool
-            .resolve(&model, "no-such-domain.example", 0, Week::REFERENCE)
-            .is_empty());
+        assert!(pool.resolve(&model, "no-such-domain.example", 0, Week::REFERENCE).is_empty());
     }
 
     #[test]
     fn different_resolvers_harvest_different_subsets() {
         let (model, pool) = build();
         // Use a big org so the answer pool is large.
-        let org = model
-            .orgs
-            .iter()
-            .max_by_key(|o| o.target_servers)
-            .unwrap();
+        let org = model.orgs.iter().max_by_key(|o| o.target_servers).unwrap();
         let mut all: Vec<Ipv4Addr> = Vec::new();
         for k in 0..40 {
             all.extend(pool.resolve(&model, &org.domains[0], k, Week::REFERENCE));
@@ -552,8 +540,7 @@ mod tests {
     fn unknown_domain_is_an_answer_not_a_failure() {
         let (model, pool) = build();
         let q = Quarantine::new(2);
-        let out =
-            pool.resolve_with_retry(&model, "no-such-domain.example", 0, Week::REFERENCE, &q);
+        let out = pool.resolve_with_retry(&model, "no-such-domain.example", 0, Week::REFERENCE, &q);
         // The resolver responded (with an empty answer) — no failover spiral.
         assert!(out.answers.is_empty());
         assert!(out.resolver.is_some());

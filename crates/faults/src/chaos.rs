@@ -248,11 +248,7 @@ mod tests {
         let original = vec![0u8; 64];
         let mut flipped = original.clone();
         flip_bit(&mut flipped, 9);
-        let differing: u32 = original
-            .iter()
-            .zip(&flipped)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
+        let differing: u32 = original.iter().zip(&flipped).map(|(a, b)| (a ^ b).count_ones()).sum();
         assert_eq!(differing, 1);
         let mut empty: Vec<u8> = Vec::new();
         flip_bit(&mut empty, 9);

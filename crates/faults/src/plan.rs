@@ -319,8 +319,7 @@ mod tests {
     fn restart_renumbers_from_one() {
         let cfg = FaultConfig { seed: 1, restarts: vec![(0, 11)], ..FaultConfig::default() };
         let out: Vec<Vec<u8>> = FaultPlan::new(feed(20).into_iter(), cfg).collect();
-        let seqs: Vec<u32> =
-            out.iter().map(|d| Datagram::decode(d).unwrap().sequence).collect();
+        let seqs: Vec<u32> = out.iter().map(|d| Datagram::decode(d).unwrap().sequence).collect();
         let expected: Vec<u32> = (1..=10u32).chain(1..=10).collect();
         assert_eq!(seqs, expected);
     }
@@ -360,10 +359,8 @@ mod tests {
     fn reordered_datagrams_all_arrive() {
         let cfg = FaultConfig { seed: 11, reorder: 0.5, ..FaultConfig::default() };
         let mut plan = FaultPlan::new(feed(100).into_iter(), cfg);
-        let mut seqs: Vec<u32> = plan
-            .by_ref()
-            .map(|d| Datagram::decode(&d).unwrap().sequence)
-            .collect();
+        let mut seqs: Vec<u32> =
+            plan.by_ref().map(|d| Datagram::decode(&d).unwrap().sequence).collect();
         assert!(plan.stats().reordered > 0);
         seqs.sort_unstable();
         assert_eq!(seqs, (1..=100u32).collect::<Vec<_>>());

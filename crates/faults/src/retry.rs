@@ -94,9 +94,8 @@ mod tests {
 
     #[test]
     fn retries_until_success() {
-        let (v, log) = retry_with_backoff(RetryPolicy::default(), |round| {
-            (round == 2).then_some("up")
-        });
+        let (v, log) =
+            retry_with_backoff(RetryPolicy::default(), |round| (round == 2).then_some("up"));
         assert_eq!(v, Some("up"));
         assert_eq!(log.attempts, 3);
         // 3 attempts à 25ms + backoffs 50 + 100.

@@ -144,7 +144,8 @@ mod tests {
 
     #[test]
     fn plans_replay_bit_for_bit() {
-        let cfg = WireFaultConfig { seed: 3, drop: 0.1, duplicate: 0.1, reorder: 0.1, truncate: 0.1 };
+        let cfg =
+            WireFaultConfig { seed: 3, drop: 0.1, duplicate: 0.1, reorder: 0.1, truncate: 0.1 };
         let a: Vec<_> = WirePlan::new(feed(500).into_iter(), cfg.clone()).collect();
         let b: Vec<_> = WirePlan::new(feed(500).into_iter(), cfg).collect();
         assert_eq!(a, b);

@@ -124,7 +124,12 @@ impl ClientPool {
     /// Clients live in the *upper three quarters* of each prefix, disjoint
     /// from the server allocator's zone, so an IP is never accidentally
     /// both.
-    pub fn locate_in(&self, routing: &RoutingSnapshot, as_idx: u32, local: u64) -> Option<Ipv4Addr> {
+    pub fn locate_in(
+        &self,
+        routing: &RoutingSnapshot,
+        as_idx: u32,
+        local: u64,
+    ) -> Option<Ipv4Addr> {
         debug_assert!(local < self.population(as_idx));
         let prefixes = routing.prefixes_at(as_idx);
         if prefixes.is_empty() {
@@ -137,9 +142,7 @@ impl ClientPool {
         let entry = routing.entry(p);
         let size = entry.prefix.size();
         let zone = (size - size / 4).max(1);
-        let scrambled = local
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(17);
+        let scrambled = local.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
         let offset = size / 4 + scrambled % zone;
         Some(entry.prefix.addr_at(offset))
     }
@@ -207,9 +210,7 @@ impl ClientPool {
         let entry = routing.entry(p);
         let size = entry.prefix.size();
         let zone = (size - size / 4).max(1);
-        let scrambled = local
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(17);
+        let scrambled = local.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
         let offset = size / 4 + scrambled % zone;
         Some(entry.prefix.addr_at(offset))
     }

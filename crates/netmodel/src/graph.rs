@@ -38,11 +38,7 @@ pub struct AsGraph {
 
 impl AsGraph {
     /// Build the topology for a generated registry.
-    pub fn build(
-        registry: &AsRegistry,
-        countries: &CountryTable,
-        seed: u64,
-    ) -> AsGraph {
+    pub fn build(registry: &AsRegistry, countries: &CountryTable, seed: u64) -> AsGraph {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_0002);
         let n = registry.len();
 
@@ -199,10 +195,7 @@ impl AsGraph {
 
 /// Multi-source BFS from the member set over the undirected provider graph,
 /// also propagating the gateway member along BFS tree edges.
-fn bfs_from_members(
-    registry: &AsRegistry,
-    providers: &[Vec<u32>],
-) -> (Vec<u8>, Vec<MemberId>) {
+fn bfs_from_members(registry: &AsRegistry, providers: &[Vec<u32>]) -> (Vec<u8>, Vec<MemberId>) {
     let n = registry.len();
     // Undirected adjacency.
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -269,10 +262,7 @@ mod tests {
                 assert_eq!(graph.distance(&registry, *asn), Some(0));
             }
             // By the last week every member counts as A(L).
-            assert_eq!(
-                graph.locality_at(&registry, *asn, Week::LAST),
-                Some(Locality::Member)
-            );
+            assert_eq!(graph.locality_at(&registry, *asn, Week::LAST), Some(Locality::Member));
         }
     }
 

@@ -58,12 +58,10 @@ impl InternetModel {
         let registry = AsRegistry::generate(&scale, &countries, seed);
         let graph = AsGraph::build(&registry, &countries, seed);
         let routing = RoutingSnapshot::generate(&scale, &registry, seed);
-        let peering =
-            PeeringMatrix::generate(scale.members_end as usize, 0.91, seed);
+        let peering = PeeringMatrix::generate(scale.members_end as usize, 0.91, seed);
         let orgs = OrgCatalog::generate(&scale, &registry, seed);
-        let servers = ServerCatalog::generate(
-            &scale, &registry, &routing, &orgs, &graph, &countries, seed,
-        );
+        let servers =
+            ServerCatalog::generate(&scale, &registry, &routing, &orgs, &graph, &countries, seed);
         let clients = ClientPool::build(&scale, &registry);
         let popularity = PopularityList::build(&orgs, seed);
         InternetModel {
@@ -120,10 +118,8 @@ mod tests {
             if s.flags.has(ServerFlags::HIDDEN) {
                 continue;
             }
-            let entry = model
-                .routing
-                .resolve(s.ip)
-                .unwrap_or_else(|| panic!("server {} unrouted", s.ip));
+            let entry =
+                model.routing.resolve(s.ip).unwrap_or_else(|| panic!("server {} unrouted", s.ip));
             assert_eq!(entry.origin, s.asn, "server {} in wrong AS", s.ip);
         }
     }
@@ -132,10 +128,7 @@ mod tests {
     fn every_server_as_has_a_gateway() {
         let model = InternetModel::tiny(99);
         for s in model.servers.servers() {
-            let gw = model
-                .graph
-                .gateway(&model.registry, s.asn, Week::REFERENCE)
-                .expect("gateway");
+            let gw = model.graph.gateway(&model.registry, s.asn, Week::REFERENCE).expect("gateway");
             assert!((gw.0 as usize) < model.scale.members_end as usize);
         }
     }

@@ -206,9 +206,7 @@ impl OrgCatalog {
                 None
             };
             let n_domains = domain_count(kind, size, &mut rng);
-            let domains = (0..n_domains)
-                .map(|k| format!("www{k}.{soa_domain}"))
-                .collect();
+            let domains = (0..n_domains).map(|k| format!("www{k}.{soa_domain}")).collect();
             orgs.push(Organization {
                 id,
                 name,
@@ -305,33 +303,29 @@ enum SpreadSpec {
 fn archetype_specs() -> Vec<ArchetypeSpec> {
     use Archetype::*;
     use OrgKind::*;
-    let spec = |archetype,
+    let spec =
+        |archetype, name, kind, home_asn, server_share, spread, home_share, traffic_multiplier| {
+            ArchetypeSpec {
+                archetype,
                 name,
                 kind,
                 home_asn,
                 server_share,
-                spread,
+                spread: SpreadSpec::Absolute(spread),
                 home_share,
-                traffic_multiplier| ArchetypeSpec {
-        archetype,
-        name,
-        kind,
-        home_asn,
-        server_share,
-        spread: SpreadSpec::Absolute(spread),
-        home_share,
-        traffic_multiplier,
-        https_share: 0.22,
-        multi_port_share: 0.2,
-        client_share: 0.08,
-        ptr_share: 0.95,
-        uri_share: 0.8,
-        front_ends: 2,
-        publishes_ranges: false,
-        dns_provider: None,
-        domains: 40,
-        hidden_footprint: 0.0,
-    };
+                traffic_multiplier,
+                https_share: 0.22,
+                multi_port_share: 0.2,
+                client_share: 0.08,
+                ptr_share: 0.95,
+                uri_share: 0.8,
+                front_ends: 2,
+                publishes_ranges: false,
+                dns_provider: None,
+                domains: 40,
+                hidden_footprint: 0.0,
+            }
+        };
 
     let mut specs = vec![
         // Akamai-like: 28K of 1.49M server IPs (1.88 %) in 278 ASes; the
@@ -343,7 +337,16 @@ fn archetype_specs() -> Vec<ArchetypeSpec> {
             front_ends: 6,
             hidden_footprint: 2.6,
             domains: 400, // serves many customer domains
-            ..spec(Akamai, "Akamai-like", Cdn, Some(well_known::AKAMAI_LIKE), 0.0188, 278, 0.28, 14.0)
+            ..spec(
+                Akamai,
+                "Akamai-like",
+                Cdn,
+                Some(well_known::AKAMAI_LIKE),
+                0.0188,
+                278,
+                0.28,
+                14.0,
+            )
         },
         // Google-like: 11.5K server IPs (0.77 %), mostly own ASes plus
         // cache deployments in eyeballs.
@@ -351,27 +354,72 @@ fn archetype_specs() -> Vec<ArchetypeSpec> {
             https_share: 0.6,
             front_ends: 5,
             hidden_footprint: 0.8,
-            ..spec(Google, "Google-like", Content, Some(well_known::GOOGLE_LIKE), 0.0077, 120, 0.55, 16.0)
+            ..spec(
+                Google,
+                "Google-like",
+                Content,
+                Some(well_known::GOOGLE_LIKE),
+                0.0077,
+                120,
+                0.55,
+                16.0,
+            )
         },
         ArchetypeSpec {
             // Fig. 6c: ≈ 40K+ server IPs hosting content of 350+ orgs.
             dns_provider: Some(0),
             domains: 1200,
-            ..spec(BigHoster, "BigWebHoster-like", Hoster, Some(well_known::BIG_HOSTER), 0.060, 3, 0.97, 1.1)
+            ..spec(
+                BigHoster,
+                "BigWebHoster-like",
+                Hoster,
+                Some(well_known::BIG_HOSTER),
+                0.060,
+                3,
+                0.97,
+                1.1,
+            )
         },
         ArchetypeSpec {
             domains: 700,
-            ..spec(HosterB, "MassHosterB-like", Hoster, Some(well_known::HETZNER_LIKE), 0.034, 2, 0.97, 3.2)
+            ..spec(
+                HosterB,
+                "MassHosterB-like",
+                Hoster,
+                Some(well_known::HETZNER_LIKE),
+                0.034,
+                2,
+                0.97,
+                3.2,
+            )
         },
         ArchetypeSpec {
             domains: 700,
-            ..spec(HosterC, "MassHosterC-like", Hoster, Some(well_known::OVH_LIKE), 0.034, 3, 0.96, 1.6)
+            ..spec(
+                HosterC,
+                "MassHosterC-like",
+                Hoster,
+                Some(well_known::OVH_LIKE),
+                0.034,
+                3,
+                0.96,
+                1.6,
+            )
         },
         ArchetypeSpec {
             https_share: 0.7,
             front_ends: 8,
             domains: 500,
-            ..spec(CloudFlare, "CloudFlare-like", DataCenterCdn, Some(well_known::CLOUDFLARE_LIKE), 0.010, 2, 0.98, 6.0)
+            ..spec(
+                CloudFlare,
+                "CloudFlare-like",
+                DataCenterCdn,
+                Some(well_known::CLOUDFLARE_LIKE),
+                0.010,
+                2,
+                0.98,
+                6.0,
+            )
         },
         ArchetypeSpec {
             publishes_ranges: true,
@@ -390,26 +438,71 @@ fn archetype_specs() -> Vec<ArchetypeSpec> {
             publishes_ranges: true,
             https_share: 0.5,
             front_ends: 3,
-            ..spec(StormCloud, "StormCloud-like", Cloud, Some(well_known::STORMCLOUD), 0.0094, 2, 0.97, 2.2)
+            ..spec(
+                StormCloud,
+                "StormCloud-like",
+                Cloud,
+                Some(well_known::STORMCLOUD),
+                0.0094,
+                2,
+                0.97,
+                2.2,
+            )
         },
         ArchetypeSpec {
             front_ends: 4,
             uri_share: 0.7,
-            ..spec(VKontakte, "VKontakte-like", Content, Some(well_known::VKONTAKTE_LIKE), 0.005, 2, 0.9, 11.0)
+            ..spec(
+                VKontakte,
+                "VKontakte-like",
+                Content,
+                Some(well_known::VKONTAKTE_LIKE),
+                0.005,
+                2,
+                0.9,
+                11.0,
+            )
         },
         ArchetypeSpec {
             domains: 500,
-            ..spec(Leaseweb, "Leaseweb-like", Hoster, Some(well_known::LEASEWEB_LIKE), 0.020, 3, 0.95, 2.6)
+            ..spec(
+                Leaseweb,
+                "Leaseweb-like",
+                Hoster,
+                Some(well_known::LEASEWEB_LIKE),
+                0.020,
+                3,
+                0.95,
+                2.6,
+            )
         },
         ArchetypeSpec {
             client_share: 0.5, // heavy machine-to-machine CDN traffic
             front_ends: 3,
-            ..spec(Limelight, "Limelight-like", Cdn, Some(well_known::LIMELIGHT_LIKE), 0.006, 40, 0.5, 5.5)
+            ..spec(
+                Limelight,
+                "Limelight-like",
+                Cdn,
+                Some(well_known::LIMELIGHT_LIKE),
+                0.006,
+                40,
+                0.5,
+                5.5,
+            )
         },
         ArchetypeSpec {
             client_share: 0.5,
             front_ends: 3,
-            ..spec(EdgeCast, "EdgeCast-like", Cdn, Some(well_known::EDGECAST_LIKE), 0.005, 30, 0.5, 5.0)
+            ..spec(
+                EdgeCast,
+                "EdgeCast-like",
+                Cdn,
+                Some(well_known::EDGECAST_LIKE),
+                0.005,
+                30,
+                0.5,
+                5.0,
+            )
         },
         ArchetypeSpec {
             // CDN77-like: no ASN; every server IP is published (§5.1).
@@ -449,19 +542,18 @@ impl ArchetypeSpec {
         _rng: &mut SmallRng,
     ) -> Organization {
         let SpreadSpec::Absolute(spread) = self.spread;
-        let soa_domain = format!(
-            "{}.example",
-            self.name.to_lowercase().replace("-like", "").replace(' ', "")
-        );
-        let domains = (0..self.domains)
-            .map(|k| {
-                if k == 0 {
-                    format!("www.{soa_domain}")
-                } else {
-                    format!("cust{k}.{soa_domain}")
-                }
-            })
-            .collect();
+        let soa_domain =
+            format!("{}.example", self.name.to_lowercase().replace("-like", "").replace(' ', ""));
+        let domains =
+            (0..self.domains)
+                .map(|k| {
+                    if k == 0 {
+                        format!("www.{soa_domain}")
+                    } else {
+                        format!("cust{k}.{soa_domain}")
+                    }
+                })
+                .collect();
         Organization {
             id,
             name: self.name.to_string(),
@@ -498,10 +590,8 @@ fn power_law_sizes(total: u32, count: usize, rng: &mut SmallRng) -> Vec<u32> {
         })
         .collect();
     let raw_sum: f64 = raw.iter().sum();
-    let mut sizes: Vec<u32> = raw
-        .iter()
-        .map(|r| ((r / raw_sum) * f64::from(total)).round() as u32)
-        .collect();
+    let mut sizes: Vec<u32> =
+        raw.iter().map(|r| ((r / raw_sum) * f64::from(total)).round() as u32).collect();
     // Everybody runs at least one server; rebalance the delta on the head.
     for s in sizes.iter_mut() {
         if *s == 0 {
@@ -618,9 +708,8 @@ mod tests {
         let (catalog, _) = build();
         use Archetype::*;
         for a in [
-            Akamai, Google, BigHoster, HosterB, HosterC, CloudFlare, Amazon, Netflix,
-            StormCloud, VKontakte, Leaseweb, Limelight, EdgeCast, Cdn77, Rapidshare, Link11,
-            Kartina, Eweka,
+            Akamai, Google, BigHoster, HosterB, HosterC, CloudFlare, Amazon, Netflix, StormCloud,
+            VKontakte, Leaseweb, Limelight, EdgeCast, Cdn77, Rapidshare, Link11, Kartina, Eweka,
         ] {
             let org = catalog.archetype(a);
             assert!(org.target_servers > 0, "{a:?} has no servers");

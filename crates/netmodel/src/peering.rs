@@ -64,9 +64,7 @@ impl PeeringMatrix {
 
     /// Number of peers of a member.
     pub fn peer_count(&self, a: MemberId) -> usize {
-        (0..self.n as u32)
-            .filter(|b| *b != a.0 && self.peers(a, MemberId(*b)))
-            .count()
+        (0..self.n as u32).filter(|b| *b != a.0 && self.peers(a, MemberId(*b))).count()
     }
 }
 
@@ -79,10 +77,7 @@ mod tests {
         let m = PeeringMatrix::generate(50, 0.9, 1);
         for a in 0..50u32 {
             for b in 0..50u32 {
-                assert_eq!(
-                    m.peers(MemberId(a), MemberId(b)),
-                    m.peers(MemberId(b), MemberId(a))
-                );
+                assert_eq!(m.peers(MemberId(a), MemberId(b)), m.peers(MemberId(b), MemberId(a)));
             }
         }
     }

@@ -40,8 +40,7 @@ impl PopularityList {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_0006);
         let mut scored: Vec<(f64, String, OrgId)> = Vec::new();
         for org in orgs.iter() {
-            let org_score =
-                org.traffic_multiplier * (1.0 + f64::from(org.target_servers)).ln();
+            let org_score = org.traffic_multiplier * (1.0 + f64::from(org.target_servers)).ln();
             for (k, domain) in org.domains.iter().enumerate() {
                 // Within an org the first domains are the flagship sites.
                 let within = 1.0 / (1.0 + k as f64).powf(0.7);
@@ -115,15 +114,9 @@ mod tests {
     fn head_is_dominated_by_heavy_orgs() {
         let (list, orgs) = build();
         let head = list.top(list.len() / 10);
-        let head_mult: f64 = head
-            .iter()
-            .map(|s| orgs.get(s.org).traffic_multiplier)
-            .sum::<f64>()
+        let head_mult: f64 = head.iter().map(|s| orgs.get(s.org).traffic_multiplier).sum::<f64>()
             / head.len() as f64;
-        let all_mult: f64 = list
-            .iter()
-            .map(|s| orgs.get(s.org).traffic_multiplier)
-            .sum::<f64>()
+        let all_mult: f64 = list.iter().map(|s| orgs.get(s.org).traffic_multiplier).sum::<f64>()
             / list.len() as f64;
         assert!(head_mult > all_mult, "head {head_mult:.2} vs all {all_mult:.2}");
     }

@@ -297,10 +297,7 @@ mod tests {
         let (_, routing, scale) = build();
         let target = scale.prefix_count as f64;
         let got = routing.len() as f64;
-        assert!(
-            (got - target).abs() / target < 0.20,
-            "got {got} prefixes, target {target}"
-        );
+        assert!((got - target).abs() / target < 0.20, "got {got} prefixes, target {target}");
     }
 
     #[test]

@@ -258,8 +258,7 @@ impl AsRegistry {
     }
 
     fn rebuild_index(&mut self) {
-        self.by_asn =
-            self.infos.iter().enumerate().map(|(i, a)| (a.asn, i as u32)).collect();
+        self.by_asn = self.infos.iter().enumerate().map(|(i, a)| (a.asn, i as u32)).collect();
     }
 
     /// Pick the member ASes: every archetype, plus role/geography-biased
@@ -285,9 +284,8 @@ impl AsRegistry {
         // in or near DE (the IXP's home market) for the established seats.
         let de = countries.id_of("DE").unwrap();
         let established_target = total - joining_during_study;
-        let mut candidates: Vec<u32> = (0..self.infos.len() as u32)
-            .filter(|i| !member_slots.contains(i))
-            .collect();
+        let mut candidates: Vec<u32> =
+            (0..self.infos.len() as u32).filter(|i| !member_slots.contains(i)).collect();
         // Deterministic shuffle.
         for i in (1..candidates.len()).rev() {
             let j = rng.gen_range(0..=i);
@@ -353,18 +351,11 @@ impl AsRegistry {
             // Spread join weeks roughly evenly across weeks 36..=51.
             let week = Week(36 + (k * (Week::COUNT - 1) / joining_during_study.max(1)) as u8);
             let info = &mut self.infos[*idx as usize];
-            info.member = Some(Membership {
-                id: MemberId(next_id),
-                joined: week,
-                reseller: false,
-            });
+            info.member = Some(Membership { id: MemberId(next_id), joined: week, reseller: false });
         }
 
-        let mut members: Vec<(u32, Asn)> = self
-            .infos
-            .iter()
-            .filter_map(|i| i.member.map(|m| (m.id.0, i.asn)))
-            .collect();
+        let mut members: Vec<(u32, Asn)> =
+            self.infos.iter().filter_map(|i| i.member.map(|m| (m.id.0, i.asn))).collect();
         members.sort_unstable_by_key(|(id, _)| *id);
         self.members = members.into_iter().map(|(_, asn)| asn).collect();
     }
@@ -536,14 +527,8 @@ mod tests {
         for info in registry.iter() {
             if let Some(m) = info.member {
                 if m.joined.0 >= 35 {
-                    assert!(matches!(
-                        info.role,
-                        AsRole::EyeballSmall | AsRole::Enterprise
-                    ));
-                    assert_eq!(
-                        countries.region(info.country),
-                        crate::types::Region::RoW
-                    );
+                    assert!(matches!(info.role, AsRole::EyeballSmall | AsRole::Enterprise));
+                    assert_eq!(countries.region(info.country), crate::types::Region::RoW);
                 }
             }
         }

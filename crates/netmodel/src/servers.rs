@@ -200,12 +200,8 @@ impl ServerCatalog {
         }
         gen.apply_reseller_growth(&mut rng);
         gen.apply_dc_outages();
-        let by_ip = gen
-            .servers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (u32::from(s.ip), i as u32))
-            .collect();
+        let by_ip =
+            gen.servers.iter().enumerate().map(|(i, s)| (u32::from(s.ip), i as u32)).collect();
         ServerCatalog { servers: gen.servers, by_ip, published: gen.published }
     }
 
@@ -333,8 +329,7 @@ impl<'a> Generator<'a> {
                 // 3. Ordinary placement.
                 let windowed_factor = self.params.windowed_expansion;
                 for (i, (asn, share)) in plan.iter().enumerate() {
-                    let mut visible =
-                        (f64::from(org.target_servers) * share).round() as u32;
+                    let mut visible = (f64::from(org.target_servers) * share).round() as u32;
                     if i == 0 {
                         // The first deployment (the home AS, or the largest
                         // third-party site) always materialises.
@@ -359,8 +354,8 @@ impl<'a> Generator<'a> {
                 if org.hidden_footprint > 0.0 {
                     let hidden_total =
                         (f64::from(org.target_servers) * org.hidden_footprint) as u32;
-                    let hidden_spread = (org.spread_ases * 5 / 2)
-                        .clamp(1, (self.registry.len() / 2) as u32);
+                    let hidden_spread =
+                        (org.spread_ases * 5 / 2).clamp(1, (self.registry.len() / 2) as u32);
                     let pool = self.deploy_pools.eyeballs.clone();
                     if !pool.is_empty() {
                         let per_as = (hidden_total / hidden_spread).max(1);
@@ -391,9 +386,10 @@ impl<'a> Generator<'a> {
                 remaining -= org.home_share;
             }
         }
-        let third_party = org.spread_ases.saturating_sub(plan.len() as u32).max(
-            if remaining > 0.0 { 1 } else { 0 },
-        );
+        let third_party = org
+            .spread_ases
+            .saturating_sub(plan.len() as u32)
+            .max(if remaining > 0.0 { 1 } else { 0 });
         if third_party == 0 || remaining <= 0.0 {
             return plan;
         }
@@ -491,11 +487,7 @@ impl<'a> Generator<'a> {
         if org.archetype.is_some() {
             return self.params.archetype_stable;
         }
-        let country = self
-            .registry
-            .info(asn)
-            .map(|i| i.country)
-            .unwrap_or(CountryId(0));
+        let country = self.registry.info(asn).map(|i| i.country).unwrap_or(CountryId(0));
         let region = self.countries.region(country);
         let idx = match region {
             crate::types::Region::De => 0,
@@ -530,9 +522,8 @@ impl<'a> Generator<'a> {
             // window length, thinned by the presence probability.
             let lead = self.params.window_mean as i32;
             let start = rng.gen_range(-(lead) + 35..=51);
-            let len = 2 + rng
-                .gen_range(0.0..1.0f64)
-                .mul_add(2.0 * self.params.window_mean, 0.0) as i32;
+            let len =
+                2 + rng.gen_range(0.0..1.0f64).mul_add(2.0 * self.params.window_mean, 0.0) as i32;
             activity = 0;
             for w in 35..=51i32 {
                 if w >= start && w < start + len && rng.gen::<f64>() < self.params.presence {
@@ -718,12 +709,8 @@ impl<'a> Generator<'a> {
     /// Netflix-like: all servers inside Amazon's Ireland ranges, appearing
     /// in weeks 49–51.
     fn place_netflix(&mut self, org: &Organization, rng: &mut SmallRng) {
-        let ireland: Vec<Prefix> = self
-            .published
-            .iter()
-            .filter(|r| r.label == "eu-ireland")
-            .map(|r| r.prefix)
-            .collect();
+        let ireland: Vec<Prefix> =
+            self.published.iter().filter(|r| r.label == "eu-ireland").map(|r| r.prefix).collect();
         if ireland.is_empty() {
             return; // Amazon must be placed first (catalog order guarantees it)
         }
@@ -817,11 +804,8 @@ impl<'a> Generator<'a> {
     /// server whose IP falls inside a `us-east` published range of the
     /// StormCloud archetype goes dark in week 44 (§4.2).
     fn apply_dc_outages(&mut self) {
-        let storm_org = self
-            .orgs
-            .iter()
-            .find(|o| o.archetype == Some(Archetype::StormCloud))
-            .map(|o| o.id);
+        let storm_org =
+            self.orgs.iter().find(|o| o.archetype == Some(Archetype::StormCloud)).map(|o| o.id);
         let Some(storm_org) = storm_org else { return };
         let outage_ranges: Vec<Prefix> = self
             .published
@@ -925,11 +909,8 @@ mod tests {
     #[test]
     fn hidden_servers_never_active_but_exist() {
         let (servers, ..) = build();
-        let hidden: Vec<&Server> = servers
-            .servers()
-            .iter()
-            .filter(|s| s.flags.has(ServerFlags::HIDDEN))
-            .collect();
+        let hidden: Vec<&Server> =
+            servers.servers().iter().filter(|s| s.flags.has(ServerFlags::HIDDEN)).collect();
         assert!(!hidden.is_empty(), "no hidden footprint generated");
         for s in hidden {
             for week in Week::all() {
@@ -954,11 +935,8 @@ mod tests {
         let hoster = orgs.archetype(Archetype::BigHoster);
         let home = hoster.home_asn.unwrap();
         let total = servers.servers().iter().filter(|s| s.org == hoster.id).count();
-        let at_home = servers
-            .servers()
-            .iter()
-            .filter(|s| s.org == hoster.id && s.asn == home)
-            .count();
+        let at_home =
+            servers.servers().iter().filter(|s| s.org == hoster.id && s.asn == home).count();
         assert!(at_home as f64 / total as f64 > 0.8);
     }
 
@@ -1001,8 +979,7 @@ mod tests {
         let (servers, orgs, ..) = build();
         let netflix = orgs.archetype(Archetype::Netflix);
         let amazon_home = orgs.archetype(Archetype::Amazon).home_asn.unwrap();
-        let own: Vec<&Server> =
-            servers.servers().iter().filter(|s| s.org == netflix.id).collect();
+        let own: Vec<&Server> = servers.servers().iter().filter(|s| s.org == netflix.id).collect();
         assert!(!own.is_empty());
         for s in &own {
             assert_eq!(s.asn, amazon_home);

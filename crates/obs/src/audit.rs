@@ -112,7 +112,11 @@ impl Identity {
     /// `queued` is the depth of a queued row's queue, ignored on the
     /// others. An absent `total` skips the row (see the module docs); an
     /// absent part, or a right side that overflows, is a breach.
-    pub fn balance(&self, read: impl Fn(&str) -> Option<u64>, queued: u64) -> Result<(), AuditError> {
+    pub fn balance(
+        &self,
+        read: impl Fn(&str) -> Option<u64>,
+        queued: u64,
+    ) -> Result<(), AuditError> {
         let Some(left) = read(self.total) else { return Ok(()) };
         let queued = if self.queued { queued } else { 0 };
         let right = self.parts.iter().try_fold(queued, |sum, part| sum.checked_add(read(part)?));
@@ -175,8 +179,10 @@ impl AuditError {
 
 impl std::fmt::Display for AuditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let right = self.right.map_or("absent or overflowing".to_string(), |right| right.to_string());
-        let (name, equation, left) = (self.invariant.as_str(), self.invariant.equation(), self.left);
+        let right =
+            self.right.map_or("absent or overflowing".to_string(), |right| right.to_string());
+        let (name, equation, left) =
+            (self.invariant.as_str(), self.invariant.equation(), self.left);
         write!(f, "conservation breach [{name}]: {equation} (lhs {left} != rhs {right})")
     }
 }
@@ -196,10 +202,13 @@ pub enum AuditScope {
 /// in invariant order.
 pub fn check(snapshot: &Snapshot, scope: AuditScope) -> Vec<AuditError> {
     let read = |family: &str| {
-        family_total(family, snapshot.entries.iter().filter_map(|(name, value)| match value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => Some((name.as_str(), *v)),
-            MetricValue::Histogram(_) => None,
-        }))
+        family_total(
+            family,
+            snapshot.entries.iter().filter_map(|(name, value)| match value {
+                MetricValue::Counter(v) | MetricValue::Gauge(v) => Some((name.as_str(), *v)),
+                MetricValue::Histogram(_) => None,
+            }),
+        )
     };
     LEDGER
         .iter()
@@ -402,7 +411,9 @@ mod tests {
         let err = AuditError { invariant: Invariant::TransportOffered, left: 5, right: Some(3) };
         let msg = err.to_string();
         assert!(msg.contains("transport-offered"));
-        assert!(msg.contains("transport_offered_total = transport_received_total + transport_shed_total + queued"));
+        assert!(msg.contains(
+            "transport_offered_total = transport_received_total + transport_shed_total + queued"
+        ));
         assert!(msg.contains("lhs 5 != rhs 3"));
     }
 }

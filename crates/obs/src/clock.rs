@@ -35,7 +35,10 @@ pub struct RealClock {
 
 impl RealClock {
     /// Anchor a new clock at the current instant.
-    #[allow(clippy::disallowed_methods, reason = "the one sanctioned real-clock read; everything else takes a `&dyn Clock`")]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned real-clock read; everything else takes a `&dyn Clock`"
+    )]
     pub fn new() -> RealClock {
         RealClock { origin: Instant::now() }
     }
@@ -86,12 +89,13 @@ impl TestClock {
     pub fn advance_ns(&self, delta_ns: u64) {
         // Saturate instead of wrapping so a pathological advance cannot
         // make the clock run backwards.
-        #[allow(clippy::let_underscore_must_use, reason = "the closure always returns Some, so fetch_update cannot fail")]
-        let _ = self
-            .now
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_add(delta_ns))
-            });
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "the closure always returns Some, so fetch_update cannot fail"
+        )]
+        let _ = self.now.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            Some(cur.saturating_add(delta_ns))
+        });
     }
 
     /// Set the clock to an absolute reading.

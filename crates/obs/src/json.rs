@@ -118,10 +118,7 @@ mod tests {
         assert_eq!(h.get("count").and_then(Value::as_u64), Some(2));
         let buckets = h.get("buckets").and_then(Value::as_arr).expect("buckets");
         assert_eq!(buckets.len(), 3);
-        assert_eq!(
-            buckets.last().and_then(|b| b.get("le")).and_then(Value::as_str),
-            Some("+Inf")
-        );
+        assert_eq!(buckets.last().and_then(|b| b.get("le")).and_then(Value::as_str), Some("+Inf"));
     }
 
     #[test]

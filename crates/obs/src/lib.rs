@@ -27,7 +27,21 @@
 //! The crate is dependency-free and panic-free: it is linked into the
 //! stream-facing crates, so it carries their no-panic contract line.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        clippy::disallowed_macros
+    )
+)]
 pub mod audit;
 pub mod clock;
 pub mod journal;
@@ -43,8 +57,8 @@ pub use audit::{AuditError, AuditScope, Auditor, Identity, Invariant, LEDGER};
 pub use clock::{real_clock, test_clock, Clock, RealClock, TestClock};
 pub use journal::{Event, EventKind, Journal};
 pub use metrics::{
-    split_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
-    Snapshot, DURATION_BOUNDS_NS,
+    split_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Snapshot,
+    DURATION_BOUNDS_NS,
 };
 pub use prometheus::RenderError;
 pub use publish::{family_sum, Published, Series, SeriesKind};

@@ -160,23 +160,20 @@ impl Histogram {
     /// Record one observation.
     pub fn observe(&self, value: u64) {
         let inner = &self.inner;
-        let idx = inner
-            .bounds
-            .iter()
-            .position(|b| value <= *b)
-            .unwrap_or(inner.bounds.len());
+        let idx = inner.bounds.iter().position(|b| value <= *b).unwrap_or(inner.bounds.len());
         if let Some(cell) = inner.buckets.get(idx) {
             cell.fetch_add(1, Ordering::Relaxed);
         }
         inner.count.fetch_add(1, Ordering::Relaxed);
         // The sum saturates instead of wrapping: a pathological duration
         // must not corrupt every earlier observation.
-        #[allow(clippy::let_underscore_must_use, reason = "the closure always returns Some, so fetch_update cannot fail")]
-        let _ = inner
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_add(value))
-            });
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "the closure always returns Some, so fetch_update cannot fail"
+        )]
+        let _ = inner.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            Some(cur.saturating_add(value))
+        });
     }
 
     /// Number of observations.
@@ -330,10 +327,7 @@ impl Registry {
     /// keeps working (the collision is a naming bug, not a crash).
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Counter(Counter::default()))
-        {
+        match map.entry(name.to_string()).or_insert_with(|| Slot::Counter(Counter::default())) {
             Slot::Counter(c) => c.clone(),
             _ => Counter::default(),
         }
@@ -342,10 +336,7 @@ impl Registry {
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Gauge(Gauge::default()))
-        {
+        match map.entry(name.to_string()).or_insert_with(|| Slot::Gauge(Gauge::default())) {
             Slot::Gauge(g) => g.clone(),
             _ => Gauge::default(),
         }
@@ -412,8 +403,12 @@ pub fn split_name(name: &str) -> (&str, Option<&str>) {
 
 /// How both readers of a ledger row (`audit`) add up one family: the sum of
 /// its series, `None` when it has none or the sum overflows `u64`.
-pub(crate) fn family_total<'a>(family: &str, series: impl IntoIterator<Item = (&'a str, u64)>) -> Option<u64> {
-    let mut values = series.into_iter().filter(|(name, _)| split_name(name).0 == family).map(|(_, v)| v);
+pub(crate) fn family_total<'a>(
+    family: &str,
+    series: impl IntoIterator<Item = (&'a str, u64)>,
+) -> Option<u64> {
+    let mut values =
+        series.into_iter().filter(|(name, _)| split_name(name).0 == family).map(|(_, v)| v);
     values.next().and_then(|first| values.try_fold(first, u64::checked_add))
 }
 
@@ -496,9 +491,6 @@ mod tests {
     #[test]
     fn split_name_handles_labels() {
         assert_eq!(split_name("plain"), ("plain", None));
-        assert_eq!(
-            split_name("fam{stage=\"census\"}"),
-            ("fam", Some("stage=\"census\""))
-        );
+        assert_eq!(split_name("fam{stage=\"census\"}"), ("fam", Some("stage=\"census\"")));
     }
 }

@@ -81,10 +81,7 @@ fn escape_label_value(value: &str) -> String {
 fn format_label_block(block: &str) -> String {
     match block.split_once('=') {
         Some((key, rest)) => {
-            let raw = rest
-                .strip_prefix('"')
-                .and_then(|r| r.strip_suffix('"'))
-                .unwrap_or(rest);
+            let raw = rest.strip_prefix('"').and_then(|r| r.strip_suffix('"')).unwrap_or(rest);
             format!("{key}=\"{}\"", escape_label_value(raw))
         }
         None => block.to_string(),

@@ -26,7 +26,21 @@
 //! probe-gated by callers the same way `flowgen --probe` gates the UDP
 //! smoke: where sockets are denied, the pure core still works in memory.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        clippy::disallowed_macros
+    )
+)]
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -167,8 +181,7 @@ pub fn parse_request(bytes: &[u8]) -> ParsedRequest {
         return ParsedRequest::Malformed;
     };
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
-    let (Some(method), Some(path), Some(version)) =
-        (parts.next(), parts.next(), parts.next())
+    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
         return ParsedRequest::Malformed;
     };
@@ -218,10 +231,7 @@ fn render_healthz(view: &HealthView) -> String {
     let status = if view.audit_breaches == 0 { "ok" } else { "breach" };
     out.push_str(&format!("  \"status\": \"{status}\",\n"));
     out.push_str(&format!("  \"audit_breaches\": {},\n", view.audit_breaches));
-    out.push_str(&format!(
-        "  \"audit_verdict\": \"{}\",\n",
-        json::escape(&view.audit_verdict)
-    ));
+    out.push_str(&format!("  \"audit_verdict\": \"{}\",\n", json::escape(&view.audit_verdict)));
     out.push_str("  \"agents\": [");
     let mut first = true;
     for (agent, state) in &view.agents {
@@ -277,12 +287,7 @@ pub fn respond(state: &ServerState, request: &[u8]) -> Response {
     match path.as_str() {
         "/metrics" => match prometheus::render(&state.registry.snapshot()) {
             Ok(body) => Response {
-                bytes: http_response(
-                    200,
-                    "OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    &body,
-                ),
+                bytes: http_response(200, "OK", "text/plain; version=0.0.4; charset=utf-8", &body),
                 stop: false,
             },
             Err(e) => Response {
@@ -317,10 +322,9 @@ pub fn respond(state: &ServerState, request: &[u8]) -> Response {
             bytes: http_response(200, "OK", "application/json", &state.journal.render()),
             stop: false,
         },
-        "/quit" => Response {
-            bytes: http_response(200, "OK", "text/plain", "stopping\n"),
-            stop: true,
-        },
+        "/quit" => {
+            Response { bytes: http_response(200, "OK", "text/plain", "stopping\n"), stop: true }
+        }
         _ => Response {
             bytes: http_response(404, "Not Found", "text/plain", "unknown endpoint\n"),
             stop: false,
@@ -364,7 +368,10 @@ impl Server {
 
     /// Handle one connection; `true` when the server should stop.
     fn handle(&self, mut stream: TcpStream) -> bool {
-        #[allow(clippy::let_underscore_must_use, reason = "a socket that refuses the timeout is still served; the read loop ends on close, error or MAX_REQUEST_BYTES")]
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "a socket that refuses the timeout is still served; the read loop ends on close, error or MAX_REQUEST_BYTES"
+        )]
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
         let mut buf = Vec::with_capacity(512);
         let mut chunk = [0u8; 512];
@@ -385,9 +392,15 @@ impl Server {
                 Err(_) => break respond(&self.state, &buf),
             }
         };
-        #[allow(clippy::let_underscore_must_use, reason = "the peer may hang up before its answer; a failed write to one client must not abort the accept loop")]
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "the peer may hang up before its answer; a failed write to one client must not abort the accept loop"
+        )]
         let _ = stream.write_all(&response.bytes);
-        #[allow(clippy::let_underscore_must_use, reason = "as for write_all: the connection closes either way")]
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "as for write_all: the connection closes either way"
+        )]
         let _ = stream.flush();
         response.stop
     }
@@ -424,10 +437,10 @@ mod tests {
             parse_request(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"),
             ParsedRequest::Complete { method: "GET".to_string(), path: "/metrics".to_string() }
         );
-        assert_eq!(parse_request(b"GET /trace HTTP/1.0\n"), ParsedRequest::Complete {
-            method: "GET".to_string(),
-            path: "/trace".to_string()
-        });
+        assert_eq!(
+            parse_request(b"GET /trace HTTP/1.0\n"),
+            ParsedRequest::Complete { method: "GET".to_string(), path: "/trace".to_string() }
+        );
     }
 
     #[test]
@@ -534,8 +547,7 @@ mod tests {
         let handle = std::thread::spawn(move || server.serve());
         for path in ["/metrics", "/metrics.json", "/healthz", "/trace"] {
             let mut conn = TcpStream::connect(addr).expect("connect");
-            conn.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
-                .expect("write");
+            conn.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes()).expect("write");
             let mut reply = String::new();
             conn.read_to_string(&mut reply).expect("read");
             assert!(reply.starts_with("HTTP/1.1 200"), "{path} -> {reply}");

@@ -36,7 +36,10 @@ impl TrafficEstimate {
     /// Account one sample given its rate and original frame length. Both
     /// inputs come straight off the wire, so the scaling arithmetic
     /// saturates rather than wrapping on forged extremes.
-    #[allow(clippy::arithmetic_side_effects, reason = "`samples += 1` counts calls, which no run brings near u64::MAX; the wire-valued terms saturate")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "`samples += 1` counts calls, which no run brings near u64::MAX; the wire-valued terms saturate"
+    )]
     pub fn add_raw(&mut self, sampling_rate: u32, frame_length: u32) {
         self.samples += 1;
         self.frames = self.frames.saturating_add(u64::from(sampling_rate));
@@ -64,7 +67,10 @@ impl TrafficEstimate {
     /// Scale the estimate by a compensation factor (e.g. the collector's
     /// loss-compensation ratio). Sample counts stay raw — they record what
     /// was actually received — while frames and bytes are extrapolated.
-    #[allow(clippy::cast_possible_truncation, reason = "float-to-int `as` saturates; the factor is finite and positive and a scaled estimate beyond u64::MAX pins there")]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates; the factor is finite and positive and a scaled estimate beyond u64::MAX pins there"
+    )]
     pub fn scaled(&self, factor: f64) -> TrafficEstimate {
         let factor = if factor.is_finite() && factor > 0.0 { factor } else { 1.0 };
         TrafficEstimate {
@@ -84,7 +90,10 @@ impl std::ops::Add for TrafficEstimate {
 }
 
 impl std::iter::Sum for TrafficEstimate {
-    #[allow(clippy::arithmetic_side_effects, reason = "TrafficEstimate's `+` is merge, which saturates")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "TrafficEstimate's `+` is merge, which saturates"
+    )]
     fn sum<I: Iterator<Item = TrafficEstimate>>(iter: I) -> Self {
         iter.fold(TrafficEstimate::zero(), |acc, e| acc + e)
     }

@@ -31,7 +31,9 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use ixp_obs::journal::{EventKind, Journal};
-use ixp_obs::{family_sum, test_clock, Clock, Histogram, Invariant, Obs, Published, Series, Stopwatch};
+use ixp_obs::{
+    family_sum, test_clock, Clock, Histogram, Invariant, Obs, Published, Series, Stopwatch,
+};
 
 use crate::accounting::TrafficEstimate;
 use crate::checkpoint::{self, Cur, StateError, COLLECTOR_STATE_VERSION};
@@ -300,11 +302,15 @@ pub const SERIES: &[Series<CollectorStats>] = &[
     Series::counter("sflow_accepted_total", |c| c.accepted),
     Series::counter("sflow_duplicates_total", |c| c.duplicates),
     Series::counter("sflow_decode_errors_total{kind=\"truncated\"}", |c| c.decode_errors.truncated),
-    Series::counter("sflow_decode_errors_total{kind=\"bad_version\"}", |c| c.decode_errors.bad_version),
+    Series::counter("sflow_decode_errors_total{kind=\"bad_version\"}", |c| {
+        c.decode_errors.bad_version
+    }),
     Series::counter("sflow_decode_errors_total{kind=\"unsupported_agent_address\"}", |c| {
         c.decode_errors.unsupported_agent
     }),
-    Series::counter("sflow_decode_errors_total{kind=\"inconsistent\"}", |c| c.decode_errors.inconsistent),
+    Series::counter("sflow_decode_errors_total{kind=\"inconsistent\"}", |c| {
+        c.decode_errors.inconsistent
+    }),
     Series::counter("sflow_unattributed_errors_total", |c| c.unattributed_errors),
     Series::counter("sflow_seq_lost_total", |c| c.seq_opened),
     Series::counter("sflow_seq_recovered_total", |c| c.seq_recovered),
@@ -437,11 +443,7 @@ impl Collector {
                 src.stats.lost += missing;
                 self.agg.lost += missing;
                 self.seq_opened += missing;
-                src.window = if ahead >= REORDER_WINDOW {
-                    1
-                } else {
-                    (src.window << ahead) | 1
-                };
+                src.window = if ahead >= REORDER_WINDOW { 1 } else { (src.window << ahead) | 1 };
                 src.last_seq = dg.sequence;
                 src.last_uptime = dg.uptime_ms;
                 src.stats.received += 1;
@@ -500,17 +502,18 @@ impl Collector {
                 // a forged absolute counter can make a single delta huge, so
                 // the running totals saturate rather than overflowing.
                 let t = &mut track.totals;
-                t.in_octets =
-                    t.in_octets.saturating_add(c.if_in_octets.wrapping_sub(track.last.if_in_octets));
+                t.in_octets = t
+                    .in_octets
+                    .saturating_add(c.if_in_octets.wrapping_sub(track.last.if_in_octets));
                 t.out_octets = t
                     .out_octets
                     .saturating_add(c.if_out_octets.wrapping_sub(track.last.if_out_octets));
                 t.in_ucast = t
                     .in_ucast
                     .saturating_add(u64::from(c.if_in_ucast.wrapping_sub(track.last.if_in_ucast)));
-                t.out_ucast = t
-                    .out_ucast
-                    .saturating_add(u64::from(c.if_out_ucast.wrapping_sub(track.last.if_out_ucast)));
+                t.out_ucast = t.out_ucast.saturating_add(u64::from(
+                    c.if_out_ucast.wrapping_sub(track.last.if_out_ucast),
+                ));
             }
             track.totals.exports += 1;
             track.last = c;
@@ -721,7 +724,8 @@ impl Collector {
 
         // The no-silent-discard invariant must already hold in the blob.
         let stats = c.stats();
-        if Invariant::SflowLedger.identity().balance(|f| family_sum(SERIES, &stats, f), 0).is_err() {
+        if Invariant::SflowLedger.identity().balance(|f| family_sum(SERIES, &stats, f), 0).is_err()
+        {
             return Err(StateError::Invalid("datagram accounting does not balance"));
         }
         if c.seq_opened.checked_sub(c.seq_recovered) != Some(c.agg.lost) {

@@ -180,7 +180,10 @@ pub struct Datagram {
 
 impl Datagram {
     /// Encode to the XDR wire format.
-    #[allow(clippy::arithmetic_side_effects, reason = "the sample count adds the lengths of two Vecs in memory")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "the sample count adds the lengths of two Vecs in memory"
+    )]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         encode_header(
@@ -247,20 +250,29 @@ impl DatagramBuilder {
     }
 
     /// Length of the datagram [`DatagramBuilder::finish`] would return.
-    #[allow(clippy::arithmetic_side_effects, reason = "body is a Vec in memory, so a 28-byte header more fits in usize")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "body is a Vec in memory, so a 28-byte header more fits in usize"
+    )]
     pub fn encoded_len(&self) -> usize {
         DATAGRAM_HEADER_LEN + self.body.len()
     }
 
     /// Append a flow sample, owned or borrowing its header bytes.
-    #[allow(clippy::arithmetic_side_effects, reason = "counts samples since the last finish, each at least 40 bytes of body, so u32::MAX of them would be 160 GiB")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "counts samples since the last finish, each at least 40 bytes of body, so u32::MAX of them would be 160 GiB"
+    )]
     pub fn push_flow<H: AsRef<[u8]>>(&mut self, sample: &FlowSample<H>) {
         encode_flow_sample(&mut self.body, sample);
         self.samples += 1;
     }
 
     /// Append a counters sample.
-    #[allow(clippy::arithmetic_side_effects, reason = "counts samples since the last finish, each at least 40 bytes of body, so u32::MAX of them would be 160 GiB")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "counts samples since the last finish, each at least 40 bytes of body, so u32::MAX of them would be 160 GiB"
+    )]
     pub fn push_counters(&mut self, counters: &CounterSample) {
         encode_counter_sample(&mut self.body, counters);
         self.samples += 1;
@@ -348,9 +360,15 @@ impl<'a> DatagramView<'a> {
         let (mut n_flows, mut n_counters) = (0usize, 0usize);
         for _ in 0..n_samples {
             match decode_sample(&mut r)? {
-                #[allow(clippy::arithmetic_side_effects, reason = "at most n_samples <= data.len() / 8 iterations")]
+                #[allow(
+                    clippy::arithmetic_side_effects,
+                    reason = "at most n_samples <= data.len() / 8 iterations"
+                )]
                 SampleView::Flow(_) => n_flows += 1,
-                #[allow(clippy::arithmetic_side_effects, reason = "at most n_samples <= data.len() / 8 iterations")]
+                #[allow(
+                    clippy::arithmetic_side_effects,
+                    reason = "at most n_samples <= data.len() / 8 iterations"
+                )]
                 SampleView::Counters(_) => n_counters += 1,
                 SampleView::Unknown => {}
             }
@@ -462,9 +480,16 @@ fn encode_flow_sample<H: AsRef<[u8]>>(out: &mut Vec<u8>, sample: &FlowSample<H>)
     put_u32(out, header.len() as u32);
     xdr::put_opaque(out, header);
 
-    #[allow(clippy::arithmetic_side_effects, reason = "body_start was out.len() before the body went in, and out only grows")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "body_start was out.len() before the body went in, and out only grows"
+    )]
     let body_len = (out.len() - body_start) as u32;
-    #[allow(clippy::indexing_slicing, clippy::arithmetic_side_effects, reason = "encoder backpatch; len_pos..len_pos + 4 is the placeholder reserved above")]
+    #[allow(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "encoder backpatch; len_pos..len_pos + 4 is the placeholder reserved above"
+    )]
     out[len_pos..len_pos + 4].copy_from_slice(&body_len.to_be_bytes());
 }
 
@@ -503,9 +528,16 @@ fn encode_counter_sample(out: &mut Vec<u8>, c: &CounterSample) {
     put_u32(out, 0); // out errors
     put_u32(out, 0); // promiscuous mode
 
-    #[allow(clippy::arithmetic_side_effects, reason = "body_start was out.len() before the body went in, and out only grows")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "body_start was out.len() before the body went in, and out only grows"
+    )]
     let body_len = (out.len() - body_start) as u32;
-    #[allow(clippy::indexing_slicing, clippy::arithmetic_side_effects, reason = "encoder backpatch; len_pos..len_pos + 4 is the placeholder reserved above")]
+    #[allow(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "encoder backpatch; len_pos..len_pos + 4 is the placeholder reserved above"
+    )]
     out[len_pos..len_pos + 4].copy_from_slice(&body_len.to_be_bytes());
 }
 
@@ -513,10 +545,7 @@ fn decode_counter_sample<'a>(
     r: &mut Reader<'a>,
     sample_len: usize,
 ) -> Result<SampleView<'a>, DecodeError> {
-    let end = r
-        .position()
-        .checked_add(sample_len)
-        .ok_or(DecodeError::Inconsistent)?;
+    let end = r.position().checked_add(sample_len).ok_or(DecodeError::Inconsistent)?;
     let sequence = r.u32()?;
     let source_id = r.u32()?;
     let n_records = r.u32()? as usize;
@@ -568,10 +597,7 @@ fn decode_sample<'a>(r: &mut Reader<'a>) -> Result<SampleView<'a>, DecodeError> 
         r.skip(xdr::pad4(sample_len))?;
         return Ok(SampleView::Unknown);
     }
-    let end = r
-        .position()
-        .checked_add(sample_len)
-        .ok_or(DecodeError::Inconsistent)?;
+    let end = r.position().checked_add(sample_len).ok_or(DecodeError::Inconsistent)?;
 
     let sequence = r.u32()?;
     let source_id = r.u32()?;
@@ -590,10 +616,7 @@ fn decode_sample<'a>(r: &mut Reader<'a>) -> Result<SampleView<'a>, DecodeError> 
             r.skip(xdr::pad4(record_len))?;
             continue;
         }
-        let record_end = r
-            .position()
-            .checked_add(record_len)
-            .ok_or(DecodeError::Inconsistent)?;
+        let record_end = r.position().checked_add(record_len).ok_or(DecodeError::Inconsistent)?;
         let protocol = r.u32()?;
         let frame_length = r.u32()?;
         let stripped = r.u32()?;
@@ -684,7 +707,10 @@ mod tests {
         let full = sample_datagram();
         let empty = Datagram { samples: vec![], counters: vec![], ..full.clone() };
         let flows = Datagram {
-            samples: (0..=9).chain(125..=128).map(|n| sample_with_header(vec![n as u8; n])).collect(),
+            samples: (0..=9)
+                .chain(125..=128)
+                .map(|n| sample_with_header(vec![n as u8; n]))
+                .collect(),
             ..empty.clone()
         };
         let counters = Datagram { counters: vec![full.counters[0]; 46], ..empty.clone() };

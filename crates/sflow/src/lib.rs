@@ -31,7 +31,21 @@
 //!   detection), counter-wrap-safe deltas, and loss compensation, because
 //!   sFlow rides UDP and a 17-week campaign will see every failure mode.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        clippy::disallowed_macros
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -45,10 +59,13 @@ pub mod xdr;
 
 pub use accounting::TrafficEstimate;
 pub use checkpoint::StateError;
-pub use collector::{Collector, CollectorStats, CounterTotals, DecodeErrorCounts, Ingest, SourceKey, SourceStats};
+pub use collector::{
+    Collector, CollectorStats, CounterTotals, DecodeErrorCounts, Ingest, SourceKey, SourceStats,
+};
 pub use datagram::{
-    flow_sample_len, CounterSample, Datagram, DatagramBuilder, DatagramView, DecodeError, FlowSample,
-    FlowSampleView, RawPacketHeader, SampleView, COUNTER_SAMPLE_LEN, HEADER_PROTO_ETHERNET,
+    flow_sample_len, CounterSample, Datagram, DatagramBuilder, DatagramView, DecodeError,
+    FlowSample, FlowSampleView, RawPacketHeader, SampleView, COUNTER_SAMPLE_LEN,
+    HEADER_PROTO_ETHERNET,
 };
 pub use sampler::{Sampler, SamplerConfig, SNIPPET_LEN};
 

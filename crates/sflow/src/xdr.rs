@@ -15,7 +15,10 @@ pub const fn pad4(len: usize) -> usize {
 /// fields carry explicit separate lengths).
 pub fn put_opaque(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(data);
-    #[allow(clippy::arithmetic_side_effects, reason = "data is in memory, so its length is under usize::MAX - 3 and pad4 rounds it up without saturating")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "data is in memory, so its length is under usize::MAX - 3 and pad4 rounds it up without saturating"
+    )]
     let padding = pad4(data.len()) - data.len();
     out.extend(std::iter::repeat_n(0, padding));
 }
@@ -34,7 +37,10 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
-    #[allow(clippy::arithmetic_side_effects, reason = "pos moves only past bytes the checks in u32, opaque and skip found, so pos <= data.len()")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "pos moves only past bytes the checks in u32, opaque and skip found, so pos <= data.len()"
+    )]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -47,7 +53,10 @@ impl<'a> Reader<'a> {
     /// Read one big-endian u32.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         match self.data.get(self.pos..self.pos.wrapping_add(4)) {
-            #[allow(clippy::arithmetic_side_effects, reason = "get(pos..pos + 4) just returned four bytes")]
+            #[allow(
+                clippy::arithmetic_side_effects,
+                reason = "get(pos..pos + 4) just returned four bytes"
+            )]
             Some(&[a, b, c, d]) => {
                 self.pos += 4;
                 Ok(u32::from_be_bytes([a, b, c, d]))

@@ -6,8 +6,8 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 
 use ixp_sflow::{
-    Collector, CounterSample, Datagram, DatagramView, FlowSample, Ingest, RawPacketHeader, SampleView,
-    HEADER_PROTO_ETHERNET,
+    Collector, CounterSample, Datagram, DatagramView, FlowSample, Ingest, RawPacketHeader,
+    SampleView, HEADER_PROTO_ETHERNET,
 };
 
 fn arb_sample() -> impl Strategy<Value = FlowSample> {
@@ -23,7 +23,17 @@ fn arb_sample() -> impl Strategy<Value = FlowSample> {
         14u32..9_000,
     )
         .prop_map(
-            |(sequence, source_id, sampling_rate, sample_pool, drops, input_if, output_if, header, frame_length)| {
+            |(
+                sequence,
+                source_id,
+                sampling_rate,
+                sample_pool,
+                drops,
+                input_if,
+                output_if,
+                header,
+                frame_length,
+            )| {
                 FlowSample {
                     sequence,
                     source_id,
@@ -62,9 +72,25 @@ fn arb_datagram() -> impl Strategy<Value = Datagram> {
 }
 
 fn arb_counter() -> impl Strategy<Value = CounterSample> {
-    (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>(), any::<u32>(), any::<u64>(), any::<u32>())
+    (
+        any::<u32>(),
+        any::<u32>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u32>(),
+        any::<u64>(),
+        any::<u32>(),
+    )
         .prop_map(
-            |(sequence, source_id, if_speed, if_in_octets, if_in_ucast, if_out_octets, if_out_ucast)| {
+            |(
+                sequence,
+                source_id,
+                if_speed,
+                if_in_octets,
+                if_in_ucast,
+                if_out_octets,
+                if_out_ucast,
+            )| {
                 CounterSample {
                     sequence,
                     source_id,

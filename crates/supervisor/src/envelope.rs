@@ -145,8 +145,8 @@ mod tests {
         assert_eq!(open(&sealed), Err(CheckpointError::BadMagic));
         let mut sealed = seal(b"x");
         sealed[11] = 9; // version low byte
-        // The checksum covers the version, so either error is acceptable —
-        // but it must be an error.
+                        // The checksum covers the version, so either error is acceptable —
+                        // but it must be an error.
         assert!(open(&sealed).is_err());
     }
 

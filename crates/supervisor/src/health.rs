@@ -115,7 +115,8 @@ impl TickDelta {
             return true;
         }
         let expected = self.received.saturating_add(self.lost);
-        expected > 0 && self.lost.saturating_mul(1000) > expected.saturating_mul(policy.loss_permille)
+        expected > 0
+            && self.lost.saturating_mul(1000) > expected.saturating_mul(policy.loss_permille)
     }
 }
 

@@ -29,12 +29,7 @@ pub struct IntakeRing {
 impl IntakeRing {
     /// A ring holding at most `capacity` datagrams (at least 1).
     pub fn new(capacity: usize) -> IntakeRing {
-        IntakeRing {
-            buf: VecDeque::new(),
-            capacity: capacity.max(1),
-            shed: 0,
-            high_water: 0,
-        }
+        IntakeRing { buf: VecDeque::new(), capacity: capacity.max(1), shed: 0, high_water: 0 }
     }
 
     /// Offer one datagram. Returns `true` if queued; `false` if the ring

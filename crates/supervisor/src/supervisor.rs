@@ -122,7 +122,9 @@ pub const SERIES: &[Series<SupervisorStats>] = &[
     Series::level("supervisor_agents{state=\"recovering\"}", |s| slot(&s.agents, 3)),
     Series::counter("supervisor_transitions_total{to=\"healthy\"}", |s| slot(&s.transitions, 0)),
     Series::counter("supervisor_transitions_total{to=\"degraded\"}", |s| slot(&s.transitions, 1)),
-    Series::counter("supervisor_transitions_total{to=\"quarantined\"}", |s| slot(&s.transitions, 2)),
+    Series::counter("supervisor_transitions_total{to=\"quarantined\"}", |s| {
+        slot(&s.transitions, 2)
+    }),
     Series::counter("supervisor_transitions_total{to=\"recovering\"}", |s| slot(&s.transitions, 3)),
 ];
 
@@ -515,7 +517,9 @@ impl Supervisor {
     /// rows of [`LEDGER`](ixp_obs::LEDGER), the ring's depth the queue.
     pub fn fully_accounted(&self) -> bool {
         let (collector, stats) = (self.scan.collector().stats(), self.stats());
-        let read = |f: &str| family_sum(COLLECTOR_SERIES, &collector, f).or_else(|| family_sum(SERIES, &stats, f));
+        let read = |f: &str| {
+            family_sum(COLLECTOR_SERIES, &collector, f).or_else(|| family_sum(SERIES, &stats, f))
+        };
         let rows = [Invariant::SflowLedger, Invariant::SupervisorOffered];
         rows.iter().all(|row| row.identity().balance(read, stats.ring_depth as u64).is_ok())
     }
@@ -583,8 +587,10 @@ mod tests {
         assert_eq!(s.deadline_misses, 0);
         assert_eq!(s.ticks, 8);
         assert_eq!(s.agents, [1, 0, 0, 0]);
-        assert_eq!(sup.health_of(u32::from(Ipv4Addr::new(10, 255, 0, 1)), 0),
-                   Some(HealthState::Healthy));
+        assert_eq!(
+            sup.health_of(u32::from(Ipv4Addr::new(10, 255, 0, 1)), 0),
+            Some(HealthState::Healthy)
+        );
         assert!(sup.fully_accounted());
         assert_eq!(sup.scan().ingest_health().collector.accepted, 32);
     }
@@ -664,15 +670,10 @@ mod tests {
             let done = first.run_feed(feed().into_iter(), Some(kill_at));
             assert!(!done || kill_at >= feed().len() as u64);
             let mid = first.checkpoint();
-            let mut resumed =
-                Supervisor::restore(&mid, small_config()).expect("restore");
+            let mut resumed = Supervisor::restore(&mid, small_config()).expect("restore");
             assert_eq!(resumed.offered(), kill_at.min(feed().len() as u64));
             resumed.run_feed(feed().into_iter(), None);
-            assert_eq!(
-                resumed.checkpoint(),
-                reference_ckpt,
-                "divergence after kill at {kill_at}"
-            );
+            assert_eq!(resumed.checkpoint(), reference_ckpt, "divergence after kill at {kill_at}");
         }
     }
 
@@ -785,7 +786,10 @@ mod tests {
         for state in HealthState::ALL {
             let (i, label) = (state.index(), state.as_str());
             want.insert(format!("supervisor_agents{{state=\"{label}\"}}"), s.agents[i]);
-            want.insert(format!("supervisor_transitions_total{{to=\"{label}\"}}"), s.transitions[i]);
+            want.insert(
+                format!("supervisor_transitions_total{{to=\"{label}\"}}"),
+                s.transitions[i],
+            );
         }
         let got = published(obs);
         for (name, v) in &want {
@@ -812,10 +816,14 @@ mod tests {
     fn registry_moves_only_at_sync_points_and_then_equals_the_stats() {
         let model = ixp_netmodel::InternetModel::tiny(7);
         let members = model.registry.members_at(Week::REFERENCE).len() as u32;
-        let mut feed: Vec<Vec<u8>> =
-            ixp_traffic::WeekStream::new(&model, ixp_traffic::MixConfig::default(), Week::REFERENCE, 7)
-                .take(120)
-                .collect();
+        let mut feed: Vec<Vec<u8>> = ixp_traffic::WeekStream::new(
+            &model,
+            ixp_traffic::MixConfig::default(),
+            Week::REFERENCE,
+            7,
+        )
+        .take(120)
+        .collect();
         // Garbage, a duplicate and a gap, so those series are not all zero.
         feed.insert(10, vec![1, 2, 3]);
         feed.insert(21, feed[20].clone());

@@ -79,11 +79,7 @@ mod tests {
             .server_ips
             .iter()
             .filter(|ip| {
-                model
-                    .servers
-                    .by_ip(**ip)
-                    .map(|s| s.flags.has(ServerFlags::HIDDEN))
-                    .unwrap_or(false)
+                model.servers.by_ip(**ip).map(|s| s.flags.has(ServerFlags::HIDDEN)).unwrap_or(false)
             })
             .count();
         assert!(hidden * 10 < trace.server_ips.len(), "too many hidden: {hidden}");

@@ -139,7 +139,10 @@ mod tests {
             let mut left = datagrams;
             loop {
                 let (lower, upper) = stream.size_hint();
-                assert!(lower <= left && Some(left) <= upper, "{budget}: {left} in {lower}..={upper:?}");
+                assert!(
+                    lower <= left && Some(left) <= upper,
+                    "{budget}: {left} in {lower}..={upper:?}"
+                );
                 if left < datagrams && left > 0 {
                     assert_eq!(lower, left, "{budget}: a port has counted by now");
                 }
@@ -182,11 +185,8 @@ mod tests {
         }
         assert!(hosts.len() > 5, "only {} distinct Host headers", hosts.len());
         // Host values must be model domains.
-        let all_domains: std::collections::HashSet<&str> = model
-            .orgs
-            .iter()
-            .flat_map(|o| o.domains.iter().map(String::as_str))
-            .collect();
+        let all_domains: std::collections::HashSet<&str> =
+            model.orgs.iter().flat_map(|o| o.domains.iter().map(String::as_str)).collect();
         for h in &hosts {
             assert!(all_domains.contains(h.as_str()), "unknown host {h}");
         }

@@ -86,10 +86,7 @@ impl<'m> WeekContext<'m> {
         let gateway: Vec<MemberId> = (0..model.registry.len() as u32)
             .map(|i| {
                 let asn = model.registry.by_index(i).asn;
-                model
-                    .graph
-                    .gateway(&model.registry, asn, week)
-                    .unwrap_or(MemberId(0))
+                model.graph.gateway(&model.registry, asn, week).unwrap_or(MemberId(0))
             })
             .collect();
 
@@ -177,10 +174,7 @@ impl<'m> WeekContext<'m> {
     fn draw_server(&self, rng: &mut SmallRng) -> u32 {
         let total = *self.weight_cdf.last().expect("no active servers");
         let x = rng.gen::<f64>() * total;
-        let idx = self
-            .weight_cdf
-            .partition_point(|&c| c <= x)
-            .min(self.active.len() - 1);
+        let idx = self.weight_cdf.partition_point(|&c| c <= x).min(self.active.len() - 1);
         self.active[idx]
     }
 
@@ -195,10 +189,9 @@ impl<'m> WeekContext<'m> {
             // Uniform over the member-AS populations: the range names the
             // AS, so the client is located inside it and never searched for.
             let x = rng.gen_range(0..self.member_client_total);
-            let k = self
-                .member_client_ranges
-                .partition_point(|(end, _)| *end <= x);
-            let (end, as_idx) = self.member_client_ranges[k.min(self.member_client_ranges.len() - 1)];
+            let k = self.member_client_ranges.partition_point(|(end, _)| *end <= x);
+            let (end, as_idx) =
+                self.member_client_ranges[k.min(self.member_client_ranges.len() - 1)];
             let pop = clients.population(as_idx);
             let local = pop - (end - x).min(pop);
             clients.locate_in(routing, as_idx, local).map(|addr| (addr, as_idx))
@@ -216,8 +209,7 @@ impl<'m> WeekContext<'m> {
     /// (Fig. 7's x-axis spread): most members take everything directly,
     /// a few take nothing directly, the rest sit in between.
     fn theta(&self, org: OrgId, member: MemberId) -> f64 {
-        let h = (u64::from(org.0) << 32 | u64::from(member.0))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = (u64::from(org.0) << 32 | u64::from(member.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         if u < 0.70 {
             1.0
@@ -317,12 +309,12 @@ impl<'m> WeekStream<'m> {
         // samples only *estimate* — which is what makes the sampling-bias
         // cross-check in `ixp-core` meaningful.
         if frame.len() >= 12 && frame[6] == 0x02 && frame[7] == 0x1f {
-            let port =
-                u32::from_be_bytes([frame[8], frame[9], frame[10], frame[11]]) as usize;
+            let port = u32::from_be_bytes([frame[8], frame[9], frame[10], frame[11]]) as usize;
             if port < self.port_octets.len() {
-                let realized = u64::from(self.counter_rng.gen_range(
-                    PAPER_SAMPLING_RATE / 2..=PAPER_SAMPLING_RATE * 3 / 2,
-                ));
+                let realized = u64::from(
+                    self.counter_rng
+                        .gen_range(PAPER_SAMPLING_RATE / 2..=PAPER_SAMPLING_RATE * 3 / 2),
+                );
                 self.port_octets[port] += realized * wire_len as u64;
                 self.port_frames[port] += realized;
             }
@@ -468,7 +460,10 @@ fn generate_frame(
 
 /// Pick two distinct member-gatewayed clients that can exchange traffic
 /// over the fabric.
-fn client_pair(ctx: &WeekContext<'_>, rng: &mut SmallRng) -> Option<(Ipv4Addr, MemberId, Ipv4Addr, MemberId)> {
+fn client_pair(
+    ctx: &WeekContext<'_>,
+    rng: &mut SmallRng,
+) -> Option<(Ipv4Addr, MemberId, Ipv4Addr, MemberId)> {
     for _ in 0..6 {
         let a = ctx.draw_client(rng);
         let b = ctx.draw_client(rng);
@@ -544,8 +539,7 @@ fn server_flow_frame(
         // Service port for this flow.
         let week_factor =
             1.0 + ctx.cfg.https_weekly_drift * f64::from(ctx.week.0.saturating_sub(35));
-        let https = server.https_in(ctx.week)
-            && rng.gen::<f64>() < (0.22 * week_factor).min(0.9);
+        let https = server.https_in(ctx.week) && rng.gen::<f64>() < (0.22 * week_factor).min(0.9);
         let rtmp = !https && server.flags.has(ServerFlags::RTMP) && rng.gen::<f64>() < 0.35;
         let port: u16 = if https {
             443
@@ -592,15 +586,15 @@ fn server_flow_frame(
                 // infrastructure without PTRs mostly serves embedded assets
                 // fetched with SNI/absolute URIs that stay outside the
                 // snippet. (This keeps the paper's step-3 population small.)
-                let ptr_gate = server.flags.has(ServerFlags::HAS_PTR)
-                    || rng.gen::<f64>() < 0.12;
+                let ptr_gate = server.flags.has(ServerFlags::HAS_PTR) || rng.gen::<f64>() < 0.12;
                 let domain: &str = if emits_uri && ptr_gate && !org.domains.is_empty() {
                     if rng.gen::<f64>() < ctx.cfg.p_cross_org_uri {
                         // Embedded third-party content: the Host names
                         // another organization's domain.
-                        let other = ctx.model.orgs.get(OrgId(
-                            rng.gen_range(0..ctx.model.orgs.len() as u32),
-                        ));
+                        let other = ctx
+                            .model
+                            .orgs
+                            .get(OrgId(rng.gen_range(0..ctx.model.orgs.len() as u32)));
                         other.domains.first().map_or("", String::as_str)
                     } else {
                         let u: f64 = rng.gen();
@@ -629,7 +623,18 @@ fn server_flow_frame(
         } else {
             (client_ip, server.ip, ephemeral, port, mac(m_client), mac(m_server))
         };
-        return tcp_frame(buf, src_mac, dst_mac, src_ip, dst_ip, sport, dport, payload_len, wire, rng);
+        return tcp_frame(
+            buf,
+            src_mac,
+            dst_mac,
+            src_ip,
+            dst_ip,
+            sport,
+            dport,
+            payload_len,
+            wire,
+            rng,
+        );
     }
     // Could not build a server flow (degenerate tiny worlds): fall back.
     background_udp_frame(ctx, rng, buf)
@@ -798,7 +803,11 @@ fn emit_eth_ip(
     ip_payload_len: usize,
     rng: &mut SmallRng,
 ) {
-    let eth = ethernet::Repr { src_addr: src_mac, dst_addr: dst_mac, ethertype: ixp_wire::EtherType::Ipv4 };
+    let eth = ethernet::Repr {
+        src_addr: src_mac,
+        dst_addr: dst_mac,
+        ethertype: ixp_wire::EtherType::Ipv4,
+    };
     eth.emit(&mut ethernet::Frame::new_unchecked(&mut buf[..]));
     let ip = ipv4::Repr {
         src_addr: src_ip,
@@ -807,8 +816,7 @@ fn emit_eth_ip(
         payload_len: ip_payload_len,
         ttl: rng.gen_range(40..64),
     };
-    ip.emit(&mut ipv4::Packet::new_unchecked(&mut buf[L3..]))
-        .expect("ip emit");
+    ip.emit(&mut ipv4::Packet::new_unchecked(&mut buf[L3..])).expect("ip emit");
 }
 
 /// Put Ethernet, IPv4 and TCP headers in front of the `payload_len` bytes
@@ -865,11 +873,7 @@ fn udp_frame(
     // UDP needs no rng for headers; reuse a throwaway for the IP TTL.
     let mut ttl_rng = SmallRng::seed_from_u64(u64::from(u32::from(src_ip)) ^ 0x77);
     emit_eth_ip(snippet, src_mac, dst_mac, src_ip, dst_ip, Protocol::Udp, wire - L4, &mut ttl_rng);
-    let udp_repr = udp::Repr {
-        src_port: sport,
-        dst_port: dport,
-        payload_len: wire - UDP_PAYLOAD,
-    };
+    let udp_repr = udp::Repr { src_port: sport, dst_port: dport, payload_len: wire - UDP_PAYLOAD };
     udp_repr
         .emit(&mut udp::Packet::new_unchecked(&mut snippet[L4..]), src_ip, dst_ip)
         .expect("udp emit");

@@ -41,7 +41,8 @@ const WEEKS: [(u64, u8, u64, usize); 6] = [
 const BUDGET: u64 = 1_000;
 
 /// `(seed, fnv64, datagrams)` of the budgeted reference week.
-const BUDGETED: [(u64, u64, usize); 2] = [(2012, 0x2b39_76f1_6524_e7d2, 143), (99, 0xe1b0_cc00_fc99_0b25, 143)];
+const BUDGETED: [(u64, u64, usize); 2] =
+    [(2012, 0x2b39_76f1_6524_e7d2, 143), (99, 0xe1b0_cc00_fc99_0b25, 143)];
 
 #[test]
 fn whole_tiny_weeks_are_byte_stable_across_commits() {

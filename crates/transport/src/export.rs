@@ -225,7 +225,10 @@ pub(crate) mod encode {
     }
 
     /// Frame `body` as one set.
-    #[allow(clippy::arithmetic_side_effects, reason = "body is a set the encoder built in memory; the generator keeps it to at most 30 records")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "body is a set the encoder built in memory; the generator keeps it to at most 30 records"
+    )]
     fn push_set(sets: &mut Vec<u8>, set_id: u16, body: &[u8]) {
         sets.extend_from_slice(&set_id.to_be_bytes());
         sets.extend_from_slice(&((body.len() + 4) as u16).to_be_bytes());
@@ -376,7 +379,12 @@ pub(crate) mod tests {
             // A set length pointing past the packet.
             let mut lied = (d.packet)(1, 7, 260, Some(&fields), &[]);
             lied[d.header_len + 2] = 0xFF;
-            assert_eq!((d.decode)(&lied, 1, &mut cache()), Err(DecodeFault::Truncated), "{}", d.name);
+            assert_eq!(
+                (d.decode)(&lied, 1, &mut cache()),
+                Err(DecodeFault::Truncated),
+                "{}",
+                d.name
+            );
             // One shorter than its own 4-byte header.
             let mut short = (d.packet)(1, 7, 260, Some(&fields), &[]);
             short[d.header_len + 2] = 0;

@@ -99,9 +99,8 @@ struct Exporter {
 pub fn generate(cfg: &FlowGenConfig) -> Vec<(u64, Vec<u8>)> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xF10E_6E11);
     let exporters = cfg.exporters.max(1);
-    let mut state: Vec<Exporter> = (0..exporters)
-        .map(|_| Exporter { seq: 0, count: 0, announced: false })
-        .collect();
+    let mut state: Vec<Exporter> =
+        (0..exporters).map(|_| Exporter { seq: 0, count: 0, announced: false }).collect();
     let per_packet = usize::from(cfg.records_per_packet.clamp(1, 30));
     let every = cfg.template_every.max(1);
 
@@ -186,11 +185,8 @@ mod tests {
         // Withhold from the very start: templated exporters' data
         // arrives before any template and must park, then resolve once
         // the window closes and announcements resume.
-        let cfg = FlowGenConfig {
-            packets: 120,
-            withhold: vec![(0, 30)],
-            ..FlowGenConfig::default()
-        };
+        let cfg =
+            FlowGenConfig { packets: 120, withhold: vec![(0, 30)], ..FlowGenConfig::default() };
         let mut t = TransportIntake::new(TransportConfig::default());
         let mut saw_pending = false;
         for (peer, packet) in generate(&cfg) {
@@ -208,11 +204,7 @@ mod tests {
 
     #[test]
     fn flap_window_forces_refreshes() {
-        let cfg = FlowGenConfig {
-            packets: 120,
-            flap: vec![(40, 60)],
-            ..FlowGenConfig::default()
-        };
+        let cfg = FlowGenConfig { packets: 120, flap: vec![(40, 60)], ..FlowGenConfig::default() };
         let mut t = TransportIntake::new(TransportConfig::default());
         for (peer, packet) in generate(&cfg) {
             t.offer(peer, &packet);
@@ -236,10 +228,8 @@ mod tests {
         let packets = generate(&cfg);
         // The restarted exporter re-announces: at least two template
         // packets (index 0 and index 30) in the stream.
-        let with_template = packets
-            .iter()
-            .filter(|(_, p)| p.len() > 21 && p[20] == 0 && p[21] == 0)
-            .count();
+        let with_template =
+            packets.iter().filter(|(_, p)| p.len() > 21 && p[20] == 0 && p[21] == 0).count();
         assert!(with_template >= 2, "restart did not force a re-announcement");
     }
 }

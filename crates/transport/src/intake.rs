@@ -217,9 +217,11 @@ impl TransportIntake {
     /// `decode_errors` equal to its three kinds.
     pub fn fully_accounted(&self) -> bool {
         let s = &self.stats;
-        let kinds = s.truncated.checked_add(s.bad_version).and_then(|v| v.checked_add(s.inconsistent));
+        let kinds =
+            s.truncated.checked_add(s.bad_version).and_then(|v| v.checked_add(s.inconsistent));
         let read = |family: &str| family_sum(SERIES, self, family);
-        let rows = [Invariant::TransportLedger, Invariant::TransportProtoSum, Invariant::TransportOffered];
+        let rows =
+            [Invariant::TransportLedger, Invariant::TransportProtoSum, Invariant::TransportOffered];
         kinds == Some(s.decode_errors)
             && rows.iter().all(|row| row.identity().balance(read, self.inbox.len() as u64).is_ok())
     }
@@ -681,14 +683,10 @@ impl TransportIntake {
                 if sum != record_len {
                     return Err(StateError::Invalid("template record_len does not match fields"));
                 }
-                templates.insert(
-                    id,
-                    Template { fields, record_len, revision, last_used: t_last_used },
-                );
+                templates
+                    .insert(id, Template { fields, record_len, revision, last_used: t_last_used });
             }
-            cache
-                .domains
-                .insert(key, crate::template::Domain { last_used, templates });
+            cache.domains.insert(key, crate::template::Domain { last_used, templates });
         }
         cur.finish()?;
 
@@ -726,7 +724,10 @@ enum Proto {
 #[must_use]
 enum Disposition {
     /// Decoded; `work` goes downstream (none for a template-only packet).
-    Accepted { proto: Proto, work: Option<Drained> },
+    Accepted {
+        proto: Proto,
+        work: Option<Drained>,
+    },
     /// A retransmit of a sequence already in the exporter's dedup window.
     Duplicate,
     Fault(DecodeFault),

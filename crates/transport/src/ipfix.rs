@@ -90,8 +90,8 @@ fn options_template(body: &[u8]) -> Result<u32, DecodeFault> {
 /// Encoding — the generator/test side.
 pub mod encode {
     use super::{FRAMING, HEADER_LEN, VERSION};
-    use crate::export::encode::sets;
     pub use crate::export::encode::flow_template_fields;
+    use crate::export::encode::sets;
     use crate::flow::FlowRecord;
 
     /// Build an IPFIX message: optional template set announcing
@@ -104,7 +104,10 @@ pub mod encode {
         records: &[FlowRecord],
     ) -> Vec<u8> {
         let sets = sets(FRAMING.template_set, template_id, template, records);
-        #[allow(clippy::arithmetic_side_effects, reason = "sets is a Vec in memory; the generator keeps it to at most 30 records")]
+        #[allow(
+            clippy::arithmetic_side_effects,
+            reason = "sets is a Vec in memory; the generator keeps it to at most 30 records"
+        )]
         let total = (HEADER_LEN + sets.len()) as u16;
         let mut out = Vec::with_capacity(usize::from(total));
         out.extend_from_slice(&VERSION.to_be_bytes());

@@ -95,18 +95,14 @@ impl UdpLink {
     /// the caller is expected to fall back to [`MemLink`] and say why.
     pub fn bind(addr: &str) -> Result<UdpLink, LinkError> {
         let socket = UdpSocket::bind(addr).map_err(LinkError::Bind)?;
-        socket
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .map_err(LinkError::Bind)?;
+        socket.set_read_timeout(Some(Duration::from_millis(50))).map_err(LinkError::Bind)?;
         Ok(UdpLink { socket, target: None, buf: vec![0u8; MAX_PACKET] })
     }
 
     /// Bind an ephemeral sending link aimed at `target`.
     pub fn connect(target: &str) -> Result<UdpLink, LinkError> {
         let socket = UdpSocket::bind("127.0.0.1:0").map_err(LinkError::Bind)?;
-        socket
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .map_err(LinkError::Bind)?;
+        socket.set_read_timeout(Some(Duration::from_millis(50))).map_err(LinkError::Bind)?;
         let target: SocketAddr = target
             .parse()
             .map_err(|_| LinkError::Bind(std::io::Error::other("bad target address")))?;

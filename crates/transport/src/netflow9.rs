@@ -79,8 +79,8 @@ fn options_template(body: &[u8]) -> Result<u32, DecodeFault> {
 /// Encoding — the generator/test side.
 pub mod encode {
     use super::{FRAMING, HEADER_LEN, VERSION};
-    use crate::export::encode::sets;
     pub use crate::export::encode::flow_template_fields;
+    use crate::export::encode::sets;
     use crate::flow::FlowRecord;
 
     /// Build a v9 packet: optional template flowset announcing
@@ -94,7 +94,10 @@ pub mod encode {
         records: &[FlowRecord],
     ) -> Vec<u8> {
         let sets = sets(FRAMING.template_set, template_id, template, records);
-        #[allow(clippy::arithmetic_side_effects, reason = "the generator clamps records_per_packet to 30")]
+        #[allow(
+            clippy::arithmetic_side_effects,
+            reason = "the generator clamps records_per_packet to 30"
+        )]
         let count = u16::from(template.is_some()) + records.len() as u16;
         #[allow(clippy::arithmetic_side_effects, reason = "sets is a Vec in memory")]
         let mut out = Vec::with_capacity(HEADER_LEN + sets.len());

@@ -127,10 +127,9 @@ impl TemplateCache {
                 self.refreshed = self.refreshed.saturating_add(1);
             }
             None => {
-                domain.templates.insert(
-                    id,
-                    Template { fields, record_len, revision: 1, last_used: tick },
-                );
+                domain
+                    .templates
+                    .insert(id, Template { fields, record_len, revision: 1, last_used: tick });
                 self.installed = self.installed.saturating_add(1);
                 // Bound the per-domain table; evict its LRU template.
                 if domain.templates.len() > self.config.max_templates_per_domain {

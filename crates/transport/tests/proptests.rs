@@ -8,9 +8,7 @@ use proptest::prelude::*;
 
 use ixp_transport::flow::FlowRecord;
 use ixp_transport::template::{TemplateCache, TemplateCacheConfig};
-use ixp_transport::{
-    ipfix, netflow5, netflow9, Drained, TransportConfig, TransportIntake,
-};
+use ixp_transport::{ipfix, netflow5, netflow9, Drained, TransportConfig, TransportIntake};
 
 fn arb_record() -> impl Strategy<Value = FlowRecord> {
     (

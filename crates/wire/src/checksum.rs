@@ -31,7 +31,10 @@ impl Checksum {
     /// Feed a byte slice. Odd-length slices are padded with a zero byte,
     /// which is correct for the *final* slice only; intermediate slices fed
     /// to one accumulator must be even-length (checked in debug builds).
-    #[allow(clippy::disallowed_macros, reason = "debug builds only: the order the caller feeds slices in, not anything decoded")]
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "debug builds only: the order the caller feeds slices in, not anything decoded"
+    )]
     pub fn add(&mut self, data: &[u8]) {
         debug_assert!(
             !self.odd_fed,
@@ -50,7 +53,10 @@ impl Checksum {
     }
 
     /// Feed one big-endian u16.
-    #[allow(clippy::disallowed_macros, reason = "debug builds only: the order the caller feeds slices in, not anything decoded")]
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "debug builds only: the order the caller feeds slices in, not anything decoded"
+    )]
     pub fn add_u16(&mut self, v: u16) {
         debug_assert!(
             !self.odd_fed,
@@ -68,7 +74,10 @@ impl Checksum {
     }
 
     /// Fold carries and return the ones-complement result.
-    #[allow(clippy::arithmetic_side_effects, reason = "two 16-bit halves add to at most 0x1fffe, well inside u32")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "two 16-bit halves add to at most 0x1fffe, well inside u32"
+    )]
     pub fn finish(self) -> u16 {
         let mut sum = self.sum;
         while sum >> 16 != 0 {

@@ -156,7 +156,10 @@ impl<'a> Dissection<'a> {
     /// header, used for traffic accounting (snippets hide the true frame
     /// size; the total-length field recovers it, exactly as real sFlow
     /// analysis does).
-    #[allow(clippy::arithmetic_side_effects, reason = "payload_len is ipv4::Repr::parse's u16 total length less its header, so the sum stays under 65 550")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "payload_len is ipv4::Repr::parse's u16 total length less its header, so the sum stays under 65 550"
+    )]
     pub fn claimed_frame_len(&self) -> Option<usize> {
         match &self.network {
             Network::Ipv4 { repr, .. } => {
@@ -176,9 +179,12 @@ fn dissect_ipv4(l3: &[u8]) -> Network<'_> {
     // not the temporary packet view.
     #[allow(clippy::arithmetic_side_effects, reason = "the IHL nibble times four is at most 60")]
     let header_len = ((l3.first().copied().unwrap_or(0) & 0x0f) as usize) * 4;
-    #[allow(clippy::arithmetic_side_effects, reason = "Repr::parse accepted these bytes, so check_len saw header_len >= ipv4::HEADER_LEN, and payload_len is at most u16::MAX")]
-    let claimed_end = (ipv4::HEADER_LEN + repr.payload_len + (header_len - ipv4::HEADER_LEN))
-        .min(l3.len());
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "Repr::parse accepted these bytes, so check_len saw header_len >= ipv4::HEADER_LEN, and payload_len is at most u16::MAX"
+    )]
+    let claimed_end =
+        (ipv4::HEADER_LEN + repr.payload_len + (header_len - ipv4::HEADER_LEN)).min(l3.len());
     let l4 = l3.get(header_len.min(claimed_end)..claimed_end).unwrap_or(&[]);
     let transport = match repr.protocol {
         Protocol::Tcp => match tcp::Packet::new_snippet(l4) {
@@ -190,9 +196,7 @@ fn dissect_ipv4(l3: &[u8]) -> Network<'_> {
             Err(_) => Transport::Truncated(Protocol::Tcp),
         },
         Protocol::Udp => match udp::Packet::new_snippet(l4) {
-            Ok(dgram) => {
-                Transport::Udp { src_port: dgram.src_port(), dst_port: dgram.dst_port() }
-            }
+            Ok(dgram) => Transport::Udp { src_port: dgram.src_port(), dst_port: dgram.dst_port() },
             Err(_) => Transport::Truncated(Protocol::Udp),
         },
         Protocol::Icmp => {
@@ -208,7 +212,10 @@ fn dissect_ipv4(l3: &[u8]) -> Network<'_> {
     let payload: &[u8] = match repr.protocol {
         Protocol::Tcp => match tcp::Packet::new_snippet(l4) {
             Ok(_) => {
-                #[allow(clippy::arithmetic_side_effects, reason = "the data-offset nibble times four is at most 60")]
+                #[allow(
+                    clippy::arithmetic_side_effects,
+                    reason = "the data-offset nibble times four is at most 60"
+                )]
                 let hl = (l4.get(12).copied().unwrap_or(0) >> 4) as usize * 4;
                 l4.get(hl..).unwrap_or(&[])
             }
@@ -262,9 +269,7 @@ mod tests {
             flags: Flags::PSH | Flags::ACK,
             window: 64000,
         };
-        tcp_repr
-            .emit(&mut tcp::Packet::new_unchecked(&mut l4[..]), src_ip, dst_ip)
-            .unwrap();
+        tcp_repr.emit(&mut tcp::Packet::new_unchecked(&mut l4[..]), src_ip, dst_ip).unwrap();
 
         buf.truncate(cap.min(total));
         buf

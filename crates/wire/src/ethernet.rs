@@ -4,7 +4,10 @@
 //! sFlow sample starts with an Ethernet II header. Only untagged Ethernet II
 //! is modelled (the study's IXP strips customer VLAN tags at the edge;
 //! 802.1Q-tagged frames are classified as "other" by the filtering cascade).
-#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by the new_checked length validation; new_unchecked documents its panic contract")]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "field accessors are guarded by the new_checked length validation; new_unchecked documents its panic contract"
+)]
 
 use core::fmt;
 
@@ -34,11 +37,7 @@ impl EthernetAddress {
 impl fmt::Display for EthernetAddress {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let o = &self.0;
-        write!(
-            f,
-            "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
-            o[0], o[1], o[2], o[3], o[4], o[5]
-        )
+        write!(f, "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}", o[0], o[1], o[2], o[3], o[4], o[5])
     }
 }
 

@@ -8,7 +8,10 @@
 //! * [`Packet::new_snippet`] — tolerant: the header must be intact and the
 //!   total-length field must be *at least* plausible, but the payload may be
 //!   truncated (used when *dissecting* sFlow samples).
-#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract"
+)]
 
 use std::net::Ipv4Addr;
 
@@ -83,7 +86,10 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Header length in bytes (IHL × 4).
-    #[allow(clippy::arithmetic_side_effects, reason = "the IHL nibble times four is at most 60, which fits a u8")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "the IHL nibble times four is at most 60, which fits a u8"
+    )]
     pub fn header_len(&self) -> u8 {
         (self.buffer.as_ref()[0] & 0x0f) * 4
     }
@@ -145,7 +151,10 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set version and IHL (header length in bytes; must be a multiple of 4).
-    #[allow(clippy::disallowed_macros, reason = "debug builds only: an emitter's own argument, never decoded input")]
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "debug builds only: an emitter's own argument, never decoded input"
+    )]
     pub fn set_version_and_header_len(&mut self, header_len: u8) {
         debug_assert!(header_len.is_multiple_of(4) && header_len >= 20);
         self.buffer.as_mut()[0] = 0x40 | (header_len / 4);
@@ -222,7 +231,10 @@ impl Repr {
     /// The reported `payload_len` is the one *claimed by the header* — for a
     /// snippet this exceeds the bytes actually available, which is exactly
     /// the quantity traffic accounting needs.
-    #[allow(clippy::arithmetic_side_effects, reason = "check_len(true) has rejected a total length under the header length")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "check_len(true) has rejected a total length under the header length"
+    )]
     pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Result<Repr> {
         packet.check_len(true)?;
         if !packet.verify_checksum() {
@@ -238,7 +250,10 @@ impl Repr {
     }
 
     /// Total length this header will claim.
-    #[allow(clippy::arithmetic_side_effects, reason = "payload_len is a u16 total less its header when parsed, or the length of a payload held in memory when emitted")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "payload_len is a u16 total less its header when parsed, or the length of a payload held in memory when emitted"
+    )]
     pub fn total_len(&self) -> usize {
         HEADER_LEN + self.payload_len
     }

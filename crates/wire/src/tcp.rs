@@ -3,7 +3,10 @@
 //! The study's server identification keys off TCP ports (80, 8080, 443, 1935)
 //! and the first bytes of payload; we model the option-less 20-byte header,
 //! which is all the generator emits and all the dissector needs.
-#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract"
+)]
 
 use std::net::Ipv4Addr;
 
@@ -136,7 +139,10 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Header length in bytes (data offset × 4).
-    #[allow(clippy::arithmetic_side_effects, reason = "the data-offset nibble times four is at most 60, which fits a u8")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "the data-offset nibble times four is at most 60, which fits a u8"
+    )]
     pub fn header_len(&self) -> u8 {
         (self.buffer.as_ref()[12] >> 4) * 4
     }
@@ -198,7 +204,10 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     }
 
     /// Set the data offset (header length in bytes).
-    #[allow(clippy::disallowed_macros, reason = "debug builds only: an emitter's own argument, never decoded input")]
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "debug builds only: an emitter's own argument, never decoded input"
+    )]
     pub fn set_header_len(&mut self, len: u8) {
         debug_assert!(len.is_multiple_of(4) && len >= 20);
         self.buffer.as_mut()[12] = (len / 4) << 4;

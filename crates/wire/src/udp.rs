@@ -1,5 +1,8 @@
 //! UDP datagram views and representation.
-#![allow(clippy::indexing_slicing, reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract")]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "field accessors are guarded by new_checked/new_snippet length validation; new_unchecked documents its panic contract"
+)]
 
 use std::net::Ipv4Addr;
 
@@ -145,7 +148,10 @@ pub struct Repr {
 
 impl Repr {
     /// Parse a datagram view (full or snippet).
-    #[allow(clippy::arithmetic_side_effects, reason = "check_len(true) has rejected a length field under HEADER_LEN")]
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "check_len(true) has rejected a length field under HEADER_LEN"
+    )]
     pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Result<Repr> {
         packet.check_len(true)?;
         Ok(Repr {
@@ -165,7 +171,10 @@ impl Repr {
         if packet.buffer.as_ref().len() < HEADER_LEN {
             return Err(Error::BufferTooSmall);
         }
-        #[allow(clippy::arithmetic_side_effects, reason = "payload_len is the length of a payload held in memory, and the sum is checked against u16::MAX next")]
+        #[allow(
+            clippy::arithmetic_side_effects,
+            reason = "payload_len is the length of a payload held in memory, and the sum is checked against u16::MAX next"
+        )]
         let total = HEADER_LEN + self.payload_len;
         if total > u16::MAX as usize {
             return Err(Error::BadLength);

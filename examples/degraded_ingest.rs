@@ -131,10 +131,26 @@ fn main() {
         if identical { "yes" } else { "NO" }
     );
     for (label, r, u) in [
-        ("peering IPs", resumed_report.snapshot.peering.ips, uninterrupted_report.snapshot.peering.ips),
-        ("peering prefixes", resumed_report.snapshot.peering.prefixes, uninterrupted_report.snapshot.peering.prefixes),
-        ("peering ASes", resumed_report.snapshot.peering.ases, uninterrupted_report.snapshot.peering.ases),
-        ("accepted datagrams", resumed_report.health.collector.accepted, uninterrupted_report.health.collector.accepted),
+        (
+            "peering IPs",
+            resumed_report.snapshot.peering.ips,
+            uninterrupted_report.snapshot.peering.ips,
+        ),
+        (
+            "peering prefixes",
+            resumed_report.snapshot.peering.prefixes,
+            uninterrupted_report.snapshot.peering.prefixes,
+        ),
+        (
+            "peering ASes",
+            resumed_report.snapshot.peering.ases,
+            uninterrupted_report.snapshot.peering.ases,
+        ),
+        (
+            "accepted datagrams",
+            resumed_report.health.collector.accepted,
+            uninterrupted_report.health.collector.accepted,
+        ),
     ] {
         let mark = if r == u { "==" } else { "!=" };
         println!("  {label:<18} resumed {r:>8} {mark} uninterrupted {u:>8}");

@@ -39,7 +39,10 @@ fn main() {
 
     // §4.2 HTTPS drift.
     let trend = changes::https_trend(&study);
-    println!("\nHTTPS drift: server-share slope {:+.3} pp/week, traffic-share slope {:+.3} pp/week", trend.server_slope, trend.traffic_slope);
+    println!(
+        "\nHTTPS drift: server-share slope {:+.3} pp/week, traffic-share slope {:+.3} pp/week",
+        trend.server_slope, trend.traffic_slope
+    );
 
     // §4.2 EC2/Netflix ramp.
     let ec2 = changes::range_series(&study, "eu-ireland");

@@ -19,13 +19,20 @@ fn main() {
     // §5.1 three-step clustering.
     let clusters = cluster::cluster(&weekly, &analyzer.dns);
     let shares = clusters.step_shares();
-    println!("clustering: {} organizations recovered from {} server IPs", clusters.clusters.len(), weekly.census.len());
+    println!(
+        "clustering: {} organizations recovered from {} server IPs",
+        clusters.clusters.len(),
+        weekly.census.len()
+    );
     println!(
         "  step shares: {:.1} % / {:.1} % / {:.1} %   (paper: 78.7 / 17.4 / 3.9)",
         shares[0], shares[1], shares[2]
     );
     let v = cluster::validate_clusters(&clusters, &weekly, &model);
-    println!("  validated false-positive rate: {:.2} %  (paper: < 3 %)", 100.0 * v.false_positive_rate);
+    println!(
+        "  validated false-positive rate: {:.2} %  (paper: < 3 %)",
+        100.0 * v.false_positive_rate
+    );
 
     // Fig. 6b — organizations spread across ASes.
     let f6b = hetero::fig6b(&clusters, 2, 50);
@@ -51,10 +58,7 @@ fn main() {
     for key in ["akamai.example", "cloudflare.example"] {
         if let Some(f7) = hetero::link_usage(&analyzer, &weekly, &clusters, key) {
             println!("\nFig. 7 — {key}:");
-            println!(
-                "  {:.1} % of its traffic crosses non-direct member links",
-                f7.offlink_share
-            );
+            println!("  {:.1} % of its traffic crosses non-direct member links", f7.offlink_share);
             println!(
                 "  {} of {} of its servers seen only via other members' links",
                 f7.servers_via_other_links, f7.servers_total

@@ -35,17 +35,8 @@ fn main() {
 
     // The §3.1 cross-check against the independent ISP dataset.
     let isp = ixp_vantage::traffic::IspTrace::generate(&model, Week::REFERENCE, seed);
-    let confirmed = weekly
-        .census
-        .records
-        .iter()
-        .filter(|r| isp.confirms(r.ip))
-        .count();
-    let isp_only = isp
-        .server_ips
-        .iter()
-        .filter(|ip| weekly.census.get(**ip).is_none())
-        .count();
+    let confirmed = weekly.census.records.iter().filter(|r| isp.confirms(r.ip)).count();
+    let isp_only = isp.server_ips.iter().filter(|ip| weekly.census.get(**ip).is_none()).count();
     println!();
     println!("ISP cross-check (§3.1):");
     println!("  ISP sees {} server IPs", isp.server_ips.len());

@@ -79,7 +79,8 @@ fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 fn tiny_week() -> (Vec<Vec<u8>>, u32) {
     let model = InternetModel::generate(ScaleConfig::tiny(), 14);
     let week = Week::REFERENCE;
-    let feed: Vec<Vec<u8>> = WeekStream::new(&model, MixConfig::default(), week, model.seed).collect();
+    let feed: Vec<Vec<u8>> =
+        WeekStream::new(&model, MixConfig::default(), week, model.seed).collect();
     assert!(feed.len() > 1_000, "a feed of {} datagrams proves little", feed.len());
     (feed, model.registry.members_at(week).len() as u32)
 }

@@ -42,10 +42,7 @@ fn kill_and_resume_recovers_byte_identically() {
     for kill_at in row.kill_points(total()) {
         let (resumed, _) = row.supervise(analyzer(), feed(), &[kill_at]);
         assert_eq!(resumed.resumes, [kill_at], "no resume at kill offset {kill_at}");
-        assert_eq!(
-            resumed.images, whole.images,
-            "checkpoint diverged after kill at {kill_at}"
-        );
+        assert_eq!(resumed.images, whole.images, "checkpoint diverged after kill at {kill_at}");
         assert_eq!(
             resumed.metrics, whole.metrics,
             "metrics snapshot diverged after kill at {kill_at}"

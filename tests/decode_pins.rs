@@ -61,7 +61,8 @@ fn generated() -> Vec<(u64, Vec<u8>)> {
 }
 
 fn wire_faulted(stream: Vec<(u64, Vec<u8>)>) -> (Vec<(u64, Vec<u8>)>, String) {
-    let cfg = WireFaultConfig { seed: 77, drop: 0.05, duplicate: 0.05, reorder: 0.1, truncate: 0.05 };
+    let cfg =
+        WireFaultConfig { seed: 77, drop: 0.05, duplicate: 0.05, reorder: 0.1, truncate: 0.05 };
     let mut plan = WirePlan::new(stream.into_iter(), cfg);
     let out: Vec<_> = plan.by_ref().collect();
     (out, format!("{:?}", plan.stats()))

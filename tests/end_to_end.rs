@@ -118,10 +118,7 @@ fn clustering_and_heterogeneity() {
     let report = study().reference().unwrap();
     let clusters = cluster::cluster(report, &analyzer().dns);
     // A partition with step 1 dominating.
-    assert_eq!(
-        clusters.clustered_total() + clusters.unclustered,
-        report.census.len()
-    );
+    assert_eq!(clusters.clustered_total() + clusters.unclustered, report.census.len());
     let shares = clusters.step_shares();
     assert!(shares[0] > shares[1] && shares[0] > shares[2]);
     // Validated FP rate is small.

@@ -107,13 +107,8 @@ fn stream(analyzer: &Analyzer<'_>) -> Vec<(u64, Vec<u8>)> {
         }
     }
     mixed.extend(flows);
-    let wire = WireFaultConfig {
-        seed: SEED,
-        drop: 0.02,
-        duplicate: 0.01,
-        reorder: 0.01,
-        truncate: 0.002,
-    };
+    let wire =
+        WireFaultConfig { seed: SEED, drop: 0.02, duplicate: 0.01, reorder: 0.01, truncate: 0.002 };
     WirePlan::new(mixed.into_iter(), wire).collect()
 }
 
@@ -318,8 +313,5 @@ fn a_sample_with_a_value_of_its_own_in_every_field_pins_and_restores_to_itself()
     let restored = Supervisor::restore(&checkpoint, config).expect("the checkpoint restores");
     assert!(restored.checkpoint() == checkpoint, "checkpoint: restore → save moved bytes");
     let intake = TransportIntake::restore_from(&transport_state).expect("the state restores");
-    assert!(
-        intake.save_state() == transport_state,
-        "transport state: restore → save moved bytes"
-    );
+    assert!(intake.save_state() == transport_state, "transport state: restore → save moved bytes");
 }

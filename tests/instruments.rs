@@ -51,9 +51,8 @@ fn https_from_gates_both_traffic_and_crawl() {
         .servers()
         .iter()
         .find(|s| {
-            s.flags.has(ServerFlags::HTTPS)
-                && s.https_from > 40
-                && s.activity & 0b1 != 0 // active at week 35
+            s.flags.has(ServerFlags::HTTPS) && s.https_from > 40 && s.activity & 0b1 != 0
+            // active at week 35
         })
         .expect("a late TLS adopter exists");
     // Before the switch-on: no TLS.
@@ -84,12 +83,8 @@ fn resolver_answers_respect_weekly_existence() {
 #[test]
 fn hidden_servers_never_cross_the_fabric_but_exist_to_instruments() {
     let model = model();
-    let hidden: Vec<_> = model
-        .servers
-        .servers()
-        .iter()
-        .filter(|s| s.flags.has(ServerFlags::HIDDEN))
-        .collect();
+    let hidden: Vec<_> =
+        model.servers.servers().iter().filter(|s| s.flags.has(ServerFlags::HIDDEN)).collect();
     assert!(!hidden.is_empty());
     for s in &hidden {
         for w in Week::all() {

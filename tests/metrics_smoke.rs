@@ -130,8 +130,16 @@ fn ledger_rows_name_families_that_one_binding_registers() {
                 stating[0]
             })
             .collect();
-        let total_rows = tables.iter().flat_map(|(_, rows)| rows).filter(|(name, _)| split_name(name).0 == row.total);
-        assert_eq!(total_rows.map(|(name, _)| *name).collect::<Vec<_>>(), [row.total], "{}", row.name);
+        let total_rows = tables
+            .iter()
+            .flat_map(|(_, rows)| rows)
+            .filter(|(name, _)| split_name(name).0 == row.total);
+        assert_eq!(
+            total_rows.map(|(name, _)| *name).collect::<Vec<_>>(),
+            [row.total],
+            "{}",
+            row.name
+        );
         assert!(
             bound_together.iter().any(|group| owners.iter().all(|owner| group.contains(owner))),
             "{}: its families come from {owners:?}, which no one binding registers together",
@@ -166,7 +174,9 @@ fn series_tables_follow_the_naming_scheme() {
                     let (key, value) = block.split_once("=\"").expect(name);
                     let value = value.strip_suffix('"').expect(name);
                     let word = |w: &str| {
-                        !w.is_empty() && w.chars().all(|c| c.is_ascii_lowercase() || c == '_' || c.is_ascii_digit())
+                        !w.is_empty()
+                            && w.chars()
+                                .all(|c| c.is_ascii_lowercase() || c == '_' || c.is_ascii_digit())
                     };
                     assert!(word(key) && word(value), "{name}: more than one label block");
                 }

@@ -124,10 +124,7 @@ fn kill_and_resume_mid_stream_is_byte_identical() {
         row.supervise(analyzer(), feed(), &row.kill_points(feed().packets.len() as u64));
     assert_eq!(resumed.resumes.len(), 1, "the halfway kill was never reached");
     assert_eq!(whole.images, resumed.images, "checkpoint or transport state diverged");
-    assert_eq!(
-        whole.metrics, resumed.metrics,
-        "metrics snapshot diverged across kill-and-resume"
-    );
+    assert_eq!(whole.metrics, resumed.metrics, "metrics snapshot diverged across kill-and-resume");
     assert_eq!(whole.transport, resumed.transport);
 }
 
@@ -144,10 +141,8 @@ fn same_seed_runs_are_byte_identical() {
 fn overload_sheds_visibly_never_silently() {
     // A deliberately tiny inbox with a lazy drain cadence: the front
     // door must shed, and every shed packet must be counted.
-    let mut intake = TransportIntake::new(TransportConfig {
-        inbox_capacity: 16,
-        ..TransportConfig::default()
-    });
+    let mut intake =
+        TransportIntake::new(TransportConfig { inbox_capacity: 16, ..TransportConfig::default() });
     for (i, (peer, packet)) in flow_workload().iter().enumerate() {
         intake.offer(*peer, packet);
         if i % 8 == 7 {
