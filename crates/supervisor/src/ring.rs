@@ -136,6 +136,34 @@ mod tests {
         assert_eq!(ring.pop(), None);
     }
 
+    proptest::proptest! {
+        /// Conservation over any interleaving: `shed` counts exactly the
+        /// offers that returned `false`, and every offer was popped, is
+        /// still queued or was shed. Capacities reach past 200 and runs of
+        /// offers fill them, so a count that moves only on a deep ring is
+        /// exercised too.
+        #[test]
+        fn every_offer_is_popped_queued_or_shed(
+            capacity in 1usize..=300,
+            runs in proptest::collection::vec((proptest::prelude::any::<bool>(), 1usize..=400), 1..12),
+        ) {
+            let mut ring = IntakeRing::new(capacity);
+            let (mut offers, mut refused, mut pops) = (0u64, 0u64, 0u64);
+            for (offer, run) in runs {
+                for _ in 0..run {
+                    if offer {
+                        offers += 1;
+                        refused += u64::from(!ring.offer(Vec::new()));
+                    } else {
+                        pops += u64::from(ring.pop().is_some());
+                    }
+                }
+                proptest::prop_assert_eq!(ring.shed(), refused);
+                proptest::prop_assert_eq!(offers, pops + ring.len() as u64 + ring.shed());
+            }
+        }
+    }
+
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let mut ring = IntakeRing::new(0);

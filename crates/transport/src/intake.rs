@@ -920,6 +920,39 @@ mod tests {
         assert_eq!(t.stats().accepted, 2);
     }
 
+    proptest::proptest! {
+        /// Conservation at any inbox depth: runs of offers fill an inbox of
+        /// up to 300 with new, repeated and cut-short packets, runs of
+        /// drains empty it in arbitrary budgets, and after every run each
+        /// packet is shed, queued or booked in exactly one bucket. A count
+        /// that moves only on a deep inbox is exercised too.
+        #[test]
+        fn every_offer_is_booked_once_at_any_inbox_depth(
+            capacity in 1usize..=300,
+            runs in proptest::collection::vec((proptest::prelude::any::<bool>(), 1usize..=400), 1..12),
+        ) {
+            let mut t = TransportIntake::new(TransportConfig {
+                inbox_capacity: capacity,
+                ..TransportConfig::default()
+            });
+            let mut seq = 0u32;
+            for (offer, run) in runs {
+                if offer {
+                    for _ in 0..run {
+                        seq += 1;
+                        // Every third packet repeats the one before it;
+                        // every fifth is cut inside its header.
+                        let packet = v5(seq - u32::from(seq.is_multiple_of(3)), 1);
+                        t.offer(1, if seq.is_multiple_of(5) { &packet[..10] } else { &packet });
+                    }
+                } else {
+                    t.drain(run);
+                }
+                proptest::prop_assert!(t.fully_accounted(), "{:?}", t.stats());
+            }
+        }
+    }
+
     #[test]
     fn withheld_template_parks_then_replays() {
         let mut t = intake();

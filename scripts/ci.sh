@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1 verification for the ixp-vantage workspace:
-#   structural guards, build, every workspace test (which holds what no
+#   structural guards and rustfmt, build, every workspace test (which holds what no
 #   lint can state: format pins, restore fixed points, allocation bounds,
 #   error types; DESIGN.md §8), the same-seed byte-identity smokes of the
 #   repro harness, clippy with warnings denied (which carries the no-panic
@@ -64,41 +64,23 @@ echo "==> one of everything (structural guard)"
     grep -rn 'fn fnv64' crates >&2
     fail "expected exactly one \`fn fnv64\` (crates/codec/src/lib.rs), found the above"
 }
-# One trailer: the digest that closes every sealed record is defined once
-# and reached through append_trailer and split_verified only. A format that
-# computed its own would be a second meaning of "sealed".
-[ "$(grep -rl 'trailer_digest(' crates | tr '\n' ' ')" = "crates/codec/src/lib.rs " ] ||
-    fail "the trailer digest is named outside crates/codec/src/lib.rs: $(grep -rl 'trailer_digest(' crates | tr '\n' ' ')"
-trailer_sites=$(awk '
-    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
-    /trailer_digest\(/ { printf "%s ", within }' crates/codec/src/lib.rs)
-[ "$trailer_sites" = "trailer_digest append_trailer split_verified " ] ||
-    fail "expected one \`fn trailer_digest\` called from append_trailer and split_verified, found it in: $trailer_sites"
+# One trailer: the digest that closes every sealed record is private to
+# crates/codec/src/trailer.rs (append_trailer and split_verified call it); a
+# same-named copy in another crate would be a second meaning of "sealed".
+[ "$(grep -rl 'trailer_digest(' crates | tr '\n' ' ')" = "crates/codec/src/trailer.rs " ] ||
+    fail "the trailer digest is named outside crates/codec/src/trailer.rs: $(grep -rl 'trailer_digest(' crates | tr '\n' ' ')"
 # One resolution: whatever the generator keys by ASN, organization or week
-# becomes a dense index once per week, in WeekContext::new; the per-sample
-# code does array lookups and writes into a buffer, nothing else. A hash
-# probe or a `format!` there is per-sample work the week pays 1.3 M times.
+# becomes a dense index once per week, in WeekContext::new; a hash probe in
+# the per-sample code is work the week pays 1.3 M times.
 keyed_sites=$(awk '
     /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
     /index_of\(|members_at\(|population_of\(|HashMap/ { if (within != "new") printf "%s:%d ", within, NR }' crates/traffic/src/week.rs)
 [ -z "$keyed_sites" ] ||
     fail "crates/traffic/src/week.rs resolves a key outside WeekContext::new (fn:line): $keyed_sites"
-if grep -nE 'format!|to_string' crates/traffic/src/payload.rs >&2; then
-    fail "crates/traffic/src/payload.rs formats into a String: write into the caller's buffer"
-fi
-# One presentation: a crawl answer borrows the crawler's chain and carries
-# a tenant as a number (DESIGN.md §14, "The census without copies"). A
-# `.clone()` or `format!` in crawl.rs outside the profile build and the two
-# spellings-out of a presentation is a copy per fetch, which the census
-# pays three times a candidate. The tests below `#[cfg(test)]` are free.
-copy_sites=$(prod crates/cert/src/crawl.rs | awk '
-    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
-    /\.clone\(\)|format!/ { if (within != "build" && within != "subject" && within != "to_chain") printf "%s:%d ", within, NR }')
-[ -z "$copy_sites" ] ||
-    fail "crates/cert/src/crawl.rs copies outside build, Presented::subject and Presented::to_chain (fn:line): $copy_sites"
-if grep -nE '^(bytes|criterion|crossbeam|parking_lot|serde|serde_json|serde_derive)\b' \
-    Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml >&2; then
-    fail "a manifest names a dependency the workspace spells in std"
+# No registry crate: std spells what the workspace needs and the two
+# stand-ins are path crates, so no package in Cargo.lock has a source.
+if grep -n '^source = ' Cargo.lock >&2; then
+    fail "Cargo.lock holds a package from a registry or git source"
 fi
 # One ledger: the ingest path counts in plain integers and ixp-obs publishes
 # them (DESIGN.md §10). A Counter- or Gauge-typed field there is a second
@@ -111,15 +93,17 @@ fi
 [ -z "$(sed -n '/^\[dependencies\]/,/^\[/p' crates/wire/Cargo.toml | grep -v '^\[' | tr -d '[:space:]')" ] ||
     fail "crates/wire/Cargo.toml must list no dependency"
 # One contract: the no-panic, no-dropped-Result rules are one clippy
-# attribute line, the first `#![..]` of lib.rs in each of the nine crates
-# that read bytes from outside, are called from one that does, or compute
-# the paper's results from them (ixp-core). No module carries a line of
-# its own. A crate that edits its copy has left the contract; a vouch is
+# attribute, the first `#![..]` of lib.rs in each of the nine crates that
+# read bytes from outside, are called from one that does, or compute the
+# paper's results from them (ixp-core). No module carries a copy of its
+# own. A crate that edits its copy has left the contract; a vouch is
 # `#[allow(clippy::.., reason = "..")]`.
 contract='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable, clippy::indexing_slicing, clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::disallowed_macros))]'
+# opens_with <file> <attribute>: the file's first inner attribute, which
+# holds no `]` of its own, is <attribute> up to whitespace (rustfmt wraps it).
 opens_with() {
-    [ "$(grep -m1 '^#!\[' "$1")" = "$2" ] ||
-        fail "$1 must open with the line: $2"
+    [ "$(sed -n '/^#!\[/,$p' "$1" | tr -d '[:space:]' | sed 's/].*/]/')" = "$(printf '%s' "$2" | tr -d '[:space:]')" ] ||
+        fail "$1 must open with the attribute: $2"
 }
 for crate in wire sflow faults supervisor transport obsd codec obs core; do
     opens_with "crates/$crate/src/lib.rs" "$contract"
@@ -159,30 +143,13 @@ for error in $(grep -rhoE 'pub enum [A-Za-z0-9_]*Error[A-Za-z0-9_]*' crates/*/sr
     grep -q "::$error>" tests/error_types.rs ||
         fail "pub enum $error is not named in tests/error_types.rs"
 done
-# One booking point per stage: a consumed datagram's terminal bucket moves
-# in one place, fed by a value every exit has to return (`Ingest` booked in
-# `Collector::ingest_view`, `Disposition` in `TransportIntake::book`, the
-# single-exit `IntakeRing::offer`), so conservation holds by construction
-# (DESIGN.md §8). A second bump site is a second place a packet can be
-# counted twice or not at all.
+# bumps <file> <text>: how many lines of the file's production code hold <text>.
 bumps() {
     prod "$1" | grep -c "$2"
 }
-for site in \
-    "crates/transport/src/intake.rs:stats.accepted += 1" \
-    "crates/transport/src/intake.rs:stats.duplicates += 1" \
-    "crates/transport/src/intake.rs:stats.decode_errors += 1" \
-    "crates/sflow/src/collector.rs:agg.accepted += 1" \
-    "crates/sflow/src/collector.rs:agg.duplicates += 1" \
-    "crates/supervisor/src/ring.rs:shed += 1"; do
-    found=$(bumps "${site%%:*}" "${site#*:}") || true
-    [ "$found" -eq 1 ] ||
-        fail "expected exactly one \`${site#*:}\` outside the tests of ${site%%:*}, found $found"
-done
 # One row reader: `read_row` in the scan's state codec parses a per-IP row
-# on the restore helper, and the tests hold the helper to a serial loop over
-# the same reader. A second parser of the row is a second set of checks
-# that the tests do not hold to the first.
+# on the restore helper, which the tests hold to a serial loop over it; a
+# second parser is a second set of checks the tests do not hold to the first.
 found=$(bumps crates/core/src/scan/state.rs 'Evidence(cur.u16()') || true
 [ "$found" -eq 1 ] && ! grep -q 'Evidence(cur.u16()' crates/core/src/scan.rs ||
     fail "expected exactly one \`Evidence(cur.u16()\` (read_row) outside the tests of crates/core/src/scan/state.rs and none in scan.rs, found $found there"
@@ -274,6 +241,9 @@ late=$(for f in $(grep -rl --include='*.rs' '^#\[cfg(test)\]' crates/*/src); do
 done)
 [ -z "$late" ] ||
     fail "a top-level item not under #[cfg(test)] follows the first line-start #[cfg(test)] of (file:line): $late"
+# One layout: the tree is as `cargo fmt --all` leaves it (rustfmt.toml).
+cargo fmt --all --check ||
+    fail "the tree is not as rustfmt leaves it (the diff is above): run cargo fmt --all"
 
 echo "==> cargo build --release"
 cargo build --release
