@@ -3,14 +3,8 @@
 //! (IMC 2013) from the synthetic substrate, printing paper-vs-measured for
 //! each experiment of DESIGN.md's index (E1–E24), plus the ablations.
 //!
-//! ```text
-//! cargo run --release -p ixp-bench --bin repro -- [--scale tiny|small|paper:<divisor>]
-//!     [--seed N] [--markdown <path>] [--exp <id>]
-//!     [--metrics <path>] [--prometheus <path>] [--clock test|real]
-//!     [--checkpoint <path>] [--kill-at <n>] [--resume <path>]
-//!     [--transport none|memory|udp] [--listen <addr>]
-//!     [--serve <addr>] [--trace <path>]
-//! ```
+//! `repro --help` prints the usage line, [`USAGE`], and exits 0; an argument
+//! it cannot parse is refused with one line naming it and the usage, exit 2.
 //!
 //! The observability plane (DESIGN.md §13) rides every run: a bounded
 //! deterministic event journal records spans and transitions (stamped by
@@ -76,81 +70,75 @@ struct Args {
     trace: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut scale = ScaleConfig::small();
-    let mut scale_name = "small".to_string();
-    let mut seed = 2012u64;
-    let mut markdown = None;
-    let mut exp = None;
-    let mut metrics = "target/metrics-snapshot.json".to_string();
-    let mut prometheus = None;
-    let mut real_clock = false;
-    let mut checkpoint = None;
-    let mut resume = None;
-    let mut kill_at = None;
-    let mut transport = "none".to_string();
-    let mut listen = None;
-    let mut serve = None;
-    let mut trace = None;
+const USAGE: &str = "usage: repro [--scale tiny|small|paper:<divisor>] [--seed N] \
+    [--markdown <path>] [--exp <id>] [--metrics <path>] [--prometheus <path>] \
+    [--clock test|real] [--checkpoint <path>] [--kill-at <n>] [--resume <path>] \
+    [--transport none|memory|udp] [--listen <addr>] [--serve <addr>] [--trace <path>]";
+
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args {
+        scale: ScaleConfig::small(),
+        scale_name: "small".to_string(),
+        seed: 2012,
+        markdown: None,
+        exp: None,
+        metrics: "target/metrics-snapshot.json".to_string(),
+        prometheus: None,
+        real_clock: false,
+        checkpoint: None,
+        resume: None,
+        kill_at: None,
+        transport: "none".to_string(),
+        listen: None,
+        serve: None,
+        trace: None,
+    };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or(format!("{arg} needs a value"));
+        let bad = |value: &str| format!("{arg} does not take {value:?}");
+        let number = |value: String| value.parse::<u64>().map_err(|_| bad(&value));
         match arg.as_str() {
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
             "--scale" => {
-                scale_name = it.next().expect("--scale value");
-                scale = ixp_bench::parse_scale(&scale_name)
-                    .expect("--scale tiny|small|paper:<divisor>");
+                args.scale_name = value()?;
+                args.scale =
+                    ixp_bench::parse_scale(&args.scale_name).ok_or(bad(&args.scale_name))?;
             }
-            "--seed" => seed = it.next().and_then(|s| s.parse().ok()).expect("--seed N"),
-            "--markdown" => markdown = it.next(),
-            "--exp" => exp = it.next(),
-            "--metrics" => metrics = it.next().expect("--metrics path"),
-            "--prometheus" => prometheus = it.next(),
-            "--checkpoint" => checkpoint = it.next(),
-            "--resume" => resume = it.next(),
-            "--kill-at" => {
-                kill_at = Some(it.next().and_then(|s| s.parse().ok()).expect("--kill-at N"))
-            }
-            "--transport" => {
-                transport = it.next().expect("--transport none|memory|udp");
-                assert!(
-                    matches!(transport.as_str(), "none" | "memory" | "udp"),
-                    "--transport none|memory|udp, got {transport}"
-                );
-            }
-            "--listen" => listen = it.next(),
-            "--serve" => serve = it.next(),
-            "--trace" => trace = it.next(),
+            "--seed" => args.seed = value().and_then(number)?,
+            "--markdown" => args.markdown = Some(value()?),
+            "--exp" => args.exp = Some(value()?),
+            "--metrics" => args.metrics = value()?,
+            "--prometheus" => args.prometheus = Some(value()?),
+            "--checkpoint" => args.checkpoint = Some(value()?),
+            "--resume" => args.resume = Some(value()?),
+            "--kill-at" => args.kill_at = Some(value().and_then(number)?),
+            "--transport" => match value()?.as_str() {
+                mode @ ("none" | "memory" | "udp") => args.transport = mode.to_string(),
+                other => return Err(bad(other)),
+            },
+            "--listen" => args.listen = Some(value()?),
+            "--serve" => args.serve = Some(value()?),
+            "--trace" => args.trace = Some(value()?),
             "--clock" => {
-                real_clock = match it.next().expect("--clock test|real").as_str() {
+                args.real_clock = match value()?.as_str() {
                     "real" => true,
                     "test" => false,
-                    other => panic!("--clock test|real, got {other}"),
+                    other => return Err(bad(other)),
                 };
             }
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    if kill_at.is_some() && checkpoint.is_none() {
-        eprintln!("--kill-at needs --checkpoint <path>: a killed run writes its images there");
-        std::process::exit(2);
+    if args.kill_at.is_some() && args.checkpoint.is_none() {
+        return Err(
+            "--kill-at needs --checkpoint <path>: a killed run writes its images there".into()
+        );
     }
-    Args {
-        scale,
-        scale_name,
-        seed,
-        markdown,
-        exp,
-        metrics,
-        prometheus,
-        real_clock,
-        checkpoint,
-        resume,
-        kill_at,
-        transport,
-        listen,
-        serve,
-        trace,
-    }
+    Ok(args)
 }
 
 /// Collects sections for the markdown report.
@@ -182,7 +170,10 @@ const FLIGHT_TAIL: usize = 64;
 const AUDIT_EVERY: u64 = 4096;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|refusal| {
+        eprintln!("repro: {refusal}; {USAGE}");
+        std::process::exit(2);
+    });
     // The only time source of the whole run: the obs clock. `--clock test`
     // (default) freezes it so the snapshot is byte-reproducible.
     let obs = if args.real_clock { Obs::real() } else { Obs::deterministic() };

@@ -9,11 +9,13 @@ pub mod scenario;
 
 use ixp_netmodel::ScaleConfig;
 
-/// Parse a `--scale` value: `tiny`, `small` or `paper:<divisor>`.
+/// Parse a `--scale` value: `tiny`, `small` or `paper:<divisor>` (from the minimum divisor on).
 pub fn parse_scale(name: &str) -> Option<ScaleConfig> {
     match name {
         "tiny" => Some(ScaleConfig::tiny()),
         "small" => Some(ScaleConfig::small()),
-        other => other.strip_prefix("paper:")?.parse().ok().map(ScaleConfig::paper),
+        other => Some(other.strip_prefix("paper:")?.parse().ok()?)
+            .filter(|d| *d >= ScaleConfig::MIN_DIVISOR)
+            .map(ScaleConfig::paper),
     }
 }

@@ -168,7 +168,7 @@ impl ServerCensus {
             // URI cleaning: drop syntactically invalid authorities.
             clean_uris.clear();
             clean_uris.extend(
-                scan.uris(stats)
+                scan.uris(ip)
                     .iter()
                     .map(|id| scan.domains.name(*id))
                     .filter(|d| ixp_cert::x509::domain_is_valid(d)),
@@ -330,7 +330,7 @@ mod tests {
                 Err(SoaTimeout) => SoaOutcome::Timeout,
             };
             let uris: Vec<String> = scan
-                .uris(stats)
+                .uris(ip)
                 .iter()
                 .map(|id| scan.domains.name(*id).to_string())
                 .filter(|d| ixp_cert::x509::domain_is_valid(d))

@@ -7,7 +7,7 @@
 //! observations, and the member port seen on each IP's side of the fabric.
 
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -132,14 +132,14 @@ impl Evidence {
     }
 }
 
-/// Accumulated per-IP statistics. Packed to 20 bytes at 4-byte alignment,
-/// so that a table entry with its `u32` key is 24 bytes, 25 with the
+/// Accumulated per-IP statistics. Packed to 16 bytes at 4-byte alignment,
+/// so that a table entry with its `u32` key is 20 bytes, 21 with the
 /// table's control byte: the table is the largest thing a week's scan
 /// holds, and a scan restored beside its source makes two. The price is
 /// that one entry in four straddles a cache line, so a lookup there may
 /// touch two. The member port is kept as the `u16` [`member_port`] narrows
-/// it to. The URI authorities seen with this IP as the server are in
-/// [`WeekScan::uris`].
+/// it to. The URI authorities seen with this IP as the server are kept
+/// apart, by address, since only servers have any: see [`WeekScan::uris`].
 #[derive(Debug, Clone, Default)]
 #[repr(C, packed(4))]
 pub struct IpStats {
@@ -147,8 +147,6 @@ pub struct IpStats {
     pub bytes: u64,
     /// Samples this IP appeared in.
     pub samples: u32,
-    /// One more than the index of this IP's [`UriList`]; 0 while it has none.
-    uri_list: u32,
     /// The member port on this IP's side of the fabric (last seen).
     member: u16,
     /// Role/port evidence.
@@ -506,8 +504,9 @@ pub struct WeekScan {
     pub ips: IpTable,
     /// Interned URI authorities.
     pub domains: DomainTable,
-    /// Per-server URI lists, by `IpStats::uri_list`.
-    uri_lists: Vec<UriList>,
+    /// The URI list of each server that has one, by address. Every key is
+    /// an address of `ips`.
+    uri_lists: BTreeMap<u32, UriList>,
     /// Samples that could not be dissected at all.
     pub undissectable: u64,
     /// The fault-tolerant collector front-end: sequence accounting,
@@ -534,7 +533,7 @@ impl WeekScan {
             filter: FilterReport::default(),
             ips: IpTable::default(),
             domains: DomainTable::default(),
-            uri_lists: Vec::new(),
+            uri_lists: BTreeMap::new(),
             undissectable: 0,
             collector: Collector::new(),
             tally: DissectTally::default(),
@@ -683,7 +682,7 @@ impl WeekScan {
         dst.evidence.0 |= update.dst_evidence.0;
         if let Some(host) = update.host {
             let id = self.domains.intern(host);
-            insert_uri(&mut self.uri_lists, dst, id);
+            self.uri_lists.entry(update.dst).or_default().insert(id);
         }
     }
 
@@ -724,11 +723,10 @@ impl WeekScan {
         self.ips.get(&u32::from(ip))
     }
 
-    /// Interned ids of the URI authorities observed when the IP that `stats`
-    /// (an entry of this scan) belongs to acted as the server (bounded).
-    pub fn uris(&self, stats: &IpStats) -> &[u32] {
-        let list = (stats.uri_list as usize).checked_sub(1).and_then(|i| self.uri_lists.get(i));
-        list.map_or(&[], UriList::as_slice)
+    /// Interned ids of the URI authorities observed when `ip` acted as the
+    /// server (bounded).
+    pub fn uris(&self, ip: Ipv4Addr) -> &[u32] {
+        self.uri_lists.get(&u32::from(ip)).map_or(&[], UriList::as_slice)
     }
 
     /// The collector front-end, for sequence/counter introspection.
@@ -781,20 +779,6 @@ impl WeekScan {
     pub fn bind_journal(&mut self, journal: ixp_obs::journal::Journal) {
         self.collector.bind_journal(journal);
     }
-}
-
-/// Add `id` to the URI list of `stats`, creating the list on first use;
-/// `false` if it was there already.
-fn insert_uri(lists: &mut Vec<UriList>, stats: &mut IpStats, id: u32) -> bool {
-    let index = (stats.uri_list as usize).wrapping_sub(1);
-    if let Some(list) = lists.get_mut(index) {
-        return list.insert(id);
-    }
-    let mut list = UriList::default();
-    list.insert(id);
-    lists.push(list);
-    stats.uri_list = lists.len() as u32;
-    true
 }
 
 fn set_port_bit(e: &mut Evidence, port: u16) {
@@ -871,11 +855,12 @@ mod tests {
         let mut scan = WeekScan::new(Week::REFERENCE, 10);
         let frame = tcp_frame(1, 2, b"GET / HTTP/1.1\r\nHost: www.x.example\r\n\r\n", 80);
         scan.ingest_sample(16_384, frame.len() as u32, &frame);
-        let dst = scan.stats(Ipv4Addr::new(100, 0, 1, 1)).unwrap();
+        let server = Ipv4Addr::new(100, 0, 1, 1);
+        let dst = scan.stats(server).unwrap();
         assert!(dst.evidence.has(Evidence::HTTP_SERVER));
         assert!(dst.evidence.has(Evidence::PORT_80));
-        assert_eq!(scan.uris(dst).len(), 1);
-        assert_eq!(scan.domains.name(scan.uris(dst)[0]), "www.x.example");
+        assert_eq!(scan.uris(server).len(), 1);
+        assert_eq!(scan.domains.name(scan.uris(server)[0]), "www.x.example");
         let src = scan.stats(Ipv4Addr::new(100, 0, 0, 1)).unwrap();
         assert!(src.evidence.has(Evidence::CLIENT));
         assert!(!src.evidence.has(Evidence::HTTP_SERVER));
@@ -1044,8 +1029,7 @@ mod tests {
         let counted = batched.filter.total().samples + batched.undissectable;
         assert_eq!(counted, frames.len() as u64);
         assert!(batched.undissectable > 0 && batched.unique_ips() == 2);
-        let server = batched.stats(Ipv4Addr::new(100, 0, 1, 1)).unwrap();
-        assert_eq!(batched.uris(server).len(), MAX_URIS_PER_IP);
+        assert_eq!(batched.uris(Ipv4Addr::new(100, 0, 1, 1)).len(), MAX_URIS_PER_IP);
         // Same scan state; the collector's part differs (only `batched` saw
         // a datagram) and comes last.
         let own = |scan: &WeekScan| {
@@ -1065,8 +1049,7 @@ mod tests {
             let frame = tcp_frame(1, 2, payload.as_bytes(), 80);
             scan.ingest_sample(16_384, frame.len() as u32, &frame);
         }
-        let dst = scan.stats(Ipv4Addr::new(100, 0, 1, 1)).unwrap();
-        let uris = scan.uris(dst);
+        let uris = scan.uris(Ipv4Addr::new(100, 0, 1, 1));
         assert_eq!(uris.len(), 8);
         let mut dedup = uris.to_vec();
         dedup.sort_unstable();
@@ -1075,8 +1058,9 @@ mod tests {
     }
 
     #[test]
-    fn a_table_entry_is_24_bytes_at_4_byte_alignment() {
+    fn a_table_entry_is_20_bytes_at_4_byte_alignment() {
         let entry = (std::mem::size_of::<(u32, IpStats)>(), std::mem::align_of::<(u32, IpStats)>());
-        assert_eq!(entry, (24, 4));
+        assert_eq!(entry, (20, 4));
+        assert_eq!(std::mem::size_of::<IpStats>(), 16);
     }
 }

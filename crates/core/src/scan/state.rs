@@ -23,13 +23,13 @@ const IP_ROW_LEN: usize = 23;
 const SPLIT_AT_IPS: usize = 1 << 17;
 
 /// Rows the restore helper parses into one buffer before it hands the
-/// buffer to the inserting caller: 96 KiB of parsed rows, few enough
+/// buffer to the inserting caller: 80 KiB of parsed rows, few enough
 /// hand-overs that the channel costs nothing beside 4 096 inserts.
 const RESTORE_CHUNK: usize = 4_096;
 
 /// Buffers the restore helper and the caller pass between them: one being
 /// filled, one waiting in the channel, one being inserted. With
-/// [`RESTORE_CHUNK`] this caps the helper's memory at 288 KiB, whatever
+/// [`RESTORE_CHUNK`] this caps the helper's memory at 240 KiB, whatever
 /// row count the state claims.
 const RESTORE_BUFFERS: usize = 3;
 
@@ -210,10 +210,20 @@ impl WeekScan {
         out
     }
 
-    /// Append the state-format row of each of `rows`, entries of this scan.
+    /// Append the state-format row of each of `rows`, entries of this scan in
+    /// address order, walking the URI lists of their addresses beside them.
     fn put_rows(&self, rows: &[Pair<'_>], out: &mut Vec<u8>) {
+        let (Some((first, _)), Some((last, _))) = (rows.first(), rows.last()) else { return };
+        let mut lists = self.uri_lists.range(first..=last).map(|(at, list)| (*at, list.as_slice()));
+        let mut next = lists.next();
         for (ip, s) in rows {
-            let uris = self.uris(s);
+            let uris = match next {
+                Some((at, uris)) if at == *ip => {
+                    next = lists.next();
+                    uris
+                }
+                _ => &[],
+            };
             checkpoint::put_u32(out, *ip);
             checkpoint::put_u64(out, s.bytes);
             checkpoint::put_u32(out, s.samples);
@@ -229,10 +239,11 @@ impl WeekScan {
     /// The per-IP table dealt into two address ranges if `split`, else one,
     /// for [`AddressRanges::sorted_each`]. One walk of the table collects
     /// the `(address, entry)` pairs and, per top digit, counts them and sums
-    /// the size of their rows. The upper range starts at the first top digit
-    /// with at least half of the pairs below it, and one [`deal`] by range
-    /// puts the two one after the other. The buffer the pairs were
-    /// collected in is the one the ranges are sorted into.
+    /// the size of their rows, to which one walk of the URI lists adds their
+    /// ids. The upper range starts at the first top digit with at least half
+    /// of the pairs below it, and one [`deal`] by range puts the two one
+    /// after the other. The buffer the pairs were collected in is the one
+    /// the ranges are sorted into.
     fn address_ranges(&self, split: bool) -> AddressRanges<'_> {
         let mut pairs = Vec::with_capacity(self.ips.len());
         let mut tops = [(0usize, 0usize); TOP_DIGITS];
@@ -240,7 +251,12 @@ impl WeekScan {
             pairs.push((*ip, stats));
             if let Some((n, bytes)) = tops.get_mut(top_digit(*ip)) {
                 *n += 1;
-                *bytes += IP_ROW_LEN + 4 * self.uris(stats).len();
+                *bytes += IP_ROW_LEN;
+            }
+        }
+        for (ip, list) in &self.uri_lists {
+            if let Some((_, bytes)) = tops.get_mut(top_digit(*ip)) {
+                *bytes += 4 * list.as_slice().len();
             }
         }
         let (mut lower, mut upper) = ((0, 0), (0, 0));
@@ -332,18 +348,19 @@ struct RowBounds {
 
 /// Read one per-IP row of the state format at `at`: an address above
 /// `prev`, the entry's fields with a member port within `bounds`, and at
-/// most [`MAX_URIS_PER_IP`] distinct URI ids within them, which go into a
-/// list of `lists`. The one parser of a row. It is inlined, and it reads
-/// through a copy of the cursor that it writes back once the row is whole:
-/// as a call, or reading through `at`, it left the position in memory
-/// between fields, and a `small` restore that parsed and inserted on one
-/// thread took 15–25 % longer than with the fields read in the loop itself.
+/// most [`MAX_URIS_PER_IP`] distinct URI ids within them, which become the
+/// address's list in `lists` if there are any. The one parser of a row. It
+/// is inlined, and it reads through a copy of the cursor that it writes
+/// back once the row is whole: as a call, or reading through `at`, it left
+/// the position in memory between fields, and a `small` restore that parsed
+/// and inserted on one thread took 15–25 % longer than with the fields read
+/// in the loop itself.
 #[inline(always)]
 fn read_row(
     at: &mut Cur<'_>,
     bounds: RowBounds,
     prev: Option<u32>,
-    lists: &mut Vec<UriList>,
+    lists: &mut BTreeMap<u32, UriList>,
 ) -> Result<(u32, IpStats), StateError> {
     let mut cur = *at;
     let ip = cur.u32()?;
@@ -354,27 +371,30 @@ fn read_row(
     let Some(member) = member_port(cur.u32()?, bounds.members) else {
         return Err(StateError::Invalid("member id out of range"));
     };
-    let mut s = IpStats { bytes, samples, uri_list: 0, member, evidence };
     let n_uris = usize::from(cur.u8()?);
     if n_uris > MAX_URIS_PER_IP {
         return Err(StateError::Invalid("uri list exceeds the per-ip bound"));
     }
+    let mut list = UriList::default();
     for _ in 0..n_uris {
         let id = cur.u32()?;
         if id >= bounds.domains {
             return Err(StateError::Invalid("uri id out of domain-table range"));
         }
-        if !insert_uri(lists, &mut s, id) {
+        if !list.insert(id) {
             return Err(StateError::Invalid("duplicate uri id for one ip"));
         }
     }
+    if n_uris > 0 {
+        lists.insert(ip, list);
+    }
     *at = cur;
-    Ok((ip, s))
+    Ok((ip, IpStats { bytes, samples, member, evidence }))
 }
 
 /// What reading the per-IP rows returns: the cursor after them and the URI
 /// lists they refer to, or the error of the first bad row.
-type RowsRead<'a> = Result<(Cur<'a>, Vec<UriList>), StateError>;
+type RowsRead<'a> = Result<(Cur<'a>, BTreeMap<u32, UriList>), StateError>;
 
 /// Read the `n_ips` per-IP rows at `cur` into `ips`, reserved for them, on
 /// two cores. A helper [`beside`] this thread parses and validates the
@@ -409,7 +429,7 @@ fn read_rows_beside<'a>(
         let _ = empty_tx.send(Vec::with_capacity(n_ips.min(RESTORE_CHUNK)));
     }
     let parse = move || {
-        let (mut cur, mut lists, mut prev) = (cur, Vec::new(), None);
+        let (mut cur, mut lists, mut prev) = (cur, BTreeMap::new(), None);
         let mut left = n_ips;
         while left > 0 {
             // Either channel closes early only if the caller unwound.
@@ -467,11 +487,12 @@ fn synthetic(rows: usize) -> WeekScan {
     for name in ["a.example", "b.example", "c.example"] {
         scan.domains.intern(name);
     }
-    for (ip, stats) in &mut scan.ips {
+    for ip in scan.ips.keys() {
         let i = (ip - 3) / 7_919;
-        insert_uri(&mut scan.uri_lists, stats, i % 3);
+        let list = scan.uri_lists.entry(*ip).or_default();
+        list.insert(i % 3);
         if i % 5 != 4 {
-            insert_uri(&mut scan.uri_lists, stats, (i + 1) % 3);
+            list.insert((i + 1) % 3);
         }
     }
     scan
@@ -562,7 +583,7 @@ mod tests {
         let ips = address_order_reference(scan);
         checkpoint::put_u64(&mut out, ips.len() as u64);
         for (ip, s) in &ips {
-            let uris = scan.uris(s);
+            let uris = scan.uris(Ipv4Addr::from(*ip));
             checkpoint::put_u32(&mut out, *ip);
             checkpoint::put_u64(&mut out, s.bytes);
             checkpoint::put_u32(&mut out, s.samples);
@@ -580,6 +601,24 @@ mod tests {
         out
     }
 
+    /// `scan` with URI lists on `servers`, addresses of its table: one to
+    /// three ids each, by address, so that rows differ in length.
+    fn serving(mut scan: WeekScan, servers: &[u32]) -> WeekScan {
+        let ids = ["a.example", "b.example", "c.example"].map(|name| scan.domains.intern(name));
+        for ip in servers {
+            assert!(scan.ips.contains_key(ip), "{ip:#x} is not in the table");
+            let list = scan.uri_lists.entry(*ip).or_default();
+            ids[..=*ip as usize % 3].iter().for_each(|id| assert!(list.insert(*id)));
+        }
+        scan
+    }
+
+    /// Every address with a URI list is an address of the table.
+    fn assert_lists_are_of_table_addresses(scan: &WeekScan) {
+        let stray = scan.uri_lists.keys().find(|ip| !scan.ips.contains_key(ip));
+        assert_eq!(stray, None, "a URI list without a table entry");
+    }
+
     /// Split or not, the sorted ranges, as their writers are handed them,
     /// put the same entries (by identity, not only by address) in the same
     /// order as the comparison sort, sum the length a separate walk sums,
@@ -588,7 +627,7 @@ mod tests {
         let entries = |order: Vec<(u32, &IpStats)>| -> Vec<(u32, *const IpStats)> {
             order.into_iter().map(|(ip, s)| (ip, std::ptr::from_ref(s))).collect()
         };
-        let walked: usize = scan.ips.values().map(|s| 23 + 4 * scan.uris(s).len()).sum();
+        let walked: usize = scan.ips.keys().map(|ip| 23 + 4 * scan.uris((*ip).into()).len()).sum();
         let reference = save_state_reference(scan);
         for split in [false, true] {
             let ranges = scan.address_ranges(split);
@@ -608,6 +647,7 @@ mod tests {
     fn address_order_matches_the_comparison_sort_at_the_edges() {
         for one in [0, 1, u32::MAX] {
             assert_orders_as_the_reference(&table_of([one]));
+            assert_orders_as_the_reference(&serving(table_of([one]), &[one]));
         }
         assert_orders_as_the_reference(&table_of([u32::MAX, 0]));
         assert_orders_as_the_reference(&table_of([0, u32::MAX, 1, u32::MAX - 1, 1 << 31]));
@@ -616,6 +656,8 @@ mod tests {
         let one_digit = table_of((0..500).map(|i| top(5, i * 7_919)));
         assert_eq!(one_digit.address_ranges(true).upper, Some((0, 0)));
         assert_orders_as_the_reference(&one_digit);
+        let (first, last) = (top(5, 0), top(5, 499 * 7_919));
+        assert_orders_as_the_reference(&serving(one_digit, &[first, last]));
         // Both sides of the split digit and on it, down to its first and
         // last address and the last one below it.
         let around =
@@ -626,6 +668,15 @@ mod tests {
         let ranges = split.address_ranges(true);
         assert_eq!((ranges.lower.0, ranges.upper.map(|r| r.0)), (lower.len(), Some(upper.len())));
         assert_orders_as_the_reference(&split);
+        // URI lists on the first and last row of each range, split or not,
+        // which puts lists either side of the split digit, and on a row
+        // inside each range.
+        let mut rows: Vec<u32> = split.ips.keys().copied().collect();
+        rows.sort_unstable();
+        let (at, end) = (lower.len(), rows.len() - 1);
+        assert_eq!((rows[at - 1], rows[at]), (top(5, u32::MAX), top(6, 0)));
+        let servers = [0, at / 2, at - 1, at, (at + end) / 2, end].map(|row| rows[row]);
+        assert_orders_as_the_reference(&serving(split, &servers));
         // Every value of one digit under fixed other digits, for each of the
         // three digits: an order only that pass can establish.
         for pass in 0..RADIX_PASSES {
@@ -661,7 +712,7 @@ mod tests {
         n_ips: usize,
         bounds: RowBounds,
     ) -> RowsRead<'a> {
-        let (mut lists, mut prev) = (Vec::new(), None);
+        let (mut lists, mut prev) = (BTreeMap::new(), None);
         for _ in 0..n_ips {
             let (ip, stats) = read_row(&mut cur, bounds, prev, &mut lists)?;
             prev = Some(ip);
@@ -707,7 +758,10 @@ mod tests {
     /// `restore_state_in` on one thread and on two: the same error, or
     /// scans that save the same bytes, which are returned.
     fn restored_alike(bytes: &[u8]) -> Result<Vec<u8>, StateError> {
-        let saved = |scan: WeekScan| scan.save_state();
+        let saved = |scan: WeekScan| {
+            assert_lists_are_of_table_addresses(&scan);
+            scan.save_state()
+        };
         let one = WeekScan::restore_state_in(bytes, read_rows_inline).map(saved);
         let two = WeekScan::restore_state_in(bytes, read_rows_beside).map(saved);
         let (a, b) = (one.as_ref().err(), two.as_ref().err());
@@ -796,7 +850,9 @@ mod tests {
                 offsets.iter().map(move |(pass, d)| base ^ d.wrapping_shl(RADIX_BITS * pass))
             });
             let scan = table_of(addresses.iter().copied().chain(clustered).chain([0, u32::MAX]));
-            assert_orders_as_the_reference(&scan);
+            let servers: Vec<u32> =
+                scan.ips.keys().filter(|ip| ip.count_ones() % 3 == 0).copied().collect();
+            assert_orders_as_the_reference(&serving(scan, &servers));
         }
     }
 
@@ -808,6 +864,7 @@ mod tests {
         let weeks = crate::testutil::scanned_weeks();
         assert!(weeks.iter().all(|(s, _)| s.unique_ips() > 1_000 && s.domains.len() > 10));
         for scan in two_core_states() {
+            assert_lists_are_of_table_addresses(scan);
             assert_orders_as_the_reference(scan);
             assert_orders_as_the_reference(&WeekScan::restore_state(&scan.save_state()).unwrap());
         }

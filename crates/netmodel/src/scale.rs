@@ -54,6 +54,9 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
+    /// The smallest divisor [`ScaleConfig::paper`] takes.
+    pub const MIN_DIVISOR: u32 = 20;
+
     /// Minimal model for unit tests: builds in milliseconds.
     pub fn tiny() -> ScaleConfig {
         ScaleConfig {
@@ -91,7 +94,7 @@ impl ScaleConfig {
     /// week and runs the full 17-week study in minutes; smaller divisors
     /// approach the real scale at proportional cost.
     pub fn paper(divisor: u32) -> ScaleConfig {
-        assert!(divisor >= 20, "divisors under 20 exceed laptop-scale budgets");
+        assert!(divisor >= Self::MIN_DIVISOR, "divisors under 20 exceed laptop-scale budgets");
         let server_count = (paper_counts::SERVER_IPS / u64::from(divisor)) as u32;
         // Organizations shrink more slowly than servers so that the
         // clustering scatter (Fig. 6) keeps thousands of points: the paper's

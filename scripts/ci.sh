@@ -348,6 +348,17 @@ for mode in none memory; do
         ! grep -q "generating model\|supervised mode" target/kill-no-ckpt.log ||
         fail "--transport $mode --kill-at without --checkpoint was not refused at parsing (exit $status, see target/kill-no-ckpt.log)"
 done
+# --help is a usage line and exit 0; an unknown argument is a usage line
+# and exit 2, not a panic.
+repro --help > target/repro-help.log 2>&1 ||
+    fail "repro --help did not exit 0 (see target/repro-help.log)"
+grep -q "^usage: repro" target/repro-help.log ||
+    fail "repro --help printed no usage line (see target/repro-help.log)"
+status=0
+repro --bogus > target/repro-bogus.log 2>&1 || status=$?
+[ "$status" -eq 2 ] && grep -q "usage: repro" target/repro-bogus.log &&
+    ! grep -q "panicked" target/repro-bogus.log ||
+    fail "repro --bogus exited $status, not 2 with a usage line (see target/repro-bogus.log)"
 
 echo "==> paper-scale resume smoke (restore of some 300 K rows, on two cores and on one)"
 # Every restore parses its rows on a helper thread while the caller inserts

@@ -136,10 +136,10 @@ fn a_fresh_scan_allocates_for_what_it_learns_not_per_datagram() {
             scan.ingest(datagram);
         }
     });
-    // One allocation per interned domain, and a logarithmic number of
-    // growth steps of the tables themselves (a server's URI list is a slot
-    // in one of them).
-    assert!(scan.ips.values().any(|s| !scan.uris(s).is_empty()));
+    // One allocation per interned domain, a logarithmic number of growth
+    // steps of the tables themselves, and a B-tree node for every few
+    // servers' URI lists.
+    assert!(scan.ips.keys().any(|ip| !scan.uris((*ip).into()).is_empty()));
     let bound = (scan.domains.len() + 200) as u64;
     assert!(fresh > 0 && fresh <= bound, "{fresh} allocations, bound {bound}");
     assert!(
