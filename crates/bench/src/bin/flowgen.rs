@@ -13,7 +13,9 @@
 //! After the week it sends a few out-of-band [`FIN`] sentinels so the
 //! receiver stops promptly. `--probe` only checks whether this environment
 //! allows binding a loopback UDP socket (exit 0 yes, 1 no) — `scripts/ci.sh`
-//! uses it to decide whether to run the UDP smoke.
+//! uses it to decide whether to run the UDP smoke. `flowgen --help` prints
+//! the usage line, [`USAGE`], and exits 0; an argument it cannot parse is
+//! refused with one line naming it and the usage, exit 2.
 
 use std::time::Duration;
 
@@ -29,7 +31,10 @@ struct Args {
     probe: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: flowgen [--target <addr>] [--scale tiny|small|paper:<divisor>] \
+    [--seed N] [--pace-us N] [--probe]";
+
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         target: "127.0.0.1:9995".to_string(),
         scale: ScaleConfig::small(),
@@ -39,30 +44,33 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut num = |what: &str| -> u64 {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("{what} needs a number"))
-        };
+        let mut value = || it.next().ok_or(format!("{arg} needs a value"));
+        let bad = |value: &str| format!("{arg} does not take {value:?}");
+        let number = |value: String| value.parse::<u64>().map_err(|_| bad(&value));
         match arg.as_str() {
-            "--target" => args.target = it.next().expect("--target addr"),
-            "--seed" => args.seed = num("--seed"),
-            "--pace-us" => args.pace_us = num("--pace-us"),
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            "--target" => args.target = value()?,
+            "--seed" => args.seed = value().and_then(number)?,
+            "--pace-us" => args.pace_us = value().and_then(number)?,
             "--scale" => {
-                args.scale = it
-                    .next()
-                    .and_then(|name| ixp_bench::parse_scale(&name))
-                    .expect("--scale tiny|small|paper:<divisor>")
+                let name = value()?;
+                args.scale = ixp_bench::parse_scale(&name).ok_or(bad(&name))?;
             }
             "--probe" => args.probe = true,
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|refusal| {
+        eprintln!("flowgen: {refusal}; {USAGE}");
+        std::process::exit(2);
+    });
     if args.probe {
         // Can this environment open a loopback UDP socket at all? ci.sh
         // keys the flowgen → repro smoke on the exit code; say why on

@@ -116,7 +116,7 @@ impl Pipeline {
 
     /// Offer one feed unit from `peer`: straight to the supervisor, or to
     /// the intake, whose drained sFlow datagrams go on to the supervisor.
-    pub fn offer(&mut self, peer: u64, packet: impl AsRef<[u8]> + Into<Vec<u8>>) {
+    pub(crate) fn offer(&mut self, peer: u64, packet: impl AsRef<[u8]> + Into<Vec<u8>>) {
         let Some(intake) = &mut self.intake else { return self.sup.offer(packet.into()) };
         intake.offer(peer, packet.as_ref());
         for unit in intake.drain(usize::MAX) {
@@ -156,7 +156,7 @@ impl Pipeline {
     }
 
     /// Seal both stages' images (sealing publishes the registry).
-    pub fn images(&self) -> Images {
+    pub(crate) fn images(&self) -> Images {
         let transport = self.intake.as_ref().map(TransportIntake::save_state);
         Images { checkpoint: self.sup.checkpoint(), transport }
     }

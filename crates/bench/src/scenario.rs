@@ -161,7 +161,7 @@ pub struct Drift {
 impl Drift {
     /// Unique IPs, prefixes and ASes: the count under the row and its
     /// unsigned drift from the clean count, in percent of the clean count.
-    pub fn pct(&self) -> [(&'static str, u64, f64); 3] {
+    pub(crate) fn pct(&self) -> [(&'static str, u64, f64); 3] {
         let (got, clean) = (self.got, self.clean);
         let pct = |a: u64, b: u64| 100.0 * (a as f64 - b as f64).abs() / b.max(1) as f64;
         [

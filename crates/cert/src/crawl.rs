@@ -133,7 +133,7 @@ impl<'c> Presented<'c> {
 
     /// The presented chain, owned: a copy of the crawler's chain with the
     /// presented subject written into its leaf.
-    pub fn to_chain(&self) -> Chain {
+    pub fn to_chain(self) -> Chain {
         let mut chain = self.chain.clone();
         let subject = self.subject().into_owned();
         if let Some(leaf) = chain.certs.first_mut() {
@@ -374,7 +374,7 @@ impl CrawlSim {
     /// backoff until the policy's attempt cap or simulated deadline runs
     /// out. A definitive `NoAnswer` is *not* retried — the host answered
     /// the probe with silence, which is an answer.
-    pub fn fetch_with_retry(
+    pub(crate) fn fetch_with_retry(
         &self,
         model: &InternetModel,
         ip: Ipv4Addr,
@@ -453,7 +453,8 @@ impl CrawlSim {
     }
 
     /// The retry budget fetches run under.
-    pub fn retry_policy(&self) -> RetryPolicy {
+    #[cfg(test)]
+    pub(crate) fn retry_policy(&self) -> RetryPolicy {
         self.policy
     }
 

@@ -28,10 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crawl;
+mod crawl;
 pub mod validate;
 pub mod x509;
 
-pub use crawl::{CrawlMetrics, CrawlResult, CrawlSim, Presented};
+pub use crawl::{CrawlResult, CrawlSim};
 pub use validate::{validate_chain, validate_fetches, ValidationError};
-pub use x509::{Certificate, Chain, KeyUsage, RootStore};
+pub use x509::{Chain, RootStore};

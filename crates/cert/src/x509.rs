@@ -36,12 +36,13 @@ pub struct Certificate {
 
 impl Certificate {
     /// Is the certificate valid at the given week?
-    pub fn valid_at(&self, week: u8) -> bool {
+    pub(crate) fn valid_at(&self, week: u8) -> bool {
         self.not_before <= week && week <= self.not_after
     }
 
     /// Is this a self-signed certificate?
-    pub fn self_signed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn self_signed(&self) -> bool {
         self.subject == self.issuer
     }
 }
@@ -56,7 +57,7 @@ pub struct Chain {
 
 impl Chain {
     /// The leaf certificate (as delivered; validation re-checks ordering).
-    pub fn leaf(&self) -> Option<&Certificate> {
+    pub(crate) fn leaf(&self) -> Option<&Certificate> {
         self.certs.first()
     }
 }
@@ -86,13 +87,8 @@ impl RootStore {
     }
 
     /// Is the named root trusted?
-    pub fn trusts(&self, issuer: &str) -> bool {
+    pub(crate) fn trusts(&self, issuer: &str) -> bool {
         self.roots.iter().any(|r| r == issuer)
-    }
-
-    /// All trusted roots.
-    pub fn roots(&self) -> &[String] {
-        &self.roots
     }
 }
 
@@ -254,7 +250,6 @@ pub(crate) mod tests {
         let store = RootStore::default_store();
         assert!(store.trusts("Root CA Alpha"));
         assert!(!store.trusts("Evil Root"));
-        assert_eq!(store.roots().len(), 5);
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl<'a> Cur<'a> {
 
     /// Bytes not yet consumed.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len().saturating_sub(self.pos)
     }
 

@@ -43,7 +43,7 @@ pub struct WeeklyReport {
 impl WeeklyReport {
     /// Each identified server with its geo attributes, in census order: the
     /// one walk that pairs `census.records` with `snapshot.server_geo`.
-    pub fn servers(&self) -> impl Iterator<Item = (&ServerRecord, Option<ServerGeo>)> {
+    pub(crate) fn servers(&self) -> impl Iterator<Item = (&ServerRecord, Option<ServerGeo>)> {
         self.census.records.iter().zip(self.snapshot.server_geo.iter().copied())
     }
 }
@@ -57,7 +57,7 @@ pub struct StudyReport {
 
 impl StudyReport {
     /// Report for one week, if the study reaches it.
-    pub fn week(&self, week: Week) -> Option<&WeeklyReport> {
+    pub(crate) fn week(&self, week: Week) -> Option<&WeeklyReport> {
         self.weeks.get(week.index())
     }
 

@@ -62,7 +62,7 @@ pub struct ServerRecord {
 
 impl ServerRecord {
     /// Does this record carry any §2.4 meta-data at all?
-    pub fn has_metadata(&self) -> bool {
+    pub(crate) fn has_metadata(&self) -> bool {
         self.hostname.is_some() || !self.uris.is_empty() || !self.cert_names.is_empty()
     }
 }
@@ -242,7 +242,7 @@ impl ServerCensus {
     }
 
     /// Servers that also act as clients, and their byte total.
-    pub fn dual_role(&self) -> (usize, u64) {
+    pub(crate) fn dual_role(&self) -> (usize, u64) {
         let mut n = 0;
         let mut b = 0;
         for r in &self.records {
@@ -255,7 +255,7 @@ impl ServerCensus {
     }
 
     /// Multi-purpose servers (≥ 2 well-known service ports).
-    pub fn multi_port_count(&self) -> usize {
+    pub(crate) fn multi_port_count(&self) -> usize {
         self.records.iter().filter(|r| r.multi_port).count()
     }
 }

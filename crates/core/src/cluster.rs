@@ -42,7 +42,7 @@ pub struct Cluster {
 #[derive(Debug)]
 pub struct Clusters {
     /// Per census record: (cluster index, step that assigned it), which
-    /// [`Clusters::walk`] walks together with the records.
+    /// `Clusters::walk` walks together with the records.
     pub assignments: Vec<Option<(u32, u8)>>,
     /// The clusters.
     pub clusters: Vec<Cluster>,
@@ -71,7 +71,7 @@ impl Clusters {
     /// Each server of `report`, the week this clustering was run on, with
     /// its geo attributes and its (cluster index, step) assignment, in
     /// census order.
-    pub fn walk<'a>(
+    pub(crate) fn walk<'a>(
         &'a self,
         report: &'a WeeklyReport,
     ) -> impl Iterator<Item = (&'a ServerRecord, Option<ServerGeo>, Option<(u32, u8)>)> + 'a {
@@ -80,7 +80,7 @@ impl Clusters {
 
     /// The servers of `report` assigned to cluster `cid`, with their geo
     /// attributes.
-    pub fn members<'a>(
+    pub(crate) fn members<'a>(
         &'a self,
         report: &'a WeeklyReport,
         cid: u32,
@@ -91,7 +91,7 @@ impl Clusters {
     }
 
     /// Find a cluster by key.
-    pub fn by_key(&self, key: &str) -> Option<(u32, &Cluster)> {
+    pub(crate) fn by_key(&self, key: &str) -> Option<(u32, &Cluster)> {
         self.clusters.iter().enumerate().find(|(_, c)| c.key == key).map(|(i, c)| (i as u32, c))
     }
 }

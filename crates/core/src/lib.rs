@@ -63,7 +63,7 @@ pub mod visibility;
 
 pub use analyzer::{Analyzer, StudyReport, WeeklyReport};
 pub use census::{ServerCensus, ServerRecord};
-pub use scan::{Category, FilterReport, IngestHealth, WeekScan};
+pub use scan::{Category, WeekScan};
 pub use snapshot::WeeklySnapshot;
 
 /// Run `helper` on a second core beside `caller` on this one, and return

@@ -102,32 +102,32 @@ pub struct Evidence(pub u16);
 
 impl Evidence {
     /// Payload string matching marked this IP as an HTTP server.
-    pub const HTTP_SERVER: u16 = 1 << 0;
+    pub(crate) const HTTP_SERVER: u16 = 1 << 0;
     /// The IP appeared as the client side of some flow.
-    pub const CLIENT: u16 = 1 << 1;
+    pub(crate) const CLIENT: u16 = 1 << 1;
     /// The IP received TLS-looking traffic on TCP 443 (HTTPS candidate).
-    pub const TLS443: u16 = 1 << 2;
+    pub(crate) const TLS443: u16 = 1 << 2;
     /// Activity seen on TCP port 80 (server side).
-    pub const PORT_80: u16 = 1 << 3;
+    pub(crate) const PORT_80: u16 = 1 << 3;
     /// Activity on TCP 8080 (server side).
-    pub const PORT_8080: u16 = 1 << 4;
+    pub(crate) const PORT_8080: u16 = 1 << 4;
     /// Activity on TCP 443 (server side).
-    pub const PORT_443: u16 = 1 << 5;
+    pub(crate) const PORT_443: u16 = 1 << 5;
     /// Activity on TCP 1935 (server side).
-    pub const PORT_1935: u16 = 1 << 6;
+    pub(crate) const PORT_1935: u16 = 1 << 6;
 
     /// Check a bit.
-    pub fn has(&self, bit: u16) -> bool {
+    pub(crate) fn has(&self, bit: u16) -> bool {
         self.0 & bit != 0
     }
 
     /// Set a bit.
-    pub fn set(&mut self, bit: u16) {
+    pub(crate) fn set(&mut self, bit: u16) {
         self.0 |= bit;
     }
 
     /// Number of distinct well-known service ports seen.
-    pub fn service_port_count(&self) -> u32 {
+    pub(crate) fn service_port_count(&self) -> u32 {
         (self.0 & (Self::PORT_80 | Self::PORT_8080 | Self::PORT_443 | Self::PORT_1935)).count_ones()
     }
 }
@@ -155,7 +155,7 @@ pub struct IpStats {
 
 impl IpStats {
     /// The member port on this IP's side of the fabric (last seen).
-    pub fn member(&self) -> MemberId {
+    pub(crate) fn member(&self) -> MemberId {
         MemberId(u32::from(self.member))
     }
 }
@@ -259,7 +259,7 @@ impl Hasher for IpHasher {
 }
 
 /// The per-IP table: raw IPv4 address → accumulated statistics.
-pub type IpTable = HashMap<u32, IpStats, IpHashBuilder>;
+pub(crate) type IpTable = HashMap<u32, IpStats, IpHashBuilder>;
 
 /// A tiny string interner for URI authorities.
 #[derive(Debug, Default)]
@@ -271,7 +271,7 @@ pub struct DomainTable {
 
 impl DomainTable {
     /// Intern a domain, returning its id.
-    pub fn intern(&mut self, name: &str) -> u32 {
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
         if let Some(id) = self.by_name.get(name) {
             return *id;
         }
@@ -287,7 +287,7 @@ impl DomainTable {
         clippy::indexing_slicing,
         reason = "ids come from intern(), and restore_state rejects a uri id >= domain_count"
     )]
-    pub fn name(&self, id: u32) -> &str {
+    pub(crate) fn name(&self, id: u32) -> &str {
         &self.names[id as usize]
     }
 
@@ -719,7 +719,8 @@ impl WeekScan {
     }
 
     /// Stats for one IP.
-    pub fn stats(&self, ip: Ipv4Addr) -> Option<&IpStats> {
+    #[cfg(test)]
+    pub(crate) fn stats(&self, ip: Ipv4Addr) -> Option<&IpStats> {
         self.ips.get(&u32::from(ip))
     }
 
@@ -754,12 +755,6 @@ impl WeekScan {
             undissectable_samples: self.undissectable,
             shed: self.shed,
         }
-    }
-
-    /// A traffic estimate scaled up by the collector's loss-compensation
-    /// factor, so degraded feeds still estimate the full stream.
-    pub fn compensated(&self, estimate: &TrafficEstimate) -> TrafficEstimate {
-        self.collector.compensate(estimate)
     }
 
     /// Attach the scan to live instrumentation: bind the nested collector,

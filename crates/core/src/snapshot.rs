@@ -49,7 +49,7 @@ pub struct LocalitySplit {
 
 impl LocalitySplit {
     /// Percentage row for a metric selector.
-    pub fn shares(&self, metric: impl Fn(&Self) -> [u64; 3]) -> [f64; 3] {
+    pub(crate) fn shares(&self, metric: impl Fn(&Self) -> [u64; 3]) -> [f64; 3] {
         let v = metric(self);
         let total: u64 = v.iter().sum();
         if total == 0 {
@@ -139,7 +139,7 @@ pub struct WeeklySnapshot {
     /// Per-AS (unique server IPs, bytes).
     pub as_server: Vec<(u32, u64)>,
     /// Geo attributes aligned with the census records, which
-    /// [`WeeklyReport::servers`](crate::WeeklyReport::servers) walks together.
+    /// `WeeklyReport::servers` walks together.
     pub server_geo: Vec<Option<ServerGeo>>,
     /// HTTPS funnel stats.
     pub https: HttpsStats,

@@ -153,7 +153,7 @@ pub fn fig2(report: &WeeklyReport) -> Fig2 {
 /// Fig. 3: the choropleth data — share of seen IPs per country, bucketed
 /// like the paper's legend.
 #[derive(Debug, Clone)]
-pub struct Fig3 {
+pub(crate) struct Fig3 {
     /// (country code, percent of peering IPs), descending, non-zero only.
     pub shares: Vec<(String, f64)>,
     /// Countries never seen.
@@ -161,7 +161,7 @@ pub struct Fig3 {
 }
 
 /// The paper's legend buckets for Fig. 3.
-pub fn fig3_bucket(share: f64) -> &'static str {
+pub(crate) fn fig3_bucket(share: f64) -> &'static str {
     match share {
         s if s > 5.0 => "more than 5",
         s if s > 2.0 => "2 to 5",
@@ -173,7 +173,7 @@ pub fn fig3_bucket(share: f64) -> &'static str {
 }
 
 /// Produce Fig. 3 data.
-pub fn fig3(s: &WeeklySnapshot, model: &InternetModel) -> Fig3 {
+pub(crate) fn fig3(s: &WeeklySnapshot, model: &InternetModel) -> Fig3 {
     let total: u64 = s.country_peering.iter().map(|(ips, _)| ips).sum();
     let mut shares = Vec::new();
     let mut unseen = Vec::new();

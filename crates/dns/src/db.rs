@@ -132,12 +132,14 @@ impl DnsDb {
     }
 
     /// Ground-truth helper for tests: which org owns a zone.
-    pub fn zone_owner(&self, apex: &str) -> Option<OrgId> {
+    #[cfg(test)]
+    pub(crate) fn zone_owner(&self, apex: &str) -> Option<OrgId> {
         self.zones.get(apex).copied()
     }
 
     /// Number of PTR records.
-    pub fn ptr_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn ptr_count(&self) -> usize {
         self.ptr.len()
     }
 }

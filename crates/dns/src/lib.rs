@@ -17,16 +17,15 @@
 //!
 //! This crate derives all of that behaviour from the ground truth of an
 //! [`ixp_netmodel::InternetModel`]: per-organization naming schemata and
-//! zones ([`names`]), the PTR/SOA database ([`db`]), and the open-resolver
-//! population with its failure modes ([`resolvers`]).
+//! zones (`names`), the PTR/SOA database (`db`), and the open-resolver
+//! population with its failure modes (`resolvers`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod db;
-pub mod names;
-pub mod resolvers;
+mod db;
+mod names;
+mod resolvers;
 
 pub use db::{DnsDb, SoaIdentity, SoaTimeout};
-pub use names::hostname_for;
-pub use resolvers::{ResolveOutcome, Resolver, ResolverMetrics, ResolverPool};
+pub use resolvers::ResolverPool;

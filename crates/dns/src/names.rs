@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 use ixp_netmodel::{OrgKind, Organization};
 
 /// The canonical hostname of a server IP under its organization's schema.
-pub fn hostname_for(org: &Organization, ip: Ipv4Addr) -> String {
+pub(crate) fn hostname_for(org: &Organization, ip: Ipv4Addr) -> String {
     let o = ip.octets();
     let tag = format!("{}-{}-{}-{}", o[0], o[1], o[2], o[3]);
     match org.kind {
@@ -32,7 +32,7 @@ pub fn hostname_for(org: &Organization, ip: Ipv4Addr) -> String {
 /// The zone (apex) a hostname belongs to, if it looks like one of ours.
 /// This is the "resolve the SOA iteratively" shortcut: strip labels until
 /// the `<something>.example` apex remains.
-pub fn apex_of(name: &str) -> Option<&str> {
+pub(crate) fn apex_of(name: &str) -> Option<&str> {
     let name = name.trim_end_matches('.');
     let (rest, tld) = name.rsplit_once('.')?;
     if tld != "example" {

@@ -54,7 +54,7 @@ pub struct Resolver {
 
 impl Resolver {
     /// Usable for active measurements (the §2.3 vetting criteria).
-    pub fn usable(&self) -> bool {
+    pub(crate) fn usable(&self) -> bool {
         self.open && !self.delegates && !self.lies
     }
 }
@@ -79,7 +79,7 @@ pub struct ResolveOutcome {
 /// Detached (counting into thin air) until [`ResolverPool::bind_obs`]
 /// attaches the pool to a registry.
 #[derive(Debug, Clone, Default)]
-pub struct ResolverMetrics {
+pub(crate) struct ResolverMetrics {
     /// Queries issued through [`ResolverPool::resolve_with_retry`].
     pub queries: Counter,
     /// Individual attempt rounds across all slots tried.
@@ -199,14 +199,9 @@ impl ResolverPool {
         self.metrics = ResolverMetrics::register(obs);
     }
 
-    /// The live query metrics (detached unless [`ResolverPool::bind_obs`]
-    /// was called).
-    pub fn metrics(&self) -> &ResolverMetrics {
-        &self.metrics
-    }
-
     /// All candidates (pre-vetting).
-    pub fn candidates(&self) -> &[Resolver] {
+    #[cfg(test)]
+    pub(crate) fn candidates(&self) -> &[Resolver] {
         &self.candidates
     }
 
@@ -216,12 +211,14 @@ impl ResolverPool {
     }
 
     /// Number of usable resolvers.
-    pub fn usable_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn usable_count(&self) -> usize {
         self.usable.len()
     }
 
     /// Number of distinct ASes with a usable resolver.
-    pub fn usable_as_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn usable_as_count(&self) -> usize {
         let mut ases: Vec<Asn> = self.usable().map(|r| r.asn).collect();
         ases.sort_unstable();
         ases.dedup();
@@ -275,18 +272,13 @@ impl ResolverPool {
         self.org_servers.get(&org).map(|pool| answer_from(pool, k)).unwrap_or_default()
     }
 
-    /// The retry budget queries run under.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Resolve under the retry/failover budget.
     ///
     /// The query starts at usable slot `k`. Transient timeouts (the
     /// deterministic coin) retry with capped backoff under the policy's
     /// simulated deadline; a slot that exhausts its budget records a
     /// failure in `quarantine` and the query fails over to the next slot
-    /// (up to [`MAX_FAILOVERS`]). Slots the campaign has already
+    /// (up to `MAX_FAILOVERS`). Slots the campaign has already
     /// quarantined are skipped without burning any budget. `quarantine`
     /// must be owned by the campaign: resolution *is* gated on it, which
     /// is only deterministic because the campaign queries sequentially.

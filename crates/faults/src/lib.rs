@@ -53,9 +53,9 @@
 
 pub mod chaos;
 mod delivery;
-pub mod plan;
-pub mod quarantine;
-pub mod retry;
+mod plan;
+mod quarantine;
+mod retry;
 pub mod wire;
 
 pub use chaos::{
@@ -65,4 +65,4 @@ pub use chaos::{
 pub use plan::{FaultConfig, FaultPlan, FaultStats, OutageWindow};
 pub use quarantine::Quarantine;
 pub use retry::{retry_with_backoff, AttemptLog, RetryPolicy};
-pub use wire::{WireFaultConfig, WirePlan, WireStats};
+pub use wire::{WireFaultConfig, WirePlan};

@@ -76,11 +76,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// The identity plan: nothing is perturbed.
-    pub fn clean(seed: u64) -> FaultConfig {
-        FaultConfig { seed, ..FaultConfig::default() }
-    }
-
     /// Pure datagram loss at rate `p`.
     pub fn loss(seed: u64, p: f64) -> FaultConfig {
         FaultConfig { seed, drop: p, ..FaultConfig::default() }
@@ -273,7 +268,10 @@ mod tests {
     #[test]
     fn clean_plan_is_identity() {
         let input = feed(50);
-        let mut plan = FaultPlan::new(input.clone().into_iter(), FaultConfig::clean(7));
+        let mut plan = FaultPlan::new(
+            input.clone().into_iter(),
+            FaultConfig { seed: 7, ..FaultConfig::default() },
+        );
         let mut out = Vec::new();
         for d in plan.by_ref() {
             out.push(d);

@@ -72,7 +72,8 @@ impl<K: Ord + Clone> Quarantine<K> {
     }
 
     /// Number of keys with any recorded history.
-    pub fn tracked_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked_count(&self) -> usize {
         self.table().len()
     }
 }

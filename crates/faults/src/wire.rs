@@ -34,18 +34,6 @@ pub struct WireFaultConfig {
     pub truncate: f64,
 }
 
-impl WireFaultConfig {
-    /// The identity plan: nothing is perturbed.
-    pub fn clean(seed: u64) -> WireFaultConfig {
-        WireFaultConfig { seed, ..WireFaultConfig::default() }
-    }
-
-    /// Pure packet loss at rate `p`.
-    pub fn loss(seed: u64, p: f64) -> WireFaultConfig {
-        WireFaultConfig { seed, drop: p, ..WireFaultConfig::default() }
-    }
-}
-
 /// Exact counts of what a [`WirePlan`] injected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
@@ -133,7 +121,10 @@ mod tests {
     #[test]
     fn clean_plan_is_identity() {
         let input = feed(64);
-        let mut plan = WirePlan::new(input.clone().into_iter(), WireFaultConfig::clean(7));
+        let mut plan = WirePlan::new(
+            input.clone().into_iter(),
+            WireFaultConfig { seed: 7, ..WireFaultConfig::default() },
+        );
         let out: Vec<_> = plan.by_ref().collect();
         assert_eq!(out, input);
         let s = plan.stats();
@@ -153,7 +144,10 @@ mod tests {
 
     #[test]
     fn loss_is_counted_exactly() {
-        let mut plan = WirePlan::new(feed(5000).into_iter(), WireFaultConfig::loss(9, 0.05));
+        let mut plan = WirePlan::new(
+            feed(5000).into_iter(),
+            WireFaultConfig { seed: 9, drop: 0.05, ..WireFaultConfig::default() },
+        );
         let n = plan.by_ref().count() as u64;
         let s = plan.stats();
         assert_eq!(s.input, 5000);

@@ -42,7 +42,7 @@ pub struct ClientPool {
 
 impl ClientPool {
     /// Build the per-AS populations.
-    pub fn build(scale: &ScaleConfig, registry: &AsRegistry) -> ClientPool {
+    pub(crate) fn build(scale: &ScaleConfig, registry: &AsRegistry) -> ClientPool {
         let weights: Vec<f64> = registry
             .iter()
             .map(|info| {
@@ -81,7 +81,7 @@ impl ClientPool {
     }
 
     /// Global index of the first client of an AS (dense index).
-    pub fn base_of(&self, as_idx: u32) -> u64 {
+    pub(crate) fn base_of(&self, as_idx: u32) -> u64 {
         match as_idx.checked_sub(1) {
             Some(before) => self.cumulative[before as usize],
             None => 0,

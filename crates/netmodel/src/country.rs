@@ -18,7 +18,7 @@ pub struct CountryId(pub u16);
 /// The full country-code list. Order is stable; indices are `CountryId`s.
 /// Three codes (EH, CX, CC) carry zero weight, reproducing the paper's
 /// "every country except..." observation.
-pub const COUNTRY_CODES: &[&str] = &[
+pub(crate) const COUNTRY_CODES: &[&str] = &[
     "AD", "AE", "AF", "AG", "AI", "AL", "AM", "AO", "AQ", "AR", "AS", "AT", "AU", "AW", "AX", "AZ",
     "BA", "BB", "BD", "BE", "BF", "BG", "BH", "BI", "BJ", "BL", "BM", "BN", "BO", "BQ", "BR", "BS",
     "BT", "BV", "BW", "BY", "BZ", "CA", "CC", "CD", "CF", "CG", "CH", "CI", "CK", "CL", "CM", "CN",
@@ -38,7 +38,7 @@ pub const COUNTRY_CODES: &[&str] = &[
 ];
 
 /// Codes that are never seen at the vantage point (paper §3.1).
-pub const UNSEEN_CODES: &[&str] = &["EH", "CX", "CC"];
+pub(crate) const UNSEEN_CODES: &[&str] = &["EH", "CX", "CC"];
 
 /// Head-of-distribution client-population weights, calibrated so the
 /// all-IPs top-10 of Table 2 (US, DE, CN, RU, IT, FR, GB, TR, UA, JP)
@@ -118,7 +118,7 @@ impl CountryTable {
     /// Build the table. Head countries get their calibrated weights; the
     /// tail shares the remaining mass in a gently decaying series; the
     /// unseen territories get exactly zero.
-    pub fn build() -> CountryTable {
+    pub(crate) fn build() -> CountryTable {
         let codes: Vec<&'static str> = COUNTRY_CODES.to_vec();
         let client_weight = Self::weights(&codes, CLIENT_HEAD);
         let server_weight = Self::weights(&codes, SERVER_HEAD);
@@ -159,7 +159,8 @@ impl CountryTable {
     }
 
     /// True if the table is empty (never, but clippy insists).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.codes.is_empty()
     }
 
@@ -169,17 +170,19 @@ impl CountryTable {
     }
 
     /// Look up a code.
-    pub fn id_of(&self, code: &str) -> Option<CountryId> {
+    pub(crate) fn id_of(&self, code: &str) -> Option<CountryId> {
         self.codes.iter().position(|c| *c == code).map(|i| CountryId(i as u16))
     }
 
     /// Client-population weight (percent of the global client pool).
-    pub fn client_weight(&self, id: CountryId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn client_weight(&self, id: CountryId) -> f64 {
         self.client_weight[id.0 as usize]
     }
 
     /// Server-population weight (percent of the global server pool).
-    pub fn server_weight(&self, id: CountryId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn server_weight(&self, id: CountryId) -> f64 {
         self.server_weight[id.0 as usize]
     }
 
@@ -195,32 +198,33 @@ impl CountryTable {
     }
 
     /// Ids of all countries with non-zero weight of the given kind.
-    pub fn seen_ids(&self) -> impl Iterator<Item = CountryId> + '_ {
+    #[cfg(test)]
+    pub(crate) fn seen_ids(&self) -> impl Iterator<Item = CountryId> + '_ {
         (0..self.codes.len() as u16)
             .map(CountryId)
             .filter(|id| self.client_weight(*id) > 0.0 || self.server_weight(*id) > 0.0)
     }
 
     /// Cumulative-weight sampling table for client countries.
-    pub fn client_cdf(&self) -> WeightedCdf {
+    pub(crate) fn client_cdf(&self) -> WeightedCdf {
         WeightedCdf::new(&self.client_weight)
     }
 
     /// Cumulative-weight sampling table for server countries.
-    pub fn server_cdf(&self) -> WeightedCdf {
+    pub(crate) fn server_cdf(&self) -> WeightedCdf {
         WeightedCdf::new(&self.server_weight)
     }
 }
 
 /// A cumulative-distribution sampling table over country ids.
 #[derive(Debug, Clone)]
-pub struct WeightedCdf {
+pub(crate) struct WeightedCdf {
     cumulative: Vec<f64>,
 }
 
 impl WeightedCdf {
     /// Build from raw (not necessarily normalized) weights.
-    pub fn new(weights: &[f64]) -> WeightedCdf {
+    pub(crate) fn new(weights: &[f64]) -> WeightedCdf {
         let mut cumulative = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
         for w in weights {
@@ -231,7 +235,7 @@ impl WeightedCdf {
     }
 
     /// Sample an index given a uniform draw in `[0, 1)`.
-    pub fn sample(&self, uniform: f64) -> usize {
+    pub(crate) fn sample(&self, uniform: f64) -> usize {
         let total = *self.cumulative.last().expect("empty CDF");
         let target = uniform.clamp(0.0, 1.0 - f64::EPSILON) * total;
         match self.cumulative.binary_search_by(|probe| probe.partial_cmp(&target).unwrap()) {

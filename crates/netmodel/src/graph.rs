@@ -38,7 +38,7 @@ pub struct AsGraph {
 
 impl AsGraph {
     /// Build the topology for a generated registry.
-    pub fn build(registry: &AsRegistry, countries: &CountryTable, seed: u64) -> AsGraph {
+    pub(crate) fn build(registry: &AsRegistry, countries: &CountryTable, seed: u64) -> AsGraph {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_0002);
         let n = registry.len();
 
@@ -148,7 +148,12 @@ impl AsGraph {
     }
 
     /// The distance class of an AS at a specific week.
-    pub fn locality_at(&self, registry: &AsRegistry, asn: Asn, week: Week) -> Option<Locality> {
+    pub(crate) fn locality_at(
+        &self,
+        registry: &AsRegistry,
+        asn: Asn,
+        week: Week,
+    ) -> Option<Locality> {
         registry.index_of(asn).map(|i| self.locality_of_index(registry, i, week))
     }
 
@@ -185,7 +190,7 @@ impl AsGraph {
 
     /// ASes whose gateway is the given member (the member's "customer cone"
     /// as seen from the fabric).
-    pub fn cone_of(&self, registry: &AsRegistry, member: MemberId) -> Vec<Asn> {
+    pub(crate) fn cone_of(&self, registry: &AsRegistry, member: MemberId) -> Vec<Asn> {
         (0..registry.len() as u32)
             .filter(|i| self.gateway[*i as usize] == member)
             .map(|i| registry.by_index(i).asn)

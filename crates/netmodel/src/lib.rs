@@ -6,19 +6,19 @@
 //! Europe's largest IXPs; this crate provides the world that data was
 //! sampled from, calibrated against every aggregate the paper publishes:
 //!
-//! * ≈ 43K routed ASes and ≈ 450K routed prefixes ([`registry`],
-//!   [`prefixes`]), with an AS-level topology whose distance classes
-//!   reproduce Table 3's A(L)/A(M)/A(G) split ([`graph`]);
+//! * ≈ 43K routed ASes and ≈ 450K routed prefixes (`registry`,
+//!   `prefixes`), with an AS-level topology whose distance classes
+//!   reproduce Table 3's A(L)/A(M)/A(G) split (`graph`);
 //! * a country table with client/server weights shaped for Table 2 and
-//!   Fig. 3 ([`country`]);
+//!   Fig. 3 (`country`);
 //! * an IXP membership of 443→457 ASes with a ≈ 91 %-dense public peering
-//!   matrix ([`peering`]);
+//!   matrix (`peering`);
 //! * ≈ 21K organizations — named archetypes for every player the paper
-//!   calls out, plus a power-law tail ([`orgs`]) — deploying ≈ 1.5M server
-//!   IPs *heterogeneously* across third-party ASes ([`servers`]), with
+//!   calls out, plus a power-law tail (`orgs`) — deploying ≈ 1.5M server
+//!   IPs *heterogeneously* across third-party ASes (`servers`), with
 //!   churn masks that reproduce Fig. 4/5 and the §4.2 events;
-//! * a functional client universe ([`clients`]) and an Alexa-style
-//!   popularity list ([`popularity`]).
+//! * a functional client universe (`clients`) and an Alexa-style
+//!   popularity list (`popularity`).
 //!
 //! All sizes live in [`ScaleConfig`]; everything is deterministic in the
 //! seed. See `DESIGN.md` at the repository root for the full substitution
@@ -27,28 +27,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clients;
-pub mod country;
-pub mod graph;
+mod clients;
+mod country;
+mod graph;
 pub mod model;
-pub mod orgs;
-pub mod peering;
-pub mod popularity;
-pub mod prefixes;
-pub mod registry;
-pub mod scale;
-pub mod servers;
-pub mod types;
+mod orgs;
+mod peering;
+mod popularity;
+mod prefixes;
+mod registry;
+mod scale;
+mod servers;
+mod types;
 
-pub use clients::ClientPool;
-pub use country::{CountryId, CountryTable};
-pub use graph::AsGraph;
+pub use country::CountryId;
 pub use model::InternetModel;
-pub use orgs::{Archetype, OrgCatalog, OrgKind, Organization};
+pub use orgs::{Archetype, OrgKind, Organization};
 pub use peering::PeeringMatrix;
-pub use popularity::PopularityList;
-pub use prefixes::{RouteEntry, RoutingSnapshot};
-pub use registry::{well_known, AsInfo, AsRegistry, AsRole, Membership};
+pub use registry::AsRole;
 pub use scale::ScaleConfig;
-pub use servers::{PublishedRange, Server, ServerCatalog, ServerFlags, ServiceTag};
-pub use types::{Asn, Locality, MemberId, OrgId, Prefix, Region, Week};
+pub use servers::{Server, ServerFlags, ServiceTag};
+pub use types::{Asn, Locality, MemberId, OrgId, Region, Week};

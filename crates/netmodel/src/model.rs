@@ -84,11 +84,6 @@ impl InternetModel {
         InternetModel::generate(ScaleConfig::tiny(), seed)
     }
 
-    /// Convenience: the small preset.
-    pub fn small(seed: u64) -> InternetModel {
-        InternetModel::generate(ScaleConfig::small(), seed)
-    }
-
     /// Number of members active at a week.
     pub fn member_count(&self, week: Week) -> usize {
         self.registry.members_at(week).len()

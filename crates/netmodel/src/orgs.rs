@@ -154,7 +154,7 @@ pub struct OrgCatalog {
 
 impl OrgCatalog {
     /// Generate the catalog: archetypes first, then the generic tail.
-    pub fn generate(scale: &ScaleConfig, registry: &AsRegistry, seed: u64) -> OrgCatalog {
+    pub(crate) fn generate(scale: &ScaleConfig, registry: &AsRegistry, seed: u64) -> OrgCatalog {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_0004);
         let n_servers = scale.server_count as f64;
         let max_spread = (scale.as_count / 3).max(4);
@@ -248,7 +248,8 @@ impl OrgCatalog {
     }
 
     /// True if empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.orgs.is_empty()
     }
 

@@ -38,16 +38,6 @@ impl PeeringMatrix {
         PeeringMatrix { n, bits }
     }
 
-    /// Number of members covered.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if no members.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Do two members peer over the public fabric? (Members always "peer"
     /// with themselves: intra-member traffic is possible via their port.)
     pub fn peers(&self, a: MemberId, b: MemberId) -> bool {
@@ -63,7 +53,8 @@ impl PeeringMatrix {
     }
 
     /// Number of peers of a member.
-    pub fn peer_count(&self, a: MemberId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn peer_count(&self, a: MemberId) -> usize {
         (0..self.n as u32).filter(|b| *b != a.0 && self.peers(a, MemberId(*b))).count()
     }
 }

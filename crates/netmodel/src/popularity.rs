@@ -36,7 +36,7 @@ impl PopularityList {
     /// The ranking is popularity-by-construction: an organization's traffic
     /// multiplier and size push its domains toward the head, with noise so
     /// the list is not a deterministic function of size alone.
-    pub fn build(orgs: &OrgCatalog, seed: u64) -> PopularityList {
+    pub(crate) fn build(orgs: &OrgCatalog, seed: u64) -> PopularityList {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_0006);
         let mut scored: Vec<(f64, String, OrgId)> = Vec::new();
         for org in orgs.iter() {
@@ -63,7 +63,8 @@ impl PopularityList {
     }
 
     /// True if empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.sites.is_empty()
     }
 

@@ -42,7 +42,11 @@ pub struct RoutingSnapshot {
 
 impl RoutingSnapshot {
     /// Allocate prefixes for every AS in the registry.
-    pub fn generate(scale: &ScaleConfig, registry: &AsRegistry, seed: u64) -> RoutingSnapshot {
+    pub(crate) fn generate(
+        scale: &ScaleConfig,
+        registry: &AsRegistry,
+        seed: u64,
+    ) -> RoutingSnapshot {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_0003);
         let n = registry.len();
 
@@ -120,7 +124,8 @@ impl RoutingSnapshot {
     }
 
     /// True if empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -183,7 +188,7 @@ impl RoutingSnapshot {
 
     /// Dense prefix indices originated by the AS at a dense index:
     /// [`RoutingSnapshot::prefixes_of`] without the hash probe.
-    pub fn prefixes_at(&self, as_idx: u32) -> &[u32] {
+    pub(crate) fn prefixes_at(&self, as_idx: u32) -> &[u32] {
         &self.by_as[as_idx as usize]
     }
 
@@ -196,7 +201,8 @@ impl RoutingSnapshot {
     }
 
     /// Number of distinct origin ASes that actually got prefixes.
-    pub fn routed_as_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn routed_as_count(&self) -> usize {
         self.by_as.iter().filter(|l| !l.is_empty()).count()
     }
 }

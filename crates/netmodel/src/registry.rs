@@ -44,23 +44,8 @@ pub enum AsRole {
 }
 
 impl AsRole {
-    /// All roles.
-    pub const ALL: [AsRole; 11] = [
-        AsRole::Tier1,
-        AsRole::Transit,
-        AsRole::EyeballLarge,
-        AsRole::EyeballSmall,
-        AsRole::Hoster,
-        AsRole::Cdn,
-        AsRole::Cloud,
-        AsRole::Content,
-        AsRole::Enterprise,
-        AsRole::University,
-        AsRole::Reseller,
-    ];
-
     /// True for roles that run server infrastructure of their own.
-    pub fn hosts_servers(&self) -> bool {
+    pub(crate) fn hosts_servers(&self) -> bool {
         matches!(
             self,
             AsRole::Hoster | AsRole::Cdn | AsRole::Cloud | AsRole::Content | AsRole::University
@@ -97,67 +82,67 @@ pub struct Membership {
 /// Well-known ASNs reserved for the named archetype networks. The numbers
 /// follow the real-world networks each archetype is modelled on, which
 /// makes the reproduced tables directly comparable with the paper's.
-pub mod well_known {
+pub(crate) mod well_known {
     use crate::types::Asn;
 
     /// Akamai-like global CDN (paper: AS20940).
-    pub const AKAMAI_LIKE: Asn = Asn(20940);
+    pub(crate) const AKAMAI_LIKE: Asn = Asn(20940);
     /// Google-like content provider (paper: AS15169).
-    pub const GOOGLE_LIKE: Asn = Asn(15169);
+    pub(crate) const GOOGLE_LIKE: Asn = Asn(15169);
     /// VKontakte-like social network (paper: AS47541).
-    pub const VKONTAKTE_LIKE: Asn = Asn(47541);
+    pub(crate) const VKONTAKTE_LIKE: Asn = Asn(47541);
     /// Large web-hosting company of Fig. 6c (paper: AS36351).
-    pub const BIG_HOSTER: Asn = Asn(36351);
+    pub(crate) const BIG_HOSTER: Asn = Asn(36351);
     /// Amazon-like cloud (EC2 + CloudFront).
-    pub const AMAZON_LIKE: Asn = Asn(16509);
+    pub(crate) const AMAZON_LIKE: Asn = Asn(16509);
     /// CloudFlare-like data-center CDN.
-    pub const CLOUDFLARE_LIKE: Asn = Asn(13335);
+    pub(crate) const CLOUDFLARE_LIKE: Asn = Asn(13335);
     /// Hetzner-like hoster.
-    pub const HETZNER_LIKE: Asn = Asn(24940);
+    pub(crate) const HETZNER_LIKE: Asn = Asn(24940);
     /// OVH-like hoster.
-    pub const OVH_LIKE: Asn = Asn(16276);
+    pub(crate) const OVH_LIKE: Asn = Asn(16276);
     /// Leaseweb-like hoster.
-    pub const LEASEWEB_LIKE: Asn = Asn(60781);
+    pub(crate) const LEASEWEB_LIKE: Asn = Asn(60781);
     /// Limelight-like CDN.
-    pub const LIMELIGHT_LIKE: Asn = Asn(22822);
+    pub(crate) const LIMELIGHT_LIKE: Asn = Asn(22822);
     /// EdgeCast-like CDN.
-    pub const EDGECAST_LIKE: Asn = Asn(15133);
+    pub(crate) const EDGECAST_LIKE: Asn = Asn(15133);
     /// The second cloud provider whose US-East data centers fail during
     /// Hurricane Sandy (week 44).
-    pub const STORMCLOUD: Asn = Asn(8075);
+    pub(crate) const STORMCLOUD: Asn = Asn(8075);
     /// The reseller whose customer base doubles during the study.
-    pub const RESELLER_A: Asn = Asn(61955);
+    pub(crate) const RESELLER_A: Asn = Asn(61955);
     /// A second, static reseller.
-    pub const RESELLER_B: Asn = Asn(51088);
+    pub(crate) const RESELLER_B: Asn = Asn(51088);
     /// Chinanet-like giant eyeball (top of Table 2 by IPs).
-    pub const CHINANET_LIKE: Asn = Asn(4134);
+    pub(crate) const CHINANET_LIKE: Asn = Asn(4134);
     /// Vodafone/DE-like eyeball.
-    pub const VODAFONE_DE_LIKE: Asn = Asn(3209);
+    pub(crate) const VODAFONE_DE_LIKE: Asn = Asn(3209);
     /// Free-SAS-like eyeball (FR).
-    pub const FREE_LIKE: Asn = Asn(12322);
+    pub(crate) const FREE_LIKE: Asn = Asn(12322);
     /// Turk-Telekom-like eyeball (TR).
-    pub const TURKTELEKOM_LIKE: Asn = Asn(9121);
+    pub(crate) const TURKTELEKOM_LIKE: Asn = Asn(9121);
     /// Telecom-Italia-like eyeball (IT).
-    pub const TELECOMITALIA_LIKE: Asn = Asn(3269);
+    pub(crate) const TELECOMITALIA_LIKE: Asn = Asn(3269);
     /// Liberty-Global-like cable eyeball.
-    pub const LIBERTYGLOBAL_LIKE: Asn = Asn(6830);
+    pub(crate) const LIBERTYGLOBAL_LIKE: Asn = Asn(6830);
     /// Vodafone/IT-like eyeball.
-    pub const VODAFONE_IT_LIKE: Asn = Asn(30722);
+    pub(crate) const VODAFONE_IT_LIKE: Asn = Asn(30722);
     /// Virgin-Media-like eyeball (GB).
-    pub const VIRGINMEDIA_LIKE: Asn = Asn(5089);
+    pub(crate) const VIRGINMEDIA_LIKE: Asn = Asn(5089);
     /// Telefonica/DE-like eyeball.
-    pub const TELEFONICA_DE_LIKE: Asn = Asn(6805);
+    pub(crate) const TELEFONICA_DE_LIKE: Asn = Asn(6805);
     /// Kabel-Deutschland-like eyeball (big traffic sink, Table 2).
-    pub const KABEL_DE_LIKE: Asn = Asn(31334);
+    pub(crate) const KABEL_DE_LIKE: Asn = Asn(31334);
     /// Unitymedia-like eyeball (DE).
-    pub const UNITYMEDIA_LIKE: Asn = Asn(20825);
+    pub(crate) const UNITYMEDIA_LIKE: Asn = Asn(20825);
     /// Kyivstar-like eyeball (UA).
-    pub const KYIVSTAR_LIKE: Asn = Asn(15895);
+    pub(crate) const KYIVSTAR_LIKE: Asn = Asn(15895);
     /// Comnet-like eyeball (TR).
-    pub const COMNET_LIKE: Asn = Asn(34984);
+    pub(crate) const COMNET_LIKE: Asn = Asn(34984);
 
     /// All reserved ASNs with their role labels, countries, and names.
-    pub fn table() -> Vec<(Asn, super::AsRole, &'static str, &'static str)> {
+    pub(crate) fn table() -> Vec<(Asn, super::AsRole, &'static str, &'static str)> {
         use super::AsRole::*;
         vec![
             (AKAMAI_LIKE, Cdn, "US", "Akamai-like"),
@@ -193,7 +178,7 @@ pub mod well_known {
     /// Client-population multiplier for the named eyeballs (relative to a
     /// generic large eyeball), ordered so that Table 2's all-IPs network
     /// ranking emerges.
-    pub fn eyeball_population_boost(asn: Asn) -> f64 {
+    pub(crate) fn eyeball_population_boost(asn: Asn) -> f64 {
         match asn {
             CHINANET_LIKE => 22.0,
             VODAFONE_DE_LIKE => 19.0,
@@ -224,7 +209,7 @@ pub struct AsRegistry {
 impl AsRegistry {
     /// Generate the registry: reserved archetype ASes first, then the
     /// general population, then membership assignment.
-    pub fn generate(scale: &ScaleConfig, countries: &CountryTable, seed: u64) -> AsRegistry {
+    pub(crate) fn generate(scale: &ScaleConfig, countries: &CountryTable, seed: u64) -> AsRegistry {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_0001);
         let mut infos: Vec<AsInfo> = Vec::with_capacity(scale.as_count as usize);
 
@@ -363,11 +348,6 @@ impl AsRegistry {
     /// Number of ASes.
     pub fn len(&self) -> usize {
         self.infos.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.infos.is_empty()
     }
 
     /// All ASes.

@@ -9,23 +9,21 @@
 //! the divisor used.
 
 /// Real-world reference counts from the paper (week 45).
-pub mod paper_counts {
+pub(crate) mod paper_counts {
     /// Routed ASes ("ground truth ≈ 43K", observed 42 825).
-    pub const ROUTED_ASES: u32 = 42_825;
+    pub(crate) const ROUTED_ASES: u32 = 42_825;
     /// Routed prefixes (observed 445 051 of 450K–500K routed).
-    pub const ROUTED_PREFIXES: u32 = 453_000;
+    pub(crate) const ROUTED_PREFIXES: u32 = 453_000;
     /// Unique IPs seen per week (≈ 232.5M).
-    pub const WEEKLY_IPS: u64 = 232_460_635;
+    pub(crate) const WEEKLY_IPS: u64 = 232_460_635;
     /// Web-server IPs seen in week 45 (≈ 1.49M).
-    pub const SERVER_IPS: u64 = 1_488_286;
+    pub(crate) const SERVER_IPS: u64 = 1_488_286;
     /// Organizations recovered by clustering (≈ 21K).
-    pub const ORGANIZATIONS: u32 = 21_000;
-    /// IXP members at week 35 / week 45 / week 51.
-    pub const MEMBERS_W35: u32 = 443;
-    /// Members at the reference week.
-    pub const MEMBERS_W45: u32 = 452;
+    pub(crate) const ORGANIZATIONS: u32 = 21_000;
+    /// IXP members at the first week (35).
+    pub(crate) const MEMBERS_W35: u32 = 443;
     /// Members at the last week.
-    pub const MEMBERS_W51: u32 = 457;
+    pub(crate) const MEMBERS_W51: u32 = 457;
 }
 
 /// All population sizes of the synthetic Internet.
@@ -127,20 +125,11 @@ impl ScaleConfig {
             divisor,
         }
     }
-
-    /// Members at a given week: the IXP added 1–2 members per week,
-    /// linearly interpolated between the start and end counts.
-    pub fn members_at(&self, week: crate::types::Week) -> u32 {
-        let span = (crate::types::Week::COUNT - 1) as u32;
-        let idx = week.index() as u32;
-        self.members_start + (self.members_end - self.members_start) * idx / span
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Week;
 
     #[test]
     fn presets_are_ordered_by_size() {
@@ -161,22 +150,6 @@ mod tests {
         assert!(p.prefix_count <= paper_counts::ROUTED_PREFIXES);
         assert_eq!(p.members_start, 443);
         assert_eq!(p.members_end, 457);
-    }
-
-    #[test]
-    fn membership_grows_monotonically() {
-        let p = ScaleConfig::paper(500);
-        let mut last = 0;
-        for week in Week::all() {
-            let m = p.members_at(week);
-            assert!(m >= last);
-            last = m;
-        }
-        assert_eq!(p.members_at(Week::FIRST), 443);
-        assert_eq!(p.members_at(Week::LAST), 457);
-        // The reference week sits near the paper's 452.
-        let w45 = p.members_at(Week::REFERENCE);
-        assert!((451..=453).contains(&w45), "w45 members = {w45}");
     }
 
     #[test]

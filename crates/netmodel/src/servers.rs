@@ -51,7 +51,7 @@ impl ServerFlags {
     }
 
     /// Set a flag bit.
-    pub fn set(&mut self, bit: u16) {
+    pub(crate) fn set(&mut self, bit: u16) {
         self.0 |= bit;
     }
 }
@@ -127,7 +127,7 @@ pub struct PublishedRange {
 
 /// Tunable churn-model parameters (kept in one place for calibration).
 #[derive(Debug, Clone)]
-pub struct ChurnParams {
+pub(crate) struct ChurnParams {
     /// Probability that an archetype server is in the stable pool.
     pub archetype_stable: f64,
     /// Region-dependent stable probability for generic servers
@@ -172,7 +172,7 @@ pub struct ServerCatalog {
 
 impl ServerCatalog {
     /// Generate all servers.
-    pub fn generate(
+    pub(crate) fn generate(
         scale: &ScaleConfig,
         registry: &AsRegistry,
         routing: &RoutingSnapshot,
@@ -216,7 +216,8 @@ impl ServerCatalog {
     }
 
     /// Servers that exchange IXP traffic in the given week.
-    pub fn active_in(&self, week: Week) -> impl Iterator<Item = &Server> {
+    #[cfg(test)]
+    pub(crate) fn active_in(&self, week: Week) -> impl Iterator<Item = &Server> {
         self.servers.iter().filter(move |s| s.active_in(week))
     }
 
@@ -227,7 +228,8 @@ impl ServerCatalog {
 
     /// Ground-truth footprint of an organization in a week: (visible
     /// servers, hidden servers, distinct ASes overall).
-    pub fn footprint(&self, org: OrgId, week: Week) -> (usize, usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn footprint(&self, org: OrgId, week: Week) -> (usize, usize, usize) {
         let mut visible = 0;
         let mut hidden = 0;
         let mut ases = std::collections::HashSet::new();

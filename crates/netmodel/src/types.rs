@@ -74,7 +74,7 @@ impl Region {
     pub const ALL: [Region; 5] = [Region::De, Region::Us, Region::Ru, Region::Cn, Region::RoW];
 
     /// Short label as used in the figures.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Region::De => "DE",
             Region::Us => "US",
@@ -103,20 +103,6 @@ pub enum Locality {
     Global,
 }
 
-impl Locality {
-    /// All classes in table order.
-    pub const ALL: [Locality; 3] = [Locality::Member, Locality::NearMember, Locality::Global];
-
-    /// Label as used in Table 3.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Locality::Member => "A(L)",
-            Locality::NearMember => "A(M)",
-            Locality::Global => "A(G)",
-        }
-    }
-}
-
 /// An IPv4 prefix in CIDR form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
@@ -128,7 +114,8 @@ pub struct Prefix {
 
 impl Prefix {
     /// Construct a prefix, masking stray host bits.
-    pub fn new(base: Ipv4Addr, len: u8) -> Prefix {
+    #[cfg(test)]
+    pub(crate) fn new(base: Ipv4Addr, len: u8) -> Prefix {
         assert!(len <= 32);
         let raw = u32::from(base);
         Prefix { base: raw & Self::mask(len), len }
@@ -158,7 +145,7 @@ impl Prefix {
     }
 
     /// The base address as an `Ipv4Addr`.
-    pub fn base_addr(&self) -> Ipv4Addr {
+    pub(crate) fn base_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.base)
     }
 }
@@ -204,11 +191,5 @@ mod tests {
         let p = Prefix::new(Ipv4Addr::new(0, 0, 0, 0), 0);
         assert_eq!(p.size(), 1 << 32);
         assert!(p.contains(Ipv4Addr::new(255, 255, 255, 255)));
-    }
-
-    #[test]
-    fn locality_labels() {
-        assert_eq!(Locality::Member.label(), "A(L)");
-        assert_eq!(Locality::ALL.len(), 3);
     }
 }

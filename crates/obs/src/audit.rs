@@ -26,7 +26,7 @@ use crate::journal::{EventKind, Journal};
 use crate::metrics::{family_total, Counter, MetricValue, Registry, Snapshot};
 
 /// Name of the breach counter the auditor registers.
-pub const BREACH_COUNTER: &str = "obs_audit_breaches_total";
+pub(crate) const BREACH_COUNTER: &str = "obs_audit_breaches_total";
 
 /// The ledger identities, each stated once as its row of [`LEDGER`]. The
 /// discriminant order is stable: it is the `a` operand of the
@@ -129,7 +129,7 @@ impl Identity {
 
 impl Invariant {
     /// Stable journal-event index.
-    pub fn index(self) -> u64 {
+    pub(crate) fn index(self) -> u64 {
         self as u64
     }
 
@@ -146,12 +146,12 @@ impl Invariant {
     }
 
     /// Short stable name for reports and the `/healthz` verdict.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         self.identity().name
     }
 
     /// The identity, spelled out for humans.
-    pub fn equation(self) -> String {
+    pub(crate) fn equation(self) -> String {
         let row = self.identity();
         let queued = if row.queued { " + queued" } else { "" };
         format!("{} = {}{queued}", row.total, row.parts.join(" + "))
@@ -172,7 +172,7 @@ pub struct AuditError {
 impl AuditError {
     /// Absolute imbalance, the `b` operand of the journal event
     /// (`u64::MAX` for a right side that does not evaluate).
-    pub fn imbalance(&self) -> u64 {
+    pub(crate) fn imbalance(&self) -> u64 {
         self.right.map_or(u64::MAX, |right| self.left.abs_diff(right))
     }
 }
@@ -200,7 +200,7 @@ pub enum AuditScope {
 
 /// Check the ledger identities against a snapshot. Returns every breach,
 /// in invariant order.
-pub fn check(snapshot: &Snapshot, scope: AuditScope) -> Vec<AuditError> {
+pub(crate) fn check(snapshot: &Snapshot, scope: AuditScope) -> Vec<AuditError> {
     let read = |family: &str| {
         family_total(
             family,
@@ -228,7 +228,7 @@ pub struct Auditor {
 
 impl Auditor {
     /// Build an auditor over `registry`, journaling breaches into
-    /// `journal`. Registers [`BREACH_COUNTER`] (0 on a healthy run, so
+    /// `journal`. Registers `BREACH_COUNTER` (0 on a healthy run, so
     /// same-seed byte-identity is preserved).
     pub fn new(registry: Registry, journal: Journal) -> Auditor {
         let breaches = registry.counter(BREACH_COUNTER);
@@ -245,7 +245,7 @@ impl Auditor {
     }
 
     /// As [`Auditor::run`], over an externally cut snapshot.
-    pub fn run_on(&self, snapshot: &Snapshot, scope: AuditScope) -> Result<(), AuditError> {
+    pub(crate) fn run_on(&self, snapshot: &Snapshot, scope: AuditScope) -> Result<(), AuditError> {
         let breaches = check(snapshot, scope);
         for breach in &breaches {
             self.breaches.inc();

@@ -13,7 +13,7 @@
 //! boundary: `RealClock::new` carries the workspace's one `#[allow]` for
 //! `Instant::now()`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,7 +29,7 @@ pub trait Clock: Send + Sync + std::fmt::Debug {
 /// Wall-clock time, anchored to the instant the clock was constructed so
 /// readings start near zero and fit comfortably in a `u64`.
 #[derive(Debug, Clone)]
-pub struct RealClock {
+pub(crate) struct RealClock {
     origin: Instant,
 }
 
@@ -39,7 +39,7 @@ impl RealClock {
         clippy::disallowed_methods,
         reason = "the one sanctioned real-clock read; everything else takes a `&dyn Clock`"
     )]
-    pub fn new() -> RealClock {
+    pub(crate) fn new() -> RealClock {
         RealClock { origin: Instant::now() }
     }
 }
@@ -66,41 +66,43 @@ impl Clock for RealClock {
 /// Deliberately does *not* auto-tick on reads: the analysis pipeline runs
 /// weeks on a worker pool, and a read-advanced clock would make span
 /// durations depend on thread interleaving. A `TestClock` returns the same
-/// value from every thread until someone calls [`TestClock::advance_ns`],
-/// so all durations collapse to known constants and snapshots stay
-/// byte-identical across runs.
+/// value from every thread until a unit test advances it, so all durations
+/// collapse to known constants and snapshots stay byte-identical across
+/// runs.
 #[derive(Debug, Default)]
-pub struct TestClock {
+pub(crate) struct TestClock {
     now: AtomicU64,
 }
 
 impl TestClock {
     /// A clock frozen at zero.
-    pub fn new() -> TestClock {
+    pub(crate) fn new() -> TestClock {
         TestClock { now: AtomicU64::new(0) }
     }
 
     /// A clock frozen at `start_ns`.
-    pub fn at(start_ns: u64) -> TestClock {
+    #[cfg(test)]
+    pub(crate) fn at(start_ns: u64) -> TestClock {
         TestClock { now: AtomicU64::new(start_ns) }
     }
 
     /// Move the clock forward by `delta_ns`.
-    pub fn advance_ns(&self, delta_ns: u64) {
+    #[cfg(test)]
+    pub(crate) fn advance_ns(&self, delta_ns: u64) {
+        use std::sync::atomic::Ordering::Relaxed;
         // Saturate instead of wrapping so a pathological advance cannot
         // make the clock run backwards.
         #[allow(
             clippy::let_underscore_must_use,
             reason = "the closure always returns Some, so fetch_update cannot fail"
         )]
-        let _ = self.now.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-            Some(cur.saturating_add(delta_ns))
-        });
+        let _ = self.now.fetch_update(Relaxed, Relaxed, |cur| Some(cur.saturating_add(delta_ns)));
     }
 
     /// Set the clock to an absolute reading.
-    pub fn set_ns(&self, now_ns: u64) {
-        self.now.store(now_ns, Ordering::Relaxed);
+    #[cfg(test)]
+    pub(crate) fn set_ns(&self, now_ns: u64) {
+        self.now.store(now_ns, std::sync::atomic::Ordering::Relaxed);
     }
 }
 

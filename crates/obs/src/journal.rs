@@ -9,7 +9,7 @@
 //! supervised runs under the frozen `TestClock` produce byte-identical
 //! journals (the same property the metrics snapshots already have).
 //!
-//! The event stream has one export, [`render_trace`]'s schema-versioned
+//! The event stream has one export, `render_trace`'s schema-versioned
 //! `ixp-trace/1` JSON document, taken over two spans of the ring:
 //!
 //! * [`Journal::render`] — every retained event: served at `/trace` and
@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use crate::clock::Clock;
 
 /// Schema identifier written into every trace document.
-pub const TRACE_SCHEMA: &str = "ixp-trace/1";
+pub(crate) const TRACE_SCHEMA: &str = "ixp-trace/1";
 
 /// Default ring capacity when a journal is enabled without an explicit
 /// size: enough for several supervisor ticks of dense transition traffic
@@ -290,7 +290,7 @@ impl Journal {
 /// Serialize events to the versioned `ixp-trace/1` JSON document. The
 /// layout mirrors the `ixp-obs/1` snapshot: integers and short strings
 /// only, so equal event streams serialize byte-identically.
-pub fn render_trace(events: &[Event], dropped: u64) -> String {
+pub(crate) fn render_trace(events: &[Event], dropped: u64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{}\",\n", crate::json::escape(TRACE_SCHEMA)));

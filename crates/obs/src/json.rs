@@ -12,10 +12,10 @@
 
 pub use ixp_codec::json::{escape, parse, Value};
 
-use crate::metrics::{split_name, MetricValue, Snapshot};
+use crate::metrics::{MetricValue, Snapshot};
 
 /// Schema identifier written into every snapshot document.
-pub const SCHEMA: &str = "ixp-obs/1";
+pub(crate) const SCHEMA: &str = "ixp-obs/1";
 
 /// Serialize a snapshot to the versioned JSON document.
 pub fn render(snapshot: &Snapshot) -> String {
@@ -67,34 +67,18 @@ pub fn render(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Find a metric object by name inside a parsed snapshot document.
-pub fn find_metric<'v>(doc: &'v Value, name: &str) -> Option<&'v Value> {
-    doc.get("metrics")?
-        .as_arr()?
-        .iter()
-        .find(|m| m.get("name").and_then(Value::as_str) == Some(name))
-}
-
-/// All family names present in a parsed snapshot (label blocks stripped),
-/// for required-family smoke checks.
-pub fn families(doc: &Value) -> Vec<String> {
-    let mut out: Vec<String> = doc
-        .get("metrics")
-        .and_then(Value::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|m| m.get("name").and_then(Value::as_str))
-        .map(|n| split_name(n).0.to_string())
-        .collect();
-    out.sort();
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Registry;
+
+    /// Find a metric object by name inside a parsed snapshot document.
+    fn find_metric<'v>(doc: &'v Value, name: &str) -> Option<&'v Value> {
+        doc.get("metrics")?
+            .as_arr()?
+            .iter()
+            .find(|m| m.get("name").and_then(Value::as_str) == Some(name))
+    }
 
     fn sample() -> Snapshot {
         let r = Registry::new();
@@ -124,18 +108,5 @@ mod tests {
     #[test]
     fn rendering_is_deterministic() {
         assert_eq!(render(&sample()), render(&sample()));
-    }
-
-    #[test]
-    fn families_strips_labels() {
-        let doc = parse(&render(&sample())).expect("parses");
-        assert_eq!(
-            families(&doc),
-            vec![
-                "core_stage_duration_ns".to_string(),
-                "sflow_datagrams_total".to_string(),
-                "sflow_sources".to_string(),
-            ]
-        );
     }
 }

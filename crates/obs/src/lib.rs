@@ -10,8 +10,8 @@
 //!   with the plain counters the ingest path counts in: each component
 //!   states its families once as a [`Series`] table and publishes at its
 //!   sync points;
-//! * span timing ([`Stopwatch`], [`span::time`]) over an injectable
-//!   [`Clock`]: [`RealClock`] in production, [`TestClock`] in tests and
+//! * span timing ([`Stopwatch`], `span::time`) over an injectable
+//!   [`Clock`]: [`real_clock`] in production, [`test_clock`] in tests and
 //!   reproducibility-checked runs, so instrumentation never reads ambient
 //!   wall-clock time (clippy's `disallowed_methods`, DESIGN.md §8);
 //! * two exporters over the same deterministic [`Snapshot`]:
@@ -42,24 +42,23 @@
         clippy::disallowed_macros
     )
 )]
-pub mod audit;
-pub mod clock;
+mod audit;
+mod clock;
 pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod prometheus;
-pub mod publish;
-pub mod span;
+mod publish;
+mod span;
 
 use std::sync::Arc;
 
-pub use audit::{AuditError, AuditScope, Auditor, Identity, Invariant, LEDGER};
-pub use clock::{real_clock, test_clock, Clock, RealClock, TestClock};
-pub use journal::{Event, EventKind, Journal};
-pub use metrics::{
-    split_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Snapshot,
-    DURATION_BOUNDS_NS,
-};
+use metrics::Snapshot;
+
+pub use audit::{AuditScope, Auditor, Identity, Invariant, LEDGER};
+pub use clock::{real_clock, test_clock, Clock};
+pub use journal::{EventKind, Journal};
+pub use metrics::{split_name, Counter, Gauge, Histogram, MetricValue, Registry};
 pub use prometheus::RenderError;
 pub use publish::{family_sum, Published, Series, SeriesKind};
 pub use span::Stopwatch;
@@ -81,7 +80,7 @@ impl Obs {
         Obs { registry: Registry::new(), clock: real_clock() }
     }
 
-    /// Deterministic bundle: fresh registry, frozen [`TestClock`]. Two
+    /// Deterministic bundle: fresh registry, frozen [`test_clock`]. Two
     /// runs over the same input yield byte-identical snapshots.
     pub fn deterministic() -> Obs {
         Obs { registry: Registry::new(), clock: test_clock() }

@@ -4,7 +4,7 @@
 //! atomics: recording is a single `fetch_add` and no lock. The registry
 //! itself is only locked when a metric is (re)registered or a snapshot is
 //! taken. The per-datagram ingest path does not record at all — it counts
-//! in plain integers that [`crate::publish`] brings into the registry at
+//! in plain integers that `crate::publish` brings into the registry at
 //! sync points.
 //!
 //! Everything here is panic-free by construction (no indexing, no unwrap,
@@ -70,12 +70,12 @@ impl Gauge {
     /// last writer's value, which depends on scheduling; the running
     /// maximum is the same whatever the interleaving, keeping snapshots
     /// deterministic.
-    pub fn set_max(&self, v: u64) {
+    pub(crate) fn set_max(&self, v: u64) {
         self.cell.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         read(&self.cell)
     }
 }
@@ -83,7 +83,7 @@ impl Gauge {
 /// Default duration bucket bounds, in nanoseconds: powers of four from
 /// 256 ns to ~17 s. Fourteen buckets cover everything from a single
 /// datagram dissection to a full paper-scale stage.
-pub const DURATION_BOUNDS_NS: &[u64] = &[
+pub(crate) const DURATION_BOUNDS_NS: &[u64] = &[
     1 << 8,
     1 << 10,
     1 << 12,
@@ -182,7 +182,8 @@ impl Histogram {
     }
 
     /// Saturating sum of observations.
-    pub fn sum(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> u64 {
         read(&self.inner.sum)
     }
 
@@ -204,11 +205,6 @@ impl Histogram {
         let p90 = snap.quantile_permille(900);
         let p99 = snap.quantile_permille(990);
         HistogramSnapshot { p50, p90, p99, ..snap }
-    }
-
-    /// Convenience quantile over a fresh snapshot (permille: p50 = 500).
-    pub fn quantile_permille(&self, permille: u64) -> u64 {
-        self.snapshot().quantile_permille(permille)
     }
 }
 
@@ -344,7 +340,7 @@ impl Registry {
 
     /// Get or create the histogram `name`. The bounds only apply on first
     /// registration; later callers share the existing buckets.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         let mut map = self.lock();
         match map
             .entry(name.to_string())
@@ -360,13 +356,9 @@ impl Registry {
         self.histogram(name, DURATION_BOUNDS_NS)
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
     /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.lock().is_empty()
     }
 

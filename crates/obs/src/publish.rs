@@ -23,7 +23,7 @@ use crate::metrics::{family_total, Counter, Gauge, Registry};
 pub enum SeriesKind {
     /// Monotonic counter: each publish adds the growth since the last one.
     Counter,
-    /// High-water gauge ([`Gauge::set_max`]): never falls, and reads the
+    /// High-water gauge (`Gauge::set_max`): never falls, and reads the
     /// same whatever order the instances sharing it publish in.
     HighWater,
     /// Level gauge ([`Gauge::set`]): follows the value both ways.

@@ -37,7 +37,7 @@ impl Stopwatch {
 
 /// Time a closure against `clock`, recording the duration into
 /// `histogram`, and pass its result through.
-pub fn time<R>(clock: &dyn Clock, histogram: &Histogram, f: impl FnOnce() -> R) -> R {
+pub(crate) fn time<R>(clock: &dyn Clock, histogram: &Histogram, f: impl FnOnce() -> R) -> R {
     let sw = Stopwatch::start(clock);
     let out = f();
     sw.record(clock, histogram);

@@ -15,7 +15,7 @@
 //! plus `GET /quit`, which answers and then stops the accept loop so a
 //! harness can terminate a serving run cleanly. The protocol front end
 //! follows the same fail-closed discipline as the wire decoders: request
-//! reads are bounded ([`MAX_REQUEST_BYTES`]), parsing is total
+//! reads are bounded (`MAX_REQUEST_BYTES`), parsing is total
 //! ([`parse_request`] never panics on arbitrary or truncated bytes), and
 //! every outcome is an explicit response or an explicit close — there is
 //! no path that leaves a connection dangling or the server wedged.
@@ -53,11 +53,11 @@ use ixp_obs::metrics::Registry;
 use ixp_obs::{json, prometheus};
 
 /// Schema identifier of the `/healthz` document.
-pub const HEALTH_SCHEMA: &str = "ixp-health/1";
+pub(crate) const HEALTH_SCHEMA: &str = "ixp-health/1";
 
 /// Upper bound on a request head. Anything longer is answered 431 and
 /// closed — the four endpoints need nothing beyond a short request line.
-pub const MAX_REQUEST_BYTES: usize = 8192;
+pub(crate) const MAX_REQUEST_BYTES: usize = 8192;
 
 /// Per-connection socket read timeout.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
@@ -65,7 +65,7 @@ const READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// The per-(agent, sub_agent) health rows plus the audit verdict that
 /// `/healthz` serves. Published whole by the pipeline at sync points.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HealthView {
+pub(crate) struct HealthView {
     /// `(agent key, state name)` rows, e.g. `("10.0.0.1/7", "healthy")`,
     /// in ascending key order.
     pub agents: Vec<(String, String)>,
@@ -77,12 +77,12 @@ pub struct HealthView {
 
 impl HealthView {
     /// A view that has seen no agents and no audits yet.
-    pub fn empty() -> HealthView {
+    pub(crate) fn empty() -> HealthView {
         HealthView { agents: Vec::new(), audit_breaches: 0, audit_verdict: "pass".to_string() }
     }
 }
 
-/// Shared, cloneable holder of the latest [`HealthView`]. The pipeline
+/// Shared, cloneable holder of the latest `HealthView`. The pipeline
 /// publishes; the server reads. Kept as plain strings so `ixp-obsd`
 /// needs no supervisor types.
 #[derive(Debug, Clone, Default)]
@@ -99,11 +99,6 @@ impl Board {
     fn lock(&self) -> std::sync::MutexGuard<'_, HealthView> {
         // A poisoned board still holds a structurally valid view.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Replace the published view.
-    pub fn publish(&self, view: HealthView) {
-        *self.lock() = view;
     }
 
     /// Publish health rows from raw `(agent, sub_agent, state)` triples.
@@ -123,7 +118,7 @@ impl Board {
     }
 
     /// The current view.
-    pub fn view(&self) -> HealthView {
+    pub(crate) fn view(&self) -> HealthView {
         self.lock().clone()
     }
 }

@@ -49,7 +49,7 @@ impl TrafficEstimate {
     }
 
     /// Merge another estimate into this one.
-    pub fn merge(&mut self, other: &TrafficEstimate) {
+    pub(crate) fn merge(&mut self, other: &TrafficEstimate) {
         self.samples = self.samples.saturating_add(other.samples);
         self.frames = self.frames.saturating_add(other.frames);
         self.bytes = self.bytes.saturating_add(other.bytes);

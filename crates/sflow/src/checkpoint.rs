@@ -8,7 +8,7 @@
 //! `save → restore → save` is the identity on bytes and checkpoints can
 //! be compared with `cmp`), *robust* (every read goes through the
 //! bounds-checked [`Cur`] and fails with a typed [`StateError`], never a
-//! panic — the same contract as the datagram decoder in [`crate::xdr`])
+//! panic — the same contract as the datagram decoder in `crate::xdr`)
 //! and *versioned* (each blob leads with a format version, so a schema
 //! change is a clean [`StateError::BadVersion`]). The enclosing file
 //! format (magic, envelope version, checksum) belongs to `ixp-supervisor`.

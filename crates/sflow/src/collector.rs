@@ -45,7 +45,7 @@ const REORDER_WINDOW: u32 = 128;
 
 /// Ingest latency is sampled into `sflow_ingest_duration_ns` once every
 /// this many datagrams: the only registry cell the ingest path touches.
-pub const LATENCY_SAMPLE_EVERY: u64 = 64;
+pub(crate) const LATENCY_SAMPLE_EVERY: u64 = 64;
 
 /// Forward distances below 2³¹ are forward jumps; at or above, the
 /// wrapping difference is really a regression.
@@ -69,7 +69,7 @@ pub struct DecodeErrorCounts {
 
 impl DecodeErrorCounts {
     /// Count one error by kind.
-    pub fn count(&mut self, e: DecodeError) {
+    pub(crate) fn count(&mut self, e: DecodeError) {
         match e {
             DecodeError::Truncated => self.truncated += 1,
             DecodeError::BadVersion(_) => self.bad_version += 1,
@@ -153,7 +153,7 @@ impl SourceState {
 /// Accumulated wrap-safe interface-counter deltas for one `(agent,
 /// source_id)` stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterTotals {
+pub(crate) struct CounterTotals {
     /// Octets received, summed over wrap-safe deltas.
     pub in_octets: u64,
     /// Octets transmitted.
@@ -327,7 +327,8 @@ impl Collector {
     }
 
     /// [`Collector::new`] + [`Collector::bind_obs`].
-    pub fn with_obs(obs: &Obs) -> Collector {
+    #[cfg(test)]
+    pub(crate) fn with_obs(obs: &Obs) -> Collector {
         let mut c = Collector::new();
         c.bind_obs(obs);
         c
@@ -540,7 +541,8 @@ impl Collector {
     }
 
     /// Health counters of one source, if it has been seen.
-    pub fn source_stats(&self, key: &SourceKey) -> Option<SourceStats> {
+    #[cfg(test)]
+    pub(crate) fn source_stats(&self, key: &SourceKey) -> Option<SourceStats> {
         self.sources.get(key).map(|s| s.stats)
     }
 
@@ -551,7 +553,8 @@ impl Collector {
 
     /// Accumulated wrap-safe counter deltas for an `(agent, source_id)`
     /// stream.
-    pub fn counter_totals(&self, agent: Ipv4Addr, source_id: u32) -> Option<CounterTotals> {
+    #[cfg(test)]
+    pub(crate) fn counter_totals(&self, agent: Ipv4Addr, source_id: u32) -> Option<CounterTotals> {
         self.counters.get(&(agent, source_id)).map(|t| t.totals)
     }
 

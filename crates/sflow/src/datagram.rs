@@ -76,7 +76,7 @@ impl std::error::Error for DecodeError {}
 /// A raw-packet-header flow record: the first bytes of a sampled frame.
 ///
 /// `H` is the storage of the captured bytes: an owned `Vec<u8>` by default,
-/// a `&[u8]` into the datagram buffer in a [`FlowSampleView`].
+/// a `&[u8]` into the datagram buffer in a `FlowSampleView`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawPacketHeader<H = Vec<u8>> {
     /// Header protocol (1 = Ethernet).
@@ -114,7 +114,7 @@ pub struct FlowSample<H = Vec<u8>> {
 
 /// A flow sample whose header bytes borrow the datagram buffer: what
 /// [`DatagramView::flow_samples`] yields.
-pub type FlowSampleView<'a> = FlowSample<&'a [u8]>;
+pub(crate) type FlowSampleView<'a> = FlowSample<&'a [u8]>;
 
 impl FlowSampleView<'_> {
     /// Copy the borrowed header bytes into an owned sample.
@@ -204,7 +204,7 @@ impl Datagram {
     }
 
     /// Exactly `self.encode().len()`, without encoding.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         let counters = self.counters.len().saturating_mul(COUNTER_SAMPLE_LEN);
         self.samples
             .iter()
@@ -254,7 +254,7 @@ impl DatagramBuilder {
         clippy::arithmetic_side_effects,
         reason = "body is a Vec in memory, so a 28-byte header more fits in usize"
     )]
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         DATAGRAM_HEADER_LEN + self.body.len()
     }
 

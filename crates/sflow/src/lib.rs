@@ -23,7 +23,7 @@
 //! * [`Sampler`] — the per-port sampling process (geometric skip counts, the
 //!   textbook implementation of sFlow's random 1-in-N sampling) plus snippet
 //!   truncation; and
-//! * [`accounting`] — scaling sampled bytes/frames back up to traffic
+//! * `accounting` — scaling sampled bytes/frames back up to traffic
 //!   estimates (1 sample ≙ N frames), which is how every traffic share in
 //!   the paper is computed; and
 //! * [`collector`] — the fault-tolerant collector front-end: per-source
@@ -49,23 +49,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accounting;
+mod accounting;
 pub mod checkpoint;
 pub mod collector;
 pub mod datagram;
-pub mod sampler;
+mod sampler;
 
-pub mod xdr;
+mod xdr;
 
 pub use accounting::TrafficEstimate;
 pub use checkpoint::StateError;
-pub use collector::{
-    Collector, CollectorStats, CounterTotals, DecodeErrorCounts, Ingest, SourceKey, SourceStats,
-};
+pub use collector::{Collector, CollectorStats, Ingest, SourceStats};
 pub use datagram::{
     flow_sample_len, CounterSample, Datagram, DatagramBuilder, DatagramView, DecodeError,
-    FlowSample, FlowSampleView, RawPacketHeader, SampleView, COUNTER_SAMPLE_LEN,
-    HEADER_PROTO_ETHERNET,
+    FlowSample, RawPacketHeader, SampleView, COUNTER_SAMPLE_LEN, HEADER_PROTO_ETHERNET,
 };
 pub use sampler::{Sampler, SamplerConfig, SNIPPET_LEN};
 

@@ -32,20 +32,6 @@ pub struct SamplerConfig {
     pub seed: u64,
 }
 
-impl SamplerConfig {
-    /// The paper's configuration: rate 16 384, a typical batch of 7 samples
-    /// per datagram (bounded by the 1 500-byte export MTU).
-    pub fn paper(source_id: u32, agent_address: std::net::Ipv4Addr, seed: u64) -> Self {
-        SamplerConfig {
-            rate: crate::PAPER_SAMPLING_RATE,
-            source_id,
-            agent_address,
-            samples_per_datagram: 7,
-            seed,
-        }
-    }
-}
-
 /// A sampling agent for one switch port: feed it every frame, collect the
 /// datagrams it decides to export.
 #[derive(Debug)]
@@ -79,11 +65,6 @@ impl Sampler {
         }
     }
 
-    /// The configured sampling rate.
-    pub fn rate(&self) -> u32 {
-        self.config.rate
-    }
-
     /// Observe one frame on the wire. Returns a datagram when the pending
     /// batch fills up.
     pub fn observe(&mut self, frame: &[u8]) -> Option<Datagram> {
@@ -94,21 +75,6 @@ impl Sampler {
             return None;
         }
         self.skip = draw_skip(&mut self.rng, self.config.rate);
-        self.take_sample(frame);
-        if self.pending.len() >= self.config.samples_per_datagram {
-            Some(self.export())
-        } else {
-            None
-        }
-    }
-
-    /// Sample a frame unconditionally (used by the workload generator, which
-    /// synthesises the *sampled* stream directly instead of materialising
-    /// all 16 384× frames — statistically equivalent and 4 orders of
-    /// magnitude cheaper).
-    pub fn force_sample(&mut self, frame: &[u8]) -> Option<Datagram> {
-        self.sample_pool = self.sample_pool.wrapping_add(self.config.rate);
-        self.uptime_ms = self.uptime_ms.wrapping_add(1);
         self.take_sample(frame);
         if self.pending.len() >= self.config.samples_per_datagram {
             Some(self.export())
@@ -243,23 +209,6 @@ mod tests {
             }
         };
         assert_eq!(dg.samples[0].record.header.len(), 60);
-    }
-
-    #[test]
-    fn force_sample_accounts_full_pool() {
-        let mut s = Sampler::new(test_config(1000));
-        let mut exported = Vec::new();
-        for _ in 0..8 {
-            if let Some(dg) = s.force_sample(&[0u8; 64]) {
-                exported.push(dg);
-            }
-        }
-        if let Some(dg) = s.flush() {
-            exported.push(dg);
-        }
-        let last = exported.last().unwrap().samples.last().unwrap();
-        // 8 forced samples at rate 1000 stand for 8 000 observed frames.
-        assert_eq!(last.sample_pool, 8 * 1000);
     }
 
     #[test]

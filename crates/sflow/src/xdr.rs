@@ -7,13 +7,13 @@ use crate::datagram::DecodeError;
 /// Pad a byte length up to the next multiple of four. Saturates instead of
 /// wrapping for lengths within 3 of `usize::MAX` (which no real datagram
 /// can reach, but a forged length field can claim).
-pub const fn pad4(len: usize) -> usize {
+pub(crate) const fn pad4(len: usize) -> usize {
     len.saturating_add(3) & !3
 }
 
 /// Append an opaque byte string with XDR padding (no length prefix; sFlow
 /// fields carry explicit separate lengths).
-pub fn put_opaque(out: &mut Vec<u8>, data: &[u8]) {
+pub(crate) fn put_opaque(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(data);
     #[allow(
         clippy::arithmetic_side_effects,
@@ -25,14 +25,14 @@ pub fn put_opaque(out: &mut Vec<u8>, data: &[u8]) {
 
 /// A forward-only reader over an XDR byte stream.
 #[derive(Debug, Clone)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Wrap a buffer.
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0 }
     }
 
@@ -41,17 +41,17 @@ impl<'a> Reader<'a> {
         clippy::arithmetic_side_effects,
         reason = "pos moves only past bytes the checks in u32, opaque and skip found, so pos <= data.len()"
     )]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// Current offset from the start of the buffer.
-    pub fn position(&self) -> usize {
+    pub(crate) fn position(&self) -> usize {
         self.pos
     }
 
     /// Read one big-endian u32.
-    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
         match self.data.get(self.pos..self.pos.wrapping_add(4)) {
             #[allow(
                 clippy::arithmetic_side_effects,
@@ -66,7 +66,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read `len` opaque bytes plus their XDR padding.
-    pub fn opaque(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn opaque(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
         let padded = pad4(len);
         if self.remaining() < padded {
             return Err(DecodeError::Truncated);
@@ -78,7 +78,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Skip `len` bytes exactly (no padding).
-    pub fn skip(&mut self, len: usize) -> Result<(), DecodeError> {
+    pub(crate) fn skip(&mut self, len: usize) -> Result<(), DecodeError> {
         if self.remaining() < len {
             return Err(DecodeError::Truncated);
         }

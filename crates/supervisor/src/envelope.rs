@@ -23,7 +23,7 @@ pub use ixp_codec::fnv64;
 use ixp_codec::{append_trailer, put_u32, put_u64, split_verified, Cur, StateError, TrailerError};
 
 /// File magic: "IXPCKPT1".
-pub const MAGIC: [u8; 8] = *b"IXPCKPT1";
+pub(crate) const MAGIC: [u8; 8] = *b"IXPCKPT1";
 
 /// Envelope format version (independent of the payload's own versions).
 /// 2: the trailer is `ixp-codec`'s word-wise digest; widths unchanged.

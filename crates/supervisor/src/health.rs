@@ -39,7 +39,7 @@ pub enum HealthState {
 
 impl HealthState {
     /// All states, in [`HealthState::index`] order.
-    pub const ALL: [HealthState; 4] = [
+    pub(crate) const ALL: [HealthState; 4] = [
         HealthState::Healthy,
         HealthState::Degraded,
         HealthState::Quarantined,
@@ -47,7 +47,7 @@ impl HealthState {
     ];
 
     /// Dense index for per-state arrays (gauges, transition counters).
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             HealthState::Healthy => 0,
             HealthState::Degraded => 1,
@@ -94,7 +94,7 @@ impl Default for HealthPolicy {
 
 /// What one agent did during one tick (deltas of its collector stats).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TickDelta {
+pub(crate) struct TickDelta {
     /// Datagrams accepted this tick.
     pub received: u64,
     /// Net new sequence loss this tick.
@@ -122,20 +122,24 @@ impl TickDelta {
 
 /// One agent's position in the health state machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AgentHealth {
+pub(crate) struct AgentHealth {
     state: HealthState,
     clean_ticks: u32,
 }
 
 impl AgentHealth {
     /// Current state.
-    pub fn state(&self) -> HealthState {
+    pub(crate) fn state(&self) -> HealthState {
         self.state
     }
 
     /// Advance the state machine by one tick. Returns the new state if a
     /// transition happened.
-    pub fn observe(&mut self, delta: &TickDelta, policy: &HealthPolicy) -> Option<HealthState> {
+    pub(crate) fn observe(
+        &mut self,
+        delta: &TickDelta,
+        policy: &HealthPolicy,
+    ) -> Option<HealthState> {
         let next = if delta.severe(policy) {
             self.clean_ticks = 0;
             HealthState::Quarantined
@@ -171,13 +175,13 @@ impl AgentHealth {
     }
 
     /// Serialize (state index + clean-tick counter).
-    pub fn save(&self, out: &mut Vec<u8>) {
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
         checkpoint::put_u8(out, self.state.index() as u8);
         checkpoint::put_u32(out, self.clean_ticks);
     }
 
     /// Restore from [`AgentHealth::save`] bytes.
-    pub fn restore(cur: &mut Cur<'_>) -> Result<AgentHealth, StateError> {
+    pub(crate) fn restore(cur: &mut Cur<'_>) -> Result<AgentHealth, StateError> {
         let state = HealthState::from_index(cur.u8()?)?;
         let clean_ticks = cur.u32()?;
         Ok(AgentHealth { state, clean_ticks })

@@ -45,11 +45,11 @@
 #![warn(missing_docs)]
 
 pub mod envelope;
-pub mod health;
-pub mod ring;
+mod health;
+mod ring;
 pub mod supervisor;
 
 pub use envelope::CheckpointError;
-pub use health::{AgentHealth, HealthPolicy, HealthState, TickDelta};
+pub use health::HealthPolicy;
 pub use ring::IntakeRing;
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorStats, SUPERVISOR_STATE_VERSION};

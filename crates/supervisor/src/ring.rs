@@ -51,27 +51,28 @@ impl IntakeRing {
     }
 
     /// Datagrams currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Datagrams shed so far.
-    pub fn shed(&self) -> u64 {
+    pub(crate) fn shed(&self) -> u64 {
         self.shed
     }
 
     /// The deepest the ring has ever been.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
@@ -82,7 +83,7 @@ impl IntakeRing {
 
     /// Serialize the ring contents and counters (capacity is configuration,
     /// not state — the restoring side supplies it).
-    pub fn save(&self, out: &mut Vec<u8>) {
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
         checkpoint::put_u64(out, self.shed);
         checkpoint::put_u64(out, self.high_water as u64);
         checkpoint::put_u64(out, self.buf.len() as u64);
@@ -94,7 +95,7 @@ impl IntakeRing {
     /// Restore a ring saved by [`IntakeRing::save`] into a ring of
     /// `capacity`. Rejects blobs whose queue depth exceeds the capacity —
     /// that state could never have been produced under this configuration.
-    pub fn restore(cur: &mut Cur<'_>, capacity: usize) -> Result<IntakeRing, StateError> {
+    pub(crate) fn restore(cur: &mut Cur<'_>, capacity: usize) -> Result<IntakeRing, StateError> {
         let mut ring = IntakeRing::new(capacity);
         ring.shed = cur.u64()?;
         let high_water = cur.u64()?;

@@ -86,23 +86,23 @@ impl Default for MixConfig {
 }
 
 /// Frame-length profiles (wire bytes including Ethernet header).
-pub mod frame_len {
+pub(crate) mod frame_len {
     /// A full-size data frame (server responses, streaming).
-    pub const DATA: usize = 1434;
+    pub(crate) const DATA: usize = 1434;
     /// A header-bearing HTTP response first frame.
-    pub const RESPONSE_HEAD: usize = 700;
+    pub(crate) const RESPONSE_HEAD: usize = 700;
     /// An HTTP request frame.
-    pub const REQUEST: usize = 420;
+    pub(crate) const REQUEST: usize = 420;
     /// A TCP ack / small control frame.
-    pub const ACK: usize = 66;
+    pub(crate) const ACK: usize = 66;
     /// A DNS-ish UDP datagram.
-    pub const UDP_SMALL: usize = 120;
+    pub(crate) const UDP_SMALL: usize = 120;
     /// A streaming/P2P UDP datagram.
-    pub const UDP_LARGE: usize = 1434;
+    pub(crate) const UDP_LARGE: usize = 1434;
     /// ICMP echo.
-    pub const ICMP: usize = 98;
+    pub(crate) const ICMP: usize = 98;
     /// IPv6/other frames.
-    pub const OTHER: usize = 800;
+    pub(crate) const OTHER: usize = 800;
 }
 
 #[cfg(test)]

@@ -14,14 +14,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod isp;
-pub mod payload;
-pub mod week;
+mod config;
+mod isp;
+mod payload;
+mod week;
 
 pub use config::MixConfig;
 pub use isp::IspTrace;
-pub use week::{WeekContext, WeekStream};
+pub use week::WeekStream;
 
 #[cfg(test)]
 mod tests {

@@ -58,7 +58,12 @@ impl<'a> Cursor<'a> {
 }
 
 /// Build an HTTP request head (fits a request line + Host into the snippet).
-pub fn http_request(out: &mut [u8], domain: &str, path_id: u32, rng: &mut SmallRng) -> usize {
+pub(crate) fn http_request(
+    out: &mut [u8],
+    domain: &str,
+    path_id: u32,
+    rng: &mut SmallRng,
+) -> usize {
     let mut w = Cursor::new(out);
     request_line(&mut w, path_id, rng);
     w.put(b"Host: ");
@@ -69,7 +74,7 @@ pub fn http_request(out: &mut [u8], domain: &str, path_id: u32, rng: &mut SmallR
 
 /// The request line of [`http_request`] alone: a request whose Host header
 /// lies beyond the snippet, so no URI leaks.
-pub fn http_request_line(out: &mut [u8], path_id: u32, rng: &mut SmallRng) -> usize {
+pub(crate) fn http_request_line(out: &mut [u8], path_id: u32, rng: &mut SmallRng) -> usize {
     let mut w = Cursor::new(out);
     request_line(&mut w, path_id, rng);
     w.len
@@ -99,7 +104,7 @@ fn request_line(w: &mut Cursor<'_>, path_id: u32, rng: &mut SmallRng) {
 }
 
 /// Build an HTTP response head.
-pub fn http_response(
+pub(crate) fn http_response(
     out: &mut [u8],
     server_token: &str,
     length: usize,
@@ -134,7 +139,7 @@ pub fn http_response(
 
 /// Opaque mid-stream content bytes (no HTTP tokens). The bytes avoid ASCII
 /// so no accidental string match can occur.
-pub fn content_bytes(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
+pub(crate) fn content_bytes(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
     let mut w = Cursor::new(out);
     for _ in 0..len {
         w.byte(rng.gen_range(0x80..=0xFFu8));
@@ -145,7 +150,7 @@ pub fn content_bytes(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
 /// A TLS application-data record header followed by ciphertext-looking
 /// bytes: what port-443 snippets look like (no strings to match — the
 /// paper needs active measurements for HTTPS precisely because of this).
-pub fn tls_record(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
+pub(crate) fn tls_record(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
     let mut w = Cursor::new(out);
     w.put(&[0x17, 0x03, 0x03]); // TLS 1.2 application data
     let payload_len = len.saturating_sub(5).max(1) as u16;
@@ -157,7 +162,7 @@ pub fn tls_record(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
 }
 
 /// RTMP chunk bytes (port 1935; Akamai's multi-purpose servers, §2.2.2).
-pub fn rtmp_chunk(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
+pub(crate) fn rtmp_chunk(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
     let mut w = Cursor::new(out);
     w.byte(0x03); // RTMP version / chunk basic header
     for _ in 1..len {
@@ -167,7 +172,7 @@ pub fn rtmp_chunk(out: &mut [u8], len: usize, rng: &mut SmallRng) -> usize {
 }
 
 /// A DNS-query-shaped UDP payload.
-pub fn dns_query(out: &mut [u8], rng: &mut SmallRng) -> usize {
+pub(crate) fn dns_query(out: &mut [u8], rng: &mut SmallRng) -> usize {
     let mut w = Cursor::new(out);
     let id: [u8; 2] = [rng.gen(), rng.gen()];
     w.put(&id);

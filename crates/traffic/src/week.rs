@@ -3,10 +3,9 @@
 //! [`WeekStream`] turns one week of the synthetic Internet into a stream of
 //! *encoded sFlow datagrams* — the exact artifact a collector at the IXP
 //! would hand a researcher. The generator synthesises the **sampled**
-//! stream directly (one emitted sample stands for `sampling_rate` frames,
-//! see `ixp_sflow::Sampler::force_sample`), which is statistically
-//! equivalent to materialising all 16 384× frames and four orders of
-//! magnitude cheaper.
+//! stream directly (one emitted sample stands for `sampling_rate` frames),
+//! which is statistically equivalent to materialising all 16 384× frames
+//! and four orders of magnitude cheaper.
 //!
 //! Everything the paper measures is planted here mechanically, never as a
 //! hard-coded statistic: category mixes come from [`MixConfig`], per-server
@@ -43,7 +42,7 @@ use crate::config::{frame_len, MixConfig};
 use crate::payload;
 
 /// Per-week pre-computed context.
-pub struct WeekContext<'m> {
+pub(crate) struct WeekContext<'m> {
     model: &'m InternetModel,
     cfg: MixConfig,
     week: Week,
@@ -71,7 +70,7 @@ pub struct WeekContext<'m> {
 
 impl<'m> WeekContext<'m> {
     /// Build the context for one week.
-    pub fn new(model: &'m InternetModel, cfg: MixConfig, week: Week) -> WeekContext<'m> {
+    pub(crate) fn new(model: &'m InternetModel, cfg: MixConfig, week: Week) -> WeekContext<'m> {
         let servers = model.servers.servers();
         let mut active = Vec::new();
         let mut weight_cdf = Vec::new();
@@ -159,16 +158,6 @@ impl<'m> WeekContext<'m> {
             member_client_ranges,
             member_client_total: member_total,
         }
-    }
-
-    /// The week this context serves.
-    pub fn week(&self) -> Week {
-        self.week
-    }
-
-    /// Number of IXP-visible servers this week.
-    pub fn active_servers(&self) -> usize {
-        self.active.len()
     }
 
     fn draw_server(&self, rng: &mut SmallRng) -> u32 {
@@ -290,11 +279,6 @@ impl<'m> WeekStream<'m> {
         let mut s = WeekStream::new(model, cfg, week, seed);
         s.remaining = samples;
         s
-    }
-
-    /// Borrow the context (tests/benches peek at it).
-    pub fn context(&self) -> &WeekContext<'m> {
-        &self.ctx
     }
 
     /// Draw the next sampled frame and encode it into the datagram.

@@ -37,28 +37,28 @@ impl Default for FlowRecord {
 }
 
 /// Information elements shared by NetFlow v9 and IPFIX (RFC 7012).
-pub mod ie {
+pub(crate) mod ie {
     /// Octet count of the flow.
-    pub const IN_BYTES: u16 = 1;
+    pub(crate) const IN_BYTES: u16 = 1;
     /// Packet count of the flow.
-    pub const IN_PKTS: u16 = 2;
+    pub(crate) const IN_PKTS: u16 = 2;
     /// IP protocol number.
-    pub const PROTOCOL: u16 = 4;
+    pub(crate) const PROTOCOL: u16 = 4;
     /// Transport source port.
-    pub const L4_SRC_PORT: u16 = 7;
+    pub(crate) const L4_SRC_PORT: u16 = 7;
     /// IPv4 source address.
-    pub const IPV4_SRC_ADDR: u16 = 8;
+    pub(crate) const IPV4_SRC_ADDR: u16 = 8;
     /// Transport destination port.
-    pub const L4_DST_PORT: u16 = 11;
+    pub(crate) const L4_DST_PORT: u16 = 11;
     /// IPv4 destination address.
-    pub const IPV4_DST_ADDR: u16 = 12;
+    pub(crate) const IPV4_DST_ADDR: u16 = 12;
 }
 
 /// Decode one fixed-layout data record described by `fields` from `r`.
 /// Unknown information elements are skipped by their declared length;
 /// known ones fill the normalized [`FlowRecord`]. Fail-closed: any field
 /// running past the record's bytes is a decode fault for the whole set.
-pub fn record_from_template(
+pub(crate) fn record_from_template(
     r: &mut crate::rd::Rd<'_>,
     fields: &[(u16, u16)],
 ) -> Result<FlowRecord, crate::error::DecodeFault> {

@@ -10,7 +10,7 @@
 //!   completely or are rejected with a typed [`error::DecodeFault`];
 //!   no panics, no partial records, every length proven against the
 //!   bytes present. v9 and IPFIX are two headers around one set walker
-//!   and decode to one [`Export`];
+//!   and decode to one `Export`;
 //! * **bounded template state** — v9/IPFIX templates live in a
 //!   per-(peer, observation-domain) LRU cache ([`template`]) with hard
 //!   bounds and refresh-on-conflict versioning;
@@ -48,19 +48,18 @@ pub mod flow;
 pub mod gen;
 pub mod intake;
 pub mod ipfix;
-pub mod link;
+mod link;
 pub mod netflow5;
 pub mod netflow9;
-pub mod rd;
+mod rd;
 pub mod template;
 
 pub use error::{DecodeFault, LinkError};
-pub use export::Export;
 pub use flow::FlowRecord;
 pub use gen::{generate, FlowGenConfig, FIN};
 pub use intake::{
     Drained, TransportConfig, TransportIntake, TransportMetrics, TransportStats,
     TRANSPORT_STATE_VERSION,
 };
-pub use link::{peer_id, Link, MemLink, UdpLink, MAX_PACKET};
-pub use template::{Template, TemplateCache, TemplateCacheConfig};
+pub use link::{Link, MemLink, UdpLink};
+pub use template::{TemplateCache, TemplateCacheConfig};

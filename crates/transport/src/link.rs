@@ -15,7 +15,7 @@ use std::time::Duration;
 use crate::error::LinkError;
 
 /// Largest datagram the UDP receive path accepts (the IPv4 UDP maximum).
-pub const MAX_PACKET: usize = 65_535;
+pub(crate) const MAX_PACKET: usize = 65_535;
 
 /// A source of `(peer, packet)` pairs. `peer` is a stable 64-bit identity
 /// of the sending exporter (for UDP, derived from the source address).
@@ -44,7 +44,8 @@ impl MemLink {
     }
 
     /// Packets queued and not yet received.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.queue.len()
     }
 }
@@ -61,7 +62,7 @@ impl Link for MemLink {
 }
 
 /// Stable 64-bit peer identity of a UDP source address.
-pub fn peer_id(addr: &SocketAddr) -> u64 {
+pub(crate) fn peer_id(addr: &SocketAddr) -> u64 {
     match addr {
         SocketAddr::V4(v4) => {
             (u64::from(u32::from_be_bytes(v4.ip().octets())) << 16) | u64::from(v4.port())

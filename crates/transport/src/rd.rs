@@ -10,36 +10,31 @@ use crate::error::DecodeFault;
 
 /// Cursor over one received packet.
 #[derive(Debug)]
-pub struct Rd<'a> {
+pub(crate) struct Rd<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Rd<'a> {
     /// Start at the beginning of `data`.
-    pub fn new(data: &'a [u8]) -> Rd<'a> {
+    pub(crate) fn new(data: &'a [u8]) -> Rd<'a> {
         Rd { data, pos: 0 }
     }
 
-    /// Bytes consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes left unread.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len().saturating_sub(self.pos)
     }
 
     /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeFault> {
+    pub(crate) fn u8(&mut self) -> Result<u8, DecodeFault> {
         let b = *self.data.get(self.pos).ok_or(DecodeFault::Truncated)?;
         self.pos = self.pos.saturating_add(1);
         Ok(b)
     }
 
     /// Read a big-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, DecodeFault> {
+    pub(crate) fn u16(&mut self) -> Result<u16, DecodeFault> {
         let raw = self.take(2)?;
         match raw {
             [a, b] => Ok(u16::from_be_bytes([*a, *b])),
@@ -48,7 +43,7 @@ impl<'a> Rd<'a> {
     }
 
     /// Read a big-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, DecodeFault> {
+    pub(crate) fn u32(&mut self) -> Result<u32, DecodeFault> {
         let raw = self.take(4)?;
         match raw {
             [a, b, c, d] => Ok(u32::from_be_bytes([*a, *b, *c, *d])),
@@ -58,7 +53,7 @@ impl<'a> Rd<'a> {
 
     /// Read `n` bytes (`n` ≤ 8) as a big-endian unsigned integer — how
     /// NetFlow v9/IPFIX encode variable-width counters.
-    pub fn be_uint(&mut self, n: usize) -> Result<u64, DecodeFault> {
+    pub(crate) fn be_uint(&mut self, n: usize) -> Result<u64, DecodeFault> {
         if n > 8 {
             return Err(DecodeFault::Inconsistent);
         }
@@ -71,7 +66,7 @@ impl<'a> Rd<'a> {
     }
 
     /// Take the next `n` bytes as a slice.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeFault> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeFault> {
         let end = self.pos.checked_add(n).ok_or(DecodeFault::Truncated)?;
         let s = self.data.get(self.pos..end).ok_or(DecodeFault::Truncated)?;
         self.pos = end;
@@ -79,7 +74,7 @@ impl<'a> Rd<'a> {
     }
 
     /// Skip `n` bytes.
-    pub fn skip(&mut self, n: usize) -> Result<(), DecodeFault> {
+    pub(crate) fn skip(&mut self, n: usize) -> Result<(), DecodeFault> {
         self.take(n).map(|_| ())
     }
 }

@@ -22,11 +22,11 @@ use std::collections::BTreeMap;
 
 /// A domain is one exporter's template namespace: `(peer, odid)` where
 /// `odid` is the v9 source id or the IPFIX observation domain id.
-pub type DomainKey = (u64, u32);
+pub(crate) type DomainKey = (u64, u32);
 
 /// One cached template definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Template {
+pub(crate) struct Template {
     /// `(information element id, field length)` pairs, in wire order.
     pub fields: Vec<(u16, u16)>,
     /// Sum of the field lengths: the fixed data-record size.
@@ -83,13 +83,9 @@ impl TemplateCache {
     }
 
     /// Total templates currently cached, across domains.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.domains.values().map(|d| d.templates.len()).sum()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
     }
 
     /// (installed, refreshed, evicted) lifetime counts.
@@ -100,7 +96,7 @@ impl TemplateCache {
     /// Install a definition for `(key, id)`. The same layout again is a
     /// routine periodic re-announcement; a different one replaces the old
     /// definition and bumps its revision (refresh-on-conflict).
-    pub fn install(&mut self, key: DomainKey, id: u16, fields: Vec<(u16, u16)>) {
+    pub(crate) fn install(&mut self, key: DomainKey, id: u16, fields: Vec<(u16, u16)>) {
         self.tick = self.tick.saturating_add(1);
         let tick = self.tick;
         let record_len =
@@ -148,7 +144,7 @@ impl TemplateCache {
     }
 
     /// Look up a definition, touching the LRU order.
-    pub fn get(&mut self, key: DomainKey, id: u16) -> Option<&Template> {
+    pub(crate) fn get(&mut self, key: DomainKey, id: u16) -> Option<&Template> {
         self.tick = self.tick.saturating_add(1);
         let tick = self.tick;
         let domain = self.domains.get_mut(&key)?;
@@ -159,7 +155,8 @@ impl TemplateCache {
     }
 
     /// Whether `(key, id)` is cached, without touching the LRU order.
-    pub fn contains(&self, key: DomainKey, id: u16) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: DomainKey, id: u16) -> bool {
         self.domains.get(&key).is_some_and(|d| d.templates.contains_key(&id))
     }
 

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 /// Kept public so that the TCP/UDP emitters can checksum a header and a
 /// payload that live in different buffers without copying.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Checksum {
+pub(crate) struct Checksum {
     sum: u32,
     /// Set once an odd-length slice has been folded in; feeding anything
     /// after that point would mis-align every subsequent 16-bit word.
@@ -24,7 +24,7 @@ fn fold_add(sum: u32, word: u32) -> u32 {
 
 impl Checksum {
     /// A fresh accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -35,7 +35,7 @@ impl Checksum {
         clippy::disallowed_macros,
         reason = "debug builds only: the order the caller feeds slices in, not anything decoded"
     )]
-    pub fn add(&mut self, data: &[u8]) {
+    pub(crate) fn add(&mut self, data: &[u8]) {
         debug_assert!(
             !self.odd_fed,
             "Checksum::add after an odd-length slice; only the final slice may be odd"
@@ -57,7 +57,7 @@ impl Checksum {
         clippy::disallowed_macros,
         reason = "debug builds only: the order the caller feeds slices in, not anything decoded"
     )]
-    pub fn add_u16(&mut self, v: u16) {
+    pub(crate) fn add_u16(&mut self, v: u16) {
         debug_assert!(
             !self.odd_fed,
             "Checksum::add_u16 after an odd-length slice; only the final slice may be odd"
@@ -66,7 +66,13 @@ impl Checksum {
     }
 
     /// Feed the TCP/UDP pseudo-header for the given IPv4 endpoints.
-    pub fn add_pseudo_header(&mut self, src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, length: u16) {
+    pub(crate) fn add_pseudo_header(
+        &mut self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        protocol: u8,
+        length: u16,
+    ) {
         self.add(&src.octets());
         self.add(&dst.octets());
         self.add_u16(u16::from(protocol));
@@ -78,7 +84,7 @@ impl Checksum {
         clippy::arithmetic_side_effects,
         reason = "two 16-bit halves add to at most 0x1fffe, well inside u32"
     )]
-    pub fn finish(self) -> u16 {
+    pub(crate) fn finish(self) -> u16 {
         let mut sum = self.sum;
         while sum >> 16 != 0 {
             sum = (sum & 0xffff) + (sum >> 16);
@@ -88,7 +94,7 @@ impl Checksum {
 }
 
 /// Checksum a single contiguous buffer.
-pub fn data(data: &[u8]) -> u16 {
+pub(crate) fn data(data: &[u8]) -> u16 {
     let mut c = Checksum::new();
     c.add(data);
     c.finish()
@@ -96,7 +102,7 @@ pub fn data(data: &[u8]) -> u16 {
 
 /// Verify a buffer whose checksum field is already in place: the ones-
 /// complement sum over the whole buffer must be zero (i.e. `data` returns 0).
-pub fn verify(buffer: &[u8]) -> bool {
+pub(crate) fn verify(buffer: &[u8]) -> bool {
     data(buffer) == 0
 }
 

@@ -7,8 +7,6 @@
 //! stream — the paper's filtering cascade *counts* the weird stuff (native
 //! IPv6, ARP, malformed frames), it does not crash on it.
 
-use std::net::Ipv4Addr;
-
 use crate::ethernet::{self, EtherType, EthernetAddress};
 use crate::icmp;
 use crate::ip::Protocol;
@@ -42,33 +40,6 @@ pub enum Transport {
     Other(Protocol),
     /// The transport header did not fit in the snippet.
     Truncated(Protocol),
-}
-
-impl Transport {
-    /// The IP protocol this transport outcome refers to.
-    pub fn protocol(&self) -> Protocol {
-        match self {
-            Transport::Tcp { .. } => Protocol::Tcp,
-            Transport::Udp { .. } => Protocol::Udp,
-            Transport::Icmp => Protocol::Icmp,
-            Transport::Other(p) | Transport::Truncated(p) => *p,
-        }
-    }
-}
-
-/// A 5-tuple flow key (ports zero for non-TCP/UDP traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowKey {
-    /// Source IPv4 address.
-    pub src: Ipv4Addr,
-    /// Destination IPv4 address.
-    pub dst: Ipv4Addr,
-    /// IP protocol number.
-    pub protocol: u8,
-    /// Source transport port (0 if not applicable).
-    pub src_port: u16,
-    /// Destination transport port (0 if not applicable).
-    pub dst_port: u16,
 }
 
 /// The layer-3 outcome of dissecting a frame snippet.
@@ -123,49 +94,11 @@ impl<'a> Dissection<'a> {
         Ok(Dissection { src_mac, dst_mac, network })
     }
 
-    /// The 5-tuple flow key, if this snippet is a parseable IPv4 packet.
-    pub fn flow_key(&self) -> Option<FlowKey> {
-        match &self.network {
-            Network::Ipv4 { repr, transport, .. } => {
-                let (src_port, dst_port) = match transport {
-                    Transport::Tcp { src_port, dst_port, .. }
-                    | Transport::Udp { src_port, dst_port } => (*src_port, *dst_port),
-                    _ => (0, 0),
-                };
-                Some(FlowKey {
-                    src: repr.src_addr,
-                    dst: repr.dst_addr,
-                    protocol: repr.protocol.into(),
-                    src_port,
-                    dst_port,
-                })
-            }
-            _ => None,
-        }
-    }
-
     /// The transport payload bytes, if any.
     pub fn payload(&self) -> &'a [u8] {
         match &self.network {
             Network::Ipv4 { payload, .. } => payload,
             _ => &[],
-        }
-    }
-
-    /// The frame length *claimed* by the IPv4 header plus the Ethernet
-    /// header, used for traffic accounting (snippets hide the true frame
-    /// size; the total-length field recovers it, exactly as real sFlow
-    /// analysis does).
-    #[allow(
-        clippy::arithmetic_side_effects,
-        reason = "payload_len is ipv4::Repr::parse's u16 total length less its header, so the sum stays under 65 550"
-    )]
-    pub fn claimed_frame_len(&self) -> Option<usize> {
-        match &self.network {
-            Network::Ipv4 { repr, .. } => {
-                Some(ethernet::HEADER_LEN + ipv4::HEADER_LEN + repr.payload_len)
-            }
-            _ => None,
         }
     }
 }
@@ -229,6 +162,8 @@ fn dissect_ipv4(l3: &[u8]) -> Network<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::net::Ipv4Addr;
+
     use super::*;
     use crate::tcp::Flags;
 
@@ -279,9 +214,13 @@ mod tests {
     fn dissects_full_tcp_frame() {
         let frame = build_tcp_frame(b"GET /index.html HTTP/1.1\r\nHost: example.org\r\n\r\n", 4096);
         let d = Dissection::parse(&frame).unwrap();
-        let key = d.flow_key().unwrap();
-        assert_eq!(key.dst_port, 80);
-        assert_eq!(key.protocol, 6);
+        match &d.network {
+            Network::Ipv4 { repr, transport: Transport::Tcp { dst_port, .. }, .. } => {
+                assert_eq!(*dst_port, 80);
+                assert_eq!(repr.protocol, Protocol::Tcp);
+            }
+            other => panic!("unexpected dissection: {other:?}"),
+        }
         assert!(d.payload().starts_with(b"GET /index.html"));
     }
 
@@ -292,16 +231,16 @@ mod tests {
         assert_eq!(frame.len(), 128);
         let d = Dissection::parse(&frame).unwrap();
         match &d.network {
-            Network::Ipv4 { transport: Transport::Tcp { dst_port, .. }, payload, .. } => {
+            Network::Ipv4 { repr, transport: Transport::Tcp { dst_port, .. }, payload } => {
                 assert_eq!(*dst_port, 80);
                 // 128 - 14 (eth) - 20 (ip) - 20 (tcp) = 74 bytes of payload,
                 // matching the paper's "74 bytes of TCP payload".
                 assert_eq!(payload.len(), 74);
+                // The IPv4 total length still claims the full TCP segment.
+                assert_eq!(repr.payload_len, 20 + 1000);
             }
             other => panic!("unexpected dissection: {other:?}"),
         }
-        // Claimed frame length recovers the full 1054-byte frame.
-        assert_eq!(d.claimed_frame_len(), Some(14 + 20 + 20 + 1000));
     }
 
     #[test]
@@ -310,7 +249,6 @@ mod tests {
         frame[12..14].copy_from_slice(&0x86ddu16.to_be_bytes());
         let d = Dissection::parse(&frame).unwrap();
         assert_eq!(d.network, Network::Ipv6);
-        assert_eq!(d.flow_key(), None);
         assert!(d.payload().is_empty());
     }
 
@@ -363,6 +301,9 @@ mod tests {
         buf.truncate(128);
         let d = Dissection::parse(&buf).unwrap();
         assert_eq!(d.payload().len(), 86);
-        assert_eq!(d.flow_key().unwrap().dst_port, 1935);
+        assert!(matches!(
+            d.network,
+            Network::Ipv4 { transport: Transport::Udp { dst_port: 1935, .. }, .. }
+        ));
     }
 }

@@ -101,48 +101,44 @@ impl<T: AsRef<[u8]>> Frame<T> {
         Ok(Frame { buffer })
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Destination MAC.
-    pub fn dst_addr(&self) -> EthernetAddress {
+    pub(crate) fn dst_addr(&self) -> EthernetAddress {
         let b = self.buffer.as_ref();
         EthernetAddress([b[0], b[1], b[2], b[3], b[4], b[5]])
     }
 
     /// Source MAC.
-    pub fn src_addr(&self) -> EthernetAddress {
+    pub(crate) fn src_addr(&self) -> EthernetAddress {
         let b = self.buffer.as_ref();
         EthernetAddress([b[6], b[7], b[8], b[9], b[10], b[11]])
     }
 
     /// EtherType.
-    pub fn ethertype(&self) -> EtherType {
+    pub(crate) fn ethertype(&self) -> EtherType {
         let b = self.buffer.as_ref();
         EtherType::from(u16::from_be_bytes([b[12], b[13]]))
     }
 
     /// The L3 payload (whatever of it the buffer holds).
-    pub fn payload(&self) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[HEADER_LEN..]
     }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Frame<T> {
     /// Set the destination MAC.
-    pub fn set_dst_addr(&mut self, addr: EthernetAddress) {
+    pub(crate) fn set_dst_addr(&mut self, addr: EthernetAddress) {
         self.buffer.as_mut()[0..6].copy_from_slice(&addr.0);
     }
 
     /// Set the source MAC.
-    pub fn set_src_addr(&mut self, addr: EthernetAddress) {
+    pub(crate) fn set_src_addr(&mut self, addr: EthernetAddress) {
         self.buffer.as_mut()[6..12].copy_from_slice(&addr.0);
     }
 
     /// Set the EtherType.
-    pub fn set_ethertype(&mut self, value: EtherType) {
+    pub(crate) fn set_ethertype(&mut self, value: EtherType) {
         let raw: u16 = value.into();
         self.buffer.as_mut()[12..14].copy_from_slice(&raw.to_be_bytes());
     }

@@ -68,13 +68,9 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Message type.
-    pub fn message(&self) -> Message {
+    #[cfg(test)]
+    pub(crate) fn message(&self) -> Message {
         Message::from(self.buffer.as_ref()[0])
-    }
-
-    /// Code field.
-    pub fn code(&self) -> u8 {
-        self.buffer.as_ref()[1]
     }
 
     /// Echo identifier.

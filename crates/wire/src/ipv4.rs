@@ -3,8 +3,9 @@
 //! Two validity modes are provided, because the vantage point only ever sees
 //! the first 128 bytes of a frame:
 //!
-//! * [`Packet::new_checked`] — strict: the buffer must contain the entire
-//!   packet as promised by the total-length field (used when *emitting*).
+//! * `Packet::new_checked` — strict: the buffer must contain the entire
+//!   packet as promised by the total-length field (the unit tests' check of
+//!   what *emitting* wrote).
 //! * [`Packet::new_snippet`] — tolerant: the header must be intact and the
 //!   total-length field must be *at least* plausible, but the payload may be
 //!   truncated (used when *dissecting* sFlow samples).
@@ -35,7 +36,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Wrap a buffer holding a complete IPv4 packet.
-    pub fn new_checked(buffer: T) -> Result<Packet<T>> {
+    #[cfg(test)]
+    pub(crate) fn new_checked(buffer: T) -> Result<Packet<T>> {
         let packet = Packet::new_unchecked(buffer);
         packet.check_len(false)?;
         Ok(packet)
@@ -75,13 +77,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(())
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version field (must be 4).
-    pub fn version(&self) -> u8 {
+    pub(crate) fn version(&self) -> u8 {
         self.buffer.as_ref()[0] >> 4
     }
 
@@ -90,45 +87,40 @@ impl<T: AsRef<[u8]>> Packet<T> {
         clippy::arithmetic_side_effects,
         reason = "the IHL nibble times four is at most 60, which fits a u8"
     )]
-    pub fn header_len(&self) -> u8 {
+    pub(crate) fn header_len(&self) -> u8 {
         (self.buffer.as_ref()[0] & 0x0f) * 4
     }
 
     /// Total packet length (header + payload) as claimed by the header.
-    pub fn total_len(&self) -> u16 {
+    pub(crate) fn total_len(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
 
-    /// Identification field.
-    pub fn ident(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[4], b[5]])
-    }
-
     /// True if the Don't Fragment flag is set.
-    pub fn dont_frag(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn dont_frag(&self) -> bool {
         self.buffer.as_ref()[6] & 0x40 != 0
     }
 
     /// Time to live.
-    pub fn ttl(&self) -> u8 {
+    pub(crate) fn ttl(&self) -> u8 {
         self.buffer.as_ref()[8]
     }
 
     /// Transport protocol.
-    pub fn protocol(&self) -> Protocol {
+    pub(crate) fn protocol(&self) -> Protocol {
         Protocol::from(self.buffer.as_ref()[9])
     }
 
     /// Source address.
-    pub fn src_addr(&self) -> Ipv4Addr {
+    pub(crate) fn src_addr(&self) -> Ipv4Addr {
         let b = self.buffer.as_ref();
         Ipv4Addr::new(b[12], b[13], b[14], b[15])
     }
 
     /// Destination address.
-    pub fn dst_addr(&self) -> Ipv4Addr {
+    pub(crate) fn dst_addr(&self) -> Ipv4Addr {
         let b = self.buffer.as_ref();
         Ipv4Addr::new(b[16], b[17], b[18], b[19])
     }
@@ -141,7 +133,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
     /// The transport payload available in this buffer. For a snippet this is
     /// shorter than `total_len - header_len`.
-    pub fn payload(&self) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn payload(&self) -> &[u8] {
         let b = self.buffer.as_ref();
         let start = (self.header_len() as usize).min(b.len());
         let end = (self.total_len() as usize).min(b.len());
@@ -155,54 +148,54 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         clippy::disallowed_macros,
         reason = "debug builds only: an emitter's own argument, never decoded input"
     )]
-    pub fn set_version_and_header_len(&mut self, header_len: u8) {
+    pub(crate) fn set_version_and_header_len(&mut self, header_len: u8) {
         debug_assert!(header_len.is_multiple_of(4) && header_len >= 20);
         self.buffer.as_mut()[0] = 0x40 | (header_len / 4);
     }
 
     /// Set the DSCP/ECN byte.
-    pub fn set_dscp_ecn(&mut self, v: u8) {
+    pub(crate) fn set_dscp_ecn(&mut self, v: u8) {
         self.buffer.as_mut()[1] = v;
     }
 
     /// Set the total-length field.
-    pub fn set_total_len(&mut self, v: u16) {
+    pub(crate) fn set_total_len(&mut self, v: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Set the identification field.
-    pub fn set_ident(&mut self, v: u16) {
+    pub(crate) fn set_ident(&mut self, v: u16) {
         self.buffer.as_mut()[4..6].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Clear flags/fragment-offset (we never emit fragments).
-    pub fn set_no_fragment(&mut self, dont_frag: bool) {
+    pub(crate) fn set_no_fragment(&mut self, dont_frag: bool) {
         let flags: u16 = if dont_frag { 0x4000 } else { 0 };
         self.buffer.as_mut()[6..8].copy_from_slice(&flags.to_be_bytes());
     }
 
     /// Set the TTL.
-    pub fn set_ttl(&mut self, v: u8) {
+    pub(crate) fn set_ttl(&mut self, v: u8) {
         self.buffer.as_mut()[8] = v;
     }
 
     /// Set the transport protocol.
-    pub fn set_protocol(&mut self, v: Protocol) {
+    pub(crate) fn set_protocol(&mut self, v: Protocol) {
         self.buffer.as_mut()[9] = v.into();
     }
 
     /// Set the source address.
-    pub fn set_src_addr(&mut self, v: Ipv4Addr) {
+    pub(crate) fn set_src_addr(&mut self, v: Ipv4Addr) {
         self.buffer.as_mut()[12..16].copy_from_slice(&v.octets());
     }
 
     /// Set the destination address.
-    pub fn set_dst_addr(&mut self, v: Ipv4Addr) {
+    pub(crate) fn set_dst_addr(&mut self, v: Ipv4Addr) {
         self.buffer.as_mut()[16..20].copy_from_slice(&v.octets());
     }
 
     /// Compute and store the header checksum.
-    pub fn fill_checksum(&mut self) {
+    pub(crate) fn fill_checksum(&mut self) {
         self.buffer.as_mut()[10..12].copy_from_slice(&[0, 0]);
         let header_len = self.header_len() as usize;
         let sum = checksum::data(&self.buffer.as_ref()[..header_len]);

@@ -16,8 +16,8 @@
 //! The design follows the smoltcp idiom:
 //!
 //! * `Packet<T: AsRef<[u8]>>` wrappers give zero-copy, bounds-checked field
-//!   access over a byte buffer; `new_checked` validates lengths up front so the
-//!   accessors cannot panic.
+//!   access over a byte buffer; `new_checked` (or, for an sFlow snippet,
+//!   `new_snippet`) validates lengths up front so the accessors cannot panic.
 //! * `Repr` structs are the parsed, owned representation; `Repr::parse` and
 //!   `Repr::emit` are inverses for every valid value (property-tested).
 //! * Malformed input is an [`Error`], never a panic.
@@ -50,7 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checksum;
+mod checksum;
 pub mod dissect;
 pub mod ethernet;
 pub mod icmp;
@@ -63,6 +63,6 @@ mod error;
 
 pub use error::{Error, Result};
 
-pub use dissect::{Dissection, FlowKey, Network, Transport};
+pub use dissect::{Dissection, Network, Transport};
 pub use ethernet::{EtherType, EthernetAddress};
 pub use ip::Protocol;

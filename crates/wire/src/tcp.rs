@@ -85,7 +85,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
     /// Wrap a buffer, requiring at least the fixed header plus any options
     /// promised by the data-offset field.
-    pub fn new_checked(buffer: T) -> Result<Packet<T>> {
+    #[cfg(test)]
+    pub(crate) fn new_checked(buffer: T) -> Result<Packet<T>> {
         let packet = Packet::new_unchecked(buffer);
         packet.check_len(false)?;
         Ok(packet)
@@ -115,25 +116,25 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
 
     /// Sequence number.
-    pub fn seq_number(&self) -> u32 {
+    pub(crate) fn seq_number(&self) -> u32 {
         let b = self.buffer.as_ref();
         u32::from_be_bytes([b[4], b[5], b[6], b[7]])
     }
 
     /// Acknowledgement number.
-    pub fn ack_number(&self) -> u32 {
+    pub(crate) fn ack_number(&self) -> u32 {
         let b = self.buffer.as_ref();
         u32::from_be_bytes([b[8], b[9], b[10], b[11]])
     }
@@ -143,25 +144,19 @@ impl<T: AsRef<[u8]>> Packet<T> {
         clippy::arithmetic_side_effects,
         reason = "the data-offset nibble times four is at most 60, which fits a u8"
     )]
-    pub fn header_len(&self) -> u8 {
+    pub(crate) fn header_len(&self) -> u8 {
         (self.buffer.as_ref()[12] >> 4) * 4
     }
 
     /// Control flags.
-    pub fn flags(&self) -> Flags {
+    pub(crate) fn flags(&self) -> Flags {
         Flags::from_bits(self.buffer.as_ref()[13] & 0x1f)
     }
 
     /// Receive window.
-    pub fn window(&self) -> u16 {
+    pub(crate) fn window(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[14], b[15]])
-    }
-
-    /// Checksum field.
-    pub fn checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[16], b[17]])
     }
 
     /// Payload bytes available in this buffer (possibly truncated).
@@ -184,22 +179,22 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set the source port.
-    pub fn set_src_port(&mut self, v: u16) {
+    pub(crate) fn set_src_port(&mut self, v: u16) {
         self.buffer.as_mut()[0..2].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Set the destination port.
-    pub fn set_dst_port(&mut self, v: u16) {
+    pub(crate) fn set_dst_port(&mut self, v: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Set the sequence number.
-    pub fn set_seq_number(&mut self, v: u32) {
+    pub(crate) fn set_seq_number(&mut self, v: u32) {
         self.buffer.as_mut()[4..8].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Set the acknowledgement number.
-    pub fn set_ack_number(&mut self, v: u32) {
+    pub(crate) fn set_ack_number(&mut self, v: u32) {
         self.buffer.as_mut()[8..12].copy_from_slice(&v.to_be_bytes());
     }
 
@@ -208,28 +203,28 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         clippy::disallowed_macros,
         reason = "debug builds only: an emitter's own argument, never decoded input"
     )]
-    pub fn set_header_len(&mut self, len: u8) {
+    pub(crate) fn set_header_len(&mut self, len: u8) {
         debug_assert!(len.is_multiple_of(4) && len >= 20);
         self.buffer.as_mut()[12] = (len / 4) << 4;
     }
 
     /// Set the control flags.
-    pub fn set_flags(&mut self, flags: Flags) {
+    pub(crate) fn set_flags(&mut self, flags: Flags) {
         self.buffer.as_mut()[13] = flags.bits();
     }
 
     /// Set the receive window.
-    pub fn set_window(&mut self, v: u16) {
+    pub(crate) fn set_window(&mut self, v: u16) {
         self.buffer.as_mut()[14..16].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Zero the urgent pointer (never used by the generator).
-    pub fn clear_urgent(&mut self) {
+    pub(crate) fn clear_urgent(&mut self) {
         self.buffer.as_mut()[18..20].copy_from_slice(&[0, 0]);
     }
 
     /// Compute and store the checksum over the full segment.
-    pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
+    pub(crate) fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
         self.buffer.as_mut()[16..18].copy_from_slice(&[0, 0]);
         let data = self.buffer.as_ref();
         let mut sum = Checksum::new();

@@ -26,7 +26,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Wrap a buffer holding a complete datagram.
-    pub fn new_checked(buffer: T) -> Result<Packet<T>> {
+    #[cfg(test)]
+    pub(crate) fn new_checked(buffer: T) -> Result<Packet<T>> {
         let packet = Packet::new_unchecked(buffer);
         packet.check_len(false)?;
         Ok(packet)
@@ -55,36 +56,32 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
 
     /// Length field (header + payload).
-    pub fn len(&self) -> u16 {
+    pub(crate) fn len(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[4], b[5]])
     }
 
-    /// True when the length field claims an empty payload.
-    pub fn is_empty(&self) -> bool {
-        self.len() as usize == HEADER_LEN
-    }
-
     /// Checksum field.
-    pub fn checksum(&self) -> u16 {
+    pub(crate) fn checksum(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[6], b[7]])
     }
 
     /// Payload bytes available in this buffer.
-    pub fn payload(&self) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn payload(&self) -> &[u8] {
         let b = self.buffer.as_ref();
         let end = (self.len() as usize).min(b.len());
         &b[HEADER_LEN.min(end)..end]
@@ -106,22 +103,22 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Set the source port.
-    pub fn set_src_port(&mut self, v: u16) {
+    pub(crate) fn set_src_port(&mut self, v: u16) {
         self.buffer.as_mut()[0..2].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Set the destination port.
-    pub fn set_dst_port(&mut self, v: u16) {
+    pub(crate) fn set_dst_port(&mut self, v: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Set the length field.
-    pub fn set_len(&mut self, v: u16) {
+    pub(crate) fn set_len(&mut self, v: u16) {
         self.buffer.as_mut()[4..6].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Compute and store the checksum over the full datagram.
-    pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
+    pub(crate) fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
         self.buffer.as_mut()[6..8].copy_from_slice(&[0, 0]);
         let data = self.buffer.as_ref();
         let mut sum = Checksum::new();

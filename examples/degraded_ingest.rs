@@ -9,6 +9,7 @@
 //! cargo run --release --example degraded_ingest
 //! ```
 
+use ixp_bench::pipeline::{Pipeline, SFLOW_PEER};
 use ixp_vantage::core::analyzer::Analyzer;
 use ixp_vantage::core::{report, WeekScan};
 use ixp_vantage::faults::{FaultConfig, FaultPlan};
@@ -102,28 +103,30 @@ fn main() {
     println!("kill-and-resume recovery (supervised, checkpoint at datagram 500):");
     let members = model.registry.members_at(week).len() as u32;
     let sup_cfg = SupervisorConfig::default();
-    let faulted = || FaultPlan::new(analyzer.feed(week), cfg.clone());
+    let faulted = || FaultPlan::new(analyzer.feed(week), cfg.clone()).map(|d| (SFLOW_PEER, d));
+    let fresh = || Pipeline::new(Supervisor::new(WeekScan::new(week, members), sup_cfg), None);
 
-    let mut uninterrupted = Supervisor::new(WeekScan::new(week, members), sup_cfg);
-    uninterrupted.run_feed(faulted(), None);
-    let reference_ckpt = uninterrupted.checkpoint();
+    let mut uninterrupted = fresh();
+    uninterrupted.drive(faulted(), None, |_| {});
+    let reference_ckpt = uninterrupted.supervisor().checkpoint();
     let uninterrupted_report = analyzer.report_from_scan(uninterrupted.into_scan());
 
-    let mut crashed = Supervisor::new(WeekScan::new(week, members), sup_cfg);
-    let done = crashed.run_feed(faulted(), Some(500));
+    let mut crashed = fresh();
+    let done = crashed.drive(faulted(), Some(500), |_| {});
     assert!(!done, "the kill offset is mid-week");
-    let checkpoint = crashed.checkpoint();
+    let checkpoint = crashed.supervisor().checkpoint();
     println!(
         "  killed at offered datagram {} -> sealed checkpoint of {} bytes",
-        crashed.offered(),
+        crashed.cursor(),
         checkpoint.len()
     );
     drop(crashed); // the "process" is gone; only the checkpoint survives
 
-    let mut resumed = Supervisor::restore(&checkpoint, sup_cfg).expect("restore checkpoint");
-    println!("  restored; resuming the feed from datagram {}", resumed.offered());
-    resumed.run_feed(faulted(), None);
-    let identical = resumed.checkpoint() == reference_ckpt;
+    let restored = Supervisor::restore(&checkpoint, sup_cfg).expect("restore checkpoint");
+    let mut resumed = Pipeline::new(restored, None);
+    println!("  restored; resuming the feed from datagram {}", resumed.cursor());
+    resumed.drive(faulted(), None, |_| {});
+    let identical = resumed.supervisor().checkpoint() == reference_ckpt;
     let resumed_report = analyzer.report_from_scan(resumed.into_scan());
 
     println!(

@@ -359,6 +359,20 @@ repro --bogus > target/repro-bogus.log 2>&1 || status=$?
 [ "$status" -eq 2 ] && grep -q "usage: repro" target/repro-bogus.log &&
     ! grep -q "panicked" target/repro-bogus.log ||
     fail "repro --bogus exited $status, not 2 with a usage line (see target/repro-bogus.log)"
+# flowgen refuses the same way: a scale below the smallest divisor is a
+# usage line and exit 2, not a panic.
+flowgen() {
+    cargo run -q --release -p ixp-bench --bin flowgen -- "$@"
+}
+flowgen --help > target/flowgen-help.log 2>&1 ||
+    fail "flowgen --help did not exit 0 (see target/flowgen-help.log)"
+grep -q "^usage: flowgen" target/flowgen-help.log ||
+    fail "flowgen --help printed no usage line (see target/flowgen-help.log)"
+status=0
+flowgen --scale paper:10 > target/flowgen-bad-scale.log 2>&1 || status=$?
+[ "$status" -eq 2 ] && grep -q "usage: flowgen" target/flowgen-bad-scale.log &&
+    ! grep -q "panicked" target/flowgen-bad-scale.log ||
+    fail "flowgen --scale paper:10 exited $status, not 2 with a usage line (see target/flowgen-bad-scale.log)"
 
 echo "==> paper-scale resume smoke (restore of some 300 K rows, on two cores and on one)"
 # Every restore parses its rows on a helper thread while the caller inserts
@@ -458,7 +472,7 @@ echo "==> flowgen -> repro loopback smoke (UDP when permitted)"
 # same intake and accounting code, and tests/transport_soak.rs holds the
 # socket path to the memory path byte for byte — log the reason and move
 # on rather than failing on sandbox policy.
-if cargo run -q --release -p ixp-bench --bin flowgen -- --probe \
+if flowgen --probe \
         2> target/flowgen-probe.log; then
     : > target/transport-udp.log
     repro --transport udp --listen 127.0.0.1:0 > target/transport-udp.log 2>&1 &
@@ -473,7 +487,7 @@ if cargo run -q --release -p ixp-bench --bin flowgen -- --probe \
         kill "$repro_pid" 2>/dev/null || true
         fail "repro --transport udp never reported its listening address"
     fi
-    cargo run -q --release -p ixp-bench --bin flowgen -- --target "$addr" --scale tiny \
+    flowgen --target "$addr" --scale tiny \
         >> target/transport-udp.log 2>&1 || {
         kill "$repro_pid" 2>/dev/null || true
         fail "flowgen failed against $addr (see target/transport-udp.log)"
