@@ -248,6 +248,7 @@ pub(crate) mod tests {
     #[test]
     fn root_store_trusts_only_its_roots() {
         let store = RootStore::default_store();
+        assert_eq!(store.roots.len(), 5);
         assert!(store.trusts("Root CA Alpha"));
         assert!(!store.trusts("Evil Root"));
     }

@@ -158,7 +158,7 @@ impl CountryTable {
         self.codes.len()
     }
 
-    /// True if the table is empty (never, but clippy insists).
+    /// True if the table is empty (never: the tests check it).
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.codes.is_empty()

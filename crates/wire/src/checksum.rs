@@ -2,10 +2,9 @@
 
 use std::net::Ipv4Addr;
 
-/// Running ones-complement sum, fold-at-the-end style.
-///
-/// Kept public so that the TCP/UDP emitters can checksum a header and a
-/// payload that live in different buffers without copying.
+/// Running ones-complement sum, fold-at-the-end style: the TCP/UDP
+/// emitters checksum a header and a payload that live in different buffers
+/// without copying.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Checksum {
     sum: u32,

@@ -16,8 +16,11 @@
 //! The design follows the smoltcp idiom:
 //!
 //! * `Packet<T: AsRef<[u8]>>` wrappers give zero-copy, bounds-checked field
-//!   access over a byte buffer; `new_checked` (or, for an sFlow snippet,
-//!   `new_snippet`) validates lengths up front so the accessors cannot panic.
+//!   access over a byte buffer. A constructor validates lengths up front so
+//!   the accessors cannot panic: `new_snippet` for IPv4, TCP and UDP (the
+//!   headers whole, the payload possibly cut), `new_checked` for Ethernet
+//!   and ICMP. The strict whole-packet `new_checked` of IPv4, TCP and UDP is
+//!   built for the crate's tests only.
 //! * `Repr` structs are the parsed, owned representation; `Repr::parse` and
 //!   `Repr::emit` are inverses for every valid value (property-tested).
 //! * Malformed input is an [`Error`], never a panic.
