@@ -4,7 +4,8 @@
 //! each experiment of DESIGN.md's index (E1–E24), plus the ablations.
 //!
 //! `repro --help` prints the usage line, [`USAGE`], and exits 0; an argument
-//! it cannot parse is refused with one line naming it and the usage, exit 2.
+//! it cannot parse, or an `--exp` id that names no section of [`SECTIONS`],
+//! is refused with one line naming it and the usage, exit 2.
 //!
 //! The observability plane (DESIGN.md §13) rides every run: a bounded
 //! deterministic event journal records spans and transitions (stamped by
@@ -110,7 +111,15 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => args.seed = value().and_then(number)?,
             "--markdown" => args.markdown = Some(value()?),
-            "--exp" => args.exp = Some(value()?),
+            "--exp" => {
+                let id = value()?;
+                if !is_section(&id) {
+                    return Err(format!(
+                        "--exp names no section {id:?} (E1–E24, A1–A4, FAULTS, CHAOS)"
+                    ));
+                }
+                args.exp = Some(id);
+            }
             "--metrics" => args.metrics = value()?,
             "--prometheus" => args.prometheus = Some(value()?),
             "--checkpoint" => args.checkpoint = Some(value()?),
@@ -141,6 +150,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Every section the study prints, in order: what `--exp` may name (in any
+/// case, so `--exp faults` names `FAULTS`).
+const SECTIONS: [&str; 30] = [
+    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15",
+    "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24", "A1", "A2", "A3", "A4",
+    "FAULTS", "CHAOS",
+];
+
+fn is_section(id: &str) -> bool {
+    SECTIONS.iter().any(|section| section.eq_ignore_ascii_case(id))
+}
+
 /// Collects sections for the markdown report.
 struct Out {
     md: String,
@@ -149,6 +170,7 @@ struct Out {
 
 impl Out {
     fn section(&mut self, id: &str, title: &str, body: String) {
+        assert!(is_section(id), "section {id} is missing from SECTIONS, so --exp refuses it");
         if let Some(f) = &self.filter {
             if !id.eq_ignore_ascii_case(f) {
                 return;

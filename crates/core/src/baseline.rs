@@ -13,7 +13,7 @@
 use std::collections::HashSet;
 
 use ixp_netmodel::InternetModel;
-use ixp_sflow::Datagram;
+use ixp_sflow::DatagramView;
 use ixp_wire::dissect::{Dissection, Network, Transport};
 
 use crate::analyzer::{Analyzer, WeeklyReport};
@@ -40,9 +40,9 @@ const WEB_PORTS: [u16; 4] = [80, 8080, 443, 1935];
 pub fn port_baseline(analyzer: &Analyzer<'_>, report: &WeeklyReport) -> PortBaseline {
     let mut port_servers: HashSet<u32> = HashSet::new();
     for bytes in analyzer.feed(report.snapshot.week) {
-        let Ok(dg) = Datagram::decode(&bytes) else { continue };
-        for sample in &dg.samples {
-            let Ok(d) = Dissection::parse(&sample.record.header) else { continue };
+        let Ok(dg) = DatagramView::decode(&bytes) else { continue };
+        for sample in dg.flow_samples() {
+            let Ok(d) = Dissection::parse(sample.record.header) else { continue };
             let Network::Ipv4 { repr, transport, .. } = &d.network else { continue };
             match transport {
                 Transport::Tcp { src_port, dst_port, .. } => {

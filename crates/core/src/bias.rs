@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use ixp_netmodel::Week;
-use ixp_sflow::Datagram;
+use ixp_sflow::DatagramView;
 use ixp_wire::dissect::Dissection;
 
 use crate::analyzer::Analyzer;
@@ -37,15 +37,15 @@ pub fn sampling_bias_check(analyzer: &Analyzer<'_>, week: Week) -> BiasReport {
     let mut estimates: BTreeMap<u32, u64> = BTreeMap::new();
     let mut truth: BTreeMap<u32, u64> = BTreeMap::new();
     for bytes in analyzer.feed(week) {
-        let Ok(dg) = Datagram::decode(&bytes) else { continue };
-        for sample in &dg.samples {
-            let Ok(d) = Dissection::parse(&sample.record.header) else { continue };
+        let Ok(dg) = DatagramView::decode(&bytes) else { continue };
+        for sample in dg.flow_samples() {
+            let Ok(d) = Dissection::parse(sample.record.header) else { continue };
             if let Some(m) = member_of(d.src_mac) {
                 *estimates.entry(m.0).or_default() +=
                     u64::from(sample.sampling_rate) * u64::from(sample.record.frame_length);
             }
         }
-        for counter in &dg.counters {
+        for counter in dg.counters() {
             let slot = truth.entry(counter.source_id).or_default();
             *slot = (*slot).max(counter.if_in_octets);
         }

@@ -1,10 +1,11 @@
 //! Heterogeneity analyses (paper §5.2/§5.3): the Fig. 6 scatters and the
 //! Fig. 7 link-usage study.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 use ixp_netmodel::MemberId;
-use ixp_sflow::Datagram;
+use ixp_sflow::DatagramView;
 use ixp_wire::dissect::{Dissection, Network, Transport};
 
 use crate::analyzer::{Analyzer, WeeklyReport};
@@ -112,16 +113,16 @@ pub fn link_usage(
         server_ips.insert(u32::from(r.ip));
         *member_bytes.entry(r.member.0).or_default() += r.bytes;
     }
-    let home_member = MemberId(member_bytes.iter().max_by_key(|(_, b)| **b).map(|(m, _)| *m)?);
+    let home_member = heaviest(&member_bytes)?;
 
     // Re-stream the week's feed.
     let mut per_member: HashMap<u32, (u64, u64)> = HashMap::new(); // member -> (direct, other)
     let mut servers_direct: HashSet<u32> = HashSet::new();
     let mut servers_other: HashSet<u32> = HashSet::new();
     for bytes in analyzer.feed(report.snapshot.week) {
-        let Ok(dg) = Datagram::decode(&bytes) else { continue };
-        for sample in &dg.samples {
-            let Ok(d) = Dissection::parse(&sample.record.header) else { continue };
+        let Ok(dg) = DatagramView::decode(&bytes) else { continue };
+        for sample in dg.flow_samples() {
+            let Ok(d) = Dissection::parse(sample.record.header) else { continue };
             let Network::Ipv4 { repr, transport, .. } = &d.network else { continue };
             if !matches!(transport, Transport::Tcp { .. }) {
                 continue;
@@ -177,6 +178,12 @@ pub fn link_usage(
         servers_total: servers_total.len(),
         points,
     })
+}
+
+/// The member carrying the most bytes; of members that tie, the lowest id,
+/// so the pick does not follow the map's iteration order.
+fn heaviest(member_bytes: &HashMap<u32, u64>) -> Option<MemberId> {
+    member_bytes.iter().max_by_key(|&(&m, &b)| (b, Reverse(m))).map(|(&m, _)| MemberId(m))
 }
 
 #[cfg(test)]
@@ -239,6 +246,17 @@ mod tests {
             assert!((0.0..=100.0).contains(x));
             assert!(*y >= 0.0);
         }
+    }
+
+    #[test]
+    fn the_home_member_of_a_byte_tie_is_the_lower_id() {
+        // Each map hashes with its own random state, so some of these
+        // iterate the tied members in one order and some in the other.
+        for _ in 0..32 {
+            let bytes: HashMap<u32, u64> = [(9, 50), (7, 100), (3, 100), (5, 99)].into();
+            assert_eq!(heaviest(&bytes), Some(MemberId(3)));
+        }
+        assert_eq!(heaviest(&HashMap::new()), None);
     }
 
     #[test]

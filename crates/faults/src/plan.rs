@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use ixp_sflow::Datagram;
+use ixp_sflow::{DatagramBuilder, DatagramView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -129,6 +129,8 @@ pub struct FaultPlan<I> {
     queue: Delivery<Vec<u8>>,
     /// Per-sub-agent sequence offset applied after an injected restart.
     renumber: BTreeMap<u32, u32>,
+    /// Re-encodes a datagram that a restart or a counter wrap rewrites.
+    builder: DatagramBuilder,
     stats: FaultStats,
 }
 
@@ -143,6 +145,7 @@ impl<I: Iterator<Item = Vec<u8>>> FaultPlan<I> {
             idx: 0,
             queue: Delivery::default(),
             renumber: BTreeMap::new(),
+            builder: DatagramBuilder::default(),
             stats: FaultStats::default(),
         }
     }
@@ -155,52 +158,37 @@ impl<I: Iterator<Item = Vec<u8>>> FaultPlan<I> {
     }
 
     /// Apply the plan to one input datagram.
-    fn process(&mut self, d: Vec<u8>) {
+    fn process(&mut self, mut d: Vec<u8>) {
         self.stats.input += 1;
         self.idx += 1;
         let idx = self.idx;
-        let mut d = d;
 
         // Identity-aware faults need the decoded header. The pristine feed
         // is always well-formed; if an upstream stage already damaged the
         // bytes, these faults simply do not apply.
-        if let Ok(mut dg) = Datagram::decode(&d) {
-            let mut rewrite = false;
-            for &(sub, at) in &self.cfg.restarts {
-                if dg.sub_agent_id == sub && idx >= at && !self.renumber.contains_key(&sub) {
+        if let Ok(dg) = DatagramView::decode(&d) {
+            let sub = dg.sub_agent_id;
+            for &(agent, at) in &self.cfg.restarts {
+                if sub == agent && idx >= at && !self.renumber.contains_key(&sub) {
                     // First datagram of this sub-agent at/after the restart
                     // point: renumber so its sequence restarts at 1.
                     self.renumber.insert(sub, dg.sequence.wrapping_sub(1));
                     self.stats.restarts_injected += 1;
                 }
             }
-            if let Some(offset) = self.renumber.get(&dg.sub_agent_id) {
-                dg.sequence = dg.sequence.wrapping_sub(*offset);
-                // A rebooted agent's uptime restarts too; keep it
-                // proportional to the new sequence like the generator does.
-                dg.uptime_ms = dg.sequence.wrapping_mul(40);
-                rewrite = true;
-            }
-            if self.cfg.counter_wrap && !dg.counters.is_empty() {
-                for c in &mut dg.counters {
-                    c.if_in_octets = c.if_in_octets.wrapping_add(OCTET_WRAP_PUSH);
-                    c.if_out_octets = c.if_out_octets.wrapping_add(OCTET_WRAP_PUSH);
-                    c.if_in_ucast = c.if_in_ucast.wrapping_add(UCAST_WRAP_PUSH);
-                    c.if_out_ucast = c.if_out_ucast.wrapping_add(UCAST_WRAP_PUSH);
-                }
-                rewrite = true;
-            }
+            let offset = self.renumber.get(&sub).copied();
+            let wrap = self.cfg.counter_wrap && dg.counters().next().is_some();
             let in_outage = self
                 .cfg
                 .outages
                 .iter()
-                .any(|w| w.sub_agent == dg.sub_agent_id && idx >= w.from && idx < w.until);
+                .any(|w| w.sub_agent == sub && idx >= w.from && idx < w.until);
             if in_outage {
                 self.stats.outage_dropped += 1;
                 return;
             }
-            if rewrite {
-                d = dg.encode();
+            if offset.is_some() || wrap {
+                d = self.rewrite(&dg, offset);
             }
         }
 
@@ -222,6 +210,35 @@ impl<I: Iterator<Item = Vec<u8>>> FaultPlan<I> {
             self.stats.corrupted += 1;
         }
         self.queue.deliver(d, self.cfg.duplicate, self.cfg.reorder, &mut self.rng);
+    }
+
+    /// Re-encode `dg` with its sequence shifted back by `offset` and, under
+    /// `counter_wrap`, its counters pushed toward the wrap: flow samples
+    /// first, then counters; a sample of a type the decoder does not know
+    /// is left out.
+    fn rewrite(&mut self, dg: &DatagramView<'_>, offset: Option<u32>) -> Vec<u8> {
+        for sample in dg.flow_samples() {
+            self.builder.push_flow(&sample);
+        }
+        for mut c in dg.counters() {
+            if self.cfg.counter_wrap {
+                c.if_in_octets = c.if_in_octets.wrapping_add(OCTET_WRAP_PUSH);
+                c.if_out_octets = c.if_out_octets.wrapping_add(OCTET_WRAP_PUSH);
+                c.if_in_ucast = c.if_in_ucast.wrapping_add(UCAST_WRAP_PUSH);
+                c.if_out_ucast = c.if_out_ucast.wrapping_add(UCAST_WRAP_PUSH);
+            }
+            self.builder.push_counters(&c);
+        }
+        let (sequence, uptime_ms) = match offset {
+            // A rebooted agent's uptime restarts too; keep it proportional
+            // to the new sequence like the generator does.
+            Some(offset) => {
+                let sequence = dg.sequence.wrapping_sub(offset);
+                (sequence, sequence.wrapping_mul(40))
+            }
+            None => (dg.sequence, dg.uptime_ms),
+        };
+        self.builder.finish(dg.agent_address, dg.sub_agent_id, sequence, uptime_ms)
     }
 }
 
@@ -250,15 +267,7 @@ mod tests {
     /// A minimal well-formed datagram for sub-agent `sub` with sequence
     /// `seq`.
     fn dg(sub: u32, seq: u32) -> Vec<u8> {
-        Datagram {
-            agent_address: Ipv4Addr::new(10, 255, 0, 1),
-            sub_agent_id: sub,
-            sequence: seq,
-            uptime_ms: seq.wrapping_mul(40),
-            samples: vec![],
-            counters: vec![],
-        }
-        .encode()
+        DatagramBuilder::default().finish(Ipv4Addr::new(10, 255, 0, 1), sub, seq, seq * 40)
     }
 
     fn feed(n: u32) -> Vec<Vec<u8>> {
@@ -317,7 +326,8 @@ mod tests {
     fn restart_renumbers_from_one() {
         let cfg = FaultConfig { seed: 1, restarts: vec![(0, 11)], ..FaultConfig::default() };
         let out: Vec<Vec<u8>> = FaultPlan::new(feed(20).into_iter(), cfg).collect();
-        let seqs: Vec<u32> = out.iter().map(|d| Datagram::decode(d).unwrap().sequence).collect();
+        let seqs: Vec<u32> =
+            out.iter().map(|d| DatagramView::decode(d).unwrap().sequence).collect();
         let expected: Vec<u32> = (1..=10u32).chain(1..=10).collect();
         assert_eq!(seqs, expected);
     }
@@ -337,7 +347,7 @@ mod tests {
         let out: Vec<Vec<u8>> = FaultPlan::new(input.into_iter(), cfg).collect();
         assert_eq!(out.len(), 10);
         for d in &out {
-            assert_eq!(Datagram::decode(d).unwrap().sub_agent_id, 0);
+            assert_eq!(DatagramView::decode(d).unwrap().sub_agent_id, 0);
         }
     }
 
@@ -358,7 +368,7 @@ mod tests {
         let cfg = FaultConfig { seed: 11, reorder: 0.5, ..FaultConfig::default() };
         let mut plan = FaultPlan::new(feed(100).into_iter(), cfg);
         let mut seqs: Vec<u32> =
-            plan.by_ref().map(|d| Datagram::decode(&d).unwrap().sequence).collect();
+            plan.by_ref().map(|d| DatagramView::decode(&d).unwrap().sequence).collect();
         assert!(plan.stats().reordered > 0);
         seqs.sort_unstable();
         assert_eq!(seqs, (1..=100u32).collect::<Vec<_>>());

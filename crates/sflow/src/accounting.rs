@@ -9,8 +9,6 @@
 #![deny(clippy::cast_possible_truncation)]
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
-use crate::datagram::FlowSample;
-
 /// An additive traffic estimate derived from flow samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficEstimate {
@@ -26,11 +24,6 @@ impl TrafficEstimate {
     /// The zero estimate.
     pub fn zero() -> Self {
         Self::default()
-    }
-
-    /// Account one flow sample.
-    pub fn add_sample(&mut self, sample: &FlowSample) {
-        self.add_raw(sample.sampling_rate, sample.record.frame_length);
     }
 
     /// Account one sample given its rate and original frame length. Both
@@ -102,32 +95,13 @@ impl std::iter::Sum for TrafficEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datagram::{FlowSample, RawPacketHeader, HEADER_PROTO_ETHERNET};
-
-    fn sample(rate: u32, frame_length: u32) -> FlowSample {
-        FlowSample {
-            sequence: 1,
-            source_id: 1,
-            sampling_rate: rate,
-            sample_pool: rate,
-            drops: 0,
-            input_if: 1,
-            output_if: 2,
-            record: RawPacketHeader {
-                protocol: HEADER_PROTO_ETHERNET,
-                frame_length,
-                stripped: 0,
-                header: vec![],
-            },
-        }
-    }
 
     #[test]
     fn estimate_is_linear_in_rate() {
         let mut low = TrafficEstimate::zero();
-        low.add_sample(&sample(1_000, 1_500));
+        low.add_raw(1_000, 1_500);
         let mut high = TrafficEstimate::zero();
-        high.add_sample(&sample(16_384, 1_500));
+        high.add_raw(16_384, 1_500);
         assert_eq!(low.bytes * 16_384 / 1_000, high.bytes);
         assert_eq!(high.frames, 16_384);
     }

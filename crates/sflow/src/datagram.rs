@@ -38,6 +38,9 @@ const DATAGRAM_HEADER_LEN: usize = 28;
 /// `if_counters` block.
 pub const COUNTER_SAMPLE_LEN: usize = 8 + 12 + 8 + 88;
 
+/// Number of leading frame bytes captured per sample (paper §2.1).
+pub const SNIPPET_LEN: usize = 128;
+
 /// Encoded length of a flow sample carrying `header_len` captured bytes: tag
 /// and length, the seven sample fields and the record count, the record's
 /// tag and length, its four fields, and the bytes padded to a word.
@@ -85,7 +88,8 @@ pub struct RawPacketHeader<H = Vec<u8>> {
     pub frame_length: u32,
     /// Bytes removed from the end of the frame before sampling (FCS etc.).
     pub stripped: u32,
-    /// The captured header bytes (≤ the sampler's snippet length).
+    /// The captured header bytes: the frame's first [`SNIPPET_LEN`], or all of a
+    /// shorter frame.
     pub header: H,
 }
 
@@ -179,37 +183,16 @@ pub struct Datagram {
 }
 
 impl Datagram {
-    /// Encode to the XDR wire format.
-    #[allow(
-        clippy::arithmetic_side_effects,
-        reason = "the sample count adds the lengths of two Vecs in memory"
-    )]
+    /// Encode to the XDR wire format: flow samples first, then counters.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        encode_header(
-            &mut out,
-            self.agent_address,
-            self.sub_agent_id,
-            self.sequence,
-            self.uptime_ms,
-            (self.samples.len() + self.counters.len()) as u32,
-        );
+        let mut builder = DatagramBuilder::default();
         for sample in &self.samples {
-            encode_flow_sample(&mut out, sample);
+            builder.push_flow(sample);
         }
-        for counter in &self.counters {
-            encode_counter_sample(&mut out, counter);
+        for counters in &self.counters {
+            builder.push_counters(counters);
         }
-        out
-    }
-
-    /// Exactly `self.encode().len()`, without encoding.
-    pub(crate) fn encoded_len(&self) -> usize {
-        let counters = self.counters.len().saturating_mul(COUNTER_SAMPLE_LEN);
-        self.samples
-            .iter()
-            .map(|sample| flow_sample_len(sample.record.header.len()))
-            .fold(DATAGRAM_HEADER_LEN.saturating_add(counters), usize::saturating_add)
+        builder.finish(self.agent_address, self.sub_agent_id, self.sequence, self.uptime_ms)
     }
 
     /// Decode from the XDR wire format into owned samples: the allocating
@@ -221,10 +204,9 @@ impl Datagram {
 
 /// A datagram assembled sample by sample: each sample is encoded into one
 /// reused buffer as it is pushed, and [`DatagramBuilder::finish`] makes the
-/// only allocation — the datagram, at exactly its length. What a generator
-/// that emits millions of datagrams uses in place of collecting owned
-/// [`FlowSample`]s into a [`Datagram`] and encoding them afterwards; the
-/// bytes are the same.
+/// only allocation — the datagram, at exactly its length. The one encoder:
+/// the generator and the fault plan push samples into it, and
+/// [`Datagram::encode`] pushes an owned datagram's.
 #[derive(Debug, Clone, Default)]
 pub struct DatagramBuilder {
     /// The encoded samples pushed since the last `finish`.
@@ -249,15 +231,6 @@ impl DatagramBuilder {
         self.samples == 0
     }
 
-    /// Length of the datagram [`DatagramBuilder::finish`] would return.
-    #[allow(
-        clippy::arithmetic_side_effects,
-        reason = "body is a Vec in memory, so a 28-byte header more fits in usize"
-    )]
-    pub(crate) fn encoded_len(&self) -> usize {
-        DATAGRAM_HEADER_LEN + self.body.len()
-    }
-
     /// Append a flow sample, owned or borrowing its header bytes.
     #[allow(
         clippy::arithmetic_side_effects,
@@ -280,6 +253,10 @@ impl DatagramBuilder {
 
     /// The datagram of everything pushed, under the given header; the
     /// builder is empty afterwards and keeps its buffer.
+    #[allow(
+        clippy::arithmetic_side_effects,
+        reason = "body is a Vec in memory, so a 28-byte header more fits in usize"
+    )]
     pub fn finish(
         &mut self,
         agent_address: Ipv4Addr,
@@ -287,7 +264,7 @@ impl DatagramBuilder {
         sequence: u32,
         uptime_ms: u32,
     ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
+        let mut out = Vec::with_capacity(DATAGRAM_HEADER_LEN + self.body.len());
         encode_header(&mut out, agent_address, sub_agent_id, sequence, uptime_ms, self.samples);
         out.extend_from_slice(&self.body);
         self.body.clear();
@@ -737,15 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_is_the_length_of_the_encoding() {
-        for dg in mixed_datagrams() {
-            let bytes = dg.encode();
-            assert_eq!(dg.encoded_len(), bytes.len());
-            assert_eq!(bytes.capacity(), bytes.len(), "encode sized its buffer by a guess");
-        }
-    }
-
-    #[test]
     fn builder_assembles_the_bytes_of_encode_in_one_exact_buffer() {
         let mut builder = DatagramBuilder::default();
         for dg in mixed_datagrams() {
@@ -758,7 +726,6 @@ mod tests {
                 builder.push_counters(counters);
             }
             assert_eq!(builder.len(), dg.samples.len() + dg.counters.len());
-            assert_eq!(builder.encoded_len(), dg.encoded_len());
             let bytes =
                 builder.finish(dg.agent_address, dg.sub_agent_id, dg.sequence, dg.uptime_ms);
             assert_eq!(bytes, dg.encode());

@@ -12,17 +12,16 @@
 //! * capture of the **first 128 bytes** of each sampled frame, and
 //! * continuous collection over 17 weeks.
 //!
-//! This crate provides both halves of that apparatus:
+//! This crate provides the wire format and the arithmetic over it:
 //!
-//! * [`Datagram`]/[`FlowSample`] — faithful encode/decode of the v5 wire
-//!   format (datagram header, flow-sample header, raw-packet-header record),
-//!   so the analysis side works on *bytes*, exactly like a real collector;
-//!   [`DatagramView`] is the same decode borrowing the caller's buffer,
-//!   which is what the ingest path uses, and [`DatagramBuilder`] the same
-//!   encode sample by sample, which is what the traffic generator uses;
-//! * [`Sampler`] — the per-port sampling process (geometric skip counts, the
-//!   textbook implementation of sFlow's random 1-in-N sampling) plus snippet
-//!   truncation; and
+//! * [`DatagramView`]/[`DatagramBuilder`] — decode and encode of the v5
+//!   wire format (datagram header, flow-sample header, raw-packet-header
+//!   record, `if_counters`), so the analysis side works on *bytes*, exactly
+//!   like a real collector: the view borrows the caller's buffer and the
+//!   builder encodes sample by sample into one reused buffer. The owned
+//!   [`Datagram`] is what `Datagram::decode` and `Collector::ingest` return;
+//! * `SNIPPET_LEN` — the 128-byte snippet truncation that shapes everything
+//!   downstream: the analysis only ever gets that many bytes of a frame;
 //! * `accounting` — scaling sampled bytes/frames back up to traffic
 //!   estimates (1 sample ≙ N frames), which is how every traffic share in
 //!   the paper is computed; and
@@ -53,8 +52,6 @@ mod accounting;
 pub mod checkpoint;
 pub mod collector;
 pub mod datagram;
-mod sampler;
-
 mod xdr;
 
 pub use accounting::TrafficEstimate;
@@ -63,8 +60,8 @@ pub use collector::{Collector, CollectorStats, Ingest, SourceStats};
 pub use datagram::{
     flow_sample_len, CounterSample, Datagram, DatagramBuilder, DatagramView, DecodeError,
     FlowSample, RawPacketHeader, SampleView, COUNTER_SAMPLE_LEN, HEADER_PROTO_ETHERNET,
+    SNIPPET_LEN,
 };
-pub use sampler::{Sampler, SamplerConfig, SNIPPET_LEN};
 
 /// The sampling rate used by the studied IXP: 1 out of 16 384 frames.
 pub const PAPER_SAMPLING_RATE: u32 = 16_384;

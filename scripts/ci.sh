@@ -271,21 +271,18 @@ bench_smoke() {
 }
 budget "benchmark smoke" 180 bench_smoke
 
-echo "==> report determinism (same seed, same bytes)"
-# Two same-seed full studies must render byte-identical reports: no table
-# row or breakdown may come out in hash-map order.
-repro --markdown target/repro-a.md >/dev/null 2>&1
-repro --markdown target/repro-b.md >/dev/null 2>&1
-same target/repro-a.md target/repro-b.md "markdown reports differ between same-seed runs"
-
-echo "==> metrics smoke test (snapshot determinism + schema)"
-# Two same-seed repro runs under the frozen test clock must export
-# byte-identical ixp-obs snapshots; the companion cargo test (re-run here
-# so that it reads the file just written, not its in-process fallback)
-# parses the first one against the ixp-obs/1 schema and checks the metric
+echo "==> report and metrics determinism (same seed, same bytes)"
+# Two same-seed full studies must render byte-identical reports — no table
+# row or breakdown may come out in hash-map order — and, under the frozen
+# test clock, export byte-identical ixp-obs snapshots. (`--exp` only
+# filters what is printed: every run is the whole study, so one pair of
+# runs writes both files.) The companion cargo test (re-run here so that it
+# reads the file just written, not its in-process fallback) parses the
+# first snapshot against the ixp-obs/1 schema and checks the metric
 # families.
-repro --exp E1 --metrics target/metrics-a.json >/dev/null 2>&1
-repro --exp E1 --metrics target/metrics-b.json >/dev/null 2>&1
+repro --markdown target/repro-a.md --metrics target/metrics-a.json >/dev/null 2>&1
+repro --markdown target/repro-b.md --metrics target/metrics-b.json >/dev/null 2>&1
+same target/repro-a.md target/repro-b.md "markdown reports differ between same-seed runs"
 same target/metrics-a.json target/metrics-b.json "metrics snapshots differ between same-seed runs"
 cargo test -q --test metrics_smoke
 
@@ -348,8 +345,9 @@ for mode in none memory; do
         ! grep -q "generating model\|supervised mode" target/kill-no-ckpt.log ||
         fail "--transport $mode --kill-at without --checkpoint was not refused at parsing (exit $status, see target/kill-no-ckpt.log)"
 done
-# --help is a usage line and exit 0; an unknown argument is a usage line
-# and exit 2, not a panic.
+# --help is a usage line and exit 0; an unknown argument, or an --exp id
+# that names no section, is a usage line and exit 2, not a panic (nor,
+# for --exp, a whole study that prints nothing).
 repro --help > target/repro-help.log 2>&1 ||
     fail "repro --help did not exit 0 (see target/repro-help.log)"
 grep -q "^usage: repro" target/repro-help.log ||
@@ -359,6 +357,11 @@ repro --bogus > target/repro-bogus.log 2>&1 || status=$?
 [ "$status" -eq 2 ] && grep -q "usage: repro" target/repro-bogus.log &&
     ! grep -q "panicked" target/repro-bogus.log ||
     fail "repro --bogus exited $status, not 2 with a usage line (see target/repro-bogus.log)"
+status=0
+repro --exp fig1 > target/repro-bad-exp.log 2>&1 || status=$?
+[ "$status" -eq 2 ] && grep -q "usage: repro" target/repro-bad-exp.log &&
+    ! grep -q "panicked" target/repro-bad-exp.log ||
+    fail "repro --exp fig1 exited $status, not 2 with a usage line (see target/repro-bad-exp.log)"
 # flowgen refuses the same way: a scale below the smallest divisor is a
 # usage line and exit 2, not a panic.
 flowgen() {

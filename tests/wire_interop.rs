@@ -3,7 +3,7 @@
 //! corruption.
 
 use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
-use ixp_vantage::sflow::{Datagram, Sampler, SamplerConfig};
+use ixp_vantage::sflow::Datagram;
 use ixp_vantage::traffic::{MixConfig, WeekStream};
 use ixp_vantage::wire::dissect::{Dissection, Network};
 
@@ -65,36 +65,4 @@ fn corrupted_datagrams_never_panic_the_scan() {
     }
     // The scan still produced something from the intact half.
     assert!(scan.filter.total().bytes > 0);
-}
-
-#[test]
-fn classic_sampler_agrees_with_direct_synthesis_accounting() {
-    // The workload generator synthesises the sampled stream directly; the
-    // classic frame-by-frame sampler must agree on traffic accounting.
-    use ixp_vantage::sflow::TrafficEstimate;
-    let mut sampler = Sampler::new(SamplerConfig {
-        rate: 32,
-        source_id: 1,
-        agent_address: std::net::Ipv4Addr::new(10, 0, 0, 9),
-        samples_per_datagram: 5,
-        seed: 7,
-    });
-    let frame = vec![0xABu8; 1000];
-    let frames = 64_000u32;
-    let mut estimate = TrafficEstimate::zero();
-    for _ in 0..frames {
-        if let Some(dg) = sampler.observe(&frame) {
-            for s in &dg.samples {
-                estimate.add_sample(s);
-            }
-        }
-    }
-    if let Some(dg) = sampler.flush() {
-        for s in &dg.samples {
-            estimate.add_sample(s);
-        }
-    }
-    let true_bytes = u64::from(frames) * 1000;
-    let err = (estimate.bytes as f64 - true_bytes as f64).abs() / true_bytes as f64;
-    assert!(err < 0.10, "estimate off by {:.1} %", err * 100.0);
 }
