@@ -3,9 +3,15 @@
 //! (IMC 2013) from the synthetic substrate, printing paper-vs-measured for
 //! each experiment of DESIGN.md's index (E1–E24), plus the ablations.
 //!
+//! The report is one table, [`SECTIONS`], of id, title and body. A run loops
+//! over all its rows, or the one `--exp <id>` names (in any case), and
+//! computes only what they read: the 17-week study only for a row of
+//! E9–E16, else week 45 alone; the clusters and the churn on first use.
+//!
 //! `repro --help` prints the usage line, [`USAGE`], and exits 0; an argument
-//! it cannot parse, or an `--exp` id that names no section of [`SECTIONS`],
-//! is refused with one line naming it and the usage, exit 2.
+//! it cannot parse, an `--exp` id that names no row, or a flag the chosen
+//! mode would ignore is refused with one line naming it and the usage,
+//! exit 2.
 //!
 //! The observability plane (DESIGN.md §13) rides every run: a bounded
 //! deterministic event journal records spans and transitions (stamped by
@@ -43,12 +49,15 @@
 //! ends byte-identical — report, checkpoint, metrics snapshot — to an
 //! uninterrupted run, as `scripts/ci.sh` checks; a refused image exits 3.
 
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 
 use ixp_bench::pipeline::{side_file, Images, Pipeline, ResumeError, Step, SFLOW_PEER};
 use ixp_core::analyzer::{stage_metric, Analyzer, StudyReport};
 use ixp_core::cluster::Clusters;
+use ixp_core::longitudinal::{Fig4a, Fig4b, Fig4c, Fig5};
 use ixp_core::{baseline, blindspots, changes, cluster, hetero, longitudinal, report, visibility};
+use ixp_core::{WeekScan, WeeklyReport};
 use ixp_netmodel::{InternetModel, ScaleConfig, Week};
 use ixp_obs::{Obs, Stopwatch};
 use ixp_supervisor::{Supervisor, SupervisorConfig};
@@ -58,7 +67,7 @@ struct Args {
     scale_name: String,
     seed: u64,
     markdown: Option<String>,
-    exp: Option<String>,
+    exp: Option<&'static Section>,
     metrics: String,
     prometheus: Option<String>,
     real_clock: bool,
@@ -71,12 +80,19 @@ struct Args {
     trace: Option<String>,
 }
 
+impl Args {
+    /// Whether the run is the supervised single-week mode (module doc).
+    fn supervised(&self) -> bool {
+        self.checkpoint.is_some() || self.resume.is_some() || self.transport != "none"
+    }
+}
+
 const USAGE: &str = "usage: repro [--scale tiny|small|paper:<divisor>] [--seed N] \
     [--markdown <path>] [--exp <id>] [--metrics <path>] [--prometheus <path>] \
     [--clock test|real] [--checkpoint <path>] [--kill-at <n>] [--resume <path>] \
     [--transport none|memory|udp] [--listen <addr>] [--serve <addr>] [--trace <path>]";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scale: ScaleConfig::small(),
         scale_name: "small".to_string(),
@@ -94,7 +110,7 @@ fn parse_args() -> Result<Args, String> {
         serve: None,
         trace: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = || it.next().ok_or(format!("{arg} needs a value"));
         let bad = |value: &str| format!("{arg} does not take {value:?}");
@@ -113,12 +129,10 @@ fn parse_args() -> Result<Args, String> {
             "--markdown" => args.markdown = Some(value()?),
             "--exp" => {
                 let id = value()?;
-                if !is_section(&id) {
-                    return Err(format!(
-                        "--exp names no section {id:?} (E1–E24, A1–A4, FAULTS, CHAOS)"
-                    ));
-                }
-                args.exp = Some(id);
+                let section = SECTIONS.iter().find(|section| section.id.eq_ignore_ascii_case(&id));
+                args.exp = Some(section.ok_or(format!(
+                    "--exp names no section {id:?} (E1–E24, A1–A4, FAULTS, CHAOS)"
+                ))?);
             }
             "--metrics" => args.metrics = value()?,
             "--prometheus" => args.prometheus = Some(value()?),
@@ -147,40 +161,118 @@ fn parse_args() -> Result<Args, String> {
             "--kill-at needs --checkpoint <path>: a killed run writes its images there".into()
         );
     }
+    if args.supervised() && (args.exp.is_some() || args.markdown.is_some()) {
+        return Err("--exp and --markdown print sections; a supervised run prints none".into());
+    }
+    if args.listen.is_some() && args.transport != "udp" {
+        return Err("--listen needs --transport udp: only the UDP feed listens".into());
+    }
     Ok(args)
 }
 
-/// Every section the study prints, in order: what `--exp` may name (in any
-/// case, so `--exp faults` names `FAULTS`).
-const SECTIONS: [&str; 30] = [
-    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15",
-    "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24", "A1", "A2", "A3", "A4",
-    "FAULTS", "CHAOS",
+/// One section of the report: the id `--exp` names, its title, and the
+/// body that renders it from what it reads.
+struct Section {
+    id: &'static str,
+    title: &'static str,
+    body: Body,
+}
+
+/// A section's body, typed by its inputs: a week body cannot reach the
+/// 17-week study.
+enum Body {
+    Week(WeekBody),
+    Study(StudyBody),
+}
+
+type WeekBody = fn(&WeekInputs<'_>) -> String;
+type StudyBody = fn(&StudyInputs<'_>) -> String;
+
+/// What a reference-week section reads: week 45's report, the model and
+/// analyzer that produced it, and the organization clusters, built (and
+/// timed under `stage="clustering"`) on first use.
+struct WeekInputs<'a> {
+    model: &'a InternetModel,
+    analyzer: &'a Analyzer<'a>,
+    reference: &'a WeeklyReport,
+    clusters: OnceCell<Clusters>,
+}
+
+impl WeekInputs<'_> {
+    fn clusters(&self) -> &Clusters {
+        self.clusters.get_or_init(|| {
+            let (obs, dns) = (&self.analyzer.obs, &self.analyzer.dns);
+            obs.time(&stage_metric("clustering"), || cluster::cluster(self.reference, dns))
+        })
+    }
+
+    /// Time one of §3's visibility tables under `stage="visibility"`.
+    fn visibility<T>(&self, table: impl FnOnce() -> T) -> T {
+        self.analyzer.obs.time(&stage_metric("visibility"), table)
+    }
+}
+
+/// What a 17-week section reads: the study and its churn (Figs. 4–5),
+/// computed (and timed under `stage="longitudinal"`) on first use.
+struct StudyInputs<'a> {
+    study: &'a StudyReport,
+    obs: &'a Obs,
+    churn: OnceCell<(Fig4a, Fig4b, Fig4c, Fig5)>,
+}
+
+impl StudyInputs<'_> {
+    fn churn(&self) -> &(Fig4a, Fig4b, Fig4c, Fig5) {
+        self.churn.get_or_init(|| {
+            self.obs.time(&stage_metric("longitudinal"), || longitudinal::churn(self.study))
+        })
+    }
+}
+
+/// Every section of the report, in the order it prints: the one statement
+/// of what `--exp` may name.
+const SECTIONS: &[Section] = &[
+    week("E1", "Fig. 1 — filtering cascade", e1_fig1),
+    week("E2", "Fig. 2 — per-server traffic concentration", e2_fig2),
+    week("E3", "Table 1 — IXP summary statistics", e3_table1),
+    week("E4", "Fig. 3 — IPs per country", e4_fig3),
+    week("E5", "Table 2 — top contributors", e5_table2),
+    week("E6", "Table 3 — local yet global", e6_table3),
+    week("E7", "§2.2.2 — server identification", e7_serverid),
+    week("E8", "§2.4 — meta-data coverage", e8_metadata),
+    study("E9", "Fig. 4a — server-IP churn", e9_fig4a),
+    study("E10", "Fig. 4b — churn by region", e10_fig4b),
+    study("E11", "Fig. 4c — AS churn", e11_fig4c),
+    study("E12", "Fig. 5 — server traffic by pool × region", e12_fig5),
+    study("E13", "§4.2 — HTTPS drift", e13_https),
+    study("E14", "§4.2 — Amazon-EC2/Netflix expansion", e14_ec2),
+    study("E15", "§4.2 — Hurricane Sandy", e15_sandy),
+    study("E16", "§4.2 — reseller growth", e16_reseller),
+    week("E17", "§5.1 — organization clustering", e17_cluster),
+    week("E18", "Fig. 6b — org footprint scatter", e18_fig6b),
+    week("E19", "Fig. 6c — AS diversity scatter", e19_fig6c),
+    week("E20", "Fig. 7 — akamai.example", e20_akamai),
+    week("E21", "Fig. 7 — cloudflare.example", e21_cloudflare),
+    week("E22", "§3.1 — ISP cross-validation", e22_isp),
+    week("E23", "§3.3 — blind spots", e23_blindspots),
+    week("E24", "§6 — baselines", e24_baselines),
+    week("A1", "ablation — sampling rate vs visibility", a1_sampling),
+    week("A2", "ablation — crawl repetitions vs stability check", a2_crawl),
+    week("A3", "ablation — clustering vote heuristics", a3_votes),
+    week("A4", "sampling-bias cross-check vs interface counters", a4_bias),
+    week("FAULTS", "robustness — degraded-mode sweep over injected stream faults", faults_sweep),
+    week(
+        "CHAOS",
+        "chaos soak — kill/resume, overload shedding, checkpoint corruption",
+        chaos_sweep,
+    ),
 ];
 
-fn is_section(id: &str) -> bool {
-    SECTIONS.iter().any(|section| section.eq_ignore_ascii_case(id))
+const fn week(id: &'static str, title: &'static str, body: WeekBody) -> Section {
+    Section { id, title, body: Body::Week(body) }
 }
 
-/// Collects sections for the markdown report.
-struct Out {
-    md: String,
-    filter: Option<String>,
-}
-
-impl Out {
-    fn section(&mut self, id: &str, title: &str, body: String) {
-        assert!(is_section(id), "section {id} is missing from SECTIONS, so --exp refuses it");
-        if let Some(f) = &self.filter {
-            if !id.eq_ignore_ascii_case(f) {
-                return;
-            }
-        }
-        println!("────────────────────────────────────────────────────────");
-        println!("{id} — {title}");
-        println!("{body}");
-        let _ = writeln!(self.md, "### {id} — {title}\n\n```text\n{body}```\n");
-    }
+const fn study(id: &'static str, title: &'static str, body: StudyBody) -> Section {
+    Section { id, title, body: Body::Study(body) }
 }
 
 /// How many journal events a flight dump holds (the tail that must
@@ -192,7 +284,7 @@ const FLIGHT_TAIL: usize = 64;
 const AUDIT_EVERY: u64 = 4096;
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|refusal| {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|refusal| {
         eprintln!("repro: {refusal}; {USAGE}");
         std::process::exit(2);
     });
@@ -207,15 +299,14 @@ fn main() {
     let auditor = ixp_obs::Auditor::new(obs.registry.clone(), journal.clone());
     let server =
         args.serve.as_deref().and_then(|addr| serve_exposition(addr, &obs, &journal, &board));
-    let completed =
-        if args.checkpoint.is_some() || args.resume.is_some() || args.transport != "none" {
-            supervised_mode(&args, &obs, &journal, &board, &auditor)
-        } else {
-            full_study(&args, &obs);
-            final_audit(&args, &journal, &board, &auditor);
-            write_snapshots(&args, &obs);
-            true
-        };
+    let completed = if args.supervised() {
+        supervised_mode(&args, &obs, &journal, &board, &auditor)
+    } else {
+        full_study(&args, &obs);
+        final_audit(&args, &journal, &board, &auditor);
+        write_snapshots(&args, &obs);
+        true
+    };
     if completed {
         if let Some(path) = &args.trace {
             std::fs::write(path, journal.render()).expect("write event trace");
@@ -315,49 +406,40 @@ fn full_study(args: &Args, obs: &Obs) {
     );
 
     let analyzer = Analyzer::with_obs(model, obs.clone());
-    eprintln!("running 17-week study ...");
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let study = analyzer.run_study(threads.min(8));
-    eprintln!("  study done at {:.1}s", secs(&t0));
-    let reference = study.reference().expect("run_study reports every week of the study");
-    let clusters =
-        obs.time(&stage_metric("clustering"), || cluster::cluster(reference, &analyzer.dns));
-
-    let mut out = Out {
-        md: format!(
-            "## Reproduction run\n\nscale `{}` (divisor {}), seed {}, {} samples/week.\n\n",
-            args.scale_name, args.scale.divisor, args.seed, args.scale.samples_per_week
-        ),
-        filter: args.exp.clone(),
+    let sections = args.exp.map_or(SECTIONS, std::slice::from_ref);
+    let study = sections.iter().any(|s| matches!(s.body, Body::Study(_))).then(|| {
+        eprintln!("running 17-week study ...");
+        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+        let study = analyzer.run_study(threads.min(8));
+        eprintln!("  study done at {:.1}s", secs(&t0));
+        study
+    });
+    let mut week45 = None;
+    let reference = match &study {
+        Some(study) => study.reference().expect("run_study reports every week of the study"),
+        None => &*week45.insert(analyzer.run_week(Week::REFERENCE)),
     };
+    let week = WeekInputs { model, analyzer: &analyzer, reference, clusters: OnceCell::new() };
+    let study = study.as_ref().map(|study| StudyInputs { study, obs, churn: OnceCell::new() });
 
-    e1_fig1(&mut out, reference);
-    e2_fig2(&mut out, reference);
-    e3_table1(&mut out, reference, model, &args.scale, obs);
-    e4_fig3(&mut out, reference, model);
-    e5_table2(&mut out, reference, model, obs);
-    e6_table3(&mut out, reference, obs);
-    e7_serverid(&mut out, reference);
-    e8_metadata(&mut out, reference);
-    e9_to_e12_longitudinal(&mut out, &study, obs);
-    e13_https(&mut out, &study);
-    e14_ec2(&mut out, &study);
-    e15_sandy(&mut out, &study);
-    e16_reseller(&mut out, &study);
-    e17_cluster(&mut out, reference, &clusters, model);
-    e18_fig6b(&mut out, &clusters, &args.scale);
-    e19_fig6c(&mut out, reference, &clusters, model);
-    e20_e21_fig7(&mut out, &analyzer, reference, &clusters);
-    e22_isp(&mut out, reference, model, args.seed);
-    e23_blindspots(&mut out, &analyzer, reference, &clusters, model);
-    e24_baselines(&mut out, &analyzer, reference, &clusters, model);
-    ablations(&mut out, &analyzer, reference, model);
-    faults_sweep(&mut out, &analyzer, reference, args.seed);
-    chaos_sweep(&mut out, &analyzer, reference, args.seed);
+    let mut md = format!(
+        "## Reproduction run\n\nscale `{}` (divisor {}), seed {}, {} samples/week.\n\n",
+        args.scale_name, args.scale.divisor, args.seed, args.scale.samples_per_week
+    );
+    for Section { id, title, body } in sections {
+        let body = match body {
+            Body::Week(body) => body(&week),
+            Body::Study(body) => body(study.as_ref().expect("a study section runs the study")),
+        };
+        println!("────────────────────────────────────────────────────────");
+        println!("{id} — {title}");
+        println!("{body}");
+        let _ = writeln!(md, "### {id} — {title}\n\n```text\n{body}```\n");
+    }
 
     eprintln!("all experiments done at {:.1}s", secs(&t0));
     if let Some(path) = &args.markdown {
-        std::fs::write(path, out.md).expect("write markdown");
+        std::fs::write(path, md).expect("write markdown");
         eprintln!("wrote {path}");
     }
 }
@@ -568,138 +650,110 @@ fn udp_feed(args: &Args) -> impl Iterator<Item = (u64, Vec<u8>)> {
     })
 }
 
-fn e1_fig1(out: &mut Out, reference: &ixp_core::WeeklyReport) {
-    let mut body = report::render_fig1(reference);
+fn e1_fig1(w: &WeekInputs<'_>) -> String {
+    let mut body = report::render_fig1(w.reference);
     let _ = writeln!(
         body,
         "  paper: non-IPv4 ~0.4 %, non-member/local ~0.6 %, non-TCP/UDP < 0.5 %, peering ≈ 98.5 %, TCP:UDP = 82:18"
     );
-    out.section("E1", "Fig. 1 — filtering cascade", body);
+    body
 }
 
-fn e2_fig2(out: &mut Out, reference: &ixp_core::WeeklyReport) {
-    let mut body = report::render_fig2(reference);
+fn e2_fig2(w: &WeekInputs<'_>) -> String {
+    let mut body = report::render_fig2(w.reference);
     let _ = writeln!(body, "  paper: top-34 server IPs > 6 %; single IPs above 0.5 % exist");
-    out.section("E2", "Fig. 2 — per-server traffic concentration", body);
+    body
 }
 
-fn e3_table1(
-    out: &mut Out,
-    reference: &ixp_core::WeeklyReport,
-    model: &InternetModel,
-    scale: &ScaleConfig,
-    obs: &Obs,
-) {
+fn e3_table1(w: &WeekInputs<'_>) -> String {
+    let (model, reference) = (w.model, w.reference);
     let mut body = report::render_table1(reference);
-    let t1 = obs.time(&stage_metric("visibility"), || visibility::table1(&reference.snapshot));
-    let _ = writeln!(
+    let t1 = w.visibility(|| visibility::table1(&reference.snapshot));
+    let _ = write!(
         body,
-        "  coverage: {:.1} % of routed prefixes, {:.1} % of routed ASes seen (paper: ~98 %, ~100 %)",
+        "  coverage: {:.1} % of routed prefixes, {:.1} % of routed ASes seen (paper: ~98 %, ~100 %)
+  server view: {:.1} % of prefixes, {:.1} % of ASes, {:.0} % of countries (paper: 17 %, 50 %, 80 %)
+  paper absolute (week 45): 232,460,635 IPs / 445,051 prefixes / 42,825 ASes / 242 countries; servers 1,488,286 / 75,841 / 19,824 / 200.
+  this run is scaled by divisor {} — shapes, not absolutes, are the comparison.
+",
         100.0 * t1.peering.prefixes as f64 / model.routing.len() as f64,
         100.0 * t1.peering.ases as f64 / model.registry.len() as f64,
-    );
-    let _ = writeln!(
-        body,
-        "  server view: {:.1} % of prefixes, {:.1} % of ASes, {:.0} % of countries (paper: 17 %, 50 %, 80 %)",
         100.0 * t1.server.prefixes as f64 / model.routing.len() as f64,
         100.0 * t1.server.ases as f64 / t1.peering.ases.max(1) as f64,
         100.0 * t1.server.countries as f64 / t1.peering.countries.max(1) as f64,
+        model.scale.divisor
     );
-    let _ = writeln!(
-        body,
-        "  paper absolute (week 45): 232,460,635 IPs / 445,051 prefixes / 42,825 ASes / 242 countries; servers 1,488,286 / 75,841 / 19,824 / 200.\n  this run is scaled by divisor {} — shapes, not absolutes, are the comparison.",
-        scale.divisor
-    );
-    out.section("E3", "Table 1 — IXP summary statistics", body);
+    body
 }
 
-fn e4_fig3(out: &mut Out, reference: &ixp_core::WeeklyReport, model: &InternetModel) {
-    let mut body = report::render_fig3(reference, model);
+fn e4_fig3(w: &WeekInputs<'_>) -> String {
+    let mut body = report::render_fig3(w.reference, w.model);
     let _ = writeln!(body, "  paper: traffic from every country except EH/CX/CC");
-    out.section("E4", "Fig. 3 — IPs per country", body);
+    body
 }
 
-fn e5_table2(out: &mut Out, reference: &ixp_core::WeeklyReport, model: &InternetModel, obs: &Obs) {
-    let t2 = obs
-        .time(&stage_metric("visibility"), || visibility::table2(&reference.snapshot, model, 10));
+fn e5_table2(w: &WeekInputs<'_>) -> String {
+    let t2 = w.visibility(|| visibility::table2(&w.reference.snapshot, w.model, 10));
     let mut body = report::render_table2(&t2);
     let _ = writeln!(
         body,
         "  paper top-3: IPs-all US/DE/CN; IPs-server DE/US/RU; traffic-all DE/US/RU; networks-by-server-IPs Akamai/1&1/OVH; networks-by-server-traffic Akamai/Google/Hetzner"
     );
-    out.section("E5", "Table 2 — top contributors", body);
+    body
 }
 
-fn e6_table3(out: &mut Out, reference: &ixp_core::WeeklyReport, obs: &Obs) {
-    let t3 = obs.time(&stage_metric("visibility"), || visibility::table3(&reference.snapshot));
+fn e6_table3(w: &WeekInputs<'_>) -> String {
+    let t3 = w.visibility(|| visibility::table3(&w.reference.snapshot));
     let mut body = report::render_table3(&t3);
-    let _ = writeln!(
-        body,
-        "  paper peering: IPs 42.3/45.0/12.7, prefixes 10.1/34.1/55.8, ASes 1.0/48.9/50.1, traffic 67.3/28.4/4.3"
+    body.push_str(
+        "  paper peering: IPs 42.3/45.0/12.7, prefixes 10.1/34.1/55.8, ASes 1.0/48.9/50.1, traffic 67.3/28.4/4.3
+  paper server:  IPs 52.9/41.2/5.9, prefixes 17.2/61.9/20.9, ASes 2.2/61.5/36.3, traffic 82.6/17.35/0.05
+",
     );
-    let _ = writeln!(
-        body,
-        "  paper server:  IPs 52.9/41.2/5.9, prefixes 17.2/61.9/20.9, ASes 2.2/61.5/36.3, traffic 82.6/17.35/0.05"
-    );
-    out.section("E6", "Table 3 — local yet global", body);
+    body
 }
 
-fn e7_serverid(out: &mut Out, reference: &ixp_core::WeeklyReport) {
-    let s = &reference.snapshot;
-    let c = &reference.census;
-    let mut body = String::new();
-    let _ = writeln!(body, "  identified server IPs: {}", c.len());
-    let _ = writeln!(
-        body,
-        "  HTTPS funnel: {} candidates -> {} responders -> {} confirmed (paper: 1.5M -> 500K -> 250K)",
-        s.https.candidates, s.https.responders, s.https.confirmed
-    );
-    let _ = writeln!(
-        body,
-        "  multi-purpose (>= 2 service ports): {} ({:.1} %; paper ~23 %)",
+fn e7_serverid(w: &WeekInputs<'_>) -> String {
+    let (s, c) = (&w.reference.snapshot, &w.reference.census);
+    format!(
+        "  identified server IPs: {}
+  HTTPS funnel: {} candidates -> {} responders -> {} confirmed (paper: 1.5M -> 500K -> 250K)
+  multi-purpose (>= 2 service ports): {} ({:.1} %; paper ~23 %)
+  server+client IPs: {} carrying {:.1} % of server traffic (paper: 200K, ~10 %)
+  server-related share of peering traffic: {:.1} % (paper: > 70 %)
+  client IPs seen: {} (paper: ~40M)
+",
+        c.len(),
+        s.https.candidates,
+        s.https.responders,
+        s.https.confirmed,
         s.multi_port,
-        100.0 * s.multi_port as f64 / c.len().max(1) as f64
-    );
-    let _ = writeln!(
-        body,
-        "  server+client IPs: {} carrying {:.1} % of server traffic (paper: 200K, ~10 %)",
+        100.0 * s.multi_port as f64 / c.len().max(1) as f64,
         s.dual_role.0,
-        100.0 * s.dual_role.1 as f64 / c.total_bytes().max(1) as f64
-    );
-    let _ = writeln!(
-        body,
-        "  server-related share of peering traffic: {:.1} % (paper: > 70 %)",
-        s.server_traffic_share()
-    );
-    let _ = writeln!(body, "  client IPs seen: {} (paper: ~40M)", s.client_ips);
-    out.section("E7", "§2.2.2 — server identification", body);
+        100.0 * s.dual_role.1 as f64 / c.total_bytes().max(1) as f64,
+        s.server_traffic_share(),
+        s.client_ips
+    )
 }
 
-fn e8_metadata(out: &mut Out, reference: &ixp_core::WeeklyReport) {
-    let cov = reference.snapshot.coverage;
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "  DNS {:.1} %  URI {:.1} %  X.509 {:.1} %  any {:.1} %  (paper: 71.7 / 23.8 / 17.7 / 81.9)",
+fn e8_metadata(w: &WeekInputs<'_>) -> String {
+    let cov = w.reference.snapshot.coverage;
+    format!(
+        "  DNS {:.1} %  URI {:.1} %  X.509 {:.1} %  any {:.1} %  (paper: 71.7 / 23.8 / 17.7 / 81.9)
+  cleaning removed {} records ({:.2} %; paper: < 3 %)
+",
         cov.pct(cov.dns),
         cov.pct(cov.uri),
         cov.pct(cov.x509),
-        cov.pct(cov.any)
-    );
-    let _ = writeln!(
-        body,
-        "  cleaning removed {} records ({:.2} %; paper: < 3 %)",
+        cov.pct(cov.any),
         cov.cleaned,
         100.0 * cov.cleaned as f64 / (cov.total + cov.cleaned).max(1) as f64
-    );
-    out.section("E8", "§2.4 — meta-data coverage", body);
+    )
 }
 
-fn e9_to_e12_longitudinal(out: &mut Out, study: &StudyReport, obs: &Obs) {
-    let (f4a, f4b, f4c, f5) =
-        obs.time(&stage_metric("longitudinal"), || longitudinal::churn(study));
-    let s = longitudinal::summary(&f4a, &f4c, &f5);
-
+fn e9_fig4a(s: &StudyInputs<'_>) -> String {
+    let (f4a, _, f4c, f5) = s.churn();
+    let summary = longitudinal::summary(f4a, f4c, f5);
     let mut body = String::new();
     for (w, bar) in longitudinal::week_labels().iter().zip(f4a.bars.iter()) {
         let _ = writeln!(
@@ -711,18 +765,20 @@ fn e9_to_e12_longitudinal(out: &mut Out, study: &StudyReport, obs: &Obs) {
     let _ = writeln!(
         body,
         "  week-51 shares: stable {:.1} % / recurrent {:.1} % / fresh {:.1} %  (paper: ~30/60/10)",
-        s.stable_ip_share, s.recurrent_ip_share, s.fresh_ip_share
+        summary.stable_ip_share, summary.recurrent_ip_share, summary.fresh_ip_share
     );
-    out.section("E9", "Fig. 4a — server-IP churn", body);
+    body
+}
 
+fn e10_fig4b(s: &StudyInputs<'_>) -> String {
+    let (_, f4b, _, _) = s.churn();
     let mut body = String::new();
-    let labels = ["DE", "US", "RU", "CN", "RoW"];
     let last = &f4b.bars[16];
-    for (i, l) in labels.iter().enumerate() {
+    for (l, bar) in ["DE", "US", "RU", "CN", "RoW"].iter().zip(last) {
         let _ = writeln!(
             body,
             "  {l:<4} week-51: total {:>6}  stable {:>6}  recurrent {:>6}  fresh {:>6}",
-            last[i].total, last[i].stable, last[i].recurrent, last[i].fresh
+            bar.total, bar.stable, bar.recurrent, bar.fresh
         );
     }
     let total_stable: usize = last.iter().map(|b| b.stable).sum();
@@ -732,17 +788,20 @@ fn e9_to_e12_longitudinal(out: &mut Out, study: &StudyReport, obs: &Obs) {
         100.0 * last[0].stable as f64 / total_stable.max(1) as f64,
         last[3].stable
     );
-    out.section("E10", "Fig. 4b — churn by region", body);
+    body
+}
 
-    let mut body = String::new();
-    let last_as = f4c.bars[16];
-    let _ = writeln!(
-        body,
-        "  week-51 ASes hosting servers: total {}  stable {}  ({:.1} %; paper ~70 %)",
-        last_as.total, last_as.stable, s.stable_as_share
-    );
-    out.section("E11", "Fig. 4c — AS churn", body);
+fn e11_fig4c(s: &StudyInputs<'_>) -> String {
+    let (f4a, _, f4c, f5) = s.churn();
+    let (last, summary) = (f4c.bars[16], longitudinal::summary(f4a, f4c, f5));
+    format!(
+        "  week-51 ASes hosting servers: total {}  stable {}  ({:.1} %; paper ~70 %)\n",
+        last.total, last.stable, summary.stable_as_share
+    )
+}
 
+fn e12_fig5(s: &StudyInputs<'_>) -> String {
+    let (f4a, _, f4c, f5) = s.churn();
     let mut body = String::new();
     for (w, week) in longitudinal::week_labels().iter().zip(f5.weeks.iter()) {
         let _ = writeln!(
@@ -756,13 +815,13 @@ fn e9_to_e12_longitudinal(out: &mut Out, study: &StudyReport, obs: &Obs) {
     let _ = writeln!(
         body,
         "  min stable-pool traffic share {:.1} % (paper: consistently > 60 %)",
-        s.min_stable_traffic_share
+        longitudinal::summary(f4a, f4c, f5).min_stable_traffic_share
     );
-    out.section("E12", "Fig. 5 — server traffic by pool × region", body);
+    body
 }
 
-fn e13_https(out: &mut Out, study: &StudyReport) {
-    let trend = changes::https_trend(study);
+fn e13_https(s: &StudyInputs<'_>) -> String {
+    let trend = changes::https_trend(s.study);
     let mut body = String::new();
     for p in &trend.points {
         let _ = writeln!(
@@ -776,11 +835,11 @@ fn e13_https(out: &mut Out, study: &StudyReport) {
         "  slopes: +{:.3} pp/week (servers), +{:.3} pp/week (traffic); paper: 'small, yet steady increase'",
         trend.server_slope, trend.traffic_slope
     );
-    out.section("E13", "§4.2 — HTTPS drift", body);
+    body
 }
 
-fn e14_ec2(out: &mut Out, study: &StudyReport) {
-    let series = changes::range_series(study, "eu-ireland");
+fn e14_ec2(s: &StudyInputs<'_>) -> String {
+    let series = changes::range_series(s.study, "eu-ireland");
     let v = changes::ec2_verdict(&series);
     let mut body = String::new();
     for (w, c, _) in &series.points {
@@ -791,22 +850,21 @@ fn e14_ec2(out: &mut Out, study: &StudyReport) {
         "  ramp: {:.1} -> {:.1} ({:.2}x); paper: 'pronounced increase' in weeks 49-51",
         v.before, v.after, v.growth
     );
-    out.section("E14", "§4.2 — Amazon-EC2/Netflix expansion", body);
+    body
 }
 
-fn e15_sandy(out: &mut Out, study: &StudyReport) {
-    let series = changes::range_series(study, "sc-us-east-1");
+fn e15_sandy(s: &StudyInputs<'_>) -> String {
+    let series = changes::range_series(s.study, "sc-us-east-1");
     let v = changes::outage_verdict(&series);
-    let body = format!(
+    format!(
         "  sc-us-east-1 servers: week 43 = {}, week 44 = {}, week 45 = {} (bytes wk44: {})\n  paper: 'drastic reduction ... with traffic dropping close to zero' in week 44\n",
         v.week43, v.week44, v.week45, v.week44_bytes
-    );
-    out.section("E15", "§4.2 — Hurricane Sandy", body);
+    )
 }
 
-fn e16_reseller(out: &mut Out, study: &StudyReport) {
+fn e16_reseller(s: &StudyInputs<'_>) -> String {
     let mut body = String::new();
-    for s in changes::reseller_series(study) {
+    for s in changes::reseller_series(s.study) {
         let _ = writeln!(
             body,
             "  reseller member {:>3}: {:?} (growth {:.2}x)",
@@ -817,44 +875,36 @@ fn e16_reseller(out: &mut Out, study: &StudyReport) {
         body,
         "  paper: one reseller's customer servers doubled (50K -> 100K) in four months"
     );
-    out.section("E16", "§4.2 — reseller growth", body);
+    body
 }
 
-fn e17_cluster(
-    out: &mut Out,
-    reference: &ixp_core::WeeklyReport,
-    clusters: &Clusters,
-    model: &InternetModel,
-) {
+fn e17_cluster(w: &WeekInputs<'_>) -> String {
+    let clusters = w.clusters();
     let shares = clusters.step_shares();
-    let v = cluster::validate_clusters(clusters, reference, model);
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "  organizations recovered: {} (paper: ~21K at full scale)",
-        clusters.clusters.len()
-    );
-    let _ = writeln!(
-        body,
-        "  step shares: {:.1} / {:.1} / {:.1} % (paper: 78.7 / 17.4 / 3.9); unclustered {}",
-        shares[0], shares[1], shares[2], clusters.unclustered
-    );
-    let _ = writeln!(
-        body,
-        "  validated FP rate: {:.2} % overall, {:.2} % for footprints >= {} ASes (paper: < 3 %, decreasing with footprint)",
+    let v = cluster::validate_clusters(clusters, w.reference, w.model);
+    format!(
+        "  organizations recovered: {} (paper: ~21K at full scale)
+  step shares: {:.1} / {:.1} / {:.1} % (paper: 78.7 / 17.4 / 3.9); unclustered {}
+  validated FP rate: {:.2} % overall, {:.2} % for footprints >= {} ASes (paper: < 3 %, decreasing with footprint)
+",
+        clusters.clusters.len(),
+        shares[0],
+        shares[1],
+        shares[2],
+        clusters.unclustered,
         100.0 * v.false_positive_rate,
         100.0 * v.fp_rate_large,
         v.large_threshold
-    );
-    out.section("E17", "§5.1 — organization clustering", body);
+    )
 }
 
-fn e18_fig6b(out: &mut Out, clusters: &Clusters, scale: &ScaleConfig) {
+fn e18_fig6b(w: &WeekInputs<'_>) -> String {
     // Scale the paper's ">1000 servers" and ">10 servers" thresholds by the
     // divisor (they collapse toward zero at high divisors).
-    let large = 1000u32.checked_div(scale.divisor).map_or(30, |n| n.max(2) as usize);
-    let small = 10u32.checked_div(scale.divisor).map_or(2, |n| n as usize);
-    let f = hetero::fig6b(clusters, small.min(large - 1), large);
+    let divisor = w.model.scale.divisor;
+    let large = 1000u32.checked_div(divisor).map_or(30, |n| n.max(2) as usize);
+    let small = 10u32.checked_div(divisor).map_or(2, |n| n as usize);
+    let f = hetero::fig6b(w.clusters(), small.min(large - 1), large);
     let mut body = String::new();
     let _ = writeln!(
         body,
@@ -869,16 +919,11 @@ fn e18_fig6b(out: &mut Out, clusters: &Clusters, scale: &ScaleConfig) {
     for (key, ips, ases) in pts.iter().take(12) {
         let _ = writeln!(body, "  {key:<30} {ips:>7} server IPs in {ases:>4} ASes");
     }
-    out.section("E18", "Fig. 6b — org footprint scatter", body);
+    body
 }
 
-fn e19_fig6c(
-    out: &mut Out,
-    reference: &ixp_core::WeeklyReport,
-    clusters: &Clusters,
-    model: &InternetModel,
-) {
-    let f = hetero::fig6c(reference, clusters, 0);
+fn e19_fig6c(w: &WeekInputs<'_>) -> String {
+    let f = hetero::fig6c(w.reference, w.clusters(), 0);
     let mut body = String::new();
     let _ = writeln!(
         body,
@@ -891,99 +936,80 @@ fn e19_fig6c(
         let _ = writeln!(
             body,
             "  {:<30} {ips:>7} server IPs of {orgs:>4} organizations",
-            model.registry.by_index(*as_idx).name
+            w.model.registry.by_index(*as_idx).name
         );
     }
     let _ = writeln!(body, "  paper's flagship: a Web hoster (AS36351) with 40K+ IPs of 350+ orgs");
-    out.section("E19", "Fig. 6c — AS diversity scatter", body);
+    body
 }
 
-fn e20_e21_fig7(
-    out: &mut Out,
-    analyzer: &Analyzer<'_>,
-    reference: &ixp_core::WeeklyReport,
-    clusters: &Clusters,
-) {
-    for (id, key, paper) in [
-        (
-            "E20",
-            "akamai.example",
-            "paper: 11.1 % of Akamai traffic off-link; >15K of 28K servers via other links",
-        ),
-        (
-            "E21",
-            "cloudflare.example",
-            "paper: CloudFlare shows a similar pattern despite its data-center model",
-        ),
-    ] {
-        let Some(f) = hetero::link_usage(analyzer, reference, clusters, key) else {
-            out.section(id, &format!("Fig. 7 — {key}"), "  no data\n".into());
-            continue;
-        };
-        let mut body = String::new();
-        let _ = writeln!(
-            body,
-            "  off-link traffic share: {:.1} %; servers via other links: {} of {}",
-            f.offlink_share, f.servers_via_other_links, f.servers_total
-        );
-        let x0 = f.points.iter().filter(|(_, x, _)| *x < 1.0).count();
-        let x100 = f.points.iter().filter(|(_, x, _)| *x > 99.0).count();
-        let _ = writeln!(
-            body,
-            "  member dots: {} total, {} at x=0 (all via other links), {} at x=100 (all direct)",
-            f.points.len(),
-            x0,
-            x100
-        );
-        let _ = writeln!(body, "  {paper}");
-        out.section(id, &format!("Fig. 7 — {key}"), body);
-    }
+fn e20_akamai(w: &WeekInputs<'_>) -> String {
+    let paper = "paper: 11.1 % of Akamai traffic off-link; >15K of 28K servers via other links";
+    fig7(w, "akamai.example", paper)
 }
 
-fn e22_isp(out: &mut Out, reference: &ixp_core::WeeklyReport, model: &InternetModel, seed: u64) {
-    let isp = ixp_traffic::IspTrace::generate(model, Week::REFERENCE, seed);
-    let confirmed = reference.census.records.iter().filter(|r| isp.confirms(r.ip)).count();
-    let isp_only = isp.server_ips.iter().filter(|ip| reference.census.get(**ip).is_none()).count();
-    let body = format!(
+fn e21_cloudflare(w: &WeekInputs<'_>) -> String {
+    let paper = "paper: CloudFlare shows a similar pattern despite its data-center model";
+    fig7(w, "cloudflare.example", paper)
+}
+
+/// Fig. 7 for one CDN, by its organization `key`.
+fn fig7(w: &WeekInputs<'_>, key: &str, paper: &str) -> String {
+    let Some(f) = hetero::link_usage(w.analyzer, w.reference, w.clusters(), key) else {
+        return "  no data\n".into();
+    };
+    let x0 = f.points.iter().filter(|(_, x, _)| *x < 1.0).count();
+    let x100 = f.points.iter().filter(|(_, x, _)| *x > 99.0).count();
+    format!(
+        "  off-link traffic share: {:.1} %; servers via other links: {} of {}
+  member dots: {} total, {x0} at x=0 (all via other links), {x100} at x=100 (all direct)
+  {paper}
+",
+        f.offlink_share,
+        f.servers_via_other_links,
+        f.servers_total,
+        f.points.len()
+    )
+}
+
+fn e22_isp(w: &WeekInputs<'_>) -> String {
+    let census = &w.reference.census;
+    let isp = ixp_traffic::IspTrace::generate(w.model, Week::REFERENCE, w.model.seed);
+    let confirmed = census.records.iter().filter(|r| isp.confirms(r.ip)).count();
+    let isp_only = isp.server_ips.iter().filter(|ip| census.get(**ip).is_none()).count();
+    format!(
         "  ISP sees {} server IPs; overlap with IXP census: {}; ISP-only: {} ({:.1} % of the IXP census size; paper: 45K of 1.5M ≈ 3 %)\n  every overlapping IP was independently identified -> identification confirmed\n",
         isp.server_ips.len(),
         confirmed,
         isp_only,
-        100.0 * isp_only as f64 / reference.census.len().max(1) as f64
-    );
-    out.section("E22", "§3.1 — ISP cross-validation", body);
+        100.0 * isp_only as f64 / census.len().max(1) as f64
+    )
 }
 
-fn e23_blindspots(
-    out: &mut Out,
-    analyzer: &Analyzer<'_>,
-    reference: &ixp_core::WeeklyReport,
-    clusters: &Clusters,
-    model: &InternetModel,
-) {
-    let rec = blindspots::domain_recovery(reference, model);
+fn e23_blindspots(w: &WeekInputs<'_>) -> String {
+    let (analyzer, reference) = (w.analyzer, w.reference);
+    let rec = blindspots::domain_recovery(reference, w.model);
     let campaign = blindspots::resolver_campaign(analyzer, reference, Week::REFERENCE, 12);
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "  domain recovery: full list {:.1} %, top decile {:.1} %, top percentile {:.1} % (paper: 20 / 63 / 80)",
-        rec.full_list, rec.top_decile, rec.top_percentile
-    );
-    let _ = writeln!(
-        body,
-        "  resolver campaign over {} uncovered domains: {} server IPs found, {} already seen at the IXP, {} unseen (paper: 600K found, 360K seen, 240K unseen)",
-        campaign.domains_queried, campaign.found, campaign.already_seen, campaign.unseen_total()
-    );
-    let _ = writeln!(body, "  unseen breakdown: {:?}", campaign.unseen);
-    let _ = writeln!(
-        body,
-        "  private clusters + far-away: {:.1} % of unseen (paper: > 40 %)",
+    let mut body = format!(
+        "  domain recovery: full list {:.1} %, top decile {:.1} %, top percentile {:.1} % (paper: 20 / 63 / 80)
+  resolver campaign over {} uncovered domains: {} server IPs found, {} already seen at the IXP, {} unseen (paper: 600K found, 360K seen, 240K unseen)
+  unseen breakdown: {:?}
+  private clusters + far-away: {:.1} % of unseen (paper: > 40 %)
+",
+        rec.full_list,
+        rec.top_decile,
+        rec.top_percentile,
+        campaign.domains_queried,
+        campaign.found,
+        campaign.already_seen,
+        campaign.unseen_total(),
+        campaign.unseen,
         campaign.structural_share()
     );
     if let Some(cs) = blindspots::validate_footprint_case_study(
         analyzer,
         reference,
-        clusters,
+        w.clusters(),
         "akamai.example",
         Week::REFERENCE,
         16,
@@ -994,21 +1020,14 @@ fn e23_blindspots(
             cs.ixp_servers, cs.ixp_ases, cs.active_servers, cs.active_ases, cs.truth_servers, cs.truth_ases
         );
     }
-    out.section("E23", "§3.3 — blind spots", body);
+    body
 }
 
-fn e24_baselines(
-    out: &mut Out,
-    analyzer: &Analyzer<'_>,
-    reference: &ixp_core::WeeklyReport,
-    clusters: &Clusters,
-    model: &InternetModel,
-) {
-    let pb = baseline::port_baseline(analyzer, reference);
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "  port-based view: {} servers vs census {}; {} unconfirmed (443-tunnel artefacts etc.), {} payload-servers missed",
+fn e24_baselines(w: &WeekInputs<'_>) -> String {
+    let (reference, clusters) = (w.reference, w.clusters());
+    let pb = baseline::port_baseline(w.analyzer, reference);
+    let mut body = format!(
+        "  port-based view: {} servers vs census {}; {} unconfirmed (443-tunnel artefacts etc.), {} payload-servers missed\n",
         pb.port_servers, pb.census_servers, pb.false_servers, pb.missed_servers
     );
     if let Some(ab) = baseline::as_org_baseline(reference, clusters, "akamai.example") {
@@ -1018,24 +1037,19 @@ fn e24_baselines(
             ab.missed_share, ab.in_third_party, ab.servers
         );
     }
-    let overall = baseline::validate_as_org_coverage(reference, clusters, model);
+    let overall = baseline::validate_as_org_coverage(reference, clusters, w.model);
     let _ = writeln!(
         body,
         "  across all identified servers, {overall:.1} % sit outside their organization's home AS — invisible to ownership-based mapping"
     );
-    out.section("E24", "§6 — baselines", body);
+    body
 }
 
-fn ablations(
-    out: &mut Out,
-    analyzer: &Analyzer<'_>,
-    reference: &ixp_core::WeeklyReport,
-    model: &InternetModel,
-) {
-    // Sampling-rate ablation: how much visibility a coarser sampler loses.
-    // The budget scales inversely with the rate (same wire traffic).
-    use ixp_core::WeekScan;
+/// Sampling-rate ablation: how much visibility a coarser sampler loses.
+/// The budget scales inversely with the rate (same wire traffic).
+fn a1_sampling(w: &WeekInputs<'_>) -> String {
     use ixp_traffic::WeekStream;
+    let (model, peering_ips) = (w.model, w.reference.snapshot.peering.ips);
     let mut body = String::new();
     let base = model.scale.samples_per_week;
     for (factor, label) in [(4u64, "4x coarser"), (16, "16x coarser")] {
@@ -1043,7 +1057,7 @@ fn ablations(
             WeekScan::new(Week::REFERENCE, model.registry.members_at(Week::REFERENCE).len() as u32);
         let stream = WeekStream::with_budget(
             model,
-            analyzer.mix.clone(),
+            w.analyzer.mix.clone(),
             Week::REFERENCE,
             model.seed,
             base / factor,
@@ -1055,17 +1069,16 @@ fn ablations(
             body,
             "  {label}: unique IPs {} ({:.1} % of full-rate {})",
             scan.unique_ips(),
-            100.0 * scan.unique_ips() as f64 / reference.snapshot.peering.ips.max(1) as f64,
-            reference.snapshot.peering.ips,
+            100.0 * scan.unique_ips() as f64 / peering_ips.max(1) as f64,
+            peering_ips,
         );
     }
-    let _ = writeln!(
-        body,
-        "  (the paper argues 1-in-16K sampling suffices to 'see' the routed Internet; coarser sampling erodes the unique-IP view first)"
-    );
-    out.section("A1", "ablation — sampling rate vs visibility", body);
+    body.push_str("  (the paper argues 1-in-16K sampling suffices to 'see' the routed Internet; coarser sampling erodes the unique-IP view first)\n");
+    body
+}
 
-    // Crawl-repetition ablation: stability checks need repeats.
+/// Crawl-repetition ablation: stability checks need repeats.
+fn a2_crawl(w: &WeekInputs<'_>) -> String {
     use ixp_cert::{validate_fetches, RootStore};
     let store = RootStore::default_store();
     let mut body = String::new();
@@ -1073,8 +1086,14 @@ fn ablations(
     for attempts in [1u32, 2, 4] {
         let mut confirmed = 0;
         let mut unstable = 0;
-        for r in reference.census.records.iter().filter(|r| r.https) {
-            analyzer.crawl.fetch_repeatedly(model, r.ip, Week::REFERENCE, attempts, &mut fetches);
+        for r in w.reference.census.records.iter().filter(|r| r.https) {
+            w.analyzer.crawl.fetch_repeatedly(
+                w.model,
+                r.ip,
+                Week::REFERENCE,
+                attempts,
+                &mut fetches,
+            );
             match validate_fetches(&fetches, &store) {
                 Ok(_) => confirmed += 1,
                 Err(ixp_cert::ValidationError::Unstable) => unstable += 1,
@@ -1086,14 +1105,13 @@ fn ablations(
             "  {attempts} fetch(es): {confirmed} confirmed, {unstable} rejected as unstable"
         );
     }
-    let _ = writeln!(
-        body,
-        "  (single fetches admit role-flipping cloud IPs; the paper crawls 'several times' for this reason)"
-    );
-    out.section("A2", "ablation — crawl repetitions vs stability check", body);
+    body.push_str("  (single fetches admit role-flipping cloud IPs; the paper crawls 'several times' for this reason)\n");
+    body
+}
 
-    // Clustering-heuristic ablations (DESIGN.md §5): how much the
-    // footprint-weighted vote and the prefix-neighbourhood vote buy.
+/// Clustering-heuristic ablations (DESIGN.md §5): how much the
+/// footprint-weighted vote and the prefix-neighbourhood vote buy.
+fn a3_votes(w: &WeekInputs<'_>) -> String {
     use ixp_core::cluster::{cluster_with, validate_clusters, ClusterConfig};
     let mut body = String::new();
     for (label, cfg) in [
@@ -1104,8 +1122,8 @@ fn ablations(
         ),
         ("no prefix vote", ClusterConfig { prefix_vote: false, ..ClusterConfig::default() }),
     ] {
-        let cl = cluster_with(reference, &analyzer.dns, cfg);
-        let v = validate_clusters(&cl, reference, model);
+        let cl = cluster_with(w.reference, &w.analyzer.dns, cfg);
+        let v = validate_clusters(&cl, w.reference, w.model);
         let shares = cl.step_shares();
         let _ = writeln!(
             body,
@@ -1118,13 +1136,15 @@ fn ablations(
             shares[2],
         );
     }
-    out.section("A3", "ablation — clustering vote heuristics", body);
+    body
+}
 
-    // Sampling-bias cross-check against the switch's interface counters
-    // (paper §2.1 claims the deployment's sampling is unbiased; here the
-    // pipeline verifies it from the feed itself).
-    let bias = ixp_core::bias::sampling_bias_check(analyzer, Week::REFERENCE);
-    let body = format!(
+/// Sampling-bias cross-check against the switch's interface counters
+/// (paper §2.1 claims the deployment's sampling is unbiased; here the
+/// pipeline verifies it from the feed itself).
+fn a4_bias(w: &WeekInputs<'_>) -> String {
+    let bias = ixp_core::bias::sampling_bias_check(w.analyzer, Week::REFERENCE);
+    format!(
         "  ports with counters: {}
   mean signed relative error: {:+.4} (unbiased => ~0)
   mean |relative error|: {:.4}; worst port: {:.4}
@@ -1133,20 +1153,15 @@ fn ablations(
         bias.mean_signed_rel_error,
         bias.mean_abs_rel_error,
         bias.max_abs_rel_error
-    );
-    out.section("A4", "sampling-bias cross-check vs interface counters", body);
+    )
 }
 
 /// The robustness sweep (`--exp faults`): replay the reference week through
 /// the seeded fault plans of `scenario::sweep`, of increasing hostility, and
 /// print how the headline Table 1 statistics degrade and whether the
 /// collector's ingest-health accounting stays exact. It gates nothing.
-fn faults_sweep(
-    out: &mut Out,
-    analyzer: &Analyzer<'_>,
-    reference: &ixp_core::WeeklyReport,
-    seed: u64,
-) {
+fn faults_sweep(w: &WeekInputs<'_>) -> String {
+    let (analyzer, reference) = (w.analyzer, w.reference);
     let week = Week::REFERENCE;
     let clean = visibility::table1(&reference.snapshot);
     let mut body = String::new();
@@ -1156,42 +1171,36 @@ fn faults_sweep(
         week.0, clean.peering.ips, clean.peering.prefixes, clean.peering.ases
     );
 
-    for row in ixp_bench::scenario::sweep(seed) {
+    for row in ixp_bench::scenario::sweep(w.model.seed) {
         let o = row.run(analyzer, reference, &row.feed(analyzer));
         let (h, stats) = (&o.report.health, o.faults);
-        let _ = writeln!(body, "  — {}", row.name);
-        let _ = writeln!(body, "    Table 1: {}", o.drift);
-        let _ = writeln!(
+        let injected = 100.0 * stats.injected_loss_rate();
+        let ledger = if o.ledger { "holds" } else { "VIOLATED" };
+        let _ = write!(
             body,
-            "    injected: loss {:.2} %, {} dup, {} reordered, {} truncated, {} corrupted, {} restarts",
-            100.0 * stats.injected_loss_rate(),
+            "  — {}
+    Table 1: {}
+    injected: loss {injected:.2} %, {} dup, {} reordered, {} truncated, {} corrupted, {} restarts
+    measured: loss {:.2} % (estimate error {:+.2} pp), {} dups suppressed, {} restarts, {} decode errors, compensation x{:.4}
+    accounting invariant (ingested = accepted + duplicates + errors + shed): {ledger}
+",
+            row.name,
+            o.drift,
             stats.duplicated,
             stats.reordered,
             stats.truncated,
             stats.corrupted,
             stats.restarts_injected,
-        );
-        let _ = writeln!(
-            body,
-            "    measured: loss {:.2} % (estimate error {:+.2} pp), {} dups suppressed, {} restarts, {} decode errors, compensation x{:.4}",
             h.loss_pct(),
-            h.loss_pct() - 100.0 * stats.injected_loss_rate(),
+            h.loss_pct() - injected,
             h.collector.duplicates,
             h.collector.restarts,
             h.collector.decode_errors.total(),
             h.compensation_factor(),
         );
-        let _ = writeln!(
-            body,
-            "    accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
-            if o.ledger { "holds" } else { "VIOLATED" }
-        );
     }
-    let _ = writeln!(
-        body,
-        "  (the unique-AS/prefix counts are what the paper's Table 1 rests on: heavy-hitter\n   visibility survives sampling-level loss, only the one-packet tail erodes)"
-    );
-    out.section("FAULTS", "robustness — degraded-mode sweep over injected stream faults", body);
+    body.push_str("  (the unique-AS/prefix counts are what the paper's Table 1 rests on: heavy-hitter\n   visibility survives sampling-level loss, only the one-packet tail erodes)\n");
+    body
 }
 
 /// The chaos soak (`--exp chaos`): the reference week's faulted feed is
@@ -1202,15 +1211,11 @@ fn faults_sweep(
 /// uninterrupted one, whether damaged checkpoints fail closed, Table 1's
 /// drift, and `Supervisor::fully_accounted` at every kill point and the end;
 /// it gates nothing.
-fn chaos_sweep(
-    out: &mut Out,
-    analyzer: &Analyzer<'_>,
-    reference: &ixp_core::WeeklyReport,
-    seed: u64,
-) {
+fn chaos_sweep(w: &WeekInputs<'_>) -> String {
     use ixp_bench::scenario;
     use ixp_faults::chaos;
 
+    let (analyzer, seed) = (w.analyzer, w.model.seed);
     // One faulted feed, collected once so both arms see identical bytes.
     let row = scenario::chaos_sweep(seed);
     let feed = row.feed(analyzer);
@@ -1219,53 +1224,46 @@ fn chaos_sweep(
 
     // Kill-and-resume chain: die at each seeded offset, restore from the
     // sealed checkpoint, continue.
-    let o = row.run(analyzer, reference, &feed);
-    let identical = o.supervised.images == whole.images;
+    let o = row.run(analyzer, w.reference, &feed);
+    let identical = if o.supervised.images == whole.images { "yes" } else { "NO" };
 
     // Damaged checkpoints must fail closed.
     let mut flipped = whole.images.checkpoint.clone();
     chaos::flip_bit(&mut flipped, seed);
-    let flip_rejected = Supervisor::restore(&flipped, row.config()).is_err();
     let truncated = chaos::truncate_at_random(&whole.images.checkpoint, seed);
-    let trunc_rejected = Supervisor::restore(&truncated, row.config()).is_err();
+    let [flip, trunc] = [flipped, truncated]
+        .map(|image| Supervisor::restore(&image, row.config()).map_or("rejected", |_| "ACCEPTED"));
 
     let (stats, resumes) = (o.supervised.stats, o.supervised.resumes.len());
     let burst_len = row.supervision.and_then(|s| s.bursts).map_or(0, |b| b.burst_len(total));
+    let (kills, bursts) = (row.kill_points(total), row.burst_windows(total).len());
+    let ledger = if o.ledger { "holds" } else { "VIOLATED" };
+    format!(
+        "  feed: {total} datagrams; kills at {kills:?}; {bursts} overload bursts of ≤{burst_len} datagrams
+  kill/resume × {resumes}: final checkpoint byte-identical to uninterrupted run: {identical}
+  damaged checkpoints fail closed: bit flip {flip}, truncation {trunc}
+  supervisor: {} offered, {} shed, {} ticks, {} deadline misses, ring high water {}
+  Table 1 under chaos: {}
+  accounting invariant (ingested = accepted + duplicates + errors + shed): {ledger}
+",
+        stats.offered, stats.shed, stats.ticks, stats.deadline_misses, stats.high_water, o.drift
+    )
+}
 
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "  feed: {} datagrams; kills at {:?}; {} overload bursts of ≤{} datagrams",
-        total,
-        row.kill_points(total),
-        row.burst_windows(total).len(),
-        burst_len
-    );
-    let _ = writeln!(
-        body,
-        "  kill/resume × {resumes}: final checkpoint byte-identical to uninterrupted run: {}",
-        if identical { "yes" } else { "NO" }
-    );
-    let _ = writeln!(
-        body,
-        "  damaged checkpoints fail closed: bit flip {}, truncation {}",
-        if flip_rejected { "rejected" } else { "ACCEPTED" },
-        if trunc_rejected { "rejected" } else { "ACCEPTED" },
-    );
-    let _ = writeln!(
-        body,
-        "  supervisor: {} offered, {} shed, {} ticks, {} deadline misses, ring high water {}",
-        stats.offered, stats.shed, stats.ticks, stats.deadline_misses, stats.high_water
-    );
-    let _ = writeln!(body, "  Table 1 under chaos: {}", o.drift);
-    let _ = writeln!(
-        body,
-        "  accounting invariant (ingested = accepted + duplicates + errors + shed): {}",
-        if o.ledger { "holds" } else { "VIOLATED" }
-    );
-    out.section(
-        "CHAOS",
-        "chaos soak — kill/resume, overload shedding, checkpoint corruption",
-        body,
-    );
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, SECTIONS};
+
+    /// What the table cannot state by construction: no two rows share an
+    /// id, so `--exp` names each row, in either case, and only a row.
+    #[test]
+    fn exp_names_each_row_by_an_id_no_other_row_shares() {
+        let exp = |id: &str| parse_args(["--exp".into(), id.into()]).map(|a| a.exp.map(|s| s.id));
+        for (i, row) in SECTIONS.iter().enumerate() {
+            assert!(SECTIONS[..i].iter().all(|other| !other.id.eq_ignore_ascii_case(row.id)));
+            assert_eq!(exp(&row.id.to_lowercase()), Ok(Some(row.id)));
+            assert_eq!(exp(&row.id.to_uppercase()), Ok(Some(row.id)));
+        }
+        assert!(exp("fig1").is_err());
+    }
 }

@@ -274,17 +274,37 @@ budget "benchmark smoke" 180 bench_smoke
 echo "==> report and metrics determinism (same seed, same bytes)"
 # Two same-seed full studies must render byte-identical reports — no table
 # row or breakdown may come out in hash-map order — and, under the frozen
-# test clock, export byte-identical ixp-obs snapshots. (`--exp` only
-# filters what is printed: every run is the whole study, so one pair of
-# runs writes both files.) The companion cargo test (re-run here so that it
-# reads the file just written, not its in-process fallback) parses the
-# first snapshot against the ixp-obs/1 schema and checks the metric
-# families.
+# test clock, export byte-identical ixp-obs snapshots. (Only a run of every
+# section computes the whole study, so one pair of such runs writes both
+# files.) The companion cargo test (re-run here so that it reads the file
+# just written, not its in-process fallback) parses the first snapshot
+# against the ixp-obs/1 schema and checks the metric families.
 repro --markdown target/repro-a.md --metrics target/metrics-a.json >/dev/null 2>&1
 repro --markdown target/repro-b.md --metrics target/metrics-b.json >/dev/null 2>&1
 same target/repro-a.md target/repro-b.md "markdown reports differ between same-seed runs"
 same target/metrics-a.json target/metrics-b.json "metrics snapshots differ between same-seed runs"
 cargo test -q --test metrics_smoke
+
+echo "==> every section alone equals its block in the full report"
+# `--exp <id>` computes only what its section reads: week 45 alone for a
+# reference-week section, the 17-week study for one of E9–E16. Each id of
+# the full report, run alone, must print the same `### <id> — …` block.
+block() {
+    awk -v id="$1" '/^### /{on = index($0, "### " id " — ") == 1} on' "$2"
+}
+one_section_each() {
+    ids=$(sed -n 's/^### \([A-Z0-9]*\) — .*/\1/p' target/repro-a.md)
+    [ -n "$ids" ] || fail "target/repro-a.md holds no section"
+    for id in $ids; do
+        repro --exp "$id" --markdown "target/exp-$id.md" --metrics target/metrics-exp.json \
+            >/dev/null 2>&1 || fail "repro --exp $id failed"
+        block "$id" "target/exp-$id.md" > target/exp-block.txt
+        block "$id" target/repro-a.md > target/full-block.txt
+        same target/full-block.txt target/exp-block.txt \
+            "repro --exp $id printed a block other than the full report's (see target/exp-$id.md)"
+    done
+}
+budget "one section a run" 120 one_section_each
 
 echo "==> supervised resume smoke test (checkpoint byte-identity)"
 # A supervised run killed at a datagram boundary and resumed from its
@@ -344,6 +364,19 @@ for mode in none memory; do
     [ "$status" -eq 2 ] && grep -q "needs --checkpoint" target/kill-no-ckpt.log &&
         ! grep -q "generating model\|supervised mode" target/kill-no-ckpt.log ||
         fail "--transport $mode --kill-at without --checkpoint was not refused at parsing (exit $status, see target/kill-no-ckpt.log)"
+done
+# The supervised mode prints no section, so --exp and --markdown beside
+# --checkpoint, --resume or --transport memory|udp would be ignored, as
+# would --listen without --transport udp: each is refused at argument
+# parsing (exit 2), before any model is generated.
+for flags in "--checkpoint target/ignored.bin --exp E1" "--resume target/ignored.bin --markdown target/ignored.md" \
+    "--transport memory --exp E1" "--transport udp --markdown target/ignored.md" \
+    "--listen 127.0.0.1:0" "--transport memory --listen 127.0.0.1:0"; do
+    status=0
+    repro $flags > target/ignored-flag.log 2>&1 || status=$?
+    [ "$status" -eq 2 ] && grep -q "usage: repro" target/ignored-flag.log &&
+        ! grep -q "generating model\|supervised mode" target/ignored-flag.log ||
+        fail "repro $flags was not refused at parsing (exit $status, see target/ignored-flag.log)"
 done
 # --help is a usage line and exit 0; an unknown argument, or an --exp id
 # that names no section, is a usage line and exit 2, not a panic (nor,
