@@ -15,7 +15,8 @@
 //! allows binding a loopback UDP socket (exit 0 yes, 1 no) — `scripts/ci.sh`
 //! uses it to decide whether to run the UDP smoke. `flowgen --help` prints
 //! the usage line, [`USAGE`], and exits 0; an argument it cannot parse is
-//! refused with one line naming it and the usage, exit 2.
+//! refused with one line naming it and the usage, exit 2, as the tests of
+//! [`parse_args`] hold.
 
 use std::time::Duration;
 
@@ -34,7 +35,9 @@ struct Args {
 const USAGE: &str = "usage: flowgen [--target <addr>] [--scale tiny|small|paper:<divisor>] \
     [--seed N] [--pace-us N] [--probe]";
 
-fn parse_args() -> Result<Args, String> {
+/// The run `argv` asks for, `None` for `--help`, or the refusal, which names
+/// the flag at fault.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         target: "127.0.0.1:9995".to_string(),
         scale: ScaleConfig::small(),
@@ -42,16 +45,13 @@ fn parse_args() -> Result<Args, String> {
         pace_us: 200,
         probe: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = || it.next().ok_or(format!("{arg} needs a value"));
         let bad = |value: &str| format!("{arg} does not take {value:?}");
         let number = |value: String| value.parse::<u64>().map_err(|_| bad(&value));
         match arg.as_str() {
-            "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--help" => return Ok(None),
             "--target" => args.target = value()?,
             "--seed" => args.seed = value().and_then(number)?,
             "--pace-us" => args.pace_us = value().and_then(number)?,
@@ -63,14 +63,17 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|refusal| {
+    let Some(args) = parse_args(std::env::args().skip(1)).unwrap_or_else(|refusal| {
         eprintln!("flowgen: {refusal}; {USAGE}");
         std::process::exit(2);
-    });
+    }) else {
+        println!("{USAGE}");
+        return;
+    };
     if args.probe {
         // Can this environment open a loopback UDP socket at all? ci.sh
         // keys the flowgen → repro smoke on the exit code; say why on
@@ -124,4 +127,24 @@ fn main() {
         args.target,
         args.seed,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    /// A scale under the smallest divisor, a value a flag does not take and
+    /// an unknown argument are each refused with a line naming the flag;
+    /// `--help` is no run.
+    #[test]
+    fn a_refused_argv_is_an_error_naming_its_flag() {
+        let parse = |argv: &str| super::parse_args(argv.split_whitespace().map(String::from));
+        for (argv, flag) in
+            [("--scale paper:10", "--scale"), ("--bogus", "--bogus"), ("--pace-us -1", "--pace-us")]
+        {
+            let refusal = parse(argv).err().unwrap_or_else(|| panic!("{argv} was not refused"));
+            assert!(refusal.contains(flag), "{argv}: {refusal}");
+        }
+        let argv = "--target 127.0.0.1:9 --scale paper:20 --seed 99 --pace-us 0 --probe";
+        assert!(matches!(parse(argv), Ok(Some(_))), "{argv} was refused");
+        assert!(matches!(parse("--help --bogus"), Ok(None)));
+    }
 }

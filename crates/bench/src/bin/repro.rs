@@ -11,7 +11,8 @@
 //! `repro --help` prints the usage line, [`USAGE`], and exits 0; an argument
 //! it cannot parse, an `--exp` id that names no row, or a flag the chosen
 //! mode would ignore is refused with one line naming it and the usage,
-//! exit 2.
+//! exit 2. `main` parses first, so a refusal generates no model; the tests
+//! of [`parse_args`] hold each refusal.
 //!
 //! The observability plane (DESIGN.md §13) rides every run: a bounded
 //! deterministic event journal records spans and transitions (stamped by
@@ -92,7 +93,9 @@ const USAGE: &str = "usage: repro [--scale tiny|small|paper:<divisor>] [--seed N
     [--clock test|real] [--checkpoint <path>] [--kill-at <n>] [--resume <path>] \
     [--transport none|memory|udp] [--listen <addr>] [--serve <addr>] [--trace <path>]";
 
-fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+/// The run `argv` asks for, `None` for `--help`, or the refusal, which names
+/// the flag at fault.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         scale: ScaleConfig::small(),
         scale_name: "small".to_string(),
@@ -116,10 +119,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let bad = |value: &str| format!("{arg} does not take {value:?}");
         let number = |value: String| value.parse::<u64>().map_err(|_| bad(&value));
         match arg.as_str() {
-            "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--help" => return Ok(None),
             "--scale" => {
                 args.scale_name = value()?;
                 args.scale =
@@ -167,7 +167,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if args.listen.is_some() && args.transport != "udp" {
         return Err("--listen needs --transport udp: only the UDP feed listens".into());
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// One section of the report: the id `--exp` names, its title, and the
@@ -284,10 +284,13 @@ const FLIGHT_TAIL: usize = 64;
 const AUDIT_EVERY: u64 = 4096;
 
 fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|refusal| {
+    let Some(args) = parse_args(std::env::args().skip(1)).unwrap_or_else(|refusal| {
         eprintln!("repro: {refusal}; {USAGE}");
         std::process::exit(2);
-    });
+    }) else {
+        println!("{USAGE}");
+        return;
+    };
     // The only time source of the whole run: the obs clock. `--clock test`
     // (default) freezes it so the snapshot is byte-reproducible.
     let obs = if args.real_clock { Obs::real() } else { Obs::deterministic() };
@@ -584,16 +587,12 @@ fn supervised_mode(
 }
 
 /// The killed run's pipeline, from the checkpoint at `path` and, with a
-/// `transport`, the side file beside it. A refused image (an unreadable
-/// side file is an empty one) fails closed: a `RestoreRejected` event
-/// (`sub_agent` 0 for the checkpoint, 1 for the side file), the flight dump
-/// at `<file>.rejected.flight` — not `<file>.flight`, where the killed run
-/// left its own — and exit 3.
+/// `transport`, the side file beside it. A refused image, an unreadable one
+/// among them, fails closed: a `RestoreRejected` event (`sub_agent` 0 for
+/// the checkpoint, 1 for the side file), the flight dump at
+/// `<file>.rejected.flight` — not `<file>.flight`, where the killed run left
+/// its own — and exit 3.
 fn resume(path: &str, transport: bool, journal: &ixp_obs::Journal) -> Pipeline {
-    let checkpoint = std::fs::read(path).expect("read checkpoint file");
-    let side = side_file(path);
-    let state = transport.then(|| std::fs::read(&side));
-    let transport = state.as_ref().map(|read| read.as_deref().unwrap_or(&[]).to_vec());
     let refuse = |sub_agent: u64, file: &str, e: &dyn std::fmt::Display| -> ! {
         journal.record(ixp_obs::EventKind::RestoreRejected, 0, sub_agent, 0, 0);
         let flight = format!("{file}.rejected.flight");
@@ -601,16 +600,17 @@ fn resume(path: &str, transport: bool, journal: &ixp_obs::Journal) -> Pipeline {
         eprintln!("refusing to resume from {file}: {e} — flight dump written to {flight}");
         std::process::exit(3);
     };
+    let checkpoint = std::fs::read(path).unwrap_or_else(|e| refuse(0, path, &e));
+    let side = side_file(path);
+    let transport =
+        transport.then(|| std::fs::read(&side).unwrap_or_else(|e| refuse(1, &side, &e)));
     match Pipeline::resume(&Images { checkpoint, transport }, SupervisorConfig::default()) {
         Ok(pipeline) => {
             eprintln!("  resumed from {path} at feed unit {}", pipeline.cursor());
             pipeline
         }
         Err(e @ ResumeError::Checkpoint(_)) => refuse(0, path, &e),
-        Err(e) => match &state {
-            Some(Err(read)) => refuse(1, &side, read),
-            _ => refuse(1, &side, &e),
-        },
+        Err(e) => refuse(1, &side, &e),
     }
 }
 
@@ -1252,18 +1252,54 @@ fn chaos_sweep(w: &WeekInputs<'_>) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_args, SECTIONS};
+    use super::{parse_args, Args, SECTIONS};
+
+    fn parse(argv: &str) -> Result<Option<Args>, String> {
+        parse_args(argv.split_whitespace().map(String::from))
+    }
 
     /// What the table cannot state by construction: no two rows share an
     /// id, so `--exp` names each row, in either case, and only a row.
     #[test]
     fn exp_names_each_row_by_an_id_no_other_row_shares() {
-        let exp = |id: &str| parse_args(["--exp".into(), id.into()]).map(|a| a.exp.map(|s| s.id));
+        let exp =
+            |id: &str| parse(&format!("--exp {id}")).map(|a| a.and_then(|a| a.exp).map(|s| s.id));
         for (i, row) in SECTIONS.iter().enumerate() {
             assert!(SECTIONS[..i].iter().all(|other| !other.id.eq_ignore_ascii_case(row.id)));
             assert_eq!(exp(&row.id.to_lowercase()), Ok(Some(row.id)));
             assert_eq!(exp(&row.id.to_uppercase()), Ok(Some(row.id)));
         }
-        assert!(exp("fig1").is_err());
+    }
+
+    /// A flag the chosen mode would ignore, a value a flag does not take and
+    /// an unknown argument are each refused with a line naming the flag;
+    /// `--help` is no run.
+    #[test]
+    fn a_refused_argv_is_an_error_naming_its_flag() {
+        let refused = [
+            ("--kill-at 400", "--kill-at"),
+            ("--transport memory --kill-at 400", "--kill-at"),
+            ("--checkpoint c.bin --exp E1", "--exp"),
+            ("--resume c.bin --markdown r.md", "--markdown"),
+            ("--transport memory --exp E1", "--exp"),
+            ("--transport udp --markdown r.md", "--markdown"),
+            ("--listen 127.0.0.1:0", "--listen"),
+            ("--transport memory --listen 127.0.0.1:0", "--listen"),
+            ("--bogus", "--bogus"),
+            ("--exp fig1", "--exp"),
+            ("--transport tcp", "--transport"),
+        ];
+        for (argv, flag) in refused {
+            let refusal = parse(argv).err().unwrap_or_else(|| panic!("{argv} was not refused"));
+            assert!(refusal.contains(flag), "{argv}: {refusal}");
+        }
+        for argv in [
+            "--scale tiny --seed 99 --exp e3 --markdown r.md --clock real",
+            "--transport memory --checkpoint c.bin --kill-at 400",
+            "--transport udp --listen 127.0.0.1:0 --resume c.bin",
+        ] {
+            assert!(matches!(parse(argv), Ok(Some(_))), "{argv} was refused");
+        }
+        assert!(matches!(parse("--scale tiny --help --bogus"), Ok(None)));
     }
 }

@@ -40,10 +40,12 @@ mod scale;
 mod servers;
 mod types;
 
+pub use clients::ClientPool;
 pub use country::CountryId;
 pub use model::InternetModel;
-pub use orgs::{Archetype, OrgKind, Organization};
+pub use orgs::{Archetype, OrgCatalog, OrgKind, Organization};
 pub use peering::PeeringMatrix;
+pub use prefixes::RoutingSnapshot;
 pub use registry::AsRole;
 pub use scale::ScaleConfig;
 pub use servers::{Server, ServerFlags, ServiceTag};

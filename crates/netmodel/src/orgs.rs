@@ -248,8 +248,7 @@ impl OrgCatalog {
     }
 
     /// True if empty.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.orgs.is_empty()
     }
 

@@ -124,8 +124,7 @@ impl RoutingSnapshot {
     }
 
     /// True if empty.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 

@@ -23,12 +23,16 @@
 //! array lookups, a 128-byte snippet on the stack that the payload is
 //! written straight into, and one encode into the datagram being assembled.
 //! [`WeekStream::next`] allocates the datagram it returns, at exactly its
-//! length, and nothing else (DESIGN.md §14, "The generator path").
+//! length, and nothing else (DESIGN.md §14, "The generator path"). No key
+//! can be probed per sample: [`WeekContext`] holds no registry, and this
+//! module denies `HashMap`.
+#![deny(clippy::disallowed_types)]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
 
+use ixp_netmodel::{ClientPool, OrgCatalog, PeeringMatrix, RoutingSnapshot, Server};
 use ixp_netmodel::{InternetModel, MemberId, OrgId, OrgKind, ServerFlags, ServiceTag, Week};
 use ixp_sflow::{
     flow_sample_len, CounterSample, DatagramBuilder, FlowSample, RawPacketHeader,
@@ -41,9 +45,13 @@ use ixp_wire::{ipv4, tcp, udp};
 use crate::config::{frame_len, MixConfig};
 use crate::payload;
 
-/// Per-week pre-computed context.
+/// Per-week pre-computed context: the tables a sample reads, and every key resolved.
 pub(crate) struct WeekContext<'m> {
-    model: &'m InternetModel,
+    clients: &'m ClientPool,
+    routing: &'m RoutingSnapshot,
+    peering: &'m PeeringMatrix,
+    orgs: &'m OrgCatalog,
+    servers: &'m [Server],
     cfg: MixConfig,
     week: Week,
     /// Active (IXP-visible) server indices.
@@ -145,7 +153,11 @@ impl<'m> WeekContext<'m> {
         }
 
         WeekContext {
-            model,
+            clients: &model.clients,
+            routing: &model.routing,
+            peering: &model.peering,
+            orgs: &model.orgs,
+            servers,
             cfg,
             week,
             active,
@@ -173,7 +185,6 @@ impl<'m> WeekContext<'m> {
     /// spent before the client is located, so a caller can draw several
     /// clients and only then look at what it drew.
     fn draw_client(&self, rng: &mut SmallRng) -> Option<(Ipv4Addr, u32)> {
-        let (clients, routing) = (&self.model.clients, &self.model.routing);
         if self.member_client_total > 0 && rng.gen::<f64>() < self.cfg.p_member_client {
             // Uniform over the member-AS populations: the range names the
             // AS, so the client is located inside it and never searched for.
@@ -181,16 +192,16 @@ impl<'m> WeekContext<'m> {
             let k = self.member_client_ranges.partition_point(|(end, _)| *end <= x);
             let (end, as_idx) =
                 self.member_client_ranges[k.min(self.member_client_ranges.len() - 1)];
-            let pop = clients.population(as_idx);
+            let pop = self.clients.population(as_idx);
             let local = pop - (end - x).min(pop);
-            clients.locate_in(routing, as_idx, local).map(|addr| (addr, as_idx))
+            self.clients.locate_in(self.routing, as_idx, local).map(|addr| (addr, as_idx))
         } else {
             // Skewed global draw, scrambled so heavy hitters spread across
             // the whole universe rather than clustering at low indices.
-            let universe = clients.universe();
+            let universe = self.clients.universe();
             let u: f64 = rng.gen();
             let c = (u.powf(self.cfg.client_skew) * universe as f64) as u64;
-            clients.locate(routing, c.wrapping_mul(0x2545_F491_4F6C_DD1D) % universe)
+            self.clients.locate(self.routing, c.wrapping_mul(0x2545_F491_4F6C_DD1D) % universe)
         }
     }
 
@@ -456,7 +467,7 @@ fn client_pair(
         };
         let ma = ctx.gateway[as_a as usize];
         let mb = ctx.gateway[as_b as usize];
-        if ma != mb && ctx.model.peering.peers(ma, mb) && ip_a != ip_b {
+        if ma != mb && ctx.peering.peers(ma, mb) && ip_a != ip_b {
             return Some((ip_a, ma, ip_b, mb));
         }
     }
@@ -468,7 +479,7 @@ fn server_flow_frame(
     rng: &mut SmallRng,
     buf: &mut [u8; SNIPPET_LEN],
 ) -> (usize, usize) {
-    let servers = ctx.model.servers.servers();
+    let servers = ctx.servers;
     for _ in 0..6 {
         let mut sidx = ctx.draw_server(rng);
 
@@ -498,9 +509,9 @@ fn server_flow_frame(
                 if rng.gen::<f64>() > theta {
                     // Choose an alternative member-hosted deployment.
                     let candidates = || {
-                        hosts.iter().filter(|(m, _)| {
-                            *m != m_client && ctx.model.peering.peers(*m, m_client)
-                        })
+                        hosts
+                            .iter()
+                            .filter(|(m, _)| *m != m_client && ctx.peering.peers(*m, m_client))
                     };
                     let n = candidates().count();
                     if n > 0 {
@@ -514,11 +525,11 @@ fn server_flow_frame(
 
         let server = &servers[sidx as usize];
         let m_server = ctx.gateway[ctx.server_as[sidx as usize] as usize];
-        if m_server == m_client || !ctx.model.peering.peers(m_server, m_client) {
+        if m_server == m_client || !ctx.peering.peers(m_server, m_client) {
             continue; // stays inside one member / no public peering: invisible
         }
 
-        let org = ctx.model.orgs.get(server.org);
+        let org = ctx.orgs.get(server.org);
 
         // Service port for this flow.
         let week_factor =
@@ -575,10 +586,7 @@ fn server_flow_frame(
                     if rng.gen::<f64>() < ctx.cfg.p_cross_org_uri {
                         // Embedded third-party content: the Host names
                         // another organization's domain.
-                        let other = ctx
-                            .model
-                            .orgs
-                            .get(OrgId(rng.gen_range(0..ctx.model.orgs.len() as u32)));
+                        let other = ctx.orgs.get(OrgId(rng.gen_range(0..ctx.orgs.len() as u32)));
                         other.domains.first().map_or("", String::as_str)
                     } else {
                         let u: f64 = rng.gen();

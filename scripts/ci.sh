@@ -20,6 +20,15 @@ same() {
     cmp "$1" "$2" || fail "$3"
 }
 
+# exits <code> <log> <cmd...>: run the command, its output to <log>; it
+# must exit <code>.
+exits() {
+    code=$1 log=$2 status=0
+    shift 2
+    "$@" > "$log" 2>&1 || status=$?
+    [ "$status" -eq "$code" ] || fail "$* exited $status, not $code (see $log)"
+}
+
 # dump_ends_in <flight dump> <kind>: the dump is an ixp-trace/1 document
 # whose last event is of kind <kind>.
 dump_ends_in() {
@@ -53,6 +62,9 @@ budget() {
 repro() {
     cargo run -q --release -p ixp-bench --bin repro -- --scale tiny "$@"
 }
+flowgen() {
+    cargo run -q --release -p ixp-bench --bin flowgen -- "$@"
+}
 
 echo "==> one of everything (structural guard)"
 # Cheap and first: the workspace keeps one FNV, one cursor, one JSON
@@ -69,14 +81,6 @@ echo "==> one of everything (structural guard)"
 # same-named copy in another crate would be a second meaning of "sealed".
 [ "$(grep -rl 'trailer_digest(' crates | tr '\n' ' ')" = "crates/codec/src/trailer.rs " ] ||
     fail "the trailer digest is named outside crates/codec/src/trailer.rs: $(grep -rl 'trailer_digest(' crates | tr '\n' ' ')"
-# One resolution: whatever the generator keys by ASN, organization or week
-# becomes a dense index once per week, in WeekContext::new; a hash probe in
-# the per-sample code is work the week pays 1.3 M times.
-keyed_sites=$(awk '
-    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
-    /index_of\(|members_at\(|population_of\(|HashMap/ { if (within != "new") printf "%s:%d ", within, NR }' crates/traffic/src/week.rs)
-[ -z "$keyed_sites" ] ||
-    fail "crates/traffic/src/week.rs resolves a key outside WeekContext::new (fn:line): $keyed_sites"
 # No registry crate: std spells what the workspace needs and the two
 # stand-ins are path crates, so no package in Cargo.lock has a source.
 if grep -n '^source = ' Cargo.lock >&2; then
@@ -323,7 +327,6 @@ same target/trace-whole-a.json target/trace-whole-b.json \
     "event-journal traces differ between same-seed runs"
 repro --checkpoint target/ckpt-mid.bin --kill-at 400 \
     --metrics target/metrics-killed.json > target/repro-killed.log 2>&1
-[ -f target/ckpt-mid.bin.flight ] || fail "killed run left no flight dump beside its checkpoint"
 dump_ends_in target/ckpt-mid.bin.flight kill
 grep -q "flight dump to " target/repro-killed.log ||
     fail "killed run did not report its flight dump (see target/repro-killed.log)"
@@ -337,78 +340,30 @@ same target/metrics-whole.json target/metrics-resumed.json \
     "resumed run's metrics snapshot differs from uninterrupted run"
 same target/ckpt-whole.bin target/ckpt-resumed.bin \
     "resumed run's final checkpoint differs from uninterrupted run"
-# A resume from a damaged checkpoint is refused (exit 3) with its dump at
-# <checkpoint>.rejected.flight: the killed run's <checkpoint>.flight, the
-# crash's evidence, is left as it was.
-rm -f target/ckpt-bad.bin.rejected.flight
-cp target/ckpt-mid.bin target/ckpt-bad.bin
-cp target/ckpt-mid.bin.flight target/ckpt-bad.bin.flight
-byte=$(od -An -tu1 -j 40 -N 1 target/ckpt-bad.bin | tr -d ' ')
+# A resume from a damaged or a missing checkpoint is refused (exit 3) with
+# its dump at <checkpoint>.rejected.flight: the killed run's
+# <checkpoint>.flight, the crash's evidence, is left as it was.
+rm -f target/ckpt-damaged.bin.rejected.flight target/ckpt-missing.bin*
+cp target/ckpt-mid.bin target/ckpt-damaged.bin
+cp target/ckpt-mid.bin.flight target/ckpt-damaged.bin.flight
+byte=$(od -An -tu1 -j 40 -N 1 target/ckpt-damaged.bin | tr -d ' ')
 printf "$(printf '\\%03o' $((byte ^ 1)))" |
-    dd of=target/ckpt-bad.bin bs=1 seek=40 count=1 conv=notrunc 2>/dev/null
-status=0
-repro --resume target/ckpt-bad.bin > target/ckpt-bad.log 2>&1 || status=$?
-[ "$status" -eq 3 ] ||
-    fail "a resume from a damaged checkpoint exited $status, not 3 (see target/ckpt-bad.log)"
-same target/ckpt-mid.bin.flight target/ckpt-bad.bin.flight \
+    dd of=target/ckpt-damaged.bin bs=1 seek=40 count=1 conv=notrunc 2>/dev/null
+for case in damaged missing; do
+    exits 3 "target/ckpt-$case.log" repro --resume "target/ckpt-$case.bin"
+    dump_ends_in "target/ckpt-$case.bin.rejected.flight" restore_rejected
+done
+same target/ckpt-mid.bin.flight target/ckpt-damaged.bin.flight \
     "a refused resume overwrote the killed run's flight dump"
-[ -f target/ckpt-bad.bin.rejected.flight ] ||
-    fail "a refused checkpoint left no .rejected.flight dump beside it"
-dump_ends_in target/ckpt-bad.bin.rejected.flight restore_rejected
-# --kill-at without --checkpoint has nowhere to write the killed run's
-# images: it is refused at argument parsing (exit 2), before any model is
-# generated, in either mode.
-for mode in none memory; do
-    status=0
-    repro --transport "$mode" --kill-at 400 > target/kill-no-ckpt.log 2>&1 || status=$?
-    [ "$status" -eq 2 ] && grep -q "needs --checkpoint" target/kill-no-ckpt.log &&
-        ! grep -q "generating model\|supervised mode" target/kill-no-ckpt.log ||
-        fail "--transport $mode --kill-at without --checkpoint was not refused at parsing (exit $status, see target/kill-no-ckpt.log)"
+# Each refusal of an argument is a parse_args test; what they cannot reach
+# is main's mapping: --help is a usage line and exit 0, a refusal a usage
+# line and exit 2.
+for bin in repro flowgen; do
+    exits 0 "target/$bin-help.log" "$bin" --help
+    exits 2 "target/$bin-bogus.log" "$bin" --bogus
+    grep -q "^usage: $bin" "target/$bin-help.log" && grep -q "usage: $bin" "target/$bin-bogus.log" ||
+        fail "$bin printed no usage line (see target/$bin-help.log, target/$bin-bogus.log)"
 done
-# The supervised mode prints no section, so --exp and --markdown beside
-# --checkpoint, --resume or --transport memory|udp would be ignored, as
-# would --listen without --transport udp: each is refused at argument
-# parsing (exit 2), before any model is generated.
-for flags in "--checkpoint target/ignored.bin --exp E1" "--resume target/ignored.bin --markdown target/ignored.md" \
-    "--transport memory --exp E1" "--transport udp --markdown target/ignored.md" \
-    "--listen 127.0.0.1:0" "--transport memory --listen 127.0.0.1:0"; do
-    status=0
-    repro $flags > target/ignored-flag.log 2>&1 || status=$?
-    [ "$status" -eq 2 ] && grep -q "usage: repro" target/ignored-flag.log &&
-        ! grep -q "generating model\|supervised mode" target/ignored-flag.log ||
-        fail "repro $flags was not refused at parsing (exit $status, see target/ignored-flag.log)"
-done
-# --help is a usage line and exit 0; an unknown argument, or an --exp id
-# that names no section, is a usage line and exit 2, not a panic (nor,
-# for --exp, a whole study that prints nothing).
-repro --help > target/repro-help.log 2>&1 ||
-    fail "repro --help did not exit 0 (see target/repro-help.log)"
-grep -q "^usage: repro" target/repro-help.log ||
-    fail "repro --help printed no usage line (see target/repro-help.log)"
-status=0
-repro --bogus > target/repro-bogus.log 2>&1 || status=$?
-[ "$status" -eq 2 ] && grep -q "usage: repro" target/repro-bogus.log &&
-    ! grep -q "panicked" target/repro-bogus.log ||
-    fail "repro --bogus exited $status, not 2 with a usage line (see target/repro-bogus.log)"
-status=0
-repro --exp fig1 > target/repro-bad-exp.log 2>&1 || status=$?
-[ "$status" -eq 2 ] && grep -q "usage: repro" target/repro-bad-exp.log &&
-    ! grep -q "panicked" target/repro-bad-exp.log ||
-    fail "repro --exp fig1 exited $status, not 2 with a usage line (see target/repro-bad-exp.log)"
-# flowgen refuses the same way: a scale below the smallest divisor is a
-# usage line and exit 2, not a panic.
-flowgen() {
-    cargo run -q --release -p ixp-bench --bin flowgen -- "$@"
-}
-flowgen --help > target/flowgen-help.log 2>&1 ||
-    fail "flowgen --help did not exit 0 (see target/flowgen-help.log)"
-grep -q "^usage: flowgen" target/flowgen-help.log ||
-    fail "flowgen --help printed no usage line (see target/flowgen-help.log)"
-status=0
-flowgen --scale paper:10 > target/flowgen-bad-scale.log 2>&1 || status=$?
-[ "$status" -eq 2 ] && grep -q "usage: flowgen" target/flowgen-bad-scale.log &&
-    ! grep -q "panicked" target/flowgen-bad-scale.log ||
-    fail "flowgen --scale paper:10 exited $status, not 2 with a usage line (see target/flowgen-bad-scale.log)"
 
 echo "==> paper-scale resume smoke (restore of some 300 K rows, on two cores and on one)"
 # Every restore parses its rows on a helper thread while the caller inserts
@@ -478,25 +433,16 @@ repro --transport memory --checkpoint target/tckpt-whole.bin \
     --metrics target/tmetrics-whole.json >/dev/null 2>&1
 repro --transport memory --checkpoint target/tckpt-mid.bin --kill-at 400 \
     --metrics target/tmetrics-killed.json >/dev/null 2>&1
-[ -f target/tckpt-mid.bin.transport ] ||
-    fail "transport-mode killed run left no .transport side file beside its checkpoint"
-[ -f target/tckpt-mid.bin.flight ] ||
-    fail "transport-mode killed run left no flight dump beside its checkpoint"
 dump_ends_in target/tckpt-mid.bin.flight kill
-repro --transport memory --resume target/tckpt-mid.bin --checkpoint target/tckpt-resumed.bin \
-    --metrics target/tmetrics-resumed.json >/dev/null 2>&1
+exits 0 target/transport-resumed.log repro --transport memory --resume target/tckpt-mid.bin \
+    --checkpoint target/tckpt-resumed.bin --metrics target/tmetrics-resumed.json
 same target/tckpt-whole.bin target/tckpt-resumed.bin \
     "transport-mode resumed run's final checkpoint differs from the whole run's"
 same target/tmetrics-whole.json target/tmetrics-resumed.json \
     "transport-mode resumed run's metrics snapshot differs from the whole run's"
 cp target/tckpt-mid.bin target/tckpt-noside.bin
-status=0
-repro --transport memory --resume target/tckpt-noside.bin \
-    --checkpoint target/tckpt-noside-resumed.bin > target/transport-noside.log 2>&1 || status=$?
-[ "$status" -eq 3 ] ||
-    fail "a resume without its side file exited $status, not 3 (see target/transport-noside.log)"
-[ -f target/tckpt-noside.bin.transport.rejected.flight ] ||
-    fail "a refused side file left no .rejected.flight dump beside it"
+exits 3 target/transport-noside.log repro --transport memory --resume target/tckpt-noside.bin \
+    --checkpoint target/tckpt-noside-resumed.bin
 dump_ends_in target/tckpt-noside.bin.transport.rejected.flight restore_rejected
 
 echo "==> flowgen -> repro loopback smoke (UDP when permitted)"

@@ -1,78 +1,26 @@
 //! `WeekScan::ingest` allocates for what it learns — a new IP, a new
 //! domain, a new source — and for nothing else; `WeekStream::next`, which
 //! feeds it, allocates the datagram it returns and nothing else; and no
-//! decoder of outside bytes lets a length it reads size an allocation. An
-//! integration test is a binary of its own, so the counting allocator below
-//! is installed here and nowhere else.
-#![allow(unsafe_code)]
+//! decoder of outside bytes lets a length it reads size an allocation. The
+//! counting allocator is `heap`'s, installed in this binary; its per-thread
+//! counts see the calling thread alone, so the tests may run side by side.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod heap;
+
 use std::cell::Cell;
 
+use heap::THREAD;
 use ixp_vantage::core::WeekScan;
 use ixp_vantage::netmodel::{InternetModel, ScaleConfig, Week};
 use ixp_vantage::traffic::{MixConfig, WeekStream};
 
-/// The system allocator, counting the calling thread's allocations (the
-/// test harness runs other tests on other threads at the same time).
-struct CountingPerThread;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one(bytes: usize) {
-    // Unreachable thread-local storage (a thread being torn down) is not
-    // a thread this test measures.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` that neither allocates nor touches allocator state.
-unsafe impl GlobalAlloc for CountingPerThread {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size());
-        // SAFETY: the caller's layout is passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size());
-        // SAFETY: the caller's layout is passed through as given.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator with this layout (caller's
-        // contract), and this allocator only ever hands out `System` blocks.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one(new_size);
-        // SAFETY: as for `dealloc`, plus the caller guarantees `new_size`
-        // is valid for `layout.align()`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingPerThread = CountingPerThread;
-
-/// Allocations (and reallocations) this thread makes while `f` runs.
-fn allocations(f: impl FnOnce()) -> u64 {
-    allocated(f).1
-}
-
-/// What `f` returns, how often this thread allocated while it ran, and how
-/// many bytes it asked for in all.
+/// What `f` returns, how often this thread allocated (and reallocated)
+/// while it ran, and how many bytes it asked for in all.
 fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (count, bytes) = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
+    let (count, bytes) = THREAD.with(Cell::get);
     let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - count, ALLOCATED_BYTES.with(Cell::get) - bytes)
+    let (count_after, bytes_after) = THREAD.with(Cell::get);
+    (out, count_after - count, bytes_after - bytes)
 }
 
 /// The reference week at tiny scale, and its member count.
@@ -99,11 +47,12 @@ fn ingest_of_known_sources_ips_and_domains_allocates_nothing() {
 
     // The same week again: each source's sequence numbers start over, which
     // the collector books as one restart and then accepts as before.
-    let second_pass = allocations(|| {
+    let second_pass = allocated(|| {
         for datagram in &feed {
             scan.ingest(datagram);
         }
-    });
+    })
+    .1;
     let again = scan.ingest_health().collector;
     assert_eq!(again.accepted, 2 * warm.accepted, "the second pass was not accepted");
     assert_eq!(again.restarts, warm.sources as u64);
@@ -114,12 +63,13 @@ fn ingest_of_known_sources_ips_and_domains_allocates_nothing() {
     // datagrams whose header still names the source.
     let last = feed.last().expect("non-empty feed");
     let cut = &last[..last.len() / 2];
-    let faulty = allocations(|| {
+    let faulty = allocated(|| {
         for _ in 0..100 {
             scan.ingest(last);
             scan.ingest(cut);
         }
-    });
+    })
+    .1;
     let after = scan.ingest_health().collector;
     assert_eq!(after.duplicates, again.duplicates + 100);
     assert_eq!(after.decode_errors.total(), again.decode_errors.total() + 100);
@@ -131,11 +81,12 @@ fn ingest_of_known_sources_ips_and_domains_allocates_nothing() {
 fn a_fresh_scan_allocates_for_what_it_learns_not_per_datagram() {
     let (feed, members) = tiny_week();
     let mut scan = WeekScan::new(Week::REFERENCE, members);
-    let fresh = allocations(|| {
+    let fresh = allocated(|| {
         for datagram in &feed {
             scan.ingest(datagram);
         }
-    });
+    })
+    .1;
     // One allocation per interned domain, a logarithmic number of growth
     // steps of the tables themselves, and a B-tree node for every few
     // servers' URI lists.
@@ -204,7 +155,7 @@ fn a_data_packet_under_a_cached_template_costs_its_copy_its_records_and_its_work
 
         let packets: Vec<Vec<u8>> =
             (41..=48).map(|sequence| encode(sequence, 7, 300, None, &records)).collect();
-        let steady = allocations(|| {
+        let steady = allocated(|| {
             for packet in &packets {
                 intake.offer(1, packet);
                 let work = intake.drain(1);
@@ -213,7 +164,8 @@ fn a_data_packet_under_a_cached_template_costs_its_copy_its_records_and_its_work
                     "{dialect}: {work:?}"
                 );
             }
-        });
+        })
+        .1;
         assert_eq!(steady, 3 * packets.len() as u64, "{dialect}");
     }
 }
